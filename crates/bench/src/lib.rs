@@ -29,6 +29,7 @@
 use cn_fit::ModelSet;
 use cn_gen::{generate_out_of_core, GenConfig, OutOfCoreConfig, PopulationStream, ShardedStream};
 use cn_obs::{MetricValue, ObsSnapshot, Registry};
+use cn_trace::{RecordSource, StreamError};
 use std::time::Instant;
 
 /// One measured generation run.
@@ -248,9 +249,19 @@ pub fn run_sequential(models: &ModelSet, config: &GenConfig) -> u64 {
     PopulationStream::new(models, config).count() as u64
 }
 
+/// Drain a sharded stream to its `finish` receipt. A worker failure
+/// aborts the benchmark with the typed [`StreamError`] — it must not be
+/// measured as a shorter run and reported as "event count diverged".
+fn drained_events(stream: ShardedStream<'_>) -> u64 {
+    stream
+        .drain(|_| Ok::<(), StreamError>(()))
+        .unwrap_or_else(|e| panic!("sharded benchmark stream failed: {e}"))
+        .events
+}
+
 /// Drain the sharded stream at an explicit shard count.
 pub fn run_sharded(models: &ModelSet, config: &GenConfig, shards: usize) -> u64 {
-    ShardedStream::with_shards(models, config, shards).count() as u64
+    drained_events(ShardedStream::with_shards(models, config, shards))
 }
 
 /// Drain the sharded stream with full `cn-obs` telemetry enabled — the
@@ -262,7 +273,9 @@ pub fn run_sharded_observed(
     shards: usize,
     registry: &Registry,
 ) -> u64 {
-    ShardedStream::with_shards_observed(models, config, shards, registry).count() as u64
+    drained_events(ShardedStream::with_shards_observed(
+        models, config, shards, registry,
+    ))
 }
 
 /// The telemetry honesty gate: a fully drained sharded run's summed

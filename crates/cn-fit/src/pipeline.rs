@@ -7,7 +7,7 @@ use crate::semi_markov::{fit_sojourn, SemiMarkovModel};
 use crate::sojourn::UeObservations;
 use cn_cluster::{ClusterId, Clustering, ClusteringParams};
 use cn_statemachine::{BottomTransition, TlState, TopTransition};
-use cn_trace::{DeviceType, HourOfDay, Trace, MS_PER_DAY};
+use cn_trace::{DeviceType, HourOfDay, Trace, TraceRecord, UeId, MS_PER_DAY};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -87,24 +87,30 @@ fn observe_all(trace: &Trace, threads: usize) -> Vec<UeObservations> {
     .min(entries.len())
     .max(1);
     let chunk = entries.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = entries
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move |_| {
-                    slice
-                        .iter()
-                        .map(|(ue, events)| {
-                            let device = events.first().map_or(DeviceType::Phone, |r| r.device);
-                            UeObservations::observe(*ue, device, events)
-                        })
-                        .collect::<Vec<_>>()
-                })
+    let observe_share = |slice: &[(UeId, &[TraceRecord])]| {
+        slice
+            .iter()
+            .map(|(ue, events)| {
+                let device = events.first().map_or(DeviceType::Phone, |r| r.device);
+                UeObservations::observe(*ue, device, events)
             })
+            .collect::<Vec<_>>()
+    };
+    // The calling thread observes the last share itself instead of idling
+    // in `join` (as `cn_world::generate_world` does, for the same reason).
+    let mut shares: Vec<_> = entries.chunks(chunk).collect();
+    let own = shares.pop().expect("entries is non-empty");
+    crossbeam::thread::scope(|scope| {
+        let observe_share = &observe_share;
+        let handles: Vec<_> = shares
+            .into_iter()
+            .map(|slice| scope.spawn(move |_| observe_share(slice)))
             .collect();
+        let own = observe_share(own);
         handles
             .into_iter()
             .flat_map(|h| h.join().expect("observer panicked"))
+            .chain(own)
             .collect()
     })
     .expect("scope panicked")

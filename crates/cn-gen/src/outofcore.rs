@@ -21,11 +21,10 @@
 //!    Peak RSS is therefore O(budget + chunk state + read windows),
 //!    independent of trace length.
 //! 3. **Zero-copy k-way merge** — the runs merge through a compact
-//!    [`KeyLoserTree`] over packed `(t_ms, ue)` keys. When a run wins,
-//!    every buffered record preceding the runner-up's key (found by
-//!    galloping over the encoded bytes,
-//!    [`encoded_prefix`](cn_trace::block::encoded_prefix)) is written to
-//!    the sink **verbatim** with
+//!    [`KeyLoserTree`] over packed record keys. When a run wins, every
+//!    buffered record preceding the runner-up's key (found by galloping
+//!    over the encoded bytes, [`run_prefix`] over [`record_key_at`]) is
+//!    written to the sink **verbatim** with
 //!    [`BinaryStreamWriter::write_encoded`] — no per-record decode or
 //!    re-encode anywhere between generation and disk.
 //!
@@ -55,11 +54,10 @@
 
 use crate::engine::GenConfig;
 use crate::pool::UePool;
-use crate::shard::StreamError;
 use cn_fit::ModelSet;
-use cn_trace::block::{encoded_prefix, record_key_at, RECORD_BYTES};
-use cn_trace::io::BinaryStreamWriter;
-use cn_trace::{EncodedBlock, KeyLoserTree, EXHAUSTED_KEY};
+use cn_trace::io::{record_key_at, BinaryStreamWriter, RECORD_BYTES};
+use cn_trace::merge::run_prefix;
+use cn_trace::{EncodedBlock, KeyLoserTree, StreamError, EXHAUSTED_KEY};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -372,7 +370,9 @@ pub fn generate_out_of_core<W: Write + Seek>(
         };
         loop {
             let window = readers[w].window();
-            let run_bytes = encoded_prefix(window, bound, wins_ties) * RECORD_BYTES;
+            let records = window.len() / RECORD_BYTES;
+            let run_bytes =
+                run_prefix(records, |i| record_key_at(window, i), bound, wins_ties) * RECORD_BYTES;
             let drained_whole_window = run_bytes == window.len();
             writer
                 .write_encoded(&window[..run_bytes])

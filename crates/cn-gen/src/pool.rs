@@ -1,14 +1,13 @@
 //! Struct-of-arrays UE pool: the compact merge hot path.
 //!
-//! [`PopulationStream`](crate::PopulationStream) originally merged its
-//! per-UE generators through a `LoserTree<TraceRecord>` — a
-//! `Vec<Option<TraceRecord>>` of fat heads compared through the full
-//! record `Ord` on every tournament replay. Profiling the 20K-UE × 12h
-//! benchmark workload showed that merge layer costing ~3–4× the pure
-//! generation work, and the cost is *structural*: every emitted event
-//! replays ⌈log₂k⌉ matches whose memory accesses form a serial
-//! dependency chain — ~15 dependent cache reads per record at 20K UEs,
-//! whatever the node encoding.
+//! Merging one run per UE through a tournament tree is *structurally*
+//! expensive: every emitted event replays ⌈log₂k⌉ matches whose memory
+//! accesses form a serial dependency chain — ~15 dependent cache reads
+//! per record at 20K UEs, whatever the node encoding — and profiling the
+//! 20K-UE × 12h benchmark workload showed such a merge layer costing
+//! ~3–4× the pure generation work. (The tournament tree,
+//! `cn_trace::KeyLoserTree`, is still the right tool where runs are few
+//! and long: the shard and out-of-core merges.)
 //!
 //! [`UePool`] therefore splits the state into parallel arrays
 //! (struct-of-arrays) and replaces the tournament with a **calendar
@@ -30,7 +29,7 @@
 //! assigned in ascending UE order, so `(t_rel, slot)` sorts identically
 //! to the global `(t, ue)` record order (event type never breaks a tie —
 //! `(t, ue)` is already unique). The pool's output is byte-identical to
-//! the fat-tree merge; the `cn-verify` golden gate holds at pin parity.
+//! a tournament-tree merge; the `cn-verify` golden gate holds at pin parity.
 //!
 //! The same pool drives the sequential stream, each shard worker of the
 //! parallel stream (over a strided index set), and each UE-range chunk

@@ -26,13 +26,14 @@
 //!
 //! The consumer-side merge does not hop through the tournament tree per
 //! record. When shard `w` wins, the tree also knows the *runner-up* — the
-//! head that would win were `w`'s run exhausted ([`LoserTree::runner_up`],
-//! one ⌈log₂S⌉ walk). Every buffered record of `w` that precedes that
-//! bound is part of `w`'s current **run** and is emitted by direct block
-//! indexing, one comparison each (found by galloping + binary search, so
-//! short runs cost O(1)); the tree is then advanced **once per run**
-//! ([`LoserTree::replace_run`]) instead of once per record, amortizing
-//! both the replay and the per-record channel bookkeeping.
+//! head that would win were `w`'s run exhausted
+//! ([`KeyLoserTree::runner_up`], one ⌈log₂S⌉ walk). Every buffered record
+//! of `w` that precedes that bound is part of `w`'s current **run** and is
+//! emitted by direct block indexing (found by [`run_prefix`]'s gallop +
+//! binary search, so short runs cost O(1)); the tree is then advanced
+//! **once per run** ([`KeyLoserTree::replace_winner`]) instead of once per
+//! record, amortizing both the replay and the per-record channel
+//! bookkeeping.
 //!
 //! ### Determinism
 //!
@@ -78,15 +79,18 @@
 //!
 //! The consumer reads the slot whenever a channel disconnects, so a
 //! panicked shard surfaces as a typed [`StreamError::WorkerPanicked`]
-//! instead of being merged out as "exhausted". The fallible surface is
-//! [`ShardedStream::try_next`] plus [`ShardedStream::finish`] (which
-//! joins the workers and refuses to report success if any of them
-//! panicked). The plain [`Iterator`] impl cannot return errors, so it
-//! **fuses and poisons**: after a failure it yields `None` forever, the
-//! error stays readable via [`ShardedStream::error`], and dropping the
-//! stream records every worker's exit — `cn_gen_worker_exit{outcome=…}`
-//! and `cn_gen_shard_panics_total{shard=…}` when a registry is attached —
-//! rather than swallowing the join results. Faults are injected
+//! instead of being merged out as "exhausted". The only surface is the
+//! fallible one — [`ShardedStream::try_next`] plus
+//! [`ShardedStream::finish`] (which joins the workers and refuses to
+//! report success if any of them panicked), i.e. the workspace's
+//! [`RecordSource`] contract, whose `drain`/`collect_trace` consume a
+//! whole stream. There is deliberately no `Iterator` impl: an infallible
+//! view would end early on a worker failure and look complete. After a
+//! failure the stream is *poisoned* (every further `try_next` repeats the
+//! error), and dropping it records every worker's exit —
+//! `cn_gen_worker_exit{outcome=…}` and `cn_gen_shard_panics_total{shard=…}`
+//! when a registry is attached — rather than swallowing the join results.
+//! Faults are injected
 //! deterministically in tests via [`crate::fault::FaultPlan`] and
 //! [`ShardedStream::with_shards_faulted`]; the production constructors
 //! monomorphize the fault hook to [`NoFault`], which compiles to nothing.
@@ -114,7 +118,8 @@ use crate::pool::UePool;
 use crate::stream::PopulationStream;
 use cn_fit::ModelSet;
 use cn_obs::{Counter, Histogram, HistogramSnapshot, Registry, TraceSink, TraceSpan};
-use cn_trace::{LoserTree, TraceRecord};
+use cn_trace::merge::{head_key, run_prefix, KeyLoserTree};
+use cn_trace::{RecordSource, StreamError, TraceRecord};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, OnceLock};
@@ -161,68 +166,6 @@ impl WorkerOutcome {
         }
     }
 }
-
-/// A failure of the sharded pipeline, surfaced by
-/// [`ShardedStream::try_next`] / [`ShardedStream::finish`]. Once
-/// returned, the stream is *poisoned*: every further `try_next` repeats
-/// the error and the `Iterator` impl yields `None` (see module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamError {
-    /// A shard worker panicked; the records it had not yet shipped are
-    /// lost, so the stream refuses to pose as cleanly exhausted.
-    WorkerPanicked {
-        /// Index of the shard whose worker died.
-        shard: usize,
-        /// The worker's panic payload.
-        payload: String,
-    },
-    /// A spill or export I/O operation of the out-of-core pipeline failed
-    /// ([`crate::generate_out_of_core`]). The same containment contract as
-    /// a worker panic applies: the failure is surfaced as this typed error
-    /// and the export sink is left in the finish-or-recover state — never
-    /// posing as a complete trace.
-    Io {
-        /// Pipeline stage that failed: `spill-create`, `spill-write`,
-        /// `spill-read`, `export-header`, `export-write`, or
-        /// `export-finish`.
-        stage: &'static str,
-        /// The underlying I/O error, stringified (keeps the error `Clone`
-        /// and comparable for tests).
-        message: String,
-    },
-    /// A live-service consumer (`cn-live`) fell behind its bounded send
-    /// queue and record frames addressed to it were dropped. The wire
-    /// stream carries an explicit gap marker at the drop position and the
-    /// consumer's terminal verdict is this typed error — honest
-    /// degradation, never a silently truncated or reordered stream.
-    ConsumerLagged {
-        /// Id of the lagging consumer (the live server's accept order).
-        consumer: usize,
-        /// Number of record frames dropped for this consumer.
-        dropped: u64,
-    },
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::WorkerPanicked { shard, payload } => {
-                write!(f, "shard {shard} worker panicked: {payload}")
-            }
-            StreamError::Io { stage, message } => {
-                write!(f, "out-of-core {stage} I/O failure: {message}")
-            }
-            StreamError::ConsumerLagged { consumer, dropped } => {
-                write!(
-                    f,
-                    "live consumer {consumer} lagged: {dropped} record frames dropped"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
 
 /// What a fully wound-down stream reports from
 /// [`ShardedStream::finish`].
@@ -292,8 +235,8 @@ impl ShardCursor {
 }
 
 /// A globally time-ordered population event stream produced by parallel
-/// shard workers — or, at one shard, by the sequential loser tree inline
-/// (see module docs).
+/// shard workers — or, at one shard, by the sequential calendar-queue
+/// merge inline (see module docs).
 ///
 /// ```no_run
 /// use cn_gen::{GenConfig, ShardedStream};
@@ -301,11 +244,11 @@ impl ShardCursor {
 /// # let config: GenConfig = unimplemented!();
 /// // Failure-contained consumption: a worker panic becomes a typed
 /// // error instead of a silently truncated trace.
-/// let mut stream = ShardedStream::new(&models, &config);
-/// while let Some(record) = stream.try_next()? {
+/// use cn_trace::RecordSource;
+/// let stats = ShardedStream::new(&models, &config).drain(|record| {
 ///     let _ = record;
-/// }
-/// let stats = stream.finish()?;
+///     Ok::<(), cn_gen::StreamError>(())
+/// })?;
 /// println!("complete: {} events", stats.events);
 /// # Ok::<(), cn_gen::StreamError>(())
 /// ```
@@ -433,7 +376,7 @@ impl MergeObs {
 /// The multi-worker pipeline behind [`ShardedStream`] at `S ≥ 2`.
 struct ParallelStream {
     shards: Vec<ShardCursor>,
-    tree: LoserTree<TraceRecord>,
+    tree: KeyLoserTree,
     /// Shard whose current run is being drained (valid while `run_len > 0`).
     run: usize,
     /// Unemitted records of the current run; all of them precede every
@@ -621,19 +564,6 @@ impl<'m> ShardedStream<'m> {
         }
     }
 
-    /// The failure that poisoned this stream, if any. Set as soon as a
-    /// worker failure is observed — including when it was observed through
-    /// the plain [`Iterator`] interface, which can only signal it by
-    /// ending (`None`); check this afterwards, or use
-    /// [`ShardedStream::try_next`] / [`ShardedStream::finish`] to get the
-    /// error directly.
-    pub fn error(&self) -> Option<&StreamError> {
-        match &self.inner {
-            Inner::Parallel(p) => p.poisoned.as_ref(),
-            _ => None,
-        }
-    }
-
     /// The fallible pull: `Ok(Some(record))` while records flow,
     /// `Ok(None)` on clean exhaustion, and `Err` when a worker failed —
     /// at which point the stream is poisoned and every further call
@@ -683,7 +613,8 @@ impl<'m> ShardedStream<'m> {
     /// stop: still-running workers are cancelled (reported as
     /// [`WorkerOutcome::Cancelled`], not as failures) and `events` counts
     /// what was actually emitted. A complete, failure-free export is
-    /// therefore exactly: drain `try_next` to `Ok(None)`, then `finish()?`.
+    /// therefore exactly: drain `try_next` to `Ok(None)`, then `finish()?` —
+    /// which is what [`RecordSource::drain`] does.
     pub fn finish(mut self) -> Result<StreamStats, StreamError> {
         self.finish_in_place()
     }
@@ -730,16 +661,15 @@ impl<'m> ShardedStream<'m> {
     }
 }
 
-impl Iterator for ShardedStream<'_> {
-    type Item = TraceRecord;
+impl RecordSource for ShardedStream<'_> {
+    type Stats = StreamStats;
 
-    /// Infallible view of [`ShardedStream::try_next`]. A worker failure
-    /// cannot be returned here, so the iterator **fuses and poisons**:
-    /// it yields `None` from the failure on (never a record that would
-    /// paper over the gap), [`ShardedStream::error`] holds the
-    /// [`StreamError`], and drop still records every worker's exit.
-    fn next(&mut self) -> Option<TraceRecord> {
-        self.try_next().unwrap_or(None)
+    fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
+        ShardedStream::try_next(self)
+    }
+
+    fn finish(self) -> Result<StreamStats, StreamError> {
+        ShardedStream::finish(self)
     }
 }
 
@@ -832,19 +762,19 @@ impl ParallelStream {
         // A worker can fail before shipping its first block; that must
         // poison the stream at construction, not read as an empty shard.
         let mut poisoned = None;
-        let heads: Vec<Option<TraceRecord>> = cursors
+        let heads: Vec<u128> = cursors
             .iter_mut()
-            .map(|c| match c.head() {
-                Ok(h) => h,
-                Err(e) => {
+            .map(|c| {
+                let head = c.head().unwrap_or_else(|e| {
                     poisoned.get_or_insert(e);
                     None
-                }
+                });
+                head_key(head.as_ref())
             })
             .collect();
         ParallelStream {
             shards: cursors,
-            tree: LoserTree::new(heads),
+            tree: KeyLoserTree::new(heads),
             run: 0,
             run_len: 0,
             emitted: 0,
@@ -871,10 +801,7 @@ impl ParallelStream {
         let len = match self.tree.runner_up() {
             // Sole live shard: everything buffered is globally next.
             None => rest.len(),
-            Some(u) => {
-                let bound = self.tree.head(u).expect("runner-up has a head");
-                run_prefix(rest, bound, w < u)
-            }
+            Some(u) => run_prefix(rest.len(), |i| rest[i].merge_key(), self.tree.key(u), w < u),
         };
         debug_assert!(len >= 1, "the winner's own head precedes the bound");
         // Telemetry is accumulated locally per *run* and flushed in large
@@ -905,14 +832,11 @@ impl ParallelStream {
             // the whole run. A failure here poisons the stream — the
             // record already pulled is still part of the valid prefix,
             // so it is returned; the *next* call errors.
-            let next = match cursor.head() {
-                Ok(h) => h,
-                Err(e) => {
-                    self.poisoned = Some(e);
-                    None
-                }
-            };
-            self.tree.replace_run(next);
+            let next = cursor.head().unwrap_or_else(|e| {
+                self.poisoned = Some(e);
+                None
+            });
+            self.tree.replace_winner(head_key(next.as_ref()));
         }
         Ok(Some(rec))
     }
@@ -971,29 +895,6 @@ impl Drop for ParallelStream {
         // abandoned or poisoned stream still leaves evidence.
         self.shutdown();
     }
-}
-
-/// Length of the longest prefix of `rest` (one shard's sorted buffered
-/// records, `rest[0]` being the current tournament winner) whose records
-/// all precede `bound`, the runner-up shard's head. `wins_ties` is whether
-/// this shard's index is lower than the bound's (the merge's stability
-/// tie-break). Gallop-then-binary-search: O(1) for the short runs of a
-/// fine-grained interleave, O(log n) for long bursts.
-fn run_prefix(rest: &[TraceRecord], bound: &TraceRecord, wins_ties: bool) -> usize {
-    let precedes = |r: &TraceRecord| match r.cmp(bound) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Equal => wins_ties,
-        std::cmp::Ordering::Greater => false,
-    };
-    debug_assert!(precedes(&rest[0]), "the winner precedes the runner-up");
-    let mut lo = 0; // rest[lo] is known to precede the bound
-    let mut step = 1;
-    while lo + step < rest.len() && precedes(&rest[lo + step]) {
-        lo += step;
-        step *= 2;
-    }
-    let hi = (lo + step).min(rest.len());
-    lo + 1 + rest[lo + 1..hi].partition_point(precedes)
 }
 
 /// One worker's telemetry handles (no-ops when unobserved). All three
@@ -1125,13 +1026,22 @@ mod tests {
         )
     }
 
+    /// Drain and finish an unfaulted stream.
+    fn drained(stream: ShardedStream<'_>) -> (Trace, StreamStats) {
+        stream.collect_trace().expect("no fault injected")
+    }
+
+    fn sequential_count(models: &ModelSet, config: &GenConfig) -> u64 {
+        PopulationStream::new(models, config).count() as u64
+    }
+
     #[test]
     fn sharded_equals_sequential_for_any_shard_count() {
         let models = fitted();
         let config = config();
         let sequential: Trace = PopulationStream::new(&models, &config).collect();
         for shards in [1usize, 2, 5, 31, 64] {
-            let sharded: Trace = ShardedStream::with_shards(&models, &config, shards).collect();
+            let (sharded, _) = drained(ShardedStream::with_shards(&models, &config, shards));
             assert_eq!(sharded, sequential, "{shards} shards diverged");
         }
     }
@@ -1145,8 +1055,8 @@ mod tests {
         let stream = ShardedStream::with_shards(&models, &config, 1);
         assert!(stream.is_inline(), "1 shard must take the inline path");
         assert_eq!(stream.worker_threads(), 0);
-        let n = stream.count();
-        assert_eq!(n, PopulationStream::new(&models, &config).count());
+        let n = drained(stream).1.events;
+        assert_eq!(n, sequential_count(&models, &config));
     }
 
     #[test]
@@ -1181,9 +1091,8 @@ mod tests {
         // 31 UEs, 64 requested shards: must still stream every record.
         let stream = ShardedStream::with_shards(&models, &config, 64);
         assert_eq!(stream.worker_threads(), 31);
-        let n = stream.count();
-        let expected = PopulationStream::new(&models, &config).count();
-        assert_eq!(n, expected);
+        let n = drained(stream).1.events;
+        assert_eq!(n, sequential_count(&models, &config));
     }
 
     #[test]
@@ -1195,7 +1104,8 @@ mod tests {
             1.0,
             1,
         );
-        assert_eq!(ShardedStream::with_shards(&models, &config, 4).count(), 0);
+        let (trace, stats) = drained(ShardedStream::with_shards(&models, &config, 4));
+        assert_eq!((trace.len(), stats.events), (0, 0));
     }
 
     #[test]
@@ -1205,7 +1115,7 @@ mod tests {
         config.duration_hours = 6.0;
         let mut stream = ShardedStream::with_shards(&models, &config, 3);
         for _ in 0..10 {
-            if stream.next().is_none() {
+            if stream.try_next().expect("no fault").is_none() {
                 break;
             }
         }
@@ -1218,12 +1128,12 @@ mod tests {
         let config = config();
         let mut stream = ShardedStream::with_shards(&models, &config, 3);
         assert!(stream.live_shards() <= 3);
-        for _ in stream.by_ref() {}
+        while stream.try_next().expect("no fault").is_some() {}
         assert_eq!(stream.live_shards(), 0);
 
         let mut inline = ShardedStream::with_shards(&models, &config, 1);
         assert_eq!(inline.live_shards(), 1);
-        for _ in inline.by_ref() {}
+        while inline.try_next().expect("inline cannot fail").is_some() {}
         assert_eq!(inline.live_shards(), 0);
     }
 
@@ -1231,12 +1141,10 @@ mod tests {
     fn finish_reports_stats_on_every_path() {
         let models = fitted();
         let config = config();
-        let expected = PopulationStream::new(&models, &config).count() as u64;
+        let expected = sequential_count(&models, &config);
 
         // Parallel: drain, then finish — all workers completed.
-        let mut stream = ShardedStream::with_shards(&models, &config, 3);
-        while stream.try_next().expect("no fault injected").is_some() {}
-        let stats = stream.finish().expect("clean run");
+        let (_, stats) = drained(ShardedStream::with_shards(&models, &config, 3));
         assert_eq!(stats.events, expected);
         assert_eq!(stats.outcomes.len(), 3);
         let shipped: u64 = stats
@@ -1250,9 +1158,7 @@ mod tests {
         assert_eq!(shipped, expected, "workers shipped exactly the workload");
 
         // Inline: same contract, no outcomes (no workers exist).
-        let mut inline = ShardedStream::with_shards(&models, &config, 1);
-        while inline.try_next().expect("inline cannot fail").is_some() {}
-        let stats = inline.finish().expect("inline cannot fail");
+        let (_, stats) = drained(ShardedStream::with_shards(&models, &config, 1));
         assert_eq!(stats.events, expected);
         assert!(stats.outcomes.is_empty());
     }
@@ -1284,9 +1190,10 @@ mod tests {
     fn observed_parallel_counters_balance_exactly() {
         let models = fitted();
         let config = config();
-        let expected = PopulationStream::new(&models, &config).count() as u64;
+        let expected = sequential_count(&models, &config);
         let registry = Registry::new();
-        let n = ShardedStream::with_shards_observed(&models, &config, 4, &registry).count() as u64;
+        let stream = ShardedStream::with_shards_observed(&models, &config, 4, &registry);
+        let n = drained(stream).1.events;
         assert_eq!(n, expected);
 
         let snap = registry.snapshot();
@@ -1311,7 +1218,7 @@ mod tests {
         assert_eq!(runs.sum, n, "run lengths must cover every record");
         assert_eq!(snap.gauge("cn_gen_shard_mode_parallel"), Some(1));
         assert_eq!(snap.gauge("cn_gen_shard_workers"), Some(4));
-        // `count` consumed and dropped the stream, so the worker-exit
+        // `finish` joined the workers, so the worker-exit
         // ledger is written: all four workers completed, none panicked.
         assert_eq!(
             snap.get("cn_gen_worker_exit", &[("outcome", "completed")])
@@ -1329,7 +1236,8 @@ mod tests {
         let models = fitted();
         let config = config();
         let registry = Registry::new();
-        let n = ShardedStream::with_shards_observed(&models, &config, 1, &registry).count() as u64;
+        let stream = ShardedStream::with_shards_observed(&models, &config, 1, &registry);
+        let n = drained(stream).1.events;
         let snap = registry.snapshot();
         assert_eq!(snap.counter("cn_gen_merge_events_total"), Some(n));
         // No workers → no per-shard series at all.
@@ -1348,7 +1256,7 @@ mod tests {
         let mut stream = ShardedStream::with_shards_observed(&models, &config, 1, &registry);
         let mut taken = 0u64;
         for _ in 0..10 {
-            if stream.next().is_none() {
+            if stream.try_next().expect("inline cannot fail").is_none() {
                 break;
             }
             taken += 1;
@@ -1364,10 +1272,11 @@ mod tests {
     fn observed_stream_is_byte_identical_to_unobserved() {
         let models = fitted();
         let config = config();
-        let plain: Trace = ShardedStream::with_shards(&models, &config, 3).collect();
+        let (plain, _) = drained(ShardedStream::with_shards(&models, &config, 3));
         let registry = Registry::new();
-        let observed: Trace =
-            ShardedStream::with_shards_observed(&models, &config, 3, &registry).collect();
+        let (observed, _) = drained(ShardedStream::with_shards_observed(
+            &models, &config, 3, &registry,
+        ));
         assert_eq!(observed, plain, "telemetry must never change the stream");
     }
 
@@ -1382,34 +1291,16 @@ mod tests {
         }));
         assert!(err.is_err(), "inline + non-empty plan must panic");
         // An empty plan is the unfaulted stream, inline path included.
-        let n = ShardedStream::with_shards_faulted(
+        let unfaulted = ShardedStream::with_shards_faulted(
             &models,
             &config,
             1,
             &Registry::disabled(),
             &FaultPlan::new(),
-        )
-        .count();
-        assert_eq!(n, PopulationStream::new(&models, &config).count());
-    }
-
-    #[test]
-    fn run_prefix_respects_order_and_ties() {
-        use cn_trace::{DeviceType, EventType, Timestamp, UeId};
-        let rec = |ms: u64| {
-            TraceRecord::new(
-                Timestamp::from_millis(ms),
-                UeId(0),
-                DeviceType::Phone,
-                EventType::ServiceRequest,
-            )
-        };
-        let rest: Vec<TraceRecord> = [1u64, 3, 5, 7, 9].into_iter().map(rec).collect();
-        assert_eq!(run_prefix(&rest, &rec(2), true), 1);
-        assert_eq!(run_prefix(&rest, &rec(6), true), 3);
-        assert_eq!(run_prefix(&rest, &rec(100), true), 5);
-        // An equal record stays in the run only when this shard wins ties.
-        assert_eq!(run_prefix(&rest, &rec(5), true), 3);
-        assert_eq!(run_prefix(&rest, &rec(5), false), 2);
+        );
+        assert_eq!(
+            drained(unfaulted).1.events,
+            sequential_count(&models, &config)
+        );
     }
 }

@@ -23,7 +23,7 @@
 use crate::engine::GenConfig;
 use crate::pool::UePool;
 use cn_fit::ModelSet;
-use cn_trace::TraceRecord;
+use cn_trace::{RecordSource, StreamError, TraceRecord};
 
 /// A time-ordered event stream over a whole synthesized population.
 pub struct PopulationStream<'m> {
@@ -50,6 +50,20 @@ impl Iterator for PopulationStream<'_> {
 
     fn next(&mut self) -> Option<TraceRecord> {
         self.pool.next_record()
+    }
+}
+
+/// The sequential stream cannot fail: it is the [`Iterator`] above under
+/// the fallible pull every downstream stage speaks.
+impl RecordSource for PopulationStream<'_> {
+    type Stats = ();
+
+    fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
+        Ok(self.next())
+    }
+
+    fn finish(self) -> Result<(), StreamError> {
+        Ok(())
     }
 }
 
@@ -98,8 +112,9 @@ mod tests {
                     );
                 }
                 for shards in [1usize, 3, 8] {
-                    let sharded: Trace =
-                        ShardedStream::with_shards(&models, &config, shards).collect();
+                    let (sharded, _) = ShardedStream::with_shards(&models, &config, shards)
+                        .collect_trace()
+                        .expect("no fault injected");
                     assert_eq!(
                         sharded, sequential,
                         "{method:?}/{semantics:?}: {shards}-shard stream diverged"

@@ -13,7 +13,7 @@
 use cn_fit::{fit, FitConfig, Method, ModelSet};
 use cn_gen::{FaultPlan, GenConfig, PopulationStream, ShardedStream, StreamError, WorkerOutcome};
 use cn_obs::Registry;
-use cn_trace::{PopulationMix, Timestamp, TraceRecord};
+use cn_trace::{PopulationMix, RecordSource, Timestamp, TraceRecord};
 use cn_world::{generate_world, WorldConfig};
 use std::time::Duration;
 
@@ -93,7 +93,6 @@ fn mid_stream_panic_becomes_typed_error_never_a_short_trace() {
     assert_eq!(prefix[..], expected[..prefix.len()]);
     // Poisoned: the error repeats, and finish refuses to report success.
     assert_eq!(stream.try_next(), Err(err.clone()));
-    assert_eq!(stream.error(), Some(&err));
     assert_eq!(stream.finish(), Err(err));
 }
 
@@ -139,27 +138,28 @@ fn panic_in_an_unneeded_shard_still_fails_finish() {
 }
 
 #[test]
-fn iterator_fuses_and_poisons_instead_of_ending_cleanly() {
+fn drain_returns_the_typed_error_instead_of_ending_cleanly() {
+    // Whole-stream consumption goes through `RecordSource::drain`; there
+    // is no infallible view that could end early and look complete.
     let models = fitted();
     let config = big_config();
     let expected = sequential(&models, &config);
     let plan = FaultPlan::new().panic_shard_at(0, 5000);
-    let mut stream =
+    let stream =
         ShardedStream::with_shards_faulted(&models, &config, 2, &Registry::disabled(), &plan);
-    let collected: Vec<TraceRecord> = stream.by_ref().collect();
-    // The iterator cannot return the error, but it must not pretend the
-    // trace was complete either: it ends early AND leaves the typed
-    // error readable (poisoned), fused at None.
+    let mut collected: Vec<TraceRecord> = Vec::new();
+    let err = stream
+        .drain(|r| {
+            collected.push(r);
+            Ok::<(), StreamError>(())
+        })
+        .expect_err("a faulted stream must not drain cleanly");
     assert!(collected.len() < expected.len());
     assert_eq!(collected[..], expected[..collected.len()]);
-    let err = stream
-        .error()
-        .expect("iterator end must leave the error readable");
     let StreamError::WorkerPanicked { shard, .. } = err else {
         panic!("expected WorkerPanicked, got {err}");
     };
-    assert_eq!(*shard, 0);
-    assert_eq!(stream.next(), None, "poisoned stream stays fused");
+    assert_eq!(shard, 0);
 }
 
 #[test]
@@ -227,7 +227,8 @@ fn abandoned_stream_with_blocked_worker_is_cancelled_not_panicked() {
     let registry = Registry::new();
     let mut stream = ShardedStream::with_shards_observed(&models, &config, 2, &registry);
     for _ in 0..10 {
-        assert!(stream.next().is_some(), "workload starts with records");
+        let head = stream.try_next().expect("no fault injected");
+        assert!(head.is_some(), "workload starts with records");
     }
     drop(stream); // must return promptly: disconnect wakes blocked senders
     let snap = registry.snapshot();

@@ -11,7 +11,7 @@ use cn_fit::{
 use cn_gen::{generate, generate_ue, GenConfig, PopulationStream, ShardedStream};
 use cn_statemachine::TopTransition;
 use cn_stats::Ecdf;
-use cn_trace::{DeviceType, EventType, PopulationMix, Timestamp, UeId};
+use cn_trace::{DeviceType, EventType, PopulationMix, RecordSource, Timestamp, UeId};
 use std::collections::HashMap;
 
 fn empty_device(device: DeviceType) -> DeviceModels {
@@ -182,11 +182,10 @@ fn non_finite_and_negative_durations_yield_empty_traces() {
             0,
             "stream, duration {bad}"
         );
-        assert_eq!(
-            ShardedStream::with_shards(&set, &config, 2).count(),
-            0,
-            "sharded, duration {bad}"
-        );
+        let (sharded, _) = ShardedStream::with_shards(&set, &config, 2)
+            .collect_trace()
+            .expect("no fault injected");
+        assert!(sharded.is_empty(), "sharded, duration {bad}");
     }
 }
 

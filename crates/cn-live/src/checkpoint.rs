@@ -11,14 +11,15 @@
 //! the kill with the frames served after the resume reproduces the
 //! batch trace byte for byte.
 //!
-//! Files are JSON, written atomically (temp file in the same directory,
-//! then rename) so a crash mid-write leaves either the old checkpoint or
-//! the new one, never a torn file. Periodic checkpoints lag the wire by
+//! Files are JSON, written atomically (temp file next to the target,
+//! synced to disk, then renamed over it) so a crash mid-write leaves
+//! either the old checkpoint or the new one, never a torn or empty file. Periodic checkpoints lag the wire by
 //! up to `checkpoint_every − 1` records; resuming from one replays that
 //! suffix (at-least-once delivery across restarts). The final checkpoint
 //! written on a graceful stop is exact (exactly-once).
 
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 use cn_gen::GenConfig;
 use cn_scenario::ScenarioSpec;
@@ -41,7 +42,7 @@ pub struct Checkpoint {
 /// Why a checkpoint could not be saved or loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// Filesystem failure (stage: `write`, `rename`, or `read`).
+    /// Filesystem failure (stage: `write`, `sync`, `rename`, or `read`).
     Io {
         /// The operation that failed.
         stage: &'static str,
@@ -66,31 +67,48 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 impl Checkpoint {
-    /// Atomically persist to `path` (temp file + rename).
+    /// Atomically persist to `path`: write a temp file, sync it, rename.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
+        let tmp = self.write_synced_temp(path)?;
+        std::fs::rename(&tmp, path).map_err(io_error("rename"))
+    }
+
+    /// Write this checkpoint to `path`'s temp sibling and force it to
+    /// disk. Until the rename, `path` itself is untouched — and because
+    /// the data is durable *before* the rename, a crash cannot leave an
+    /// empty file under the final name.
+    fn write_synced_temp(&self, path: &Path) -> Result<PathBuf, CheckpointError> {
         let json = serde_json::to_string_pretty(self).map_err(|e| CheckpointError::Io {
             stage: "write",
             message: e.to_string(),
         })?;
-        let tmp = path.with_extension("ckpt.tmp");
-        std::fs::write(&tmp, json).map_err(|e| CheckpointError::Io {
-            stage: "write",
-            message: e.to_string(),
-        })?;
-        std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io {
-            stage: "rename",
-            message: e.to_string(),
-        })
+        let tmp = temp_sibling(path);
+        let mut file = std::fs::File::create(&tmp).map_err(io_error("write"))?;
+        file.write_all(json.as_bytes()).map_err(io_error("write"))?;
+        file.sync_all().map_err(io_error("sync"))?;
+        Ok(tmp)
     }
 
     /// Load a checkpoint previously written by [`Checkpoint::save`].
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
-        let json = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io {
-            stage: "read",
-            message: e.to_string(),
-        })?;
+        let json = std::fs::read_to_string(path).map_err(io_error("read"))?;
         serde_json::from_str(&json).map_err(|e| CheckpointError::Parse(e.to_string()))
     }
+}
+
+fn io_error(stage: &'static str) -> impl Fn(std::io::Error) -> CheckpointError {
+    move |e| CheckpointError::Io {
+        stage,
+        message: e.to_string(),
+    }
+}
+
+/// The temp file a save of `path` goes through: the full file name plus
+/// `.tmp`, so checkpoints that differ only in extension never share one.
+fn temp_sibling(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
 #[cfg(test)]
@@ -98,10 +116,9 @@ mod tests {
     use super::*;
     use cn_trace::{PopulationMix, Timestamp};
 
-    #[test]
-    fn checkpoint_round_trips_through_disk() {
-        let ckpt = Checkpoint {
-            emitted: 123_456,
+    fn ckpt(emitted: u64) -> Checkpoint {
+        Checkpoint {
+            emitted,
             compression: 3600.0,
             config: GenConfig::new(
                 PopulationMix::new(10, 4, 2),
@@ -110,7 +127,38 @@ mod tests {
                 42,
             ),
             scenario: None,
-        };
+        }
+    }
+
+    #[test]
+    fn a_save_in_flight_never_exposes_a_partial_file() {
+        let path =
+            std::env::temp_dir().join(format!("cn-live-ckpt-inflight-{}.json", std::process::id()));
+        ckpt(1).save(&path).unwrap();
+        // Everything a save does before its rename: the final name still
+        // loads as the old checkpoint, and what waits beside it is already
+        // the complete new one.
+        let tmp = ckpt(2).write_synced_temp(&path).unwrap();
+        assert_eq!(Checkpoint::load(&path).unwrap(), ckpt(1));
+        assert_eq!(Checkpoint::load(&tmp).unwrap(), ckpt(2));
+        std::fs::remove_file(&tmp).unwrap();
+        ckpt(2).save(&path).unwrap();
+        assert_eq!(Checkpoint::load(&path).unwrap(), ckpt(2));
+        assert!(!tmp.exists(), "the rename consumes the temp file");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checkpoints_differing_only_in_extension_do_not_share_a_temp_file() {
+        let dir = std::env::temp_dir();
+        let (json, bin) = (dir.join("run.json"), dir.join("run.bin"));
+        assert_ne!(temp_sibling(&json), temp_sibling(&bin));
+        assert_eq!(temp_sibling(&json).parent(), json.parent());
+    }
+
+    #[test]
+    fn checkpoint_round_trips_through_disk() {
+        let ckpt = ckpt(123_456);
         let dir = std::env::temp_dir();
         let path = dir.join(format!("cn-live-ckpt-test-{}.json", std::process::id()));
         ckpt.save(&path).unwrap();

@@ -24,9 +24,8 @@
 
 use std::io::Read;
 
-use cn_gen::StreamError;
 use cn_trace::io::{decode_record, encode_record, IoError, BINARY_MAGIC};
-use cn_trace::{TraceRecord, RECORD_BYTES};
+use cn_trace::{RecordSource, StreamError, TraceRecord, RECORD_BYTES};
 
 /// Bytes per wire frame (identical to a batch record frame).
 pub const FRAME_BYTES: usize = RECORD_BYTES;
@@ -160,7 +159,7 @@ impl CapturedStream {
     }
 }
 
-/// A live connection as a [`cn_scenario::RecordSource`]: the adapter
+/// A live connection as a [`RecordSource`]: the adapter
 /// that closes the loop, letting anything built on sorted record streams
 /// (the MCN discrete-event simulator, scenario overlays, exporters)
 /// consume a paced TCP feed exactly as it would a batch stream.
@@ -211,7 +210,9 @@ impl<R: Read> LiveRecordSource<R> {
     }
 }
 
-impl<R: Read> cn_scenario::RecordSource for LiveRecordSource<R> {
+impl<R: Read> RecordSource for LiveRecordSource<R> {
+    type Stats = ();
+
     fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
         if self.done {
             return Ok(None);
@@ -346,7 +347,6 @@ mod tests {
 
     #[test]
     fn record_source_adapter_keeps_the_containment_contract() {
-        use cn_scenario::RecordSource;
         let mut wire: Vec<u8> = Vec::new();
         wire.extend_from_slice(BINARY_MAGIC);
         wire.extend_from_slice(&0u64.to_le_bytes());
@@ -386,7 +386,6 @@ mod tests {
 
     #[test]
     fn clean_record_source_finishes_ok() {
-        use cn_scenario::RecordSource;
         let mut wire: Vec<u8> = Vec::new();
         wire.extend_from_slice(BINARY_MAGIC);
         wire.extend_from_slice(&0u64.to_le_bytes());
@@ -401,7 +400,6 @@ mod tests {
 
     #[test]
     fn torn_tail_surfaces_as_typed_io_error() {
-        use cn_scenario::RecordSource;
         let mut wire: Vec<u8> = Vec::new();
         wire.extend_from_slice(BINARY_MAGIC);
         wire.extend_from_slice(&0u64.to_le_bytes());

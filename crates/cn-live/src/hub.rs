@@ -37,9 +37,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use cn_gen::StreamError;
 use cn_obs::{Counter, Gauge, Registry};
 use cn_trace::io::BINARY_MAGIC;
+use cn_trace::StreamError;
 
 use crate::frame::{encode_frame, Frame, FRAME_BYTES};
 

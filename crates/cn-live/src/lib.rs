@@ -1,7 +1,7 @@
 //! Wall-clock-paced live traffic service.
 //!
 //! Every engine in this workspace produces a control-plane trace as a
-//! sorted record stream ([`cn_scenario::RecordSource`]): the sharded
+//! sorted record stream ([`cn_trace::RecordSource`]): the sharded
 //! generator, scenario overlays, multi-population compositions. This
 //! crate turns any such stream into a *service*: a long-running server
 //! that emits the events in real time — or at a configurable
@@ -20,7 +20,7 @@
 //!   End markers in reserved code space, and the consumer-side reader;
 //! * [`hub`] — bounded per-consumer queues with honest overflow (drops
 //!   become positioned gap markers and a typed
-//!   [`ConsumerLagged`](cn_gen::StreamError::ConsumerLagged) verdict);
+//!   [`ConsumerLagged`](cn_trace::StreamError::ConsumerLagged) verdict);
 //! * [`checkpoint`] — atomic persistence of the emitted-records
 //!   watermark plus the spec that regenerates the stream, for
 //!   byte-exact resume;

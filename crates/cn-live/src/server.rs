@@ -44,10 +44,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cn_gen::StreamError;
 use cn_obs::recorder::{FlightRecorder, RecorderConfig};
 use cn_obs::{Counter, Histogram, IntrospectionServer, Registry};
-use cn_scenario::RecordSource;
+use cn_trace::{RecordSource, StreamError};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::clock::Clock;

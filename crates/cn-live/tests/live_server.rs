@@ -13,10 +13,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use cn_fit::{fit, FitConfig, Method, ModelSet};
 use cn_gen::{GenConfig, ShardedStream};
-use cn_live::{capture, CapturedStream, Checkpoint, LiveConfig, LiveServer, SystemClock};
+use cn_live::{
+    capture, CapturedStream, Checkpoint, LiveConfig, LiveError, LiveServer, ManualClock,
+    SystemClock, FRAME_BYTES,
+};
 use cn_obs::Registry;
 use cn_scenario::{ComposedStream, PopulationSlot};
-use cn_trace::{PopulationMix, Timestamp, Trace, TraceRecord};
+use cn_trace::io::to_binary;
+use cn_trace::{
+    IterSource, PopulationMix, RecordSource, StreamError, Timestamp, Trace, TraceRecord,
+};
 use cn_world::{generate_world, WorldConfig};
 
 fn models() -> &'static ModelSet {
@@ -161,6 +167,109 @@ fn stop_and_resume_reproduce_the_stream_byte_for_byte() {
     joined.extend_from_slice(&captured2.records);
     let joined: Trace = joined.into_iter().collect();
     assert_eq!(joined, batch, "kill/resume did not splice byte-exactly");
+}
+
+/// Serves `left` records of the inner stream, then faults — a crash
+/// stand-in that makes `serve` return before its wind-down checkpoint.
+struct FaultAfter<I> {
+    inner: IterSource<I>,
+    left: u64,
+}
+
+impl<I: Iterator<Item = TraceRecord>> RecordSource for FaultAfter<I> {
+    type Stats = ();
+
+    fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
+        if self.left == 0 {
+            return Err(StreamError::WorkerPanicked {
+                shard: 0,
+                payload: "injected crash".into(),
+            });
+        }
+        self.left -= 1;
+        self.inner.try_next()
+    }
+
+    fn finish(self) -> Result<(), StreamError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_crash_resumes_from_the_last_periodic_checkpoint() {
+    // The only crash-recovery path: `checkpoint_every = k`, the serve
+    // dies mid-stream (no graceful final save), and the next incarnation
+    // has nothing but the periodic file on disk.
+    const EVERY: u64 = 7;
+    let batch = cn_gen::generate(models(), &config());
+    let total = batch.len() as u64;
+    let crash_at = (total / 2 / EVERY) * EVERY + 3;
+    let ckpt_path =
+        std::env::temp_dir().join(format!("cn-live-periodic-test-{}.json", std::process::id()));
+    let template = Checkpoint {
+        emitted: 0,
+        compression: 3600.0,
+        config: config(),
+        scenario: None,
+    };
+    let registry = Registry::disabled();
+
+    let mut cfg = LiveConfig::new(template.compression);
+    cfg.checkpoint_every = EVERY;
+    let server = LiveServer::new(ManualClock::new(), cfg, &registry).unwrap();
+    let sink1 = SharedSink::default();
+    server.hub().add_writer(sink1.clone());
+    let crashed = server.serve(
+        FaultAfter {
+            inner: IterSource(batch.iter().copied()),
+            left: crash_at,
+        },
+        0,
+        Some((ckpt_path.clone(), template.clone())),
+    );
+    assert!(matches!(crashed, Err(LiveError::Stream(_))), "{crashed:?}");
+    server.hub().abort(); // join the writer so the sink holds every frame sent
+    let wire1 = sink1.0.lock().unwrap().clone();
+    assert_eq!(wire1.len() as u64, 16 + crash_at * FRAME_BYTES as u64);
+
+    // What survived the crash is the last periodic save: it trails the
+    // wire by the records sent since, never by a whole period.
+    let ckpt = Checkpoint::load(&ckpt_path).unwrap();
+    let replayed = crash_at - ckpt.emitted;
+    assert_eq!(ckpt.emitted % EVERY, 0);
+    assert!(replayed < EVERY, "{replayed} records replayed");
+    assert_eq!(replayed, 3);
+
+    let server = LiveServer::new(
+        ManualClock::new(),
+        LiveConfig::new(ckpt.compression),
+        &registry,
+    )
+    .unwrap();
+    let sink2 = SharedSink::default();
+    server.hub().add_writer(sink2.clone());
+    let report = server
+        .serve(
+            ShardedStream::new(models(), &ckpt.config),
+            ckpt.emitted,
+            None,
+        )
+        .unwrap();
+    std::fs::remove_file(&ckpt_path).ok();
+    assert!(report.completed);
+    assert_eq!(report.emitted, total);
+    let wire2 = sink2.0.lock().unwrap().clone();
+    assert_eq!(capture(&wire2[..]).unwrap().end, Some(total));
+
+    // At-least-once across the crash: the first incarnation's bytes up
+    // to the checkpoint plus everything the resumed one sent (minus its
+    // End frame) are the uninterrupted stream, and the replayed records
+    // are the same bytes both times.
+    let cut = 16 + ckpt.emitted as usize * FRAME_BYTES;
+    let resumed = &wire2[16..wire2.len() - FRAME_BYTES];
+    let spliced = [&wire1[16..cut], resumed].concat();
+    assert_eq!(spliced, to_binary(&batch)[16..]);
+    assert_eq!(wire1[cut..], resumed[..replayed as usize * FRAME_BYTES]);
 }
 
 #[test]

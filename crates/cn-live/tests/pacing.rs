@@ -17,8 +17,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use cn_gen::StreamError;
 use cn_live::{capture, encode_frame, Clock, Frame, Hub, LiveConfig, LiveServer, ManualClock};
 use cn_obs::Registry;
-use cn_scenario::RecordSource;
-use cn_trace::{DeviceType, EventType, Timestamp, TraceRecord, UeId};
+use cn_trace::{DeviceType, EventType, IterSource, RecordSource, Timestamp, TraceRecord, UeId};
 
 fn rec(t_ms: u64, ue: u32) -> TraceRecord {
     TraceRecord::new(
@@ -30,18 +29,10 @@ fn rec(t_ms: u64, ue: u32) -> TraceRecord {
 }
 
 /// A sorted in-memory record source.
-struct VecSource(std::vec::IntoIter<TraceRecord>);
+type VecSource = IterSource<std::vec::IntoIter<TraceRecord>>;
 
-impl VecSource {
-    fn new(records: Vec<TraceRecord>) -> VecSource {
-        VecSource(records.into_iter())
-    }
-}
-
-impl RecordSource for VecSource {
-    fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
-        Ok(self.0.next())
-    }
+fn vec_source(records: Vec<TraceRecord>) -> VecSource {
+    IterSource(records.into_iter())
 }
 
 /// A source that stalls the (mock) world once, at a chosen pull — the
@@ -55,12 +46,18 @@ struct StutterSource {
 }
 
 impl RecordSource for StutterSource {
+    type Stats = ();
+
     fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
         if self.pulls == self.stall_at_pull {
             self.clock.advance(self.stall_ns);
         }
         self.pulls += 1;
         self.inner.try_next()
+    }
+
+    fn finish(self) -> Result<(), StreamError> {
+        Ok(())
     }
 }
 
@@ -149,9 +146,7 @@ fn compression_factors_scale_the_wall_schedule_exactly() {
         let registry = Registry::disabled();
         let server =
             LiveServer::new(clock.clone(), LiveConfig::new(compression), &registry).unwrap();
-        let report = server
-            .serve(VecSource::new(records.clone()), 0, None)
-            .unwrap();
+        let report = server.serve(vec_source(records.clone()), 0, None).unwrap();
         assert!(report.completed);
         assert_eq!(report.served, 3);
         // The pacer anchors at the first record, so total wall time is
@@ -174,7 +169,7 @@ fn drift_is_transient_under_a_stalled_world() {
     let registry = Registry::new();
     let records: Vec<TraceRecord> = (0..10).map(|i| rec(i * 1_000, i as u32)).collect();
     let source = StutterSource {
-        inner: VecSource::new(records),
+        inner: vec_source(records),
         clock: clock.clone(),
         stall_at_pull: 3, // 5 s stall before the t=3s record
         stall_ns: 5_000_000_000,

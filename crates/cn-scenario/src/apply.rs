@@ -28,53 +28,9 @@ use std::collections::VecDeque;
 use crate::inject::materialize_phase;
 use crate::spec::{PhaseKind, ScenarioSpec, SpecError, UeSubset};
 use cn_fit::ModelSet;
-use cn_gen::{GenConfig, PopulationStream, ShardedStream, StreamError};
+use cn_gen::GenConfig;
 use cn_obs::{Counter, Registry};
-use cn_trace::{Trace, TraceRecord};
-
-/// A fallible, ordered record source — the baseline leg of a scenario.
-///
-/// Implemented for the sharded parallel stream (faults surface as typed
-/// errors), the sequential population stream, and any plain iterator of
-/// records (batch traces, binary readers, composed populations).
-pub trait RecordSource {
-    /// Pull the next record, or a typed stream fault.
-    fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError>;
-
-    /// Wind the source down; sources with workers refuse success if any
-    /// worker failed (the sharded-stream containment contract).
-    fn finish(self) -> Result<(), StreamError>
-    where
-        Self: Sized,
-    {
-        Ok(())
-    }
-}
-
-impl RecordSource for ShardedStream<'_> {
-    fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
-        ShardedStream::try_next(self)
-    }
-
-    fn finish(self) -> Result<(), StreamError> {
-        ShardedStream::finish(self).map(|_| ())
-    }
-}
-
-impl RecordSource for PopulationStream<'_> {
-    fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
-        Ok(self.next())
-    }
-}
-
-/// Adapter making any record iterator a (never-failing) [`RecordSource`].
-pub struct IterSource<I>(pub I);
-
-impl<I: Iterator<Item = TraceRecord>> RecordSource for IterSource<I> {
-    fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
-        Ok(self.0.next())
-    }
-}
+use cn_trace::{IterSource, RecordSource, StreamError, Trace, TraceRecord};
 
 /// One compiled (validated + resolved) phase.
 struct CompiledPhase {
@@ -243,24 +199,6 @@ impl<'m, S: RecordSource> ScenarioStream<'m, S> {
         self.source.finish()?;
         Ok(self.stats)
     }
-
-    /// Drain the stream into a materialized [`Trace`] plus its stats
-    /// (convenience for tests and batch callers).
-    pub fn collect_trace(mut self) -> Result<(Trace, ScenarioStats), StreamError> {
-        let mut records = Vec::new();
-        while let Some(rec) = self.try_next()? {
-            records.push(rec);
-        }
-        let stats = self.finish()?;
-        // The merge of sorted inputs is sorted: from_records re-sorts
-        // (cheaply, already-sorted input) and would hide a violation, so
-        // assert it here where the invariant lives.
-        debug_assert!(
-            records.windows(2).all(|w| w[0] <= w[1]),
-            "scenario stream emitted out of order"
-        );
-        Ok((Trace::from_records(records), stats))
-    }
 }
 
 /// A scenario overlay is itself a [`RecordSource`]: downstream stages
@@ -268,12 +206,14 @@ impl<'m, S: RecordSource> ScenarioStream<'m, S> {
 /// fallible protocol as any engine, and `finish` keeps the containment
 /// contract (a panicked baseline worker still fails the wind-down).
 impl<S: RecordSource> RecordSource for ScenarioStream<'_, S> {
+    type Stats = ScenarioStats;
+
     fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
         ScenarioStream::try_next(self)
     }
 
-    fn finish(self) -> Result<(), StreamError> {
-        ScenarioStream::finish(self).map(|_| ())
+    fn finish(self) -> Result<ScenarioStats, StreamError> {
+        ScenarioStream::finish(self)
     }
 }
 
@@ -476,7 +416,7 @@ mod tests {
         let spec = storm_spec(3);
         let (batch, _) = apply_scenario(&spec, &models, &config, &Registry::disabled()).unwrap();
         for shards in [1usize, 4, 8] {
-            let source = ShardedStream::with_shards(&models, &config, shards);
+            let source = cn_gen::ShardedStream::with_shards(&models, &config, shards);
             let stream =
                 ScenarioStream::new(&spec, &config, source, &Registry::disabled()).unwrap();
             let (out, _) = stream.collect_trace().unwrap();

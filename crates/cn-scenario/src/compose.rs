@@ -32,10 +32,9 @@
 use std::collections::VecDeque;
 
 use cn_fit::ModelSet;
-use cn_gen::{GenConfig, PopulationStream, StreamError};
-use cn_trace::{Timestamp, TraceRecord, UeId, MS_PER_HOUR};
+use cn_gen::{GenConfig, PopulationStream};
+use cn_trace::{RecordSource, StreamError, Timestamp, TraceRecord, UeId, MS_PER_HOUR};
 
-use crate::apply::RecordSource;
 use crate::spec::SpecError;
 
 /// One regional population in a composition.
@@ -186,8 +185,14 @@ impl Iterator for ComposedStream<'_> {
 }
 
 impl RecordSource for ComposedStream<'_> {
+    type Stats = ();
+
     fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
         Ok(self.next())
+    }
+
+    fn finish(self) -> Result<(), StreamError> {
+        Ok(())
     }
 }
 

@@ -10,10 +10,10 @@
 
 use std::io::{Seek, Write};
 
-use cn_gen::StreamError;
 use cn_trace::io::{BinaryStreamWriter, IoError};
+use cn_trace::{RecordSource, StreamError};
 
-use crate::apply::{RecordSource, ScenarioStats, ScenarioStream};
+use crate::apply::{ScenarioStats, ScenarioStream};
 
 fn io_fault(stage: &'static str, e: IoError) -> StreamError {
     StreamError::Io {
@@ -32,29 +32,28 @@ fn io_fault(stage: &'static str, e: IoError) -> StreamError {
 /// count is still the zero placeholder, so the partial file fails
 /// `from_binary` loudly and is salvageable with `recover_binary`.
 pub fn write_scenario_binary<S: RecordSource, W: Write + Seek>(
-    mut stream: ScenarioStream<'_, S>,
+    stream: ScenarioStream<'_, S>,
     sink: &mut W,
 ) -> Result<ScenarioStats, StreamError> {
     let mut writer =
         BinaryStreamWriter::new(&mut *sink).map_err(|e| io_fault("export-header", e))?;
-    while let Some(rec) = stream.try_next()? {
-        writer
-            .write(&rec)
-            .map_err(|e| io_fault("export-write", e))?;
-    }
+    // The header count is patched only after the source's own verdict is
+    // in, so a baseline that fails its wind-down also leaves the sink in
+    // the finish-or-recover state.
+    let stats = stream.drain(|rec| writer.write(&rec).map_err(|e| io_fault("export-write", e)))?;
     writer.finish().map_err(|e| io_fault("export-finish", e))?;
-    stream.finish()
+    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply::IterSource;
     use crate::spec::{Phase, PhaseKind, ScenarioSpec, StormKind, TimeWindow, UeSubset};
     use cn_fit::{fit, FitConfig, Method, ModelSet};
     use cn_gen::GenConfig;
     use cn_obs::Registry;
     use cn_trace::io::{from_binary, recover_binary, to_binary, FailingWriter};
+    use cn_trace::IterSource;
     use cn_trace::{PopulationMix, Timestamp};
     use cn_world::{generate_world, WorldConfig};
 

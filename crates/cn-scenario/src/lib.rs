@@ -47,11 +47,12 @@
 //!
 //! ## Plumbing
 //!
-//! [`ScenarioStream`] wraps any [`RecordSource`] (sharded stream,
+//! [`ScenarioStream`] wraps any [`RecordSource`] — the stream contract
+//! defined in `cn_trace::source` and re-exported here — (sharded stream,
 //! population stream, iterator, [`ComposedStream`] of time-zone-offset
-//! populations) and is itself drained via the same fallible
-//! `try_next`/`finish` protocol, propagating [`cn_gen::StreamError`]
-//! faults unchanged. [`write_scenario_binary`] exports to the binary
+//! populations) and is itself a `RecordSource`, drained via the same
+//! `try_next`/`finish`/`drain` protocol and propagating
+//! [`cn_trace::StreamError`] faults unchanged. [`write_scenario_binary`] exports to the binary
 //! trace format under the finish-or-recover containment contract, and a
 //! [`cn_obs::Registry`] surfaces the `cn_scenario_*` counter family.
 
@@ -64,9 +65,8 @@ mod export;
 mod inject;
 mod spec;
 
-pub use apply::{
-    apply_scenario, IterSource, RecordSource, ScenarioError, ScenarioStats, ScenarioStream,
-};
+pub use apply::{apply_scenario, ScenarioError, ScenarioStats, ScenarioStream};
+pub use cn_trace::{IterSource, RecordSource};
 pub use compose::{ComposedStream, PopulationSlot};
 pub use export::write_scenario_binary;
 pub use inject::materialize_phase;

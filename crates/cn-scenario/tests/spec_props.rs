@@ -12,7 +12,7 @@ use cn_scenario::{
     apply_scenario, Phase, PhaseKind, ScenarioSpec, ScenarioStream, SpecError, StormKind,
     TimeWindow, UeSubset,
 };
-use cn_trace::{DeviceType, PopulationMix, Timestamp};
+use cn_trace::{DeviceType, PopulationMix, RecordSource, Timestamp};
 use cn_world::{generate_world, WorldConfig};
 use proptest::prelude::*;
 

@@ -9,17 +9,14 @@
 //! writer never re-encode, they copy byte ranges
 //! ([`crate::io::BinaryStreamWriter::write_encoded`]).
 //!
-//! Merging encoded runs needs an order without decoding full records.
-//! [`record_key_at`] reads the `(t_ms, ue)` prefix of an encoded record
-//! into the same packed `u128` key as [`TraceRecord::merge_key`], and
-//! [`encoded_prefix`] gallops over a block for the run-prefix that
-//! precedes a merge bound — the two primitives behind the out-of-core
-//! block-drain merge.
+//! Merging encoded runs needs an order without decoding full records:
+//! [`crate::io::record_key_at`] reads an encoded record's
+//! [`TraceRecord::merge_key`] in place, and [`crate::merge::run_prefix`]
+//! gallops over a block for the run-prefix that precedes a merge bound —
+//! the two primitives behind the out-of-core block-drain merge.
 
+use crate::io::{encode_record, RECORD_BYTES};
 use crate::record::TraceRecord;
-
-/// Bytes per encoded record: u64 `t_ms` + u32 `ue` + u8 device + u8 event.
-pub const RECORD_BYTES: usize = 14;
 
 /// A growable arena of records already laid out in the binary trace
 /// format (14-byte stride, little-endian, no header).
@@ -54,10 +51,7 @@ impl EncodedBlock {
     /// Append one record, encoding it into the arena.
     #[inline]
     pub fn push(&mut self, r: &TraceRecord) {
-        self.bytes.extend_from_slice(&r.t.as_millis().to_le_bytes());
-        self.bytes.extend_from_slice(&r.ue.get().to_le_bytes());
-        self.bytes.push(r.device.code());
-        self.bytes.push(r.event.code());
+        self.bytes.extend_from_slice(&encode_record(r));
     }
 
     /// Number of records in the block.
@@ -79,56 +73,6 @@ impl EncodedBlock {
     pub fn clear(&mut self) {
         self.bytes.clear();
     }
-}
-
-/// Packed `(t_ms, ue)` merge key of the `i`-th encoded record in `bytes`
-/// (a headerless 14-byte-stride payload). Identical to
-/// [`TraceRecord::merge_key`] on the decoded record.
-///
-/// # Panics
-/// Panics if `bytes` does not hold record `i` in full.
-#[inline]
-pub fn record_key_at(bytes: &[u8], i: usize) -> u128 {
-    let off = i * RECORD_BYTES;
-    let t = u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte t_ms"));
-    let ue = u32::from_le_bytes(bytes[off + 8..off + 12].try_into().expect("4-byte ue"));
-    (u128::from(t) << 32) | u128::from(ue)
-}
-
-/// Length (in records) of the prefix of an encoded sorted run that
-/// precedes a merge bound: records whose key is `< bound`, or `<= bound`
-/// when `wins_ties` (the run owning the prefix wins key ties against the
-/// run owning the bound).
-///
-/// Gallops (doubling probe, then binary search) so a long winning run
-/// costs O(log prefix) key decodes rather than one comparison per record.
-pub fn encoded_prefix(bytes: &[u8], bound: u128, wins_ties: bool) -> usize {
-    let n = bytes.len() / RECORD_BYTES;
-    let precedes = |i: usize| {
-        let k = record_key_at(bytes, i);
-        k < bound || (wins_ties && k == bound)
-    };
-    if n == 0 || !precedes(0) {
-        return 0;
-    }
-    // Gallop for the first record that does NOT precede the bound.
-    let mut lo = 0usize; // known to precede
-    let mut step = 1usize;
-    while lo + step < n && precedes(lo + step) {
-        lo += step;
-        step *= 2;
-    }
-    let mut hi = (lo + step).min(n); // first candidate that may not precede
-                                     // Binary search in (lo, hi]: invariant precedes(lo), !precedes(hi) or hi == n.
-    while lo + 1 < hi {
-        let mid = lo + (hi - lo) / 2;
-        if precedes(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    hi
 }
 
 #[cfg(test)]
@@ -167,20 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn record_key_matches_merge_key() {
-        for r in [rec(0, 0), rec(5, 9), rec(u64::MAX, u32::MAX)] {
-            let mut block = EncodedBlock::new();
-            block.push(&r);
-            assert_eq!(record_key_at(block.as_bytes(), 0), r.merge_key());
-        }
-        // Multi-record indexing.
-        let mut block = EncodedBlock::new();
-        block.push(&rec(1, 1));
-        block.push(&rec(2, 2));
-        assert_eq!(record_key_at(block.as_bytes(), 1), rec(2, 2).merge_key());
-    }
-
-    #[test]
     fn clear_keeps_capacity_and_empties() {
         let mut block = EncodedBlock::with_capacity(4);
         block.push(&rec(1, 1));
@@ -188,30 +118,5 @@ mod tests {
         block.clear();
         assert!(block.is_empty());
         assert_eq!(block.len(), 0);
-    }
-
-    #[test]
-    fn encoded_prefix_matches_linear_scan() {
-        // Sorted run of keys 0, 2, 4, ..., 58 (ue 0 so key == t << 32).
-        let mut block = EncodedBlock::new();
-        for t in (0..60u64).step_by(2) {
-            block.push(&rec(t, 0));
-        }
-        let n = block.len();
-        let key = |t: u64| (u128::from(t)) << 32;
-        for bound_t in 0..62u64 {
-            for wins_ties in [false, true] {
-                let got = encoded_prefix(block.as_bytes(), key(bound_t), wins_ties);
-                let expect = (0..n)
-                    .take_while(|&i| {
-                        let k = record_key_at(block.as_bytes(), i);
-                        k < key(bound_t) || (wins_ties && k == key(bound_t))
-                    })
-                    .count();
-                assert_eq!(got, expect, "bound {bound_t}, wins_ties {wins_ties}");
-            }
-        }
-        // Empty payload.
-        assert_eq!(encoded_prefix(&[], 0, true), 0);
     }
 }

@@ -19,6 +19,9 @@ use std::io::{BufRead, Write};
 /// Magic bytes opening the binary trace format.
 pub const BINARY_MAGIC: &[u8; 8] = b"CPTGBIN1";
 
+/// Bytes per binary record: u64 `t_ms` + u32 `ue` + u8 device + u8 event.
+pub const RECORD_BYTES: usize = 14;
+
 /// Errors arising while reading or writing traces.
 #[derive(Debug)]
 pub enum IoError {
@@ -144,24 +147,19 @@ pub fn read_jsonl<R: BufRead>(r: R) -> Result<Trace, IoError> {
 
 /// Serialize a trace to the compact binary format.
 pub fn to_binary(trace: &Trace) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + trace.len() * 14);
+    let mut buf = Vec::with_capacity(16 + trace.len() * RECORD_BYTES);
     buf.put_slice(BINARY_MAGIC);
     buf.put_u64_le(trace.len() as u64);
     for r in trace.iter() {
-        buf.put_u64_le(r.t.as_millis());
-        buf.put_u32_le(r.ue.get());
-        buf.put_u8(r.device.code());
-        buf.put_u8(r.event.code());
+        buf.put_slice(&encode_record(r));
     }
     buf
 }
 
-/// Bytes per binary record: u64 t_ms + u32 ue + u8 device + u8 event.
-use crate::block::RECORD_BYTES;
-
 /// Encode one record into its fixed 14-byte little-endian wire frame —
 /// the unit both the on-disk binary format and the live streaming
 /// protocol (`cn-live`) are built from.
+#[inline]
 pub fn encode_record(r: &TraceRecord) -> [u8; RECORD_BYTES] {
     let mut buf = [0u8; RECORD_BYTES];
     buf[..8].copy_from_slice(&r.t.as_millis().to_le_bytes());
@@ -191,6 +189,22 @@ pub fn decode_record(buf: &[u8; RECORD_BYTES]) -> Result<TraceRecord, IoError> {
     ))
 }
 
+/// [`TraceRecord::merge_key`] of the `i`-th encoded record in `bytes` (a
+/// headerless 14-byte-stride payload), read without decoding the record:
+/// the key-only fast path of the encoded-run merge. The event byte is
+/// taken as stored, so the key of a corrupt frame orders somewhere but
+/// never panics or aliases [`crate::merge::EXHAUSTED_KEY`].
+///
+/// # Panics
+/// Panics if `bytes` does not hold record `i` in full.
+#[inline]
+pub fn record_key_at(bytes: &[u8], i: usize) -> u128 {
+    let off = i * RECORD_BYTES;
+    let t = u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte t_ms"));
+    let ue = u32::from_le_bytes(bytes[off + 8..off + 12].try_into().expect("4-byte ue"));
+    (u128::from(t) << 40) | (u128::from(ue) << 8) | u128::from(bytes[off + 13])
+}
+
 /// Validate the magic of a binary trace and split off the 16-byte
 /// header, returning the (untrusted) stored record count and the record
 /// payload.
@@ -207,25 +221,13 @@ fn binary_header(mut data: &[u8]) -> Result<(u64, &[u8]), IoError> {
     Ok((count, data))
 }
 
-/// Parse `n` fixed-size records from `data` (already length-checked).
-fn read_records(mut data: &[u8], n: usize) -> Result<Trace, IoError> {
-    // Belt and braces for the untrusted-length path: never preallocate
-    // more than the payload can actually hold, even if a caller's length
-    // check was wrong.
-    let mut records = Vec::with_capacity(n.min(data.remaining() / RECORD_BYTES));
-    for _ in 0..n {
-        let t = data.get_u64_le();
-        let ue = data.get_u32_le();
-        let device = DeviceType::from_code(data.get_u8())
-            .ok_or_else(|| IoError::Binary("bad device code".into()))?;
-        let event = EventType::from_code(data.get_u8())
-            .ok_or_else(|| IoError::Binary("bad event code".into()))?;
-        records.push(TraceRecord::new(
-            Timestamp::from_millis(t),
-            UeId(ue),
-            device,
-            event,
-        ));
+/// Parse a payload of whole fixed-size records (already length-checked).
+fn read_records(data: &[u8]) -> Result<Trace, IoError> {
+    // Allocation is bounded by the payload actually present, never by a
+    // count an untrusted header claims.
+    let mut records = Vec::with_capacity(data.len() / RECORD_BYTES);
+    for frame in data.chunks_exact(RECORD_BYTES) {
+        records.push(decode_record(frame.try_into().expect("whole frame"))?);
     }
     Ok(Trace::from_records(records))
 }
@@ -251,7 +253,7 @@ pub fn from_binary(data: &[u8]) -> Result<Trace, IoError> {
             payload.len()
         )));
     }
-    read_records(payload, n)
+    read_records(payload)
 }
 
 /// Recover a trace from a binary stream whose header count was never
@@ -273,7 +275,7 @@ pub fn recover_binary(data: &[u8]) -> Result<Trace, IoError> {
             payload.len()
         )));
     }
-    read_records(payload, payload.len() / RECORD_BYTES)
+    read_records(payload)
 }
 
 /// Incremental writer for the binary format: stream records to any `Write`
@@ -335,12 +337,6 @@ impl<W: Write + std::io::Seek> BinaryStreamWriter<W> {
         self.sink.write_all(bytes)?;
         self.count += (bytes.len() / RECORD_BYTES) as u64;
         Ok(())
-    }
-
-    /// Append an [`crate::block::EncodedBlock`] verbatim (see
-    /// [`BinaryStreamWriter::write_encoded`]).
-    pub fn write_block(&mut self, block: &crate::block::EncodedBlock) -> Result<(), IoError> {
-        self.write_encoded(block.as_bytes())
     }
 
     /// Records written so far.
@@ -487,6 +483,21 @@ mod tests {
         frame[12] = DeviceType::Phone.code();
         frame[13] = 0xFE;
         assert!(matches!(decode_record(&frame), Err(IoError::Binary(_))));
+    }
+
+    #[test]
+    fn record_key_at_is_the_merge_key_of_the_decoded_record() {
+        let mut records: Vec<TraceRecord> = sample().iter().copied().collect();
+        records.push(TraceRecord::new(
+            Timestamp::from_millis(u64::MAX),
+            UeId(u32::MAX),
+            DeviceType::Tablet,
+            EventType::Tau,
+        ));
+        let payload: Vec<u8> = records.iter().flat_map(encode_record).collect();
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(record_key_at(&payload, i), r.merge_key());
+        }
     }
 
     #[test]

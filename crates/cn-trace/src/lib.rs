@@ -5,8 +5,10 @@
 //! (*Modeling and Generating Control-Plane Traffic for Cellular Networks*,
 //! IMC '23), device types, millisecond timestamps, the [`TraceRecord`]
 //! event record, the sorted [`Trace`] container with k-way merging and
-//! hour/device partitioning, and trace serialization (CSV, JSONL, and a
-//! compact binary format).
+//! hour/device partitioning, trace serialization (CSV, JSONL, and a
+//! compact binary format), and the ordered-record dataplane every later
+//! layer pulls: the stream contract ([`source`]), the one merge tree
+//! ([`merge`]) and the one 14-byte record codec ([`io`]).
 //!
 //! Design notes
 //! ------------
@@ -28,16 +30,19 @@ pub mod merge;
 pub mod record;
 pub mod relabel;
 pub mod series;
+pub mod source;
 pub mod summary;
 pub mod time;
 pub mod trace;
 pub mod validate;
 
-pub use block::{EncodedBlock, RECORD_BYTES};
+pub use block::EncodedBlock;
 pub use device::{DeviceType, PopulationMix};
 pub use event::{EventCategory, EventType};
-pub use merge::{KeyLoserTree, LoserTree, EXHAUSTED_KEY};
+pub use io::RECORD_BYTES;
+pub use merge::{KeyLoserTree, EXHAUSTED_KEY};
 pub use record::{TraceRecord, UeId};
+pub use source::{IterSource, RecordSource, StreamError};
 pub use summary::TraceSummary;
 pub use time::{HourOfDay, Timestamp, MS_PER_DAY, MS_PER_HOUR, MS_PER_SEC};
 pub use trace::{PerUeView, Trace};

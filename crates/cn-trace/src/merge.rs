@@ -2,218 +2,55 @@
 //!
 //! A binary heap pays a sift-down *and* a sift-up per emitted record
 //! (`pop` + `push`, ~2·log₂k comparisons). A loser tree stores, at each
-//! internal node, the loser of the match played there; emitting the winner
-//! and replaying its run's next head against the losers along one
+//! internal node, the loser of the match played there; replacing the
+//! winner's head and replaying it against the losers along one
 //! leaf-to-root path costs exactly ⌈log₂k⌉ comparisons — the classic
-//! replacement-selection merger. [`LoserTree`] is the engine behind
-//! [`crate::Trace::merge`], the sequential population stream, and both
-//! sides of the sharded parallel generator.
+//! replacement-selection merger. [`KeyLoserTree`] is the one merge tree
+//! of the workspace: [`crate::Trace::merge`], the consumer side of the
+//! sharded parallel generator, and the out-of-core run merge all drive
+//! it, and all three find how much of the winning run to take with the
+//! one gallop, [`run_prefix`].
 //!
-//! Ties are broken by run index (lower index wins), so a merge over runs
-//! with duplicated keys is *stable* with respect to run order and therefore
-//! fully deterministic.
+//! The tree never owns the runs — it holds one packed `u128` *head key*
+//! per run and the caller installs the next key whenever a run's head is
+//! consumed. For trace merging the key is [`TraceRecord::merge_key`],
+//! whose integer order is exactly the record [`Ord`]. Ties are broken by
+//! run index (lower index wins), so a merge over runs with duplicated
+//! keys is *stable* with respect to run order and fully deterministic.
 
-/// A tournament tree over `k` runs, yielding their elements in ascending
-/// order.
-///
-/// The tree never owns the runs themselves — it holds one *head* element
-/// per run and asks the caller for the next element of a run whenever that
-/// run's head is consumed ([`LoserTree::pop_and_replace`]). This keeps the
-/// structure agnostic to where runs come from: slices, live generators, or
-/// blocks arriving over a channel.
-///
-/// ```
-/// use cn_trace::LoserTree;
-/// let runs = vec![vec![1, 4, 7], vec![2, 5], vec![0, 9]];
-/// let mut cursors = vec![1usize; runs.len()];
-/// let heads: Vec<Option<i32>> = runs.iter().map(|r| r.first().copied()).collect();
-/// let mut tree = LoserTree::new(heads);
-/// let mut out = Vec::new();
-/// while let Some(w) = tree.winner() {
-///     let next = runs[w].get(cursors[w]).copied();
-///     cursors[w] += 1;
-///     out.push(tree.pop_and_replace(next).expect("winner has a head"));
-/// }
-/// assert_eq!(out, vec![0, 1, 2, 4, 5, 7, 9]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LoserTree<T: Ord> {
-    /// Current head of each run (`None` = exhausted).
-    heads: Vec<Option<T>>,
-    /// `losers[0]` is the overall winner; `losers[1..k]` hold the loser of
-    /// the match at each internal node of the tournament.
-    losers: Vec<usize>,
-    /// Number of runs whose head is `Some`.
-    live: usize,
-}
-
-impl<T: Ord> LoserTree<T> {
-    /// Build the tree from the first element of each run (`None` for runs
-    /// that are empty from the start). Cost: k − 1 comparisons.
-    pub fn new(heads: Vec<Option<T>>) -> LoserTree<T> {
-        let k = heads.len();
-        let live = heads.iter().filter(|h| h.is_some()).count();
-        if k == 0 {
-            return LoserTree {
-                heads,
-                losers: Vec::new(),
-                live,
-            };
-        }
-        // Bottom-up tournament in a complete-binary-tree layout: leaf `j`
-        // sits at node `k + j`, internal nodes are `1..k`, the parent of
-        // node `n` is `n / 2`. Descending order guarantees both children
-        // of an internal node are decided before it plays its match.
-        let mut losers = vec![0usize; k];
-        let mut winners = vec![usize::MAX; 2 * k];
-        for j in 0..k {
-            winners[k + j] = j;
-        }
-        for node in (1..k).rev() {
-            let a = winners[2 * node];
-            let b = winners[2 * node + 1];
-            let (w, l) = if beats(&heads, a, b) { (a, b) } else { (b, a) };
-            winners[node] = w;
-            losers[node] = l;
-        }
-        losers[0] = winners[1];
-        LoserTree {
-            heads,
-            losers,
-            live,
-        }
-    }
-
-    /// Index of the run holding the overall smallest head, or `None` when
-    /// every run is exhausted.
-    pub fn winner(&self) -> Option<usize> {
-        let w = *self.losers.first()?;
-        self.heads[w].as_ref().map(|_| w)
-    }
-
-    /// The smallest head across all runs, without consuming it.
-    pub fn peek(&self) -> Option<&T> {
-        self.heads[self.winner()?].as_ref()
-    }
-
-    /// Current head of run `run` (`None` once that run is exhausted).
-    pub fn head(&self, run: usize) -> Option<&T> {
-        self.heads[run].as_ref()
-    }
-
-    /// Index of the run holding the *second*-smallest head — the run that
-    /// would win if the current winner's run were exhausted — or `None`
-    /// when at most one run is still live.
-    ///
-    /// Classic tournament property: every run other than the winner lost
-    /// exactly once along some root path, and the overall runner-up lost
-    /// its match *against the winner*, so it is one of the ⌈log₂k⌉ losers
-    /// stored on the winner's leaf-to-root path. This is the batched-merge
-    /// primitive: every element of the winner's run that precedes the
-    /// runner-up's head can be emitted without touching the tree (see
-    /// [`LoserTree::replace_run`]).
-    pub fn runner_up(&self) -> Option<usize> {
-        let w = self.winner()?;
-        let k = self.heads.len();
-        let mut best: Option<usize> = None;
-        let mut node = (k + w) / 2;
-        while node > 0 {
-            let cand = self.losers[node];
-            if self.heads[cand].is_some() {
-                best = Some(match best {
-                    Some(b) if !beats(&self.heads, cand, b) => b,
-                    _ => cand,
-                });
-            }
-            node /= 2;
-        }
-        best
-    }
-
-    /// Number of runs that still have elements.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Consume the winning head and install `next` (the winning run's next
-    /// element, `None` when it is exhausted), then replay matches along the
-    /// winner's leaf-to-root path: ⌈log₂k⌉ comparisons, no allocation.
-    ///
-    /// Returns the consumed element, or `None` when the merge is complete.
-    pub fn pop_and_replace(&mut self, next: Option<T>) -> Option<T> {
-        let w = self.winner()?;
-        let popped = std::mem::replace(&mut self.heads[w], next);
-        if self.heads[w].is_none() {
-            self.live -= 1;
-        }
-        let k = self.heads.len();
-        let mut winner = w;
-        let mut node = (k + w) / 2;
-        while node > 0 {
-            if beats(&self.heads, self.losers[node], winner) {
-                std::mem::swap(&mut self.losers[node], &mut winner);
-            }
-            node /= 2;
-        }
-        self.losers[0] = winner;
-        popped
-    }
-
-    /// Batched-advance entry point: replace the winner's head with `next`
-    /// and replay its leaf-to-root path, *discarding* the popped head.
-    ///
-    /// This is how a block-draining consumer advances the merge: it reads
-    /// the winner's run directly (every element preceding the
-    /// [`LoserTree::runner_up`] head, found with one comparison each), then
-    /// installs the run's next element with a single ⌈log₂k⌉ replay for the
-    /// whole run instead of one per record. No-op when the merge is already
-    /// complete.
-    pub fn replace_run(&mut self, next: Option<T>) {
-        let _ = self.pop_and_replace(next);
-    }
-}
-
-/// Does run `a` beat run `b`? Smaller head wins; an exhausted run loses to
-/// everything; all ties break toward the lower run index (stability).
-fn beats<T: Ord>(heads: &[Option<T>], a: usize, b: usize) -> bool {
-    match (&heads[a], &heads[b]) {
-        (Some(x), Some(y)) => match x.cmp(y) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => a < b,
-        },
-        (Some(_), None) => true,
-        (None, Some(_)) => false,
-        (None, None) => a < b,
-    }
-}
+use crate::record::TraceRecord;
 
 /// Sentinel key marking an exhausted run in a [`KeyLoserTree`]. Live keys
 /// must be strictly smaller.
 pub const EXHAUSTED_KEY: u128 = u128::MAX;
 
-/// A struct-of-arrays tournament tree over packed `u128` keys — the
-/// cache-compact sibling of [`LoserTree`].
+/// The tree key of a run whose next record is `head` ([`EXHAUSTED_KEY`]
+/// for a run with none left).
+#[inline]
+pub fn head_key(head: Option<&TraceRecord>) -> u128 {
+    head.map_or(EXHAUSTED_KEY, TraceRecord::merge_key)
+}
+
+/// A struct-of-arrays tournament tree over packed `u128` keys.
 ///
-/// [`LoserTree<TraceRecord>`] keeps a `Vec<Option<TraceRecord>>` of heads:
-/// 16-byte records behind an `Option`, compared through the full
-/// `(t, ue, event)` `Ord`. When the merge fans over tens of thousands of
-/// runs (one per UE in the population stream), every replay touches
-/// ⌈log₂k⌉ of those fat heads. `KeyLoserTree` strips the tournament down
-/// to two parallel arrays — `keys: Vec<u128>` and `losers: Vec<u32>` — so
-/// a replay is ⌈log₂k⌉ integer compares over dense memory and nothing
+/// Two parallel arrays — `keys: Vec<u128>` and `losers: Vec<u32>` — so a
+/// replay is ⌈log₂k⌉ integer compares over dense memory and nothing
 /// else. Run payloads (the records themselves) live wherever the caller
 /// keeps them, addressed by the winning run index.
 ///
-/// Keys are ordered as plain `u128`s with [`EXHAUSTED_KEY`] (`u128::MAX`)
-/// as the "run empty" sentinel; ties break toward the lower run index,
-/// mirroring [`LoserTree`]. For trace merging the key is
-/// [`TraceRecord::merge_key`] (`t_ms << 32 | ue`), which embeds the record
-/// order exactly whenever no two live heads share `(t, ue)` — guaranteed
-/// for per-UE event streams, where each UE appears in exactly one run and
-/// per-UE timestamps strictly increase.
-///
-/// [`TraceRecord::merge_key`]: crate::TraceRecord::merge_key
+/// ```
+/// use cn_trace::{KeyLoserTree, EXHAUSTED_KEY};
+/// let runs: [&[u128]; 3] = [&[1, 4, 7], &[2, 5], &[0, 9]];
+/// let mut cursors = [0usize; 3];
+/// let mut tree = KeyLoserTree::new(runs.iter().map(|r| r[0]).collect());
+/// let mut out = Vec::new();
+/// while let Some(w) = tree.winner() {
+///     out.push(tree.key(w));
+///     cursors[w] += 1;
+///     tree.replace_winner(runs[w].get(cursors[w]).copied().unwrap_or(EXHAUSTED_KEY));
+/// }
+/// assert_eq!(out, vec![0, 1, 2, 4, 5, 7, 9]);
+/// ```
 #[derive(Debug, Clone)]
 pub struct KeyLoserTree {
     /// Current head key of each run ([`EXHAUSTED_KEY`] = exhausted).
@@ -238,6 +75,10 @@ impl KeyLoserTree {
                 live,
             };
         }
+        // Bottom-up tournament in a complete-binary-tree layout: leaf `j`
+        // sits at node `k + j`, internal nodes are `1..k`, the parent of
+        // node `n` is `n / 2`. Descending order guarantees both children
+        // of an internal node are decided before it plays its match.
         let mut losers = vec![0u32; k];
         let mut winners = vec![u32::MAX; 2 * k];
         for j in 0..k {
@@ -277,11 +118,17 @@ impl KeyLoserTree {
         self.live
     }
 
-    /// Index of the run holding the *second*-smallest head, or `None` when
-    /// at most one run is live. Same tournament-path walk as
-    /// [`LoserTree::runner_up`]: the runner-up lost its match against the
-    /// winner, so it sits among the ⌈log₂k⌉ losers on the winner's
-    /// leaf-to-root path.
+    /// Index of the run holding the *second*-smallest head — the run that
+    /// would win if the current winner's run were exhausted — or `None`
+    /// when at most one run is live.
+    ///
+    /// Classic tournament property: every run other than the winner lost
+    /// exactly once along some root path, and the overall runner-up lost
+    /// its match *against the winner*, so it is one of the ⌈log₂k⌉ losers
+    /// stored on the winner's leaf-to-root path. This is the batched-merge
+    /// primitive: every element of the winner's run that precedes the
+    /// runner-up's head ([`run_prefix`]) can be emitted without touching
+    /// the tree, which is then replayed once per run.
     pub fn runner_up(&self) -> Option<usize> {
         let w = self.winner()?;
         let k = self.keys.len();
@@ -332,260 +179,118 @@ fn key_beats(keys: &[u128], a: u32, b: u32) -> bool {
     ka < kb || (ka == kb && a < b)
 }
 
-/// Merge pre-sorted runs into one sorted vector (convenience wrapper used
-/// by tests and small callers; the streaming paths drive [`LoserTree`]
-/// directly).
-pub fn merge_sorted<T: Ord + Copy>(runs: &[Vec<T>]) -> Vec<T> {
-    let total = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut cursors = vec![1usize; runs.len()];
-    let mut tree = LoserTree::new(runs.iter().map(|r| r.first().copied()).collect());
-    while let Some(w) = tree.winner() {
-        let next = runs[w].get(cursors[w]).copied();
-        cursors[w] += 1;
-        out.push(tree.pop_and_replace(next).expect("winner has a head"));
+/// Length of the prefix of a sorted run that precedes a merge bound: the
+/// elements `i < len` whose `key_at(i)` is `< bound`, or `<= bound` when
+/// `wins_ties` (the run owning the prefix has the lower index, so it wins
+/// key ties against the run owning the bound).
+///
+/// Gallops (doubling probe, then binary search): O(1) for the short runs
+/// of a fine-grained interleave, O(log prefix) key reads for a long
+/// winning run rather than one comparison per record.
+pub fn run_prefix(
+    len: usize,
+    key_at: impl Fn(usize) -> u128,
+    bound: u128,
+    wins_ties: bool,
+) -> usize {
+    let precedes = |i: usize| {
+        let k = key_at(i);
+        k < bound || (wins_ties && k == bound)
+    };
+    if len == 0 || !precedes(0) {
+        return 0;
     }
-    out
+    let mut lo = 0usize; // known to precede
+    let mut step = 1usize;
+    while lo + step < len && precedes(lo + step) {
+        lo += step;
+        step *= 2;
+    }
+    // Invariant: precedes(lo), and !precedes(hi) or hi == len.
+    let mut hi = (lo + step).min(len);
+    while lo + 1 < hi {
+        let mid = lo + (hi - lo) / 2;
+        if precedes(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    hi
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn empty_tree_yields_nothing() {
-        let mut tree: LoserTree<u32> = LoserTree::new(Vec::new());
-        assert_eq!(tree.winner(), None);
-        assert_eq!(tree.peek(), None);
-        assert_eq!(tree.live(), 0);
-        assert_eq!(tree.pop_and_replace(None), None);
+    fn first_key(run: &[u128]) -> u128 {
+        run.first().copied().unwrap_or(EXHAUSTED_KEY)
     }
 
-    #[test]
-    fn all_exhausted_runs_yield_nothing() {
-        let mut tree: LoserTree<u32> = LoserTree::new(vec![None, None, None]);
-        assert_eq!(tree.winner(), None);
-        assert_eq!(tree.pop_and_replace(None), None);
-    }
-
-    #[test]
-    fn single_run_drains_in_order() {
-        assert_eq!(merge_sorted(&[vec![1, 2, 3]]), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn merges_across_run_counts() {
-        // Exercise every k in 1..=9 (non-powers-of-two stress the
-        // complete-binary-tree index math).
-        for k in 1..=9usize {
-            let runs: Vec<Vec<u64>> = (0..k)
-                .map(|i| (0..5).map(|j| (j * k + i) as u64).collect())
-                .collect();
-            let merged = merge_sorted(&runs);
-            let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
-            expect.sort_unstable();
-            assert_eq!(merged, expect, "k = {k}");
-        }
-    }
-
-    #[test]
-    fn handles_empty_and_single_element_runs() {
-        let runs = vec![vec![], vec![5], vec![], vec![1, 9], vec![5]];
-        assert_eq!(merge_sorted(&runs), vec![1, 5, 5, 9]);
-    }
-
-    #[test]
-    fn ties_break_toward_lower_run_index() {
-        // Both runs hold equal keys; a stable merge drains run 0 first at
-        // every tie. Track provenance through a (key, run) pair ordered by
-        // key only via merging indices manually.
-        let runs = [vec![(1u32, 'a'), (2, 'a')], vec![(1, 'b'), (2, 'b')]];
-        let mut cursors = [1usize; 2];
-        let mut tree = LoserTree::new(vec![Some((1u32, 0usize)), Some((1, 1))]);
-        let mut order = Vec::new();
-        while let Some(w) = tree.winner() {
-            let next = runs[w].get(cursors[w]).map(|&(key, _)| (key, w));
-            cursors[w] += 1;
-            let (key, run) = tree.pop_and_replace(next).unwrap();
-            order.push((key, run));
-        }
-        assert_eq!(order, vec![(1, 0), (1, 1), (2, 0), (2, 1)]);
-    }
-
-    #[test]
-    fn randomized_runs_match_sort_unstable() {
-        // Deterministic xorshift so the test needs no external RNG crate.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..200 {
-            let k = (next() % 12) as usize;
-            let runs: Vec<Vec<u64>> = (0..k)
-                .map(|_| {
-                    let len = (next() % 20) as usize;
-                    let mut r: Vec<u64> = (0..len).map(|_| next() % 50).collect();
-                    r.sort_unstable();
-                    r
-                })
-                .collect();
-            let merged = merge_sorted(&runs);
-            let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
-            expect.sort_unstable();
-            assert_eq!(merged, expect, "trial {trial}, k = {k}");
-        }
-    }
-
-    #[test]
-    fn runner_up_is_the_second_smallest_head() {
-        // heads 5, 3, 9, 3: run 1 wins (ties break low), run 3 is next.
-        let tree = LoserTree::new(vec![Some(5u32), Some(3), Some(9), Some(3)]);
-        assert_eq!(tree.winner(), Some(1));
-        assert_eq!(tree.runner_up(), Some(3));
-        assert_eq!(tree.head(3), Some(&3));
-        // A single live run has no runner-up.
-        let tree = LoserTree::new(vec![None, Some(7u32), None]);
-        assert_eq!(tree.winner(), Some(1));
-        assert_eq!(tree.runner_up(), None);
-        // Empty tree: neither.
-        let tree: LoserTree<u32> = LoserTree::new(Vec::new());
-        assert_eq!(tree.runner_up(), None);
-    }
-
-    #[test]
-    fn runner_up_matches_naive_minimum_throughout_a_merge() {
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..100 {
-            let k = (next() % 9 + 1) as usize;
-            let runs: Vec<Vec<u64>> = (0..k)
-                .map(|_| {
-                    let len = (next() % 12) as usize;
-                    let mut r: Vec<u64> = (0..len).map(|_| next() % 30).collect();
-                    r.sort_unstable();
-                    r
-                })
-                .collect();
-            let mut cursors = vec![1usize; k];
-            let mut tree = LoserTree::new(runs.iter().map(|r| r.first().copied()).collect());
-            while let Some(w) = tree.winner() {
-                // Naive second-smallest: min over every non-winner head,
-                // ties toward the lower run index.
-                let naive = (0..k)
-                    .filter(|&i| i != w && tree.head(i).is_some())
-                    .min_by(|&a, &b| tree.head(a).cmp(&tree.head(b)).then(a.cmp(&b)));
-                assert_eq!(tree.runner_up(), naive, "trial {trial}, k {k}");
-                let n = runs[w].get(cursors[w]).copied();
-                cursors[w] += 1;
-                tree.pop_and_replace(n);
-            }
-        }
-    }
-
-    #[test]
-    fn block_drain_via_runner_up_equals_merge_sorted() {
-        // Drive the merge the way the sharded consumer does: emit the
-        // winner's whole run prefix up to the runner-up's head with direct
-        // reads, then advance the tree once per run via replace_run.
-        let runs = vec![
-            vec![0u64, 1, 2, 3, 10, 11],
-            vec![4, 5, 6],
-            vec![2, 7, 12],
-            vec![],
-        ];
-        let mut cursors = vec![0usize; runs.len()];
-        let mut tree = LoserTree::new(runs.iter().map(|r| r.first().copied()).collect());
-        for c in cursors.iter_mut().zip(&runs) {
-            *c.0 = usize::from(!c.1.is_empty());
-        }
-        let mut out = Vec::new();
-        while let Some(w) = tree.winner() {
-            let bound = tree.runner_up().map(|u| (*tree.head(u).unwrap(), u));
-            // tree.head(w) is runs[w][cursors[w] - 1]; emit it plus every
-            // successor that still precedes the bound.
-            out.push(*tree.head(w).unwrap());
-            while let Some(&x) = runs[w].get(cursors[w]) {
-                let precedes = match bound {
-                    None => true,
-                    Some((b, u)) => x < b || (x == b && w < u),
-                };
-                if !precedes {
-                    break;
-                }
-                out.push(x);
-                cursors[w] += 1;
-            }
-            let n = runs[w].get(cursors[w]).copied();
-            cursors[w] += 1;
-            tree.replace_run(n);
-        }
-        let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
-        expect.sort_unstable();
-        assert_eq!(out, expect);
-    }
-
-    /// Drive a [`KeyLoserTree`] merge over u128 key runs.
-    fn key_merge(runs: &[Vec<u128>]) -> Vec<u128> {
+    /// Merge one key at a time, returning each `(key, run)` in output
+    /// order; `each` sees the tree before every pop.
+    fn merge_with(runs: &[Vec<u128>], mut each: impl FnMut(&KeyLoserTree)) -> Vec<(u128, usize)> {
         let mut cursors = vec![1usize; runs.len()];
-        let mut tree = KeyLoserTree::new(
-            runs.iter()
-                .map(|r| r.first().copied().unwrap_or(EXHAUSTED_KEY))
-                .collect(),
-        );
+        let mut tree = KeyLoserTree::new(runs.iter().map(|r| first_key(r)).collect());
         let mut out = Vec::new();
         while let Some(w) = tree.winner() {
-            out.push(tree.key(w));
+            each(&tree);
+            out.push((tree.key(w), w));
             let next = runs[w].get(cursors[w]).copied().unwrap_or(EXHAUSTED_KEY);
             cursors[w] += 1;
             tree.replace_winner(next);
         }
+        assert_eq!(tree.live(), 0);
         out
     }
 
-    #[test]
-    fn key_tree_matches_loser_tree_on_random_runs() {
-        let mut state = 0xD1CE_BA5E_0F00_D00Du64;
+    fn merged_keys(runs: &[Vec<u128>]) -> Vec<u128> {
+        merge_with(runs, |_| ())
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect()
+    }
+
+    fn sorted_keys(runs: &[Vec<u128>]) -> Vec<u128> {
+        let mut all: Vec<u128> = runs.iter().flatten().copied().collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// Deterministic xorshift so the tests need no external RNG crate.
+    fn random_runs(seed: u64, max_k: u64, max_len: u64, max_key: u64) -> Vec<Vec<Vec<u128>>> {
+        let mut state = seed;
         let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
         };
-        for trial in 0..200 {
-            let k = (next() % 12) as usize;
-            let runs: Vec<Vec<u128>> = (0..k)
-                .map(|_| {
-                    let len = (next() % 20) as usize;
-                    let mut r: Vec<u128> = (0..len).map(|_| u128::from(next() % 50)).collect();
-                    r.sort_unstable();
-                    r
-                })
-                .collect();
-            assert_eq!(
-                key_merge(&runs),
-                merge_sorted(&runs),
-                "trial {trial}, k = {k}"
-            );
-        }
+        (0..200)
+            .map(|_| {
+                (0..next() % max_k)
+                    .map(|_| {
+                        let mut r: Vec<u128> = (0..next() % max_len)
+                            .map(|_| u128::from(next() % max_key))
+                            .collect();
+                        r.sort_unstable();
+                        r
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
-    fn key_tree_edge_cases() {
+    fn edge_cases() {
         // Empty tree.
         let mut tree = KeyLoserTree::new(Vec::new());
         assert_eq!(tree.winner(), None);
         assert_eq!(tree.runner_up(), None);
         assert_eq!(tree.live(), 0);
         tree.replace_winner(EXHAUSTED_KEY); // no-op, no panic
-                                            // All runs exhausted from the start.
+
+        // All runs exhausted from the start.
         let tree = KeyLoserTree::new(vec![EXHAUSTED_KEY; 3]);
         assert_eq!(tree.winner(), None);
         assert_eq!(tree.live(), 0);
@@ -594,74 +299,128 @@ mod tests {
         assert_eq!(tree.winner(), Some(1));
         assert_eq!(tree.runner_up(), None);
         assert_eq!(tree.live(), 1);
+        // Empty and single-element runs among longer ones.
+        let runs = vec![vec![], vec![5], vec![], vec![1, 9], vec![5]];
+        assert_eq!(merged_keys(&runs), vec![1, 5, 5, 9]);
+        assert_eq!(merged_keys(&[vec![1, 2, 3]]), vec![1, 2, 3]);
     }
 
     #[test]
-    fn key_tree_ties_break_toward_lower_run_index() {
-        let runs = [vec![1u128, 2], vec![1, 2]];
-        let mut cursors = [1usize; 2];
-        let mut tree = KeyLoserTree::new(vec![1, 1]);
-        let mut order = Vec::new();
-        while let Some(w) = tree.winner() {
-            order.push((tree.key(w), w));
-            let next = runs[w].get(cursors[w]).copied().unwrap_or(EXHAUSTED_KEY);
-            cursors[w] += 1;
-            tree.replace_winner(next);
+    fn merges_across_run_counts() {
+        // Exercise every k in 1..=9 (non-powers-of-two stress the
+        // complete-binary-tree index math).
+        for k in 1..=9u128 {
+            let runs: Vec<Vec<u128>> = (0..k)
+                .map(|i| (0..5).map(|j| j * k + i).collect())
+                .collect();
+            assert_eq!(merged_keys(&runs), sorted_keys(&runs), "k = {k}");
         }
+    }
+
+    #[test]
+    fn random_runs_merge_to_their_sort() {
+        for (trial, runs) in random_runs(0xD1CE_BA5E_0F00_D00D, 12, 20, 50)
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(merged_keys(runs), sorted_keys(runs), "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn ties_break_toward_lower_run_index() {
+        // Equal keys drain run 0 first at every tie: the merge is stable.
+        let order = merge_with(&[vec![1, 2], vec![1, 2]], |_| ());
         assert_eq!(order, vec![(1, 0), (1, 1), (2, 0), (2, 1)]);
     }
 
     #[test]
-    fn key_tree_runner_up_matches_naive_minimum_throughout() {
-        let mut state = 0xFEED_F00D_CAFE_BEEFu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..100 {
-            let k = (next() % 9 + 1) as usize;
-            let runs: Vec<Vec<u128>> = (0..k)
-                .map(|_| {
-                    let len = (next() % 12) as usize;
-                    let mut r: Vec<u128> = (0..len).map(|_| u128::from(next() % 30)).collect();
-                    r.sort_unstable();
-                    r
-                })
-                .collect();
-            let mut cursors = vec![1usize; k];
-            let mut tree = KeyLoserTree::new(
-                runs.iter()
-                    .map(|r| r.first().copied().unwrap_or(EXHAUSTED_KEY))
-                    .collect(),
-            );
-            while let Some(w) = tree.winner() {
+    fn runner_up_is_the_second_smallest_head() {
+        // heads 5, 3, 9, 3: run 1 wins (ties break low), run 3 is next.
+        let tree = KeyLoserTree::new(vec![5, 3, 9, 3]);
+        assert_eq!(tree.winner(), Some(1));
+        assert_eq!(tree.runner_up(), Some(3));
+        assert_eq!(tree.key(3), 3);
+    }
+
+    #[test]
+    fn runner_up_matches_naive_minimum_throughout_a_merge() {
+        for (trial, runs) in random_runs(0xFEED_F00D_CAFE_BEEF, 10, 12, 30)
+            .iter()
+            .enumerate()
+        {
+            let k = runs.len();
+            merge_with(runs, |tree| {
+                // Naive second-smallest: min over every live non-winner
+                // head, ties toward the lower run index.
+                let w = tree.winner().unwrap();
                 let naive = (0..k)
                     .filter(|&i| i != w && tree.key(i) != EXHAUSTED_KEY)
                     .min_by(|&a, &b| tree.key(a).cmp(&tree.key(b)).then(a.cmp(&b)));
                 assert_eq!(tree.runner_up(), naive, "trial {trial}, k {k}");
-                let n = runs[w].get(cursors[w]).copied().unwrap_or(EXHAUSTED_KEY);
-                cursors[w] += 1;
-                tree.replace_winner(n);
-            }
-            assert_eq!(tree.live(), 0);
+            });
         }
     }
 
     #[test]
     fn live_tracks_unexhausted_runs() {
-        let runs = [vec![1u32], vec![2, 3]];
-        let mut cursors = [1usize; 2];
-        let mut tree = LoserTree::new(vec![Some(1u32), Some(2)]);
-        assert_eq!(tree.live(), 2);
+        // Seen before each pop; `merge_with` checks the final zero.
         let mut live_seen = Vec::new();
-        while let Some(w) = tree.winner() {
-            let next = runs[w].get(cursors[w]).copied();
-            cursors[w] += 1;
-            tree.pop_and_replace(next);
-            live_seen.push(tree.live());
+        merge_with(&[vec![1], vec![2, 3]], |tree| live_seen.push(tree.live()));
+        assert_eq!(live_seen, vec![2, 1, 1]);
+    }
+
+    #[test]
+    fn run_prefix_matches_linear_scan() {
+        // Sorted run of keys 0, 2, 4, ..., 58.
+        let run: Vec<u128> = (0..60).step_by(2).collect();
+        for bound in 0..62u128 {
+            for wins_ties in [false, true] {
+                let got = run_prefix(run.len(), |i| run[i], bound, wins_ties);
+                let expect = run
+                    .iter()
+                    .take_while(|&&k| k < bound || (wins_ties && k == bound))
+                    .count();
+                assert_eq!(got, expect, "bound {bound}, wins_ties {wins_ties}");
+            }
         }
-        assert_eq!(live_seen, vec![1, 1, 0]);
+        assert_eq!(run_prefix(0, |_| unreachable!(), 0, true), 0);
+        assert_eq!(
+            run_prefix(run.len(), |i| run[i], EXHAUSTED_KEY, true),
+            run.len()
+        );
+    }
+
+    #[test]
+    fn block_drain_via_runner_up_equals_sort() {
+        // Drive the merge the way the sharded consumer and the out-of-core
+        // export do: emit the winner's whole run prefix up to the
+        // runner-up's head with direct reads, then replay the tree once
+        // per run.
+        let mut fixed = vec![vec![
+            vec![0u128, 1, 2, 3, 10, 11],
+            vec![4, 5, 6],
+            vec![2, 7, 12],
+            vec![],
+        ]];
+        fixed.extend(random_runs(0x1234_5678_9ABC_DEF0, 9, 40, 25));
+        for (trial, runs) in fixed.iter().enumerate() {
+            let mut cursors = vec![0usize; runs.len()];
+            let mut tree = KeyLoserTree::new(runs.iter().map(|r| first_key(r)).collect());
+            let mut out = Vec::new();
+            while let Some(w) = tree.winner() {
+                let (bound, wins_ties) = match tree.runner_up() {
+                    None => (EXHAUSTED_KEY, true),
+                    Some(u) => (tree.key(u), w < u),
+                };
+                let rest = &runs[w][cursors[w]..];
+                let len = run_prefix(rest.len(), |i| rest[i], bound, wins_ties);
+                assert!(len >= 1, "the winner's own head precedes the bound");
+                out.extend_from_slice(&rest[..len]);
+                cursors[w] += len;
+                tree.replace_winner(first_key(&runs[w][cursors[w]..]));
+            }
+            assert_eq!(out, sorted_keys(runs), "trial {trial}");
+        }
     }
 }

@@ -62,18 +62,18 @@ impl TraceRecord {
         }
     }
 
-    /// Packed merge key: `t_ms << 32 | ue`, always below
+    /// Packed merge key: `t_ms << 40 | ue << 8 | event`, always below
     /// [`crate::merge::EXHAUSTED_KEY`].
     ///
-    /// Plain integer order on these keys embeds the full record [`Ord`]
-    /// (`(t, ue, event)`) exactly, *provided no two compared records share
-    /// `(t, ue)`* — the event tiebreaker is dropped. Per-UE generator
-    /// streams guarantee this: each UE lives in exactly one run and its
-    /// timestamps strictly increase, so `(t, ue)` is globally unique. The
-    /// compact [`crate::merge::KeyLoserTree`] merges on these keys.
+    /// Plain integer order on these keys is exactly the record [`Ord`]
+    /// (`(t, ue, event)`), so [`crate::merge::KeyLoserTree`] can merge
+    /// arbitrary sorted runs on them, not only runs whose `(t, ue)` pairs
+    /// are unique.
     #[inline]
     pub fn merge_key(&self) -> u128 {
-        (u128::from(self.t.as_millis()) << 32) | u128::from(self.ue.get())
+        (u128::from(self.t.as_millis()) << 40)
+            | (u128::from(self.ue.get()) << 8)
+            | u128::from(self.event.code())
     }
 }
 
@@ -106,6 +106,24 @@ mod tests {
         let mut v = vec![d, c, b, a];
         v.sort();
         assert_eq!(v, vec![a, b, c, d]);
+    }
+
+    #[test]
+    fn merge_key_order_is_the_record_order() {
+        let records = [
+            rec(0, 0, EventType::Attach),
+            rec(10, 5, EventType::Tau),
+            rec(20, 2, EventType::Attach),
+            rec(20, 2, EventType::Handover),
+            rec(20, u32::MAX, EventType::Tau),
+            rec(u64::MAX, u32::MAX, EventType::Tau),
+        ];
+        for a in &records {
+            assert!(a.merge_key() < crate::merge::EXHAUSTED_KEY);
+            for b in &records {
+                assert_eq!(a.merge_key().cmp(&b.merge_key()), a.cmp(b), "{a:?} {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! generated per-UE streams into one population trace.
 
 use crate::device::DeviceType;
-use crate::merge::LoserTree;
+use crate::merge::{head_key, KeyLoserTree};
 use crate::record::{TraceRecord, UeId};
 use crate::time::{HourOfDay, Timestamp};
 
@@ -154,10 +154,10 @@ impl Trace {
     /// Used to combine independently generated per-UE event streams into the
     /// population-level trace (§7). Zero or one non-empty input returns
     /// without any merge machinery, two inputs take a straight two-pointer
-    /// merge, and three or more run through a [`LoserTree`] (one replace-top
-    /// pass — ⌈log₂k⌉ comparisons — per emitted record instead of a heap
-    /// pop *and* push). Ties between traces resolve toward the earlier
-    /// input, so the merge is stable and deterministic.
+    /// merge, and three or more run through a [`KeyLoserTree`] (one
+    /// replace-top pass — ⌈log₂k⌉ comparisons — per emitted record instead
+    /// of a heap pop *and* push). Ties between traces resolve toward the
+    /// earlier input, so the merge is stable and deterministic.
     pub fn merge(traces: Vec<Trace>) -> Trace {
         for t in &traces {
             debug_assert!(
@@ -177,13 +177,14 @@ impl Trace {
             _ => {
                 let total: usize = traces.iter().map(Trace::len).sum();
                 let mut out = Vec::with_capacity(total);
-                let mut cursors = vec![1usize; traces.len()];
+                let mut cursors = vec![0usize; traces.len()];
                 let mut tree =
-                    LoserTree::new(traces.iter().map(|t| t.records.first().copied()).collect());
+                    KeyLoserTree::new(traces.iter().map(|t| head_key(t.records.first())).collect());
                 while let Some(w) = tree.winner() {
-                    let next = traces[w].records.get(cursors[w]).copied();
+                    let run = &traces[w].records;
+                    out.push(run[cursors[w]]);
                     cursors[w] += 1;
-                    out.push(tree.pop_and_replace(next).expect("winner has a head"));
+                    tree.replace_winner(head_key(run.get(cursors[w])));
                 }
                 Trace { records: out }
             }

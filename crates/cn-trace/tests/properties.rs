@@ -1,7 +1,9 @@
 //! Property-based tests for the trace substrate.
 
 use cn_trace::io;
-use cn_trace::{DeviceType, EventType, Timestamp, Trace, TraceRecord, UeId};
+use cn_trace::{
+    DeviceType, EventType, KeyLoserTree, Timestamp, Trace, TraceRecord, UeId, EXHAUSTED_KEY,
+};
 use proptest::prelude::*;
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
@@ -50,15 +52,23 @@ proptest! {
     ) {
         // Randomized pre-sorted runs — including empty and single-record
         // runs — merged by the loser tree must equal a global sort.
-        let sorted: Vec<Vec<u64>> = runs
+        let sorted: Vec<Vec<u128>> = runs
             .into_iter()
             .map(|mut r| {
                 r.sort_unstable();
-                r
+                r.into_iter().map(u128::from).collect()
             })
             .collect();
-        let merged = cn_trace::merge::merge_sorted(&sorted);
-        let mut expect: Vec<u64> = sorted.iter().flatten().copied().collect();
+        let head = |r: &[u128]| r.first().copied().unwrap_or(EXHAUSTED_KEY);
+        let mut cursors = vec![0usize; sorted.len()];
+        let mut tree = KeyLoserTree::new(sorted.iter().map(|r| head(r)).collect());
+        let mut merged = Vec::new();
+        while let Some(w) = tree.winner() {
+            merged.push(tree.key(w));
+            cursors[w] += 1;
+            tree.replace_winner(head(&sorted[w][cursors[w]..]));
+        }
+        let mut expect: Vec<u128> = sorted.iter().flatten().copied().collect();
         expect.sort_unstable();
         prop_assert_eq!(merged, expect);
     }

@@ -47,7 +47,7 @@ use cn_obs::{PromText, RecorderFrame, Registry, StatusReport, TraceSink};
 use cn_scenario::{
     Phase, PhaseKind, ScenarioSpec, ScenarioStream, StormKind, TimeWindow, UeSubset,
 };
-use cn_trace::{io::to_binary, DeviceType, PopulationMix, Timestamp, Trace};
+use cn_trace::{io::to_binary, DeviceType, PopulationMix, RecordSource, Timestamp};
 use cn_verify::GroundTruth;
 
 /// Fit the ground-truth models once; both the batch reference and every
@@ -281,21 +281,15 @@ fn main() {
 
     // Batch reference: the same scenario drained by the batch engine.
     eprintln!("live_check: building the batch reference trace...");
-    let batch: Trace = {
-        let mut stream = ScenarioStream::new(
-            &spec,
-            &config,
-            ShardedStream::new(&gt().set, &config),
-            &Registry::disabled(),
-        )
-        .expect("valid scenario spec");
-        let mut out = Vec::new();
-        while let Some(r) = stream.try_next().expect("batch stream") {
-            out.push(r);
-        }
-        stream.finish().expect("batch finish");
-        out.into_iter().collect()
-    };
+    let (batch, _) = ScenarioStream::new(
+        &spec,
+        &config,
+        ShardedStream::new(&gt().set, &config),
+        &Registry::disabled(),
+    )
+    .expect("valid scenario spec")
+    .collect_trace()
+    .expect("batch stream");
     let payload = to_binary(&batch);
     let total = batch.len() as u64;
     println!(

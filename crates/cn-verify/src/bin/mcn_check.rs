@@ -36,7 +36,7 @@ use cn_live::{LiveConfig, LiveRecordSource, LiveServer, SystemClock};
 use cn_mcn::{DesReport, DesSim};
 use cn_obs::{Registry, Span};
 use cn_scenario::{ScenarioSpec, ScenarioStream};
-use cn_trace::Trace;
+use cn_trace::{RecordSource, Trace};
 use cn_verify::{
     check_bench_at, check_pinned, drive_des, flash_crowd_spec, identity_spec, mcn_des_config,
     paging_storm_spec, trace_hash, GroundTruth, McnBench, McnError, McnScenarioBench,

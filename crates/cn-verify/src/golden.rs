@@ -25,7 +25,7 @@ use cn_gen::{
     generate, generate_out_of_core, GenConfig, OutOfCoreConfig, PopulationStream, ShardedStream,
 };
 use cn_obs::Registry;
-use cn_trace::{PopulationMix, Timestamp, Trace};
+use cn_trace::{PopulationMix, RecordSource, Timestamp, Trace};
 use serde::{Deserialize, Serialize};
 
 /// 64-bit FNV-1a over a byte slice.
@@ -128,8 +128,8 @@ pub fn run_golden(models: &ModelSet, config: &GenConfig) -> GoldenReport {
 /// `cn_gen_merge_events_total`, and only parallel cases (shards > 1)
 /// populate the per-shard `cn_gen_shard_events_total` series.
 ///
-/// Sharded cases are drained through the fallible
-/// [`ShardedStream::try_next`] / [`ShardedStream::finish`] API and the
+/// Sharded cases are drained through [`RecordSource::collect_trace`]
+/// (the fallible pull, then `finish`) and the
 /// drained-event totals are asserted against the batch engine's workload
 /// size, so a worker failure or a short drain aborts the gate loudly
 /// instead of hashing a truncated trace into an "engine divergence".
@@ -196,32 +196,22 @@ pub fn run_golden_observed(
     // silently truncated trace into a confusing "divergence".
     let expected_events = cases[0].events;
     for shards in [1usize, 8] {
-        let mut stream = ShardedStream::with_shards_observed(models, config, shards, registry);
-        let mut records = Vec::new();
-        loop {
-            match stream.try_next() {
-                Ok(Some(r)) => records.push(r),
-                Ok(None) => break,
-                Err(e) => panic!("golden sharded run (shards={shards}) failed: {e}"),
-            }
-        }
-        let stats = stream
-            .finish()
+        let (trace, stats) = ShardedStream::with_shards_observed(models, config, shards, registry)
+            .collect_trace()
             .unwrap_or_else(|e| panic!("golden sharded run (shards={shards}) failed: {e}"));
         // Drained-event accounting: everything the workers produced was
         // merged, and it is exactly the workload the batch engine defined.
         assert_eq!(
             stats.events as usize,
-            records.len(),
+            trace.len(),
             "sharded (shards={shards}) stream stats disagree with drained records"
         );
         assert_eq!(
-            records.len(),
+            trace.len(),
             expected_events,
             "sharded (shards={shards}) drained {} events, expected {expected_events}",
-            records.len()
+            trace.len()
         );
-        let trace = Trace::from_records(records);
         cases.push(GoldenCase {
             engine: "sharded".into(),
             threads: 0,

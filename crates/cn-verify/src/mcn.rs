@@ -20,13 +20,12 @@
 
 use std::path::{Path, PathBuf};
 
-use cn_gen::StreamError;
 use cn_mcn::{
     AdmissionPolicy, AutoscalePolicy, DesConfig, DesError, DesReport, DesSim, NetworkFunction,
     NfConfig, TransactionMatrix,
 };
-use cn_scenario::RecordSource;
 use cn_stats::{Dist, LogNormal};
+use cn_trace::{RecordSource, StreamError};
 use serde::{Deserialize, Serialize};
 
 /// A closed-loop run failed: either the record stream broke or the
@@ -50,6 +49,12 @@ impl std::fmt::Display for McnError {
 }
 
 impl std::error::Error for McnError {}
+
+impl From<StreamError> for McnError {
+    fn from(e: StreamError) -> Self {
+        McnError::Stream(e)
+    }
+}
 
 /// The canonical core shape for the golden 40-UE workload.
 ///
@@ -106,14 +111,13 @@ pub fn mcn_des_config() -> DesConfig {
 /// asserts the two produce identical reports.
 pub fn drive_des<S: RecordSource>(
     mut sim: DesSim,
-    mut source: S,
+    source: S,
 ) -> Result<(DesReport, u64), McnError> {
     let mut records = 0u64;
-    while let Some(rec) = source.try_next().map_err(McnError::Stream)? {
-        sim.offer(&rec).map_err(McnError::Des)?;
+    source.drain(|rec| {
         records += 1;
-    }
-    source.finish().map_err(McnError::Stream)?;
+        sim.offer(&rec).map_err(McnError::Des)
+    })?;
     Ok((sim.finish(), records))
 }
 

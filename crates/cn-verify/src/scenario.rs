@@ -27,7 +27,7 @@ use cn_scenario::{
     apply_scenario, write_scenario_binary, IterSource, Phase, PhaseKind, ScenarioSpec,
     ScenarioStream, StormKind, TimeWindow, UeSubset,
 };
-use cn_trace::DeviceType;
+use cn_trace::{DeviceType, RecordSource};
 
 use crate::golden::{fnv1a64, trace_hash, GoldenCase, GoldenReport};
 

@@ -20,7 +20,7 @@ use cn_obs::Registry;
 use cn_scenario::{
     apply_scenario, Phase, PhaseKind, ScenarioSpec, ScenarioStream, StormKind, TimeWindow, UeSubset,
 };
-use cn_trace::{DeviceType, Trace, TraceRecord};
+use cn_trace::{DeviceType, RecordSource, Trace, TraceRecord};
 use cn_verify::golden::standard_config;
 use cn_verify::{
     check_pinned, flash_crowd_spec, identity_spec, paging_storm_spec, run_scenario_golden,

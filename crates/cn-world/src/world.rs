@@ -104,31 +104,37 @@ pub fn generate_world(config: &WorldConfig) -> Trace {
     .max(1);
 
     let chunk = total.div_ceil(threads as u32);
+    let simulate_share = |w: u32| {
+        let lo = w * chunk;
+        let hi = ((w + 1) * chunk).min(total);
+        let mut traces = Vec::new();
+        for index in lo..hi {
+            let device = config.device_of(index);
+            let profile = &config.profiles[device.code() as usize];
+            traces.push(crate::ue::simulate_ue(
+                UeId(index),
+                profile,
+                horizon_secs,
+                ue_seed(config.seed, index),
+            ));
+        }
+        Trace::merge(traces)
+    };
+    // The calling thread takes the last share itself instead of idling in
+    // `join`: one spawn fewer, and on two cores a single worker at a time,
+    // so which allocator arena each thread inherits no longer depends on
+    // which of two symmetric workers happened to exit first.
+    let last = threads as u32 - 1;
     let partial: Vec<Trace> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads as u32)
-            .map(|w| {
-                let config = &config;
-                scope.spawn(move |_| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(total);
-                    let mut traces = Vec::new();
-                    for index in lo..hi {
-                        let device = config.device_of(index);
-                        let profile = &config.profiles[device.code() as usize];
-                        traces.push(crate::ue::simulate_ue(
-                            UeId(index),
-                            profile,
-                            horizon_secs,
-                            ue_seed(config.seed, index),
-                        ));
-                    }
-                    Trace::merge(traces)
-                })
-            })
+        let simulate_share = &simulate_share;
+        let handles: Vec<_> = (0..last)
+            .map(|w| scope.spawn(move |_| simulate_share(w)))
             .collect();
+        let own = simulate_share(last);
         handles
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
+            .chain(std::iter::once(own))
             .collect()
     })
     .expect("scope panicked");

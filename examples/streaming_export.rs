@@ -17,8 +17,9 @@
 //! snapshots, and the full Prometheus exposition is printed at the end —
 //! the same text a scrape endpoint would serve.
 //!
-//! The export drains the **fallible** API — `try_next()` records, then
-//! `finish()` for the `StreamStats` receipt — so a worker failure
+//! The export goes through `RecordSource::drain` — the fallible pull to
+//! exhaustion, then `finish()` for the `StreamStats` receipt — so a
+//! worker failure
 //! surfaces as a typed `StreamError` that aborts the export instead of
 //! silently truncating the file: an exporter that ends on `Ok(None)` and
 //! a `finish()` receipt *knows* it wrote the whole trace.
@@ -28,7 +29,7 @@
 use cellular_cp_traffgen::gen::ShardedStream;
 use cellular_cp_traffgen::obs::{Registry, Span};
 use cellular_cp_traffgen::prelude::*;
-use cellular_cp_traffgen::trace::TraceSummary;
+use cellular_cp_traffgen::trace::{RecordSource, TraceSummary};
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
@@ -66,13 +67,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let registry = Registry::new();
     let written = registry.counter("cn_example_export_written_total");
     let span = Span::start(&registry, "cn_example_export_ns");
-    let mut stream = ShardedStream::new_observed(&models, &config, &registry);
+    let stream = ShardedStream::new_observed(&models, &config, &registry);
     let started = Instant::now();
     let mut next_report = 50_000;
-    // Drain through the fallible API: a worker panic arrives here as a
-    // typed StreamError (and `?` aborts the export loudly), never as an
-    // early `None` that would leave a truncated CSV posing as complete.
-    while let Some(rec) = stream.try_next()? {
+    // `drain` pulls through the fallible API and then takes `finish`'s
+    // receipt (workers joined, every shard completed): a worker panic
+    // arrives here as a typed StreamError and a dead disk as the io::Error
+    // — never as an early end that would leave a truncated CSV posing as
+    // complete.
+    let stats = stream.drain(|rec| -> Result<(), Box<dyn std::error::Error>> {
         writeln!(
             out,
             "{},{},{},{}",
@@ -86,11 +89,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report(&registry, started);
             next_report += 50_000;
         }
-    }
+        Ok(())
+    })?;
     out.flush()?;
-    // finish() is the export's receipt: it joins the workers and refuses
-    // to report success unless every shard completed.
-    let stats = stream.finish()?;
     span.finish();
     let total = written.get();
     assert_eq!(stats.events, total, "the receipt counts what we wrote");
