@@ -69,6 +69,16 @@ impl GenConfig {
         }
     }
 
+    /// [`GenConfig::threads`] with `0` resolved to
+    /// [`effective_parallelism`] — what every engine spawns or shards by.
+    pub(crate) fn resolved_threads(&self) -> usize {
+        if self.threads == 0 {
+            effective_parallelism()
+        } else {
+            self.threads
+        }
+    }
+
     /// Device type of the synthesized UE at `index` (phones first, then
     /// connected cars, then tablets).
     pub fn device_of(&self, index: u32) -> DeviceType {
@@ -150,13 +160,7 @@ pub fn generate(models: &ModelSet, config: &GenConfig) -> Trace {
         return Trace::new();
     }
     let end = config.end();
-    let threads = if config.threads == 0 {
-        effective_parallelism()
-    } else {
-        config.threads
-    }
-    .min(total as usize)
-    .max(1);
+    let threads = config.resolved_threads().min(total as usize).max(1);
     let chunk = total.div_ceil(threads as u32);
 
     let partial: Vec<Trace> = crossbeam::thread::scope(|scope| {

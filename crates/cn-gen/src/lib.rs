@@ -41,10 +41,11 @@
 //!   no threads, so the sharded API is never slower than
 //!   [`PopulationStream`];
 //! * [`generate_out_of_core`] — population-scale binary export under a
-//!   bounded memory budget: UE-range chunks emit arena-encoded sorted
-//!   runs that spill to temp files past the budget and k-way merge back
-//!   into the sink as verbatim byte blocks (see [`outofcore`]) — a
-//!   different output (bytes, not records) and memory bound.
+//!   bounded memory budget: UE-range chunks, generated on
+//!   [`GenConfig::threads`] workers, emit arena-encoded sorted runs that
+//!   spill to temp files past the budget and k-way merge back into the
+//!   sink as verbatim byte blocks (see [`outofcore`]) — a different
+//!   output (bytes, not records) and memory bound.
 //!
 //! Both streams implement [`cn_trace::RecordSource`], the one pull
 //! contract every downstream layer consumes.

@@ -6,27 +6,36 @@
 //! 10M UEs that is gigabytes of iterator state before the first record is
 //! written. [`generate_out_of_core`] bounds both sides:
 //!
-//! 1. **Chunked generation** — the population is split into contiguous
-//!    UE-range chunks of [`OutOfCoreConfig::chunk_ues`]. Each chunk runs
-//!    a [`UePool`] (only `chunk_ues` generators resident at a time) and
-//!    drains it into one time-sorted *run*, arena-encoded straight into
-//!    the on-disk 14-byte record format via
+//! 1. **Chunked generation on worker threads** — the population is split
+//!    into contiguous UE-range chunks of [`OutOfCoreConfig::chunk_ues`],
+//!    dealt round-robin to [`GenConfig::threads`] scoped workers (`0` =
+//!    [`crate::effective_parallelism`]; the workers borrow the caller's
+//!    [`ModelSet`], nothing is cloned). A worker runs one [`UePool`] at a
+//!    time (only `chunk_ues` generators resident per worker) and drains
+//!    it into a time-sorted *run*, arena-encoded straight into the
+//!    on-disk 14-byte record format via
 //!    [`EncodedBlock`](cn_trace::EncodedBlock) — records are encoded
-//!    exactly once, at generation.
-//! 2. **Budgeted spill** — runs buffer in memory until the *total*
-//!    buffered bytes would exceed
-//!    [`OutOfCoreConfig::buffer_budget_bytes`]; a run growing past the
-//!    budget moves to an anonymous temp file (created then immediately
-//!    unlinked, so a crash leaks nothing) and keeps appending there.
-//!    Peak RSS is therefore O(budget + chunk state + read windows),
-//!    independent of trace length.
+//!    exactly once, at generation — shipped block by block over a bounded
+//!    channel to the calling thread.
+//! 2. **Budgeted spill on the calling thread** — the caller alone owns
+//!    the runs, the budget and every spill file. It commits one block
+//!    from each worker in turn (a fixed rotation, never arrival order, so
+//!    which runs spill is a pure function of the configuration and the
+//!    worker count). Runs buffer in memory until the *total* buffered
+//!    bytes would exceed [`OutOfCoreConfig::buffer_budget_bytes`]; a run
+//!    growing past the budget moves to an anonymous temp file (created
+//!    then immediately unlinked, so a crash leaks nothing) and keeps
+//!    appending there. Peak RSS is therefore O(budget + workers × chunk
+//!    state + read windows), independent of trace length.
 //! 3. **Zero-copy k-way merge** — the runs merge through a compact
 //!    [`KeyLoserTree`] over packed record keys. When a run wins, every
 //!    buffered record preceding the runner-up's key (found by galloping
 //!    over the encoded bytes, [`run_prefix`] over [`record_key_at`]) is
-//!    written to the sink **verbatim** with
-//!    [`BinaryStreamWriter::write_encoded`] — no per-record decode or
-//!    re-encode anywhere between generation and disk.
+//!    copied **verbatim** into one output window, which goes to the sink
+//!    with one [`BinaryStreamWriter::write_encoded`] per full window — no
+//!    per-record decode or re-encode anywhere between generation and
+//!    disk, and sink writes are O(bytes / window) however finely the runs
+//!    interleave.
 //!
 //! ### Byte identity
 //!
@@ -35,42 +44,61 @@
 //! [`TraceRecord::merge_key`](cn_trace::TraceRecord::merge_key)): the
 //! merged byte stream is *the* unique sorted trace, identical to
 //! [`cn_trace::io::to_binary`] of [`crate::generate`]'s output for the
-//! same [`GenConfig`] — at every chunk size and every spill budget,
-//! including a zero budget that spills every run. The `cn-verify` golden
-//! gate pins this.
+//! same [`GenConfig`] — at every chunk size, every spill budget
+//! (including a zero budget that spills every run) and every thread
+//! count. The `cn-verify` golden gate pins this.
 //!
 //! ### Failure containment
 //!
 //! Spill and export I/O failures surface as typed
-//! [`StreamError::Io`] values carrying the failing stage — the same
-//! contract the sharded pipeline established for worker panics. The sink
-//! is driven through [`BinaryStreamWriter`], so an export that errors out
-//! leaves the zero-count placeholder header: the partial file *fails*
-//! [`cn_trace::io::from_binary`] loudly and is salvageable only via the
-//! explicit [`cn_trace::io::recover_binary`] path. A truncated spill file
-//! (torn write, full disk) is caught by exact-length reads during the
-//! merge and becomes a `spill-read` error, never a silently shortened
-//! trace.
+//! [`StreamError::Io`] values carrying the failing stage, and a panicking
+//! chunk worker as [`StreamError::WorkerPanicked`] carrying the chunk
+//! index — the same contract the sharded pipeline established. Whichever
+//! side fails first, the caller hangs up on every worker (a blocked send
+//! fails and the worker exits) and joins them all before returning. The
+//! sink is driven through [`BinaryStreamWriter`], so an export that
+//! errors out leaves the unfinished-count sentinel in the header: the
+//! partial file *fails* [`cn_trace::io::from_binary`] loudly and is
+//! salvageable only via the explicit [`cn_trace::io::recover_binary`]
+//! path. A truncated spill file (torn write, full disk) is caught by
+//! exact-length reads during the merge and becomes a `spill-read` error,
+//! never a silently shortened trace.
 
 use crate::engine::GenConfig;
+use crate::fault::{FaultHook, NoFault};
 use crate::pool::UePool;
+use crate::shard::panic_payload;
 use cn_fit::ModelSet;
+use cn_obs::TraceSink;
 use cn_trace::io::{record_key_at, BinaryStreamWriter, RECORD_BYTES};
 use cn_trace::merge::run_prefix;
 use cn_trace::{EncodedBlock, KeyLoserTree, StreamError, EXHAUSTED_KEY};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::ScopedJoinHandle;
 
 /// Records per arena block while draining a chunk (~56 KiB of encoded
-/// bytes: large enough to amortize the append, small enough to stay
-/// cache-resident while filling).
+/// bytes: large enough to amortize the channel hop and the append, small
+/// enough to stay cache-resident while filling).
 const CHUNK_BLOCK_RECORDS: usize = 4096;
+
+/// Blocks a chunk worker may have queued towards the committing thread
+/// before its send blocks: a slow spill disk holds the pipeline at
+/// `workers × WORKER_CHANNEL_BLOCKS` blocks in flight.
+const WORKER_CHANNEL_BLOCKS: usize = 4;
 
 /// Bytes per read window when merging a spilled run back in (a whole
 /// number of records, ~112 KiB).
 const SPILL_READ_BYTES: usize = RECORD_BYTES * 8192;
+
+/// Bytes of merge output staged between sink writes (the same size class
+/// as one spill read window).
+const OUTPUT_WINDOW_BYTES: usize = SPILL_READ_BYTES;
 
 /// Tuning knobs for [`generate_out_of_core`].
 #[derive(Debug, Clone)]
@@ -303,66 +331,167 @@ impl RunReader {
     }
 }
 
-/// Generate `config`'s population straight into a binary-format sink
-/// under the memory bounds of `occ` (see module docs), returning the
-/// export report and the sink.
-///
-/// The produced bytes are identical to
-/// `cn_trace::io::to_binary(&crate::generate(models, config))` for every
-/// `occ` — chunking and spilling change *where* bytes wait, never what is
-/// written. On error the sink is left with its zero-count placeholder
-/// header (finish-or-recover contract: the partial export cannot pose as
-/// a complete trace).
-pub fn generate_out_of_core<W: Write + Seek>(
+/// One chunk worker as the committing thread sees it.
+struct Lane<'scope> {
+    /// First chunk of the worker's stripe (it generates every
+    /// `workers`-th chunk from here).
+    first_chunk: usize,
+    rx: Receiver<(usize, EncodedBlock)>,
+    handle: ScopedJoinHandle<'scope, Result<(), StreamError>>,
+}
+
+impl Lane<'_> {
+    /// Hang up and take the worker's verdict; one that is still
+    /// generating exits at its next send.
+    fn join(self) -> Result<(), StreamError> {
+        drop(self.rx);
+        // The worker body runs under `catch_unwind`, so a join error can
+        // only come from outside it; report it rather than re-raise.
+        self.handle.join().unwrap_or_else(|payload| {
+            Err(StreamError::WorkerPanicked {
+                shard: self.first_chunk,
+                payload: panic_payload(payload.as_ref()),
+            })
+        })
+    }
+}
+
+/// Drain one chunk's [`UePool`] into encoded blocks tagged with the chunk
+/// index; `false` when the committing thread hung up.
+fn ship_chunk<F: FaultHook>(
+    models: &ModelSet,
+    config: &GenConfig,
+    ues: Range<u32>,
+    chunk: usize,
+    tx: &SyncSender<(usize, EncodedBlock)>,
+    fault: &mut F,
+) -> bool {
+    let mut pool = UePool::new(models, config, ues);
+    let mut block = EncodedBlock::with_capacity(CHUNK_BLOCK_RECORDS);
+    while let Some(rec) = pool.next_record() {
+        fault.on_record();
+        block.push(&rec);
+        if block.len() == CHUNK_BLOCK_RECORDS {
+            let full =
+                std::mem::replace(&mut block, EncodedBlock::with_capacity(CHUNK_BLOCK_RECORDS));
+            fault.on_block();
+            if tx.send((chunk, full)).is_err() {
+                return false;
+            }
+        }
+    }
+    if !block.is_empty() {
+        fault.on_block();
+        return tx.send((chunk, block)).is_ok();
+    }
+    true
+}
+
+/// Commit the workers' blocks into `runs`, one block per live worker in
+/// turn. The rotation — not arrival order — fixes the sequence of
+/// appends, and with it which runs the budget spills. A disconnected
+/// channel means its worker is done: joined on the spot, so a panic
+/// surfaces before the other workers generate anything further.
+fn commit_blocks(
+    lanes: &mut Vec<Lane<'_>>,
+    runs: &mut [RunStore],
+    occ: &OutOfCoreConfig,
+) -> Result<(), StreamError> {
+    let mut buffered = 0usize;
+    let mut turn = 0usize;
+    while !lanes.is_empty() {
+        turn %= lanes.len();
+        match lanes[turn].rx.recv() {
+            Ok((chunk, block)) => {
+                runs[chunk].append(block.as_bytes(), &mut buffered, occ)?;
+                turn += 1;
+            }
+            // The next lane slides into `turn`: the rotation goes on.
+            Err(_) => lanes.remove(turn).join()?,
+        }
+    }
+    Ok(())
+}
+
+/// Phase 1: one sorted, arena-encoded run per UE-range chunk, generated
+/// on scoped worker threads and committed on this one (see module docs).
+fn generate_runs<F: FaultHook>(
     models: &ModelSet,
     config: &GenConfig,
     occ: &OutOfCoreConfig,
-    sink: W,
-) -> Result<(OutOfCoreReport, W), StreamError> {
-    let mut writer = BinaryStreamWriter::new(sink).map_err(|e| io_err("export-header", e))?;
-    // One sink resolution for the whole export; everything below runs
-    // on this thread, so chunk/spill/merge spans nest under this one.
-    let trace = cn_obs::trace::global();
-    let _export_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_export"));
-
-    // Phase 1: one sorted, arena-encoded run per UE-range chunk.
+    trace: &TraceSink,
+    fault_for: &(impl Fn(usize) -> F + Sync),
+) -> Result<Vec<RunStore>, StreamError> {
     let total = config.population.total();
-    let chunk = occ.chunk_ues.max(1);
-    let mut runs: Vec<RunStore> = Vec::new();
-    let mut buffered = 0usize;
-    let mut lo = 0u32;
-    while lo < total {
-        let hi = lo.saturating_add(chunk).min(total);
-        let chunk_span = trace
-            .is_enabled()
-            .then(|| trace.span(&format!("cn_gen_ooc_chunk:{lo}-{hi}")));
-        let mut pool = UePool::new(models, config, lo..hi);
-        let mut store = RunStore::new();
-        let mut block = EncodedBlock::with_capacity(CHUNK_BLOCK_RECORDS);
-        while let Some(rec) = pool.next_record() {
-            block.push(&rec);
-            if block.len() == CHUNK_BLOCK_RECORDS {
-                store.append(block.as_bytes(), &mut buffered, occ)?;
-                block.clear();
-            }
+    let chunk_ues = occ.chunk_ues.max(1);
+    let chunks = total.div_ceil(chunk_ues) as usize;
+    let workers = config.resolved_threads().min(chunks);
+    let mut runs: Vec<RunStore> = (0..chunks).map(|_| RunStore::new()).collect();
+    std::thread::scope(|scope| {
+        let mut lanes: Vec<Lane<'_>> = (0..workers)
+            .map(|first_chunk| {
+                let (tx, rx) = sync_channel(WORKER_CHANNEL_BLOCKS);
+                let trace = trace.clone();
+                let handle = scope.spawn(move || {
+                    let mut chunk = first_chunk;
+                    catch_unwind(AssertUnwindSafe(|| {
+                        while chunk < chunks {
+                            // `chunk < ⌈total / chunk_ues⌉`, so `lo < total`.
+                            let lo = chunk as u32 * chunk_ues;
+                            let hi = lo.saturating_add(chunk_ues).min(total);
+                            let _chunk_span = trace
+                                .is_enabled()
+                                .then(|| trace.span(&format!("cn_gen_ooc_chunk:{lo}-{hi}")));
+                            let mut fault = fault_for(chunk);
+                            if !ship_chunk(models, config, lo..hi, chunk, &tx, &mut fault) {
+                                return;
+                            }
+                            chunk += workers;
+                        }
+                    }))
+                    .map_err(|payload| StreamError::WorkerPanicked {
+                        shard: chunk,
+                        payload: panic_payload(payload.as_ref()),
+                    })
+                });
+                Lane {
+                    first_chunk,
+                    rx,
+                    handle,
+                }
+            })
+            .collect();
+        let _commit_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_commit"));
+        let committed = commit_blocks(&mut lanes, &mut runs, occ);
+        // On an error some lanes are still live: hang up on each (a
+        // worker blocked on a full channel fails its send and exits) and
+        // join it here, so the scope itself never has a panic to re-raise.
+        // The first failure is the one reported.
+        for lane in lanes {
+            let _ = lane.join();
         }
-        if !block.is_empty() {
-            store.append(block.as_bytes(), &mut buffered, occ)?;
-        }
-        runs.push(store);
-        drop(chunk_span);
-        lo = hi;
-    }
-    let run_count = runs.len();
-    let spilled_runs = runs.iter().filter(|r| r.is_spilled()).count();
+        committed
+    })?;
+    Ok(runs)
+}
 
-    // Phase 2: zero-copy k-way merge over the encoded runs.
-    let _merge_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_merge"));
+/// Phase 2: zero-copy k-way merge of the encoded runs into `writer`,
+/// staged through one output window.
+fn merge_runs<W: Write + Seek>(
+    runs: Vec<RunStore>,
+    writer: &mut BinaryStreamWriter<W>,
+) -> Result<(), StreamError> {
     let mut readers = runs
         .into_iter()
         .map(RunReader::new)
         .collect::<Result<Vec<_>, _>>()?;
     let mut tree = KeyLoserTree::new(readers.iter().map(RunReader::head_key).collect());
+    let mut staged: Vec<u8> = Vec::with_capacity(OUTPUT_WINDOW_BYTES);
+    let mut write = |bytes: &[u8]| {
+        writer
+            .write_encoded(bytes)
+            .map_err(|e| io_err("export-write", e))
+    };
     while let Some(w) = tree.winner() {
         let (bound, wins_ties) = match tree.runner_up() {
             None => (EXHAUSTED_KEY, true),
@@ -374,9 +503,18 @@ pub fn generate_out_of_core<W: Write + Seek>(
             let run_bytes =
                 run_prefix(records, |i| record_key_at(window, i), bound, wins_ties) * RECORD_BYTES;
             let drained_whole_window = run_bytes == window.len();
-            writer
-                .write_encoded(&window[..run_bytes])
-                .map_err(|e| io_err("export-write", e))?;
+            let prefix = &window[..run_bytes];
+            if staged.len() + prefix.len() > OUTPUT_WINDOW_BYTES {
+                write(&staged)?;
+                staged.clear();
+            }
+            if prefix.len() >= OUTPUT_WINDOW_BYTES {
+                // Already window-sized (nothing is staged ahead of it
+                // now): straight through, no copy.
+                write(prefix)?;
+            } else {
+                staged.extend_from_slice(prefix);
+            }
             readers[w].consume(run_bytes);
             // The run may continue past the buffered window; keep
             // draining until the bound is reached inside a window or the
@@ -386,6 +524,54 @@ pub fn generate_out_of_core<W: Write + Seek>(
             }
         }
         tree.replace_winner(readers[w].head_key());
+    }
+    write(&staged)
+}
+
+/// Generate `config`'s population straight into a binary-format sink
+/// under the memory bounds of `occ` (see module docs), returning the
+/// export report and the sink.
+///
+/// The produced bytes are identical to
+/// `cn_trace::io::to_binary(&crate::generate(models, config))` for every
+/// `occ` and every `config.threads` — chunking, spilling and the worker
+/// count change *where* bytes wait, never what is written. On error the
+/// sink is left with the unfinished-count sentinel in its header
+/// (finish-or-recover contract: the partial export cannot pose as a
+/// complete trace).
+pub fn generate_out_of_core<W: Write + Seek>(
+    models: &ModelSet,
+    config: &GenConfig,
+    occ: &OutOfCoreConfig,
+    sink: W,
+) -> Result<(OutOfCoreReport, W), StreamError> {
+    export_with_faults(models, config, occ, sink, &|_| NoFault)
+}
+
+/// [`generate_out_of_core`] with a fault hook per chunk —
+/// [`NoFault`] in production, a [`crate::fault::FaultPlan`] slice (the
+/// chunk index standing in for the shard) in this module's tests.
+fn export_with_faults<W: Write + Seek, F: FaultHook>(
+    models: &ModelSet,
+    config: &GenConfig,
+    occ: &OutOfCoreConfig,
+    sink: W,
+    fault_for: &(impl Fn(usize) -> F + Sync),
+) -> Result<(OutOfCoreReport, W), StreamError> {
+    let mut writer = BinaryStreamWriter::new(sink).map_err(|e| io_err("export-header", e))?;
+    // One sink resolution for the whole export, cloned into the chunk
+    // workers: commit, spill and merge spans nest under the export span
+    // on this thread, chunk spans open on the workers' own threads.
+    let trace = cn_obs::trace::global();
+    let _export_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_export"));
+
+    let runs = generate_runs(models, config, occ, &trace, fault_for)?;
+    let run_count = runs.len();
+    let spilled_runs = runs.iter().filter(|r| r.is_spilled()).count();
+
+    {
+        let _merge_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_merge"));
+        merge_runs(runs, &mut writer)?;
     }
 
     let events = writer.written();
@@ -404,12 +590,14 @@ pub fn generate_out_of_core<W: Write + Seek>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::generate;
     use cn_fit::{fit, FitConfig, Method};
-    use cn_trace::io::{from_binary, to_binary, FailingWriter};
+    use cn_trace::io::{from_binary, recover_binary, to_binary, FailingWriter, UNFINISHED_COUNT};
     use cn_trace::{PopulationMix, Timestamp};
     use cn_world::{generate_world, WorldConfig};
     use std::io::Cursor;
+    use std::time::Duration;
 
     fn fitted() -> ModelSet {
         let trace = generate_world(&WorldConfig::new(PopulationMix::new(24, 10, 6), 2.0, 5));
@@ -425,6 +613,25 @@ mod tests {
         )
     }
 
+    /// As [`config`] with an explicit worker count.
+    fn config_threads(threads: usize) -> GenConfig {
+        GenConfig {
+            threads,
+            ..config()
+        }
+    }
+
+    /// A population whose export spans several output windows and whose
+    /// single-UE chunks interleave record by record.
+    fn wide_config() -> GenConfig {
+        GenConfig::new(
+            PopulationMix::new(600, 250, 150),
+            Timestamp::at_hour(0, 9),
+            24.0,
+            11,
+        )
+    }
+
     fn occ(chunk_ues: u32, budget: usize) -> OutOfCoreConfig {
         OutOfCoreConfig {
             chunk_ues,
@@ -433,16 +640,24 @@ mod tests {
         }
     }
 
+    /// A sink left by a failed export: at most the header, carrying the
+    /// unfinished sentinel, so it can never parse as a complete trace.
+    fn assert_unfinished_header_only(bytes: &[u8]) {
+        assert_eq!(bytes.len(), 16, "the merge never started");
+        assert_eq!(bytes[8..], UNFINISHED_COUNT.to_le_bytes());
+        assert!(from_binary(bytes).is_err());
+    }
+
     #[test]
     fn matches_batch_to_binary_across_chunks_and_budgets() {
         let models = fitted();
-        let config = config();
-        let batch = generate(&models, &config);
+        let batch = generate(&models, &config());
         let expect = to_binary(&batch);
+        let total = config().population.total();
         // A chunk whose UEs are all silent yields an empty run that never
         // appends — and so never spills, whatever the budget.
         let nonempty_runs = |chunk: u32| {
-            (0..config.population.total())
+            (0..total)
                 .step_by(chunk as usize)
                 .filter(|&lo| {
                     batch
@@ -453,7 +668,8 @@ mod tests {
         };
         // (chunk size, budget): single chunk, fine chunks; all-memory,
         // forced-spill (0), and a budget small enough to spill some runs
-        // but not all.
+        // but not all — each at one worker, a few, and more workers than
+        // there are chunks.
         for (chunk, budget) in [
             (1_000, usize::MAX),
             (1_000, 0),
@@ -463,30 +679,65 @@ mod tests {
             (1, 0),
             (5, 64),
         ] {
-            let (report, cursor) = generate_out_of_core(
-                &models,
-                &config,
-                &occ(chunk, budget),
-                Cursor::new(Vec::new()),
-            )
-            .unwrap_or_else(|e| panic!("chunk {chunk} budget {budget}: {e}"));
-            let bytes = cursor.into_inner();
-            assert_eq!(
-                bytes, expect,
-                "chunk {chunk} budget {budget}: bytes diverged"
-            );
-            assert_eq!(report.events as usize, (bytes.len() - 16) / RECORD_BYTES);
-            assert_eq!(report.bytes_written, bytes.len() as u64);
-            let expected_runs = (config.population.total() as usize).div_ceil(chunk as usize);
-            assert_eq!(report.runs, expected_runs);
-            if budget == 0 {
+            for threads in [1, 2, 3, 8] {
+                let what = format!("chunk {chunk} budget {budget} threads {threads}");
+                let (report, cursor) = generate_out_of_core(
+                    &models,
+                    &config_threads(threads),
+                    &occ(chunk, budget),
+                    Cursor::new(Vec::new()),
+                )
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let bytes = cursor.into_inner();
+                assert_eq!(bytes, expect, "{what}: bytes diverged");
+                assert_eq!(report.events as usize, (bytes.len() - 16) / RECORD_BYTES);
+                assert_eq!(report.bytes_written, bytes.len() as u64);
                 assert_eq!(
-                    report.spilled_runs,
-                    nonempty_runs(chunk),
-                    "zero budget spills every non-empty run"
+                    report.runs,
+                    (total as usize).div_ceil(chunk as usize),
+                    "{what}"
                 );
-            } else if budget == usize::MAX {
-                assert_eq!(report.spilled_runs, 0, "unbounded budget spills none");
+                if budget == 0 {
+                    assert_eq!(
+                        report.spilled_runs,
+                        nonempty_runs(chunk),
+                        "{what}: zero budget spills every non-empty run"
+                    );
+                } else if budget == usize::MAX {
+                    assert_eq!(
+                        report.spilled_runs, 0,
+                        "{what}: unbounded budget spills none"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn report_is_a_pure_function_of_config_and_thread_count() {
+        // Which runs spill depends on the order blocks are committed in;
+        // that order is a fixed rotation over the workers, never arrival
+        // order, so a budget that spills some runs but not all reports
+        // the same split every time.
+        let models = fitted();
+        for threads in [1, 2, 3, 8] {
+            let export = || {
+                generate_out_of_core(
+                    &models,
+                    &config_threads(threads),
+                    &occ(3, 2 * 1024),
+                    Cursor::new(Vec::new()),
+                )
+                .unwrap()
+                .0
+            };
+            let first = export();
+            assert!(
+                0 < first.spilled_runs && first.spilled_runs < first.runs,
+                "threads {threads}: the budget must split the runs, got {first:?}"
+            );
+            for _ in 0..4 {
+                assert_eq!(export(), first, "threads {threads}");
             }
         }
     }
@@ -512,6 +763,60 @@ mod tests {
         assert_eq!(from_binary(&cursor.into_inner()).unwrap().len(), 0);
     }
 
+    /// Counts the `write` calls that reach the wrapped cursor.
+    struct CountingWriter {
+        inner: Cursor<Vec<u8>>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl Seek for CountingWriter {
+        fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn sink_writes_scale_with_bytes_not_with_merge_prefixes() {
+        // One run per UE: the merge hands over a prefix every time the
+        // next record belongs to another UE, i.e. nearly once per record.
+        let models = fitted();
+        let config = wide_config();
+        let batch = generate(&models, &config);
+        let records: Vec<_> = batch.iter().collect();
+        let prefixes = 1 + records.windows(2).filter(|w| w[0].ue != w[1].ue).count();
+        assert!(
+            prefixes > 100_000,
+            "workload too coarse to show anything: {prefixes} prefixes"
+        );
+        let sink = CountingWriter {
+            inner: Cursor::new(Vec::new()),
+            writes: 0,
+        };
+        let (report, sink) =
+            generate_out_of_core(&models, &config, &occ(1, 1 << 20), sink).unwrap();
+        assert_eq!(sink.inner.get_ref(), &to_binary(&batch));
+        // Two header writes, the count patch, and one write per window
+        // (a window closes at most one sub-window prefix short of full).
+        let windows = (report.bytes_written as usize).div_ceil(OUTPUT_WINDOW_BYTES);
+        assert!(
+            sink.writes <= 3 + 2 * windows,
+            "{} writes for {} bytes ({windows} windows, {prefixes} prefixes)",
+            sink.writes,
+            report.bytes_written
+        );
+    }
+
     #[test]
     fn failing_sink_is_a_typed_error_and_never_a_complete_trace() {
         let models = fitted();
@@ -528,14 +833,147 @@ mod tests {
             matches!(err, StreamError::Io { stage, .. } if stage.starts_with("export")),
             "{err}"
         );
-        // Finish never ran: the zero-count placeholder makes the partial
-        // file fail from_binary (finish-or-recover contract).
+        // Finish never ran: the unfinished sentinel makes the partial
+        // file fail from_binary (finish-or-recover contract) even though
+        // the whole export sat in the output window and only the header
+        // landed.
         let bytes = backing.into_inner();
         assert!(!bytes.is_empty(), "header reached the sink");
         assert!(
             from_binary(&bytes).is_err(),
             "partial export must not parse"
         );
+    }
+
+    /// Export into a sink that dies after `budget` bytes and hold what
+    /// landed to the finish-or-recover contract against the clean bytes.
+    fn assert_fault_offset_contained(
+        models: &ModelSet,
+        config: &GenConfig,
+        occ: &OutOfCoreConfig,
+        clean: &[u8],
+        budget: usize,
+    ) {
+        let mut backing = Cursor::new(Vec::new());
+        let sink = FailingWriter::new(&mut backing, budget);
+        let err = match generate_out_of_core(models, config, occ, sink) {
+            Err(e) => e,
+            Ok(_) => panic!(
+                "budget {budget} of {} bytes, yet the export finished",
+                clean.len()
+            ),
+        };
+        assert!(
+            matches!(err, StreamError::Io { stage, .. } if stage.starts_with("export-")),
+            "budget {budget}: {err}"
+        );
+        let landed = backing.into_inner();
+        assert!(landed.len() <= budget, "budget {budget}");
+        // A strict prefix of the clean export, modulo the count field.
+        let mut want = clean[..landed.len()].to_vec();
+        if let Some(count) = want.get_mut(8..16) {
+            count.copy_from_slice(&UNFINISHED_COUNT.to_le_bytes());
+        }
+        assert_eq!(landed, want, "budget {budget}: not a prefix");
+        assert!(from_binary(&landed).is_err(), "budget {budget}: parsed");
+        if landed.len() >= 16 {
+            // Only whole windows of whole records ever reach the sink.
+            let salvaged = recover_binary(&landed)
+                .unwrap_or_else(|e| panic!("budget {budget}: payload is whole records: {e}"));
+            assert_eq!(to_binary(&salvaged)[16..], clean[16..landed.len()]);
+        }
+    }
+
+    #[test]
+    fn no_sink_fault_offset_yields_bytes_that_parse() {
+        let models = fitted();
+        // A small export sits entirely inside the output window: every
+        // fault offset lands at most the header. Byte by byte through the
+        // header and the first records, then at a stride coprime to the
+        // record size.
+        let small = config();
+        let clean = to_binary(&generate(&models, &small));
+        let head = 16 + 4 * RECORD_BYTES;
+        assert!(clean.len() > head && clean.len() < OUTPUT_WINDOW_BYTES);
+        for budget in (0..head).chain((head..clean.len()).step_by(97)) {
+            assert_fault_offset_contained(&models, &small, &occ(7, 4 * 1024), &clean, budget);
+        }
+        // An export of several windows: whole windows land before the
+        // fault. Probe each window edge from both sides, and the last
+        // byte.
+        let wide = GenConfig {
+            duration_hours: 2.0,
+            ..wide_config()
+        };
+        let clean = to_binary(&generate(&models, &wide));
+        let windows = (clean.len() - 16) / OUTPUT_WINDOW_BYTES;
+        assert!((2..=5).contains(&windows), "{} bytes", clean.len());
+        let edges = (1..=windows).flat_map(|w| {
+            let edge = 16 + w * OUTPUT_WINDOW_BYTES;
+            [edge - 1, edge, edge + 1]
+        });
+        for budget in edges.chain([clean.len() - 1]) {
+            assert_fault_offset_contained(&models, &wide, &occ(64, 1 << 20), &clean, budget);
+        }
+    }
+
+    #[test]
+    fn chunk_worker_panic_is_a_typed_error_naming_the_chunk() {
+        let models = fitted();
+        // 31 UEs in chunks of 7: five chunks. Panic in a worker's first
+        // chunk, in a later chunk of its stripe, before the first record
+        // and mid-run — at one worker, several, and more than chunks.
+        for threads in [1, 2, 3, 8] {
+            for (chunk, k) in [(0, 0), (1, 3), (3, 0), (4, 2)] {
+                let plan = FaultPlan::new().panic_shard_at(chunk, k);
+                let mut sink = Cursor::new(Vec::new());
+                let err = export_with_faults(
+                    &models,
+                    &config_threads(threads),
+                    &occ(7, usize::MAX),
+                    &mut sink,
+                    &|c| plan.for_shard(c),
+                )
+                .expect_err("a chunk worker panicked");
+                match &err {
+                    StreamError::WorkerPanicked { shard, payload } => {
+                        assert_eq!(*shard, chunk, "threads {threads}: {err}");
+                        assert!(payload.contains(&format!("record {k}")), "{err}");
+                    }
+                    other => panic!("threads {threads} chunk {chunk}: {other}"),
+                }
+                assert_unfinished_header_only(sink.get_ref());
+            }
+        }
+    }
+
+    #[test]
+    fn spill_error_hangs_up_on_blocked_workers() {
+        // Zero budget and no spill directory: the very first commit
+        // fails. Worker 0 is slowed so that worker 1 — fifteen one-block
+        // chunks, a channel that holds four, and a committing thread that
+        // never gets to it — is parked on a full channel when that
+        // happens. Returning at all shows the hang-up reached it.
+        let models = fitted();
+        let mut bad = occ(1, 0);
+        bad.temp_dir = Some(PathBuf::from("/nonexistent-cn-gen-spill-dir"));
+        let plan = FaultPlan::new().slow_shard(0, Duration::from_millis(50));
+        let mut sink = Cursor::new(Vec::new());
+        let err = export_with_faults(&models, &config_threads(2), &bad, &mut sink, &|c| {
+            plan.for_shard(c)
+        })
+        .expect_err("spill dir does not exist");
+        assert!(
+            matches!(
+                err,
+                StreamError::Io {
+                    stage: "spill-create",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_unfinished_header_only(sink.get_ref());
     }
 
     #[test]

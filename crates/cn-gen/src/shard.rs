@@ -112,7 +112,7 @@
 //! registry the handles are no-ops and the unobserved constructors
 //! delegate here with exactly that.
 
-use crate::engine::{effective_parallelism, GenConfig};
+use crate::engine::GenConfig;
 use crate::fault::{FaultHook, FaultPlan, NoFault};
 use crate::pool::UePool;
 use crate::stream::PopulationStream;
@@ -417,12 +417,7 @@ impl<'m> ShardedStream<'m> {
         config: &GenConfig,
         registry: &Registry,
     ) -> ShardedStream<'m> {
-        let shards = if config.threads == 0 {
-            effective_parallelism()
-        } else {
-            config.threads
-        };
-        Self::with_shards_observed(models, config, shards, registry)
+        Self::with_shards_observed(models, config, config.resolved_threads(), registry)
     }
 
     /// As [`ShardedStream::new`] with an explicit shard count. One shard
@@ -687,8 +682,9 @@ impl Drop for ShardedStream<'_> {
     }
 }
 
-/// Render a worker's panic payload for [`WorkerOutcome::Panicked`].
-fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
+/// Render a worker's panic payload for [`WorkerOutcome::Panicked`] (and
+/// for the out-of-core chunk workers' [`StreamError::WorkerPanicked`]).
+pub(crate) fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

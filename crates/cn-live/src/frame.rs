@@ -2,11 +2,11 @@
 //!
 //! A live connection carries the *exact* batch binary layout — the
 //! 16-byte header ([`BINARY_MAGIC`] + a `u64` count) followed by 14-byte
-//! record frames — with the count left at the zero placeholder, i.e. the
-//! unfinished-writer state of the finish-or-recover contract. A consumer
-//! that saves the bytes to disk therefore has a file `recover_binary`
-//! accepts as an honestly-unfinished trace, and a torn tail is still
-//! detected by `len % 14`.
+//! record frames — with the count left at zero: no count is known while
+//! serving, and `recover_binary` ignores the field. A consumer that
+//! saves the bytes to disk therefore has a file `recover_binary` accepts
+//! as an honestly-unfinished trace, and a torn tail is still detected by
+//! `len % 14`.
 //!
 //! Two in-band marker frames extend the framing without widening it.
 //! Both park in code space no record can occupy (valid device codes are

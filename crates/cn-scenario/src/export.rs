@@ -5,8 +5,8 @@
 //! caller keeps it when the export faults — the bytes that reached it
 //! before the fault are a verbatim prefix of the fault-free export, and
 //! obey `cn-trace`'s finish-or-recover contract: `from_binary` rejects
-//! the partial file (zero-count header), `recover_binary` salvages every
-//! record that landed.
+//! the partial file (unfinished-count sentinel in the header),
+//! `recover_binary` salvages every record that landed.
 
 use std::io::{Seek, Write};
 
@@ -29,8 +29,11 @@ fn io_fault(stage: &'static str, e: IoError) -> StreamError {
 /// same typed [`StreamError`] the rest of the streaming stack uses; sink
 /// failures carry the stage that failed (`export-header`,
 /// `export-write`, `export-finish`). On any error the sink's header
-/// count is still the zero placeholder, so the partial file fails
+/// count is still the unfinished sentinel, so the partial file fails
 /// `from_binary` loudly and is salvageable with `recover_binary`.
+///
+/// Records go to `sink` one `write_all` each (`BinaryStreamWriter` does
+/// not buffer): wrap a `File` in a `BufWriter` before passing it in.
 pub fn write_scenario_binary<S: RecordSource, W: Write + Seek>(
     stream: ScenarioStream<'_, S>,
     sink: &mut W,
@@ -137,7 +140,7 @@ mod tests {
             "{err}"
         );
         let bytes = sink.into_inner().into_inner();
-        // Finish never ran: zero-count header fails from_binary…
+        // Finish never ran: the unfinished header fails from_binary…
         assert!(from_binary(&bytes).is_err());
         // …and the salvaged prefix is verbatim the fault-free head.
         let salvaged = recover_binary(&bytes).unwrap();

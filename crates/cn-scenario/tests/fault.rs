@@ -22,7 +22,7 @@ use cn_scenario::{
     apply_scenario, write_scenario_binary, IterSource, Phase, PhaseKind, ScenarioSpec,
     ScenarioStream, StormKind, TimeWindow, UeSubset,
 };
-use cn_trace::io::{from_binary, recover_binary, to_binary, FailingWriter};
+use cn_trace::io::{from_binary, recover_binary, to_binary, FailingWriter, UNFINISHED_COUNT};
 use cn_trace::{PopulationMix, Timestamp, Trace, TraceRecord};
 use cn_world::{generate_world, WorldConfig};
 
@@ -159,12 +159,12 @@ fn sink_failure_mid_storm_is_typed_and_prefix_identical() {
     let bytes = sink.into_inner().into_inner();
     assert!(!bytes.is_empty(), "header and prefix reached the sink");
     // Byte-identical prefix policy: what landed is exactly the fault-free
-    // export's head, except for the header count (zero placeholder).
+    // export's head, except for the header count (unfinished sentinel).
     assert_eq!(bytes.len(), 16 + prefix_records * 14);
     assert_eq!(&bytes[..8], &clean_bytes[..8], "magic differs");
     assert_eq!(
         &bytes[8..16],
-        &0u64.to_le_bytes(),
+        &UNFINISHED_COUNT.to_le_bytes(),
         "count must be unpatched"
     );
     assert_eq!(
@@ -183,6 +183,54 @@ fn sink_failure_mid_storm_is_typed_and_prefix_identical() {
         salvaged_records.as_slice(),
         &clean_records[..prefix_records]
     );
+}
+
+#[test]
+fn no_sink_fault_offset_yields_bytes_that_parse() {
+    // Every byte budget through the header and the first records, then a
+    // stride coprime to the record size: the export fails typed, what
+    // landed is the clean export's head (count field aside) cut at a
+    // record boundary, and only `recover_binary` reads it.
+    let models = fitted();
+    let config = config();
+    let spec = storm_spec();
+    let clean_bytes = to_binary(&clean_trace(&models, &config));
+    let baseline = cn_gen::generate(&models, &config).into_records();
+    let head = 16 + 4 * 14;
+    assert!(clean_bytes.len() > head);
+    for budget in (0..head).chain((head..clean_bytes.len()).step_by(97)) {
+        let stream = ScenarioStream::new(
+            &spec,
+            &config,
+            IterSource(baseline.clone().into_iter()),
+            &Registry::disabled(),
+        )
+        .unwrap();
+        let mut sink = FailingWriter::new(std::io::Cursor::new(Vec::new()), budget);
+        let err = write_scenario_binary(stream, &mut sink).unwrap_err();
+        assert!(
+            matches!(err, StreamError::Io { stage, .. } if stage.starts_with("export-")),
+            "budget {budget}: {err}"
+        );
+        let landed = sink.into_inner().into_inner();
+        // Magic, count and records are each one all-or-nothing write.
+        let want_len = match budget {
+            0..=7 => 0,
+            8..=15 => 8,
+            _ => 16 + (budget - 16) / 14 * 14,
+        };
+        assert_eq!(landed.len(), want_len, "budget {budget}");
+        let mut want = clean_bytes[..want_len].to_vec();
+        if let Some(count) = want.get_mut(8..16) {
+            count.copy_from_slice(&UNFINISHED_COUNT.to_le_bytes());
+        }
+        assert_eq!(landed, want, "budget {budget}: not a prefix");
+        assert!(from_binary(&landed).is_err(), "budget {budget}: parsed");
+        if landed.len() >= 16 {
+            let salvaged = recover_binary(&landed).expect("whole records landed");
+            assert_eq!(to_binary(&salvaged)[16..], clean_bytes[16..want_len]);
+        }
+    }
 }
 
 #[test]

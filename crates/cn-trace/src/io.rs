@@ -22,6 +22,14 @@ pub const BINARY_MAGIC: &[u8; 8] = b"CPTGBIN1";
 /// Bytes per binary record: u64 `t_ms` + u32 `ue` + u8 device + u8 event.
 pub const RECORD_BYTES: usize = 14;
 
+/// Header count of an export whose writer never finished: what
+/// [`BinaryStreamWriter::new`] writes and only
+/// [`BinaryStreamWriter::finish`] replaces. No real trace can hold
+/// `u64::MAX` records, so [`from_binary`] rejects it whatever the payload
+/// length — including a header with no payload at all, which a zero
+/// count would let pass as a complete empty trace.
+pub const UNFINISHED_COUNT: u64 = u64::MAX;
+
 /// Errors arising while reading or writing traces.
 #[derive(Debug)]
 pub enum IoError {
@@ -242,6 +250,13 @@ fn read_records(data: &[u8]) -> Result<Trace, IoError> {
 /// allocation-abort.
 pub fn from_binary(data: &[u8]) -> Result<Trace, IoError> {
     let (count, payload) = binary_header(data)?;
+    if count == UNFINISHED_COUNT {
+        return Err(IoError::Binary(
+            "header count is the unfinished-export sentinel: the writer never \
+             finished (salvage the prefix with recover_binary)"
+                .into(),
+        ));
+    }
     let n = usize::try_from(count)
         .map_err(|_| IoError::Binary(format!("record count {count} exceeds address space")))?;
     let expected = n
@@ -286,29 +301,43 @@ pub fn recover_binary(data: &[u8]) -> Result<Trace, IoError> {
 ///
 /// ### The finish-or-recover contract
 ///
-/// The header is written with a **zero count placeholder** that only
-/// [`BinaryStreamWriter::finish`] patches to the true count. An export
-/// that is dropped without `finish` — a crash, a panicked generator, an
-/// early return on a [`IoError::Io`] from the sink — therefore leaves a
-/// file that [`from_binary`] *rejects* (count `0`, payload non-empty):
-/// a partial trace can never be mistaken for a complete one. The records
-/// that did reach the sink are still salvageable with [`recover_binary`],
-/// which derives the count from the payload length instead. In short:
+/// The header is written with the [`UNFINISHED_COUNT`] sentinel, which
+/// only [`BinaryStreamWriter::finish`] patches to the true count. An
+/// export that is dropped without `finish` — a crash, a panicked
+/// generator, an early return on a [`IoError::Io`] from the sink —
+/// therefore leaves a file that [`from_binary`] *rejects* at every
+/// length, the bare 16-byte header included: a partial trace can never
+/// be mistaken for a complete one. The records that did reach the sink
+/// are still salvageable with [`recover_binary`], which derives the count
+/// from the payload length instead. In short:
 ///
 /// * clean export → `finish()?` → read with [`from_binary`];
 /// * crashed export → file fails [`from_binary`] loudly → salvage the
 ///   prefix, explicitly, with [`recover_binary`].
+///
+/// ### One sink write per call
+///
+/// The writer does no buffering of its own: [`write`] and
+/// [`write_encoded`] each issue exactly one `write_all` on the sink. A
+/// caller that appends record by record (`cn-scenario`'s
+/// `write_scenario_binary`) should hand it a buffered sink — on a bare
+/// `File` every 14-byte record is a `write(2)`. Block callers
+/// (`cn-gen`'s out-of-core export) stage their own window and call
+/// [`write_encoded`] once per window.
+///
+/// [`write`]: BinaryStreamWriter::write
+/// [`write_encoded`]: BinaryStreamWriter::write_encoded
 pub struct BinaryStreamWriter<W: Write + std::io::Seek> {
     sink: W,
     count: u64,
 }
 
 impl<W: Write + std::io::Seek> BinaryStreamWriter<W> {
-    /// Start a binary stream (writes the header with a zero count
-    /// placeholder).
+    /// Start a binary stream (writes the header with the
+    /// [`UNFINISHED_COUNT`] sentinel).
     pub fn new(mut sink: W) -> Result<Self, IoError> {
         sink.write_all(BINARY_MAGIC)?;
-        sink.write_all(&0u64.to_le_bytes())?;
+        sink.write_all(&UNFINISHED_COUNT.to_le_bytes())?;
         Ok(BinaryStreamWriter { sink, count: 0 })
     }
 
@@ -590,7 +619,7 @@ mod tests {
             for r in t.iter() {
                 w.write(r).unwrap();
             }
-            // no finish(): the zero-count placeholder stays
+            // no finish(): the unfinished sentinel stays
         }
         let bytes = cursor.into_inner();
         // from_binary must reject it — a partial export may never pose as
@@ -598,6 +627,19 @@ mod tests {
         assert!(matches!(from_binary(&bytes), Err(IoError::Binary(_))));
         // …but the recover path salvages every record that hit the sink.
         assert_eq!(recover_binary(&bytes).unwrap(), t);
+    }
+
+    #[test]
+    fn header_only_unfinished_export_is_not_an_empty_trace() {
+        // Regression: with a zero placeholder, a sink that died right
+        // after the header held count 0 + payload 0 — a file from_binary
+        // accepted as a complete empty trace.
+        let writer = BinaryStreamWriter::new(std::io::Cursor::new(Vec::new())).unwrap();
+        let bytes = writer.into_sink().into_inner();
+        assert_eq!(bytes.len(), 16);
+        assert_eq!(bytes[8..], UNFINISHED_COUNT.to_le_bytes());
+        assert!(matches!(from_binary(&bytes), Err(IoError::Binary(_))));
+        assert_eq!(recover_binary(&bytes).unwrap(), Trace::new());
     }
 
     #[test]
