@@ -40,6 +40,15 @@
 //! monotone-degradation suite leans on, mirroring `cn-scenario`'s
 //! prefix-multiset injection discipline.
 //!
+//! ## Memory
+//!
+//! Job slots, their pre-drawn services (one flat arena), the calendar
+//! and the queues grow with the jobs *in flight*, not with the records
+//! offered. Latencies are counted in exact tallies rather than stored
+//! and sorted, so the report's percentiles cost a table of at most
+//! 4 MiB per NF plus one entry per latency above 1.05 s (DESIGN.md §11,
+//! "Memory and cost model").
+//!
 //! ## Feeding the simulator
 //!
 //! [`DesSim`] is push-based: [`DesSim::offer`] admits one record (input
@@ -53,8 +62,8 @@
 
 use crate::nf::{NetworkFunction, TransactionMatrix};
 use crate::overload::{priority_of, AdmissionPolicy, Priority};
+use crate::tally::LatencyTally;
 use cn_obs::{Counter, Gauge, Histogram, Registry};
-use cn_stats::summary::percentile_sorted;
 use cn_stats::{Dist, LogNormal};
 use cn_trace::{EventType, Trace, TraceRecord};
 use rand::rngs::StdRng;
@@ -370,8 +379,10 @@ enum Action {
 }
 
 /// Calendar entries order by `(time, sequence)`; the sequence number is
-/// assigned at push, making the drain order a deterministic function of
-/// the push order (which is itself deterministic).
+/// assigned at push and never repeats — so the derived comparison is
+/// decided there and never reaches the payload fields — making the drain
+/// order a deterministic function of the push order (which is itself
+/// deterministic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct CalEntry {
     t_us: u64,
@@ -410,16 +421,14 @@ impl CalEntry {
     }
 }
 
-/// One in-flight procedure.
-#[derive(Debug, Clone)]
+/// One in-flight procedure. Its pre-drawn per-stage service times live in
+/// the simulator's service arena, at `slot × max_chain_len + stage`.
+#[derive(Debug, Clone, Copy)]
 struct Job {
     arrival_us: u64,
     stage_enqueued_us: u64,
     stage: usize,
     event: EventType,
-    /// Pre-drawn per-stage service times, µs (see module docs on
-    /// determinism).
-    stage_service_us: Vec<u64>,
 }
 
 /// Telemetry handles (no-ops unless a registry is attached).
@@ -478,6 +487,8 @@ impl DesObs {
 #[derive(Debug)]
 struct NfState {
     cfg: NfConfig,
+    /// Position of `cfg.nf` in [`NetworkFunction::ALL`] (telemetry slot).
+    nf_idx: usize,
     servers: usize,
     /// Servers ordered but not yet online.
     provisioning: usize,
@@ -492,7 +503,7 @@ struct NfState {
     peak_depth: usize,
     stages: u64,
     transactions: u64,
-    stage_latencies_us: Vec<u64>,
+    stage_latencies_us: LatencyTally,
     /// Start of the current continuous high-watermark breach.
     breach_since_us: Option<u64>,
     scale_ups: u64,
@@ -504,6 +515,7 @@ impl NfState {
     fn new(cfg: NfConfig) -> NfState {
         let servers = cfg.servers;
         NfState {
+            nf_idx: nf_index(cfg.nf),
             cfg,
             servers,
             provisioning: 0,
@@ -515,7 +527,7 @@ impl NfState {
             peak_depth: 0,
             stages: 0,
             transactions: 0,
-            stage_latencies_us: Vec::new(),
+            stage_latencies_us: LatencyTally::new(),
             breach_since_us: None,
             scale_ups: 0,
             scale_downs: 0,
@@ -527,7 +539,9 @@ impl NfState {
     /// to `servers`).
     fn settle_capacity(&mut self, now_us: u64) {
         let dt = now_us.saturating_sub(self.cap_since_us);
-        self.cap_us += dt * self.servers as u64;
+        self.cap_us = self
+            .cap_us
+            .saturating_add(dt.saturating_mul(self.servers as u64));
         self.cap_since_us = now_us;
     }
 
@@ -624,10 +638,17 @@ pub struct DesSim {
     config: DesConfig,
     /// `chains[event_code]` = compiled dependency chain.
     chains: [Vec<(usize, u32)>; 6],
+    /// Longest compiled chain: the stride of `services_us`.
+    max_chain_len: usize,
     nfs: Vec<NfState>,
     calendar: BinaryHeap<Reverse<CalEntry>>,
     seq: u64,
+    /// Job slots, recycled through `free_jobs`: the vector grows with the
+    /// in-flight high-water mark, never with the records offered.
     jobs: Vec<Job>,
+    /// Pre-drawn stage service times, µs (see module docs on
+    /// determinism): stage `k` of slot `j` at `j × max_chain_len + k`.
+    services_us: Vec<u64>,
     free_jobs: Vec<u32>,
     last_arrival_ms: Option<u64>,
     t0_us: Option<u64>,
@@ -639,7 +660,7 @@ pub struct DesSim {
     shed: [u64; 3],
     outstanding: u64,
     completed: u64,
-    latencies_us: Vec<u64>,
+    latencies_us: LatencyTally,
     input_done: bool,
     obs: DesObs,
 }
@@ -658,15 +679,18 @@ impl DesSim {
                 .map(|(nf, tx)| (pool_of[nf_index(nf)], tx))
                 .collect::<Vec<_>>()
         });
+        let max_chain_len = chains.iter().map(Vec::len).max().unwrap_or(0);
         let nfs = config.nfs.iter().cloned().map(NfState::new).collect();
         let tokens = config.admission.map_or(0.0, |p| p.burst);
         Ok(DesSim {
             config,
             chains,
+            max_chain_len,
             nfs,
             calendar: BinaryHeap::new(),
             seq: 0,
             jobs: Vec::new(),
+            services_us: Vec::new(),
             free_jobs: Vec::new(),
             last_arrival_ms: None,
             t0_us: None,
@@ -678,7 +702,7 @@ impl DesSim {
             shed: [0; 3],
             outstanding: 0,
             completed: 0,
-            latencies_us: Vec::new(),
+            latencies_us: LatencyTally::new(),
             input_done: false,
             obs: DesObs::default(),
         })
@@ -692,7 +716,7 @@ impl DesSim {
     pub fn observed(mut self, registry: &Registry) -> DesSim {
         self.obs = DesObs::register(registry);
         for state in &self.nfs {
-            self.obs.nf_servers[nf_index(state.cfg.nf)].set(state.servers as u64);
+            self.obs.nf_servers[state.nf_idx].set(state.servers as u64);
         }
         self
     }
@@ -703,6 +727,7 @@ impl DesSim {
         trace: &Trace,
         registry: &Registry,
     ) -> Result<DesReport, DesError> {
+        let _run = cn_obs::trace::global_span("cn_mcn_des_run");
         let mut sim = DesSim::new(config)?.observed(registry);
         for rec in trace.iter() {
             sim.offer(rec)?;
@@ -716,9 +741,12 @@ impl DesSim {
         self.calendar.push(Reverse(entry));
     }
 
-    /// Pre-draw every stage service time of one job from its own RNG —
-    /// a pure function of `(seed, ue, t, event)`.
-    fn draw_services(&self, rec: &TraceRecord) -> Vec<u64> {
+    /// Pre-draw every stage service time of the job in `slot` from its
+    /// own RNG — a pure function of `(seed, ue, t, event)`. A stage's
+    /// transactions add up saturating: a law that can return an
+    /// astronomically large time parks the job at the end of time, it
+    /// does not overflow.
+    fn draw_services(&mut self, rec: &TraceRecord, slot: u32) {
         let chain = &self.chains[rec.event.code() as usize];
         let mut rng = StdRng::seed_from_u64(job_seed(
             self.config.seed,
@@ -726,15 +754,13 @@ impl DesSim {
             rec.t.as_millis(),
             rec.event.code(),
         ));
-        chain
-            .iter()
-            .map(|&(pool, tx)| {
-                let service = &self.config.nfs[pool].service;
-                (0..tx)
-                    .map(|_| service.sample(&mut rng).max(0.0).round() as u64)
-                    .sum()
-            })
-            .collect()
+        let first = slot as usize * self.max_chain_len;
+        for (stage_us, &(pool, tx)) in self.services_us[first..].iter_mut().zip(chain) {
+            let service = &self.config.nfs[pool].service;
+            *stage_us = (0..tx).fold(0u64, |total, _| {
+                total.saturating_add(service.sample(&mut rng).max(0.0).round() as u64)
+            });
+        }
     }
 
     /// Offer one record at its trace timestamp. Input must be sorted by
@@ -761,7 +787,7 @@ impl DesSim {
             // Arm the autoscaling control loops.
             for i in 0..self.nfs.len() {
                 if let Some(policy) = &self.nfs[i].cfg.autoscale {
-                    let t = arrival_us + policy.eval_every_ms * 1_000;
+                    let t = after_ms(arrival_us, policy.eval_every_ms);
                     self.push(t, Action::ScaleTick { nf: i as u8 });
                 }
             }
@@ -794,21 +820,19 @@ impl DesSim {
         self.admitted[priority as usize] += 1;
         self.obs.admitted[priority as usize].inc();
 
-        let stage_service_us = self.draw_services(rec);
-        if stage_service_us.is_empty() {
+        let Some(&(first_pool, _)) = self.chains[rec.event.code() as usize].first() else {
             // A matrix can route an event nowhere; it completes at once.
             self.completed += 1;
             self.obs.completed.inc();
-            self.latencies_us.push(0);
+            self.latencies_us.record(0);
             self.obs.latency_us.record(0);
             return Ok(());
-        }
+        };
         let job = Job {
             arrival_us,
             stage_enqueued_us: arrival_us,
             stage: 0,
             event: rec.event,
-            stage_service_us,
         };
         let id = match self.free_jobs.pop() {
             Some(id) => {
@@ -817,18 +841,23 @@ impl DesSim {
             }
             None => {
                 self.jobs.push(job);
+                self.services_us
+                    .resize(self.jobs.len() * self.max_chain_len, 0);
                 (self.jobs.len() - 1) as u32
             }
         };
+        self.draw_services(rec, id);
         self.outstanding += 1;
-        let pool = self.chains[rec.event.code() as usize][0].0;
-        self.enqueue(pool, id, arrival_us);
+        self.enqueue(first_pool, id, arrival_us);
+        #[cfg(any(test, debug_assertions))]
+        self.assert_laws();
         Ok(())
     }
 
     /// Drain the calendar and report. Remaining control ticks stop
     /// rescheduling once no work is outstanding.
     pub fn finish(mut self) -> DesReport {
+        let _finish = cn_obs::trace::global_span("cn_mcn_des_finish");
         self.input_done = true;
         self.advance_to(u64::MAX);
         debug_assert_eq!(self.outstanding, 0, "calendar drained with jobs in flight");
@@ -836,21 +865,6 @@ impl DesSim {
         for state in &mut self.nfs {
             state.settle_capacity(end_us);
         }
-
-        let percentiles = |lat_us: &mut Vec<u64>| -> (f64, f64, f64, f64) {
-            if lat_us.is_empty() {
-                return (0.0, 0.0, 0.0, 0.0);
-            }
-            lat_us.sort_unstable();
-            let ms: Vec<f64> = lat_us.iter().map(|&l| l as f64 / 1_000.0).collect();
-            let mean = ms.iter().sum::<f64>() / ms.len() as f64;
-            (
-                mean,
-                percentile_sorted(&ms, 0.50),
-                percentile_sorted(&ms, 0.99),
-                *ms.last().expect("non-empty"),
-            )
-        };
 
         let per_nf = self
             .nfs
@@ -867,7 +881,7 @@ impl DesSim {
                     );
                     ratio.min(1.0)
                 };
-                let (_, p50, p99, _) = percentiles(&mut state.stage_latencies_us);
+                let stage_latency = state.stage_latencies_us.summary();
                 let lag_n = state.scaling_lags_ms.len();
                 NfDesReport {
                     nf: state.cfg.nf,
@@ -875,8 +889,8 @@ impl DesSim {
                     stages: state.stages,
                     utilization,
                     peak_depth: state.peak_depth,
-                    p50_stage_latency_ms: p50,
-                    p99_stage_latency_ms: p99,
+                    p50_stage_latency_ms: stage_latency.p50_ms,
+                    p99_stage_latency_ms: stage_latency.p99_ms,
                     final_servers: state.servers,
                     scale_ups: state.scale_ups,
                     scale_downs: state.scale_downs,
@@ -890,7 +904,7 @@ impl DesSim {
             })
             .collect();
 
-        let (mean, p50, p99, max) = percentiles(&mut self.latencies_us);
+        let latency = self.latencies_us.summary();
         let total_shed: u64 = self.shed.iter().sum();
         DesReport {
             offered: self.offered,
@@ -902,17 +916,17 @@ impl DesSim {
             } else {
                 total_shed as f64 / self.offered as f64
             },
-            mean_latency_ms: mean,
-            p50_latency_ms: p50,
-            p99_latency_ms: p99,
-            max_latency_ms: max,
+            mean_latency_ms: latency.mean_ms,
+            p50_latency_ms: latency.p50_ms,
+            p99_latency_ms: latency.p99_ms,
+            max_latency_ms: latency.max_ms,
             per_nf,
         }
     }
 
     /// Process every calendar entry at or before `to_us`.
     fn advance_to(&mut self, to_us: u64) {
-        while let Some(Reverse(entry)) = self.calendar.peek().copied() {
+        while let Some(&Reverse(entry)) = self.calendar.peek() {
             if entry.t_us > to_us {
                 break;
             }
@@ -923,66 +937,106 @@ impl DesSim {
                 Action::ServerOnline { nf } => self.server_online(nf as usize, entry.t_us),
                 Action::ScaleTick { nf } => self.scale_tick(nf as usize, entry.t_us),
             }
+            #[cfg(any(test, debug_assertions))]
+            self.assert_laws();
         }
+    }
+
+    /// The two laws every admission and every calendar pop preserve
+    /// (checked in debug builds and in this crate's unit tests under any
+    /// profile):
+    ///
+    /// * **work conservation** — a pool with a job queued has every
+    ///   online server busy, and never more busy servers than online
+    ///   ones. The straight-to-calendar path in [`DesSim::enqueue`]
+    ///   leans on this: a free server it finds can only be idle because
+    ///   nothing waits.
+    /// * **job conservation** — every offered record is completed, shed
+    ///   or in flight.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_laws(&self) {
+        for state in &self.nfs {
+            assert!(
+                state.busy <= state.servers
+                    && (state.queue.is_empty() || state.busy == state.servers),
+                "{}: {} queued with {} of {} servers busy",
+                state.cfg.nf,
+                state.queue.len(),
+                state.busy,
+                state.servers
+            );
+        }
+        let shed: u64 = self.shed.iter().sum();
+        assert_eq!(
+            self.offered,
+            self.completed + shed + self.outstanding,
+            "offered != completed + shed + in flight"
+        );
+    }
+
+    /// Put `job` into service on a free server of `pool`.
+    fn start_service(&mut self, pool: usize, job: u32, now_us: u64) {
+        self.nfs[pool].busy += 1;
+        let stage = self.jobs[job as usize].stage;
+        let service_us = self.services_us[job as usize * self.max_chain_len + stage];
+        self.push(now_us.saturating_add(service_us), Action::StageDone { job });
     }
 
     fn enqueue(&mut self, pool: usize, job: u32, now_us: u64) {
         let state = &mut self.nfs[pool];
-        let nf_idx = nf_index(state.cfg.nf);
-        self.obs.nf_depth[nf_idx].record(state.queue.len() as u64);
-        state.queue.push_back(job);
-        state.peak_depth = state.peak_depth.max(state.queue.len());
-        self.dispatch(pool, now_us);
+        self.obs.nf_depth[state.nf_idx].record(state.queue.len() as u64);
+        if state.queue.is_empty() && state.busy < state.servers {
+            // Nothing waits and a server is free: straight to the
+            // calendar. The job still stood in the queue for an instant.
+            state.peak_depth = state.peak_depth.max(1);
+            self.start_service(pool, job, now_us);
+        } else {
+            state.queue.push_back(job);
+            state.peak_depth = state.peak_depth.max(state.queue.len());
+            self.dispatch(pool, now_us);
+        }
         self.nfs[pool].update_breach(now_us);
     }
 
+    /// Hand queued jobs to free servers, oldest first.
     fn dispatch(&mut self, pool: usize, now_us: u64) {
         loop {
             let state = &mut self.nfs[pool];
-            if state.busy >= state.servers || state.queue.is_empty() {
+            if state.busy >= state.servers {
                 break;
             }
-            let job_id = state.queue.pop_front().expect("non-empty");
-            state.busy += 1;
-            let job = &self.jobs[job_id as usize];
-            let service_us = job.stage_service_us[job.stage];
-            self.push(now_us + service_us, Action::StageDone { job: job_id });
+            let Some(job) = state.queue.pop_front() else {
+                break;
+            };
+            self.start_service(pool, job, now_us);
         }
     }
 
     fn stage_done(&mut self, job_id: u32, now_us: u64) {
-        let (pool, chain_len, service_us, stage_sojourn_us, tx) = {
-            let job = &self.jobs[job_id as usize];
-            let chain = &self.chains[job.event.code() as usize];
-            let (pool, tx) = chain[job.stage];
-            (
-                pool,
-                chain.len(),
-                job.stage_service_us[job.stage],
-                now_us - job.stage_enqueued_us,
-                tx,
-            )
-        };
-        {
-            let state = &mut self.nfs[pool];
-            let nf_idx = nf_index(state.cfg.nf);
-            state.busy -= 1;
-            state.busy_us += service_us;
-            state.stages += 1;
-            state.transactions += u64::from(tx);
-            state.stage_latencies_us.push(stage_sojourn_us);
-            self.obs.nf_stage_latency_us[nf_idx].record(stage_sojourn_us);
-            self.obs.nf_transactions[nf_idx].add(u64::from(tx));
-        }
-        let job = &mut self.jobs[job_id as usize];
-        job.stage += 1;
-        if job.stage < chain_len {
+        let job = self.jobs[job_id as usize];
+        let chain = &self.chains[job.event.code() as usize];
+        let (pool, tx) = chain[job.stage];
+        let next_pool = chain.get(job.stage + 1).map(|&(next, _)| next);
+        let service_us = self.services_us[job_id as usize * self.max_chain_len + job.stage];
+        let stage_sojourn_us = now_us - job.stage_enqueued_us;
+
+        let state = &mut self.nfs[pool];
+        state.busy -= 1;
+        state.busy_us = state.busy_us.saturating_add(service_us);
+        state.stages += 1;
+        state.transactions += u64::from(tx);
+        state.stage_latencies_us.record(stage_sojourn_us);
+        self.obs.nf_stage_latency_us[state.nf_idx].record(stage_sojourn_us);
+        self.obs.nf_transactions[state.nf_idx].add(u64::from(tx));
+
+        if let Some(next_pool) = next_pool {
+            let job = &mut self.jobs[job_id as usize];
+            job.stage += 1;
             job.stage_enqueued_us = now_us;
-            let next_pool = self.chains[job.event.code() as usize][job.stage].0;
             self.enqueue(next_pool, job_id, now_us);
         } else {
             let latency_us = now_us - job.arrival_us;
-            self.latencies_us.push(latency_us);
+            self.latencies_us.record(latency_us);
             self.obs.latency_us.record(latency_us);
             self.completed += 1;
             self.obs.completed.inc();
@@ -999,7 +1053,7 @@ impl DesSim {
         state.servers += 1;
         state.provisioning -= 1;
         state.scale_ups += 1;
-        let nf_idx = nf_index(state.cfg.nf);
+        let nf_idx = state.nf_idx;
         // A lag sample only makes sense against an active breach; if the
         // queue drained itself before the server arrived, there is no
         // breach-to-online delay to report.
@@ -1019,14 +1073,14 @@ impl DesSim {
         let Some(policy) = state.cfg.autoscale else {
             return;
         };
-        let nf_idx = nf_index(state.cfg.nf);
+        let nf_idx = state.nf_idx;
         let effective = state.servers + state.provisioning;
         let depth = state.queue.len() as f64;
         if depth > policy.high_depth_per_server * effective as f64 && effective < policy.max_servers
         {
             state.provisioning += 1;
             self.push(
-                now_us + policy.provision_ms * 1_000,
+                after_ms(now_us, policy.provision_ms),
                 Action::ServerOnline { nf: pool as u8 },
             );
         } else if depth < policy.low_depth_per_server * state.servers as f64
@@ -1034,7 +1088,6 @@ impl DesSim {
             && state.busy < state.servers
             && state.provisioning == 0
         {
-            let state = &mut self.nfs[pool];
             state.settle_capacity(now_us);
             state.servers -= 1;
             state.scale_downs += 1;
@@ -1044,11 +1097,17 @@ impl DesSim {
         // Keep the control loop alive only while work can still arrive.
         if !self.input_done || self.outstanding > 0 {
             self.push(
-                now_us + self.nfs[pool].cfg.autoscale.expect("checked").eval_every_ms * 1_000,
+                after_ms(now_us, policy.eval_every_ms),
                 Action::ScaleTick { nf: pool as u8 },
             );
         }
     }
+}
+
+/// `now_us` plus a configured millisecond delay, pinned at the end of
+/// time instead of overflowing.
+fn after_ms(now_us: u64, delay_ms: u64) -> u64 {
+    now_us.saturating_add(delay_ms.saturating_mul(1_000))
 }
 
 /// SplitMix64-style seed mix: a distinct, well-scrambled RNG seed per
@@ -1075,6 +1134,7 @@ pub fn deterministic_service(value_us: f64) -> Dist {
 mod tests {
     use super::*;
     use cn_trace::{DeviceType, Timestamp, UeId};
+    use proptest::prelude::*;
 
     fn rec(t_ms: u64, ue: u32, e: EventType) -> TraceRecord {
         TraceRecord::new(Timestamp::from_millis(t_ms), UeId(ue), DeviceType::Phone, e)
@@ -1202,6 +1262,8 @@ mod tests {
         assert_eq!(report.per_nf.len(), 1);
         assert_eq!(report.per_nf[0].transactions, 10);
         assert!(report.per_nf[0].utilization < 0.01);
+        // Straight-to-calendar jobs still stood in the queue for an instant.
+        assert_eq!(report.per_nf[0].peak_depth, 1);
     }
 
     #[test]
@@ -1392,6 +1454,119 @@ mod tests {
             snap.counter_total("cn_mcn_des_admitted_total"),
             Some(report.total_admitted())
         );
+    }
+
+    /// A service law may return an astronomically large time — any
+    /// heavy-tailed Pareto, or a deterministic 10^30 µs. The stage sum,
+    /// the calendar time and the busy/capacity integrals saturate at the
+    /// end of time; none of them may overflow (the shipped release
+    /// profile keeps overflow checks on, so an overflow is a panic).
+    #[test]
+    fn huge_service_draws_saturate_instead_of_panicking() {
+        let heavy_tail = Dist::Pareto(cn_stats::Pareto::new(0.02, 100.0).expect("valid law"));
+        for service in [deterministic_service(1e30), heavy_tail] {
+            let mut cfg = single_nf_config(2, 0.0).with_admission(AdmissionPolicy {
+                rate_per_sec: 1.0,
+                burst: 20.0,
+                high_reserve: 0.3,
+                critical_reserve: 0.1,
+            });
+            cfg.nfs[0].service = service;
+            // Two transactions per stage: the sum of two saturated draws.
+            cfg.matrix.transactions = [[2, 0, 0, 0, 0]; 6];
+            let mut sim = DesSim::new(cfg).unwrap();
+            for i in 0..60u64 {
+                sim.offer(&rec(i * 10, (i % 8) as u32, EventType::ALL[i as usize % 6]))
+                    .unwrap();
+            }
+            let report = sim.finish();
+            assert_eq!(report.offered, 60);
+            assert!(report.total_shed() > 0 && report.completed > 0);
+            assert_eq!(report.offered, report.completed + report.total_shed());
+            for value in [
+                report.mean_latency_ms,
+                report.p50_latency_ms,
+                report.p99_latency_ms,
+                report.max_latency_ms,
+                report.per_nf[0].utilization,
+                report.per_nf[0].p99_stage_latency_ms,
+            ] {
+                assert!(value.is_finite(), "non-finite report field: {report:?}");
+            }
+            assert!(report.per_nf[0].utilization <= 1.0);
+        }
+    }
+
+    /// Job slots and the service arena follow the in-flight high-water
+    /// mark, and sub-second latencies never reach a growing collection.
+    #[test]
+    fn steady_state_holds_nothing_per_record() {
+        let mut sim = DesSim::new(single_nf_config(2, 400.0)).unwrap();
+        for i in 0..5_000u64 {
+            // Pairs of simultaneous arrivals, each pair long done before
+            // the next: two jobs in flight at most.
+            sim.offer(&rec(i / 2 * 10, (i % 16) as u32, EventType::Tau))
+                .unwrap();
+        }
+        assert_eq!(sim.jobs.len(), 2);
+        assert_eq!(sim.services_us.len(), 2 * sim.max_chain_len);
+        assert!(sim.calendar.len() <= 2 && sim.nfs[0].queue.is_empty());
+        let report = sim.finish();
+        assert_eq!(report.completed, 5_000);
+        assert_eq!(report.max_latency_ms, 0.4);
+    }
+
+    /// A congested EPC with two autoscaling pools on short control
+    /// loops, so random streams scale up, scale down and queue.
+    fn elastic_epc(seed: u64, provision_ms: u64) -> DesConfig {
+        let mut cfg = DesConfig::default_epc(seed);
+        for nf in &mut cfg.nfs {
+            nf.service = nf.service.scale_values(40.0);
+        }
+        for (pool, max_servers) in [(0, 6), (3, 4)] {
+            let servers = cfg.nfs[pool].servers.min(2);
+            cfg.nfs[pool].servers = servers;
+            cfg.nfs[pool].autoscale = Some(AutoscalePolicy {
+                min_servers: 1,
+                max_servers,
+                high_depth_per_server: 2.0,
+                low_depth_per_server: 0.5,
+                eval_every_ms: 50,
+                provision_ms,
+            });
+        }
+        cfg.with_admission(AdmissionPolicy {
+            rate_per_sec: 30.0,
+            burst: 20.0,
+            high_reserve: 0.3,
+            critical_reserve: 0.1,
+        })
+    }
+
+    proptest! {
+        /// The simulator asserts work conservation (a queued job means
+        /// every online server is busy) and job conservation (offered =
+        /// completed + shed + in flight) after every admission and every
+        /// calendar pop; this drives it over random bursty streams with
+        /// autoscaling and admission on, then checks the books close.
+        #[test]
+        fn every_calendar_pop_conserves_work_and_jobs(
+            arrivals in prop::collection::vec((0u64..40, 0u32..32, 0usize..6), 1..400),
+            seed in 0u64..1_000,
+            provision_ms in 0u64..400,
+        ) {
+            let mut sim = DesSim::new(elastic_epc(seed, provision_ms)).unwrap();
+            let mut t_ms = 0;
+            for &(gap_ms, ue, e) in &arrivals {
+                t_ms += gap_ms;
+                sim.offer(&rec(t_ms, ue, EventType::ALL[e])).unwrap();
+            }
+            let report = sim.finish();
+            prop_assert_eq!(report.offered, arrivals.len() as u64);
+            prop_assert_eq!(report.offered, report.completed + report.total_shed());
+            let stages: u64 = report.per_nf.iter().map(|nf| nf.stages).sum();
+            prop_assert!(stages >= report.completed);
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod mme;
 pub mod nf;
 pub mod overload;
 pub mod queueing;
+mod tally;
 
 pub use des::{
     dependency_chain, deterministic_service, AutoscalePolicy, DesConfig, DesError, DesReport,

@@ -15,6 +15,8 @@
 //!   estimated-parameter critical values ([`ad`]);
 //! * empirical CDFs with inverse-transform sampling — the paper's "CDF"
 //!   sojourn-time models ([`ecdf`]);
+//! * the **Erlang-C** closed form for M/M/c waiting, the yardstick the
+//!   core-network simulator is checked against ([`erlang`]);
 //! * **variance–time plots** for burstiness analysis (Fig. 3), Hurst
 //!   self-similarity estimation by the aggregated-variance method
 //!   ([`hurst`]), and box-plot summaries (Fig. 2) ([`variance_time`],
@@ -33,6 +35,7 @@ pub mod acf;
 pub mod ad;
 pub mod dist;
 pub mod ecdf;
+pub mod erlang;
 pub mod fit;
 pub mod hurst;
 pub mod ks;
@@ -43,6 +46,7 @@ pub use acf::{autocorrelation, Autocorrelation};
 pub use ad::{ad_test_exponential, AdOutcome};
 pub use dist::{Dist, Exponential, LogNormal, Pareto, Tcplib, Weibull};
 pub use ecdf::Ecdf;
+pub use erlang::{erlang_c, ErlangC};
 pub use fit::FitError;
 pub use hurst::{hurst_aggregated_variance, HurstEstimate};
 pub use ks::{

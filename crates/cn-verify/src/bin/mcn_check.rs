@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p cn-verify --bin mcn_check \
-//!     [-- --metrics mcn_obs.json] [--bench BENCH_mcn.json]
+//!     [-- --metrics mcn_obs.json] [--trace mcn_trace.json] [--bench BENCH_mcn.json]
 //! ```
 //!
 //! Drives the canonical golden scenarios through the `cn-mcn`
@@ -24,7 +24,10 @@
 //!   Re-bless intentional changes with `CN_MCN_BLESS=1`.
 //!
 //! `--metrics PATH` writes a `cn-obs` snapshot including the
-//! `cn_mcn_des_*` family from the gated runs. `--bench PATH` overrides
+//! `cn_mcn_des_*` family from the gated runs. `--trace PATH` writes the
+//! Chrome trace-event JSON (Perfetto-loadable) of the run's stage spans:
+//! each batch run is one `cn_mcn_des_run` with its drain-and-report time
+//! as the `cn_mcn_des_finish` child. `--bench PATH` overrides
 //! the pinned benchmark location (the default is the repo-root
 //! `BENCH_mcn.json`). Exits non-zero when any gate fails.
 
@@ -34,7 +37,7 @@ use std::path::Path;
 use cn_gen::ShardedStream;
 use cn_live::{LiveConfig, LiveRecordSource, LiveServer, SystemClock};
 use cn_mcn::{DesReport, DesSim};
-use cn_obs::{Registry, Span};
+use cn_obs::{Registry, Span, TraceSink};
 use cn_scenario::{ScenarioSpec, ScenarioStream};
 use cn_trace::{RecordSource, Trace};
 use cn_verify::{
@@ -113,11 +116,13 @@ fn closed_loop_report(
 
 fn main() {
     let mut metrics: Option<String> = None;
+    let mut trace_out: Option<String> = None;
     let mut bench_override: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--metrics" => metrics = Some(args.next().expect("--metrics needs a path")),
+            "--trace" => trace_out = Some(args.next().expect("--trace needs a path")),
             "--bench" => bench_override = Some(args.next().expect("--bench needs a path")),
             other => panic!("unknown argument: {other}"),
         }
@@ -127,6 +132,11 @@ fn main() {
     } else {
         Registry::disabled()
     };
+
+    let sink = TraceSink::new();
+    if trace_out.is_some() {
+        cn_obs::trace::install_global(&sink);
+    }
 
     let gt = GroundTruth::standard(11);
     let config = cn_verify::golden::standard_config();
@@ -244,6 +254,11 @@ fn main() {
     if let Some(path) = &metrics {
         std::fs::write(path, registry.snapshot().to_json()).expect("write metrics snapshot");
         eprintln!("wrote metrics snapshot to {path}");
+    }
+    if let Some(path) = &trace_out {
+        std::fs::write(path, sink.to_chrome_json()).expect("write trace JSON");
+        eprintln!("wrote {path} ({} spans)", sink.len());
+        cn_obs::trace::clear_global();
     }
 
     if all_ok {
