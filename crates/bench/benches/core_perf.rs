@@ -8,7 +8,7 @@
 use cn_cluster::ClusteringParams;
 use cn_fit::{fit, FitConfig, Method};
 use cn_gen::{generate_ue, PopulationStream};
-use cn_mcn::{Mme, QueueSim, ServiceProfile};
+use cn_mcn::{deterministic_service, DesConfig, DesSim, Mme};
 use cn_statemachine::replay_ue;
 use cn_stats::fit::{fit_family, Family};
 use cn_stats::{ad_test_exponential, ks_test};
@@ -192,9 +192,10 @@ fn bench_mcn(c: &mut Criterion) {
     group.bench_function("mme_state_tracking", |b| {
         b.iter(|| black_box(Mme::new().run(world)))
     });
-    group.bench_function("queue_sim_4_workers", |b| {
-        let sim = QueueSim::new(ServiceProfile::default_mme(), 4);
-        b.iter(|| black_box(sim.run(world).unwrap()))
+    group.bench_function("des_single_pool_4_servers", |b| {
+        let config = DesConfig::single_pool(4, deterministic_service(400.0));
+        let registry = cn_obs::Registry::disabled();
+        b.iter(|| black_box(DesSim::run_trace(config.clone(), world, &registry).unwrap()))
     });
     group.bench_function("nf_fanout", |b| {
         let matrix = cn_mcn::TransactionMatrix::default_epc();

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin gen_bench \
-//!     [-- out.json] [--gate MIN] [--metrics obs.json] \
+//!     [-- out.json] [--rss-gate FACTOR] [--metrics obs.json] \
 //!     [--introspect 127.0.0.1:9100] [--trace trace.json]
 //! ```
 //!
@@ -28,9 +28,10 @@
 //!   labeled `single_core: true` and the headline *is* the 1-shard
 //!   point — it never masquerades as a parallel result.
 //!
-//! `--gate MIN` exits non-zero if the 1-shard speedup falls below `MIN`
-//! (CI uses 0.95): with the adaptive inline path, `with_shards(.., 1)`
-//! must cost essentially nothing over the sequential stream.
+//! The timing columns are recorded, not gated: two single timings of
+//! the same binary differ by more than any sensible floor on a shared
+//! box. Judging a timing change is cp-bench's `--record` / `--compare`
+//! protocol (TESTING.md).
 //!
 //! `--metrics PATH` additionally measures the parallel shard count with a
 //! live `cn-obs` registry attached and writes the final repetition's
@@ -93,7 +94,6 @@ fn scale_mix(total: u32) -> PopulationMix {
 
 fn main() {
     let mut out = "BENCH_gen.json".to_string();
-    let mut gate: Option<f64> = None;
     let mut rss_gate: Option<f64> = None;
     let mut deep_scale = false;
     let mut metrics: Option<String> = None;
@@ -101,10 +101,7 @@ fn main() {
     let mut trace_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--gate" {
-            let v = args.next().expect("--gate needs a value");
-            gate = Some(v.parse().expect("--gate value must be a number"));
-        } else if a == "--rss-gate" {
+        if a == "--rss-gate" {
             let v = args.next().expect("--rss-gate needs a value");
             rss_gate = Some(v.parse().expect("--rss-gate value must be a number"));
         } else if a == "--deep-scale" {
@@ -115,6 +112,10 @@ fn main() {
             introspect = Some(args.next().expect("--introspect needs an address"));
         } else if a == "--trace" {
             trace_out = Some(args.next().expect("--trace needs a path"));
+        } else if a.starts_with("--") {
+            // An unknown flag must not be taken for the output path.
+            eprintln!("unknown flag: {a}");
+            std::process::exit(2);
         } else {
             out = a;
         }
@@ -139,8 +140,8 @@ fn main() {
     // Collect stage spans (shard drains, merge windows, out-of-core
     // phases) across the run; written as Chrome trace-event JSON at the
     // end. Opt-in because the instrumented paths do strictly more work
-    // with a sink installed — never combine with `--gate` numbers you
-    // intend to compare against an untraced run.
+    // with a sink installed — never compare a traced run's timings
+    // against an untraced one's.
     let trace_sink = cn_obs::TraceSink::new();
     if trace_out.is_some() {
         cn_obs::trace::install_global(&trace_sink);
@@ -289,25 +290,6 @@ fn main() {
         cn_obs::trace::clear_global();
         std::fs::write(path, trace_sink.to_chrome_json()).expect("write trace JSON");
         eprintln!("wrote {path} ({} stage spans)", trace_sink.len());
-    }
-
-    if let Some(min) = gate {
-        let p1 = points
-            .iter()
-            .find(|p| p.shards == 1)
-            .expect("bench_json already demanded the 1-shard point");
-        if p1.speedup_vs_baseline < min {
-            eprintln!(
-                "GATE FAILED: shards=1 speedup {:.3} < {min} — the adaptive \
-                 single-shard path is paying parallel overhead again",
-                p1.speedup_vs_baseline
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "gate ok: shards=1 speedup {:.3} >= {min}",
-            p1.speedup_vs_baseline
-        );
     }
 
     if let Some(factor) = rss_gate {

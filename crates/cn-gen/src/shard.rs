@@ -260,8 +260,9 @@ enum Inner<'m> {
     /// Single-shard fast path: the sequential merge, zero threads. The
     /// unobserved variant is a pure delegation — splitting it from
     /// [`Inner::InlineObserved`] keeps the default path's per-record cost
-    /// at an emitted-count increment (the `--gate 0.95` benchmark floor
-    /// leaves no budget for more).
+    /// at an emitted-count increment (`BENCH_gen.json`'s 1-shard point
+    /// is read against the sequential stream; there is no budget for
+    /// more).
     Inline {
         stream: PopulationStream<'m>,
         /// Records emitted so far (feeds [`ShardedStream::finish`]).

@@ -1,14 +1,14 @@
 //! Multi-NF discrete-event core-network simulator.
 //!
-//! [`crate::queueing::QueueSim`] answers "what if the whole core were one
-//! FIFO box" — useful for analytic sanity, but a real EPC is five network
-//! functions with their own pools, their own service-time laws, and
-//! procedures that *chain* across them: an attach authenticates at the
-//! HSS before it can create a session at the SGW/PGW, and pulls policy
-//! from the PCRF before the MME can accept. This module is the
-//! event-calendar discrete-event simulator (DES) the paper's §3.1 use
-//! case actually calls for, in the spirit of the simmer 5G-scenario DES
-//! and the Dababneh et al. per-NF transaction model:
+//! A real EPC is five network functions with their own pools, their own
+//! service-time laws, and procedures that *chain* across them: an attach
+//! authenticates at the HSS before it can create a session at the
+//! SGW/PGW, and pulls policy from the PCRF before the MME can accept.
+//! This module is the event-calendar discrete-event simulator (DES) the
+//! paper's §3.1 use case calls for, in the spirit of the simmer
+//! 5G-scenario DES and the Dababneh et al. per-NF transaction model.
+//! Pools, laws and chains are configuration, so "the whole core as one
+//! FIFO box" is just another [`DesConfig`] ([`DesConfig::single_pool`]):
 //!
 //! * each [`NetworkFunction`] is a pool of `c` identical servers fed by
 //!   one FIFO queue, with per-transaction service times drawn from a
@@ -25,8 +25,8 @@
 //!   provisioning delay — the *scaling lag* (breach-to-online time) is
 //!   measured and reported, because it is exactly the number a capacity
 //!   planner wants from a storm experiment;
-//! * the existing [`AdmissionPolicy`] token bucket (NAS congestion
-//!   control) guards the front door: shed procedures never enter the
+//! * the [`AdmissionPolicy`] token bucket (NAS congestion control)
+//!   guards the front door: shed procedures never enter the
 //!   calendar, and shed counts are reported per [`Priority`] class.
 //!
 //! ## Determinism
@@ -61,7 +61,7 @@
 //! registry is attached with [`DesSim::observed`].
 
 use crate::nf::{NetworkFunction, TransactionMatrix};
-use crate::overload::{priority_of, AdmissionPolicy, Priority};
+use crate::overload::{priority_of, AdmissionPolicy, Priority, TokenBucket};
 use crate::tally::LatencyTally;
 use cn_obs::{Counter, Gauge, Histogram, Registry};
 use cn_stats::{Dist, LogNormal};
@@ -80,8 +80,10 @@ pub struct NfConfig {
     /// Initial (and, without autoscaling, fixed) server count.
     pub servers: usize,
     /// Per-transaction service-time distribution. Samples are
-    /// interpreted as **microseconds** and rounded to the calendar grid;
-    /// negative draws (impossible for the stock families) clamp to 0.
+    /// interpreted as **microseconds** and rounded to the calendar grid.
+    /// [`DesConfig::validate`] rejects a law that can only have been
+    /// built around its constructors (a negative empirical sample, a NaN
+    /// or negative mean) with [`DesError::BadService`].
     pub service: Dist,
     /// Optional autoscaling policy; `None` pins the pool size.
     pub autoscale: Option<AutoscalePolicy>,
@@ -141,6 +143,14 @@ pub enum DesError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A service law carries a negative empirical sample, or its mean
+    /// is NaN or negative.
+    BadService {
+        /// The offending NF.
+        nf: NetworkFunction,
+        /// Human-readable reason.
+        reason: String,
+    },
     /// The admission policy carries a non-finite or non-positive field.
     BadAdmission {
         /// Offending field name.
@@ -171,6 +181,9 @@ impl std::fmt::Display for DesError {
             DesError::BadAutoscale { nf, reason } => {
                 write!(f, "{nf} autoscale policy invalid: {reason}")
             }
+            DesError::BadService { nf, reason } => {
+                write!(f, "{nf} service law invalid: {reason}")
+            }
             DesError::BadAdmission { field, value } => {
                 write!(f, "admission policy field {field} invalid: {value}")
             }
@@ -187,9 +200,8 @@ impl std::error::Error for DesError {}
 impl DesConfig {
     /// A plausible EPC shape: MME-heavy pools, Diameter (HSS/PCRF)
     /// slower than GTP-C (SGW/PGW), log-normal service laws with medians
-    /// in the [`crate::queueing::ServiceProfile::default_mme`] range,
-    /// and an autoscaling MME. No admission control — add one with
-    /// [`DesConfig::with_admission`].
+    /// of 250–450 µs per transaction, and an autoscaling MME. No
+    /// admission control — add one with [`DesConfig::with_admission`].
     pub fn default_epc(seed: u64) -> DesConfig {
         let lognormal = |median_us: f64, sigma: f64| {
             Dist::LogNormal(LogNormal::from_median(median_us, sigma).expect("valid law"))
@@ -226,6 +238,27 @@ impl DesConfig {
         }
     }
 
+    /// The whole core as one FIFO box: a single MME pool of `servers`
+    /// fixed servers, every event exactly one transaction drawn from
+    /// `service`, no autoscaling, no admission, seed 0. With a
+    /// [`deterministic_service`] law this is the textbook c-server FIFO
+    /// queue; with an exponential one under Poisson arrivals, M/M/c.
+    pub fn single_pool(servers: usize, service: Dist) -> DesConfig {
+        DesConfig {
+            seed: 0,
+            nfs: vec![NfConfig {
+                nf: NetworkFunction::Mme,
+                servers,
+                service,
+                autoscale: None,
+            }],
+            matrix: TransactionMatrix {
+                transactions: [[1, 0, 0, 0, 0]; 6],
+            },
+            admission: None,
+        }
+    }
+
     /// Same configuration with an admission policy at the front door.
     pub fn with_admission(mut self, policy: AdmissionPolicy) -> DesConfig {
         self.admission = Some(policy);
@@ -233,8 +266,9 @@ impl DesConfig {
     }
 
     /// Typed validation: pool uniqueness and coverage of the matrix,
-    /// non-empty pools, consistent autoscale bounds/watermarks, and a
-    /// finite positive admission policy.
+    /// non-empty pools, service laws that cannot yield a negative or NaN
+    /// time, consistent autoscale bounds/watermarks, and a finite
+    /// positive admission policy.
     pub fn validate(&self) -> Result<(), DesError> {
         let mut seen = [false; 5];
         for nf_cfg in &self.nfs {
@@ -245,6 +279,25 @@ impl DesConfig {
             seen[idx] = true;
             if nf_cfg.servers == 0 {
                 return Err(DesError::ZeroServers(nf_cfg.nf));
+            }
+            // `Dist` deserialises around its constructors, and the
+            // calendar's `as u64` would turn a negative or NaN draw into
+            // a free transaction. An infinite mean (a heavy tail) is a
+            // legal law: its draws saturate at the end of time.
+            let bad_service = |reason: String| DesError::BadService {
+                nf: nf_cfg.nf,
+                reason,
+            };
+            if let Dist::Empirical(ecdf) = &nf_cfg.service {
+                if let Some(sample) = ecdf.samples().iter().find(|&&x| x < 0.0) {
+                    return Err(bad_service(format!(
+                        "empirical sample {sample} is negative"
+                    )));
+                }
+            }
+            let mean = nf_cfg.service.mean();
+            if mean.is_nan() || mean < 0.0 {
+                return Err(bad_service(format!("mean {mean} µs is NaN or negative")));
             }
             if let Some(p) = &nf_cfg.autoscale {
                 let bad = |reason: &str| DesError::BadAutoscale {
@@ -653,8 +706,8 @@ pub struct DesSim {
     last_arrival_ms: Option<u64>,
     t0_us: Option<u64>,
     end_us: u64,
-    tokens: f64,
-    last_token_us: Option<u64>,
+    /// The front-door admission state; `None` admits everything.
+    bucket: Option<TokenBucket>,
     offered: u64,
     admitted: [u64; 3],
     shed: [u64; 3],
@@ -681,7 +734,7 @@ impl DesSim {
         });
         let max_chain_len = chains.iter().map(Vec::len).max().unwrap_or(0);
         let nfs = config.nfs.iter().cloned().map(NfState::new).collect();
-        let tokens = config.admission.map_or(0.0, |p| p.burst);
+        let bucket = config.admission.map(TokenBucket::new);
         Ok(DesSim {
             config,
             chains,
@@ -695,8 +748,7 @@ impl DesSim {
             last_arrival_ms: None,
             t0_us: None,
             end_us: 0,
-            tokens,
-            last_token_us: None,
+            bucket,
             offered: 0,
             admitted: [0; 3],
             shed: [0; 3],
@@ -764,8 +816,8 @@ impl DesSim {
     }
 
     /// Offer one record at its trace timestamp. Input must be sorted by
-    /// time (ties allowed); earlier-than-predecessor arrivals are a
-    /// typed error, mirroring the `run_messages` sorted-arrival fix.
+    /// time (ties allowed); an earlier-than-predecessor arrival is a
+    /// typed error.
     pub fn offer(&mut self, rec: &TraceRecord) -> Result<(), DesError> {
         let arrival_ms = rec.t.as_millis();
         if let Some(prev_ms) = self.last_arrival_ms {
@@ -797,21 +849,8 @@ impl DesSim {
         self.offered += 1;
         self.obs.offered.inc();
         let priority = priority_of(rec.event);
-        if let Some(policy) = &self.config.admission {
-            if let Some(prev_us) = self.last_token_us {
-                self.tokens = (self.tokens
-                    + arrival_us.saturating_sub(prev_us) as f64 / 1e6 * policy.rate_per_sec)
-                    .min(policy.burst);
-            }
-            self.last_token_us = Some(arrival_us);
-            let floor = match priority {
-                Priority::Critical => 0.0,
-                Priority::High => policy.burst * policy.critical_reserve,
-                Priority::Low => policy.burst * (policy.critical_reserve + policy.high_reserve),
-            };
-            if self.tokens >= floor + 1.0 {
-                self.tokens -= 1.0;
-            } else {
+        if let Some(bucket) = &mut self.bucket {
+            if !bucket.admit(arrival_us, priority) {
                 self.shed[priority as usize] += 1;
                 self.obs.shed[priority as usize].inc();
                 return Ok(());
@@ -1125,7 +1164,8 @@ fn job_seed(seed: u64, ue: u32, t_ms: u64, code: u8) -> u64 {
 }
 
 /// A deterministic single-point service law (every draw returns
-/// `value_us`): the M/D/c building block the analytic sanity suite uses.
+/// `value_us`): with [`DesConfig::single_pool`], the c-server FIFO queue
+/// the analytic sanity suite checks against its closed recursion.
 pub fn deterministic_service(value_us: f64) -> Dist {
     Dist::Empirical(cn_stats::Ecdf::new(vec![value_us]).expect("finite single sample"))
 }
@@ -1140,21 +1180,9 @@ mod tests {
         TraceRecord::new(Timestamp::from_millis(t_ms), UeId(ue), DeviceType::Phone, e)
     }
 
-    /// A single-MME world: every event is one MME transaction.
+    /// A single-MME world: every event is one deterministic transaction.
     fn single_nf_config(servers: usize, service_us: f64) -> DesConfig {
-        DesConfig {
-            seed: 7,
-            nfs: vec![NfConfig {
-                nf: NetworkFunction::Mme,
-                servers,
-                service: deterministic_service(service_us),
-                autoscale: None,
-            }],
-            matrix: TransactionMatrix {
-                transactions: [[1, 0, 0, 0, 0]; 6],
-            },
-            admission: None,
-        }
+        DesConfig::single_pool(servers, deterministic_service(service_us))
     }
 
     #[test]
@@ -1215,6 +1243,39 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A config file reaches `Dist` around its constructors. A negative
+    /// or NaN service time must be a typed rejection, not a free
+    /// transaction after `as u64`; an infinite mean is a legal heavy tail.
+    #[test]
+    fn hostile_service_laws_are_rejected_with_typed_errors() {
+        let json = serde_json::to_string(&DesConfig::default_epc(1)).unwrap();
+        let parsed = |json: &str| serde_json::from_str::<DesConfig>(json).unwrap();
+        assert_eq!(parsed(&json).validate(), Ok(()));
+
+        // The HSS law re-written by hand, as a config author would.
+        let hss = serde_json::to_string(&DesConfig::default_epc(1).nfs[1].service).unwrap();
+        let with_hss = |law: &str| {
+            assert_eq!(json.matches(&hss).count(), 1);
+            parsed(&json.replace(&hss, law))
+        };
+        let rejected = |law: &str| match with_hss(law).validate() {
+            Err(err @ DesError::BadService { nf, .. }) => {
+                assert_eq!(nf, NetworkFunction::Hss);
+                let message = err.to_string();
+                assert_eq!(DesSim::new(with_hss(law)).err(), Some(err));
+                message
+            }
+            other => panic!("{law}: expected BadService, got {other:?}"),
+        };
+        assert!(rejected(r#"{"Empirical":{"samples":[450.0,-400.0,5000.0]}}"#).contains("-400"));
+        assert!(rejected(r#"{"Empirical":{"samples":[]}}"#).contains("NaN"));
+        assert!(rejected(r#"{"Exponential":{"rate":-0.002}}"#).contains("HSS"));
+        assert_eq!(
+            with_hss(r#"{"Pareto":{"shape":0.5,"scale":100.0}}"#).validate(),
+            Ok(())
+        );
     }
 
     #[test]
@@ -1405,18 +1466,31 @@ mod tests {
                 rec(i, 0, e)
             })
             .collect();
-        let trace = Trace::from_records(records.clone());
+        let trace = Trace::from_records(records);
         let (shed_report, _) = apply(&trace, &policy);
 
-        let mut sim = DesSim::new(single_nf_config(4, 100.0).with_admission(policy)).unwrap();
-        for r in &records {
-            sim.offer(r).unwrap();
-        }
-        let report = sim.finish();
+        let registry = Registry::new();
+        let config = single_nf_config(4, 100.0).with_admission(policy);
+        let report = DesSim::run_trace(config, &trace, &registry).unwrap();
         assert_eq!(report.admitted, shed_report.admitted);
         assert_eq!(report.shed, shed_report.shed);
         assert_eq!(report.completed, shed_report.total_admitted());
         assert!(report.shed_rate > 0.0);
+
+        // The same counts by priority class are what a scrape sees.
+        let snap = registry.snapshot();
+        for p in Priority::ALL {
+            let counter =
+                |name: &str| match snap.get(name, &[("priority", p.label())]).map(|m| &m.value) {
+                    Some(cn_obs::MetricValue::Counter { value }) => *value,
+                    other => panic!("{name}{{{}}}: {other:?}", p.label()),
+                };
+            assert_eq!(counter("cn_mcn_des_shed_total"), report.shed[p as usize]);
+            assert_eq!(
+                counter("cn_mcn_des_admitted_total"),
+                report.admitted[p as usize]
+            );
+        }
     }
 
     #[test]

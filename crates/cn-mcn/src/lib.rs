@@ -9,9 +9,6 @@
 //!   labeled event stream exactly the way a signaling function would —
 //!   which is why event-owner labeling (design goal 2) matters: an
 //!   unlabeled aggregate stream could not drive per-UE state;
-//! * [`queueing::QueueSim`] layers a multi-worker FIFO queueing model with
-//!   per-event-type service times on top, reporting latency percentiles,
-//!   utilization, and peak backlog under a given trace;
 //! * [`nf`] fans each event out into per-network-function transactions
 //!   (MME/HSS/PCRF/SGW/PGW) following the 3GPP procedure flows, in the
 //!   spirit of the Dababneh et al. capacity model the paper cites;
@@ -21,18 +18,19 @@
 //! * [`overload`] implements NAS-style congestion control (token-bucket
 //!   admission with per-procedure priorities) so shedding policies can be
 //!   evaluated against realistic signaling storms;
-//! * [`des`] ties all of the above together into a multi-NF discrete-event
+//! * [`des`] is the crate's one queueing engine, a multi-NF discrete-event
 //!   simulator: per-NF server pools with service-time *distributions* from
 //!   the `cn-stats` zoo, dependency-ordered transaction chains derived from
 //!   the [`nf::TransactionMatrix`], queue-depth-driven autoscaling, and the
 //!   admission controller running inside the event loop — the closed-loop
-//!   capacity model `mcn_check` pins in `BENCH_mcn.json`.
+//!   capacity model `mcn_check` pins in `BENCH_mcn.json`. A single FIFO
+//!   pool of `c` servers is one of its configurations
+//!   ([`DesConfig::single_pool`]).
 //!
-//! The simulators expose live telemetry through `cn-obs`:
-//! [`QueueSim::observed`] records depth/latency histograms,
-//! [`overload::apply_observed`] accumulates shed counts by priority, and
-//! [`nf::nf_load_observed`] keeps per-NF transaction counters — all under
-//! the `cn_mcn_*` metric namespace (DESIGN.md §7).
+//! Live telemetry flows through `cn-obs` under one metric family,
+//! `cn_mcn_des_*` ([`DesSim::observed`]): latency and queue-depth
+//! histograms, admitted/shed counts by priority, per-NF transaction
+//! counters, server gauges and scale events (DESIGN.md §7).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +40,6 @@ pub mod messages;
 pub mod mme;
 pub mod nf;
 pub mod overload;
-pub mod queueing;
 mod tally;
 
 pub use des::{
@@ -51,6 +48,5 @@ pub use des::{
 };
 pub use messages::{expand, interface_load, procedure, Interface, Message, MessageRecord};
 pub use mme::{Mme, MmeReport};
-pub use nf::{nf_load, nf_load_observed, NetworkFunction, NfLoad, TransactionMatrix};
-pub use overload::{apply_observed, AdmissionPolicy, Priority, ShedReport};
-pub use queueing::{MessageServiceProfile, ProfileError, QueueReport, QueueSim, ServiceProfile};
+pub use nf::{nf_load, NetworkFunction, NfLoad, TransactionMatrix};
+pub use overload::{AdmissionPolicy, Priority, ShedReport};

@@ -8,7 +8,6 @@
 //! from per-subscriber transaction counts — the paper's generator is the
 //! realistic *arrival process* such capacity models lacked.
 
-use cn_obs::Registry;
 use cn_trace::{EventType, Trace};
 use serde::{Deserialize, Serialize};
 
@@ -138,19 +137,6 @@ pub fn nf_load(trace: &Trace, matrix: &TransactionMatrix) -> NfLoad {
     NfLoad { totals, span_secs }
 }
 
-/// As [`nf_load`], accumulating each NF's transaction total into the
-/// counter `cn_mcn_nf_transactions_total{nf=...}` — the Dababneh-style
-/// per-NF load series a capacity dashboard tracks across traces.
-pub fn nf_load_observed(trace: &Trace, matrix: &TransactionMatrix, registry: &Registry) -> NfLoad {
-    let load = nf_load(trace, matrix);
-    for (nf, &total) in NetworkFunction::ALL.iter().zip(&load.totals) {
-        registry
-            .counter_with("cn_mcn_nf_transactions_total", &[("nf", nf.name())])
-            .add(total);
-    }
-    load
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,32 +175,6 @@ mod tests {
         assert_eq!(load.total(NetworkFunction::Sgw), 2 + 1 + 1);
         assert!((load.span_secs - 10.0).abs() < 1e-9);
         assert!((load.rate(NetworkFunction::Mme) - 1.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn observed_load_counts_per_nf() {
-        use cn_obs::Registry;
-        let registry = Registry::new();
-        let trace = Trace::from_records(vec![
-            rec(0, EventType::Attach),
-            rec(5_000, EventType::ServiceRequest),
-        ]);
-        let load = nf_load_observed(&trace, &TransactionMatrix::default_epc(), &registry);
-        let snap = registry.snapshot();
-        for nf in NetworkFunction::ALL {
-            let got = match snap
-                .get("cn_mcn_nf_transactions_total", &[("nf", nf.name())])
-                .map(|m| &m.value)
-            {
-                Some(cn_obs::MetricValue::Counter { value }) => *value,
-                other => panic!("{nf}: {other:?}"),
-            };
-            assert_eq!(got, load.total(nf), "{nf}");
-        }
-        assert_eq!(
-            snap.counter_total("cn_mcn_nf_transactions_total"),
-            Some(load.totals.iter().sum())
-        );
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! a given policy would shed under a trace — one of the design questions
 //! a realistic control-plane generator exists to answer (§3.1).
 
-use cn_obs::Registry;
 use cn_trace::{EventType, Trace};
 use serde::{Deserialize, Serialize};
 
@@ -105,61 +104,70 @@ impl ShedReport {
     }
 }
 
-/// Run the admission controller over a trace; returns the report and the
-/// admitted sub-trace.
-pub fn apply(trace: &Trace, policy: &AdmissionPolicy) -> (ShedReport, Trace) {
-    let mut report = ShedReport::default();
-    let mut admitted = Vec::new();
-    let mut tokens = policy.burst;
-    let mut last_us: Option<u64> = None;
+/// The token-bucket state of one [`AdmissionPolicy`]: the crate's only
+/// bucket update, shared by [`apply`] and the simulator's front door
+/// (`DesSim::offer`) so the two cannot drift apart.
+#[derive(Debug, Clone)]
+pub(crate) struct TokenBucket {
+    policy: AdmissionPolicy,
+    tokens: f64,
+    last_us: Option<u64>,
+}
 
-    for rec in trace.iter() {
-        let now_us = rec.t.as_millis() * 1_000;
-        if let Some(prev) = last_us {
-            tokens = (tokens + (now_us.saturating_sub(prev)) as f64 / 1e6 * policy.rate_per_sec)
+impl TokenBucket {
+    /// A full bucket.
+    pub(crate) fn new(policy: AdmissionPolicy) -> TokenBucket {
+        TokenBucket {
+            policy,
+            tokens: policy.burst,
+            last_us: None,
+        }
+    }
+
+    /// Replenish up to `now_us`, then take one token for an arrival of
+    /// `priority` unless that would dip into a reserve held for a higher
+    /// class. Arrival times must not decrease.
+    ///
+    /// `#[inline]`: `DesSim::offer` calls this once per record from
+    /// another module, which may be another codegen unit.
+    #[inline]
+    pub(crate) fn admit(&mut self, now_us: u64, priority: Priority) -> bool {
+        let policy = &self.policy;
+        if let Some(prev_us) = self.last_us {
+            self.tokens = (self.tokens
+                + now_us.saturating_sub(prev_us) as f64 / 1e6 * policy.rate_per_sec)
                 .min(policy.burst);
         }
-        last_us = Some(now_us);
-
-        let priority = priority_of(rec.event);
+        self.last_us = Some(now_us);
         let floor = match priority {
             Priority::Critical => 0.0,
             Priority::High => policy.burst * policy.critical_reserve,
             Priority::Low => policy.burst * (policy.critical_reserve + policy.high_reserve),
         };
-        let idx = priority as usize;
-        if tokens >= floor + 1.0 {
-            tokens -= 1.0;
-            report.admitted[idx] += 1;
+        let admitted = self.tokens >= floor + 1.0;
+        if admitted {
+            self.tokens -= 1.0;
+        }
+        admitted
+    }
+}
+
+/// Run the admission controller over a trace; returns the report and the
+/// admitted sub-trace.
+pub fn apply(trace: &Trace, policy: &AdmissionPolicy) -> (ShedReport, Trace) {
+    let mut report = ShedReport::default();
+    let mut admitted = Vec::new();
+    let mut bucket = TokenBucket::new(*policy);
+    for rec in trace.iter() {
+        let priority = priority_of(rec.event);
+        if bucket.admit(rec.t.as_millis() * 1_000, priority) {
+            report.admitted[priority as usize] += 1;
             admitted.push(*rec);
         } else {
-            report.shed[idx] += 1;
+            report.shed[priority as usize] += 1;
         }
     }
     (report, Trace::from_records(admitted))
-}
-
-/// As [`apply`], folding the outcome into `registry`: counters
-/// `cn_mcn_overload_admitted_total{priority=...}` and
-/// `cn_mcn_overload_shed_total{priority=...}` accumulate across calls,
-/// so a monitoring pipeline sees shed totals by class over a whole run
-/// of storms, not just the last [`ShedReport`].
-pub fn apply_observed(
-    trace: &Trace,
-    policy: &AdmissionPolicy,
-    registry: &Registry,
-) -> (ShedReport, Trace) {
-    let (report, admitted) = apply(trace, policy);
-    for p in Priority::ALL {
-        let labels: &[(&str, &str)] = &[("priority", p.label())];
-        registry
-            .counter_with("cn_mcn_overload_admitted_total", labels)
-            .add(report.admitted[p as usize]);
-        registry
-            .counter_with("cn_mcn_overload_shed_total", labels)
-            .add(report.shed[p as usize]);
-    }
-    (report, admitted)
 }
 
 #[cfg(test)]
@@ -223,63 +231,6 @@ mod tests {
         assert!(high > critical, "high {high} vs critical {critical}");
         // Low-priority housekeeping is shed almost entirely.
         assert!(low > 0.9, "low shed {low}");
-    }
-
-    #[test]
-    fn observed_apply_mirrors_the_report_by_priority() {
-        use cn_obs::Registry;
-        let mut records = Vec::new();
-        for i in 0..300u64 {
-            let e = match i % 3 {
-                0 => EventType::Handover,
-                1 => EventType::ServiceRequest,
-                _ => EventType::Attach,
-            };
-            records.push(rec(i, e));
-        }
-        let trace = Trace::from_records(records);
-        let policy = AdmissionPolicy {
-            rate_per_sec: 50.0,
-            burst: 40.0,
-            high_reserve: 0.3,
-            critical_reserve: 0.1,
-        };
-        let registry = Registry::new();
-        let (report, admitted) = apply_observed(&trace, &policy, &registry);
-        // Observation must not perturb the decision.
-        assert_eq!(report, apply(&trace, &policy).0);
-        let snap = registry.snapshot();
-        for p in Priority::ALL {
-            let labels: &[(&str, &str)] = &[("priority", p.label())];
-            let counter = |name: &str| match snap.get(name, labels).map(|m| &m.value) {
-                Some(cn_obs::MetricValue::Counter { value }) => *value,
-                other => panic!("{name}{{{}}}: {other:?}", p.label()),
-            };
-            assert_eq!(
-                counter("cn_mcn_overload_admitted_total"),
-                report.admitted[p as usize]
-            );
-            assert_eq!(
-                counter("cn_mcn_overload_shed_total"),
-                report.shed[p as usize]
-            );
-        }
-        assert_eq!(
-            snap.counter_total("cn_mcn_overload_admitted_total"),
-            Some(admitted.len() as u64)
-        );
-        assert_eq!(
-            snap.counter_total("cn_mcn_overload_shed_total"),
-            Some(report.total_shed())
-        );
-        // Counters accumulate across storms.
-        apply_observed(&trace, &policy, &registry);
-        assert_eq!(
-            registry
-                .snapshot()
-                .counter_total("cn_mcn_overload_shed_total"),
-            Some(2 * report.total_shed())
-        );
     }
 
     #[test]

@@ -1,39 +1,77 @@
-//! M/D/c sanity: on a single-NF, one-transaction-per-event,
-//! deterministic-service configuration, the event-calendar DES *is* the
-//! analytic multi-worker FIFO of [`QueueSim`] — same trace, same
-//! latencies, same utilization. Any drift between the two models on this
-//! common subset is a bug in one of them.
+//! M/D/c sanity: on [`DesConfig::single_pool`] with a deterministic
+//! service law the event-calendar DES *is* the c-server FIFO queue, whose
+//! schedule has a closed recursion — each arrival takes the server that
+//! frees first. The recursion is written out here as the oracle: same
+//! trace, same latencies, same utilization, or the DES has a bug.
 //!
 //! M/M/c sanity: with Poisson arrivals and exponential service the same
-//! single-NF world has a closed form, and the DES must land on Erlang-C.
+//! single-pool world has a closed form, and the DES must land on Erlang-C.
 
-use cn_mcn::{
-    deterministic_service, DesConfig, DesSim, NetworkFunction, NfConfig, QueueSim, ServiceProfile,
-    TransactionMatrix,
-};
+use cn_mcn::{deterministic_service, DesConfig, DesSim};
 use cn_obs::Registry;
+use cn_stats::summary::percentile_sorted;
 use cn_stats::{erlang_c, Dist, Exponential};
 use cn_trace::{DeviceType, EventType, Timestamp, Trace, TraceRecord, UeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// A DES world equivalent to `QueueSim::new(uniform(service_us), servers)`:
-/// one MME pool, every event one MME transaction, service deterministic.
-fn single_nf(servers: usize, service_us: f64) -> DesConfig {
-    DesConfig {
-        seed: 0,
-        nfs: vec![NfConfig {
-            nf: NetworkFunction::Mme,
-            servers,
-            service: deterministic_service(service_us),
-            autoscale: None,
-        }],
-        matrix: TransactionMatrix {
-            transactions: [[1, 0, 0, 0, 0]; 6],
-        },
-        admission: None,
+/// What the reference recursion reports about one trace.
+struct Fifo {
+    mean_latency_ms: f64,
+    p50_latency_ms: f64,
+    p99_latency_ms: f64,
+    max_latency_ms: f64,
+    utilization: f64,
+}
+
+/// The c-server FIFO queue as a recursion over a min-heap of server-free
+/// times: service rounded to whole µs (the DES calendar grid), type-7
+/// percentiles over the sorted sojourns, utilization = busy time over
+/// `servers` × (first arrival → last completion).
+fn fifo_reference(trace: &Trace, servers: usize, service_us: f64) -> Fifo {
+    let service_us = service_us.round() as u64;
+    let t0_us = trace.start().expect("non-empty").as_millis() * 1_000;
+    let mut free: BinaryHeap<Reverse<u64>> = (0..servers).map(|_| Reverse(0)).collect();
+    let mut latencies_ms: Vec<f64> = Vec::with_capacity(trace.len());
+    let mut end_us = t0_us;
+    for rec in trace.iter() {
+        let arrival_us = rec.t.as_millis() * 1_000;
+        let Reverse(server_free_us) = free.pop().expect("servers > 0");
+        let done_us = server_free_us.max(arrival_us) + service_us;
+        free.push(Reverse(done_us));
+        end_us = end_us.max(done_us);
+        latencies_ms.push((done_us - arrival_us) as f64 / 1_000.0);
     }
+    let busy_us = service_us * trace.len() as u64;
+    let horizon_us = (end_us - t0_us).max(1);
+    let mean_latency_ms = latencies_ms.iter().sum::<f64>() / latencies_ms.len() as f64;
+    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    Fifo {
+        mean_latency_ms,
+        p50_latency_ms: percentile_sorted(&latencies_ms, 0.50),
+        p99_latency_ms: percentile_sorted(&latencies_ms, 0.99),
+        max_latency_ms: *latencies_ms.last().expect("non-empty"),
+        utilization: busy_us as f64 / (horizon_us as f64 * servers as f64),
+    }
+}
+
+fn des(trace: &Trace, servers: usize, service_us: f64) -> cn_mcn::DesReport {
+    let config = DesConfig::single_pool(servers, deterministic_service(service_us));
+    DesSim::run_trace(config, trace, &Registry::disabled()).expect("valid config")
+}
+
+/// `n` records at the same instant.
+fn simultaneous(n: usize) -> Trace {
+    let at_zero = TraceRecord::new(
+        Timestamp::from_millis(0),
+        UeId(0),
+        DeviceType::Phone,
+        EventType::Tau,
+    );
+    Trace::from_records(vec![at_zero; n])
 }
 
 fn event(idx: usize) -> EventType {
@@ -61,13 +99,10 @@ proptest! {
                 })
                 .collect(),
         );
-        let analytic = QueueSim::new(ServiceProfile::uniform(service_us), servers)
-            .run(&trace)
-            .expect("non-empty");
-        let des = DesSim::run_trace(single_nf(servers, service_us), &trace, &Registry::disabled())
-            .expect("valid config");
+        let analytic = fifo_reference(&trace, servers, service_us);
+        let des = des(&trace, servers, service_us);
 
-        prop_assert_eq!(des.completed, analytic.served);
+        prop_assert_eq!(des.completed, trace.len() as u64);
         prop_assert!((des.mean_latency_ms - analytic.mean_latency_ms).abs() < 1e-9);
         prop_assert!((des.p50_latency_ms - analytic.p50_latency_ms).abs() < 1e-9);
         prop_assert!((des.p99_latency_ms - analytic.p99_latency_ms).abs() < 1e-9);
@@ -78,29 +113,29 @@ proptest! {
 }
 
 /// Saturation corner pinned exactly: back-to-back arrivals on one server
-/// keep it busy 100% of the horizon in both models.
+/// keep it busy 100% of the horizon in both models — also when the
+/// service time is fractional (busy time must accumulate the *rounded*
+/// service the schedule uses, or utilization reads 1.04) — and the last
+/// of the simultaneous arrivals waits for all the others.
 #[test]
 fn saturated_single_server_agrees_at_utilization_one() {
-    let trace = Trace::from_records(
-        (0..50)
-            .map(|_| {
-                TraceRecord::new(
-                    Timestamp::from_millis(0),
-                    UeId(0),
-                    DeviceType::Phone,
-                    EventType::Tau,
-                )
-            })
-            .collect(),
-    );
-    let analytic = QueueSim::new(ServiceProfile::uniform(1_000.0), 1)
-        .run(&trace)
-        .expect("non-empty");
-    let des = DesSim::run_trace(single_nf(1, 1_000.0), &trace, &Registry::disabled())
-        .expect("valid config");
-    assert_eq!(analytic.utilization, 1.0);
-    assert_eq!(des.per_nf[0].utilization, 1.0);
-    assert_eq!(des.max_latency_ms, analytic.max_latency_ms);
+    for (arrivals, service_us) in [(50, 1_000.0), (100, 10.4), (100, 10_000.0)] {
+        let trace = simultaneous(arrivals);
+        let analytic = fifo_reference(&trace, 1, service_us);
+        let des = des(&trace, 1, service_us);
+        assert_eq!(analytic.utilization, 1.0, "{service_us} µs");
+        assert_eq!(des.per_nf[0].utilization, 1.0, "{service_us} µs");
+        assert_eq!(des.max_latency_ms, analytic.max_latency_ms);
+        let drain_ms = arrivals as f64 * service_us.round() / 1_000.0;
+        assert_eq!(des.max_latency_ms, drain_ms);
+        assert_eq!(des.per_nf[0].peak_depth, arrivals - 1);
+    }
+
+    // The same 100-deep burst on four servers drains four times as fast.
+    let trace = simultaneous(100);
+    let (one, four) = (des(&trace, 1, 10_000.0), des(&trace, 4, 10_000.0));
+    assert_eq!(one.max_latency_ms, 1_000.0);
+    assert_eq!(four.max_latency_ms, 250.0);
 }
 
 /// The shape of cp-bench's `mcn:mmc` stage: Poisson arrivals at 70 % of
@@ -120,10 +155,11 @@ fn mmc_lands_on_erlang_c() {
     const LOAD: f64 = 0.7;
     const JOBS: u32 = 250_000;
 
-    let mut config = single_nf(SERVERS as usize, 0.0);
+    let mut config = DesConfig::single_pool(
+        SERVERS as usize,
+        Dist::Exponential(Exponential::new(1.0 / (MEAN_SERVICE_MS * 1e3)).expect("positive rate")),
+    );
     config.seed = 0xE71A;
-    config.nfs[0].service =
-        Dist::Exponential(Exponential::new(1.0 / (MEAN_SERVICE_MS * 1e3)).expect("positive rate"));
 
     let mean_gap_ms = MEAN_SERVICE_MS / f64::from(SERVERS) / LOAD;
     let mut rng = StdRng::seed_from_u64(0xE71A_0001);

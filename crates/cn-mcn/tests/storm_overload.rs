@@ -12,7 +12,7 @@
 
 use cn_fit::{fit, FitConfig, Method, ModelSet};
 use cn_gen::GenConfig;
-use cn_mcn::overload::{apply, apply_observed, AdmissionPolicy, Priority};
+use cn_mcn::overload::{apply, AdmissionPolicy, Priority};
 use cn_obs::Registry;
 use cn_scenario::{
     apply_scenario, Phase, PhaseKind, ScenarioSpec, StormKind, TimeWindow, UeSubset,
@@ -208,22 +208,4 @@ fn priority_ordering_holds_at_every_intensity() {
             "bursts={bursts}: the avalanche must overload the bucket"
         );
     }
-}
-
-#[test]
-fn observed_storm_run_exports_shed_counters() {
-    let models = fitted();
-    let registry = Registry::new();
-    let trace = storm_trace(&models, 8);
-    let (report, _) = apply_observed(&trace, &policy(), &registry);
-    assert!(report.total_shed() > 0, "storm must overload the bucket");
-    let snap = registry.snapshot();
-    assert_eq!(
-        snap.counter_total("cn_mcn_overload_shed_total"),
-        Some(report.total_shed())
-    );
-    assert_eq!(
-        snap.counter_total("cn_mcn_overload_admitted_total"),
-        Some(report.total_admitted())
-    );
 }

@@ -9,8 +9,8 @@
 //!
 //! * `cn-gen::shard` — per-shard events/blocks/stall counters, the merge
 //!   run-length histogram, and the inline-vs-parallel mode gauge;
-//! * `cn-mcn` — queueing depth/latency histograms, overload shed counts
-//!   by priority, per-NF transaction counters;
+//! * `cn-mcn::des` — queue depth/latency histograms, admitted/shed
+//!   counts by priority, per-NF transaction counters (`cn_mcn_des_*`);
 //! * the `gen_bench` / `verify_model` binaries — `--metrics <path>`
 //!   dumps an [`ObsSnapshot`] next to their normal output.
 //!

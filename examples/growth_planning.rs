@@ -3,23 +3,32 @@
 //! Industry projections say connected-device counts grow severalfold in a
 //! few years. With a fitted model, "what does that do to my core?" becomes
 //! a computation: synthesize the busy hour at each projected population,
-//! measure per-NF transaction rates, find the minimum worker count that
-//! holds p99 signaling latency under a target, and check what an overload
-//! policy would shed if provisioning lags a year behind.
+//! measure per-NF transaction rates, find the minimum MME worker count
+//! that holds p99 procedure latency under a target, and check what an
+//! overload policy would shed if provisioning lags a year behind.
 //!
 //! Run with: `cargo run --release --example growth_planning`
 
 use cellular_cp_traffgen::mcn::{nf_load, overload, NetworkFunction, TransactionMatrix};
+use cellular_cp_traffgen::obs::Registry;
 use cellular_cp_traffgen::prelude::*;
 use cellular_cp_traffgen::trace::TraceSummary;
 
 const P99_TARGET_MS: f64 = 10.0;
 
-fn min_workers(trace: &Trace, profile: ServiceProfile) -> Option<usize> {
+/// Smallest MME pool (the other EPC pools as configured by default) that
+/// holds the target.
+fn min_workers(trace: &Trace) -> Option<usize> {
     (1..=64).find(|&w| {
-        QueueSim::new(profile, w)
-            .run(trace)
-            .is_some_and(|r| r.p99_latency_ms <= P99_TARGET_MS)
+        let mut config = DesConfig::default_epc(31);
+        let mme = &mut config.nfs[0];
+        assert_eq!(mme.nf, NetworkFunction::Mme);
+        mme.servers = w;
+        mme.autoscale = None;
+        DesSim::run_trace(config, trace, &Registry::disabled())
+            .expect("valid config, sorted trace")
+            .p99_latency_ms
+            <= P99_TARGET_MS
     })
 }
 
@@ -27,13 +36,12 @@ fn main() {
     let model_mix = PopulationMix::new(200, 80, 40);
     let world = generate_world(&WorldConfig::new(model_mix, 2.0, 31));
     let models = fit(&world, &FitConfig::new(Method::Ours));
-    let service = ServiceProfile::default_mme();
     println!(
         "fitted on {} UEs; busy-hour projections at growing populations:\n",
         model_mix.total()
     );
     println!(
-        "{:>6} {:>9} {:>8} {:>12} {:>12} | workers for p99<={}ms",
+        "{:>6} {:>9} {:>8} {:>12} {:>12} | MME workers for p99<={}ms",
         "scale", "UEs", "events", "events/s", "MME tx/s", P99_TARGET_MS
     );
 
@@ -44,7 +52,7 @@ fn main() {
         let trace = generate(&models, &config);
         let summary = TraceSummary::of(&trace);
         let nf = nf_load(&trace, &TransactionMatrix::default_epc());
-        let workers = min_workers(&trace, service).map_or("-".into(), |w| w.to_string());
+        let workers = min_workers(&trace).map_or("-".into(), |w| w.to_string());
         println!(
             "{:>5}x {:>9} {:>8} {:>12.1} {:>12.1} | {}",
             scale,

@@ -1,14 +1,26 @@
 //! Core-network capacity planning with generated traffic (§3.1 use case).
 //!
 //! Synthesizes busy-hour control traffic for growing UE populations and
-//! drives the miniature MME behind a queueing model to answer: *how many
-//! signaling workers does each population need to keep p99 latency under
-//! 10 ms?*
+//! drives the miniature MME and the multi-NF core simulator to answer:
+//! *how many MME signaling workers does each population need to keep p99
+//! procedure latency under 10 ms?*
 //!
 //! Run with: `cargo run --release --example mcn_load`
 
-use cellular_cp_traffgen::mcn::{nf_load, NetworkFunction, TransactionMatrix};
+use cellular_cp_traffgen::mcn::{nf_load, DesReport, NetworkFunction, TransactionMatrix};
+use cellular_cp_traffgen::obs::Registry;
 use cellular_cp_traffgen::prelude::*;
+
+/// The trace through the default EPC with the MME pool (the first one)
+/// pinned at `workers` servers.
+fn run_epc(trace: &Trace, workers: usize) -> DesReport {
+    let mut config = DesConfig::default_epc(7);
+    let mme = &mut config.nfs[0];
+    assert_eq!(mme.nf, NetworkFunction::Mme);
+    mme.servers = workers;
+    mme.autoscale = None;
+    DesSim::run_trace(config, trace, &Registry::disabled()).expect("valid config, sorted trace")
+}
 
 fn main() {
     // Fit once on a modest ground truth.
@@ -22,10 +34,9 @@ fn main() {
     );
 
     println!(
-        "{:>8} {:>9} {:>8} | per workers: p99 latency (ms) / utilization",
+        "{:>8} {:>9} {:>8} | per MME workers: p99 latency (ms) / MME utilization",
         "UEs", "events", "errors"
     );
-    let service = ServiceProfile::default_mme();
     for scale in [1.0, 4.0, 16.0] {
         let mix = model_mix.scaled(scale);
         let config = GenConfig::new(mix, Timestamp::at_hour(0, 18), 1.0, 7);
@@ -42,15 +53,13 @@ fn main() {
             report.protocol_errors
         );
         for workers in [1usize, 2, 4, 8] {
-            match QueueSim::new(service, workers).run(&trace) {
-                Some(q) => print!(
-                    "  w{}: {:>7.2}/{:>4.1}%",
-                    workers,
-                    q.p99_latency_ms,
-                    q.utilization * 100.0
-                ),
-                None => print!("  w{workers}:       -"),
-            }
+            let des = run_epc(&trace, workers);
+            print!(
+                "  w{}: {:>7.2}/{:>4.1}%",
+                workers,
+                des.p99_latency_ms,
+                des.per_nf[0].utilization * 100.0
+            );
         }
         println!();
     }

@@ -22,8 +22,9 @@
 //! * [`fiveg`] — the 5G NSA/SA adaptation (§6, Table 2).
 //! * [`eval`] — the evaluation harness reproducing every paper table and
 //!   figure.
-//! * [`mcn`] — a miniature MME-style core-network consumer (per-UE state
-//!   tables + queueing model), the paper's motivating use case.
+//! * [`mcn`] — a miniature core-network consumer (per-UE MME state tables
+//!   and a multi-NF discrete-event queueing simulator), the paper's
+//!   motivating use case.
 //! * [`obs`] — the zero-dependency metrics/tracing layer every pipeline
 //!   stage reports through (counters, gauges, log2 histograms, spans,
 //!   Prometheus/JSON export).
@@ -79,7 +80,7 @@ pub mod prelude {
     pub use cn_fit::{fit, FitConfig, Method, ModelSet};
     pub use cn_fivegee::{adapt_model, ScalingProfile};
     pub use cn_gen::{generate, GenConfig};
-    pub use cn_mcn::{Mme, QueueSim, ServiceProfile};
+    pub use cn_mcn::{DesConfig, DesSim, Mme};
     pub use cn_trace::{DeviceType, EventType, PopulationMix, Timestamp, Trace, TraceRecord, UeId};
     pub use cn_world::{generate_world, WorldConfig};
 }

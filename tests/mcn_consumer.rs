@@ -1,6 +1,8 @@
 //! The MCN consumer integration: generated traffic drives per-UE state and
-//! the queueing model with sensible load behavior.
+//! the queueing simulator with sensible load behavior.
 
+use cellular_cp_traffgen::mcn::{deterministic_service, DesReport};
+use cellular_cp_traffgen::obs::Registry;
 use cellular_cp_traffgen::prelude::*;
 
 fn busy_hour_trace(scale: f64, seed: u64) -> Trace {
@@ -21,15 +23,19 @@ fn conformant_traffic_means_zero_protocol_errors() {
     assert!(report.peak_connected > 0);
 }
 
+/// The trace through one FIFO pool of `workers` servers, 400 µs per event.
+fn mme_pool(trace: &Trace, workers: usize) -> DesReport {
+    let config = DesConfig::single_pool(workers, deterministic_service(400.0));
+    DesSim::run_trace(config, trace, &Registry::disabled()).expect("valid config, sorted trace")
+}
+
 #[test]
 fn more_workers_never_hurt_latency() {
     let trace = busy_hour_trace(4.0, 2);
-    let profile = ServiceProfile::default_mme();
     let mut last = f64::INFINITY;
     for workers in [1usize, 2, 4] {
-        let report = QueueSim::new(profile, workers)
-            .run(&trace)
-            .expect("non-empty");
+        let report = mme_pool(&trace, workers);
+        assert_eq!(report.completed, trace.len() as u64);
         assert!(
             report.p99_latency_ms <= last + 1e-9,
             "workers {workers}: p99 {} worse than previous {last}",
@@ -41,19 +47,9 @@ fn more_workers_never_hurt_latency() {
 
 #[test]
 fn larger_population_raises_utilization() {
-    let profile = ServiceProfile::default_mme();
-    let small = QueueSim::new(profile, 2)
-        .run(&busy_hour_trace(1.0, 3))
-        .expect("non-empty");
-    let big = QueueSim::new(profile, 2)
-        .run(&busy_hour_trace(6.0, 3))
-        .expect("non-empty");
-    assert!(
-        big.utilization > small.utilization,
-        "utilization {} ≤ {}",
-        big.utilization,
-        small.utilization
-    );
+    let small = mme_pool(&busy_hour_trace(1.0, 3), 2).per_nf[0].utilization;
+    let big = mme_pool(&busy_hour_trace(6.0, 3), 2).per_nf[0].utilization;
+    assert!(small > 0.0 && big > small, "utilization {big} ≤ {small}");
 }
 
 #[test]
