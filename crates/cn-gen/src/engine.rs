@@ -116,7 +116,7 @@ impl GenConfig {
 /// speculatively spawning workers pays thread, channel, and merge tax for
 /// potentially zero parallelism — exactly the regression the adaptive
 /// sharded path exists to avoid. Shared by [`generate`],
-/// [`crate::ShardedStream::new`], and the tracked benchmark so every
+/// [`crate::ShardedStream::new`], and cp-bench so every
 /// "0 = all cores" knob resolves identically.
 pub fn effective_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)

@@ -208,8 +208,8 @@ mod tests {
             assert_bit_identical(&values, cap);
         }
 
-        /// Everything past the direct range, as in `BENCH_mcn.json`'s
-        /// 40-UE runs (mean 2.4 s).
+        /// Everything past the direct range: a core so slow that every
+        /// latency is above a second.
         #[test]
         fn all_overflow_multisets_agree(
             values in prop::collection::vec(DIRECT_LIMIT..30_000_000, 1..300),

@@ -11,8 +11,9 @@
 //!   run-length histogram, and the inline-vs-parallel mode gauge;
 //! * `cn-mcn::des` — queue depth/latency histograms, admitted/shed
 //!   counts by priority, per-NF transaction counters (`cn_mcn_des_*`);
-//! * the `gen_bench` / `verify_model` binaries — `--metrics <path>`
-//!   dumps an [`ObsSnapshot`] next to their normal output.
+//! * the `cn-verify` gate binaries (`verify_model`, `scenario_check`,
+//!   `live_check`, `mcn_check`) — `--metrics <path>` dumps an
+//!   [`ObsSnapshot`] next to their normal output.
 //!
 //! ### Model
 //!

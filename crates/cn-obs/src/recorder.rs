@@ -24,10 +24,10 @@
 //!
 //! The recorder only ever *reads* the registry (snapshots are relaxed
 //! atomic loads on the sampler thread) — it never sits on a hot path,
-//! which is what keeps the bench gate honest.
+//! so mounting it does not slow the pipeline it watches.
 //!
 //! [`validate_frames`] / [`validate_jsonl`] / [`validate_forensics`]
-//! are the invariant checks `obs_check` runs in CI: frames parse,
+//! are the invariant checks `live_check` runs in CI: frames parse,
 //! sequence numbers and timestamps strictly increase, cumulative
 //! counter series are monotone non-decreasing, window rates are finite
 //! and non-negative.
@@ -380,7 +380,7 @@ fn window_stats(cur: &ObsSnapshot, prev: Option<&ObsSnapshot>, window_ms: u64) -
 }
 
 // ---------------------------------------------------------------------------
-// Validation (the obs_check CI contract)
+// Validation (the live_check CI contract)
 // ---------------------------------------------------------------------------
 
 /// Check the recorder invariants over a frame sequence (oldest first):

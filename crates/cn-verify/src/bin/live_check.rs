@@ -26,7 +26,8 @@
 //!   count on the wire, and the final `/status` + `/recorder` bodies
 //!   parse and validate. The killed span mounts a flight recorder with
 //!   a forensics path, so the induced failure leaves a dump that must
-//!   itself validate.
+//!   itself validate; with `--recorder-jsonl`, the file the full serve
+//!   streamed is read back from disk and must validate too.
 //!
 //! Flags (all optional): `--metrics PATH` writes the full-serve
 //! cn-obs JSON snapshot; `--trace PATH` writes the Chrome trace-event
@@ -50,6 +51,14 @@ use cn_scenario::{
 use cn_trace::{io::to_binary, DeviceType, PopulationMix, RecordSource, Timestamp};
 use cn_verify::GroundTruth;
 
+const USAGE: &str = "usage: live_check [--metrics PATH] [--trace PATH] \
+                     [--recorder-jsonl PATH] [--forensics PATH]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
 /// Fit the ground-truth models once; both the batch reference and every
 /// serve span draw from the same set.
 fn gt() -> &'static GroundTruth {
@@ -65,7 +74,7 @@ const P99_LAG_GATE_MS: f64 = 5_000.0;
 const SCRAPE_EVERY_MS: u64 = 40;
 
 fn live_config() -> GenConfig {
-    // The gen_bench 20K shape: 12_500 phones, 5_000 connected cars,
+    // cp-bench's 20K mix: 12_500 phones, 5_000 connected cars,
     // 2_500 tablets, over a single hour.
     GenConfig::new(
         PopulationMix::new(12_500, 5_000, 2_500),
@@ -259,14 +268,16 @@ fn main() {
     let mut forensics: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut path = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{a} needs a path")))
+        };
         match a.as_str() {
-            "--metrics" => metrics = Some(args.next().expect("--metrics needs a path")),
-            "--trace" => trace_out = Some(args.next().expect("--trace needs a path")),
-            "--recorder-jsonl" => {
-                recorder_jsonl = Some(args.next().expect("--recorder-jsonl needs a path"))
-            }
-            "--forensics" => forensics = Some(args.next().expect("--forensics needs a path")),
-            other => panic!("unknown argument: {other}"),
+            "--metrics" => metrics = Some(path()),
+            "--trace" => trace_out = Some(path()),
+            "--recorder-jsonl" => recorder_jsonl = Some(path()),
+            "--forensics" => forensics = Some(path()),
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
 
@@ -397,7 +408,7 @@ fn main() {
     // Gate 3: kill a third of the way in, resume from the checkpoint.
     // The killed span carries a flight recorder with a forensics path:
     // the induced early stop must leave a dump, and the dump must
-    // validate (obs_check re-checks the same file in CI).
+    // validate.
     let ckpt_path = std::env::temp_dir().join(format!("cn-live-check-{}.json", std::process::id()));
     let forensics_path = forensics.clone().map(PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("cn-live-forensics-{}.json", std::process::id()))
@@ -473,6 +484,24 @@ fn main() {
         (joined.len() / cn_trace::RECORD_BYTES) - captured_a.records.len(),
         cut
     );
+
+    // The full serve streamed its recorder frames to disk; the artifact a
+    // human downloads must itself validate, not just the in-memory ring.
+    // Read here rather than right after that serve: dropping its server
+    // flags the sampler thread to stop without joining it, and the drill
+    // above outlasts the sampler's last 50 ms interval many times over.
+    if let Some(path) = &recorder_jsonl {
+        let validated = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read it back: {e}"))
+            .and_then(|text| cn_obs::recorder::validate_jsonl(&text));
+        match validated {
+            Ok(n) => println!("recorder JSONL: {path} re-read from disk, {n} frames valid"),
+            Err(e) => {
+                println!("live_check: FAILED: recorder JSONL {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
 
     if let Some(path) = metrics {
         std::fs::write(&path, snapshot.to_json()).expect("write metrics snapshot");

@@ -5,12 +5,10 @@
 //!     [-- --metrics mcn_obs.json] [--trace mcn_trace.json] [--bench BENCH_mcn.json]
 //! ```
 //!
-//! Drives the canonical golden scenarios through the `cn-mcn`
-//! discrete-event core simulator and gates on four properties:
+//! Drives the pinned storm workload (`cn_verify::mcn`: 2 000 UEs over
+//! 6 h, one storm block, an autoscaling admission-guarded EPC) through the
+//! `cn-mcn` discrete-event core simulator and gates on three properties:
 //!
-//! * **golden pins untouched** — the steady-state `standard-v1` pin and
-//!   both canonical scenario pins still match; the workload feeding the
-//!   simulator is byte-for-byte the one the scenario gate blessed;
 //! * **seed determinism** — running the DES twice over the same trace
 //!   (once observed, once blind) produces identical reports, field for
 //!   field, floats included;
@@ -19,9 +17,12 @@
 //!   into the DES reproduces the batch-path report exactly. The whole
 //!   generate → serve → simulate pipeline is one deterministic function
 //!   of the seeds;
-//! * **benchmark pin** — the capacity numbers (p99 latency, shed rate,
-//!   MME scaling lag, utilization) match `BENCH_mcn.json` exactly.
-//!   Re-bless intentional changes with `CN_MCN_BLESS=1`.
+//! * **benchmark pin** — the report (its full-content hash, conservation
+//!   counts, p99 latency, shed rate, MME scaling lag, utilization)
+//!   matches `BENCH_mcn.json` exactly. Re-bless intentional changes with
+//!   `CN_MCN_BLESS=1`.
+//!
+//! The golden trace pins are `scenario_check`'s job, not this gate's.
 //!
 //! `--metrics PATH` writes a `cn-obs` snapshot including the
 //! `cn_mcn_des_*` family from the gated runs. `--trace PATH` writes the
@@ -32,7 +33,7 @@
 //! `BENCH_mcn.json`). Exits non-zero when any gate fails.
 
 use std::net::{SocketAddr, TcpStream};
-use std::path::Path;
+use std::path::PathBuf;
 
 use cn_gen::ShardedStream;
 use cn_live::{LiveConfig, LiveRecordSource, LiveServer, SystemClock};
@@ -40,11 +41,15 @@ use cn_mcn::{DesReport, DesSim};
 use cn_obs::{Registry, Span, TraceSink};
 use cn_scenario::{ScenarioSpec, ScenarioStream};
 use cn_trace::{RecordSource, Trace};
-use cn_verify::{
-    check_bench_at, check_pinned, drive_des, flash_crowd_spec, identity_spec, mcn_des_config,
-    paging_storm_spec, trace_hash, GroundTruth, McnBench, McnError, McnScenarioBench,
-    PIN_FLASH_CROWD, PIN_IDENTITY, PIN_PAGING_STORM,
-};
+use cn_verify::mcn::{bench_path, des_config, gen_config, storm_block};
+use cn_verify::{check_bench_at, drive_des, GroundTruth, McnBench, McnError};
+
+const USAGE: &str = "usage: mcn_check [--metrics PATH] [--trace PATH] [--bench PATH]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
 
 /// One trace hour per wall second, matching `live_check`.
 const COMPRESSION: f64 = 3600.0;
@@ -89,7 +94,7 @@ fn closed_loop_report(
     let consumer = std::thread::spawn(move || -> Result<(DesReport, u64), McnError> {
         let stream = TcpStream::connect(addr).expect("connect to live server");
         let source = LiveRecordSource::new(stream, 0).expect("live stream header");
-        let sim = DesSim::new(mcn_des_config()).expect("valid DES config");
+        let sim = DesSim::new(des_config()).expect("valid DES config");
         drive_des(sim, source)
     });
     await_consumers(&server, 1);
@@ -120,11 +125,15 @@ fn main() {
     let mut bench_override: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut path = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{a} needs a path")))
+        };
         match a.as_str() {
-            "--metrics" => metrics = Some(args.next().expect("--metrics needs a path")),
-            "--trace" => trace_out = Some(args.next().expect("--trace needs a path")),
-            "--bench" => bench_override = Some(args.next().expect("--bench needs a path")),
-            other => panic!("unknown argument: {other}"),
+            "--metrics" => metrics = Some(path()),
+            "--trace" => trace_out = Some(path()),
+            "--bench" => bench_override = Some(path()),
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
     let registry = if metrics.is_some() {
@@ -139,108 +148,59 @@ fn main() {
     }
 
     let gt = GroundTruth::standard(11);
-    let config = cn_verify::golden::standard_config();
+    let config = gen_config();
+    let spec = storm_block();
     let mut all_ok = true;
-    let mut gate = |registry: &Registry, name: &str, ok: bool| {
+    let mut gate = |name: &str, ok: bool| {
         registry
             .gauge_with("cn_verify_gate_ok", &[("gate", name)])
             .set(u64::from(ok));
         all_ok &= ok;
     };
 
-    // Gate 1: the golden workload is untouched — steady-state pin plus
-    // both canonical storm scenarios.
-    let mut storm_traces: Vec<(&'static str, ScenarioSpec, Trace)> = Vec::new();
-    for (key, spec) in [
-        (PIN_IDENTITY, identity_spec()),
-        (PIN_FLASH_CROWD, flash_crowd_spec()),
-        (PIN_PAGING_STORM, paging_storm_spec()),
-    ] {
-        let trace = scenario_trace(&gt, &config, &spec);
-        let ok = match check_pinned(key, trace_hash(&trace)) {
-            Ok(()) => {
-                println!("mcn_check: pin {key} holds ({} records)", trace.len());
-                true
-            }
-            Err(e) => {
-                println!("mcn_check: pin {key} FAILED: {e}");
-                false
-            }
-        };
-        gate(&registry, key, ok);
-        if key != PIN_IDENTITY {
-            storm_traces.push((key, spec, trace));
-        }
-    }
-
-    // Gates 2+3 per storm scenario: determinism and the closed loop.
-    let mut bench = McnBench {
-        workload: format!(
-            "GroundTruth::standard(11) x standard_config ({} UEs, {}h), DES mcn_des_config()",
-            config.population.total(),
-            config.duration_hours,
-        ),
-        scenarios: Vec::new(),
-    };
-    for (key, spec, trace) in &storm_traces {
-        let span = Span::start(&registry, "cn_verify_mcn_ns");
-        let direct =
-            DesSim::run_trace(mcn_des_config(), trace, &registry).expect("valid DES config");
-        let rerun = DesSim::run_trace(mcn_des_config(), trace, &Registry::disabled())
-            .expect("valid DES config");
-        span.finish();
-        let deterministic = direct == rerun;
-        if !deterministic {
-            println!(
-                "mcn_check: DES rerun DIVERGED on {} — not seed-deterministic",
-                spec.name
-            );
-        }
-        gate(
-            &registry,
-            &format!("mcn-determinism-{}", spec.name),
-            deterministic,
+    // Gate 1: determinism — the same trace, observed and blind.
+    let trace = scenario_trace(&gt, &config, &spec);
+    let span = Span::start(&registry, "cn_verify_mcn_ns");
+    let direct = DesSim::run_trace(des_config(), &trace, &registry).expect("valid DES config");
+    let rerun =
+        DesSim::run_trace(des_config(), &trace, &Registry::disabled()).expect("valid DES config");
+    span.finish();
+    let deterministic = direct == rerun;
+    if !deterministic {
+        println!(
+            "mcn_check: DES rerun DIVERGED on {} — not seed-deterministic",
+            spec.name
         );
-
-        let (live, live_records) = closed_loop_report(&gt, &config, spec);
-        let closed = live == direct && live_records == trace.len() as u64;
-        if closed {
-            println!(
-                "mcn_check: closed loop over {} matches the batch path \
-                 ({} records, p99 {:.3} ms, shed rate {:.4})",
-                spec.name, live_records, direct.p99_latency_ms, direct.shed_rate
-            );
-        } else {
-            println!(
-                "mcn_check: closed loop DIVERGED on {} ({} wire records vs {} batch)",
-                spec.name,
-                live_records,
-                trace.len()
-            );
-        }
-        gate(&registry, &format!("mcn-closed-loop-{}", spec.name), closed);
-
-        let name = key
-            .strip_prefix("scenario-")
-            .and_then(|s| s.strip_suffix("-v1"))
-            .unwrap_or(spec.name.as_str());
-        bench
-            .scenarios
-            .push(McnScenarioBench::from_report(name, &direct));
     }
+    gate("mcn-determinism", deterministic);
 
-    // Gate 4: the capacity numbers match the pinned benchmark exactly.
+    // Gate 2: the closed loop over real TCP reproduces the batch report.
+    let (live, live_records) = closed_loop_report(&gt, &config, &spec);
+    let closed = live == direct && live_records == trace.len() as u64;
+    if closed {
+        println!(
+            "mcn_check: closed loop over {} matches the batch path \
+             ({} records, p99 {:.3} ms, shed rate {:.4})",
+            spec.name, live_records, direct.p99_latency_ms, direct.shed_rate
+        );
+    } else {
+        println!(
+            "mcn_check: closed loop DIVERGED on {} ({} wire records vs {} batch)",
+            spec.name,
+            live_records,
+            trace.len()
+        );
+    }
+    gate("mcn-closed-loop", closed);
+
+    // Gate 3: the report matches the pinned benchmark exactly.
     let bless = std::env::var_os("CN_MCN_BLESS").is_some();
-    let bench_result = match &bench_override {
-        Some(path) => check_bench_at(Path::new(path), &bench, bless),
-        None => check_bench_at(&cn_verify::mcn::bench_path(), &bench, bless),
-    };
-    let bench_ok = match bench_result {
+    let pin = bench_override.map_or_else(bench_path, PathBuf::from);
+    let bench_ok = match check_bench_at(&pin, &McnBench::of_storm_block(&direct), bless) {
         Ok(()) => {
             println!(
-                "mcn_check: benchmark pin {} ({} scenarios)",
-                if bless { "re-blessed" } else { "holds" },
-                bench.scenarios.len()
+                "mcn_check: benchmark pin {}",
+                if bless { "re-blessed" } else { "holds" }
             );
             true
         }
@@ -249,7 +209,7 @@ fn main() {
             false
         }
     };
-    gate(&registry, "mcn-bench", bench_ok);
+    gate("mcn-bench", bench_ok);
 
     if let Some(path) = &metrics {
         std::fs::write(path, registry.snapshot().to_json()).expect("write metrics snapshot");

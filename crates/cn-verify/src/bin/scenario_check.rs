@@ -27,15 +27,26 @@ use cn_verify::{
     GroundTruth, PIN_FLASH_CROWD, PIN_IDENTITY, PIN_PAGING_STORM,
 };
 
+const USAGE: &str = "usage: scenario_check [--specs-dir DIR] [--metrics PATH]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let mut specs_dir: Option<String> = None;
     let mut metrics: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut path = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{a} needs a path")))
+        };
         match a.as_str() {
-            "--specs-dir" => specs_dir = Some(args.next().expect("--specs-dir needs a path")),
-            "--metrics" => metrics = Some(args.next().expect("--metrics needs a path")),
-            other => panic!("unknown argument: {other}"),
+            "--specs-dir" => specs_dir = Some(path()),
+            "--metrics" => metrics = Some(path()),
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
     let registry = if metrics.is_some() {

@@ -21,6 +21,13 @@
 use cn_obs::{Registry, Span};
 use cn_verify::{check_pinned, run_golden_observed, run_round_trip, GroundTruth, RoundTripConfig};
 
+const USAGE: &str = "usage: verify_model [--quick] [--metrics PATH]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let mut quick = false;
     let mut metrics: Option<String> = None;
@@ -28,8 +35,11 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--metrics" => metrics = Some(args.next().expect("--metrics needs a path")),
-            other => panic!("unknown argument: {other}"),
+            "--metrics" => match args.next() {
+                Some(path) => metrics = Some(path),
+                None => usage_error("--metrics needs a path"),
+            },
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
     let registry = if metrics.is_some() {

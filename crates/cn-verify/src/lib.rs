@@ -17,9 +17,9 @@
 //!   against the steady-state pin, engine-equivalence of perturbed
 //!   overlays, and pinned hashes for the canonical flash-crowd and
 //!   paging-storm scenarios;
-//! * [`mcn`] — the closed-loop core-simulator gate: the canonical storm
-//!   scenarios drive the multi-NF DES (batch and over the live wire),
-//!   and the capacity numbers (p99 latency, shed rate, scaling lag) are
+//! * [`mcn`] — the closed-loop core-simulator gate: a 2 000-UE storm
+//!   block drives the multi-NF DES (batch and over the live wire), and
+//!   the report (its hash, p99 latency, shed rate, scaling lag) is
 //!   pinned exactly in `BENCH_mcn.json`;
 //! * [`verdict`] — the claim/measured/pass report shape shared with
 //!   `cn-eval`'s paper-claims table.
@@ -40,9 +40,7 @@ pub mod verdict;
 pub use golden::{
     check_pinned, fnv1a64, run_golden, run_golden_observed, trace_hash, GoldenCase, GoldenReport,
 };
-pub use mcn::{
-    check_bench, check_bench_at, drive_des, mcn_des_config, McnBench, McnError, McnScenarioBench,
-};
+pub use mcn::{check_bench, check_bench_at, drive_des, McnBench, McnError, McnScenarioBench};
 pub use model::GroundTruth;
 pub use roundtrip::{run_round_trip, RoundTripConfig, RoundTripReport, TransitionCheck};
 pub use scenario::{

@@ -1,32 +1,35 @@
 //! The closed-loop MCN gate: scenario engine → (live wire) → multi-NF
 //! DES, with the numbers a capacity study would quote pinned in
-//! `BENCH_mcn.json`.
+//! `BENCH_mcn.json` — the repository's one DES pin.
 //!
-//! This module owns the pieces `mcn_check` assembles:
+//! This module owns the pieces `mcn_check` and `tests/des_scale.rs`
+//! assemble:
 //!
-//! * [`mcn_des_config`] — the canonical core-network shape the gate
-//!   simulates: tight per-NF pools sized so the golden 40-UE workload's
-//!   storm scenarios visibly congest them (nonzero shed, autoscaling
-//!   events, measurable scaling lag) while the steady state clears;
+//! * [`gen_config`], [`storm_block`], [`des_config`] — the pinned
+//!   workload: 2 000 UEs over 6 h with one storm block (flash crowd,
+//!   outage + TAU flood, paging storm, M2M fleet) through an autoscaling,
+//!   admission-guarded EPC whose end-to-end latencies run from tens of
+//!   milliseconds to tens of seconds, so the report's latency percentiles,
+//!   utilizations and scaling lags all carry weight;
 //! * [`drive_des`] — feed any [`RecordSource`] through a [`DesSim`]:
 //!   the same loop runs a batch `ScenarioStream` and a live TCP
 //!   connection (`cn_live::LiveRecordSource`), which is what makes the
 //!   closed-loop equivalence assertion possible at all;
-//! * [`McnBench`] / [`check_bench_at`] — the pinned benchmark artifact:
-//!   p99 latency, shed rate, and MME scaling lag per canonical
-//!   scenario, compared *exactly* (the DES is deterministic) against
-//!   the checked-in `BENCH_mcn.json`, re-blessable with
-//!   `CN_MCN_BLESS=1`.
+//! * [`McnBench`] / [`check_bench_at`] — the pinned artifact: the
+//!   FNV-1a-64 of the whole report plus the conservation counts, p99
+//!   latency, shed rate and MME scaling lag, compared *exactly* (the DES
+//!   is deterministic) against the checked-in `BENCH_mcn.json`,
+//!   re-blessable with `CN_MCN_BLESS=1`.
 
 use std::path::{Path, PathBuf};
 
-use cn_mcn::{
-    AdmissionPolicy, AutoscalePolicy, DesConfig, DesError, DesReport, DesSim, NetworkFunction,
-    NfConfig, TransactionMatrix,
-};
-use cn_stats::{Dist, LogNormal};
-use cn_trace::{RecordSource, StreamError};
+use cn_gen::GenConfig;
+use cn_mcn::{AdmissionPolicy, DesConfig, DesError, DesReport, DesSim, NetworkFunction};
+use cn_scenario::{Phase, PhaseKind, ScenarioSpec, StormKind, TimeWindow, UeSubset};
+use cn_trace::{DeviceType, PopulationMix, RecordSource, StreamError, Timestamp};
 use serde::{Deserialize, Serialize};
+
+use crate::golden::fnv1a64;
 
 /// A closed-loop run failed: either the record stream broke or the
 /// simulator rejected its input.
@@ -56,53 +59,96 @@ impl From<StreamError> for McnError {
     }
 }
 
-/// The canonical core shape for the golden 40-UE workload.
-///
-/// Service medians are deliberately heavy (hundreds of milliseconds)
-/// relative to the small golden population: the point of the gate is to
-/// exercise the congestion machinery — the MME pool must breach its
-/// watermark during the canonical storms (autoscaling + scaling-lag
-/// numbers), and the admission bucket must actually shed (shed-rate
-/// numbers) — while the steady state between storms clears completely.
-pub fn mcn_des_config() -> DesConfig {
-    let lognormal = |median_us: f64, sigma: f64| {
-        Dist::LogNormal(LogNormal::from_median(median_us, sigma).expect("valid law"))
+/// The pinned workload's population: 2 000 UEs over 6 h from 06:00.
+pub fn gen_config() -> GenConfig {
+    GenConfig::new(
+        PopulationMix::new(1_250, 500, 250),
+        Timestamp::at_hour(0, 6),
+        6.0,
+        0x5CA1_E000,
+    )
+}
+
+/// One storm block over the 2 000-UE population, all inside the 6 h run.
+pub fn storm_block() -> ScenarioSpec {
+    let phase = |name: &str, start_h: f64, duration_s: f64, kind: PhaseKind| Phase {
+        name: name.into(),
+        window: TimeWindow::new(start_h * 3600.0, duration_s),
+        kind,
     };
-    let pool = |nf, servers, service| NfConfig {
-        nf,
-        servers,
-        service,
-        autoscale: None,
-    };
-    DesConfig {
-        seed: 0x4DC0_0001,
-        nfs: vec![
-            NfConfig {
-                nf: NetworkFunction::Mme,
-                servers: 1,
-                service: lognormal(500_000.0, 0.5),
-                autoscale: Some(AutoscalePolicy {
-                    min_servers: 1,
-                    max_servers: 6,
-                    high_depth_per_server: 2.0,
-                    low_depth_per_server: 0.5,
-                    eval_every_ms: 1_000,
-                    provision_ms: 1_500,
-                }),
-            },
-            pool(NetworkFunction::Hss, 1, lognormal(450_000.0, 0.5)),
-            pool(NetworkFunction::Pcrf, 1, lognormal(350_000.0, 0.5)),
-            pool(NetworkFunction::Sgw, 1, lognormal(250_000.0, 0.4)),
-            pool(NetworkFunction::Pgw, 1, lognormal(250_000.0, 0.4)),
+    let spec = ScenarioSpec {
+        name: "scale-storm".into(),
+        seed: 0x5CA1_E001,
+        phases: vec![
+            phase(
+                "flash-crowd",
+                1.0,
+                600.0,
+                PhaseKind::FlashCrowd {
+                    ues: UeSubset::new(0, 400),
+                    waves: 4,
+                    handovers_per_ue: 2,
+                },
+            ),
+            phase(
+                "outage",
+                2.0,
+                1_800.0,
+                PhaseKind::Outage {
+                    ues: UeSubset::new(400, 1_000),
+                },
+            ),
+            phase(
+                "tau-flood",
+                2.5,
+                300.0,
+                PhaseKind::SignalingStorm {
+                    ues: UeSubset::new(400, 1_000),
+                    kind: StormKind::TauFlood,
+                    bursts_per_ue: 3,
+                },
+            ),
+            phase(
+                "paging-storm",
+                3.5,
+                600.0,
+                PhaseKind::SignalingStorm {
+                    ues: UeSubset::new(0, 800),
+                    kind: StormKind::Paging,
+                    bursts_per_ue: 4,
+                },
+            ),
+            phase(
+                "m2m-reporting",
+                4.5,
+                3_600.0,
+                PhaseKind::M2mReporting {
+                    ues: UeSubset::new(1_750, 1_950),
+                    period_s: 60.0,
+                    device: DeviceType::Tablet,
+                },
+            ),
         ],
-        matrix: TransactionMatrix::default_epc(),
-        admission: Some(AdmissionPolicy {
-            rate_per_sec: 0.4,
-            burst: 8.0,
-            high_reserve: 0.3,
-            critical_reserve: 0.1,
-        }),
+    };
+    spec.validate().expect("disjoint phases");
+    spec
+}
+
+/// `default_epc` slowed until 2 000 UEs load it: service medians of
+/// 60–110 ms put a three-stage service request near a quarter second and
+/// a queued attach well past one — the report's latencies straddle
+/// 2^20 µs by construction.
+pub fn des_config() -> DesConfig {
+    let mut config = DesConfig::default_epc(0x5CA1_E002);
+    for nf in &mut config.nfs {
+        nf.service = nf.service.scale_values(250.0);
     }
+    config.with_admission(AdmissionPolicy {
+        rate_per_sec: 20.0,
+        burst: 240.0,
+        high_reserve: 0.3,
+        critical_reserve: 0.1,
+    })
 }
 
 /// Feed every record of `source` through `sim` and finish both sides.
@@ -121,11 +167,14 @@ pub fn drive_des<S: RecordSource>(
     Ok((sim.finish(), records))
 }
 
-/// One canonical scenario's pinned closed-loop numbers.
+/// One scenario's pinned closed-loop numbers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct McnScenarioBench {
-    /// Scenario name (`flash-crowd`, `paging-storm`).
+    /// Scenario name (`scale-storm`).
     pub scenario: String,
+    /// FNV-1a-64 of the report's JSON rendering — every field, floats at
+    /// full precision — as `0x…`, the form `golden/hashes.json` uses.
+    pub report_fnv64: String,
     /// Records the scenario stream offered the simulator.
     pub offered: u64,
     /// Procedures that ran their full dependency chain.
@@ -158,8 +207,10 @@ impl McnScenarioBench {
             .iter()
             .find(|n| n.nf == NetworkFunction::Mme)
             .expect("MME pool configured");
+        let rendered = serde_json::to_string(report).expect("a report renders as JSON");
         McnScenarioBench {
             scenario: scenario.to_string(),
+            report_fnv64: format!("{:#018x}", fnv1a64(rendered.as_bytes())),
             offered: report.offered,
             completed: report.completed,
             shed_rate: report.shed_rate,
@@ -174,17 +225,34 @@ impl McnScenarioBench {
     }
 }
 
-/// The `BENCH_mcn.json` artifact: one entry per canonical scenario.
+/// The `BENCH_mcn.json` artifact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct McnBench {
     /// Human description of the workload the numbers came from.
     pub workload: String,
-    /// Per-scenario closed-loop numbers, in gate order.
+    /// Per-scenario closed-loop numbers.
     pub scenarios: Vec<McnScenarioBench>,
 }
 
-/// Location of the pinned benchmark, at the repository root next to
-/// `BENCH_gen.json`, so every caller resolves the same file.
+impl McnBench {
+    /// The artifact for `report`, the pinned workload's batch-path report
+    /// ([`gen_config`] × [`storm_block`] through [`des_config`]).
+    pub fn of_storm_block(report: &DesReport) -> McnBench {
+        let (config, spec) = (gen_config(), storm_block());
+        McnBench {
+            workload: format!(
+                "GroundTruth::standard(11) x mcn::gen_config() ({} UEs, {}h) x mcn::storm_block(), \
+                 DES mcn::des_config()",
+                config.population.total(),
+                config.duration_hours,
+            ),
+            scenarios: vec![McnScenarioBench::from_report(&spec.name, report)],
+        }
+    }
+}
+
+/// Location of the pinned benchmark, at the repository root, so every
+/// caller resolves the same file.
 pub fn bench_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("..")
@@ -193,7 +261,7 @@ pub fn bench_path() -> PathBuf {
 }
 
 /// Compare `bench` against the pinned artifact, exactly — every number
-/// in the file is a deterministic function of the golden seeds, so any
+/// in the file is a deterministic function of the workload's seeds, so any
 /// drift is a behavior change, not noise. With `bless`, the pin is
 /// rewritten instead and the check passes.
 pub fn check_bench_at(path: &Path, bench: &McnBench, bless: bool) -> Result<(), String> {
@@ -235,12 +303,7 @@ pub fn check_bench(bench: &McnBench) -> Result<(), String> {
 mod tests {
     use super::*;
     use cn_scenario::IterSource;
-    use cn_trace::{DeviceType, EventType, Timestamp, TraceRecord, UeId};
-
-    #[test]
-    fn canonical_des_config_validates() {
-        mcn_des_config().validate().unwrap();
-    }
+    use cn_trace::{EventType, TraceRecord, UeId};
 
     fn small_report() -> DesReport {
         let records: Vec<TraceRecord> = (0..40u64)
@@ -253,7 +316,7 @@ mod tests {
                 )
             })
             .collect();
-        let sim = DesSim::new(mcn_des_config()).expect("valid config");
+        let sim = DesSim::new(des_config()).expect("valid config");
         let (report, n) = drive_des(sim, IterSource(records.into_iter())).expect("clean run");
         assert_eq!(n, 40);
         report
@@ -273,11 +336,17 @@ mod tests {
         // Bless, then the same numbers pass...
         check_bench_at(&path, &bench, true).unwrap();
         check_bench_at(&path, &bench, false).unwrap();
-        // ...and any drift fails with both sides rendered.
-        let mut drifted = bench.clone();
-        drifted.scenarios[0].p99_latency_ms += 0.001;
-        let err = check_bench_at(&path, &drifted, false).unwrap_err();
-        assert!(err.contains("drifted"), "{err}");
+        // ...and any drift fails with both sides rendered: a projected
+        // number, or the full-report hash alone (it covers the fields the
+        // projection leaves out).
+        let mut slower = bench.clone();
+        slower.scenarios[0].p99_latency_ms += 0.001;
+        let mut rehashed = bench.clone();
+        rehashed.scenarios[0].report_fnv64 = "0x0000000000000000".into();
+        for drifted in [slower, rehashed] {
+            let err = check_bench_at(&path, &drifted, false).unwrap_err();
+            assert!(err.contains("drifted"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,125 +1,22 @@
 //! The DES pinned at scale.
 //!
-//! `BENCH_mcn.json`'s two scenarios run 40 UEs against half-second
-//! service medians: almost every latency there is above a second. This
-//! test pins one report three orders of magnitude busier — 2 000 UEs over
-//! 6 h with one storm block (flash crowd, outage + TAU flood, paging
-//! storm, M2M fleet) through an autoscaling, admission-guarded EPC whose
-//! end-to-end latencies run from tens of milliseconds to tens of seconds —
-//! so a change to the simulator's bookkeeping is held to a report whose
-//! latency percentiles, utilizations and scaling lags all carry weight.
+//! `BENCH_mcn.json` pins one report: 2 000 UEs over 6 h with one storm
+//! block through an autoscaling, admission-guarded EPC (the workload is
+//! `cn_verify::mcn`'s). This test holds the batch path to that pin under
+//! `cargo test`, and checks that the workload still exercises what it was
+//! chosen for — a pin on a report that sheds nothing, never scales and
+//! keeps every latency on one side of the tally's 2^20 µs boundary would
+//! hold the simulator's bookkeeping to very little.
 //!
-//! The pin is the FNV-1a-64 of the report's JSON rendering (every field,
-//! floats at full precision) plus the conservation counts. The DES is a
-//! pure function of the seeds, so any drift is a behavior change: fix it,
-//! or re-pin deliberately by pasting the values the failure prints.
+//! The DES is a pure function of the seeds, so any drift is a behavior
+//! change: fix it, or re-pin deliberately with `CN_MCN_BLESS=1`.
 
-use cn_gen::{GenConfig, ShardedStream};
-use cn_mcn::{AdmissionPolicy, DesConfig, DesSim};
+use cn_gen::ShardedStream;
+use cn_mcn::DesSim;
 use cn_obs::Registry;
-use cn_scenario::{
-    Phase, PhaseKind, ScenarioSpec, ScenarioStream, StormKind, TimeWindow, UeSubset,
-};
-use cn_trace::{DeviceType, PopulationMix, Timestamp};
-use cn_verify::{drive_des, fnv1a64, GroundTruth};
-
-// Blessed on the store-and-sort simulator (the commit before the latency
-// tallies replaced it), so the rewrite is held to the old code's report.
-const PIN_REPORT_FNV64: u64 = 0x86b9_3e3b_d63f_9b90;
-const PIN_OFFERED: u64 = 268_337;
-const PIN_COMPLETED: u64 = 262_746;
-const PIN_SHED: [u64; 3] = [0, 0, 5_591];
-
-fn gen_config() -> GenConfig {
-    GenConfig::new(
-        PopulationMix::new(1_250, 500, 250),
-        Timestamp::at_hour(0, 6),
-        6.0,
-        0x5CA1_E000,
-    )
-}
-
-/// One storm block over the 2 000-UE population, all inside the 6 h run.
-fn storm_block() -> ScenarioSpec {
-    let phase = |name: &str, start_h: f64, duration_s: f64, kind: PhaseKind| Phase {
-        name: name.into(),
-        window: TimeWindow::new(start_h * 3600.0, duration_s),
-        kind,
-    };
-    let spec = ScenarioSpec {
-        name: "scale-storm".into(),
-        seed: 0x5CA1_E001,
-        phases: vec![
-            phase(
-                "flash-crowd",
-                1.0,
-                600.0,
-                PhaseKind::FlashCrowd {
-                    ues: UeSubset::new(0, 400),
-                    waves: 4,
-                    handovers_per_ue: 2,
-                },
-            ),
-            phase(
-                "outage",
-                2.0,
-                1_800.0,
-                PhaseKind::Outage {
-                    ues: UeSubset::new(400, 1_000),
-                },
-            ),
-            phase(
-                "tau-flood",
-                2.5,
-                300.0,
-                PhaseKind::SignalingStorm {
-                    ues: UeSubset::new(400, 1_000),
-                    kind: StormKind::TauFlood,
-                    bursts_per_ue: 3,
-                },
-            ),
-            phase(
-                "paging-storm",
-                3.5,
-                600.0,
-                PhaseKind::SignalingStorm {
-                    ues: UeSubset::new(0, 800),
-                    kind: StormKind::Paging,
-                    bursts_per_ue: 4,
-                },
-            ),
-            phase(
-                "m2m-reporting",
-                4.5,
-                3_600.0,
-                PhaseKind::M2mReporting {
-                    ues: UeSubset::new(1_750, 1_950),
-                    period_s: 60.0,
-                    device: DeviceType::Tablet,
-                },
-            ),
-        ],
-    };
-    spec.validate().expect("disjoint phases");
-    spec
-}
-
-/// `default_epc` slowed until 2 000 UEs load it: service medians of
-/// 60–110 ms put a three-stage service request near a quarter second and
-/// a queued attach well past one — the report's latencies straddle
-/// 2^20 µs by construction.
-fn des_config() -> DesConfig {
-    let mut config = DesConfig::default_epc(0x5CA1_E002);
-    for nf in &mut config.nfs {
-        nf.service = nf.service.scale_values(250.0);
-    }
-    config.with_admission(AdmissionPolicy {
-        rate_per_sec: 20.0,
-        burst: 240.0,
-        high_reserve: 0.3,
-        critical_reserve: 0.1,
-    })
-}
+use cn_scenario::ScenarioStream;
+use cn_verify::mcn::{des_config, gen_config, storm_block};
+use cn_verify::{check_bench, drive_des, GroundTruth, McnBench};
 
 #[test]
 fn des_report_at_scale_matches_its_pin() {
@@ -152,16 +49,5 @@ fn des_report_at_scale_matches_its_pin() {
         "the storms no longer trigger autoscaling"
     );
 
-    let rendered = serde_json::to_string(&report).expect("a report renders as JSON");
-    let measured = (
-        fnv1a64(rendered.as_bytes()),
-        report.offered,
-        report.completed,
-        report.shed,
-    );
-    assert_eq!(
-        measured,
-        (PIN_REPORT_FNV64, PIN_OFFERED, PIN_COMPLETED, PIN_SHED),
-        "DES report drifted from its pin (fnv64, offered, completed, shed).\n{rendered}"
-    );
+    check_bench(&McnBench::of_storm_block(&report)).unwrap_or_else(|e| panic!("{e}"));
 }

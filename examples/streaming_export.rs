@@ -109,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The final snapshot is the pipeline's flight recorder. The merge
     // counter must agree exactly with what reached the file — the same
-    // ledger invariant `gen_bench --metrics` gates on.
+    // ledger invariant `cn-gen`'s observed-stream tests assert.
     let snap = registry.snapshot();
     assert_eq!(snap.counter("cn_gen_merge_events_total"), Some(total));
     println!(
