@@ -100,6 +100,11 @@ pub struct LiveReader<R> {
 
 impl<R: Read> LiveReader<R> {
     /// Read and validate the stream header, then wrap `src`.
+    ///
+    /// Every frame is its own `read` on `src`, so hand a socket over
+    /// inside a [`std::io::BufReader`] (64 KiB holds any block the
+    /// server writes): a bare `TcpStream` costs one `read(2)` per
+    /// 14-byte frame where the server spent one `send(2)` per block.
     pub fn new(mut src: R) -> Result<LiveReader<R>, IoError> {
         let mut header = [0u8; 16];
         src.read_exact(&mut header)?;

@@ -2,38 +2,44 @@
 //!
 //! The broadcaster (the serve loop) must never block on a slow consumer
 //! — open-loop pacing dies the moment emission waits on the slowest
-//! socket. Each consumer therefore gets a bounded frame queue
-//! ([`std::sync::mpsc::sync_channel`]) drained by its own writer thread,
-//! and the broadcaster only ever `try_send`s:
+//! socket. The unit of hand-off is a **block**: a run of whole 14-byte
+//! frames (the serve loop cuts one per pacing quantum, [`crate::pace`];
+//! [`Hub::broadcast`] is the one-frame block). Each consumer gets one
+//! bounded byte queue (`queue_frames × 14` bytes) drained by its own
+//! writer thread, which swaps everything pending out and hands it to the
+//! sink in one `write_all` — so a block costs one lock, at most one wake
+//! and one socket write, however many frames it carries. The
+//! broadcaster appends a block only if it fits:
 //!
-//! * queue has room → the frame is enqueued; the high-watermark gauge
-//!   `cn_live_backlog_blocks` tracks the deepest any queue has been
-//!   (one block = one queued 14-byte frame);
+//! * it fits → the block is queued whole; the high-watermark gauge
+//!   `cn_live_backlog_blocks` tracks the deepest any queue has been, in
+//!   queued 14-byte **frames** (the name predates the block unit);
 //!   per-consumer twins (`cn_live_consumer_backlog_blocks`,
 //!   `cn_live_consumer_drops_total`, `cn_live_consumer_frames_total`,
 //!   all labeled `{consumer="id"}`) are registered at accept time so
 //!   `/status` can say *which* consumer is the slow one — the
-//!   broadcaster-wide totals are kept unchanged alongside;
-//! * queue is full → the frame is **dropped for that consumer only**,
-//!   counted in `cn_live_drops_total`, and folded into a pending gap
-//!   marker that is enqueued at the next opportunity — so the gap
-//!   appears on the wire at exactly the position the loss happened and
-//!   the consumer's verdict becomes the typed
+//!   broadcaster-wide totals are kept unchanged alongside, and
+//!   `cn_live_blocks_total` counts blocks broadcast (the wake rate);
+//! * it does not → the whole block is **dropped for that consumer
+//!   only** (never split: drops arrive a block at a time), its frames
+//!   counted in `cn_live_drops_total` and folded into a pending gap
+//!   marker that is queued ahead of the next block that fits — so the
+//!   gap appears on the wire at exactly the position the loss happened
+//!   and the consumer's verdict becomes the typed
 //!   [`StreamError::ConsumerLagged`]. Degradation is per-consumer,
 //!   explicit, and position-accurate; never a silently shorter stream.
 //!
-//! Consumers that disconnect are marked dead and skipped. On clean
-//! source exhaustion [`Hub::finish`] flushes pending gaps and an End
-//! marker to every live consumer (with a bounded patience budget so a
-//! wedged socket cannot hang shutdown); [`Hub::abort`] drops the queues
-//! as-is, which writers observe as a close without an End marker — the
-//! wire-level signal for "server stopped mid-stream, resume from the
-//! checkpoint".
+//! Consumers whose writer has exited (disconnect, sink error) are
+//! skipped. On clean source exhaustion [`Hub::finish`] queues pending
+//! gaps and an End marker to every live consumer (with a bounded
+//! patience budget so a wedged socket cannot hang shutdown);
+//! [`Hub::abort`] closes the queues as-is, which writers observe as a
+//! close without an End marker — the wire-level signal for "server
+//! stopped mid-stream, resume from the checkpoint".
 
-use std::io::{BufWriter, Write};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::io::Write;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -72,18 +78,39 @@ impl ConsumerReport {
     }
 }
 
+/// One consumer's byte queue, shared by the broadcaster (appends whole
+/// blocks) and the writer thread (swaps everything pending out).
+#[derive(Default)]
+struct Queue {
+    state: Mutex<QueueState>,
+    /// Signalled when `pending` turns non-empty or the queue closes.
+    ready: Condvar,
+}
+
+impl Queue {
+    /// No update leaves the state torn, so it is as good after a panic
+    /// elsewhere as before: poisoning is ignored (and `Drop` may lock).
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+#[derive(Default)]
+struct QueueState {
+    /// Whole frames accepted and not yet taken by the writer.
+    pending: Vec<u8>,
+    /// Record frames dropped for this consumer so far (the writer's
+    /// final report carries it).
+    dropped: u64,
+    /// The hub let go of the consumer: drain `pending`, then exit.
+    closed: bool,
+}
+
 struct ConsumerSlot {
-    tx: SyncSender<[u8; FRAME_BYTES]>,
-    /// Frames currently queued (incremented on send, decremented by the
-    /// writer on receive) — feeds the backlog high-watermark gauge.
-    inflight: Arc<AtomicU64>,
-    /// Total record frames dropped for this consumer (shared with the
-    /// writer so the final report carries it).
-    dropped: Arc<AtomicU64>,
+    queue: Arc<Queue>,
     /// Drops not yet announced on the wire; folded into one gap marker
-    /// enqueued at the next successful send.
+    /// queued ahead of the next block that fits.
     pending_gap: u64,
-    dead: bool,
     /// `cn_live_consumer_drops_total{consumer="id"}` — this consumer's
     /// own drop series (the unlabeled total is kept alongside).
     drops: Counter,
@@ -93,6 +120,23 @@ struct ConsumerSlot {
     /// construction, and a consumer falls behind exactly by letting its
     /// queue deepen.
     backlog: Gauge,
+}
+
+impl ConsumerSlot {
+    /// The writer thread holds the only other handle on the queue, so a
+    /// lone reference means it has exited (disconnect, sink error).
+    fn alive(&self) -> bool {
+        Arc::strong_count(&self.queue) > 1
+    }
+}
+
+impl Drop for ConsumerSlot {
+    /// Letting go of a slot closes its queue: the writer drains what is
+    /// pending and exits.
+    fn drop(&mut self) {
+        self.queue.lock().closed = true;
+        self.queue.ready.notify_one();
+    }
 }
 
 /// Handle on one consumer's writer thread.
@@ -130,8 +174,10 @@ impl ConsumerHandle {
 pub struct Hub {
     consumers: Mutex<Vec<ConsumerSlot>>,
     handles: Mutex<Vec<ConsumerHandle>>,
-    queue_frames: usize,
+    /// Per-consumer queue bound, `queue_frames × 14`.
+    queue_bytes: usize,
     next_id: AtomicUsize,
+    blocks_total: Counter,
     drops_total: Counter,
     backlog: Gauge,
     /// Kept so per-consumer series can be registered at accept time —
@@ -141,16 +187,18 @@ pub struct Hub {
 
 impl Hub {
     /// A hub whose per-consumer queues hold `queue_frames` frames.
-    /// Metrics (`cn_live_drops_total`, `cn_live_backlog_blocks`, and
-    /// the per-consumer `cn_live_consumer_*{consumer="id"}` series
-    /// registered on accept) land in `registry`.
+    /// Metrics (`cn_live_blocks_total`, `cn_live_drops_total`,
+    /// `cn_live_backlog_blocks`, and the per-consumer
+    /// `cn_live_consumer_*{consumer="id"}` series registered on accept)
+    /// land in `registry`.
     pub fn new(queue_frames: usize, registry: &Registry) -> Hub {
         debug_assert!(queue_frames > 0, "unvalidated zero queue depth");
         Hub {
             consumers: Mutex::new(Vec::new()),
             handles: Mutex::new(Vec::new()),
-            queue_frames: queue_frames.max(1),
+            queue_bytes: queue_frames.max(1) * FRAME_BYTES,
             next_id: AtomicUsize::new(0),
+            blocks_total: registry.counter("cn_live_blocks_total"),
             drops_total: registry.counter("cn_live_drops_total"),
             backlog: registry.gauge("cn_live_backlog_blocks"),
             registry: registry.clone(),
@@ -164,15 +212,10 @@ impl Hub {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let id_str = id.to_string();
         let consumer_label: [(&str, &str); 1] = [("consumer", id_str.as_str())];
-        let (tx, rx) = std::sync::mpsc::sync_channel::<[u8; FRAME_BYTES]>(self.queue_frames);
-        let inflight = Arc::new(AtomicU64::new(0));
-        let dropped = Arc::new(AtomicU64::new(0));
+        let queue = Arc::new(Queue::default());
         let slot = ConsumerSlot {
-            tx,
-            inflight: Arc::clone(&inflight),
-            dropped: Arc::clone(&dropped),
+            queue: Arc::clone(&queue),
             pending_gap: 0,
-            dead: false,
             drops: self
                 .registry
                 .counter_with("cn_live_consumer_drops_total", &consumer_label),
@@ -183,8 +226,7 @@ impl Hub {
         let frames_total = self
             .registry
             .counter_with("cn_live_consumer_frames_total", &consumer_label);
-        let join =
-            std::thread::spawn(move || writer_loop(id, sink, rx, inflight, dropped, frames_total));
+        let join = std::thread::spawn(move || writer_loop(id, sink, &queue, &frames_total));
         self.consumers.lock().unwrap().push(slot);
         self.handles
             .lock()
@@ -193,127 +235,83 @@ impl Hub {
         id
     }
 
-    /// Consumers attached and not yet observed dead.
+    /// Consumers attached whose writer is still running.
     pub fn consumer_count(&self) -> usize {
-        self.consumers
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|s| !s.dead)
-            .count()
+        let consumers = self.consumers.lock().unwrap();
+        consumers.iter().filter(|s| s.alive()).count()
     }
 
-    /// Offer one record frame to every live consumer (never blocks).
+    /// Offer one record frame to every live consumer (never blocks):
+    /// the one-frame block.
     pub fn broadcast(&self, frame: [u8; FRAME_BYTES]) {
-        let mut consumers = self.consumers.lock().unwrap();
-        for slot in consumers.iter_mut() {
-            if slot.dead {
-                continue;
-            }
-            self.offer(slot, frame);
-        }
+        self.broadcast_block(&frame);
     }
 
-    /// Try to deliver `frame` to one consumer, gap bookkeeping included.
-    fn offer(&self, slot: &mut ConsumerSlot, frame: [u8; FRAME_BYTES]) {
-        // A pending gap marker goes first so it lands on the wire at the
-        // exact position the drops happened.
-        if slot.pending_gap > 0 {
-            let gap = encode_frame(&Frame::Gap {
-                dropped: slot.pending_gap,
-            });
-            match self.try_deliver(slot, gap) {
-                Ok(()) => slot.pending_gap = 0,
-                Err(TrySendError::Full(_)) => {
-                    // Still no room: the record joins the gap.
-                    self.drop_frame(slot);
-                    return;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    slot.dead = true;
-                    return;
-                }
-            }
+    /// Offer a block of whole record frames to every live consumer
+    /// (never blocks). Each consumer queues the block whole or drops it
+    /// whole; an empty block is a no-op.
+    pub fn broadcast_block(&self, block: &[u8]) {
+        debug_assert!(block.len().is_multiple_of(FRAME_BYTES), "torn block");
+        if block.is_empty() {
+            return;
         }
-        match self.try_deliver(slot, frame) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => self.drop_frame(slot),
-            Err(TrySendError::Disconnected(_)) => slot.dead = true,
-        }
-    }
-
-    /// `try_send` with backlog accounting. The depth counter is bumped
-    /// *before* the frame becomes visible to the writer (and undone on
-    /// failure) — counting after the send races the writer's decrement
-    /// and could wrap the counter below zero.
-    fn try_deliver(
-        &self,
-        slot: &ConsumerSlot,
-        frame: [u8; FRAME_BYTES],
-    ) -> Result<(), TrySendError<[u8; FRAME_BYTES]>> {
-        slot.inflight.fetch_add(1, Ordering::AcqRel);
-        match slot.tx.try_send(frame) {
-            Ok(()) => {
-                let depth = slot.inflight.load(Ordering::Acquire);
-                self.backlog.record_max(depth);
-                slot.backlog.record_max(depth);
-                Ok(())
-            }
-            Err(e) => {
-                slot.inflight.fetch_sub(1, Ordering::AcqRel);
-                Err(e)
+        self.blocks_total.inc();
+        let frames = (block.len() / FRAME_BYTES) as u64;
+        for slot in self.consumers.lock().unwrap().iter_mut() {
+            if slot.alive() && !self.try_queue(slot, block) {
+                slot.pending_gap += frames;
+                slot.queue.lock().dropped += frames;
+                self.drops_total.add(frames);
+                slot.drops.add(frames);
             }
         }
     }
 
-    fn drop_frame(&self, slot: &mut ConsumerSlot) {
-        slot.pending_gap += 1;
-        slot.dropped.fetch_add(1, Ordering::AcqRel);
-        self.drops_total.inc();
-        slot.drops.inc();
-    }
-
-    /// Blocking-ish send used only at stream end, with a bounded
-    /// patience budget so one wedged consumer cannot hang shutdown.
-    fn send_patiently(&self, slot: &mut ConsumerSlot, frame: [u8; FRAME_BYTES]) -> bool {
-        for _ in 0..FINISH_PATIENCE_MS {
-            match self.try_deliver(slot, frame) {
-                Ok(()) => return true,
-                Err(TrySendError::Full(_)) => std::thread::sleep(Duration::from_millis(1)),
-                Err(TrySendError::Disconnected(_)) => {
-                    slot.dead = true;
-                    return false;
-                }
-            }
+    /// Queue `frames` for one consumer if they fit, behind a marker for
+    /// any pending gap — queued as one unit, so the marker lands on the
+    /// wire at the exact position the drops happened.
+    fn try_queue(&self, slot: &mut ConsumerSlot, frames: &[u8]) -> bool {
+        let gap = encode_frame(&Frame::Gap {
+            dropped: slot.pending_gap,
+        });
+        let marker = if slot.pending_gap > 0 { &gap[..] } else { &[] };
+        let mut state = slot.queue.lock();
+        if state.pending.len() + marker.len() + frames.len() > self.queue_bytes {
+            return false;
         }
-        slot.dead = true;
-        false
+        // The writer only waits on an empty queue, so only the push that
+        // ends the emptiness has anyone to wake.
+        let wake = state.pending.is_empty();
+        state.pending.extend_from_slice(marker);
+        state.pending.extend_from_slice(frames);
+        let depth = (state.pending.len() / FRAME_BYTES) as u64;
+        drop(state);
+        if wake {
+            slot.queue.ready.notify_one();
+        }
+        slot.pending_gap = 0;
+        self.backlog.record_max(depth);
+        slot.backlog.record_max(depth);
+        true
     }
 
-    /// Clean end of stream: flush any pending gap, send the End marker
-    /// at watermark `emitted`, close all queues, and join the writers.
-    /// Reports come back in accept order.
+    /// Clean end of stream: queue any pending gap and the End marker at
+    /// watermark `emitted` — retrying with a bounded patience budget, so
+    /// one wedged consumer cannot hang shutdown — then close all queues
+    /// and join the writers. Reports come back in accept order.
     pub fn finish(&self, emitted: u64) -> Vec<Result<ConsumerReport, StreamError>> {
+        let end = encode_frame(&Frame::End { emitted });
         {
             let mut consumers = self.consumers.lock().unwrap();
-            for i in 0..consumers.len() {
-                let slot = &mut consumers[i];
-                if slot.dead {
-                    continue;
-                }
-                if slot.pending_gap > 0 {
-                    let gap = encode_frame(&Frame::Gap {
-                        dropped: slot.pending_gap,
-                    });
-                    if !self.send_patiently(slot, gap) {
-                        continue;
+            for slot in consumers.iter_mut() {
+                for _ in 0..FINISH_PATIENCE_MS {
+                    if !slot.alive() || self.try_queue(slot, &end) {
+                        break;
                     }
-                    slot.pending_gap = 0;
+                    std::thread::sleep(Duration::from_millis(1));
                 }
-                let end = encode_frame(&Frame::End { emitted });
-                self.send_patiently(slot, end);
             }
-            consumers.clear(); // drop senders: writers drain and exit
+            consumers.clear(); // close the queues: writers drain and exit
         }
         self.join_all()
     }
@@ -340,45 +338,43 @@ fn io_err(stage: &'static str) -> impl Fn(std::io::Error) -> StreamError {
     }
 }
 
-/// One consumer's writer: header first, then drain the queue until the
-/// hub closes it, flushing whenever the queue runs momentarily empty so
-/// paced (slow) streams still reach the socket promptly.
+/// One consumer's writer: header first, then take everything pending in
+/// one swap and hand it to the sink in one write, until the hub closes
+/// the queue and it has drained.
 fn writer_loop<W: Write>(
     id: usize,
-    sink: W,
-    rx: Receiver<[u8; FRAME_BYTES]>,
-    inflight: Arc<AtomicU64>,
-    dropped: Arc<AtomicU64>,
-    frames_total: Counter,
+    mut sink: W,
+    queue: &Queue,
+    frames_total: &Counter,
 ) -> Result<ConsumerReport, StreamError> {
-    let mut out = BufWriter::new(sink);
-    out.write_all(BINARY_MAGIC).map_err(io_err("live-header"))?;
-    out.write_all(&0u64.to_le_bytes())
-        .map_err(io_err("live-header"))?;
+    let mut header = [0u8; 16];
+    header[..8].copy_from_slice(BINARY_MAGIC);
+    sink.write_all(&header).map_err(io_err("live-header"))?;
+    sink.flush().map_err(io_err("live-flush"))?;
     let mut frames_written = 0u64;
-    let mut write = |out: &mut BufWriter<W>, frame: [u8; FRAME_BYTES]| {
-        inflight.fetch_sub(1, Ordering::AcqRel);
-        frames_written += 1;
-        frames_total.inc();
-        out.write_all(&frame).map_err(io_err("live-write"))
-    };
+    // Swapped against `pending` each round, so both buffers keep their
+    // capacity and steady state allocates nothing.
+    let mut taken = Vec::new();
     loop {
-        match rx.try_recv() {
-            Ok(frame) => write(&mut out, frame)?,
-            Err(TryRecvError::Empty) => {
-                out.flush().map_err(io_err("live-flush"))?;
-                match rx.recv() {
-                    Ok(frame) => write(&mut out, frame)?,
-                    Err(_) => break,
-                }
-            }
-            Err(TryRecvError::Disconnected) => break,
+        let mut state = queue.lock();
+        while state.pending.is_empty() && !state.closed {
+            let woken = queue.ready.wait(state);
+            state = woken.unwrap_or_else(PoisonError::into_inner);
         }
+        if state.pending.is_empty() {
+            return Ok(ConsumerReport {
+                consumer: id,
+                frames_written,
+                dropped: state.dropped,
+            });
+        }
+        std::mem::swap(&mut state.pending, &mut taken);
+        drop(state);
+        sink.write_all(&taken).map_err(io_err("live-write"))?;
+        sink.flush().map_err(io_err("live-flush"))?;
+        let frames = (taken.len() / FRAME_BYTES) as u64;
+        frames_written += frames;
+        frames_total.add(frames);
+        taken.clear();
     }
-    out.flush().map_err(io_err("live-flush"))?;
-    Ok(ConsumerReport {
-        consumer: id,
-        frames_written,
-        dropped: dropped.load(Ordering::Acquire),
-    })
 }

@@ -15,11 +15,14 @@
 //! * [`clock`] — the [`Clock`] abstraction: monotonic now + absolute
 //!   sleep, with a deterministic [`ManualClock`] for tests;
 //! * [`pace`] — open-loop pacing against absolute deadlines, so stalls
-//!   cause transient lag, never accumulated drift;
+//!   cause transient lag, never accumulated drift; deadlines inside one
+//!   [`PACE_QUANTUM_NS`] share a sleep, a queue hand-off and a socket
+//!   write (never early, under one quantum late);
 //! * [`frame`] — the wire protocol: record frames plus in-band Gap and
 //!   End markers in reserved code space, and the consumer-side reader;
-//! * [`hub`] — bounded per-consumer queues with honest overflow (drops
-//!   become positioned gap markers and a typed
+//! * [`hub`] — bounded per-consumer byte queues with honest overflow
+//!   (a block that does not fit is dropped whole; drops become
+//!   positioned gap markers and a typed
 //!   [`ConsumerLagged`](cn_trace::StreamError::ConsumerLagged) verdict);
 //! * [`checkpoint`] — atomic persistence of the emitted-records
 //!   watermark plus the spec that regenerates the stream, for
@@ -47,7 +50,7 @@ pub use frame::{
     FRAME_BYTES,
 };
 pub use hub::{ConsumerHandle, ConsumerReport, Hub};
-pub use pace::Pacer;
+pub use pace::{Pacer, PACE_QUANTUM_NS};
 pub use server::{
     IntrospectionConfig, LiveConfig, LiveError, LiveReport, LiveServer, ServerHandle,
 };

@@ -1,10 +1,14 @@
 //! The live server: pull → pace → broadcast, with stop and resume.
 //!
 //! [`LiveServer::serve`] drives one [`RecordSource`] to exhaustion (or
-//! to a stop), pacing every record against its absolute wall deadline
-//! and fanning the encoded frame out through the [`Hub`]. TCP consumers
-//! attach through [`LiveServer::bind`]'s acceptor thread; in-process
-//! consumers (tests, pipes) attach straight to the hub.
+//! to a stop) a **quantum block** at a time: it gathers every record
+//! whose absolute wall deadline lies within one pacing quantum of the
+//! block's first, sleeps once until the last of them, and fans the
+//! encoded frames out through the [`Hub`] in one hand-off — no record
+//! leaves early, none more than a quantum late (the law and the trade
+//! are in [`crate::pace`]). TCP consumers attach through
+//! [`LiveServer::bind`]'s acceptor thread; in-process consumers (tests,
+//! pipes) attach straight to the hub.
 //!
 //! ### Failure and stop semantics
 //!
@@ -14,17 +18,19 @@
 //!   [`Hub::abort`]: consumers see a clean close with no End marker and
 //!   the final checkpoint carries the exact watermark (resume is
 //!   byte-exact).
-//! * Source fault (worker panic, I/O) → the typed [`StreamError`] is
-//!   returned and consumers see the no-End close; the stream never
-//!   poses as complete.
+//! * Source fault (worker panic, I/O) → the block gathered so far is
+//!   emitted, then the typed [`StreamError`] is returned and consumers
+//!   see the no-End close; the stream never poses as complete.
 //!
 //! ### Metrics (`registry` handed to [`LiveServer::new`])
 //!
 //! * `cn_live_emitted_total` — records broadcast (counter);
+//! * `cn_live_blocks_total` — blocks broadcast (counter): `emitted /
+//!   blocks` is frames per block, blocks per second the wake rate;
 //! * `cn_live_lag_ms` — per-record emission lag behind the absolute
 //!   deadline (histogram; transient by construction, see [`Pacer`]);
-//! * `cn_live_backlog_blocks` — deepest any consumer queue has been
-//!   (high-watermark gauge);
+//! * `cn_live_backlog_blocks` — deepest any consumer queue has been,
+//!   in queued frames (high-watermark gauge);
 //! * `cn_live_drops_total` — record frames dropped across all consumers
 //!   (counter);
 //! * `cn_live_consumer_{frames_total,drops_total,backlog_blocks}` with
@@ -46,13 +52,20 @@ use std::time::Duration;
 
 use cn_obs::recorder::{FlightRecorder, RecorderConfig};
 use cn_obs::{Counter, Histogram, IntrospectionServer, Registry};
-use cn_trace::{RecordSource, StreamError};
+use cn_trace::{RecordSource, StreamError, TraceRecord};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::clock::Clock;
 use crate::frame::{encode_frame, Frame};
 use crate::hub::{ConsumerReport, Hub};
-use crate::pace::Pacer;
+use crate::pace::{Pacer, PACE_QUANTUM_NS};
+
+/// Most frames one block carries, whatever the quantum holds (a block
+/// is also never larger than the consumer queue, or it could not be
+/// queued at all). Reached only past ~2 M records per wall second, where
+/// the pacer no longer sleeps; it keeps the gather buffer at 14 KiB and
+/// lets an effectively unpaced serve hand over as it goes.
+const MAX_BLOCK_FRAMES: usize = 1024;
 
 /// Tuning for one serve run.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,7 +183,7 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Ask the serve loop (and the acceptor, if bound) to wind down at
-    /// the next record boundary.
+    /// the next block boundary.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
     }
@@ -378,39 +391,87 @@ impl<C: Clock> LiveServer<C> {
             }
             Ok(())
         };
+        let every = self.cfg.checkpoint_every;
+        let block_frames = self.cfg.queue_frames.min(MAX_BLOCK_FRAMES) as u64;
         let mut emitted = resume_from;
         let mut skipped = 0u64;
         let mut served = 0u64;
-        let mut completed = false;
         let mut pacer: Option<Pacer> = None;
-        loop {
+        // One quantum block: its encoded frames, each record's deadline,
+        // and the first record past the quantum, held for the next block.
+        let mut block: Vec<u8> = Vec::new();
+        let mut deadlines: Vec<u64> = Vec::new();
+        let mut held: Option<TraceRecord> = None;
+        let completed = loop {
             if self.stop.load(Ordering::SeqCst) {
-                break;
+                break false;
             }
-            if self.cfg.stop_after.is_some_and(|n| emitted >= n) {
-                break;
+            // Blocks are cut at every watermark someone can observe —
+            // `stop_after` and each `checkpoint_every` multiple — so
+            // checkpoints and the resume splice stay exact to the record.
+            let mut room = block_frames;
+            if let Some(n) = self.cfg.stop_after {
+                room = room.min(n.saturating_sub(emitted));
             }
-            let Some(record) = source.try_next().map_err(LiveError::Stream)? else {
-                completed = true;
-                break;
+            if every != 0 {
+                room = room.min(every - emitted % every);
+            }
+            if room == 0 {
+                break false; // `stop_after` reached
+            }
+            block.clear();
+            deadlines.clear();
+            // How the gather ended: `Ok(true)` with more to come (room
+            // used up, or the quantum over), `Ok(false)` on exhaustion,
+            // `Err` on a source fault. The block gathered so far goes out
+            // before any of them is acted on.
+            let more = loop {
+                if deadlines.len() as u64 == room {
+                    break Ok(true);
+                }
+                let record = match held.take() {
+                    Some(record) => record,
+                    None => match source.try_next() {
+                        Ok(Some(record)) => record,
+                        Ok(None) => break Ok(false),
+                        Err(e) => break Err(e),
+                    },
+                };
+                if skipped < resume_from {
+                    skipped += 1;
+                    continue;
+                }
+                let t_ms = record.t.as_millis();
+                let pacer = pacer.get_or_insert_with(|| {
+                    Pacer::new(&self.clock, self.cfg.compression, t_ms, self.lag_ms.clone())
+                });
+                let deadline = pacer.deadline_ns(t_ms);
+                let first = *deadlines.first().unwrap_or(&deadline);
+                if deadline.saturating_sub(first) >= PACE_QUANTUM_NS {
+                    held = Some(record);
+                    break Ok(true);
+                }
+                block.extend_from_slice(&encode_frame(&Frame::Record(record)));
+                deadlines.push(deadline);
             };
-            if skipped < resume_from {
-                skipped += 1;
-                continue;
+            if let (Some(pacer), Some(&last)) = (&pacer, deadlines.last()) {
+                let now = pacer.sleep_until(last);
+                self.hub.broadcast_block(&block);
+                for deadline in &deadlines {
+                    pacer.record_lag(now, *deadline);
+                }
+                let frames = deadlines.len() as u64;
+                emitted += frames;
+                served += frames;
+                self.emitted_total.add(frames);
+                if every != 0 && emitted.is_multiple_of(every) {
+                    save(emitted)?;
+                }
             }
-            let t_ms = record.t.as_millis();
-            let pacer = pacer.get_or_insert_with(|| {
-                Pacer::new(&self.clock, self.cfg.compression, t_ms, self.lag_ms.clone())
-            });
-            pacer.pace(t_ms);
-            self.hub.broadcast(encode_frame(&Frame::Record(record)));
-            emitted += 1;
-            served += 1;
-            self.emitted_total.inc();
-            if self.cfg.checkpoint_every != 0 && emitted.is_multiple_of(self.cfg.checkpoint_every) {
-                save(emitted)?;
+            if !more? {
+                break true;
             }
-        }
+        };
         // Wind the fan-out down before the final checkpoint so the
         // checkpoint never claims more than what reached the queues.
         let consumers = if completed {

@@ -114,10 +114,13 @@ fn stop_and_resume_reproduce_the_stream_byte_for_byte() {
         scenario: None,
     };
 
-    // First incarnation: killed (stop_after) at the cut watermark.
+    // First incarnation: killed (stop_after) at the cut watermark — at
+    // this factor mid-quantum, so the block must be cut there, with a
+    // periodic checkpoint landing mid-quantum on the way.
     let registry = Registry::disabled();
     let mut cfg = LiveConfig::new(FAST);
     cfg.stop_after = Some(cut);
+    cfg.checkpoint_every = 5;
     let server = LiveServer::new(SystemClock::new(), cfg, &registry).unwrap();
     let sink1 = SharedSink::default();
     server.hub().add_writer(sink1.clone());
@@ -134,6 +137,8 @@ fn stop_and_resume_reproduce_the_stream_byte_for_byte() {
     // Abrupt stop: no End marker — the wire itself says "incomplete".
     assert_eq!(captured1.end, None);
     assert_eq!(captured1.records.len() as u64, cut);
+    let wire1_len = sink1.0.lock().unwrap().len() as u64;
+    assert_eq!(wire1_len, 16 + cut * FRAME_BYTES as u64);
 
     // Second incarnation: rebuilt from the checkpoint alone.
     let ckpt = Checkpoint::load(&ckpt_path).unwrap();
@@ -197,6 +202,15 @@ impl<I: Iterator<Item = TraceRecord>> RecordSource for FaultAfter<I> {
 
 #[test]
 fn a_crash_resumes_from_the_last_periodic_checkpoint() {
+    // Sparse (every record its own block) and with the whole stream
+    // inside one pacing quantum, where the periodic watermark and the
+    // fault both land mid-quantum and must still cut the block.
+    for compression in [3600.0, FAST] {
+        crash_and_resume_at(compression);
+    }
+}
+
+fn crash_and_resume_at(compression: f64) {
     // The only crash-recovery path: `checkpoint_every = k`, the serve
     // dies mid-stream (no graceful final save), and the next incarnation
     // has nothing but the periodic file on disk.
@@ -208,7 +222,7 @@ fn a_crash_resumes_from_the_last_periodic_checkpoint() {
         std::env::temp_dir().join(format!("cn-live-periodic-test-{}.json", std::process::id()));
     let template = Checkpoint {
         emitted: 0,
-        compression: 3600.0,
+        compression,
         config: config(),
         scenario: None,
     };

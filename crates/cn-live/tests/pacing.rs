@@ -5,9 +5,13 @@
 //! consumer stalls are modeled with a gated sink the test opens
 //! explicitly. The properties under test are the live service's core
 //! contracts: absolute-deadline pacing (drift is transient, never
-//! accumulated), exact compression-factor scaling, and honest
-//! degradation for lagged consumers (positioned gap markers plus a
-//! typed [`StreamError::ConsumerLagged`] verdict — never a reordered or
+//! accumulated), exact compression-factor scaling, the quantum law
+//! (deadlines inside one `PACE_QUANTUM_NS` share a sleep; no record is
+//! emitted early, none a quantum late — that block cuts keep
+//! checkpoints and resume exact is `tests/live_server.rs`), and honest
+//! degradation for lagged consumers (whole
+//! blocks dropped, positioned gap markers plus a typed
+//! [`StreamError::ConsumerLagged`] verdict — never a reordered or
 //! silently truncated stream).
 
 use std::io::Write;
@@ -15,8 +19,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use cn_gen::StreamError;
-use cn_live::{capture, encode_frame, Clock, Frame, Hub, LiveConfig, LiveServer, ManualClock};
-use cn_obs::Registry;
+use cn_live::{
+    capture, decode_frame, encode_frame, Clock, Frame, Hub, LiveConfig, LiveServer, ManualClock,
+    FRAME_BYTES, PACE_QUANTUM_NS,
+};
+use cn_obs::{Counter, Registry};
 use cn_trace::{DeviceType, EventType, IterSource, RecordSource, Timestamp, TraceRecord, UeId};
 
 fn rec(t_ms: u64, ue: u32) -> TraceRecord {
@@ -309,4 +316,188 @@ fn a_fast_consumer_is_unaffected_by_a_lagged_one() {
         slow_captured.records.len() as u64 + slow_captured.dropped(),
         total
     );
+}
+
+/// Trace-ms → wall-ns is exactly ×1000 at this factor (no float
+/// rounding in the deadlines), so one quantum is 500 trace-ms.
+const KILO: f64 = 1_000.0;
+
+/// `n` records ~4 trace-ms apart: over 100 deadlines per quantum.
+fn dense(n: u64) -> Vec<TraceRecord> {
+    (0..n).map(|i| rec(4 * i + i % 3, i as u32)).collect()
+}
+
+/// A sink stamping every frame it is handed with the mock clock.
+#[derive(Clone)]
+struct StampedSink {
+    clock: ManualClock,
+    /// Bytes received, and the clock reading per whole frame past the
+    /// 16-byte header.
+    seen: Arc<Mutex<(usize, Vec<u64>)>>,
+}
+
+impl Write for StampedSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut seen = self.seen.lock().unwrap();
+        seen.0 += buf.len();
+        let frames = seen.0.saturating_sub(16) / FRAME_BYTES;
+        seen.1.resize(frames, self.clock.now_ns());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The mock clock, held back until the sink has every frame broadcast so
+/// far (`cn_live_emitted_total` is bumped right after each broadcast,
+/// before the next sleep): time cannot move between a block's broadcast
+/// and its write, so the sink's stamps *are* the broadcast times.
+struct LockstepClock {
+    clock: ManualClock,
+    emitted: Counter,
+    sink: StampedSink,
+}
+
+impl Clock for LockstepClock {
+    fn now_ns(&self) -> u64 {
+        self.clock.now_ns()
+    }
+
+    fn sleep_until(&self, deadline_ns: u64) {
+        let want = self.emitted.get() as usize;
+        for _ in 0..5_000 {
+            if self.sink.seen.lock().unwrap().1.len() >= want {
+                return self.clock.sleep_until(deadline_ns);
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        panic!("the writer never drained {want} broadcast frames");
+    }
+}
+
+/// The quantum law on a dense stream: one sleep per quantum of
+/// deadlines, no record broadcast before its own deadline, none a whole
+/// quantum after it.
+#[test]
+fn a_dense_stream_sleeps_once_per_quantum_never_early_never_a_quantum_late() {
+    let records = dense(5_000);
+    let clock = ManualClock::new();
+    clock.advance(12_345); // non-zero wall origin
+    let registry = Registry::new();
+    let sink = StampedSink {
+        clock: clock.clone(),
+        seen: Arc::default(),
+    };
+    let lockstep = LockstepClock {
+        clock: clock.clone(),
+        emitted: registry.counter("cn_live_emitted_total"),
+        sink: sink.clone(),
+    };
+    let server = LiveServer::new(lockstep, LiveConfig::new(KILO), &registry).unwrap();
+    server.hub().add_writer(sink.clone());
+    let report = server.serve(vec_source(records.clone()), 0, None).unwrap();
+    assert!(report.completed);
+    assert_eq!(report.served, 5_000);
+
+    let t0 = records[0].t.as_millis();
+    let deadline = |r: &TraceRecord| 12_345 + (r.t.as_millis() - t0) * 1_000;
+    let stamps = sink.seen.lock().unwrap().1.clone();
+    assert_eq!(stamps.len(), 5_000 + 1, "records + the End marker");
+    for (record, &sent) in records.iter().zip(&stamps) {
+        let due = deadline(record);
+        assert!(sent >= due, "record due {due} broadcast early, at {sent}");
+        assert!(sent - due < PACE_QUANTUM_NS, "record due {due} sent {sent}");
+    }
+    let span = deadline(&records[4_999]) - deadline(&records[0]);
+    let sleeps = clock.sleeps().len() as u64;
+    assert!(sleeps <= span / PACE_QUANTUM_NS + 1, "{sleeps} sleeps");
+    assert!(
+        5_000 / sleeps >= 50,
+        "only {} records per sleep",
+        5_000 / sleeps
+    );
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("cn_live_blocks_total"), Some(sleeps));
+    assert_eq!(snapshot.histogram("cn_live_lag_ms").unwrap().count, 5_000);
+}
+
+/// Records a whole quantum (or more) apart are blocks of one: each gets
+/// its own sleep, to exactly its own deadline.
+#[test]
+fn records_a_quantum_apart_each_get_their_own_sleep() {
+    let quantum_ms = PACE_QUANTUM_NS / 1_000; // in trace-ms at KILO
+    let times = [0, quantum_ms, 2 * quantum_ms, 5 * quantum_ms + 1];
+    let records: Vec<TraceRecord> = times.iter().map(|&t| rec(t, 0)).collect();
+    let clock = ManualClock::new();
+    let server = LiveServer::new(clock.clone(), LiveConfig::new(KILO), &Registry::disabled());
+    let report = server.unwrap().serve(vec_source(records), 0, None).unwrap();
+    assert_eq!(report.served, 4);
+    let deadlines: Vec<u64> = clock.sleeps().iter().map(|&(_, d)| d).collect();
+    assert_eq!(deadlines, times.map(|t| t * 1_000));
+}
+
+/// A wedged consumer offered multi-frame blocks loses whole blocks only
+/// — even one that would have fit in part — and the one gap marker sits
+/// exactly where the first dropped block would have; the fast consumer
+/// beside it sees every frame.
+#[test]
+fn a_lagged_consumer_loses_whole_blocks_at_a_positioned_gap() {
+    const QUEUE: usize = 10;
+    const BLOCK: u64 = 4;
+    const BLOCKS: u64 = 6;
+    let total = BLOCK * BLOCKS;
+    let registry = Registry::new();
+    let hub = Hub::new(QUEUE, &registry);
+    let fast = SharedSink::default();
+    let fast_id = hub.add_writer(fast.clone());
+    let slow = GatedSink::new();
+    let slow_id = hub.add_writer(slow.clone());
+    slow.await_blocked();
+
+    // Broadcast on the fast consumer's observed progress, so its queue
+    // never holds more than one block; the wedged one takes two blocks
+    // (8 of its 10 frames) and must drop the third whole.
+    for b in 0..BLOCKS {
+        let block: Vec<u8> = (b * BLOCK..(b + 1) * BLOCK)
+            .flat_map(|i| encode_frame(&Frame::Record(rec(i * 10, i as u32))))
+            .collect();
+        hub.broadcast_block(&block);
+        let want = 16 + ((b + 1) * BLOCK) as usize * FRAME_BYTES;
+        for _ in 0..5_000 {
+            if fast.0.lock().unwrap().len() >= want {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(fast.0.lock().unwrap().len(), want, "fast consumer stalled");
+    }
+    slow.open();
+    let reports = hub.finish(total);
+    assert_eq!(reports[fast_id].as_ref().unwrap().verdict(), Ok(()));
+    assert_eq!(reports[slow_id].as_ref().unwrap().dropped, 4 * BLOCK);
+
+    let all: Vec<TraceRecord> = (0..total).map(|i| rec(i * 10, i as u32)).collect();
+    let captured = capture(&fast.0.lock().unwrap()[..]).unwrap();
+    assert_eq!(captured.records, all);
+    assert_eq!(captured.gaps, Vec::<u64>::new());
+    assert_eq!(captured.end, Some(total));
+
+    let wire = slow.out.0.lock().unwrap().clone();
+    let captured = capture(&wire[..]).unwrap();
+    assert_eq!(captured.records, all[..2 * BLOCK as usize]);
+    assert_eq!(captured.gaps, vec![4 * BLOCK]);
+    assert_eq!(captured.records.len() as u64 + captured.dropped(), total);
+    assert_eq!(captured.end, Some(total));
+    let at = 16 + 2 * BLOCK as usize * FRAME_BYTES;
+    let marker: &[u8; FRAME_BYTES] = wire[at..at + FRAME_BYTES].try_into().unwrap();
+    assert_eq!(decode_frame(marker).unwrap(), Frame::Gap { dropped: 16 });
+
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("cn_live_blocks_total"), Some(BLOCKS));
+    assert_eq!(snapshot.counter("cn_live_drops_total"), Some(4 * BLOCK));
+    // Two whole blocks queued; the gap + End pair may join them.
+    let peak = snapshot.gauge("cn_live_backlog_blocks").unwrap();
+    assert!((8..=QUEUE as u64).contains(&peak), "backlog peak {peak}");
 }

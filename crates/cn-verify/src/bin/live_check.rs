@@ -9,7 +9,7 @@
 //!
 //! Serves a 20K-UE, one-hour perturbed scenario through `cn-live` at
 //! 3600x time compression (one trace hour per wall second) to a
-//! localhost TCP consumer, and gates on four properties:
+//! localhost TCP consumer, and gates on five properties:
 //!
 //! * **wire fidelity** — the bytes the consumer captures are the batch
 //!   engine's binary trace payload byte for byte (no gaps, End marker
@@ -18,6 +18,10 @@
 //!   the absolute deadline stays under the gate (pacing jitter is
 //!   expected at 240K records/wall-second; *accumulating* lag is the
 //!   failure mode being gated);
+//! * **quantum pacing** — `cn_live_blocks_total` over the serve's wall
+//!   time stays under 1.25 blocks per pacing quantum (frames per block
+//!   is printed beside it): a slide back to one sleep and one socket
+//!   write per record shows here without a benchmark run;
 //! * **kill/resume exactness** — stopping the server a third of the way
 //!   in and resuming a fresh one from the checkpoint file reproduces
 //!   the same total byte stream;
@@ -43,7 +47,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cn_gen::{GenConfig, ShardedStream};
-use cn_live::{capture, Checkpoint, IntrospectionConfig, LiveConfig, LiveServer, SystemClock};
+use cn_live::{
+    capture, Checkpoint, IntrospectionConfig, LiveConfig, LiveServer, SystemClock, PACE_QUANTUM_NS,
+};
 use cn_obs::{PromText, RecorderFrame, Registry, StatusReport, TraceSink};
 use cn_scenario::{
     Phase, PhaseKind, ScenarioSpec, ScenarioStream, StormKind, TimeWindow, UeSubset,
@@ -403,6 +409,19 @@ fn main() {
         snapshot.counter("cn_live_emitted_total"),
         Some(total),
         "emitted counter out of step"
+    );
+    // Pacing is by quantum, not by frame: per-record sleeps would show
+    // as a wake rate two orders above one block per quantum.
+    let blocks = snapshot.counter("cn_live_blocks_total").unwrap_or(0);
+    let blocks_per_s = blocks as f64 / wall.as_secs_f64();
+    let blocks_gate = 1.25e9 / PACE_QUANTUM_NS as f64;
+    println!(
+        "pacing: {blocks} blocks of {:.1} frames, {blocks_per_s:.0} per wall second (gate <={blocks_gate:.0})",
+        total as f64 / blocks.max(1) as f64
+    );
+    assert!(
+        blocks > 0 && blocks_per_s <= blocks_gate,
+        "{blocks_per_s:.0} blocks per wall second exceeds the {blocks_gate:.0}/s quantum-pacing gate"
     );
 
     // Gate 3: kill a third of the way in, resume from the checkpoint.

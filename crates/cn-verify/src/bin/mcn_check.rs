@@ -32,6 +32,7 @@
 //! the pinned benchmark location (the default is the repo-root
 //! `BENCH_mcn.json`). Exits non-zero when any gate fails.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 
@@ -93,6 +94,8 @@ fn closed_loop_report(
 
     let consumer = std::thread::spawn(move || -> Result<(DesReport, u64), McnError> {
         let stream = TcpStream::connect(addr).expect("connect to live server");
+        // Buffered: a block written is a block read, not a `read(2)` per frame.
+        let stream = BufReader::with_capacity(64 << 10, stream);
         let source = LiveRecordSource::new(stream, 0).expect("live stream header");
         let sim = DesSim::new(des_config()).expect("valid DES config");
         drive_des(sim, source)

@@ -4,8 +4,9 @@
 //! core-network emulator under test, a dashboard, a load generator —
 //! want the *events as they happen* instead. `cn-live` turns any engine
 //! stream into that: a TCP server that paces each record against its
-//! absolute wall deadline at a configurable time-compression factor and
-//! ships it in the same 14-byte binary framing the batch writers use.
+//! absolute wall deadline at a configurable time-compression factor —
+//! never early, at most one 500 µs pacing quantum late — and ships it in
+//! the same 14-byte binary framing the batch writers use.
 //!
 //! This example serves one synthetic hour at 600x compression (the hour
 //! replays in six wall seconds) to an in-process TCP consumer, with the
@@ -26,6 +27,7 @@ use cellular_cp_traffgen::live::{
 };
 use cellular_cp_traffgen::obs::Registry;
 use cellular_cp_traffgen::prelude::*;
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -95,7 +97,8 @@ fn main() {
     // The consumer: connect, drain to end-of-stream, keep everything.
     let consumer = std::thread::spawn(move || {
         let stream = TcpStream::connect(addr).expect("connect");
-        capture(stream).expect("drain live stream")
+        // Buffered: a block written is a block read, not a `read(2)` per frame.
+        capture(BufReader::with_capacity(64 << 10, stream)).expect("drain live stream")
     });
     while server.hub().consumer_count() < 1 {
         std::thread::sleep(std::time::Duration::from_millis(1));
