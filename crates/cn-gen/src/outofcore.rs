@@ -25,37 +25,45 @@
 //!    bytes would exceed [`OutOfCoreConfig::buffer_budget_bytes`]; a run
 //!    growing past the budget moves to an anonymous temp file (created
 //!    then immediately unlinked, so a crash leaks nothing) and keeps
-//!    appending there. Peak RSS is therefore O(budget + workers × chunk
-//!    state + read windows), independent of trace length.
-//! 3. **Zero-copy k-way merge** — the runs merge through a compact
-//!    [`KeyLoserTree`] over packed record keys. When a run wins, every
-//!    buffered record preceding the runner-up's key (found by galloping
-//!    over the encoded bytes, [`run_prefix`] over [`record_key_at`]) is
-//!    copied **verbatim** into one output window, which goes to the sink
-//!    with one [`BinaryStreamWriter::write_encoded`] per full window — no
-//!    per-record decode or re-encode anywhere between generation and
-//!    disk, and sink writes are O(bytes / window) however finely the runs
-//!    interleave.
+//!    appending there.
+//! 3. **Range-partitioned zero-copy merge** — the caller, still the sole
+//!    owner of every run, spill file and the sink, cuts the runs into
+//!    *slices* by key: every run's records `<=` a bound ([`run_prefix`]
+//!    galloping over [`record_key_at`]), copied back to back into one
+//!    buffer of at most [`MERGE_SLICE_BYTES`] (see [`cut_slice`]). Slices
+//!    go round-robin to [`GenConfig::threads`] scoped merge workers, which
+//!    merge a slice's parts through a [`KeyLoserTree`], gallop-sized
+//!    prefixes copied **verbatim**; the caller lands the outputs strictly
+//!    in slice order through one output window, one
+//!    [`BinaryStreamWriter::write_encoded`] per window. No record is
+//!    decoded or re-encoded between generation and disk, and sink writes
+//!    are O(bytes / window) however finely the runs interleave.
+//!
+//! Peak RSS is O(workers × chunk state) while generating, then O(budget +
+//! slices in flight + spill-read windows) — the last two a few slices'
+//! worth whatever the run count — independent of trace length.
 //!
 //! ### Byte identity
 //!
 //! Record order is a strict total order and every UE lives in exactly one
 //! chunk, so cross-run key comparisons never tie (see
 //! [`TraceRecord::merge_key`](cn_trace::TraceRecord::merge_key)): the
-//! merged byte stream is *the* unique sorted trace, identical to
+//! merged byte stream is *the* unique sorted trace, which any key bound
+//! splits into a prefix and a suffix, identical to
 //! [`cn_trace::io::to_binary`] of [`crate::generate`]'s output for the
 //! same [`GenConfig`] — at every chunk size, every spill budget
-//! (including a zero budget that spills every run) and every thread
-//! count. The `cn-verify` golden gate pins this.
+//! (including a zero budget that spills every run), every thread count
+//! and every slice size. The `cn-verify` golden gate pins this.
 //!
 //! ### Failure containment
 //!
 //! Spill and export I/O failures surface as typed
 //! [`StreamError::Io`] values carrying the failing stage, and a panicking
-//! chunk worker as [`StreamError::WorkerPanicked`] carrying the chunk
-//! index — the same contract the sharded pipeline established. Whichever
-//! side fails first, the caller hangs up on every worker (a blocked send
-//! fails and the worker exits) and joins them all before returning. The
+//! chunk or merge worker as [`StreamError::WorkerPanicked`] carrying the
+//! chunk or slice index — the same contract the sharded pipeline
+//! established. Whichever side fails first, in either phase, the caller
+//! hangs up on every worker (a blocked send or receive fails and the
+//! worker exits) and joins them all before returning. The
 //! sink is driven through [`BinaryStreamWriter`], so an export that
 //! errors out leaves the unfinished-count sentinel in the header: the
 //! partial file *fails* [`cn_trace::io::from_binary`] loudly and is
@@ -92,13 +100,21 @@ const CHUNK_BLOCK_RECORDS: usize = 4096;
 /// `workers × WORKER_CHANNEL_BLOCKS` blocks in flight.
 const WORKER_CHANNEL_BLOCKS: usize = 4;
 
-/// Bytes per read window when merging a spilled run back in (a whole
-/// number of records, ~112 KiB).
-const SPILL_READ_BYTES: usize = RECORD_BYTES * 8192;
+/// Shares of a merge slice (see [`cut_slice`]) one spill read loads: all
+/// spill windows together stay under this many slices' worth plus one.
+const SPILL_READ_SHARES: usize = 8;
 
-/// Bytes of merge output staged between sink writes (the same size class
-/// as one spill read window).
-const OUTPUT_WINDOW_BYTES: usize = SPILL_READ_BYTES;
+/// Bytes of merge output staged between sink writes (112 KiB).
+const OUTPUT_WINDOW_BYTES: usize = RECORD_BYTES * 8192;
+
+/// Upper bound on the bytes of one merge slice; one in flight holds at
+/// most this much input plus as much output. Half this stays under glibc's
+/// mmap threshold, ~2.7 MiB lighter, and merges ~5 % slower end to end.
+const MERGE_SLICE_BYTES: usize = 256 << 10;
+
+/// Slices a merge worker may hold, queued or merged, before the calling
+/// thread lands the oldest: one to work on while the next is being cut.
+const MERGE_WORKER_SLICES: usize = 2;
 
 /// Tuning knobs for [`generate_out_of_core`].
 #[derive(Debug, Clone)]
@@ -229,127 +245,92 @@ impl RunStore {
     }
 }
 
-/// Merge-side view of one run: a window of undelivered encoded bytes,
-/// refilled from the spill file in [`SPILL_READ_BYTES`] slabs (memory
-/// runs are a single window).
+/// Merge-side view of one run: a window of undelivered encoded bytes (a
+/// memory run is one window; a spilled run's grows by [`Self::refill`]).
 struct RunReader {
-    src: RunSrc,
-}
-
-enum RunSrc {
-    Mem {
-        buf: Vec<u8>,
-        pos: usize,
-    },
-    File {
-        file: File,
-        buf: Vec<u8>,
-        pos: usize,
-        /// Bytes of the run not yet loaded into `buf`.
-        left: u64,
-    },
+    buf: Vec<u8>,
+    /// Offset of the window in `buf`.
+    pos: usize,
+    /// A spilled run's file and how many of its bytes are not loaded yet.
+    spill: Option<(File, u64)>,
+    /// Whole records per spill read; the merge re-aims it at every cut.
+    read_bytes: usize,
 }
 
 impl RunReader {
     fn new(store: RunStore) -> Result<RunReader, StreamError> {
-        match store.data {
-            RunData::Mem(buf) => Ok(RunReader {
-                src: RunSrc::Mem { buf, pos: 0 },
-            }),
+        let (buf, spill) = match store.data {
+            RunData::Mem(buf) => (buf, None),
             RunData::Spilled(mut file) => {
                 file.seek(SeekFrom::Start(0))
                     .map_err(|e| io_err("spill-read", e))?;
-                let mut reader = RunReader {
-                    src: RunSrc::File {
-                        file,
-                        buf: Vec::new(),
-                        pos: 0,
-                        left: store.len_bytes,
-                    },
-                };
-                reader.refill()?;
-                Ok(reader)
+                (Vec::new(), Some((file, store.len_bytes)))
             }
-        }
+        };
+        Ok(RunReader {
+            buf,
+            pos: 0,
+            spill,
+            read_bytes: RECORD_BYTES,
+        })
     }
 
     /// The undelivered bytes currently in memory (whole records).
     fn window(&self) -> &[u8] {
-        match &self.src {
-            RunSrc::Mem { buf, pos } | RunSrc::File { buf, pos, .. } => &buf[*pos..],
-        }
+        &self.buf[self.pos..]
     }
 
     fn consume(&mut self, n: usize) {
-        match &mut self.src {
-            RunSrc::Mem { pos, .. } | RunSrc::File { pos, .. } => *pos += n,
-        }
+        self.pos += n;
     }
 
-    /// Merge key of the run's next record ([`EXHAUSTED_KEY`] when the
-    /// current window is empty — callers refill before trusting that as
-    /// end-of-run for spilled sources).
-    fn head_key(&self) -> u128 {
-        let w = self.window();
-        if w.is_empty() {
-            EXHAUSTED_KEY
-        } else {
-            record_key_at(w, 0)
-        }
-    }
-
-    /// Load the next slab of a spilled run; `Ok(false)` when the run has
-    /// no bytes left (always, for memory runs, whose single window is the
-    /// whole buffer). A spill file shorter than the run's recorded length
-    /// — a torn or truncated file — fails the exact-length read and
-    /// surfaces as a typed `spill-read` error.
+    /// Move the window to the front of the buffer and append the next
+    /// read of a spilled run behind it; `Ok(false)` when the run has no
+    /// bytes left to load (always, for memory runs). A spill file shorter
+    /// than the run's recorded length — a torn or truncated file — fails
+    /// the exact-length read and surfaces as a typed `spill-read` error.
     fn refill(&mut self) -> Result<bool, StreamError> {
-        match &mut self.src {
-            RunSrc::Mem { .. } => Ok(false),
-            RunSrc::File {
-                file,
-                buf,
-                pos,
-                left,
-            } => {
-                if *left == 0 {
-                    return Ok(false);
-                }
-                let take = (*left).min(SPILL_READ_BYTES as u64) as usize;
-                buf.resize(take, 0);
-                *pos = 0;
-                file.read_exact(buf).map_err(|e| {
-                    io_err(
-                        "spill-read",
-                        format!("torn spill file ({take} byte read): {e}"),
-                    )
-                })?;
-                *left -= take as u64;
-                Ok(true)
-            }
+        let Some((file, left)) = &mut self.spill else {
+            return Ok(false);
+        };
+        if *left == 0 {
+            return Ok(false);
         }
+        let take = (*left).min(self.read_bytes as u64) as usize;
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        let tail = self.buf.len();
+        self.buf.resize(tail + take, 0);
+        file.read_exact(&mut self.buf[tail..]).map_err(|e| {
+            io_err(
+                "spill-read",
+                format!("torn spill file ({take} byte read): {e}"),
+            )
+        })?;
+        *left -= take as u64;
+        Ok(true)
     }
 }
 
-/// One chunk worker as the committing thread sees it.
-struct Lane<'scope> {
-    /// First chunk of the worker's stripe (it generates every
-    /// `workers`-th chunk from here).
-    first_chunk: usize,
-    rx: Receiver<(usize, EncodedBlock)>,
+/// One worker as the calling thread sees it: a chunk worker shipping
+/// blocks in phase 1, a merge worker returning slice outputs in phase 2.
+struct Lane<'scope, T> {
+    /// First chunk or slice of the worker's stripe (every `workers`-th).
+    first: usize,
+    rx: Receiver<T>,
     handle: ScopedJoinHandle<'scope, Result<(), StreamError>>,
 }
 
-impl Lane<'_> {
-    /// Hang up and take the worker's verdict; one that is still
-    /// generating exits at its next send.
+impl<T> Lane<'_, T> {
+    /// Hang up and take the worker's verdict; one that is still working
+    /// exits at its next send.
     fn join(self) -> Result<(), StreamError> {
         drop(self.rx);
         // The worker body runs under `catch_unwind`, so a join error can
         // only come from outside it; report it rather than re-raise.
         self.handle.join().unwrap_or_else(|payload| {
             Err(StreamError::WorkerPanicked {
-                shard: self.first_chunk,
+                shard: self.first,
                 payload: panic_payload(payload.as_ref()),
             })
         })
@@ -393,7 +374,7 @@ fn ship_chunk<F: FaultHook>(
 /// channel means its worker is done: joined on the spot, so a panic
 /// surfaces before the other workers generate anything further.
 fn commit_blocks(
-    lanes: &mut Vec<Lane<'_>>,
+    lanes: &mut Vec<Lane<'_, (usize, EncodedBlock)>>,
     runs: &mut [RunStore],
     occ: &OutOfCoreConfig,
 ) -> Result<(), StreamError> {
@@ -428,12 +409,12 @@ fn generate_runs<F: FaultHook>(
     let workers = config.resolved_threads().min(chunks);
     let mut runs: Vec<RunStore> = (0..chunks).map(|_| RunStore::new()).collect();
     std::thread::scope(|scope| {
-        let mut lanes: Vec<Lane<'_>> = (0..workers)
-            .map(|first_chunk| {
+        let mut lanes: Vec<Lane<'_, _>> = (0..workers)
+            .map(|first| {
                 let (tx, rx) = sync_channel(WORKER_CHANNEL_BLOCKS);
                 let trace = trace.clone();
                 let handle = scope.spawn(move || {
-                    let mut chunk = first_chunk;
+                    let mut chunk = first;
                     catch_unwind(AssertUnwindSafe(|| {
                         while chunk < chunks {
                             // `chunk < ⌈total / chunk_ues⌉`, so `lo < total`.
@@ -454,11 +435,7 @@ fn generate_runs<F: FaultHook>(
                         payload: panic_payload(payload.as_ref()),
                     })
                 });
-                Lane {
-                    first_chunk,
-                    rx,
-                    handle,
-                }
+                Lane { first, rx, handle }
             })
             .collect();
         let _commit_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_commit"));
@@ -475,57 +452,196 @@ fn generate_runs<F: FaultHook>(
     Ok(runs)
 }
 
-/// Phase 2: zero-copy k-way merge of the encoded runs into `writer`,
-/// staged through one output window.
-fn merge_runs<W: Write + Seek>(
-    runs: Vec<RunStore>,
-    writer: &mut BinaryStreamWriter<W>,
-) -> Result<(), StreamError> {
-    let mut readers = runs
-        .into_iter()
-        .map(RunReader::new)
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut tree = KeyLoserTree::new(readers.iter().map(RunReader::head_key).collect());
-    let mut staged: Vec<u8> = Vec::with_capacity(OUTPUT_WINDOW_BYTES);
-    let mut write = |bytes: &[u8]| {
-        writer
-            .write_encoded(bytes)
-            .map_err(|e| io_err("export-write", e))
-    };
+/// What a merge worker merges: the slice's parts' bytes, back to back in
+/// run-index order, and where each (non-empty) part ends.
+type Slice = (Vec<u8>, Vec<usize>);
+
+/// Bytes of the whole records at the front of sorted `bytes` that precede
+/// `bound` ([`run_prefix`] galloping over keys read in place).
+fn prefix_bytes(bytes: &[u8], bound: u128, wins_ties: bool) -> usize {
+    let records = bytes.len() / RECORD_BYTES;
+    run_prefix(records, |i| record_key_at(bytes, i), bound, wins_ties) * RECORD_BYTES
+}
+
+/// Cut the next slice off the runs: every record `<=` a key bound under
+/// which no run gives more than `share` — `slice_bytes` split over the
+/// last cut's `live` runs — and one gives all of it. `None` when drained.
+fn cut_slice(
+    readers: &mut [RunReader],
+    slice_bytes: usize,
+    live: &mut usize,
+) -> Result<Option<Slice>, StreamError> {
+    let share = (slice_bytes / RECORD_BYTES / (*live).max(1)).max(1) * RECORD_BYTES;
+    let mut bound = EXHAUSTED_KEY;
+    *live = 0;
+    for reader in readers.iter_mut() {
+        // Topped up to its share, a window that still falls short is the
+        // whole rest of its run: it hides no record below any bound.
+        reader.read_bytes = SPILL_READ_SHARES * share;
+        while reader.window().len() < share && reader.refill()? {}
+        let window = reader.window();
+        *live += usize::from(!window.is_empty());
+        if window.len() >= share {
+            bound = bound.min(record_key_at(window, share / RECORD_BYTES - 1));
+        }
+    }
+    if *live == 0 {
+        return Ok(None);
+    }
+    let cuts: Vec<usize> = readers
+        .iter()
+        .map(|reader| prefix_bytes(reader.window(), bound, true))
+        .collect();
+    let mut arena = Vec::with_capacity(cuts.iter().sum());
+    let mut ends = Vec::new();
+    for (reader, cut) in readers.iter_mut().zip(cuts) {
+        if cut > 0 {
+            arena.extend_from_slice(&reader.window()[..cut]);
+            reader.consume(cut);
+            ends.push(arena.len());
+        }
+    }
+    Ok(Some((arena, ends)))
+}
+
+/// Merge one slice's parts into an exact-capacity buffer: the loser tree
+/// picks the part with the smallest head, whose prefix up to the
+/// runner-up's head is copied verbatim. Ties go to the lower run's part.
+fn merge_slice(arena: &[u8], ends: &[usize]) -> Vec<u8> {
+    let mut pos: Vec<usize> = [0].iter().chain(ends).take(ends.len()).copied().collect();
+    let mut tree = KeyLoserTree::new(
+        pos.iter()
+            .map(|&at| record_key_at(&arena[at..], 0))
+            .collect(),
+    );
+    let mut out = Vec::with_capacity(arena.len());
     while let Some(w) = tree.winner() {
         let (bound, wins_ties) = match tree.runner_up() {
             None => (EXHAUSTED_KEY, true),
             Some(u) => (tree.key(u), w < u),
         };
-        loop {
-            let window = readers[w].window();
-            let records = window.len() / RECORD_BYTES;
-            let run_bytes =
-                run_prefix(records, |i| record_key_at(window, i), bound, wins_ties) * RECORD_BYTES;
-            let drained_whole_window = run_bytes == window.len();
-            let prefix = &window[..run_bytes];
-            if staged.len() + prefix.len() > OUTPUT_WINDOW_BYTES {
+        let part = &arena[pos[w]..ends[w]];
+        let taken = prefix_bytes(part, bound, wins_ties);
+        out.extend_from_slice(&part[..taken]);
+        pos[w] += taken;
+        tree.replace_winner(if taken < part.len() {
+            record_key_at(part, taken / RECORD_BYTES)
+        } else {
+            EXHAUSTED_KEY
+        });
+    }
+    out
+}
+
+/// The calling thread's side of phase 2: deal slices round-robin to the
+/// merge workers and land their outputs on `writer` strictly in slice
+/// order, coalesced through one output window.
+fn slice_and_write<W: Write + Seek>(
+    readers: &mut [RunReader],
+    txs: &[SyncSender<(usize, Slice)>],
+    lanes: &[Lane<'_, Vec<u8>>],
+    writer: &mut BinaryStreamWriter<W>,
+    slice_bytes: usize,
+) -> Result<(), StreamError> {
+    // A worker only hangs up by panicking; the join reports that instead.
+    fn hung_up<E>(_: E) -> StreamError {
+        io_err("merge-worker", "hung up mid-merge")
+    }
+    let mut write = |bytes: &[u8]| {
+        writer
+            .write_encoded(bytes)
+            .map_err(|e| io_err("export-write", e))
+    };
+    let mut staged: Vec<u8> = Vec::with_capacity(OUTPUT_WINDOW_BYTES);
+    let (mut dealt, mut landed, mut live) = (0usize, 0usize, readers.len());
+    loop {
+        let slice = cut_slice(readers, slice_bytes, &mut live)?;
+        // Land the oldest slice when the workers hold their fill, and
+        // every one once the runs are drained.
+        while landed < dealt
+            && (slice.is_none() || dealt - landed == lanes.len() * MERGE_WORKER_SLICES)
+        {
+            let out = lanes[landed % lanes.len()].rx.recv().map_err(hung_up)?;
+            landed += 1;
+            if staged.len() + out.len() > OUTPUT_WINDOW_BYTES {
                 write(&staged)?;
                 staged.clear();
             }
-            if prefix.len() >= OUTPUT_WINDOW_BYTES {
+            if out.len() >= OUTPUT_WINDOW_BYTES {
                 // Already window-sized (nothing is staged ahead of it
                 // now): straight through, no copy.
-                write(prefix)?;
+                write(&out)?;
             } else {
-                staged.extend_from_slice(prefix);
-            }
-            readers[w].consume(run_bytes);
-            // The run may continue past the buffered window; keep
-            // draining until the bound is reached inside a window or the
-            // run has no more bytes.
-            if !drained_whole_window || !readers[w].refill()? {
-                break;
+                staged.extend_from_slice(&out);
             }
         }
-        tree.replace_winner(readers[w].head_key());
+        let Some(slice) = slice else {
+            return write(&staged);
+        };
+        txs[dealt % txs.len()]
+            .send((dealt, slice))
+            .map_err(hung_up)?;
+        dealt += 1;
     }
-    write(&staged)
+}
+
+/// Phase 2: range-partitioned zero-copy merge of the encoded runs into
+/// `writer` — slices cut and written on this thread, merged on `workers`
+/// scoped threads (see module docs). `fault_for` hooks each slice.
+fn merge_runs<W: Write + Seek, F: FaultHook>(
+    runs: Vec<RunStore>,
+    writer: &mut BinaryStreamWriter<W>,
+    workers: usize,
+    slice_bytes: usize,
+    trace: &TraceSink,
+    fault_for: &(impl Fn(usize) -> F + Sync),
+) -> Result<(), StreamError> {
+    let _merge_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_merge"));
+    let mut readers = runs
+        .into_iter()
+        .map(RunReader::new)
+        .collect::<Result<Vec<_>, _>>()?;
+    std::thread::scope(|scope| {
+        let (txs, lanes): (Vec<_>, Vec<_>) = (0..workers.max(1))
+            .map(|first| {
+                let (tx, slices) = sync_channel::<(usize, Slice)>(MERGE_WORKER_SLICES);
+                let (out_tx, rx) = sync_channel(MERGE_WORKER_SLICES);
+                let trace = trace.clone();
+                let handle = scope.spawn(move || {
+                    let mut slice = first;
+                    catch_unwind(AssertUnwindSafe(|| {
+                        for (n, (arena, ends)) in slices {
+                            slice = n;
+                            let _slice_span = trace
+                                .is_enabled()
+                                .then(|| trace.span(&format!("cn_gen_ooc_merge_slice:{n}")));
+                            let mut fault = fault_for(n);
+                            fault.on_block();
+                            fault.on_record();
+                            if out_tx.send(merge_slice(&arena, &ends)).is_err() {
+                                return;
+                            }
+                        }
+                    }))
+                    .map_err(|payload| StreamError::WorkerPanicked {
+                        shard: slice,
+                        payload: panic_payload(payload.as_ref()),
+                    })
+                });
+                (tx, Lane { first, rx, handle })
+            })
+            .unzip();
+        let merged = slice_and_write(&mut readers, &txs, &lanes, writer, slice_bytes);
+        // Hang up both ways — a worker waiting for a slice, merging one or
+        // blocked handing one back exits — and join every worker inside
+        // the scope. A panic outranks the hang-up it caused on this side.
+        drop(txs);
+        let mut panicked = Ok(());
+        for lane in lanes {
+            panicked = panicked.and(lane.join());
+        }
+        panicked.and(merged)
+    })
 }
 
 /// Generate `config`'s population straight into a binary-format sink
@@ -559,9 +675,9 @@ fn export_with_faults<W: Write + Seek, F: FaultHook>(
     fault_for: &(impl Fn(usize) -> F + Sync),
 ) -> Result<(OutOfCoreReport, W), StreamError> {
     let mut writer = BinaryStreamWriter::new(sink).map_err(|e| io_err("export-header", e))?;
-    // One sink resolution for the whole export, cloned into the chunk
-    // workers: commit, spill and merge spans nest under the export span
-    // on this thread, chunk spans open on the workers' own threads.
+    // One sink resolution for the whole export, cloned into the workers:
+    // commit, spill and merge spans nest under the export span on this
+    // thread, chunk and slice spans open on the workers' own threads.
     let trace = cn_obs::trace::global();
     let _export_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_export"));
 
@@ -569,10 +685,14 @@ fn export_with_faults<W: Write + Seek, F: FaultHook>(
     let run_count = runs.len();
     let spilled_runs = runs.iter().filter(|r| r.is_spilled()).count();
 
-    {
-        let _merge_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_merge"));
-        merge_runs(runs, &mut writer)?;
-    }
+    merge_runs(
+        runs,
+        &mut writer,
+        config.resolved_threads(),
+        MERGE_SLICE_BYTES,
+        &trace,
+        &|_| NoFault,
+    )?;
 
     let events = writer.written();
     let sink = writer.finish().map_err(|e| io_err("export-finish", e))?;
@@ -648,6 +768,24 @@ mod tests {
         assert!(from_binary(bytes).is_err());
     }
 
+    /// The export with the merge's private arguments — worker count,
+    /// slice size, sink for the slice spans, per-slice fault hook — in
+    /// the caller's hands.
+    fn export_sliced<W: Write + Seek, F: FaultHook>(
+        models: &ModelSet,
+        config: &GenConfig,
+        occ: &OutOfCoreConfig,
+        sink: W,
+        (workers, slice_bytes): (usize, usize),
+        trace: &TraceSink,
+        fault_for: &(impl Fn(usize) -> F + Sync),
+    ) -> Result<W, StreamError> {
+        let mut writer = BinaryStreamWriter::new(sink).unwrap();
+        let runs = generate_runs(models, config, occ, &TraceSink::disabled(), &|_| NoFault)?;
+        merge_runs(runs, &mut writer, workers, slice_bytes, trace, fault_for)?;
+        Ok(writer.finish().unwrap())
+    }
+
     #[test]
     fn matches_batch_to_binary_across_chunks_and_budgets() {
         let models = fitted();
@@ -707,6 +845,26 @@ mod tests {
                     assert_eq!(
                         report.spilled_runs, 0,
                         "{what}: unbounded budget spills none"
+                    );
+                }
+                // The same runs cut into slices of one record (a boundary
+                // after every record: inside a spill read, on a run's
+                // last), of a prime number of records, and of a size
+                // that is no whole number of records.
+                for slice_bytes in [RECORD_BYTES, 97 * RECORD_BYTES, 1000] {
+                    let sliced = export_sliced(
+                        &models,
+                        &config_threads(threads),
+                        &occ(chunk, budget),
+                        Cursor::new(Vec::new()),
+                        (threads, slice_bytes),
+                        &TraceSink::disabled(),
+                        &|_| NoFault,
+                    )
+                    .unwrap_or_else(|e| panic!("{what} slice {slice_bytes}: {e}"));
+                    assert!(
+                        sliced.into_inner() == expect,
+                        "{what} slice {slice_bytes}: bytes diverged"
                     );
                 }
             }
@@ -943,6 +1101,174 @@ mod tests {
                     other => panic!("threads {threads} chunk {chunk}: {other}"),
                 }
                 assert_unfinished_header_only(sink.get_ref());
+            }
+        }
+    }
+
+    #[test]
+    fn merge_worker_panic_is_a_typed_error_naming_the_slice() {
+        let models = fitted();
+        // 97-record slices of a ~700-record export: panic on the first
+        // slice and on a later one, at one worker and at several.
+        for workers in [1, 2, 3] {
+            for slice in [0, 5] {
+                let plan = FaultPlan::new().panic_shard_at(slice, 0);
+                let mut sink = Cursor::new(Vec::new());
+                let err = export_sliced(
+                    &models,
+                    &config(),
+                    &occ(7, 4 * 1024),
+                    &mut sink,
+                    (workers, 97 * RECORD_BYTES),
+                    &TraceSink::disabled(),
+                    &|n| plan.for_shard(n),
+                )
+                .expect_err("a merge worker panicked");
+                match &err {
+                    StreamError::WorkerPanicked { shard, payload } => {
+                        assert_eq!(*shard, slice, "workers {workers}: {err}");
+                        assert!(payload.contains("injected fault"), "{err}");
+                    }
+                    other => panic!("workers {workers} slice {slice}: {other}"),
+                }
+                assert_unfinished_header_only(sink.get_ref());
+            }
+        }
+    }
+
+    #[test]
+    fn sink_error_mid_merge_hangs_up_on_busy_merge_workers() {
+        // Quarter-window slices, every one held up 10 ms on its worker,
+        // and a sink that dies on the first window: when the write fails
+        // the workers hold a full deal of slices — asleep mid-slice or
+        // waiting to hand one back. Returning at all shows the hang-up
+        // reached them; the error is the sink's.
+        let models = fitted();
+        let wide = GenConfig {
+            duration_hours: 2.0,
+            threads: 2,
+            ..wide_config()
+        };
+        let plan = FaultPlan::new()
+            .slow_shard(0, Duration::from_millis(10))
+            .slow_shard(1, Duration::from_millis(10));
+        let mut backing = Cursor::new(Vec::new());
+        let err = export_sliced(
+            &models,
+            &wide,
+            &occ(64, 1 << 20),
+            FailingWriter::new(&mut backing, 16 + 10 * RECORD_BYTES),
+            (2, OUTPUT_WINDOW_BYTES / 4),
+            &TraceSink::disabled(),
+            &|n| plan.for_shard(n % 2),
+        )
+        .map(drop)
+        .expect_err("the sink dies on the first window");
+        assert!(
+            matches!(
+                err,
+                StreamError::Io {
+                    stage: "export-write",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_unfinished_header_only(backing.get_ref());
+    }
+
+    #[test]
+    fn every_slice_is_a_span_on_its_merge_workers_thread() {
+        let models = fitted();
+        let trace = TraceSink::new();
+        export_sliced(
+            &models,
+            &config(),
+            &occ(7, usize::MAX),
+            Cursor::new(Vec::new()),
+            (2, 97 * RECORD_BYTES),
+            &trace,
+            &|_| NoFault,
+        )
+        .unwrap();
+        let events = trace.events();
+        let merge = events
+            .iter()
+            .find(|e| e.name == "cn_gen_ooc_merge")
+            .expect("the calling thread's span");
+        let mut spans: Vec<(usize, u64)> = events
+            .iter()
+            .filter_map(|e| {
+                let n = e.name.strip_prefix("cn_gen_ooc_merge_slice:")?;
+                assert!(
+                    merge.ts_us <= e.ts_us && e.ts_us + e.dur_us <= merge.ts_us + merge.dur_us + 2,
+                    "{e:?} outside {merge:?}"
+                );
+                assert_ne!(e.tid, merge.tid, "slice {n} merged on the calling thread");
+                Some((n.parse().unwrap(), e.tid))
+            })
+            .collect();
+        spans.sort_unstable();
+        assert!(spans.len() > 4, "{spans:?}");
+        assert_ne!(spans[0].1, spans[1].1, "one thread merged everything");
+        for (i, &(n, tid)) in spans.iter().enumerate() {
+            // Slice n goes to worker n mod 2, whatever the timing.
+            assert_eq!((n, tid), (i, spans[i % 2].1), "{spans:?}");
+        }
+    }
+
+    #[test]
+    fn equal_keys_across_runs_leave_the_lower_run_first_at_every_slice_size() {
+        // A UE lives in one chunk, so generated runs never share a key.
+        // Three hand-built runs share every one of theirs, each twice
+        // over; the device byte, no part of the key, tells a record's run.
+        // The stable order is the generic `Trace::merge` rule: run 0's
+        // records of a key, then run 1's, then run 2's.
+        use cn_trace::{DeviceType, EventType, TraceRecord, UeId};
+        let devices = [
+            DeviceType::Phone,
+            DeviceType::ConnectedCar,
+            DeviceType::Tablet,
+        ];
+        let record = |t: u64, d| {
+            TraceRecord::new(Timestamp::from_millis(t / 2), UeId(3), d, EventType::Attach)
+        };
+        let mut expect = EncodedBlock::new();
+        for t in (0..40).step_by(2) {
+            for d in devices {
+                expect.push(&record(t, d));
+                expect.push(&record(t + 1, d));
+            }
+        }
+        for budget in [usize::MAX, 0] {
+            for workers in [1, 2] {
+                for slice_records in [1, 2, 3, 7, 1000] {
+                    let runs = devices
+                        .iter()
+                        .map(|&d| {
+                            let mut block = EncodedBlock::new();
+                            (0..40).for_each(|t| block.push(&record(t, d)));
+                            let mut run = RunStore::new();
+                            run.append(block.as_bytes(), &mut 0, &occ(1, budget))
+                                .unwrap();
+                            run
+                        })
+                        .collect();
+                    let mut writer = BinaryStreamWriter::new(Cursor::new(Vec::new())).unwrap();
+                    merge_runs(
+                        runs,
+                        &mut writer,
+                        workers,
+                        slice_records * RECORD_BYTES,
+                        &TraceSink::disabled(),
+                        &|_| NoFault,
+                    )
+                    .unwrap();
+                    assert!(
+                        writer.finish().unwrap().into_inner()[16..] == *expect.as_bytes(),
+                        "budget {budget} workers {workers} slices of {slice_records}"
+                    );
+                }
             }
         }
     }

@@ -10,17 +10,28 @@
 //! the run to seconds; RSS is a function of the chunk and the budget, not
 //! of the window, so the shrink does not soften the contract.
 //!
+//! The growth bound alone lets the merge's working set (slices in flight,
+//! spill-read windows) swell unnoticed, so a release build also holds the
+//! 2 M point under an absolute ceiling, and every point's merge-phase
+//! peak — the watermark reset again at the first merged bytes — is
+//! printed beside its whole-export peak.
+//!
 //! Linux only: skipped where `/proc/self/clear_refs` is unwritable.
 
 use cn_fit::{fit, FitConfig, Method};
 use cn_gen::{generate_out_of_core, GenConfig, OutOfCoreConfig};
 use cn_trace::{PopulationMix, Timestamp};
 use cn_world::{generate_world, WorldConfig};
+use std::io::{Seek, SeekFrom, Write};
 
 const CHUNK_UES: u32 = 16_384;
 /// (UEs, window hours): 10× the population per point.
 const AXIS: [(u32, f64); 3] = [(20_000, 2.0), (200_000, 1.0), (2_000_000, 0.25)];
 const MAX_GROWTH: f64 = 2.0;
+/// Release-profile ceiling on the 2 M point's peak. Measured 43.2–44.5
+/// MiB; the one-window merge this replaced ran at 47–53, and a merge
+/// with 1 MiB slices over 112 KiB spill windows at 55–60.
+const CEILING_2M_MIB: f64 = 48.0;
 
 /// Reset `VmHWM` to the current RSS; `false` where the knob is missing.
 fn reset_peak_rss() -> bool {
@@ -56,6 +67,35 @@ fn unlinked_sink(ues: u32) -> std::fs::File {
     file
 }
 
+/// A sink that notes the peak so far and resets the watermark on the
+/// first write after the header's two: the merge's first output window.
+struct PhaseSink {
+    file: std::fs::File,
+    writes: usize,
+    generation_peak_mib: f64,
+}
+
+impl Write for PhaseSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        if self.writes == 3 {
+            self.generation_peak_mib = peak_rss_mib();
+            reset_peak_rss();
+        }
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl Seek for PhaseSink {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.file.seek(pos)
+    }
+}
+
 #[test]
 fn peak_rss_stays_bounded_as_the_population_grows_tenfold() {
     if !reset_peak_rss() {
@@ -72,17 +112,24 @@ fn peak_rss_stays_bounded_as_the_population_grows_tenfold() {
 
     // Printed per point: libtest shows it when the test fails, so a broken
     // contract is diagnosable from the log alone.
-    println!("     ues   events  runs spilled    MiB");
+    println!("     ues   events  runs spilled    MiB  (generation, merge)");
     let mut points = Vec::new();
     for (ues, hours) in AXIS {
         let mix = PopulationMix::new(ues * 5 / 8, ues / 4, ues / 8);
         let config = GenConfig::new(mix, Timestamp::at_hour(0, 6), hours, 2023);
         assert!(reset_peak_rss(), "clear_refs stopped being writable");
-        let (report, _sink) = generate_out_of_core(&models, &config, &occ, unlinked_sink(ues))
+        let sink = PhaseSink {
+            file: unlinked_sink(ues),
+            writes: 0,
+            generation_peak_mib: 0.0,
+        };
+        let (report, sink) = generate_out_of_core(&models, &config, &occ, sink)
             .expect("out-of-core export with a healthy sink and temp dir");
-        let mib = peak_rss_mib();
+        let merge_mib = peak_rss_mib();
+        let generation_mib = sink.generation_peak_mib;
+        let mib = merge_mib.max(generation_mib);
         println!(
-            "{ues:>8} {:>8} {:>5} {:>7} {mib:>6.1}",
+            "{ues:>8} {:>8} {:>5} {:>7} {mib:>6.1}  ({generation_mib:.1}, {merge_mib:.1})",
             report.events, report.runs, report.spilled_runs
         );
         assert!(report.events > 0, "{ues} UEs generated no events");
@@ -96,6 +143,14 @@ fn peak_rss_stays_bounded_as_the_population_grows_tenfold() {
         spilled > 0,
         "{ues} UEs never spilled: the budget is not binding"
     );
+    if !cfg!(debug_assertions) {
+        let &(ues, mib, _) = points.last().expect("three points");
+        assert!(
+            mib <= CEILING_2M_MIB,
+            "{ues} UEs peaked at {mib:.1} MiB, above the {CEILING_2M_MIB} MiB ceiling: the \
+             merge's working set (slices in flight, spill-read windows) has grown"
+        );
+    }
     for pair in points.windows(2) {
         let ((small, a, _), (big, b, _)) = (pair[0], pair[1]);
         assert!(
