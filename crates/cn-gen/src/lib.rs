@@ -30,10 +30,10 @@
 //! * [`generate`] — materialize the whole trace (per-UE batch +
 //!   `Trace::merge`): the reference the golden and cross-surface tests
 //!   compare every streaming engine against;
-//! * [`PopulationStream`] — sequential bounded-memory streaming via a
-//!   calendar-queue k-way merge over packed integer keys; it *is* the
-//!   inline path of the next surface and cannot fail, so it alone keeps
-//!   [`Iterator`];
+//! * [`PopulationStream`] — sequential bounded-memory streaming: the
+//!   per-UE runs merged by time slab over packed integer keys ([`pool`]);
+//!   it *is* the inline path of the next surface and cannot fail, so it
+//!   alone keeps [`Iterator`];
 //! * [`ShardedStream`] — multi-core streaming: disjoint UE shards on
 //!   worker threads, bounded block channels, and a block-draining S-way
 //!   merge. Execution is *adaptive*: at one effective shard (including

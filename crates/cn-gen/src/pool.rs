@@ -1,28 +1,45 @@
-//! Struct-of-arrays UE pool: the compact merge hot path.
+//! Struct-of-arrays UE pool: generation by time slab.
 //!
-//! Merging one run per UE through a tournament tree is *structurally*
-//! expensive: every emitted event replays ⌈log₂k⌉ matches whose memory
-//! accesses form a serial dependency chain — ~15 dependent cache reads
-//! per record at 20K UEs, whatever the node encoding — and profiling the
-//! 20K-UE × 12h benchmark workload showed such a merge layer costing
-//! ~3–4× the pure generation work. (The tournament tree,
-//! `cn_trace::KeyLoserTree`, is still the right tool where runs are few
-//! and long: the shard and out-of-core merges.)
+//! A population stream is the k-way merge of one strictly ascending run
+//! per UE. Merging *per event* — a tournament tree, a heap, a calendar
+//! queue — visits the UEs in event order, and that order is what the
+//! generator pays for, not its arithmetic. Measured on the 2-core box, a
+//! dependent random load costs
 //!
-//! [`UePool`] therefore splits the state into parallel arrays
-//! (struct-of-arrays) and replaces the tournament with a **calendar
-//! queue** bucketed by event time:
+//! | working set | 1 MiB | 8 MiB | 24 MiB | beyond   |
+//! |-------------|-------|-------|--------|----------|
+//! | ns per load | 7     | 57    | 146    | ~200     |
 //!
-//! * `pending: Vec<TraceRecord>` — the next record per UE slot, read
-//!   exactly once per emission;
-//! * `iters: Vec<UeEventIter>` — the per-UE generator state, touched
-//!   only when the winning UE must be advanced;
-//! * [`CalendarQueue`] — packed `u64` keys (`t_rel_ms << 24 | slot`)
-//!   bucketed into coarse time slices sized for ~16 pending events each.
-//!   The bucket currently draining is a tiny binary min-heap (usually a
-//!   handful of keys, L1-resident), so emitting a record costs O(log
-//!   *bucket*) ≈ 4 compares on dense memory plus one push into a future
-//!   bucket — instead of ⌈log₂k⌉ dependent misses.
+//! and a per-event merge makes ~2.5 such loads per event: into the fitted
+//! model's ECDF samples (22 MiB, all 24 hours live at once), into the
+//! per-UE generator state (8 MiB at 20 K UEs, touched in event order), and
+//! into the merge structure itself. That — not the model — is why
+//! throughput fell as the population grew; shrinking the fitted world to
+//! 1/35 of its samples took the per-UE stage from ~206 to 69 ns/event with
+//! the code unchanged.
+//!
+//! [`UePool`] therefore generates **by time slab**. It keeps one pending
+//! `(t, event)` per UE slot in two dense arrays, and to refill it
+//!
+//! 1. walks the slots in ascending order and runs every UE whose pending
+//!    time falls before the slab's end through its [`UeEventIter`] up to
+//!    that end, appending one packed `u64` key per event,
+//!    `t_rel << 27 | slot << 3 | event` (`t_rel` in ms since
+//!    `config.start`: 37 bits, ~4.3 years; 24 slot bits; 3 event bits);
+//! 2. sorts the slab with a stable LSD radix on the time bits *only*:
+//!    the runs arrive in slot order and each is ascending, so stability
+//!    yields the `(t, slot)` order without ever comparing a slot;
+//! 3. emits records decoded from the sorted keys until the slab is drained.
+//!
+//! UE state is read sequentially, once per slab instead of once per event;
+//! the model is touched one time window at a time; and there is no
+//! per-event heap, no per-bucket allocation and no O(horizon) structure —
+//! resident state is the generators plus one slab. The slab's width
+//! adapts towards `SLAB_TARGET_EVENTS`; any width yields the same bytes.
+//! A refill reads every slot's pending time, so a pool of N UEs carries
+//! N / target sequential loads per event — negligible at the populations
+//! the streams serve, and the reason millions of UEs go through
+//! [`crate::outofcore`]'s chunks rather than one pool.
 //!
 //! The key order embeds the record order exactly: per-UE timestamps
 //! strictly increase, every UE lives in exactly one slot, and slots are
@@ -30,6 +47,8 @@
 //! to the global `(t, ue)` record order (event type never breaks a tie —
 //! `(t, ue)` is already unique). The pool's output is byte-identical to
 //! a tournament-tree merge; the `cn-verify` golden gate holds at pin parity.
+//! (The tournament tree, `cn_trace::KeyLoserTree`, is still the right tool
+//! where runs are few and long: the shard and out-of-core merges.)
 //!
 //! The same pool drives the sequential stream, each shard worker of the
 //! parallel stream (over a strided index set), and each UE-range chunk
@@ -38,235 +57,201 @@
 use crate::engine::GenConfig;
 use crate::per_ue::UeEventIter;
 use cn_fit::ModelSet;
-use cn_trace::{DeviceType, EventType, Timestamp, TraceRecord, UeId};
+use cn_obs::{Counter, TraceSink, TraceSpan};
+use cn_trace::{EventType, Timestamp, TraceRecord, UeId};
 
-/// Filler for `pending` slots whose UE produced no events; never emitted
-/// (exhausted slots have no key in the queue).
-const VACANT: TraceRecord = TraceRecord {
-    t: Timestamp(0),
-    ue: UeId(0),
-    device: DeviceType::Phone,
-    event: EventType::Attach,
-};
-
-/// Bits of a packed key reserved for the UE slot index.
-const IDX_BITS: u32 = 24;
+/// Bits of a packed key holding the event code (six event types).
+const EVENT_BITS: u32 = 3;
+/// Bits of a packed key holding the UE slot index.
+const SLOT_BITS: u32 = 24;
+/// Where `t_rel` starts in a packed key.
+const TIME_SHIFT: u32 = SLOT_BITS + EVENT_BITS;
 /// Maximum UEs per pool (16.7M); larger populations go through the
 /// chunked out-of-core path.
-const MAX_POOL: usize = 1 << IDX_BITS;
-const IDX_MASK: u64 = (1 << IDX_BITS) - 1;
-/// Bucket-count ceiling: past this the bucket width widens instead.
-const MAX_BUCKETS: u64 = 1 << 22;
-/// Events-per-UE-hour guess used only to size buckets (perf, not
-/// correctness: any bucket width yields the same output order).
-const EST_EVENTS_PER_UE_HOUR: u64 = 16;
-/// Target pending keys per bucket.
-const TARGET_PER_BUCKET: u64 = 16;
+const MAX_POOL: usize = 1 << SLOT_BITS;
+/// Exclusive bound on a pool's horizon: what is left of a key for `t_rel`.
+const MAX_HORIZON_MS: u64 = 1 << (64 - TIME_SHIFT);
+/// Events a slab's width adapts towards (perf, not correctness: any
+/// width yields the same output). Keys plus radix scratch are 16 bytes an
+/// event. Wider slabs run each UE further per visit (131 072 measured
+/// ~8 % faster sequentially), but a shard worker's slab has to fit its
+/// channel ([`crate::shard::CHANNEL_BLOCKS`]) for fill and drain to overlap.
+pub(crate) const SLAB_TARGET_EVENTS: usize = 1 << 15;
+/// Widest slab (~17 min): [`RADIX_PASSES_MAX`] passes always cover it, and
+/// a sparse pool, whose width would otherwise stretch over several model
+/// hours, is not caught wide when the hourly rate jumps (a slab overshoots
+/// its target by the rate's jump from one slab to the next).
+const MAX_WIDTH_MS: u64 = 1 << (RADIX_BITS * RADIX_PASSES_MAX);
+/// Width of the first slab; it doubles per refill until the target binds.
+const FIRST_WIDTH_MS: u64 = 1 << 10;
+/// Time bits one radix pass sorts on (a 1024-entry, 4 KiB histogram).
+const RADIX_BITS: u32 = 10;
+const RADIX_PASSES_MAX: u32 = 2;
+/// Pending time of a slot whose UE has run dry.
+const DRY: u64 = u64::MAX;
 
-/// A monotone priority queue over packed `(t_rel_ms << 24 | slot)` keys:
-/// coarse time buckets, each drained through a small binary min-heap.
-///
-/// Monotone means pops come out in ascending key order and every insert
-/// is `>=` the last popped key — exactly the discipline of a k-way merge
-/// of per-UE streams with strictly increasing timestamps. Inserts into
-/// the bucket currently draining go straight into its heap; later
-/// buckets are plain unsorted `Vec` pushes, heapified on first drain.
-struct CalendarQueue {
-    /// log₂ of the bucket width in ms.
-    shift: u32,
-    /// Future keys, bucketed by `t_rel >> shift` (index clamped to the
-    /// last bucket).
-    buckets: Vec<Vec<u64>>,
-    /// Min-heap over the keys of the bucket currently draining.
-    active: Vec<u64>,
-    /// Index of the draining bucket (`usize::MAX` before the first pop).
-    open: usize,
-    /// Total queued keys (active + all buckets).
-    len: usize,
+/// The slab merge core, independent of what produces the per-slot runs:
+/// `advance(slot)` yields the slot's next `(t_rel, event)`, strictly
+/// ascending in `t_rel`, or `None` once the run is dry.
+struct Slab {
+    /// Start-relative time of each slot's pending event ([`DRY`] once its
+    /// run ended): generated, not yet in a slab.
+    pending_t: Vec<u64>,
+    pending_event: Vec<EventType>,
+    /// The current slab's keys, sorted; `keys[cursor..]` are unemitted.
+    keys: Vec<u64>,
+    cursor: usize,
+    scratch: Vec<u64>,
+    /// Start of the next slab: the earliest pending time.
+    start: u64,
+    /// Width of the next slab in ms, in `1..=MAX_WIDTH_MS`.
+    width: u64,
+    target: u64,
+    /// Slots with a pending event.
+    live: usize,
+    /// Slots whose run ended inside the current slab.
+    retiring: usize,
 }
 
-impl CalendarQueue {
-    /// Queue for keys with `t_rel` in `[0, horizon_ms)`, sized so that
-    /// `est_events` spread over the horizon land ~[`TARGET_PER_BUCKET`]
-    /// keys per bucket.
-    fn new(horizon_ms: u64, est_events: u64) -> CalendarQueue {
-        let width = (horizon_ms / (est_events / TARGET_PER_BUCKET).max(1)).max(1);
-        let mut shift = width.ilog2();
-        while (horizon_ms >> shift) + 2 > MAX_BUCKETS {
-            shift += 1;
-        }
-        let nbuckets = ((horizon_ms >> shift) + 2) as usize;
-        CalendarQueue {
-            shift,
-            buckets: vec![Vec::new(); nbuckets],
-            active: Vec::new(),
-            open: usize::MAX,
-            len: 0,
+impl Slab {
+    fn new(pending_t: Vec<u64>, pending_event: Vec<EventType>, target: usize) -> Slab {
+        Slab {
+            live: pending_t.iter().filter(|&&t| t != DRY).count(),
+            start: pending_t.iter().copied().min().unwrap_or(DRY),
+            pending_t,
+            pending_event,
+            keys: Vec::new(),
+            cursor: 0,
+            scratch: Vec::new(),
+            width: FIRST_WIDTH_MS,
+            target: target.max(1) as u64,
+            retiring: 0,
         }
     }
 
-    /// Which bucket a key belongs to.
+    /// True when the current slab is drained and another can be filled.
     #[inline]
-    fn bucket_of(&self, key: u64) -> usize {
-        (((key >> IDX_BITS) >> self.shift) as usize).min(self.buckets.len() - 1)
+    fn wants_fill(&self) -> bool {
+        self.cursor == self.keys.len() && self.live > 0
     }
 
+    /// The next key in `(t_rel, slot)` order; `None` when the current
+    /// slab is drained.
     #[inline]
-    fn insert(&mut self, key: u64) {
-        self.len += 1;
-        let b = self.bucket_of(key);
-        // A monotone insert can only target the draining bucket or a
-        // later one; `open` is MAX before the first pop, so priming
-        // inserts always take the bucket branch.
-        if b == self.open {
-            heap_push(&mut self.active, key);
-        } else {
-            self.buckets[b].push(key);
-        }
-    }
-
-    /// Current minimum without removing it, opening the next non-empty
-    /// bucket if the draining one is exhausted.
-    #[inline]
-    fn peek(&mut self) -> Option<u64> {
-        while self.active.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            let mut b = self.open.wrapping_add(1);
-            while self.buckets[b].is_empty() {
-                b += 1;
-            }
-            self.active = std::mem::take(&mut self.buckets[b]);
-            make_heap(&mut self.active);
-            self.open = b;
-        }
-        Some(self.active[0])
-    }
-
-    /// Replace the current minimum (which the caller has peeked and
-    /// consumed) with `key`, which must compare `>=` it. When `key` lands
-    /// in the draining bucket — the common case for short inter-event
-    /// gaps — this is a single root sift instead of a pop-sift plus a
-    /// push-sift. Equivalent to `pop` then `insert`.
-    #[inline]
-    fn replace_top(&mut self, key: u64) {
-        debug_assert!(!self.active.is_empty(), "replace_top follows peek");
-        let b = self.bucket_of(key);
-        if b == self.open {
-            self.active[0] = key;
-            sift_down(&mut self.active, 0);
-        } else {
-            self.buckets[b].push(key);
-            heap_pop(&mut self.active);
-        }
-    }
-
-    /// Drop the current minimum (peeked, consumed, and its UE exhausted).
-    #[inline]
-    fn pop_discard(&mut self) {
-        debug_assert!(!self.active.is_empty(), "pop_discard follows peek");
-        heap_pop(&mut self.active);
-        self.len -= 1;
-    }
-
-    /// Full pop (open-next-bucket included). The production drain goes
-    /// through [`Self::peek`] + [`Self::replace_top`] / [`Self::pop_discard`];
-    /// this is the reference discipline the queue's ordering test drains
-    /// through.
-    #[cfg(test)]
     fn pop(&mut self) -> Option<u64> {
-        loop {
-            if let Some(k) = heap_pop(&mut self.active) {
-                self.len -= 1;
-                return Some(k);
+        let key = *self.keys.get(self.cursor)?;
+        self.cursor += 1;
+        Some(key)
+    }
+
+    /// Slots with events not yet popped, counted at slab granularity.
+    fn live(&self) -> usize {
+        let draining = self.cursor < self.keys.len();
+        self.live + if draining { self.retiring } else { 0 }
+    }
+
+    /// Build the slab `[start, start + width)`: every slot's events in
+    /// that window, sorted; an event exactly at the end stays pending.
+    fn fill(&mut self, mut advance: impl FnMut(usize) -> Option<(u64, EventType)>) {
+        let (start, end) = (self.start, self.start + self.width);
+        self.keys.clear();
+        self.cursor = 0;
+        self.retiring = 0;
+        let mut next_start = DRY;
+        for (slot, pending) in self.pending_t.iter_mut().enumerate() {
+            let mut t = *pending;
+            if t < end {
+                let slot_bits = (slot as u64) << EVENT_BITS;
+                let mut event = self.pending_event[slot];
+                loop {
+                    self.keys
+                        .push(t << TIME_SHIFT | slot_bits | u64::from(event.code()));
+                    match advance(slot) {
+                        Some(next) => (t, event) = next,
+                        None => {
+                            t = DRY;
+                            self.live -= 1;
+                            self.retiring += 1;
+                        }
+                    }
+                    if t >= end {
+                        break;
+                    }
+                }
+                *pending = t;
+                self.pending_event[slot] = event;
             }
-            if self.len == 0 {
-                return None;
-            }
-            // Open the next non-empty bucket. `len > 0` with an empty
-            // active heap guarantees one exists past `open`.
-            let mut b = self.open.wrapping_add(1);
-            while self.buckets[b].is_empty() {
-                b += 1;
-            }
-            self.active = std::mem::take(&mut self.buckets[b]);
-            make_heap(&mut self.active);
-            self.open = b;
+            next_start = next_start.min(t);
         }
+        let span_bits = u64::BITS - (self.width - 1).leading_zeros();
+        sort_by_time(&mut self.keys, &mut self.scratch, start, span_bits);
+        debug_assert!(
+            self.keys.windows(2).all(|w| w[0] < w[1]),
+            "slab keys out of (t, slot) order"
+        );
+        // Steer towards the target, at most doubling; jump any silent
+        // stretch to the earliest pending event.
+        let ideal = self.width * self.target / self.keys.len().max(1) as u64;
+        self.width = ideal.clamp(1, (2 * self.width).min(MAX_WIDTH_MS));
+        self.start = next_start;
     }
 }
 
-#[inline]
-fn heap_push(h: &mut Vec<u64>, key: u64) {
-    h.push(key);
-    let mut i = h.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if h[parent] <= h[i] {
-            break;
+/// Stable LSD radix sort of `keys` on the low `span_bits` bits of
+/// `t_rel - origin` — the time bits only. Slot-ordered ascending runs in,
+/// `(t_rel, slot)` order out.
+fn sort_by_time(keys: &mut Vec<u64>, scratch: &mut Vec<u64>, origin: u64, span_bits: u32) {
+    debug_assert!(span_bits <= RADIX_BITS * RADIX_PASSES_MAX);
+    scratch.resize(keys.len(), 0);
+    let origin = origin << TIME_SHIFT;
+    let mut shift = TIME_SHIFT;
+    while shift < TIME_SHIFT + span_bits {
+        let digit = |key: u64| ((key - origin) >> shift) as usize & ((1 << RADIX_BITS) - 1);
+        let mut offsets = [0u32; 1 << RADIX_BITS];
+        for &key in keys.iter() {
+            offsets[digit(key)] += 1;
         }
-        h.swap(parent, i);
-        i = parent;
+        let mut sum = 0;
+        for offset in &mut offsets {
+            sum += std::mem::replace(offset, sum);
+        }
+        for &key in keys.iter() {
+            let at = &mut offsets[digit(key)];
+            scratch[*at as usize] = key;
+            *at += 1;
+        }
+        std::mem::swap(keys, scratch);
+        shift += RADIX_BITS;
     }
 }
 
-#[inline]
-fn heap_pop(h: &mut Vec<u64>) -> Option<u64> {
-    let last = h.len().checked_sub(1)?;
-    h.swap(0, last);
-    let top = h.pop();
-    sift_down(h, 0);
-    top
+/// Telemetry of an observed pool (the shard workers of an observed
+/// stream); an unobserved pool carries `None` and reads no clock.
+#[derive(Clone)]
+pub(crate) struct SlabObs {
+    /// Where `cn_gen_slab_fill` spans go: one per fill, on the filling thread.
+    pub(crate) trace: TraceSink,
+    /// `cn_gen_slabs_total` — slabs filled.
+    pub(crate) slabs: Counter,
 }
 
-fn make_heap(h: &mut [u64]) {
-    for i in (0..h.len() / 2).rev() {
-        sift_down(h, i);
+impl SlabObs {
+    fn on_fill(&self) -> TraceSpan {
+        self.slabs.inc();
+        self.trace.span("cn_gen_slab_fill")
     }
 }
 
-#[inline]
-fn sift_down(h: &mut [u64], mut i: usize) {
-    loop {
-        let l = 2 * i + 1;
-        if l >= h.len() {
-            return;
-        }
-        let r = l + 1;
-        let c = if r < h.len() && h[r] < h[l] { r } else { l };
-        if h[i] <= h[c] {
-            return;
-        }
-        h.swap(i, c);
-        i = c;
-    }
-}
-
-/// Records generated ahead per UE while its iterator state is cache-hot.
-///
-/// Each UE owns an independent RNG, so advancing one UE several events
-/// past the merge frontier never changes any draw order — the buffered
-/// records are exactly what the iterator would produce on demand, and
-/// the queue still holds one key (the next *unemitted* event) per live
-/// UE, so global emission order is untouched. What changes is the cost:
-/// the iterator's scattered state is touched once per `LOOKAHEAD`
-/// emissions instead of once per emission.
-const LOOKAHEAD: usize = 8;
-
-/// A population of per-UE generators merged through the calendar-queue
-/// struct-of-arrays hot path (see module docs).
+/// A population of per-UE generators merged by time slab (see module
+/// docs).
 pub struct UePool<'m> {
     iters: Vec<UeEventIter<'m>>,
-    /// Per-UE lookahead buffers of generated-but-unemitted records.
-    bufs: Vec<[TraceRecord; LOOKAHEAD]>,
-    /// Next buffer index to emit, per UE.
-    pos: Vec<u8>,
-    /// Valid records in the buffer, per UE.
-    fill: Vec<u8>,
-    queue: CalendarQueue,
-    /// `config.start` in ms — keys carry start-relative times.
-    base_ms: u64,
+    /// The UE each slot generates for.
+    ues: Vec<u32>,
+    slab: Slab,
+    /// Start, for start-relative key times; population, for device types.
+    config: GenConfig,
+    obs: Option<SlabObs>,
 }
 
 impl<'m> UePool<'m> {
@@ -277,32 +262,45 @@ impl<'m> UePool<'m> {
     /// `indices` must be strictly increasing (every natural partition —
     /// ranges, strides — is), so slot order embeds UE order, and must
     /// name at most 2²⁴ UEs per pool; larger populations are chunked by
-    /// [`crate::outofcore`].
+    /// [`crate::outofcore`]. The window must be shorter than 2³⁷ ms (~4.3
+    /// years). Both are checked in release builds too: a key that
+    /// overflows would silently reorder records.
     pub fn new(
         models: &'m ModelSet,
         config: &GenConfig,
         indices: impl Iterator<Item = u32>,
     ) -> UePool<'m> {
+        Self::with_slab_target(models, config, indices, SLAB_TARGET_EVENTS)
+    }
+
+    fn with_slab_target(
+        models: &'m ModelSet,
+        config: &GenConfig,
+        indices: impl Iterator<Item = u32>,
+        target: usize,
+    ) -> UePool<'m> {
         let end = config.end();
         let base_ms = config.start.as_millis();
-        let horizon_ms = end.as_millis().saturating_sub(base_ms).max(1);
+        let horizon_ms = end.as_millis().saturating_sub(base_ms);
+        assert!(
+            horizon_ms < MAX_HORIZON_MS,
+            "a UePool spans less than {MAX_HORIZON_MS} ms (~4.3 years), got {horizon_ms} ms: \
+             later events would overflow the merge key"
+        );
         let (lo, hi) = indices.size_hint();
         let cap = hi.unwrap_or(lo);
         let mut iters = Vec::with_capacity(cap);
-        let mut bufs = Vec::with_capacity(cap);
-        let mut pos = Vec::with_capacity(cap);
-        let mut fill = Vec::with_capacity(cap);
-        let mut primed: Vec<u64> = Vec::with_capacity(cap);
-        let mut last_index = None;
+        let mut ues = Vec::with_capacity(cap);
+        let mut pending_t = Vec::with_capacity(cap);
+        let mut pending_event = Vec::with_capacity(cap);
         for index in indices {
             assert!(
-                last_index.is_none_or(|last| index > last),
-                "pool indices must be strictly increasing (got {index} after {last_index:?})"
+                ues.last().is_none_or(|&last| index > last),
+                "pool indices must be strictly increasing (got {index} after {:?})",
+                ues.last()
             );
-            last_index = Some(index);
-            let device = config.device_of(index);
             let mut it = UeEventIter::with_semantics(
-                models.device(device),
+                models.device(config.device_of(index)),
                 models.method,
                 UeId(index),
                 config.start,
@@ -310,24 +308,10 @@ impl<'m> UePool<'m> {
                 crate::engine::ue_stream_seed(config.seed, index),
                 config.semantics,
             );
-            let slot = iters.len();
-            let mut buf = [VACANT; LOOKAHEAD];
-            let mut k = 0usize;
-            while k < LOOKAHEAD {
-                match it.next() {
-                    Some(r) => {
-                        buf[k] = r;
-                        k += 1;
-                    }
-                    None => break,
-                }
-            }
-            if k > 0 {
-                primed.push(pack_key(buf[0].t.as_millis() - base_ms, slot));
-            }
-            bufs.push(buf);
-            pos.push(0u8);
-            fill.push(k as u8);
+            let first = it.next();
+            pending_t.push(first.map_or(DRY, |r| r.t.as_millis() - base_ms));
+            pending_event.push(first.map_or(EventType::Attach, |r| r.event));
+            ues.push(index);
             iters.push(it);
         }
         assert!(
@@ -335,81 +319,65 @@ impl<'m> UePool<'m> {
             "a UePool holds at most {MAX_POOL} UEs; chunk larger populations \
              through the out-of-core path"
         );
-        let est = (iters.len() as u64)
-            .saturating_mul(horizon_ms.div_ceil(3_600_000))
-            .saturating_mul(EST_EVENTS_PER_UE_HOUR);
-        let mut queue = CalendarQueue::new(horizon_ms, est.max(1));
-        for key in primed {
-            queue.insert(key);
-        }
         UePool {
             iters,
-            bufs,
-            pos,
-            fill,
-            queue,
-            base_ms,
+            ues,
+            slab: Slab::new(pending_t, pending_event, target),
+            config: *config,
+            obs: None,
         }
     }
 
-    /// Emit the globally next record, advancing its UE's generator.
+    /// Record every slab fill from here on into `obs`, if anything listens.
+    pub(crate) fn observe(&mut self, obs: &SlabObs) {
+        let listening = obs.slabs.is_enabled() || obs.trace.is_enabled();
+        self.obs = listening.then(|| obs.clone());
+    }
+
+    /// Emit the globally next record, filling the next slab when the
+    /// current one is drained.
     #[inline]
     pub fn next_record(&mut self) -> Option<TraceRecord> {
-        let key = self.queue.peek()?;
-        let slot = (key & IDX_MASK) as usize;
-        let p = self.pos[slot] as usize;
-        let rec = self.bufs[slot][p];
-        if p + 1 < self.fill[slot] as usize {
-            // Serve the next emission from the lookahead buffer.
-            self.pos[slot] = (p + 1) as u8;
-            let nt = self.bufs[slot][p + 1].t.as_millis();
-            self.queue.replace_top(pack_key(nt - self.base_ms, slot));
-        } else {
-            // Buffer drained: refill while the iterator state is hot.
-            let buf = &mut self.bufs[slot];
-            let it = &mut self.iters[slot];
-            let mut k = 0usize;
-            while k < LOOKAHEAD {
-                match it.next() {
-                    Some(r) => {
-                        buf[k] = r;
-                        k += 1;
-                    }
-                    None => break,
-                }
-            }
-            self.pos[slot] = 0;
-            self.fill[slot] = k as u8;
-            if k > 0 {
-                let nt = buf[0].t.as_millis();
-                self.queue.replace_top(pack_key(nt - self.base_ms, slot));
-            } else {
-                self.queue.pop_discard();
-            }
+        if self.slab.wants_fill() {
+            self.fill();
         }
-        Some(rec)
+        let key = self.slab.pop()?;
+        let ue = self.ues[(key >> EVENT_BITS) as usize & (MAX_POOL - 1)];
+        Some(TraceRecord {
+            t: Timestamp::from_millis(self.config.start.as_millis() + (key >> TIME_SHIFT)),
+            ue: UeId(ue),
+            device: self.config.device_of(ue),
+            event: EventType::ALL[(key & ((1 << EVENT_BITS) - 1)) as usize],
+        })
     }
 
-    /// Number of UEs that still have events pending.
+    #[cold]
+    fn fill(&mut self) {
+        let _span = self.obs.as_ref().map(SlabObs::on_fill);
+        let (iters, base_ms) = (&mut self.iters, self.config.start.as_millis());
+        self.slab.fill(|slot| {
+            let rec = iters[slot].next()?;
+            Some((rec.t.as_millis() - base_ms, rec.event))
+        });
+    }
+
+    /// Number of UEs that still have events to emit, counted at slab
+    /// granularity: a UE whose last event sits in the current slab counts
+    /// until that slab is drained. `live() == 0` exactly when
+    /// [`Self::next_record`] would return `None`.
     pub fn live(&self) -> usize {
-        self.queue.len
+        self.slab.live()
     }
-}
-
-/// Pack a start-relative event time and a pool slot into one orderable
-/// key. `t_rel` gets 40 bits (~34 years of ms); slots get [`IDX_BITS`].
-#[inline]
-fn pack_key(t_rel: u64, slot: usize) -> u64 {
-    debug_assert!(t_rel < 1 << (64 - IDX_BITS), "event time out of key range");
-    (t_rel << IDX_BITS) | slot as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::HourSemantics;
     use cn_fit::{fit, FitConfig, Method};
     use cn_trace::PopulationMix;
     use cn_world::{generate_world, WorldConfig};
+    use proptest::prelude::*;
 
     fn fitted() -> ModelSet {
         let trace = generate_world(&WorldConfig::new(PopulationMix::new(30, 14, 8), 2.0, 5));
@@ -475,51 +443,214 @@ mod tests {
         UePool::new(&models, &config, [1u32, 0].into_iter());
     }
 
-    /// The calendar queue is a plain monotone priority queue under the
-    /// hood; hammer it with a synthetic merge-shaped workload (every
-    /// insert >= the last pop) across bucket geometries.
     #[test]
-    fn calendar_queue_pops_in_sorted_order() {
-        // Deterministic pseudo-random keys via splitmix-style mixing.
-        let mut x = 0x9E37_79B9u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for (horizon, est) in [(1_000, 10), (100_000, 1_000), (3_600_000, 10)] {
-            let mut q = CalendarQueue::new(horizon, est);
-            let mut keys: Vec<u64> = (0..500u64)
-                .map(|i| pack_key(next() % horizon, (i % 64) as usize))
-                .collect();
-            for &k in &keys {
-                q.insert(k);
-            }
-            // Pop half, interleaving monotone re-inserts.
-            let mut out = Vec::new();
-            for _ in 0..250 {
-                let k = q.pop().unwrap();
-                let t_rel = k >> IDX_BITS;
-                if t_rel + 10 < horizon {
-                    let nk = pack_key(t_rel + 1 + next() % 9, (next() % 64) as usize);
-                    q.insert(nk);
-                    keys.push(nk);
+    #[should_panic(expected = "overflow the merge key")]
+    fn a_window_past_the_key_range_is_rejected() {
+        let models = fitted();
+        let hours = (MAX_HORIZON_MS / cn_trace::MS_PER_HOUR + 1) as f64;
+        let config = GenConfig::new(
+            PopulationMix::new(1, 0, 0),
+            Timestamp::at_hour(0, 0),
+            hours,
+            1,
+        );
+        UePool::new(&models, &config, 0..1);
+    }
+
+    /// Any slab width yields the same bytes: one pool's output equals the
+    /// sorted per-UE batch output of its index set at every slab target,
+    /// for contiguous and strided index sets, under both hour semantics.
+    #[test]
+    fn slab_target_and_partition_do_not_change_the_bytes() {
+        let models = fitted();
+        for semantics in [HourSemantics::EntryHour, HourSemantics::TruncateAtBoundary] {
+            let mut config = GenConfig::new(
+                PopulationMix::new(14, 6, 4),
+                Timestamp::at_hour(0, 7),
+                9.0,
+                41,
+            );
+            config.semantics = semantics;
+            let total = config.population.total();
+            let partitions: [Vec<u32>; 2] = [(0..total).collect(), (1..total).step_by(3).collect()];
+            for indices in partitions {
+                let mut expected: Vec<TraceRecord> = Vec::new();
+                for &ue in &indices {
+                    let per_ue = crate::per_ue::generate_ue_with(
+                        models.device(config.device_of(ue)),
+                        models.method,
+                        UeId(ue),
+                        config.start,
+                        config.end(),
+                        crate::engine::ue_stream_seed(config.seed, ue),
+                        semantics,
+                    );
+                    expected.extend(per_ue.iter());
                 }
-                out.push(k);
+                expected.sort();
+                assert!(expected.len() > 200, "only {} events", expected.len());
+                for target in [1, 97, 4_096, SLAB_TARGET_EVENTS] {
+                    let mut pool =
+                        UePool::with_slab_target(&models, &config, indices.iter().copied(), target);
+                    let mut got = Vec::with_capacity(expected.len());
+                    while pool.live() > 0 {
+                        got.push(pool.next_record().expect("a live pool yields a record"));
+                    }
+                    assert_eq!(pool.next_record(), None);
+                    assert!(
+                        got == expected,
+                        "{semantics:?}, {} UEs, slab target {target}: output diverged",
+                        indices.len()
+                    );
+                }
             }
-            while let Some(k) = q.pop() {
-                out.push(k);
+        }
+    }
+
+    fn key(t: u64, slot: usize, event: EventType) -> u64 {
+        t << TIME_SHIFT | (slot as u64) << EVENT_BITS | u64::from(event.code())
+    }
+
+    /// Drain a [`Slab`] over synthetic per-slot runs, checking the
+    /// `live() == 0 ⇔ exhausted` contract at every step; returns the keys
+    /// popped and the number of slabs filled.
+    fn drain_slab(runs: &[Vec<(u64, EventType)>], target: usize) -> (Vec<u64>, usize) {
+        let first = |run: &Vec<(u64, EventType)>| run.first().copied();
+        let mut slab = Slab::new(
+            runs.iter().map(|r| first(r).map_or(DRY, |f| f.0)).collect(),
+            runs.iter()
+                .map(|r| first(r).map_or(EventType::Attach, |f| f.1))
+                .collect(),
+            target,
+        );
+        let mut next = vec![1usize; runs.len()];
+        let (mut out, mut fills) = (Vec::new(), 0);
+        loop {
+            if slab.wants_fill() {
+                fills += 1;
+                let end = slab.start + slab.width;
+                slab.fill(|slot| {
+                    next[slot] += 1;
+                    runs[slot].get(next[slot] - 1).copied()
+                });
+                assert!(!slab.keys.is_empty(), "a fill yields at least one key");
+                assert!(slab.keys.iter().all(|k| k >> TIME_SHIFT < end));
+                assert!(slab.pending_t.iter().all(|&t| t >= end));
             }
-            assert_eq!(q.len, 0);
-            keys.sort_unstable();
-            // `out` is `keys` minus the 250 popped-and-not-reinserted…
-            // actually every key inserted is eventually popped exactly
-            // once, so the multisets match.
-            let mut sorted_out = out.clone();
-            sorted_out.sort_unstable();
-            assert_eq!(sorted_out, keys, "horizon {horizon} est {est}");
-            assert!(out.windows(2).all(|w| w[0] <= w[1]), "pop order not sorted");
+            let live = slab.live();
+            match slab.pop() {
+                Some(k) => {
+                    assert!(live > 0, "live() == 0 with a key left");
+                    out.push(k);
+                }
+                None => {
+                    assert_eq!(live, 0, "live() > 0 on an exhausted slab");
+                    return (out, fills);
+                }
+            }
+        }
+    }
+
+    fn sorted_keys(runs: &[Vec<(u64, EventType)>]) -> Vec<u64> {
+        let mut keys: Vec<u64> = runs
+            .iter()
+            .enumerate()
+            .flat_map(|(slot, run)| run.iter().map(move |&(t, e)| key(t, slot, e)))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The boundary cases by hand: equal times across slots, an event
+    /// exactly at the slab's end, a silent stretch longer than the widest
+    /// slab, a dry slot, and a single-slot pool.
+    #[test]
+    fn slab_boundaries_ties_and_silence() {
+        use EventType::{Handover, ServiceRequest, Tau};
+        let far = 5 * MAX_WIDTH_MS + 3;
+        let runs = vec![
+            // The first slab is [0, FIRST_WIDTH_MS): the event at its end
+            // waits for the next one.
+            vec![
+                (0, Tau),
+                (FIRST_WIDTH_MS, Handover),
+                (far, Tau),
+                (far + 1, Tau),
+            ],
+            vec![],
+            vec![
+                (0, ServiceRequest),
+                (FIRST_WIDTH_MS - 1, Tau),
+                (FIRST_WIDTH_MS, Tau),
+                (far, Handover),
+            ],
+        ];
+        for target in [1, 3, 1_000] {
+            let (keys, fills) = drain_slab(&runs, target);
+            assert_eq!(keys, sorted_keys(&runs), "target {target}");
+            // The silence is jumped, not walked slab by slab.
+            assert!(fills <= 8, "target {target}: {fills} fills");
+        }
+        let (first_slab, _) = drain_slab(&[runs[0][..1].to_vec(), runs[2][..2].to_vec()], 1_000);
+        assert_eq!(first_slab.len(), 3);
+
+        let single = vec![vec![(7, Tau), (8, Handover), (far, Tau)]];
+        assert_eq!(drain_slab(&single, 2).0, sorted_keys(&single));
+        assert_eq!(drain_slab(&[], 2), (Vec::new(), 0));
+    }
+
+    /// Per-slot ascending runs from gap lists: short gaps collide across
+    /// slots, long ones outlast the widest slab.
+    fn arb_runs() -> impl Strategy<Value = Vec<Vec<(u64, EventType)>>> {
+        let gap = prop_oneof![1u64..4, 1u64..3_000, MAX_WIDTH_MS..3 * MAX_WIDTH_MS];
+        let run = proptest::collection::vec((gap, 0usize..6), 0..40).prop_map(|steps| {
+            let mut t = 0;
+            steps
+                .into_iter()
+                .map(|(gap, e)| {
+                    t += gap;
+                    (t - 1, EventType::ALL[e])
+                })
+                .collect::<Vec<_>>()
+        });
+        proptest::collection::vec(run, 1..12)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The time-only stable radix over run-concatenated keys is the
+        /// full-key sort.
+        #[test]
+        fn time_only_radix_equals_the_full_key_sort(
+            runs in arb_runs(),
+            origin in 0u64..5_000,
+            span_bits in 0u32..=RADIX_BITS * RADIX_PASSES_MAX,
+        ) {
+            // Fold every run into the window `[origin, origin + 2^span_bits)`,
+            // keeping it ascending (not strictly: the sort never needs it).
+            let mut keys = Vec::new();
+            for (slot, run) in runs.iter().enumerate() {
+                let mut times: Vec<u64> =
+                    run.iter().map(|&(t, _)| origin + t % (1 << span_bits)).collect();
+                times.sort_unstable();
+                times.dedup();
+                keys.extend(times.iter().zip(run).map(|(&t, &(_, e))| key(t, slot, e)));
+            }
+            let mut expected = keys.clone();
+            expected.sort_unstable();
+            sort_by_time(&mut keys, &mut Vec::new(), origin, span_bits);
+            prop_assert_eq!(keys, expected);
+        }
+
+        /// Slab by slab, at any target, the core pops exactly the sorted
+        /// union of its runs.
+        #[test]
+        fn slab_merge_equals_the_sorted_union(
+            runs in arb_runs(),
+            target in prop_oneof![Just(1usize), 2usize..40, Just(SLAB_TARGET_EVENTS)],
+        ) {
+            prop_assert_eq!(drain_slab(&runs, target).0, sorted_keys(&runs));
         }
     }
 }

@@ -15,7 +15,7 @@
 //! A single shard *is* the sequential merge, so `S == 1` (an explicit
 //! `with_shards(.., 1)`, a one-UE population, or [`ShardedStream::new`] on
 //! a single-core box — [`crate::effective_parallelism`] decides) runs the
-//! [`PopulationStream`] calendar queue **inline on the caller's thread**: no
+//! [`PopulationStream`] slab merge **inline on the caller's thread**: no
 //! worker threads, no channels, no model clone. The sharded API is
 //! therefore never slower than the sequential stream; threads and
 //! channels are only paid for when there is parallelism to buy with them.
@@ -51,10 +51,17 @@
 //!
 //! ### Backpressure & memory
 //!
-//! Workers block once their channel holds [`CHANNEL_BLOCKS`] undelivered
-//! blocks, so a slow consumer (e.g. a disk writer) bounds the pipeline at
-//! `S × CHANNEL_BLOCKS × BLOCK_RECORDS` buffered records plus the
-//! O(population) generator states — independent of trace length.
+//! A worker generates a whole slab at a time (see [`crate::pool`]) and
+//! then ships it in a burst of blocks, so its channel is sized to take
+//! that burst: with less room the worker sits blocked on a full channel,
+//! its next slab unstarted, while the consumer drains this one — fill and
+//! drain take turns instead of overlapping, and with every worker parked
+//! that way the stream runs on one core. Workers block once their channel
+//! holds [`CHANNEL_BLOCKS`] undelivered blocks, so a slow consumer (e.g. a
+//! disk writer) bounds the pipeline at `S × CHANNEL_BLOCKS × BLOCK_RECORDS`
+//! buffered records (512 KiB a shard) plus, per shard, one slab (as much
+//! again) and the O(population) generator states — independent of trace
+//! length.
 //!
 //! Deadlock freedom holds because every shard has a *dedicated* worker:
 //! the consumer only ever blocks on the one channel whose run it needs
@@ -114,7 +121,7 @@
 
 use crate::engine::GenConfig;
 use crate::fault::{FaultHook, FaultPlan, NoFault};
-use crate::pool::UePool;
+use crate::pool::{SlabObs, UePool, SLAB_TARGET_EVENTS};
 use crate::stream::PopulationStream;
 use cn_fit::ModelSet;
 use cn_obs::{Counter, Histogram, HistogramSnapshot, Registry, TraceSink, TraceSpan};
@@ -131,8 +138,11 @@ use std::time::Instant;
 /// responsive).
 pub const BLOCK_RECORDS: usize = 4096;
 
-/// Blocks buffered per shard channel before its worker blocks.
-pub const CHANNEL_BLOCKS: usize = 4;
+/// Blocks buffered per shard channel before its worker blocks: one whole
+/// slab, so that a worker fills slab *n + 1* while the consumer drains
+/// slab *n*. (A slab that overshoots its target stalls its worker only
+/// for the overshoot.)
+pub const CHANNEL_BLOCKS: usize = SLAB_TARGET_EVENTS / BLOCK_RECORDS;
 
 /// How a shard worker's run ended, published through its control slot
 /// before the data channel disconnects (see module docs, *Failure
@@ -235,8 +245,8 @@ impl ShardCursor {
 }
 
 /// A globally time-ordered population event stream produced by parallel
-/// shard workers — or, at one shard, by the sequential calendar-queue
-/// merge inline (see module docs).
+/// shard workers — or, at one shard, by the sequential slab merge inline
+/// (see module docs).
 ///
 /// ```no_run
 /// use cn_gen::{GenConfig, ShardedStream};
@@ -440,6 +450,9 @@ impl<'m> ShardedStream<'m> {
     ///   records and blocks each worker shipped;
     /// * `cn_gen_shard_stall_ns_total{shard=i}` — time the worker spent
     ///   blocked on a full channel (consumer backpressure);
+    /// * `cn_gen_slabs_total{shard=i}` — slabs the worker's pool filled,
+    ///   each a `cn_gen_slab_fill` span on the worker's thread when a
+    ///   trace sink is installed (fill and drain overlap in the timeline);
     /// * `cn_gen_merge_events_total` — records the consumer-side merge
     ///   emitted (equals the summed per-shard counters once the stream
     ///   is fully drained);
@@ -715,19 +728,19 @@ impl ParallelStream {
         for shard in 0..shards {
             let (tx, rx) = sync_channel(CHANNEL_BLOCKS);
             let models = Arc::clone(&models);
-            let obs = WorkerObs::register(registry, shard);
+            let obs = WorkerObs::register(registry, shard, &trace);
             let slot: Arc<OnceLock<WorkerOutcome>> = Arc::new(OnceLock::new());
             let worker_slot = Arc::clone(&slot);
             let mut fault = fault_for(shard);
-            let worker_trace = trace.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("cn-gen-shard-{shard}"))
                 .spawn(move || {
                     // One span covering this worker's whole drain: shard
                     // workers show up side by side in the timeline.
-                    let drain_span = worker_trace
+                    let trace = &obs.slab.trace;
+                    let drain_span = trace
                         .is_enabled()
-                        .then(|| worker_trace.span(&format!("cn_gen_shard_drain:{shard}")));
+                        .then(|| trace.span(&format!("cn_gen_shard_drain:{shard}")));
                     let run = catch_unwind(AssertUnwindSafe(|| {
                         shard_worker(&models, &config, shard, shards, &tx, &obs, &mut fault)
                     }));
@@ -894,8 +907,8 @@ impl Drop for ParallelStream {
     }
 }
 
-/// One worker's telemetry handles (no-ops when unobserved). All three
-/// are updated per *block*, never per record.
+/// One worker's telemetry handles (no-ops when unobserved), updated per
+/// *block* or per *slab*, never per record.
 struct WorkerObs {
     /// `cn_gen_shard_events_total{shard=i}` — records shipped.
     events: Counter,
@@ -904,16 +917,23 @@ struct WorkerObs {
     /// `cn_gen_shard_stall_ns_total{shard=i}` — nanoseconds blocked on a
     /// full channel waiting for the consumer.
     stall_ns: Counter,
+    /// The pool's share: `cn_gen_slabs_total{shard=i}` — slabs filled —
+    /// and the global trace sink, resolved once per stream.
+    slab: SlabObs,
 }
 
 impl WorkerObs {
-    fn register(registry: &Registry, shard: usize) -> WorkerObs {
+    fn register(registry: &Registry, shard: usize, trace: &TraceSink) -> WorkerObs {
         let shard = shard.to_string();
         let labels: &[(&str, &str)] = &[("shard", &shard)];
         WorkerObs {
             events: registry.counter_with("cn_gen_shard_events_total", labels),
             blocks: registry.counter_with("cn_gen_shard_blocks_total", labels),
             stall_ns: registry.counter_with("cn_gen_shard_stall_ns_total", labels),
+            slab: SlabObs {
+                slabs: registry.counter_with("cn_gen_slabs_total", labels),
+                trace: trace.clone(),
+            },
         }
     }
 
@@ -976,11 +996,11 @@ fn shard_worker<F: FaultHook>(
 ) -> WorkerRun {
     let total = config.population.total();
     let mut pool = UePool::new(models, config, (shard as u32..total).step_by(shards));
+    pool.observe(&obs.slab);
     let mut block = Vec::with_capacity(BLOCK_RECORDS);
     let mut shipped = 0u64;
-    while pool.live() > 0 {
+    while let Some(rec) = pool.next_record() {
         fault.on_record();
-        let rec = pool.next_record().expect("live pool yields a record");
         block.push(rec);
         if block.len() == BLOCK_RECORDS {
             let full = std::mem::replace(&mut block, Vec::with_capacity(BLOCK_RECORDS));
@@ -1208,6 +1228,8 @@ mod tests {
                 cn_obs::MetricValue::Counter { value } if value >= 1
             ));
         }
+        // Every worker's pool filled at least one slab, and counted it.
+        assert!(snap.counter_total("cn_gen_slabs_total") >= Some(4));
         // The run-length histogram saw every run, and the runs cover the
         // whole stream.
         let runs = snap.histogram("cn_gen_merge_run_len").expect("run hist");

@@ -7,13 +7,13 @@
 //! can be written straight to disk without ever materializing the trace.
 //!
 //! The merge engine is the struct-of-arrays [`UePool`]
-//! (see [`crate::pool`]): a calendar queue over packed `(t_ms, ue)`
-//! next-event `u64` keys, bucketed by coarse time with the draining
-//! bucket held as a small binary heap, so emitting one record costs a few
-//! dense integer compares plus a bucket push — no pointer chase, no
-//! allocation. For multi-core throughput see
-//! [`crate::shard::ShardedStream`], which runs disjoint UE shards on
-//! worker threads and produces the *same* byte-identical stream.
+//! (see [`crate::pool`]): it generates by time slab — every UE run up to
+//! the slab's end in slot order, one packed `(t_ms, ue, event)` `u64` key
+//! per event, a stable radix sort on the time bits — so emitting one
+//! record is a read of the next sorted key: no heap, no pointer chase, no
+//! allocation, and no structure sized by the window. For multi-core
+//! throughput see [`crate::shard::ShardedStream`], which runs disjoint UE
+//! shards on worker threads and produces the *same* byte-identical stream.
 //!
 //! Streamed output is *per-UE* identical to the batch API (both drive the
 //! same iterator with the same seed), and globally it is the k-way merge
@@ -39,7 +39,9 @@ impl<'m> PopulationStream<'m> {
         }
     }
 
-    /// Number of UEs that still have events pending.
+    /// Number of UEs that still have events to emit, counted at slab
+    /// granularity (see [`UePool::live`]): `live_ues() == 0` exactly when
+    /// `next()` would return `None`.
     pub fn live_ues(&self) -> usize {
         self.pool.live()
     }
