@@ -32,33 +32,37 @@
 //! ## Determinism
 //!
 //! Every service time is a pure function of `(config.seed, ue, arrival
-//! time, event type)`: each job derives its own RNG at admission and
-//! draws all of its stage services up front. Two consequences: reruns at
-//! a fixed seed are bit-identical (the closed-loop gate `mcn_check` pins
-//! this), and injecting extra records into a trace never changes the
-//! service times of the records already there — the property the
-//! monotone-degradation suite leans on, mirroring `cn-scenario`'s
-//! prefix-multiset injection discipline.
+//! time, event type)`: each job derives its own RNG and draws all of its
+//! stage services up front. Two consequences: reruns at a fixed seed are
+//! bit-identical (the closed-loop gate `mcn_check` pins this), and
+//! injecting extra records into a trace never changes the service times
+//! of the records already there — the property the monotone-degradation
+//! suite leans on, mirroring `cn-scenario`'s prefix-multiset injection
+//! discipline.
 //!
 //! ## Memory
 //!
 //! Job slots, their pre-drawn services (one flat arena), the calendar
 //! and the queues grow with the jobs *in flight*, not with the records
-//! offered. Latencies are counted in exact tallies rather than stored
-//! and sorted, so the report's percentiles cost a table of at most
-//! 4 MiB per NF plus one entry per latency above 1.05 s (DESIGN.md §11,
-//! "Memory and cost model").
+//! offered; the draw stage recycles two blocks of records. Latencies are
+//! counted in exact tallies rather than stored and sorted, so the
+//! report's percentiles cost a table of at most 4 MiB per NF plus one
+//! entry per latency above 1.05 s (DESIGN.md §11, "Memory and cost
+//! model").
 //!
 //! ## Feeding the simulator
 //!
-//! [`DesSim`] is push-based: [`DesSim::offer`] admits one record (input
+//! [`DesSim`] is push-based: [`DesSim::offer`] takes one record (input
 //! must be sorted by time; out-of-order input is a typed
 //! [`DesError::UnsortedInput`], never a silently wrong backlog), and
 //! [`DesSim::finish`] drains the calendar and builds the [`DesReport`].
 //! Any source plumbs in — a batch [`Trace`] ([`DesSim::run_trace`]), a
 //! `ScenarioStream`, or a live TCP connection decoded by `cn-live`.
-//! Telemetry flows through the `cn_mcn_des_*` metric family when a
-//! registry is attached with [`DesSim::observed`].
+//! Records are admitted in order, a block behind `offer`: a full block's
+//! services are drawn on a helper thread (a `cn_mcn_des_draw_block` span)
+//! while the engine admits the previous one. The `cn_mcn_des_*` metrics
+//! ([`DesSim::observed`]) thus trail `offer` by at most two blocks, and
+//! `finish` settles them exactly.
 
 use crate::nf::{NetworkFunction, TransactionMatrix};
 use crate::overload::{priority_of, AdmissionPolicy, Priority, TokenBucket};
@@ -71,6 +75,12 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
+/// Records per draw-ahead block (services ≈ 112 KiB at stride 7).
+const DRAW_BLOCK: usize = 2_048;
 
 /// Per-NF pool configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -432,44 +442,119 @@ enum Action {
 }
 
 /// Calendar entries order by `(time, sequence)`; the sequence number is
-/// assigned at push and never repeats — so the derived comparison is
-/// decided there and never reaches the payload fields — making the drain
-/// order a deterministic function of the push order (which is itself
+/// assigned at push and never repeats, making the drain order a
+/// deterministic function of the push order (which is itself
 /// deterministic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CalEntry {
     t_us: u64,
     seq: u64,
-    action_key: u8,
-    job_or_nf: u32,
+    action: Action,
 }
 
-impl CalEntry {
-    fn new(t_us: u64, seq: u64, action: Action) -> CalEntry {
-        let (action_key, job_or_nf) = match action {
-            Action::StageDone { job } => (0, job),
-            Action::ServerOnline { nf } => (1, u32::from(nf)),
-            Action::ScaleTick { nf } => (2, u32::from(nf)),
-        };
-        CalEntry {
-            t_us,
-            seq,
-            action_key,
-            job_or_nf,
+impl Ord for CalEntry {
+    fn cmp(&self, other: &CalEntry) -> std::cmp::Ordering {
+        (self.t_us, self.seq).cmp(&(other.t_us, other.seq))
+    }
+}
+
+impl PartialOrd for CalEntry {
+    fn partial_cmp(&self, other: &CalEntry) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Everything a service draw reads — a job's trajectory, apart from the
+/// engine that serves it — shared read-only with the draw-ahead thread.
+struct ServicePlan {
+    seed: u64,
+    /// `chains[event_code]` = compiled dependency chain `(pool, tx)`.
+    chains: [Vec<(usize, u32)>; 6],
+    /// Service law of each pool, µs.
+    laws: Vec<Dist>,
+    /// Longest compiled chain, at least 1: the stride of services buffers.
+    max_chain_len: usize,
+}
+
+impl ServicePlan {
+    /// Draw the stage services of `rec`'s job into `out` from its own RNG:
+    /// a pure function of `(seed, ue, t, event)`, the crate's only service
+    /// draw. Transactions add up saturating — an astronomically large draw
+    /// parks the job at the end of time, it does not overflow.
+    fn draw(&self, rec: &TraceRecord, out: &mut [u64]) {
+        let code = rec.event.code();
+        let seed = job_seed(self.seed, rec.ue.0, rec.t.as_millis(), code);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (stage_us, &(pool, tx)) in out.iter_mut().zip(&self.chains[code as usize]) {
+            let law = &self.laws[pool];
+            *stage_us = (0..tx).fold(0u64, |total, _| {
+                total.saturating_add(law.sample(&mut rng).max(0.0).round() as u64)
+            });
         }
     }
 
-    fn action(&self) -> Action {
-        match self.action_key {
-            0 => Action::StageDone {
-                job: self.job_or_nf,
-            },
-            1 => Action::ServerOnline {
-                nf: self.job_or_nf as u8,
-            },
-            _ => Action::ScaleTick {
-                nf: self.job_or_nf as u8,
-            },
+    /// Draw one stride of services per record of `block`.
+    fn draw_block(&self, block: &mut Block) {
+        let stride = self.max_chain_len;
+        block.services_us.resize(block.records.len() * stride, 0);
+        let strides = block.services_us.chunks_exact_mut(stride);
+        for (rec, out) in block.records.iter().zip(strides) {
+            self.draw(rec, out);
+        }
+    }
+}
+
+/// Offered records and, once drawn, one stride of services per record.
+#[derive(Default)]
+struct Block {
+    records: Vec<TraceRecord>,
+    services_us: Vec<u64>,
+}
+
+/// The draw-ahead thread: blocks go out with records and come back, in
+/// order, with services drawn. Dropping it closes its input and joins it.
+struct DrawAhead {
+    link: Option<(Sender<Block>, JoinHandle<()>)>,
+    drawn: Receiver<Block>,
+    /// Blocks sent and not yet received back.
+    in_flight: usize,
+}
+
+impl DrawAhead {
+    fn spawn(plan: Arc<ServicePlan>) -> DrawAhead {
+        let (to_draw, blocks) = mpsc::channel::<Block>();
+        let (done, drawn) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            for mut block in blocks {
+                let _span = cn_obs::trace::global_span("cn_mcn_des_draw_block");
+                plan.draw_block(&mut block);
+                let _ = done.send(block);
+            }
+        });
+        DrawAhead {
+            link: Some((to_draw, thread)),
+            drawn,
+            in_flight: 0,
+        }
+    }
+
+    /// The oldest block in flight, drawn. The thread hangs up only by
+    /// panicking; its payload is raised here, on the calling thread.
+    fn recv(&mut self) -> Block {
+        self.in_flight -= 1;
+        let Ok(block) = self.drawn.recv() else {
+            let (_, thread) = self.link.take().expect("joined only on drop");
+            std::panic::resume_unwind(thread.join().expect_err("the thread hung up"));
+        };
+        block
+    }
+}
+
+impl Drop for DrawAhead {
+    fn drop(&mut self) {
+        if let Some((to_draw, thread)) = self.link.take() {
+            drop(to_draw);
+            let _ = thread.join();
         }
     }
 }
@@ -688,19 +773,15 @@ impl DesReport {
 
 /// The simulator. See the module docs for the model.
 pub struct DesSim {
-    config: DesConfig,
-    /// `chains[event_code]` = compiled dependency chain.
-    chains: [Vec<(usize, u32)>; 6],
-    /// Longest compiled chain: the stride of `services_us`.
-    max_chain_len: usize,
+    plan: Arc<ServicePlan>,
     nfs: Vec<NfState>,
     calendar: BinaryHeap<Reverse<CalEntry>>,
     seq: u64,
     /// Job slots, recycled through `free_jobs`: the vector grows with the
     /// in-flight high-water mark, never with the records offered.
     jobs: Vec<Job>,
-    /// Pre-drawn stage service times, µs (see module docs on
-    /// determinism): stage `k` of slot `j` at `j × max_chain_len + k`.
+    /// Pre-drawn stage service times, µs, copied in at admission: stage
+    /// `k` of slot `j` at `j × max_chain_len + k`.
     services_us: Vec<u64>,
     free_jobs: Vec<u32>,
     last_arrival_ms: Option<u64>,
@@ -716,6 +797,10 @@ pub struct DesSim {
     latencies_us: LatencyTally,
     input_done: bool,
     obs: DesObs,
+    block_len: usize,
+    /// Offered records not yet sent to be drawn: fewer than `block_len`.
+    pending: Block,
+    draw_ahead: Option<DrawAhead>,
 }
 
 impl DesSim {
@@ -732,14 +817,16 @@ impl DesSim {
                 .map(|(nf, tx)| (pool_of[nf_index(nf)], tx))
                 .collect::<Vec<_>>()
         });
-        let max_chain_len = chains.iter().map(Vec::len).max().unwrap_or(0);
-        let nfs = config.nfs.iter().cloned().map(NfState::new).collect();
+        let max_chain_len = chains.iter().map(Vec::len).max().unwrap_or(0).max(1);
         let bucket = config.admission.map(TokenBucket::new);
         Ok(DesSim {
-            config,
-            chains,
-            max_chain_len,
-            nfs,
+            plan: Arc::new(ServicePlan {
+                seed: config.seed,
+                chains,
+                laws: config.nfs.iter().map(|nf| nf.service.clone()).collect(),
+                max_chain_len,
+            }),
+            nfs: config.nfs.into_iter().map(NfState::new).collect(),
             calendar: BinaryHeap::new(),
             seq: 0,
             jobs: Vec::new(),
@@ -757,6 +844,9 @@ impl DesSim {
             latencies_us: LatencyTally::new(),
             input_done: false,
             obs: DesObs::default(),
+            block_len: DRAW_BLOCK,
+            pending: Block::default(),
+            draw_ahead: None,
         })
     }
 
@@ -764,7 +854,9 @@ impl DesSim {
     /// this run: the end-to-end latency histogram, per-NF depth /
     /// stage-latency / transaction series, admission counters by
     /// priority, scale-event counters by direction, per-NF server
-    /// gauges, and scaling-lag histograms.
+    /// gauges, and scaling-lag histograms. Its counters trail
+    /// [`DesSim::offer`] by at most two draw-ahead blocks until
+    /// [`DesSim::finish`] settles them exactly.
     pub fn observed(mut self, registry: &Registry) -> DesSim {
         self.obs = DesObs::register(registry);
         for state in &self.nfs {
@@ -788,36 +880,18 @@ impl DesSim {
     }
 
     fn push(&mut self, t_us: u64, action: Action) {
-        let entry = CalEntry::new(t_us, self.seq, action);
+        let entry = CalEntry {
+            t_us,
+            seq: self.seq,
+            action,
+        };
         self.seq += 1;
         self.calendar.push(Reverse(entry));
     }
 
-    /// Pre-draw every stage service time of the job in `slot` from its
-    /// own RNG — a pure function of `(seed, ue, t, event)`. A stage's
-    /// transactions add up saturating: a law that can return an
-    /// astronomically large time parks the job at the end of time, it
-    /// does not overflow.
-    fn draw_services(&mut self, rec: &TraceRecord, slot: u32) {
-        let chain = &self.chains[rec.event.code() as usize];
-        let mut rng = StdRng::seed_from_u64(job_seed(
-            self.config.seed,
-            rec.ue.0,
-            rec.t.as_millis(),
-            rec.event.code(),
-        ));
-        let first = slot as usize * self.max_chain_len;
-        for (stage_us, &(pool, tx)) in self.services_us[first..].iter_mut().zip(chain) {
-            let service = &self.config.nfs[pool].service;
-            *stage_us = (0..tx).fold(0u64, |total, _| {
-                total.saturating_add(service.sample(&mut rng).max(0.0).round() as u64)
-            });
-        }
-    }
-
     /// Offer one record at its trace timestamp. Input must be sorted by
     /// time (ties allowed); an earlier-than-predecessor arrival is a
-    /// typed error.
+    /// typed error from this call; the record is dropped.
     pub fn offer(&mut self, rec: &TraceRecord) -> Result<(), DesError> {
         let arrival_ms = rec.t.as_millis();
         if let Some(prev_ms) = self.last_arrival_ms {
@@ -829,7 +903,52 @@ impl DesSim {
             }
         }
         self.last_arrival_ms = Some(arrival_ms);
-        let arrival_us = arrival_ms * 1_000;
+        self.pending.records.push(*rec);
+        if self.pending.records.len() >= self.block_len {
+            // Admit the previous block while this one is drawn. A thread
+            // that panicked refuses the block; `recv` raises its panic.
+            let plan = &self.plan;
+            let draw_ahead = self
+                .draw_ahead
+                .get_or_insert_with(|| DrawAhead::spawn(Arc::clone(plan)));
+            if let Some((to_draw, _)) = &draw_ahead.link {
+                let _ = to_draw.send(std::mem::take(&mut self.pending));
+            }
+            draw_ahead.in_flight += 1;
+            if draw_ahead.in_flight > 1 {
+                let drawn = draw_ahead.recv();
+                self.admit_block(drawn);
+            }
+        }
+        Ok(())
+    }
+
+    /// Admit everything offered: the block in flight, then the pending one.
+    fn flush(&mut self) {
+        let mut last = std::mem::take(&mut self.pending);
+        if let Some(draw_ahead) = self.draw_ahead.as_mut().filter(|d| d.in_flight > 0) {
+            let drawn = draw_ahead.recv();
+            self.admit_block(drawn);
+        }
+        self.plan.draw_block(&mut last);
+        self.admit_block(last);
+    }
+
+    /// Run the engine over a drawn block in record order; its buffers
+    /// become the next pending block.
+    fn admit_block(&mut self, mut block: Block) {
+        let strides = block.services_us.chunks_exact(self.plan.max_chain_len);
+        for (rec, services_us) in block.records.iter().zip(strides) {
+            self.admit(rec, services_us);
+        }
+        block.records.clear();
+        self.pending = block;
+    }
+
+    /// Admit one record with its pre-drawn services (one stride, unused
+    /// if the record is shed).
+    fn admit(&mut self, rec: &TraceRecord, services_us: &[u64]) {
+        let arrival_us = rec.t.as_millis() * 1_000;
         if self.t0_us.is_none() {
             self.t0_us = Some(arrival_us);
             self.end_us = arrival_us;
@@ -853,19 +972,19 @@ impl DesSim {
             if !bucket.admit(arrival_us, priority) {
                 self.shed[priority as usize] += 1;
                 self.obs.shed[priority as usize].inc();
-                return Ok(());
+                return;
             }
         }
         self.admitted[priority as usize] += 1;
         self.obs.admitted[priority as usize].inc();
 
-        let Some(&(first_pool, _)) = self.chains[rec.event.code() as usize].first() else {
+        let Some(&(first_pool, _)) = self.plan.chains[rec.event.code() as usize].first() else {
             // A matrix can route an event nowhere; it completes at once.
             self.completed += 1;
             self.obs.completed.inc();
             self.latencies_us.record(0);
             self.obs.latency_us.record(0);
-            return Ok(());
+            return;
         };
         let job = Job {
             arrival_us,
@@ -876,27 +995,28 @@ impl DesSim {
         let id = match self.free_jobs.pop() {
             Some(id) => {
                 self.jobs[id as usize] = job;
+                let first = id as usize * services_us.len();
+                self.services_us[first..first + services_us.len()].copy_from_slice(services_us);
                 id
             }
             None => {
                 self.jobs.push(job);
-                self.services_us
-                    .resize(self.jobs.len() * self.max_chain_len, 0);
+                self.services_us.extend_from_slice(services_us);
                 (self.jobs.len() - 1) as u32
             }
         };
-        self.draw_services(rec, id);
         self.outstanding += 1;
         self.enqueue(first_pool, id, arrival_us);
         #[cfg(any(test, debug_assertions))]
         self.assert_laws();
-        Ok(())
     }
 
-    /// Drain the calendar and report. Remaining control ticks stop
-    /// rescheduling once no work is outstanding.
+    /// Admit what is buffered, drain the calendar and report. Remaining
+    /// control ticks stop rescheduling once no work is outstanding.
     pub fn finish(mut self) -> DesReport {
         let _finish = cn_obs::trace::global_span("cn_mcn_des_finish");
+        self.flush();
+        self.draw_ahead = None;
         self.input_done = true;
         self.advance_to(u64::MAX);
         debug_assert_eq!(self.outstanding, 0, "calendar drained with jobs in flight");
@@ -971,7 +1091,7 @@ impl DesSim {
             }
             self.calendar.pop();
             self.end_us = self.end_us.max(entry.t_us);
-            match entry.action() {
+            match entry.action {
                 Action::StageDone { job } => self.stage_done(job, entry.t_us),
                 Action::ServerOnline { nf } => self.server_online(nf as usize, entry.t_us),
                 Action::ScaleTick { nf } => self.scale_tick(nf as usize, entry.t_us),
@@ -1017,7 +1137,7 @@ impl DesSim {
     fn start_service(&mut self, pool: usize, job: u32, now_us: u64) {
         self.nfs[pool].busy += 1;
         let stage = self.jobs[job as usize].stage;
-        let service_us = self.services_us[job as usize * self.max_chain_len + stage];
+        let service_us = self.services_us[job as usize * self.plan.max_chain_len + stage];
         self.push(now_us.saturating_add(service_us), Action::StageDone { job });
     }
 
@@ -1053,10 +1173,10 @@ impl DesSim {
 
     fn stage_done(&mut self, job_id: u32, now_us: u64) {
         let job = self.jobs[job_id as usize];
-        let chain = &self.chains[job.event.code() as usize];
+        let chain = &self.plan.chains[job.event.code() as usize];
         let (pool, tx) = chain[job.stage];
         let next_pool = chain.get(job.stage + 1).map(|&(next, _)| next);
-        let service_us = self.services_us[job_id as usize * self.max_chain_len + job.stage];
+        let service_us = self.services_us[job_id as usize * self.plan.max_chain_len + job.stage];
         let stage_sojourn_us = now_us - job.stage_enqueued_us;
 
         let state = &mut self.nfs[pool];
@@ -1572,18 +1692,27 @@ mod tests {
     }
 
     /// Job slots and the service arena follow the in-flight high-water
-    /// mark, and sub-second latencies never reach a growing collection.
+    /// mark, sub-second latencies never reach a growing collection, and
+    /// the draw stage recycles a fixed set of blocks.
     #[test]
     fn steady_state_holds_nothing_per_record() {
         let mut sim = DesSim::new(single_nf_config(2, 400.0)).unwrap();
+        let stride = sim.plan.max_chain_len;
         for i in 0..5_000u64 {
             // Pairs of simultaneous arrivals, each pair long done before
             // the next: two jobs in flight at most.
             sim.offer(&rec(i / 2 * 10, (i % 16) as u32, EventType::Tau))
                 .unwrap();
+            // Pending and in flight: at most one block each between
+            // offers, none longer than a block.
+            assert!(sim.draw_ahead.as_ref().map_or(0, |d| d.in_flight) <= 1);
+            assert!(sim.pending.records.capacity() <= DRAW_BLOCK);
+            assert!(sim.pending.services_us.capacity() <= DRAW_BLOCK * stride);
         }
+        assert!(sim.draw_ahead.is_some(), "5 000 records fill two blocks");
+        sim.flush();
         assert_eq!(sim.jobs.len(), 2);
-        assert_eq!(sim.services_us.len(), 2 * sim.max_chain_len);
+        assert_eq!(sim.services_us.len(), 2 * stride);
         assert!(sim.calendar.len() <= 2 && sim.nfs[0].queue.is_empty());
         let report = sim.finish();
         assert_eq!(report.completed, 5_000);
@@ -1617,6 +1746,38 @@ mod tests {
         })
     }
 
+    /// A bursty stream: each `(gap ms, ue, event index)` arrives `gap`
+    /// after its predecessor.
+    fn bursty(arrivals: &[(u64, u32, usize)]) -> Vec<TraceRecord> {
+        let mut t_ms = 0;
+        arrivals
+            .iter()
+            .map(|&(gap_ms, ue, e)| {
+                t_ms += gap_ms;
+                rec(t_ms, ue, EventType::ALL[e])
+            })
+            .collect()
+    }
+
+    /// [`DesSim::new`] with `block_len` records per draw-ahead block.
+    fn with_block_len(config: DesConfig, block_len: usize) -> DesSim {
+        DesSim {
+            block_len,
+            ..DesSim::new(config).unwrap()
+        }
+    }
+
+    /// Offer `records` with `block_len` records per draw-ahead block.
+    /// `usize::MAX` never fills a block: every service is drawn on the
+    /// calling thread, in `finish`.
+    fn run_blocks(config: &DesConfig, records: &[TraceRecord], block_len: usize) -> DesReport {
+        let mut sim = with_block_len(config.clone(), block_len);
+        for r in records {
+            sim.offer(r).unwrap();
+        }
+        sim.finish()
+    }
+
     proptest! {
         /// The simulator asserts work conservation (a queued job means
         /// every online server is busy) and job conservation (offered =
@@ -1630,10 +1791,8 @@ mod tests {
             provision_ms in 0u64..400,
         ) {
             let mut sim = DesSim::new(elastic_epc(seed, provision_ms)).unwrap();
-            let mut t_ms = 0;
-            for &(gap_ms, ue, e) in &arrivals {
-                t_ms += gap_ms;
-                sim.offer(&rec(t_ms, ue, EventType::ALL[e])).unwrap();
+            for r in &bursty(&arrivals) {
+                sim.offer(r).unwrap();
             }
             let report = sim.finish();
             prop_assert_eq!(report.offered, arrivals.len() as u64);
@@ -1641,6 +1800,120 @@ mod tests {
             let stages: u64 = report.per_nf.iter().map(|nf| nf.stages).sum();
             prop_assert!(stages >= report.completed);
         }
+
+        /// Drawing ahead on the helper thread changes no bit of the
+        /// report, whatever the block size.
+        #[test]
+        fn any_block_size_reports_like_the_inline_draw(
+            arrivals in prop::collection::vec((0u64..40, 0u32..32, 0usize..6), 1..400),
+            seed in 0u64..1_000,
+            provision_ms in 0u64..400,
+        ) {
+            let config = elastic_epc(seed, provision_ms);
+            let records = bursty(&arrivals);
+            let inline = run_blocks(&config, &records, usize::MAX);
+            for block_len in [1, 97, DRAW_BLOCK] {
+                prop_assert_eq!(&run_blocks(&config, &records, block_len), &inline);
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_of_many_blocks_reports_like_the_inline_draw() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        let arrivals: Vec<(u64, u32, usize)> = (0..7 * DRAW_BLOCK / 2)
+            .map(|_| {
+                (
+                    rng.gen_range(0..12),
+                    rng.gen_range(0..64),
+                    rng.gen_range(0..6),
+                )
+            })
+            .collect();
+        let records = bursty(&arrivals);
+        let config = elastic_epc(7, 120);
+        let inline = run_blocks(&config, &records, usize::MAX);
+        assert!(inline.total_shed() > 0 && inline.per_nf[0].scale_ups > 0);
+        for block_len in [1, 97, DRAW_BLOCK] {
+            assert_eq!(
+                run_blocks(&config, &records, block_len),
+                inline,
+                "{block_len}"
+            );
+        }
+    }
+
+    /// An out-of-order record is refused by the `offer` that brings it,
+    /// wherever it falls against the blocks, and the run goes on as if it
+    /// had never been offered.
+    #[test]
+    fn unsorted_input_is_refused_at_any_block_position() {
+        let config = single_nf_config(2, 300.0);
+        let sorted: Vec<TraceRecord> = (0..300u64)
+            .map(|i| rec(1_000 + i * 3, (i % 8) as u32, EventType::Tau))
+            .collect();
+        let reference = run_blocks(&config, &sorted, usize::MAX);
+        // The second record of a fresh simulator, the first after a
+        // block boundary, the second of a later block.
+        for at in [1, 97, 98] {
+            let mut sim = with_block_len(config.clone(), 97);
+            for r in &sorted[..at] {
+                sim.offer(r).unwrap();
+            }
+            let prev_ms = sorted[at - 1].t.as_millis();
+            assert_eq!(
+                sim.offer(&rec(prev_ms - 1, 99, EventType::Attach)),
+                Err(DesError::UnsortedInput {
+                    prev_ms,
+                    got_ms: prev_ms - 1
+                }),
+                "at {at}"
+            );
+            for r in &sorted[at..] {
+                sim.offer(r).unwrap();
+            }
+            assert_eq!(sim.finish(), reference, "at {at}");
+        }
+    }
+
+    /// Dropping a simulator with a block in flight closes and joins its
+    /// draw-ahead thread: the thread's share of the plan is released by
+    /// the time `drop` returns.
+    #[test]
+    fn dropping_without_finish_joins_the_draw_ahead_thread() {
+        for round in 0..200 {
+            let mut sim = DesSim::new(single_nf_config(2, 400.0)).unwrap();
+            let plan = Arc::clone(&sim.plan);
+            for i in 0..5_000u64 {
+                sim.offer(&rec(i, (i % 16) as u32, EventType::Tau)).unwrap();
+            }
+            assert_eq!(sim.draw_ahead.as_ref().map(|d| d.in_flight), Some(1));
+            drop(sim);
+            assert_eq!(Arc::strong_count(&plan), 1, "round {round}");
+        }
+    }
+
+    /// A draw that panics on the helper thread is raised on the caller
+    /// with its own payload, not swallowed into a shorter report.
+    #[test]
+    fn a_draw_ahead_panic_is_raised_on_the_caller() {
+        let mut sim = with_block_len(single_nf_config(1, 100.0), 4);
+        // An empty sample set, past `validate`: sampling it panics.
+        let empty = serde_json::from_str(r#"{"Empirical":{"samples":[]}}"#).unwrap();
+        Arc::get_mut(&mut sim.plan).unwrap().laws[0] = empty;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            for i in 0..64u64 {
+                sim.offer(&rec(i, 0, EventType::Tau)).unwrap();
+            }
+            sim.finish()
+        }));
+        let payload = outcome.expect_err("the draw panicked");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("gen_range: empty range"));
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl ShedReport {
 
 /// The token-bucket state of one [`AdmissionPolicy`]: the crate's only
 /// bucket update, shared by [`apply`] and the simulator's front door
-/// (`DesSim::offer`) so the two cannot drift apart.
+/// (`DesSim::admit`) so the two cannot drift apart.
 #[derive(Debug, Clone)]
 pub(crate) struct TokenBucket {
     policy: AdmissionPolicy,
@@ -128,7 +128,7 @@ impl TokenBucket {
     /// `priority` unless that would dip into a reserve held for a higher
     /// class. Arrival times must not decrease.
     ///
-    /// `#[inline]`: `DesSim::offer` calls this once per record from
+    /// `#[inline]`: `DesSim::admit` calls this once per record from
     /// another module, which may be another codegen unit.
     #[inline]
     pub(crate) fn admit(&mut self, now_us: u64, priority: Priority) -> bool {

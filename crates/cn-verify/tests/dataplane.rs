@@ -1,6 +1,7 @@
 //! The ordered-record dataplane, checked in one place: one contract
-//! table over every [`RecordSource`] implementation, and one
-//! hostile-bytes property over every decoder of the 14-byte codec.
+//! table over every [`RecordSource`] implementation, one hostile-bytes
+//! property over every decoder of the 14-byte codec, and one over the
+//! simulator configuration a closed loop reads as JSON.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -8,6 +9,7 @@ use std::cell::Cell;
 use cn_fit::ModelSet;
 use cn_gen::{generate, FaultPlan, GenConfig, PopulationStream, ShardedStream};
 use cn_live::{decode_frame, encode_frame, Frame, LiveRecordSource};
+use cn_mcn::{DesConfig, DesSim};
 use cn_obs::Registry;
 use cn_scenario::{
     apply_scenario, ComposedStream, Phase, PhaseKind, PopulationSlot, ScenarioSpec, ScenarioStream,
@@ -305,6 +307,74 @@ proptest! {
                     }
                 }
                 let _ = source.finish();
+            }
+        });
+        prop_assert!(peak <= budget, "{} byte input, {peak} byte allocation", bytes.len());
+    }
+}
+
+/// `DesConfig::default_epc(1)` rendered as JSON.
+fn des_config_json() -> String {
+    serde_json::to_string(&DesConfig::default_epc(1)).unwrap()
+}
+
+/// The valid rendering with one byte replaced: a near miss of every
+/// field, bracket and digit in turn.
+fn mutated_des_config() -> impl Strategy<Value = Vec<u8>> {
+    let valid = des_config_json().into_bytes();
+    (0..valid.len(), any::<u8>()).prop_map(move |(at, byte)| {
+        let mut bytes = valid.clone();
+        bytes[at] = byte;
+        bytes
+    })
+}
+
+/// The valid rendering with one of its numbers replaced by an extreme —
+/// a server count, transaction count or period a careless constructor
+/// might size something by.
+fn extreme_des_config() -> impl Strategy<Value = Vec<u8>> {
+    const EXTREMES: [&str; 7] = [
+        "0",
+        "-1",
+        "0.5",
+        "4294967295",
+        "18446744073709551615",
+        "1e308",
+        "-1e308",
+    ];
+    let valid = des_config_json();
+    let bytes = valid.as_bytes();
+    let is_number = |b: &u8| b.is_ascii_digit() || b".-+eE".contains(b);
+    let numbers: Vec<(usize, usize)> = (1..bytes.len())
+        .filter(|&at| b":[,".contains(&bytes[at - 1]) && is_number(&bytes[at]))
+        .map(|start| {
+            let len = bytes[start..].iter().take_while(|b| is_number(b)).count();
+            (start, start + len)
+        })
+        .collect();
+    (0..numbers.len(), 0..EXTREMES.len()).prop_map(move |(n, e)| {
+        let (start, end) = numbers[n];
+        format!("{}{}{}", &valid[..start], EXTREMES[e], &valid[end..]).into_bytes()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A simulator configuration parsed from hostile JSON is `Ok` or a
+    /// typed error at `from_str` and again at `DesSim::new` — never a
+    /// panic — and neither step allocates by a count the input spells out
+    /// (a `Value` and its key per two input bytes, doubled by `Vec`
+    /// growth, bounds what a parse can honestly need).
+    #[test]
+    fn des_config_survives_hostile_json(
+        bytes in prop_oneof![hostile_bytes(), mutated_des_config(), extreme_des_config()],
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        let budget = 64 * bytes.len() + 4096;
+        let ((), peak) = largest_alloc_during(|| {
+            if let Ok(config) = serde_json::from_str::<DesConfig>(&text) {
+                let _ = DesSim::new(config);
             }
         });
         prop_assert!(peak <= budget, "{} byte input, {peak} byte allocation", bytes.len());
