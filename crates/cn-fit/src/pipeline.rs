@@ -100,11 +100,11 @@ fn observe_all(trace: &Trace, threads: usize) -> Vec<UeObservations> {
     // in `join` (as `cn_world::generate_world` does, for the same reason).
     let mut shares: Vec<_> = entries.chunks(chunk).collect();
     let own = shares.pop().expect("entries is non-empty");
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let observe_share = &observe_share;
         let handles: Vec<_> = shares
             .into_iter()
-            .map(|slice| scope.spawn(move |_| observe_share(slice)))
+            .map(|slice| scope.spawn(move || observe_share(slice)))
             .collect();
         let own = observe_share(own);
         handles
@@ -113,7 +113,6 @@ fn observe_all(trace: &Trace, threads: usize) -> Vec<UeObservations> {
             .chain(own)
             .collect()
     })
-    .expect("scope panicked")
 }
 
 /// Fit all 24 hour slots of one device type.

@@ -1,8 +1,8 @@
 //! Population-scale synthesis: K per-UE generators in parallel.
 
-use crate::per_ue::generate_ue_with;
+use crate::shard::ShardedStream;
 use cn_fit::ModelSet;
-use cn_trace::{DeviceType, PopulationMix, Timestamp, Trace, UeId, MS_PER_HOUR};
+use cn_trace::{DeviceType, PopulationMix, RecordSource, Timestamp, Trace, MS_PER_HOUR};
 use serde::{Deserialize, Serialize};
 
 /// How the per-UE generator treats sojourns that cross hour boundaries —
@@ -115,16 +115,15 @@ impl GenConfig {
 /// the sequential path is always correct and never slower, whereas
 /// speculatively spawning workers pays thread, channel, and merge tax for
 /// potentially zero parallelism — exactly the regression the adaptive
-/// sharded path exists to avoid. Shared by [`generate`],
-/// [`crate::ShardedStream::new`], and cp-bench so every
-/// "0 = all cores" knob resolves identically.
+/// sharded path exists to avoid. Shared by [`crate::ShardedStream::new`]
+/// (and so [`generate`]), [`crate::generate_out_of_core`], and cp-bench so
+/// every "0 = all cores" knob resolves identically.
 pub fn effective_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Per-UE stream seed: decorrelated from the master seed via SplitMix64.
-/// Shared by the batch engine and [`crate::stream::PopulationStream`] so
-/// both produce identical per-UE streams.
+/// Per-UE stream seed: decorrelated from the master seed via SplitMix64,
+/// so a UE's stream is the same whichever pool or shard generates it.
 pub(crate) fn ue_stream_seed(seed: u64, index: u32) -> u64 {
     splitmix64(seed ^ splitmix64(u64::from(index) + 0x5F0F))
 }
@@ -153,71 +152,142 @@ fn splitmix64(mut x: u64) -> u64 {
 /// assert!(trace.iter().all(|r| r.t >= config.start && r.t < config.end()));
 /// ```
 pub fn generate(models: &ModelSet, config: &GenConfig) -> Trace {
-    let total = config.population.total();
-    // A NaN duration must take the empty-trace path too, not fall through
-    // to the generators (`NaN <= 0.0` is false).
-    if total == 0 || config.duration_hours.is_nan() || config.duration_hours <= 0.0 {
-        return Trace::new();
-    }
-    let end = config.end();
-    let threads = config.resolved_threads().min(total as usize).max(1);
-    let chunk = total.div_ceil(threads as u32);
+    let (trace, _) = ShardedStream::new(models, config)
+        .collect_trace()
+        .unwrap_or_else(|e| panic!("generator panicked: {e}"));
+    trace
+}
 
-    let partial: Vec<Trace> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads as u32)
-            .map(|w| {
-                scope.spawn(move |_| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(total);
-                    let mut traces = Vec::new();
-                    for index in lo..hi {
-                        let device = config.device_of(index);
-                        traces.push(generate_ue_with(
-                            models.device(device),
-                            models.method,
-                            UeId(index),
-                            config.start,
-                            end,
-                            ue_stream_seed(config.seed, index),
-                            config.semantics,
-                        ));
-                    }
-                    Trace::merge(traces)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("generator panicked"))
-            .collect()
-    })
-    .expect("scope panicked");
-
-    Trace::merge(partial)
+/// The §7 merge by definition — every UE of `ues` generated on its own,
+/// then all records sorted — for tests to hold every engine against.
+#[cfg(test)]
+pub(crate) fn reference(
+    models: &ModelSet,
+    config: &GenConfig,
+    ues: impl IntoIterator<Item = u32>,
+) -> Vec<cn_trace::TraceRecord> {
+    let mut records: Vec<_> = (ues.into_iter())
+        .flat_map(|ue| {
+            crate::per_ue::UeEventIter::with_semantics(
+                models.device(config.device_of(ue)),
+                models.method,
+                cn_trace::UeId(ue),
+                config.start,
+                config.end(),
+                ue_stream_seed(config.seed, ue),
+                config.semantics,
+            )
+        })
+        .collect();
+    records.sort();
+    records
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::PopulationStream;
     use cn_fit::{fit, FitConfig, Method};
     use cn_trace::check_well_formed;
     use cn_world::{generate_world, WorldConfig};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
-    fn fitted() -> ModelSet {
-        let trace = generate_world(&WorldConfig::new(PopulationMix::new(40, 20, 12), 2.0, 5));
-        fit(&trace, &FitConfig::new(Method::Ours))
+    /// Models fitted once per method and shared by every test here.
+    fn fitted_with(method: Method) -> &'static ModelSet {
+        static OURS: OnceLock<ModelSet> = OnceLock::new();
+        static BASE: OnceLock<ModelSet> = OnceLock::new();
+        let cell = if method == Method::Ours { &OURS } else { &BASE };
+        cell.get_or_init(|| {
+            let world = generate_world(&WorldConfig::new(PopulationMix::new(40, 20, 12), 2.0, 5));
+            fit(&world, &FitConfig::new(method))
+        })
+    }
+
+    /// The determinism matrix: for every hour semantics and both state-
+    /// machine families, the sequential stream, [`generate`] at 1 and 4
+    /// threads, and the sharded stream at 1, 3, and 8 shards all equal the
+    /// reference merge.
+    #[test]
+    fn every_engine_equals_the_reference() {
+        for method in [Method::Ours, Method::Base] {
+            let models = fitted_with(method);
+            for semantics in [HourSemantics::EntryHour, HourSemantics::TruncateAtBoundary] {
+                let mut config = GenConfig::new(
+                    PopulationMix::new(30, 14, 8),
+                    Timestamp::at_hour(0, 16),
+                    3.0,
+                    41,
+                );
+                config.semantics = semantics;
+                let expected = reference(models, &config, 0..config.population.total());
+                let check = |got: &[cn_trace::TraceRecord], engine: String| {
+                    assert!(
+                        got == expected,
+                        "{method:?}/{semantics:?}: {engine} diverged"
+                    );
+                };
+                let sequential: Vec<_> = PopulationStream::new(models, &config).collect();
+                check(&sequential, "the sequential stream".into());
+                for threads in [1usize, 4] {
+                    config.threads = threads;
+                    check(
+                        generate(models, &config).records(),
+                        format!("{threads}-thread generate"),
+                    );
+                }
+                for shards in [1usize, 3, 8] {
+                    let (sharded, _) = ShardedStream::with_shards(models, &config, shards)
+                        .collect_trace()
+                        .expect("no fault injected");
+                    check(sharded.records(), format!("the {shards}-shard stream"));
+                }
+            }
+        }
+    }
+
+    fn arb_config() -> impl Strategy<Value = GenConfig> {
+        (1u32..20, 0u32..8, 0u32..6, 0u8..24, 1u8..6, 0u64..10_000).prop_map(
+            |(p, c, t, hour, hours, seed)| {
+                GenConfig::new(
+                    PopulationMix::new(p, c, t),
+                    Timestamp::at_hour(0, hour),
+                    f64::from(hours),
+                    seed,
+                )
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The sharded stream is the reference merge, event for event, at
+        /// any shard count.
+        #[test]
+        fn sharded_stream_matches_the_reference(
+            config in arb_config(),
+            shards in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
+        ) {
+            let set = fitted_with(Method::Ours);
+            let expected = reference(set, &config, 0..config.population.total());
+            let (sharded, _) = ShardedStream::with_shards(set, &config, shards)
+                .collect_trace()
+                .expect("no fault injected");
+            prop_assert_eq!(sharded.records(), &expected[..]);
+        }
     }
 
     #[test]
     fn population_trace_is_well_formed() {
-        let set = fitted();
+        let set = fitted_with(Method::Ours);
         let config = GenConfig::new(
             PopulationMix::new(25, 10, 8),
             Timestamp::at_hour(0, 10),
             2.0,
             9,
         );
-        let t = generate(&set, &config);
+        let t = generate(set, &config);
         assert!(!t.is_empty());
         assert!(check_well_formed(&t).is_empty());
         for r in t.iter() {
@@ -228,7 +298,7 @@ mod tests {
 
     #[test]
     fn thread_count_invariant() {
-        let set = fitted();
+        let set = fitted_with(Method::Ours);
         let mut config = GenConfig::new(
             PopulationMix::new(12, 5, 4),
             Timestamp::at_hour(0, 9),
@@ -236,36 +306,36 @@ mod tests {
             3,
         );
         config.threads = 1;
-        let a = generate(&set, &config);
+        let a = generate(set, &config);
         config.threads = 4;
-        let b = generate(&set, &config);
+        let b = generate(set, &config);
         assert_eq!(a, b);
     }
 
     #[test]
     fn scales_to_larger_population_than_modeled() {
         // Design goal 3: the modeled trace had 72 UEs; synthesize 400.
-        let set = fitted();
+        let set = fitted_with(Method::Ours);
         let config = GenConfig::new(
             PopulationMix::new(250, 100, 50),
             Timestamp::at_hour(0, 12),
             1.0,
             21,
         );
-        let t = generate(&set, &config);
+        let t = generate(set, &config);
         let active = t.ues().len();
         assert!(active > 150, "only {active} of 400 UEs active");
     }
 
     #[test]
     fn empty_population_is_empty() {
-        let set = fitted();
+        let set = fitted_with(Method::Ours);
         let config = GenConfig::new(
             PopulationMix::new(0, 0, 0),
             Timestamp::at_hour(0, 0),
             1.0,
             1,
         );
-        assert!(generate(&set, &config).is_empty());
+        assert!(generate(set, &config).is_empty());
     }
 }

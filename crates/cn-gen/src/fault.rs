@@ -2,7 +2,7 @@
 //! support only**.
 //!
 //! The failure-containment contract of [`crate::ShardedStream`] ("every
-//! worker failure becomes a typed [`crate::StreamError`], never a silently
+//! worker failure becomes a typed [`cn_trace::StreamError`], never a silently
 //! short trace") is only worth anything if it is *exercised*: a panic path
 //! nobody can trigger on demand is a panic path nobody has ever seen work.
 //! [`FaultPlan`] makes worker failures reproducible:

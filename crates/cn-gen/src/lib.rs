@@ -23,29 +23,23 @@
 //! with each subsequent hour's model. Per-UE event times are strictly
 //! increasing; UE streams are merged into one sorted population trace.
 //!
-//! Four synthesis surfaces share those per-UE generators and produce
-//! byte-identical traces for the same [`GenConfig`]. Each stays because
-//! something the others cannot do depends on it (DESIGN.md §5d):
+//! Three synthesis surfaces share those per-UE generators and produce
+//! byte-identical traces for the same [`GenConfig`]. All of them merge UE
+//! runs through one engine, the time-slab pool behind
+//! [`PopulationStream`]:
 //!
-//! * [`generate`] — materialize the whole trace (per-UE batch +
-//!   `Trace::merge`): the reference the golden and cross-surface tests
-//!   compare every streaming engine against;
-//! * [`PopulationStream`] — sequential bounded-memory streaming: the
-//!   per-UE runs merged by time slab over packed integer keys ([`pool`]);
-//!   it *is* the inline path of the next surface and cannot fail, so it
-//!   alone keeps [`Iterator`];
-//! * [`ShardedStream`] — multi-core streaming: disjoint UE shards on
-//!   worker threads, bounded block channels, and a block-draining S-way
-//!   merge. Execution is *adaptive*: at one effective shard (including
-//!   every single-core box) it runs the sequential merge inline, spawning
-//!   no threads, so the sharded API is never slower than
-//!   [`PopulationStream`];
+//! * [`PopulationStream`] — sequential bounded-memory streaming over packed
+//!   integer keys; it cannot fail, so it alone keeps [`Iterator`];
+//! * [`ShardedStream`] — multi-core streaming: disjoint UE shards, each a
+//!   pool on its own worker thread, bounded block channels, and a
+//!   block-draining S-way merge. At one effective shard (including every
+//!   single-core box) it runs the sequential stream inline, spawning no
+//!   threads. [`generate`] drains it into a materialized [`cn_trace::Trace`];
 //! * [`generate_out_of_core`] — population-scale binary export under a
-//!   bounded memory budget: UE-range chunks, generated on
+//!   bounded memory budget: UE-range chunks, each a pool on one of
 //!   [`GenConfig::threads`] workers, emit arena-encoded sorted runs that
-//!   spill to temp files past the budget and k-way merge back into the
-//!   sink as verbatim byte blocks (see [`outofcore`]) — a different
-//!   output (bytes, not records) and memory bound.
+//!   spill past the budget and k-way merge back into the sink as verbatim
+//!   byte blocks — bytes, not records, under a different memory bound.
 //!
 //! Both streams implement [`cn_trace::RecordSource`], the one pull
 //! contract every downstream layer consumes.
@@ -53,28 +47,22 @@
 //! All "0 = all cores" knobs resolve through [`effective_parallelism`].
 //!
 //! The sharded pipeline is **failure-contained**: a panicked worker
-//! surfaces as a typed [`StreamError`] through the fallible
-//! [`ShardedStream::try_next`] / [`ShardedStream::finish`] API (there is
-//! no infallible view of it) — never as a silently truncated trace (see `shard` module docs, *Failure
-//! semantics*, and the deterministic [`fault`] injection harness the
-//! tier-1 suite drives it with).
+//! surfaces as a typed [`cn_trace::StreamError`] through its fallible pull,
+//! never as a silently truncated trace ([`FaultPlan`] injects the faults).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod fault;
-pub mod outofcore;
-pub mod per_ue;
-pub mod pool;
-pub mod shard;
-pub mod stream;
+mod engine;
+mod fault;
+mod outofcore;
+mod per_ue;
+mod pool;
+mod shard;
 
-pub use cn_trace::StreamError;
 pub use engine::{effective_parallelism, generate, GenConfig, HourSemantics};
 pub use fault::FaultPlan;
 pub use outofcore::{generate_out_of_core, OutOfCoreConfig, OutOfCoreReport};
 pub use per_ue::{generate_ue, UeEventIter};
-pub use pool::UePool;
+pub use pool::PopulationStream;
 pub use shard::{ShardedStream, StreamStats, WorkerOutcome};
-pub use stream::PopulationStream;

@@ -1,7 +1,7 @@
 //! Out-of-core generation: population-scale binary export under a
 //! bounded memory budget.
 //!
-//! [`PopulationStream`](crate::PopulationStream) keeps one live generator
+//! [`PopulationStream`] keeps one live generator
 //! per UE, so its resident set grows linearly with the population — at
 //! 10M UEs that is gigabytes of iterator state before the first record is
 //! written. [`generate_out_of_core`] bounds both sides:
@@ -10,11 +10,11 @@
 //!    into contiguous UE-range chunks of [`OutOfCoreConfig::chunk_ues`],
 //!    dealt round-robin to [`GenConfig::threads`] scoped workers (`0` =
 //!    [`crate::effective_parallelism`]; the workers borrow the caller's
-//!    [`ModelSet`], nothing is cloned). A worker runs one [`UePool`] at a
-//!    time (only `chunk_ues` generators resident per worker) and drains
-//!    it into a time-sorted *run*, arena-encoded straight into the
-//!    on-disk 14-byte record format via
-//!    [`EncodedBlock`](cn_trace::EncodedBlock) — records are encoded
+//!    [`ModelSet`], nothing is cloned). A worker runs one chunk's
+//!    [`PopulationStream`] at a time (only `chunk_ues` generators resident
+//!    per worker) and drains it into a time-sorted *run*, arena-encoded
+//!    straight into the on-disk 14-byte record format via
+//!    [`EncodedBlock`] — records are encoded
 //!    exactly once, at generation — shipped block by block over a bounded
 //!    channel to the calling thread.
 //! 2. **Budgeted spill on the calling thread** — the caller alone owns
@@ -74,7 +74,7 @@
 
 use crate::engine::GenConfig;
 use crate::fault::{FaultHook, NoFault};
-use crate::pool::UePool;
+use crate::pool::PopulationStream;
 use crate::shard::panic_payload;
 use cn_fit::ModelSet;
 use cn_obs::TraceSink;
@@ -337,7 +337,7 @@ impl<T> Lane<'_, T> {
     }
 }
 
-/// Drain one chunk's [`UePool`] into encoded blocks tagged with the chunk
+/// Drain one chunk's [`PopulationStream`] into encoded blocks tagged with the chunk
 /// index; `false` when the committing thread hung up.
 fn ship_chunk<F: FaultHook>(
     models: &ModelSet,
@@ -347,9 +347,8 @@ fn ship_chunk<F: FaultHook>(
     tx: &SyncSender<(usize, EncodedBlock)>,
     fault: &mut F,
 ) -> bool {
-    let mut pool = UePool::new(models, config, ues);
     let mut block = EncodedBlock::with_capacity(CHUNK_BLOCK_RECORDS);
-    while let Some(rec) = pool.next_record() {
+    for rec in PopulationStream::with_ues(models, config, ues) {
         fault.on_record();
         block.push(&rec);
         if block.len() == CHUNK_BLOCK_RECORDS {

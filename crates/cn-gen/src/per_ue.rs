@@ -4,7 +4,7 @@
 //! population can be synthesized either by materializing each UE
 //! ([`generate_ue`]) or by merging hundreds of thousands of live iterators
 //! into one time-ordered stream with bounded memory
-//! ([`crate::stream::PopulationStream`]).
+//! ([`crate::PopulationStream`]).
 
 use crate::engine::HourSemantics;
 use cn_fit::{ClusterHourModel, DeviceModels, Method, StateMachineKind};
@@ -33,19 +33,6 @@ pub fn generate_ue(
     seed: u64,
 ) -> Trace {
     UeEventIter::new(dm, method, ue, start, end, seed).collect()
-}
-
-/// As [`generate_ue`] with explicit hour-boundary semantics.
-pub fn generate_ue_with(
-    dm: &DeviceModels,
-    method: Method,
-    ue: UeId,
-    start: Timestamp,
-    end: Timestamp,
-    seed: u64,
-    semantics: HourSemantics,
-) -> Trace {
-    UeEventIter::with_semantics(dm, method, ue, start, end, seed, semantics).collect()
 }
 
 /// Start of the hour following time `t` (seconds).
@@ -176,11 +163,6 @@ impl<'m> UeEventIter<'m> {
             }
             _ => pending,
         }
-    }
-
-    /// The UE this iterator generates for.
-    pub fn ue(&self) -> UeId {
-        self.ue
     }
 
     fn model_at(&self, t_secs: f64) -> &'m ClusterHourModel {
@@ -771,7 +753,7 @@ mod tests {
         let mut differs = false;
         for seed in 0..15 {
             let entry = generate_ue(dm, Method::Ours, UeId(0), start, end, seed);
-            let trunc = generate_ue_with(
+            let trunc: Trace = UeEventIter::with_semantics(
                 dm,
                 Method::Ours,
                 UeId(0),
@@ -779,7 +761,8 @@ mod tests {
                 end,
                 seed,
                 HourSemantics::TruncateAtBoundary,
-            );
+            )
+            .collect();
             let out = replay_ue(trunc.records());
             assert!(
                 out.is_conformant(),

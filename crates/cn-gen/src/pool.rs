@@ -1,25 +1,13 @@
-//! Struct-of-arrays UE pool: generation by time slab.
+//! The population stream: per-UE generators merged by time slab.
 //!
 //! A population stream is the k-way merge of one strictly ascending run
 //! per UE. Merging *per event* — a tournament tree, a heap, a calendar
-//! queue — visits the UEs in event order, and that order is what the
-//! generator pays for, not its arithmetic. Measured on the 2-core box, a
-//! dependent random load costs
+//! queue — visits the UEs in event order, and that order, a cache miss
+//! into the model and the generator state per event, is what the
+//! generator pays for, not its arithmetic (DESIGN.md §5b has the numbers).
 //!
-//! | working set | 1 MiB | 8 MiB | 24 MiB | beyond   |
-//! |-------------|-------|-------|--------|----------|
-//! | ns per load | 7     | 57    | 146    | ~200     |
-//!
-//! and a per-event merge makes ~2.5 such loads per event: into the fitted
-//! model's ECDF samples (22 MiB, all 24 hours live at once), into the
-//! per-UE generator state (8 MiB at 20 K UEs, touched in event order), and
-//! into the merge structure itself. That — not the model — is why
-//! throughput fell as the population grew; shrinking the fitted world to
-//! 1/35 of its samples took the per-UE stage from ~206 to 69 ns/event with
-//! the code unchanged.
-//!
-//! [`UePool`] therefore generates **by time slab**. It keeps one pending
-//! `(t, event)` per UE slot in two dense arrays, and to refill it
+//! [`PopulationStream`] therefore generates **by time slab**. It keeps one
+//! pending `(t, event)` per UE slot in two dense arrays, and to refill it
 //!
 //! 1. walks the slots in ascending order and runs every UE whose pending
 //!    time falls before the slab's end through its [`UeEventIter`] up to
@@ -39,26 +27,25 @@
 //! A refill reads every slot's pending time, so a pool of N UEs carries
 //! N / target sequential loads per event — negligible at the populations
 //! the streams serve, and the reason millions of UEs go through
-//! [`crate::outofcore`]'s chunks rather than one pool.
+//! [`crate::generate_out_of_core`]'s chunks rather than one pool.
 //!
 //! The key order embeds the record order exactly: per-UE timestamps
 //! strictly increase, every UE lives in exactly one slot, and slots are
 //! assigned in ascending UE order, so `(t_rel, slot)` sorts identically
 //! to the global `(t, ue)` record order (event type never breaks a tie —
-//! `(t, ue)` is already unique). The pool's output is byte-identical to
-//! a tournament-tree merge; the `cn-verify` golden gate holds at pin parity.
-//! (The tournament tree, `cn_trace::KeyLoserTree`, is still the right tool
-//! where runs are few and long: the shard and out-of-core merges.)
+//! `(t, ue)` is already unique). A tournament tree, `cn_trace::KeyLoserTree`,
+//! remains the tool where runs are few and long: the shard and out-of-core
+//! merges.
 //!
-//! The same pool drives the sequential stream, each shard worker of the
-//! parallel stream (over a strided index set), and each UE-range chunk
-//! of the out-of-core generator ([`crate::outofcore`]).
+//! The same pool is the sequential stream, the inline path of
+//! [`crate::ShardedStream`], each of its shard workers (over a strided
+//! index set), and each UE-range chunk of [`crate::generate_out_of_core`].
 
 use crate::engine::GenConfig;
 use crate::per_ue::UeEventIter;
 use cn_fit::ModelSet;
 use cn_obs::{Counter, TraceSink, TraceSpan};
-use cn_trace::{EventType, Timestamp, TraceRecord, UeId};
+use cn_trace::{EventType, RecordSource, StreamError, Timestamp, TraceRecord, UeId};
 
 /// Bits of a packed key holding the event code (six event types).
 const EVENT_BITS: u32 = 3;
@@ -75,7 +62,7 @@ const MAX_HORIZON_MS: u64 = 1 << (64 - TIME_SHIFT);
 /// width yields the same output). Keys plus radix scratch are 16 bytes an
 /// event. Wider slabs run each UE further per visit (131 072 measured
 /// ~8 % faster sequentially), but a shard worker's slab has to fit its
-/// channel ([`crate::shard::CHANNEL_BLOCKS`]) for fill and drain to overlap.
+/// channel (`shard::CHANNEL_BLOCKS`) for fill and drain to overlap.
 pub(crate) const SLAB_TARGET_EVENTS: usize = 1 << 15;
 /// Widest slab (~17 min): [`RADIX_PASSES_MAX`] passes always cover it, and
 /// a sparse pool, whose width would otherwise stretch over several model
@@ -101,38 +88,36 @@ struct Slab {
     /// The current slab's keys, sorted; `keys[cursor..]` are unemitted.
     keys: Vec<u64>,
     cursor: usize,
+    /// Keys of the slabs drained before the current one.
+    retired: u64,
     scratch: Vec<u64>,
-    /// Start of the next slab: the earliest pending time.
+    /// Start of the next slab: the earliest pending time ([`DRY`] once
+    /// every run has ended).
     start: u64,
     /// Width of the next slab in ms, in `1..=MAX_WIDTH_MS`.
     width: u64,
     target: u64,
-    /// Slots with a pending event.
-    live: usize,
-    /// Slots whose run ended inside the current slab.
-    retiring: usize,
 }
 
 impl Slab {
     fn new(pending_t: Vec<u64>, pending_event: Vec<EventType>, target: usize) -> Slab {
         Slab {
-            live: pending_t.iter().filter(|&&t| t != DRY).count(),
             start: pending_t.iter().copied().min().unwrap_or(DRY),
             pending_t,
             pending_event,
             keys: Vec::new(),
             cursor: 0,
+            retired: 0,
             scratch: Vec::new(),
             width: FIRST_WIDTH_MS,
             target: target.max(1) as u64,
-            retiring: 0,
         }
     }
 
-    /// True when the current slab is drained and another can be filled.
+    /// True when the current slab is drained.
     #[inline]
-    fn wants_fill(&self) -> bool {
-        self.cursor == self.keys.len() && self.live > 0
+    fn is_drained(&self) -> bool {
+        self.cursor == self.keys.len()
     }
 
     /// The next key in `(t_rel, slot)` order; `None` when the current
@@ -144,19 +129,18 @@ impl Slab {
         Some(key)
     }
 
-    /// Slots with events not yet popped, counted at slab granularity.
-    fn live(&self) -> usize {
-        let draining = self.cursor < self.keys.len();
-        self.live + if draining { self.retiring } else { 0 }
-    }
-
-    /// Build the slab `[start, start + width)`: every slot's events in
-    /// that window, sorted; an event exactly at the end stays pending.
+    /// Retire the drained slab and build the slab `[start, start + width)`:
+    /// every slot's events in that window, sorted; an event exactly at the
+    /// end stays pending. Once every run is dry the new slab is empty.
     fn fill(&mut self, mut advance: impl FnMut(usize) -> Option<(u64, EventType)>) {
-        let (start, end) = (self.start, self.start + self.width);
+        debug_assert!(self.is_drained(), "fill over unpopped keys");
+        self.retired += self.keys.len() as u64;
         self.keys.clear();
         self.cursor = 0;
-        self.retiring = 0;
+        if self.start == DRY {
+            return;
+        }
+        let (start, end) = (self.start, self.start + self.width);
         let mut next_start = DRY;
         for (slot, pending) in self.pending_t.iter_mut().enumerate() {
             let mut t = *pending;
@@ -168,11 +152,7 @@ impl Slab {
                         .push(t << TIME_SHIFT | slot_bits | u64::from(event.code()));
                     match advance(slot) {
                         Some(next) => (t, event) = next,
-                        None => {
-                            t = DRY;
-                            self.live -= 1;
-                            self.retiring += 1;
-                        }
+                        None => t = DRY,
                     }
                     if t >= end {
                         break;
@@ -242,9 +222,10 @@ impl SlabObs {
     }
 }
 
-/// A population of per-UE generators merged by time slab (see module
-/// docs).
-pub struct UePool<'m> {
+/// A time-ordered event stream over a synthesized population, merged by
+/// time slab (see module docs): O(population) generator states plus one
+/// slab resident, never O(total events).
+pub struct PopulationStream<'m> {
     iters: Vec<UeEventIter<'m>>,
     /// The UE each slot generates for.
     ues: Vec<u32>,
@@ -252,24 +233,33 @@ pub struct UePool<'m> {
     /// Start, for start-relative key times; population, for device types.
     config: GenConfig,
     obs: Option<SlabObs>,
+    /// Fed the records emitted, slab by slab and the rest on drop (the
+    /// `cn_gen_merge_events_total` of an observed inline sharded stream).
+    merged: Counter,
 }
 
-impl<'m> UePool<'m> {
-    /// Build a pool over the UEs named by `indices`, with the same seeds,
-    /// device assignment, and semantics as [`crate::generate`] — so any
+impl<'m> PopulationStream<'m> {
+    /// Create the stream for a generation configuration: the same records,
+    /// in the same order, as [`crate::generate`].
+    pub fn new(models: &'m ModelSet, config: &GenConfig) -> PopulationStream<'m> {
+        Self::with_ues(models, config, 0..config.population.total())
+    }
+
+    /// The stream over the UEs named by `indices`, with the same seeds,
+    /// device assignment, and semantics as the whole population's — so any
     /// partition of the population into pools merges back byte-identically.
     ///
     /// `indices` must be strictly increasing (every natural partition —
     /// ranges, strides — is), so slot order embeds UE order, and must
     /// name at most 2²⁴ UEs per pool; larger populations are chunked by
-    /// [`crate::outofcore`]. The window must be shorter than 2³⁷ ms (~4.3
-    /// years). Both are checked in release builds too: a key that
-    /// overflows would silently reorder records.
-    pub fn new(
+    /// [`crate::generate_out_of_core`]. The window must be shorter than
+    /// 2³⁷ ms (~4.3 years). Both are checked in release builds too: a key
+    /// that overflows would silently reorder records.
+    pub(crate) fn with_ues(
         models: &'m ModelSet,
         config: &GenConfig,
         indices: impl Iterator<Item = u32>,
-    ) -> UePool<'m> {
+    ) -> PopulationStream<'m> {
         Self::with_slab_target(models, config, indices, SLAB_TARGET_EVENTS)
     }
 
@@ -278,13 +268,13 @@ impl<'m> UePool<'m> {
         config: &GenConfig,
         indices: impl Iterator<Item = u32>,
         target: usize,
-    ) -> UePool<'m> {
+    ) -> PopulationStream<'m> {
         let end = config.end();
         let base_ms = config.start.as_millis();
         let horizon_ms = end.as_millis().saturating_sub(base_ms);
         assert!(
             horizon_ms < MAX_HORIZON_MS,
-            "a UePool spans less than {MAX_HORIZON_MS} ms (~4.3 years), got {horizon_ms} ms: \
+            "a pool spans less than {MAX_HORIZON_MS} ms (~4.3 years), got {horizon_ms} ms: \
              later events would overflow the merge key"
         );
         let (lo, hi) = indices.size_hint();
@@ -316,15 +306,16 @@ impl<'m> UePool<'m> {
         }
         assert!(
             iters.len() <= MAX_POOL,
-            "a UePool holds at most {MAX_POOL} UEs; chunk larger populations \
+            "a pool holds at most {MAX_POOL} UEs; chunk larger populations \
              through the out-of-core path"
         );
-        UePool {
+        PopulationStream {
             iters,
             ues,
             slab: Slab::new(pending_t, pending_event, target),
             config: *config,
             obs: None,
+            merged: Counter::noop(),
         }
     }
 
@@ -334,11 +325,38 @@ impl<'m> UePool<'m> {
         self.obs = listening.then(|| obs.clone());
     }
 
-    /// Emit the globally next record, filling the next slab when the
-    /// current one is drained.
+    /// Feed every record emitted from here on into `merged`, at slab
+    /// granularity: each drained slab when the next is filled (or the
+    /// stream runs dry), and the current slab's emitted part on drop.
+    pub(crate) fn count_into(&mut self, merged: Counter) {
+        self.merged = merged;
+    }
+
+    /// Records emitted so far.
+    pub(crate) fn emitted(&self) -> u64 {
+        self.slab.retired + self.slab.cursor as u64
+    }
+
+    #[cold]
+    fn fill(&mut self) {
+        self.merged.add(self.slab.keys.len() as u64);
+        let _span = (self.obs.as_ref())
+            .filter(|_| self.slab.start != DRY)
+            .map(SlabObs::on_fill);
+        let (iters, base_ms) = (&mut self.iters, self.config.start.as_millis());
+        self.slab.fill(|slot| {
+            let rec = iters[slot].next()?;
+            Some((rec.t.as_millis() - base_ms, rec.event))
+        });
+    }
+}
+
+impl Iterator for PopulationStream<'_> {
+    type Item = TraceRecord;
+
     #[inline]
-    pub fn next_record(&mut self) -> Option<TraceRecord> {
-        if self.slab.wants_fill() {
+    fn next(&mut self) -> Option<TraceRecord> {
+        if self.slab.is_drained() {
             self.fill();
         }
         let key = self.slab.pop()?;
@@ -350,30 +368,32 @@ impl<'m> UePool<'m> {
             event: EventType::ALL[(key & ((1 << EVENT_BITS) - 1)) as usize],
         })
     }
+}
 
-    #[cold]
-    fn fill(&mut self) {
-        let _span = self.obs.as_ref().map(SlabObs::on_fill);
-        let (iters, base_ms) = (&mut self.iters, self.config.start.as_millis());
-        self.slab.fill(|slot| {
-            let rec = iters[slot].next()?;
-            Some((rec.t.as_millis() - base_ms, rec.event))
-        });
+/// The sequential stream cannot fail: it is the [`Iterator`] above under
+/// the fallible pull every downstream stage speaks.
+impl RecordSource for PopulationStream<'_> {
+    type Stats = ();
+
+    fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
+        Ok(self.next())
     }
 
-    /// Number of UEs that still have events to emit, counted at slab
-    /// granularity: a UE whose last event sits in the current slab counts
-    /// until that slab is drained. `live() == 0` exactly when
-    /// [`Self::next_record`] would return `None`.
-    pub fn live(&self) -> usize {
-        self.slab.live()
+    fn finish(self) -> Result<(), StreamError> {
+        Ok(())
+    }
+}
+
+impl Drop for PopulationStream<'_> {
+    fn drop(&mut self) {
+        self.merged.add(self.slab.cursor as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::HourSemantics;
+    use crate::engine::{reference, HourSemantics};
     use cn_fit::{fit, FitConfig, Method};
     use cn_trace::PopulationMix;
     use cn_world::{generate_world, WorldConfig};
@@ -397,19 +417,13 @@ mod tests {
             99,
         );
         let total = config.population.total();
-        let mut whole = Vec::new();
-        let mut pool = UePool::new(&models, &config, 0..total);
-        while let Some(r) = pool.next_record() {
-            whole.push(r);
-        }
-        assert_eq!(pool.live(), 0);
+        let mut pool = PopulationStream::new(&models, &config);
+        let whole: Vec<TraceRecord> = pool.by_ref().collect();
+        assert_eq!(pool.emitted(), whole.len() as u64);
 
         let mut halves = Vec::new();
         for range in [0..total / 2, total / 2..total] {
-            let mut p = UePool::new(&models, &config, range);
-            while let Some(r) = p.next_record() {
-                halves.push(r);
-            }
+            halves.extend(PopulationStream::with_ues(&models, &config, range));
         }
         halves.sort();
         assert_eq!(whole, halves);
@@ -425,9 +439,42 @@ mod tests {
             1.0,
             1,
         );
-        let mut pool = UePool::new(&models, &config, std::iter::empty());
-        assert_eq!(pool.next_record(), None);
-        assert_eq!(pool.live(), 0);
+        let mut pool = PopulationStream::with_ues(&models, &config, std::iter::empty());
+        assert_eq!(pool.next(), None);
+        assert_eq!(pool.emitted(), 0);
+    }
+
+    #[test]
+    fn stream_is_globally_time_ordered() {
+        let models = fitted();
+        let config = GenConfig::new(
+            PopulationMix::new(20, 8, 5),
+            Timestamp::at_hour(0, 10),
+            2.0,
+            13,
+        );
+        let mut last: Option<TraceRecord> = None;
+        let mut n = 0usize;
+        for rec in PopulationStream::new(&models, &config) {
+            if let Some(prev) = last {
+                assert!(prev <= rec, "{prev:?} then {rec:?}");
+            }
+            last = Some(rec);
+            n += 1;
+        }
+        assert!(n > 50, "stream produced only {n} events");
+    }
+
+    #[test]
+    fn empty_population_streams_nothing() {
+        let models = fitted();
+        let config = GenConfig::new(
+            PopulationMix::new(0, 0, 0),
+            Timestamp::at_hour(0, 0),
+            1.0,
+            1,
+        );
+        assert_eq!(PopulationStream::new(&models, &config).count(), 0);
     }
 
     #[test]
@@ -440,7 +487,7 @@ mod tests {
             1.0,
             1,
         );
-        UePool::new(&models, &config, [1u32, 0].into_iter());
+        PopulationStream::with_ues(&models, &config, [1u32, 0].into_iter());
     }
 
     #[test]
@@ -454,12 +501,12 @@ mod tests {
             hours,
             1,
         );
-        UePool::new(&models, &config, 0..1);
+        PopulationStream::with_ues(&models, &config, 0..1);
     }
 
     /// Any slab width yields the same bytes: one pool's output equals the
-    /// sorted per-UE batch output of its index set at every slab target,
-    /// for contiguous and strided index sets, under both hour semantics.
+    /// reference merge of its index set at every slab target, for
+    /// contiguous and strided index sets, under both hour semantics.
     #[test]
     fn slab_target_and_partition_do_not_change_the_bytes() {
         let models = fitted();
@@ -474,29 +521,18 @@ mod tests {
             let total = config.population.total();
             let partitions: [Vec<u32>; 2] = [(0..total).collect(), (1..total).step_by(3).collect()];
             for indices in partitions {
-                let mut expected: Vec<TraceRecord> = Vec::new();
-                for &ue in &indices {
-                    let per_ue = crate::per_ue::generate_ue_with(
-                        models.device(config.device_of(ue)),
-                        models.method,
-                        UeId(ue),
-                        config.start,
-                        config.end(),
-                        crate::engine::ue_stream_seed(config.seed, ue),
-                        semantics,
-                    );
-                    expected.extend(per_ue.iter());
-                }
-                expected.sort();
+                let expected = reference(&models, &config, indices.iter().copied());
                 assert!(expected.len() > 200, "only {} events", expected.len());
                 for target in [1, 97, 4_096, SLAB_TARGET_EVENTS] {
-                    let mut pool =
-                        UePool::with_slab_target(&models, &config, indices.iter().copied(), target);
-                    let mut got = Vec::with_capacity(expected.len());
-                    while pool.live() > 0 {
-                        got.push(pool.next_record().expect("a live pool yields a record"));
-                    }
-                    assert_eq!(pool.next_record(), None);
+                    let mut pool = PopulationStream::with_slab_target(
+                        &models,
+                        &config,
+                        indices.iter().copied(),
+                        target,
+                    );
+                    let got: Vec<TraceRecord> = pool.by_ref().collect();
+                    assert_eq!(pool.next(), None);
+                    assert_eq!(pool.emitted(), got.len() as u64);
                     assert!(
                         got == expected,
                         "{semantics:?}, {} UEs, slab target {target}: output diverged",
@@ -511,9 +547,9 @@ mod tests {
         t << TIME_SHIFT | (slot as u64) << EVENT_BITS | u64::from(event.code())
     }
 
-    /// Drain a [`Slab`] over synthetic per-slot runs, checking the
-    /// `live() == 0 ⇔ exhausted` contract at every step; returns the keys
-    /// popped and the number of slabs filled.
+    /// Drain a [`Slab`] over synthetic per-slot runs, checking its pop
+    /// count at every step; returns the keys popped and the number of
+    /// non-empty slabs filled.
     fn drain_slab(runs: &[Vec<(u64, EventType)>], target: usize) -> (Vec<u64>, usize) {
         let first = |run: &Vec<(u64, EventType)>| run.first().copied();
         let mut slab = Slab::new(
@@ -526,27 +562,25 @@ mod tests {
         let mut next = vec![1usize; runs.len()];
         let (mut out, mut fills) = (Vec::new(), 0);
         loop {
-            if slab.wants_fill() {
-                fills += 1;
-                let end = slab.start + slab.width;
+            if slab.is_drained() {
+                let (live, end) = (slab.start != DRY, slab.start.saturating_add(slab.width));
                 slab.fill(|slot| {
                     next[slot] += 1;
                     runs[slot].get(next[slot] - 1).copied()
                 });
-                assert!(!slab.keys.is_empty(), "a fill yields at least one key");
-                assert!(slab.keys.iter().all(|k| k >> TIME_SHIFT < end));
-                assert!(slab.pending_t.iter().all(|&t| t >= end));
+                if live {
+                    fills += 1;
+                    assert!(!slab.keys.is_empty(), "a fill yields at least one key");
+                    assert!(slab.keys.iter().all(|k| k >> TIME_SHIFT < end));
+                    assert!(slab.pending_t.iter().all(|&t| t >= end));
+                } else {
+                    assert!(slab.keys.is_empty(), "a dry slab fills nothing");
+                }
             }
-            let live = slab.live();
+            assert_eq!(slab.retired + slab.cursor as u64, out.len() as u64);
             match slab.pop() {
-                Some(k) => {
-                    assert!(live > 0, "live() == 0 with a key left");
-                    out.push(k);
-                }
-                None => {
-                    assert_eq!(live, 0, "live() > 0 on an exhausted slab");
-                    return (out, fills);
-                }
+                Some(k) => out.push(k),
+                None => return (out, fills),
             }
         }
     }

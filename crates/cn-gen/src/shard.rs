@@ -1,12 +1,12 @@
 //! Parallel sharded population streaming with adaptive execution.
 //!
 //! [`ShardedStream`] is the multi-core counterpart of
-//! [`crate::stream::PopulationStream`]: the population is partitioned into
+//! [`PopulationStream`]: the population is partitioned into
 //! `S` disjoint UE shards (striped — UE `i` belongs to shard `i mod S` —
 //! so the device-type mix, and with it the per-UE event rate, balances
 //! across workers). Each shard runs on its own worker thread, merging its
-//! live per-UE generators through a compact struct-of-arrays [`UePool`]
-//! (see [`crate::pool`]) into a time-sorted run that is shipped to the
+//! live per-UE generators by time slab through its own
+//! [`PopulationStream`] into a time-sorted run that is shipped to the
 //! consumer as fixed-size record blocks over a bounded SPSC channel. The
 //! consumer performs the final S-way merge over the shard runs.
 //!
@@ -19,8 +19,7 @@
 //! worker threads, no channels, no model clone. The sharded API is
 //! therefore never slower than the sequential stream; threads and
 //! channels are only paid for when there is parallelism to buy with them.
-//! [`ShardedStream::is_inline`] / [`ShardedStream::worker_threads`] expose
-//! which path engaged.
+//! [`ShardedStream::worker_threads`] says which path engaged (`0` inline).
 //!
 //! ### Block-drain merge
 //!
@@ -37,8 +36,8 @@
 //!
 //! ### Determinism
 //!
-//! The output is **byte-identical** to the sequential stream and to the
-//! batch engine, for any shard count:
+//! The output is **byte-identical** to the sequential stream for any
+//! shard count:
 //!
 //! * every UE's stream is a pure function of `(seed, ue)` — the shard a UE
 //!   lands on does not touch its RNG;
@@ -51,7 +50,7 @@
 //!
 //! ### Backpressure & memory
 //!
-//! A worker generates a whole slab at a time (see [`crate::pool`]) and
+//! A worker generates a whole slab at a time (see [`PopulationStream`]) and
 //! then ships it in a burst of blocks, so its channel is sized to take
 //! that burst: with less room the worker sits blocked on a full channel,
 //! its next slab unstarted, while the consumer drains this one — fill and
@@ -97,32 +96,24 @@
 //! error), and dropping it records every worker's exit —
 //! `cn_gen_worker_exit{outcome=…}` and `cn_gen_shard_panics_total{shard=…}`
 //! when a registry is attached — rather than swallowing the join results.
-//! Faults are injected
-//! deterministically in tests via [`crate::fault::FaultPlan`] and
+//! Faults are injected deterministically in tests via [`FaultPlan`] and
 //! [`ShardedStream::with_shards_faulted`]; the production constructors
 //! monomorphize the fault hook to [`NoFault`], which compiles to nothing.
 //!
 //! ### Observability
 //!
-//! The `*_observed` constructors take a [`cn_obs::Registry`] and light up
-//! the pipeline's telemetry — per-shard ship counters and channel-full
-//! stall time, the merge run-length histogram, worker exit outcomes, and
-//! mode gauges (see [`ShardedStream::with_shards_observed`] for the full
-//! metric list). Once a stream is fully drained, the summed
-//! `cn_gen_shard_events_total{shard=i}` counters equal
-//! `cn_gen_merge_events_total` — the invariant this module's tests and
-//! `cn-verify`'s observed golden run assert; when a run fails instead, the
-//! `cn_gen_worker_exit` ledger says which workers ended how. All counting
-//! is per block (workers) or batched locally per run and flushed in
-//! [`BLOCK_RECORDS`]-scale windows (consumer merge — see `MergeObs`),
-//! so the per-record hot paths touch no shared memory; with a disabled
-//! registry the handles are no-ops and the unobserved constructors
-//! delegate here with exactly that.
+//! The `*_observed` constructors light up the pipeline's telemetry (listed
+//! on [`ShardedStream::with_shards_observed`]). Once a stream is fully
+//! drained, the summed `cn_gen_shard_events_total{shard=i}` counters equal
+//! `cn_gen_merge_events_total`; when a run fails instead, the
+//! `cn_gen_worker_exit` ledger says which workers ended how. Counting is per
+//! block (workers), per slab (the inline path) or per merge window
+//! (`MergeObs`), never per record, and a disabled registry's handles are
+//! no-ops.
 
 use crate::engine::GenConfig;
 use crate::fault::{FaultHook, FaultPlan, NoFault};
-use crate::pool::{SlabObs, UePool, SLAB_TARGET_EVENTS};
-use crate::stream::PopulationStream;
+use crate::pool::{PopulationStream, SlabObs, SLAB_TARGET_EVENTS};
 use cn_fit::ModelSet;
 use cn_obs::{Counter, Histogram, HistogramSnapshot, Registry, TraceSink, TraceSpan};
 use cn_trace::merge::{head_key, run_prefix, KeyLoserTree};
@@ -136,13 +127,13 @@ use std::time::Instant;
 /// Records per channel block (~64 KiB of `TraceRecord`s: large enough to
 /// amortize channel synchronization, small enough to keep the pipeline
 /// responsive).
-pub const BLOCK_RECORDS: usize = 4096;
+const BLOCK_RECORDS: usize = 4096;
 
 /// Blocks buffered per shard channel before its worker blocks: one whole
 /// slab, so that a worker fills slab *n + 1* while the consumer drains
 /// slab *n*. (A slab that overshoots its target stalls its worker only
 /// for the overshoot.)
-pub const CHANNEL_BLOCKS: usize = SLAB_TARGET_EVENTS / BLOCK_RECORDS;
+const CHANNEL_BLOCKS: usize = SLAB_TARGET_EVENTS / BLOCK_RECORDS;
 
 /// How a shard worker's run ended, published through its control slot
 /// before the data channel disconnects (see module docs, *Failure
@@ -254,42 +245,23 @@ impl ShardCursor {
 /// # let config: GenConfig = unimplemented!();
 /// // Failure-contained consumption: a worker panic becomes a typed
 /// // error instead of a silently truncated trace.
-/// use cn_trace::RecordSource;
+/// use cn_trace::{RecordSource, StreamError};
 /// let stats = ShardedStream::new(&models, &config).drain(|record| {
 ///     let _ = record;
-///     Ok::<(), cn_gen::StreamError>(())
+///     Ok::<(), StreamError>(())
 /// })?;
 /// println!("complete: {} events", stats.events);
-/// # Ok::<(), cn_gen::StreamError>(())
+/// # Ok::<(), StreamError>(())
 /// ```
 pub struct ShardedStream<'m> {
     inner: Inner<'m>,
 }
 
 enum Inner<'m> {
-    /// Single-shard fast path: the sequential merge, zero threads. The
-    /// unobserved variant is a pure delegation — splitting it from
-    /// [`Inner::InlineObserved`] keeps the default path's per-record cost
-    /// at an emitted-count increment: one path branching on
-    /// `registry.is_enabled()` measured 0.97 → 0.90 of the sequential
-    /// stream at one shard.
-    Inline {
-        stream: PopulationStream<'m>,
-        /// Records emitted so far (feeds [`ShardedStream::finish`]).
-        emitted: u64,
-    },
-    /// The inline fast path with a live registry attached.
-    InlineObserved {
-        stream: PopulationStream<'m>,
-        /// `cn_gen_merge_events_total`, fed from `pending` in batches so
-        /// the observed inline hot path pays one plain add per record,
-        /// not one atomic op (flushed every [`BLOCK_RECORDS`], at
-        /// exhaustion, and on drop).
-        events: Counter,
-        pending: u64,
-        /// Records emitted so far (feeds [`ShardedStream::finish`]).
-        emitted: u64,
-    },
+    /// Single-shard fast path: the sequential stream, zero threads. It
+    /// counts what it emits per slab, so its per-record path is exactly
+    /// the sequential stream's, observed or not.
+    Inline(PopulationStream<'m>),
     /// Worker threads + block channels + consumer-side S-way merge.
     Parallel(ParallelStream),
 }
@@ -305,12 +277,9 @@ const OBS_FLUSH_EVENTS: u64 = (BLOCK_RECORDS * 16) as u64;
 /// The shared handles are **never touched per run**: `begin_run`
 /// accumulates into the plain local fields and [`MergeObs::flush`] folds
 /// them into the registry every [`OBS_FLUSH_EVENTS`] merged events, at
-/// exhaustion, on poisoning, and at shutdown. A fine-grained shard
-/// interleave degenerates to runs of a record or two, so per-run atomic
-/// updates were measurably on the hot path (the instrumented run fell
-/// below 0.95 of the uninstrumented one); batching restores the
-/// invariant that instrumentation costs O(events / flush-window), not
-/// O(runs).
+/// exhaustion, on poisoning, and at shutdown — a fine-grained interleave
+/// makes runs of a record or two, and per-run atomics measurably slowed
+/// the instrumented merge.
 struct MergeObs {
     /// `cn_gen_merge_events_total` — records handed to the consumer.
     events: Counter,
@@ -318,9 +287,8 @@ struct MergeObs {
     /// runs mean the merge is amortizing well, a spike of 1s means the
     /// shards are interleaving record-by-record.
     run_len: Histogram,
-    /// Whether a live registry or trace sink is attached (skip all
-    /// local bookkeeping otherwise, keeping the unobserved path
-    /// untouched).
+    /// Whether a live registry or trace sink is attached (skip all local
+    /// bookkeeping otherwise).
     active: bool,
     /// Locally accumulated event count since the last flush.
     pending_events: u64,
@@ -477,10 +445,10 @@ impl<'m> ShardedStream<'m> {
     }
 
     /// **Test support** — as [`ShardedStream::with_shards_observed`], with
-    /// a deterministic [`FaultPlan`] injected into the shard workers (see
-    /// [`crate::fault`]). Production code has no reason to call this; the
-    /// tier-1 failure-containment suite uses it to prove every injected
-    /// fault surfaces as a typed [`StreamError`].
+    /// a deterministic [`FaultPlan`] injected into the shard workers.
+    /// Production code has no reason to call this; the tier-1
+    /// failure-containment suite uses it to prove every injected fault
+    /// surfaces as a typed [`StreamError`].
     ///
     /// Panics if the plan is non-empty but the stream resolves to the
     /// inline path (fault injection targets worker threads, and a silently
@@ -492,14 +460,12 @@ impl<'m> ShardedStream<'m> {
         registry: &Registry,
         plan: &FaultPlan,
     ) -> ShardedStream<'m> {
-        let effective = shards.clamp(1, (config.population.total() as usize).max(1));
+        let stream = Self::build(models, config, shards, registry, |s| plan.for_shard(s));
         assert!(
-            effective >= 2 || plan.is_empty(),
-            "fault injection requires the parallel path (≥ 2 effective shards), got {effective}"
+            stream.worker_threads() >= 2 || plan.is_empty(),
+            "fault injection requires the parallel path (≥ 2 effective shards)"
         );
-        Self::build(models, config, shards, registry, |shard| {
-            plan.for_shard(shard)
-        })
+        stream
     }
 
     /// Shared constructor: clamp, choose the execution path, and spawn
@@ -513,63 +479,32 @@ impl<'m> ShardedStream<'m> {
         fault_for: impl Fn(usize) -> F,
     ) -> ShardedStream<'m> {
         let shards = shards.clamp(1, (config.population.total() as usize).max(1));
-        let mode = registry.gauge("cn_gen_shard_mode_parallel");
-        let workers = registry.gauge("cn_gen_shard_workers");
-        if shards == 1 {
-            mode.set(0);
-            workers.set(0);
-            let stream = PopulationStream::new(models, config);
-            let inner = if registry.is_enabled() {
-                Inner::InlineObserved {
-                    stream,
-                    events: registry.counter("cn_gen_merge_events_total"),
-                    pending: 0,
-                    emitted: 0,
-                }
-            } else {
-                Inner::Inline { stream, emitted: 0 }
-            };
-            return ShardedStream { inner };
-        }
-        mode.set(1);
-        workers.set(shards as u64);
-        ShardedStream {
-            inner: Inner::Parallel(ParallelStream::spawn(
-                Arc::new(models.clone()),
-                config,
-                shards,
-                registry,
-                fault_for,
-            )),
-        }
-    }
-
-    /// True when this stream runs on the caller's thread (the single-shard
-    /// fast path): no worker threads, no channels were created.
-    pub fn is_inline(&self) -> bool {
-        matches!(
-            self.inner,
-            Inner::Inline { .. } | Inner::InlineObserved { .. }
-        )
+        let parallel = shards > 1;
+        registry
+            .gauge("cn_gen_shard_mode_parallel")
+            .set(u64::from(parallel));
+        registry
+            .gauge("cn_gen_shard_workers")
+            .set(if parallel { shards as u64 } else { 0 });
+        let inner = if parallel {
+            let models = Arc::new(models.clone());
+            Inner::Parallel(ParallelStream::spawn(
+                models, config, shards, registry, fault_for,
+            ))
+        } else {
+            let mut stream = PopulationStream::new(models, config);
+            stream.count_into(registry.counter("cn_gen_merge_events_total"));
+            Inner::Inline(stream)
+        };
+        ShardedStream { inner }
     }
 
     /// Number of worker threads backing this stream — `0` on the inline
     /// fast path, the shard count otherwise.
     pub fn worker_threads(&self) -> usize {
         match &self.inner {
-            Inner::Inline { .. } | Inner::InlineObserved { .. } => 0,
+            Inner::Inline(_) => 0,
             Inner::Parallel(p) => p.workers.len(),
-        }
-    }
-
-    /// Number of shards that still have records pending (the inline path
-    /// counts as one shard until it drains).
-    pub fn live_shards(&self) -> usize {
-        match &self.inner {
-            Inner::Inline { stream, .. } | Inner::InlineObserved { stream, .. } => {
-                usize::from(stream.live_ues() > 0)
-            }
-            Inner::Parallel(p) => p.tree.live(),
         }
     }
 
@@ -580,32 +515,7 @@ impl<'m> ShardedStream<'m> {
     /// channels) and always returns `Ok`.
     pub fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
         match &mut self.inner {
-            Inner::Inline { stream, emitted } => {
-                let rec = stream.next();
-                if rec.is_some() {
-                    *emitted += 1;
-                }
-                Ok(rec)
-            }
-            Inner::InlineObserved {
-                stream,
-                events,
-                pending,
-                emitted,
-            } => match stream.next() {
-                Some(rec) => {
-                    *pending += 1;
-                    *emitted += 1;
-                    if *pending >= BLOCK_RECORDS as u64 {
-                        events.add(std::mem::take(pending));
-                    }
-                    Ok(Some(rec))
-                }
-                None => {
-                    events.add(std::mem::take(pending));
-                    Ok(None)
-                }
-            },
+            Inner::Inline(stream) => Ok(stream.next()),
             Inner::Parallel(p) => p.try_next_record(),
         }
     }
@@ -624,29 +534,13 @@ impl<'m> ShardedStream<'m> {
     /// what was actually emitted. A complete, failure-free export is
     /// therefore exactly: drain `try_next` to `Ok(None)`, then `finish()?` —
     /// which is what [`RecordSource::drain`] does.
-    pub fn finish(mut self) -> Result<StreamStats, StreamError> {
-        self.finish_in_place()
-    }
-
-    fn finish_in_place(&mut self) -> Result<StreamStats, StreamError> {
-        match &mut self.inner {
-            Inner::Inline { emitted, .. } => Ok(StreamStats {
-                events: *emitted,
+    pub fn finish(self) -> Result<StreamStats, StreamError> {
+        match self.inner {
+            Inner::Inline(stream) => Ok(StreamStats {
+                events: stream.emitted(),
                 outcomes: Vec::new(),
             }),
-            Inner::InlineObserved {
-                events,
-                pending,
-                emitted,
-                ..
-            } => {
-                events.add(std::mem::take(pending));
-                Ok(StreamStats {
-                    events: *emitted,
-                    outcomes: Vec::new(),
-                })
-            }
-            Inner::Parallel(p) => {
+            Inner::Parallel(mut p) => {
                 let outcomes = p.shutdown().to_vec();
                 if let Some(e) = &p.poisoned {
                     return Err(e.clone());
@@ -679,20 +573,6 @@ impl RecordSource for ShardedStream<'_> {
 
     fn finish(self) -> Result<StreamStats, StreamError> {
         ShardedStream::finish(self)
-    }
-}
-
-impl Drop for ShardedStream<'_> {
-    fn drop(&mut self) {
-        // Flush the observed inline path's batched event count so an
-        // abandoned stream still reports what it emitted. (The parallel
-        // path's accounting lives in `ParallelStream::drop`.)
-        if let Inner::InlineObserved {
-            events, pending, ..
-        } = &mut self.inner
-        {
-            events.add(std::mem::take(pending));
-        }
     }
 }
 
@@ -995,11 +875,12 @@ fn shard_worker<F: FaultHook>(
     fault: &mut F,
 ) -> WorkerRun {
     let total = config.population.total();
-    let mut pool = UePool::new(models, config, (shard as u32..total).step_by(shards));
+    let mut pool =
+        PopulationStream::with_ues(models, config, (shard as u32..total).step_by(shards));
     pool.observe(&obs.slab);
     let mut block = Vec::with_capacity(BLOCK_RECORDS);
     let mut shipped = 0u64;
-    while let Some(rec) = pool.next_record() {
+    for rec in pool {
         fault.on_record();
         block.push(rec);
         if block.len() == BLOCK_RECORDS {
@@ -1070,8 +951,7 @@ mod tests {
         let models = fitted();
         let config = config();
         let stream = ShardedStream::with_shards(&models, &config, 1);
-        assert!(stream.is_inline(), "1 shard must take the inline path");
-        assert_eq!(stream.worker_threads(), 0);
+        assert_eq!(stream.worker_threads(), 0, "one shard runs inline");
         let n = drained(stream).1.events;
         assert_eq!(n, sequential_count(&models, &config));
     }
@@ -1081,7 +961,6 @@ mod tests {
         let models = fitted();
         let config = config();
         let stream = ShardedStream::with_shards(&models, &config, 4);
-        assert!(!stream.is_inline());
         assert_eq!(stream.worker_threads(), 4);
     }
 
@@ -1097,7 +976,6 @@ mod tests {
             7,
         );
         let stream = ShardedStream::with_shards(&models, &config, 8);
-        assert!(stream.is_inline());
         assert_eq!(stream.worker_threads(), 0);
     }
 
@@ -1137,21 +1015,6 @@ mod tests {
             }
         }
         drop(stream); // must not hang: Drop disconnects and joins workers
-    }
-
-    #[test]
-    fn live_shards_drains_to_zero() {
-        let models = fitted();
-        let config = config();
-        let mut stream = ShardedStream::with_shards(&models, &config, 3);
-        assert!(stream.live_shards() <= 3);
-        while stream.try_next().expect("no fault").is_some() {}
-        assert_eq!(stream.live_shards(), 0);
-
-        let mut inline = ShardedStream::with_shards(&models, &config, 1);
-        assert_eq!(inline.live_shards(), 1);
-        while inline.try_next().expect("inline cannot fail").is_some() {}
-        assert_eq!(inline.live_shards(), 0);
     }
 
     #[test]
@@ -1255,8 +1118,16 @@ mod tests {
         let models = fitted();
         let config = config();
         let registry = Registry::new();
-        let stream = ShardedStream::with_shards_observed(&models, &config, 1, &registry);
-        let n = drained(stream).1.events;
+        let mut stream = ShardedStream::with_shards_observed(&models, &config, 1, &registry);
+        let mut n = 0u64;
+        while stream.try_next().expect("inline cannot fail").is_some() {
+            n += 1;
+        }
+        // Exhaustion settles the count before `finish` does anything.
+        let merged = || registry.snapshot().counter("cn_gen_merge_events_total");
+        assert_eq!(merged(), Some(n));
+        assert_eq!(stream.finish().expect("inline cannot fail").events, n);
+        assert_eq!(n, sequential_count(&models, &config));
         let snap = registry.snapshot();
         assert_eq!(snap.counter("cn_gen_merge_events_total"), Some(n));
         // No workers → no per-shard series at all.
@@ -1266,25 +1137,35 @@ mod tests {
     }
 
     #[test]
-    fn observed_inline_flushes_batched_count_on_drop() {
-        // The inline path batches its event count; abandoning the stream
-        // mid-way must still flush what was actually emitted.
+    fn observed_inline_counts_emitted_on_finish_and_drop() {
+        // The inline path counts per slab; a stream finished or abandoned
+        // mid-slab, early or many slabs in, still reports exactly what it
+        // emitted.
         let models = fitted();
         let config = config();
-        let registry = Registry::new();
-        let mut stream = ShardedStream::with_shards_observed(&models, &config, 1, &registry);
-        let mut taken = 0u64;
-        for _ in 0..10 {
-            if stream.try_next().expect("inline cannot fail").is_none() {
-                break;
+        let total = sequential_count(&models, &config);
+        for taken in [10, total / 2] {
+            for finish in [false, true] {
+                let registry = Registry::new();
+                let mut stream =
+                    ShardedStream::with_shards_observed(&models, &config, 1, &registry);
+                for _ in 0..taken {
+                    let rec = stream.try_next().expect("inline cannot fail");
+                    assert!(rec.is_some(), "fewer than {taken} records");
+                }
+                if finish {
+                    let stats = stream.finish().expect("inline cannot fail");
+                    assert_eq!(stats.events, taken);
+                } else {
+                    drop(stream);
+                }
+                assert_eq!(
+                    registry.snapshot().counter("cn_gen_merge_events_total"),
+                    Some(taken),
+                    "{taken} taken, finished: {finish}"
+                );
             }
-            taken += 1;
         }
-        drop(stream);
-        assert_eq!(
-            registry.snapshot().counter("cn_gen_merge_events_total"),
-            Some(taken)
-        );
     }
 
     #[test]

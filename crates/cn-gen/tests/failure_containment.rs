@@ -11,9 +11,9 @@
 //! telemetry these tests assert on is meant to be used.
 
 use cn_fit::{fit, FitConfig, Method, ModelSet};
-use cn_gen::{FaultPlan, GenConfig, PopulationStream, ShardedStream, StreamError, WorkerOutcome};
+use cn_gen::{FaultPlan, GenConfig, PopulationStream, ShardedStream, WorkerOutcome};
 use cn_obs::Registry;
-use cn_trace::{PopulationMix, RecordSource, Timestamp, TraceRecord};
+use cn_trace::{PopulationMix, RecordSource, StreamError, Timestamp, TraceRecord};
 use cn_world::{generate_world, WorldConfig};
 use std::time::Duration;
 
@@ -217,11 +217,14 @@ fn abandoned_stream_with_blocked_worker_is_cancelled_not_panicked() {
         2023,
     );
     let total = sequential(&models, &config).len();
-    // Each of the 2 shards holds far more records than the channel can
-    // buffer (1 block drained at spawn + CHANNEL_BLOCKS queued), so the
-    // workers are guaranteed to be blocked, mid-run, when we abandon.
+    // A shard's channel takes one 32 768-record slab, so a worker holds at
+    // most ~40 960 undelivered records (that slab, the block drained at
+    // spawn, the block being built). With each of the 2 shards holding
+    // twice that, both workers are blocked, mid-run, when we abandon;
+    // were they not, they would complete and the outcome check would fail.
+    let buffered_per_shard = 40_960;
     assert!(
-        total > 2 * 2 * (cn_gen::shard::CHANNEL_BLOCKS + 2) * cn_gen::shard::BLOCK_RECORDS,
+        total > 2 * 2 * buffered_per_shard,
         "workload too small to guarantee blocked workers (got {total} events)"
     );
     let registry = Registry::new();

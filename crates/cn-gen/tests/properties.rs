@@ -1,10 +1,11 @@
-//! Property-based tests: generated traffic is conformant and streaming is
-//! exactly batch, for arbitrary seeds and window placements.
+//! Property-based tests: generated traffic is conformant and the
+//! out-of-core export is exactly the in-memory trace, for arbitrary seeds
+//! and window placements.
 
 use cn_fit::{fit, FitConfig, Method, ModelSet};
-use cn_gen::{generate, generate_out_of_core, GenConfig, OutOfCoreConfig, PopulationStream};
+use cn_gen::{generate, generate_out_of_core, GenConfig, OutOfCoreConfig};
 use cn_statemachine::replay_ue;
-use cn_trace::{PopulationMix, Timestamp, Trace};
+use cn_trace::{PopulationMix, Timestamp};
 use cn_world::{generate_world, WorldConfig};
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -47,15 +48,6 @@ proptest! {
             let out = replay_ue(events);
             prop_assert!(out.is_conformant(), "{:?}", out.violations.first());
         }
-    }
-
-    /// The streaming generator is the batch generator, event for event.
-    #[test]
-    fn stream_matches_batch(config in arb_config()) {
-        let set = models(Method::Ours);
-        let batch = generate(set, &config);
-        let streamed: Trace = PopulationStream::new(set, &config).collect();
-        prop_assert_eq!(batch, streamed);
     }
 
     /// Out-of-core export is byte-identical to the in-memory batch path

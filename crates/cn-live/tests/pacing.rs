@@ -18,13 +18,14 @@ use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use cn_gen::StreamError;
 use cn_live::{
     capture, decode_frame, encode_frame, Clock, Frame, Hub, LiveConfig, LiveServer, ManualClock,
     FRAME_BYTES, PACE_QUANTUM_NS,
 };
 use cn_obs::{Counter, Registry};
-use cn_trace::{DeviceType, EventType, IterSource, RecordSource, Timestamp, TraceRecord, UeId};
+use cn_trace::{
+    DeviceType, EventType, IterSource, RecordSource, StreamError, Timestamp, TraceRecord, UeId,
+};
 
 fn rec(t_ms: u64, ue: u32) -> TraceRecord {
     TraceRecord::new(

@@ -16,14 +16,14 @@
 //!   export.
 
 use cn_fit::{fit, FitConfig, Method, ModelSet};
-use cn_gen::{FaultPlan, GenConfig, ShardedStream, StreamError};
+use cn_gen::{FaultPlan, GenConfig, ShardedStream};
 use cn_obs::Registry;
 use cn_scenario::{
     apply_scenario, write_scenario_binary, IterSource, Phase, PhaseKind, ScenarioSpec,
     ScenarioStream, StormKind, TimeWindow, UeSubset,
 };
 use cn_trace::io::{from_binary, recover_binary, to_binary, FailingWriter, UNFINISHED_COUNT};
-use cn_trace::{PopulationMix, Timestamp, Trace, TraceRecord};
+use cn_trace::{PopulationMix, StreamError, Timestamp, Trace, TraceRecord};
 use cn_world::{generate_world, WorldConfig};
 
 fn fitted() -> ModelSet {

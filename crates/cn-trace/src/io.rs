@@ -13,7 +13,6 @@ use crate::event::EventType;
 use crate::record::{TraceRecord, UeId};
 use crate::time::Timestamp;
 use crate::trace::Trace;
-use bytes::{Buf, BufMut};
 use std::io::{BufRead, Write};
 
 /// Magic bytes opening the binary trace format.
@@ -156,10 +155,10 @@ pub fn read_jsonl<R: BufRead>(r: R) -> Result<Trace, IoError> {
 /// Serialize a trace to the compact binary format.
 pub fn to_binary(trace: &Trace) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + trace.len() * RECORD_BYTES);
-    buf.put_slice(BINARY_MAGIC);
-    buf.put_u64_le(trace.len() as u64);
+    buf.extend_from_slice(BINARY_MAGIC);
+    buf.extend_from_slice(&(trace.len() as u64).to_le_bytes());
     for r in trace.iter() {
-        buf.put_slice(&encode_record(r));
+        buf.extend_from_slice(&encode_record(r));
     }
     buf
 }
@@ -216,17 +215,16 @@ pub fn record_key_at(bytes: &[u8], i: usize) -> u128 {
 /// Validate the magic of a binary trace and split off the 16-byte
 /// header, returning the (untrusted) stored record count and the record
 /// payload.
-fn binary_header(mut data: &[u8]) -> Result<(u64, &[u8]), IoError> {
+fn binary_header(data: &[u8]) -> Result<(u64, &[u8]), IoError> {
     if data.len() < 16 {
         return Err(IoError::Binary("truncated header".into()));
     }
-    let mut magic = [0u8; 8];
-    data.copy_to_slice(&mut magic);
-    if &magic != BINARY_MAGIC {
+    let (header, payload) = data.split_at(16);
+    if &header[..8] != BINARY_MAGIC {
         return Err(IoError::Binary("bad magic".into()));
     }
-    let count = data.get_u64_le();
-    Ok((count, data))
+    let count = u64::from_le_bytes(header[8..].try_into().expect("8-byte count"));
+    Ok((count, payload))
 }
 
 /// Parse a payload of whole fixed-size records (already length-checked).

@@ -1,16 +1,16 @@
 //! Golden-trace hashing: the cross-engine, cross-run regression gate.
 //!
-//! PR 1's parallel generator guarantees that the batch engine, the
-//! sequential [`PopulationStream`], and the work-stealing [`ShardedStream`]
-//! all produce byte-identical traces for the same [`GenConfig`], at any
-//! thread or shard count. This module turns that guarantee into two
+//! `cn-gen` guarantees that the sequential [`PopulationStream`], the
+//! [`ShardedStream`] at any shard count (which `cn_gen::generate` drains),
+//! and the out-of-core exporter all produce byte-identical traces for the
+//! same [`GenConfig`]. This module turns that guarantee into two
 //! executable checks:
 //!
 //! * **consistency** — hash the canonical binary serialization
 //!   ([`cn_trace::io::to_binary`]) of the same small seeded trace produced
-//!   by every engine × `threads {1,4}` × `shards {1,8}` combination —
-//!   plus the out-of-core exporter with both an all-memory and a
-//!   spill-everything budget — and demand a single hash;
+//!   by the sequential stream and the sharded stream × `shards {1,8}` —
+//!   plus the out-of-core exporter's sink bytes with both an all-memory
+//!   and a spill-everything budget — and demand a single hash;
 //! * **stability** — compare that hash against a pinned value checked into
 //!   `golden/hashes.json`, so a behavioral change to the generator, the
 //!   model sampling order, or the vendored RNG stream fails loudly instead
@@ -21,9 +21,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use cn_fit::ModelSet;
-use cn_gen::{
-    generate, generate_out_of_core, GenConfig, OutOfCoreConfig, PopulationStream, ShardedStream,
-};
+use cn_gen::{generate_out_of_core, GenConfig, OutOfCoreConfig, PopulationStream, ShardedStream};
 use cn_obs::Registry;
 use cn_trace::{PopulationMix, RecordSource, Timestamp, Trace};
 use serde::{Deserialize, Serialize};
@@ -46,10 +44,8 @@ pub fn trace_hash(trace: &Trace) -> u64 {
 /// One engine configuration and the hash it produced.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GoldenCase {
-    /// Engine name: `batch`, `stream`, or `sharded`.
+    /// Engine name, e.g. `stream`, `sharded`, or `outofcore-spill`.
     pub engine: String,
-    /// Worker threads (batch engine only; 0 elsewhere).
-    pub threads: usize,
     /// Shard count (sharded engine only; 0 elsewhere).
     pub shards: usize,
     /// Events in the produced trace.
@@ -81,8 +77,8 @@ impl GoldenReport {
         let mut out = String::from("== golden trace hashes ==\n");
         for c in &self.cases {
             out.push_str(&format!(
-                "{:<8} threads={} shards={}  events={}  {:#018x}\n",
-                c.engine, c.threads, c.shards, c.events, c.hash
+                "{:<8} shards={}  events={}  {:#018x}\n",
+                c.engine, c.shards, c.events, c.hash
             ));
         }
         out.push_str(if self.consistent {
@@ -106,8 +102,8 @@ pub fn standard_config() -> GenConfig {
     )
 }
 
-/// Produce the same trace with every engine/thread/shard combination and
-/// hash each result.
+/// Produce the same trace with every engine and shard count and hash each
+/// result.
 pub fn run_golden(models: &ModelSet, config: &GenConfig) -> GoldenReport {
     run_golden_observed(models, config, &Registry::disabled())
 }
@@ -129,38 +125,24 @@ pub fn run_golden(models: &ModelSet, config: &GenConfig) -> GoldenReport {
 /// populate the per-shard `cn_gen_shard_events_total` series.
 ///
 /// Sharded cases are drained through [`RecordSource::collect_trace`]
-/// (the fallible pull, then `finish`) and the
-/// drained-event totals are asserted against the batch engine's workload
-/// size, so a worker failure or a short drain aborts the gate loudly
-/// instead of hashing a truncated trace into an "engine divergence".
+/// (the fallible pull, then `finish`) and the drained-event totals are
+/// asserted against the sequential stream's workload size, so a worker
+/// failure or a short drain aborts the gate loudly instead of hashing a
+/// truncated trace into an "engine divergence".
 pub fn run_golden_observed(
     models: &ModelSet,
     config: &GenConfig,
     registry: &Registry,
 ) -> GoldenReport {
-    let mut cases = Vec::new();
-    for threads in [1usize, 4] {
-        let mut c = *config;
-        c.threads = threads;
-        let trace = generate(models, &c);
-        cases.push(GoldenCase {
-            engine: "batch".into(),
-            threads,
-            shards: 0,
-            events: trace.len(),
-            hash: trace_hash(&trace),
-        });
-    }
-    {
-        let trace = Trace::from_records(PopulationStream::new(models, config).collect());
-        cases.push(GoldenCase {
-            engine: "stream".into(),
-            threads: 0,
-            shards: 0,
-            events: trace.len(),
-            hash: trace_hash(&trace),
-        });
-    }
+    let trace = Trace::from_records(PopulationStream::new(models, config).collect());
+    // The sequential stream fixes the expected workload size.
+    let expected_events = trace.len();
+    let mut cases = vec![GoldenCase {
+        engine: "stream".into(),
+        shards: 0,
+        events: expected_events,
+        hash: trace_hash(&trace),
+    }];
     // Out-of-core export: hash the sink bytes directly (they are the
     // `to_binary` encoding, so the hash is comparable). Two extremes:
     // everything resident, and a zero budget that spills every non-empty
@@ -184,23 +166,20 @@ pub fn run_golden_observed(
         }
         cases.push(GoldenCase {
             engine: format!("outofcore-{tag}"),
-            threads: 0,
             shards: 0,
             events: report.events as usize,
             hash: fnv1a64(&sink.into_inner()),
         });
     }
-    // The batch engine (already pushed) fixes the expected workload size;
-    // the sharded cases below are drained through the *fallible* API so a
-    // worker failure aborts the gate as a typed error instead of hashing a
+    // The sharded cases are drained through the *fallible* API so a worker
+    // failure aborts the gate as a typed error instead of hashing a
     // silently truncated trace into a confusing "divergence".
-    let expected_events = cases[0].events;
     for shards in [1usize, 8] {
         let (trace, stats) = ShardedStream::with_shards_observed(models, config, shards, registry)
             .collect_trace()
             .unwrap_or_else(|e| panic!("golden sharded run (shards={shards}) failed: {e}"));
         // Drained-event accounting: everything the workers produced was
-        // merged, and it is exactly the workload the batch engine defined.
+        // merged, and it is exactly the sequential stream's workload.
         assert_eq!(
             stats.events as usize,
             trace.len(),
@@ -214,7 +193,6 @@ pub fn run_golden_observed(
         );
         cases.push(GoldenCase {
             engine: "sharded".into(),
-            threads: 0,
             shards,
             events: trace.len(),
             hash: trace_hash(&trace),

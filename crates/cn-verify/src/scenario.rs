@@ -132,7 +132,6 @@ pub fn run_scenario_golden(
             .unwrap_or_else(|e| panic!("scenario '{}' batch overlay failed: {e}", spec.name));
         cases.push(GoldenCase {
             engine: "scenario-batch".into(),
-            threads: 0,
             shards: 0,
             events: trace.len(),
             hash: trace_hash(&trace),
@@ -150,7 +149,6 @@ pub fn run_scenario_golden(
         });
         cases.push(GoldenCase {
             engine: "scenario-sharded".into(),
-            threads: 0,
             shards,
             events: trace.len(),
             hash: trace_hash(&trace),
@@ -184,7 +182,6 @@ pub fn run_scenario_golden(
             .unwrap_or_else(|e| panic!("scenario '{}' out-of-core export failed: {e}", spec.name));
         cases.push(GoldenCase {
             engine: "scenario-outofcore".into(),
-            threads: 0,
             shards: 0,
             events: stats.events as usize,
             hash: fnv1a64(&out.into_inner()),

@@ -45,9 +45,9 @@ fn round_trip_is_deterministic() {
 fn golden_hashes_agree_across_engines_and_match_the_pin() {
     let gt = GroundTruth::standard(11);
     let report = run_golden(&gt.set, &cn_verify::golden::standard_config());
-    // batch × threads {1,4}, stream, sharded × shards {1,8}, and the
-    // out-of-core exporter with all-memory and spill-everything budgets.
-    assert_eq!(report.cases.len(), 7);
+    // stream, sharded × shards {1,8}, and the out-of-core exporter with
+    // all-memory and spill-everything budgets.
+    assert_eq!(report.cases.len(), 5);
     assert!(report.consistent, "{}", report.render());
     // Explicit workload-size accounting: a hash agreement over truncated
     // traces would be meaningless, so every engine must also have drained
@@ -57,8 +57,8 @@ fn golden_hashes_agree_across_engines_and_match_the_pin() {
     for c in &report.cases {
         assert_eq!(
             c.events, expected,
-            "{} (threads={} shards={}) drained a different workload",
-            c.engine, c.threads, c.shards
+            "{} (shards={}) drained a different workload",
+            c.engine, c.shards
         );
     }
     let hash = report.hash().expect("consistent");

@@ -125,10 +125,10 @@ pub fn generate_world(config: &WorldConfig) -> Trace {
     // so which allocator arena each thread inherits no longer depends on
     // which of two symmetric workers happened to exit first.
     let last = threads as u32 - 1;
-    let partial: Vec<Trace> = crossbeam::thread::scope(|scope| {
+    let partial: Vec<Trace> = std::thread::scope(|scope| {
         let simulate_share = &simulate_share;
         let handles: Vec<_> = (0..last)
-            .map(|w| scope.spawn(move |_| simulate_share(w)))
+            .map(|w| scope.spawn(move || simulate_share(w)))
             .collect();
         let own = simulate_share(last);
         handles
@@ -136,8 +136,7 @@ pub fn generate_world(config: &WorldConfig) -> Trace {
             .map(|h| h.join().expect("worker panicked"))
             .chain(std::iter::once(own))
             .collect()
-    })
-    .expect("scope panicked");
+    });
 
     Trace::merge(partial)
 }
