@@ -33,7 +33,8 @@ pub struct GenConfig {
     pub duration_hours: f64,
     /// Master seed; every UE's stream is a pure function of `(seed, ue)`.
     pub seed: u64,
-    /// Worker threads (`0` = all cores).
+    /// Threads that generate, the calling thread included (`0` = all
+    /// cores).
     pub threads: usize,
     /// Hour-boundary sojourn semantics (see [`HourSemantics`]).
     pub semantics: HourSemantics,
@@ -106,16 +107,15 @@ impl GenConfig {
     }
 }
 
-/// Worker threads / shards to use when a caller asks for "all cores"
+/// Generating threads to use when a caller asks for "all cores"
 /// (`GenConfig::threads == 0`): [`std::thread::available_parallelism`],
 /// falling back to **1** when the parallelism cannot be determined
 /// (restricted cgroups, exotic platforms).
 ///
 /// The fallback is deliberately conservative. With an unknown core budget
 /// the sequential path is always correct and never slower, whereas
-/// speculatively spawning workers pays thread, channel, and merge tax for
-/// potentially zero parallelism — exactly the regression the adaptive
-/// sharded path exists to avoid. Shared by [`crate::ShardedStream::new`]
+/// speculatively spawning helpers pays thread and hand-off tax for
+/// potentially zero parallelism. Shared by [`crate::ShardedStream::new`]
 /// (and so [`generate`]), [`crate::generate_out_of_core`], and cp-bench so
 /// every "0 = all cores" knob resolves identically.
 pub fn effective_parallelism() -> usize {
@@ -206,8 +206,8 @@ mod tests {
 
     /// The determinism matrix: for every hour semantics and both state-
     /// machine families, the sequential stream, [`generate`] at 1 and 4
-    /// threads, and the sharded stream at 1, 3, and 8 shards all equal the
-    /// reference merge.
+    /// threads, and the sharded stream on 1, 3, and 8 threads all equal
+    /// the reference merge.
     #[test]
     fn every_engine_equals_the_reference() {
         for method in [Method::Ours, Method::Base] {
@@ -240,7 +240,7 @@ mod tests {
                     let (sharded, _) = ShardedStream::with_shards(models, &config, shards)
                         .collect_trace()
                         .expect("no fault injected");
-                    check(sharded.records(), format!("the {shards}-shard stream"));
+                    check(sharded.records(), format!("the {shards}-thread stream"));
                 }
             }
         }
@@ -262,8 +262,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The sharded stream is the reference merge, event for event, at
-        /// any shard count.
+        /// The sharded stream is the reference merge, event for event, on
+        /// any number of threads.
         #[test]
         fn sharded_stream_matches_the_reference(
             config in arb_config(),

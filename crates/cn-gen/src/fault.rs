@@ -1,27 +1,18 @@
-//! Deterministic fault injection for the sharded pipeline — **test
+//! Deterministic fault injection for the generation pipelines — **test
 //! support only**.
 //!
-//! The failure-containment contract of [`crate::ShardedStream`] ("every
-//! worker failure becomes a typed [`cn_trace::StreamError`], never a silently
-//! short trace") is only worth anything if it is *exercised*: a panic path
-//! nobody can trigger on demand is a panic path nobody has ever seen work.
-//! [`FaultPlan`] makes worker failures reproducible:
+//! "Every worker failure becomes a typed [`cn_trace::StreamError`], never
+//! a silently short trace" is only worth anything if it is exercised.
+//! [`FaultPlan`] makes failures reproducible, keyed by the unit of work: a
+//! chunk of [`crate::ShardedStream`]'s slots, whichever thread fills it,
+//! checked once per fill; or an out-of-core chunk, whose workers take the
+//! plan through the [`FaultHook`] trait, monomorphized so production's
+//! zero-sized [`NoFault`] compiles to nothing.
 //!
-//! * **panic shard *s* at record *k*** — the worker raises a panic after
-//!   producing exactly `k` records, at any point of its run: before its
-//!   first block ships (the consumer learns at spawn), mid-stream (the
-//!   consumer learns at a block boundary), or after other shards finished;
-//! * **slow shard** — the worker sleeps before shipping each block,
-//!   letting tests hold a worker *blocked on a full channel* while the
-//!   consumer abandons the stream (the cancellation path).
-//!
-//! Faults are threaded into the worker loop through the [`FaultHook`]
-//! trait, monomorphized per worker: the production pipeline instantiates
-//! the zero-sized [`NoFault`], whose empty `#[inline]` callbacks compile
-//! to nothing — the unfaulted hot path carries **no** per-record branch
-//! for this machinery. Only [`crate::ShardedStream::with_shards_faulted`]
-//! (used by the tier-1 failure-containment suite) instantiates a live
-//! [`ShardFault`].
+//! * **panic unit *s* at record *k*** — the fill (or record) that takes
+//!   unit `s` past its `k`-th record panics; `k == 0` panics in its first;
+//! * **slow unit** — the unit sleeps before publishing each fill or block,
+//!   holding its thread busy while the stream flows or is abandoned.
 //!
 //! The third leg of the harness — a sink that fails after *n* bytes, for
 //! proving writer errors propagate as typed I/O errors — lives with the
@@ -29,9 +20,9 @@
 
 use std::time::Duration;
 
-/// Per-record / per-block callbacks a shard worker drives. Production
-/// code uses [`NoFault`]; tests inject a [`ShardFault`] derived from a
-/// [`FaultPlan`].
+/// Per-record / per-block callbacks an out-of-core chunk worker drives.
+/// Production code uses [`NoFault`]; tests inject a [`ShardFault`]
+/// derived from a [`FaultPlan`].
 pub trait FaultHook: Send + 'static {
     /// Called once per generated record, *before* it is appended to the
     /// outgoing block. May panic — that is the point.
@@ -53,17 +44,19 @@ impl FaultHook for NoFault {
     fn on_block(&mut self) {}
 }
 
-/// A deterministic set of faults to inject into a sharded run.
+/// A deterministic set of faults to inject into a sharded or out-of-core
+/// run.
 ///
 /// Built with the builder methods, handed to
-/// [`crate::ShardedStream::with_shards_faulted`]; each worker receives
-/// only its own shard's slice of the plan. An empty plan behaves exactly
-/// like the unfaulted constructors (modulo monomorphization).
+/// [`crate::ShardedStream::with_shards_faulted`]; each chunk receives only
+/// its own slice of the plan. An empty plan behaves exactly like the
+/// unfaulted constructors.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// `(shard, k)`: shard panics after producing exactly `k` records.
+    /// `(unit, k)`: the unit panics after producing exactly `k` records.
     panics: Vec<(usize, u64)>,
-    /// `(shard, delay)`: shard sleeps `delay` before shipping each block.
+    /// `(unit, delay)`: the unit sleeps `delay` before publishing each
+    /// block or fill.
     delays: Vec<(usize, Duration)>,
 }
 
@@ -78,25 +71,30 @@ impl FaultPlan {
         self.panics.is_empty() && self.delays.is_empty()
     }
 
-    /// Panic `shard`'s worker after it has produced exactly `k` records
-    /// (so `k == 0` panics before the first record). The panic payload
-    /// names the shard and record, and surfaces verbatim in
-    /// `StreamError::WorkerPanicked`.
+    /// Panic unit `shard` — a sharded stream's chunk, an out-of-core
+    /// chunk — once it has produced exactly `k` records (so `k == 0`
+    /// panics before the first record). The panic payload names the unit
+    /// and record, and surfaces verbatim in `StreamError::WorkerPanicked`,
+    /// whose `shard` names the unit.
     pub fn panic_shard_at(mut self, shard: usize, k: u64) -> FaultPlan {
         self.panics.push((shard, k));
         self
     }
 
-    /// Make `shard`'s worker sleep `delay` before shipping each block —
-    /// enough to keep it alive (or blocked on a full channel) while a
-    /// test abandons or out-paces the stream.
+    /// Make unit `shard` sleep `delay` before publishing each of its fills
+    /// or blocks — enough to keep the thread doing it busy while a test
+    /// abandons or out-paces the stream.
     pub fn slow_shard(mut self, shard: usize, delay: Duration) -> FaultPlan {
         self.delays.push((shard, delay));
         self
     }
 
-    /// The hook for one worker: this shard's faults, extracted from the
-    /// plan.
+    /// Every unit the plan names.
+    pub(crate) fn targets(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.panics.iter().map(|p| p.0)).chain(self.delays.iter().map(|d| d.0))
+    }
+
+    /// The hook for one unit: its faults, extracted from the plan.
     pub fn for_shard(&self, shard: usize) -> ShardFault {
         ShardFault {
             shard,
@@ -116,13 +114,33 @@ impl FaultPlan {
     }
 }
 
-/// One worker's live faults (see [`FaultPlan::for_shard`]).
+/// One unit's live faults (see [`FaultPlan::for_shard`]).
 #[derive(Debug, Clone)]
 pub struct ShardFault {
     shard: usize,
     panic_at: Option<u64>,
     delay: Option<Duration>,
     produced: u64,
+}
+
+impl ShardFault {
+    /// Called once per chunk fill that produced `records`, before it is
+    /// published: sleeps when slow, and panics when the fill took the
+    /// chunk past its `k`-th record, or is its first at or after it.
+    pub(crate) fn on_fill(&mut self, records: u64) {
+        if let Some(delay) = self.delay {
+            std::thread::sleep(delay);
+        }
+        if let Some(k) = self.panic_at {
+            if (self.produced..self.produced + records.max(1)).contains(&k) {
+                panic!(
+                    "injected fault: shard {} panicked at record {k}",
+                    self.shard
+                );
+            }
+        }
+        self.produced += records;
+    }
 }
 
 impl FaultHook for ShardFault {
@@ -171,6 +189,23 @@ mod tests {
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("shard 0"), "{msg}");
         assert!(msg.contains("record 2"), "{msg}");
+    }
+
+    #[test]
+    fn chunk_fault_fires_in_the_fill_that_reaches_k() {
+        let fires = |k: u64, fills: &[u64]| {
+            let mut hook = FaultPlan::new().panic_shard_at(0, k).for_shard(0);
+            fills.iter().position(|&records| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook.on_fill(records)))
+                    .is_err()
+            })
+        };
+        // k = 0 fires on the first fill, even an empty one.
+        assert_eq!(fires(0, &[0, 5]), Some(0));
+        // A fill ending exactly at k leaves the fault to the next fill.
+        assert_eq!(fires(5, &[3, 2, 0, 4]), Some(2));
+        assert_eq!(fires(5, &[3, 3]), Some(1));
+        assert_eq!(fires(9, &[3, 3]), None);
     }
 
     #[test]

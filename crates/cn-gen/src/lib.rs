@@ -30,11 +30,11 @@
 //!
 //! * [`PopulationStream`] — sequential bounded-memory streaming over packed
 //!   integer keys; it cannot fail, so it alone keeps [`Iterator`];
-//! * [`ShardedStream`] — multi-core streaming: disjoint UE shards, each a
-//!   pool on its own worker thread, bounded block channels, and a
-//!   block-draining S-way merge. At one effective shard (including every
-//!   single-core box) it runs the sequential stream inline, spawning no
-//!   threads. [`generate`] drains it into a materialized [`cn_trace::Trace`];
+//! * [`ShardedStream`] — multi-core streaming: the same pool, its slab
+//!   fills shared chunk by chunk between helper threads and the calling
+//!   thread. On one thread (including every single-core box) it spawns
+//!   nothing. [`generate`] drains it into a materialized
+//!   [`cn_trace::Trace`];
 //! * [`generate_out_of_core`] — population-scale binary export under a
 //!   bounded memory budget: UE-range chunks, each a pool on one of
 //!   [`GenConfig::threads`] workers, emit arena-encoded sorted runs that
@@ -46,9 +46,10 @@
 //!
 //! All "0 = all cores" knobs resolve through [`effective_parallelism`].
 //!
-//! The sharded pipeline is **failure-contained**: a panicked worker
-//! surfaces as a typed [`cn_trace::StreamError`] through its fallible pull,
-//! never as a silently truncated trace ([`FaultPlan`] injects the faults).
+//! The parallel surfaces are **failure-contained**: a generator panic on
+//! any thread surfaces as a typed [`cn_trace::StreamError`] through the
+//! fallible pull, never as a silently truncated trace ([`FaultPlan`]
+//! injects the faults).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

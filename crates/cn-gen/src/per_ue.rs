@@ -2,12 +2,13 @@
 //!
 //! [`UeEventIter`] implements the §7 semantics one event at a time, so a
 //! population can be synthesized either by materializing each UE
-//! ([`generate_ue`]) or by merging hundreds of thousands of live iterators
+//! ([`generate_ue`]) or by merging hundreds of thousands of live generators
 //! into one time-ordered stream with bounded memory
-//! ([`crate::PopulationStream`]).
+//! ([`crate::PopulationStream`]). The pool holds them as model-free
+//! [`UeState`]s, so threads sharing one model set can step any of them.
 
 use crate::engine::HourSemantics;
-use cn_fit::{ClusterHourModel, DeviceModels, Method, StateMachineKind};
+use cn_fit::{ClusterHourModel, DeviceModels, Method, ModelSet, StateMachineKind};
 use cn_statemachine::two_level::{ConnSub, IdleSub};
 use cn_statemachine::{BottomTransition, TlState, TopState, TopTransition};
 use cn_trace::{DeviceType, EventType, Timestamp, Trace, TraceRecord, UeId, MS_PER_HOUR};
@@ -79,23 +80,11 @@ enum Mode {
     Done,
 }
 
-/// A resumable per-UE event generator (see module docs).
+/// A resumable per-UE event generator (see module docs): model-free
+/// generator state, stepped with the device models it was created from.
 pub struct UeEventIter<'m> {
     dm: &'m DeviceModels,
-    method: Method,
-    device: DeviceType,
-    persona: [cn_cluster::ClusterId; 24],
-    ue: UeId,
-    start: Timestamp,
-    end_secs: f64,
-    rng: StdRng,
-    last_ms: Option<u64>,
-    /// Event emitted together with another at the same instant (the idle
-    /// TAU-release that must precede a top-level SRV_REQ).
-    queued: Option<TraceRecord>,
-    mode: Mode,
-    guard: u32,
-    semantics: HourSemantics,
+    state: UeState,
 }
 
 impl<'m> UeEventIter<'m> {
@@ -123,6 +112,49 @@ impl<'m> UeEventIter<'m> {
         seed: u64,
         semantics: HourSemantics,
     ) -> UeEventIter<'m> {
+        let state = UeState::new(dm, method, ue, start, end, seed, semantics);
+        UeEventIter { dm, state }
+    }
+}
+
+impl Iterator for UeEventIter<'_> {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        self.state.next(self.dm)
+    }
+}
+
+/// A per-UE generator without its model: plain `Send` data, stepped by
+/// [`UeState::next`] with the [`DeviceModels`] it was created from, so a
+/// pool's generators can move between threads that share one model set.
+pub(crate) struct UeState {
+    method: Method,
+    device: DeviceType,
+    persona: [cn_cluster::ClusterId; 24],
+    ue: UeId,
+    start: Timestamp,
+    end_secs: f64,
+    rng: StdRng,
+    last_ms: Option<u64>,
+    /// Event emitted together with another at the same instant (the idle
+    /// TAU-release that must precede a top-level SRV_REQ).
+    queued: Option<TraceRecord>,
+    mode: Mode,
+    guard: u32,
+    semantics: HourSemantics,
+}
+
+impl UeState {
+    pub(crate) fn new(
+        dm: &DeviceModels,
+        method: Method,
+        ue: UeId,
+        start: Timestamp,
+        end: Timestamp,
+        seed: u64,
+        semantics: HourSemantics,
+    ) -> UeState {
         let mut rng = StdRng::seed_from_u64(seed);
         let mode = if dm.personas.is_empty() || start >= end {
             Mode::Done
@@ -134,8 +166,7 @@ impl<'m> UeEventIter<'m> {
         } else {
             dm.personas[rng.gen_range(0..dm.personas.len())]
         };
-        UeEventIter {
-            dm,
+        UeState {
             method,
             device: dm.device,
             persona,
@@ -149,6 +180,13 @@ impl<'m> UeEventIter<'m> {
             guard: 0,
             semantics,
         }
+    }
+
+    /// A pool's step: the next event, from `models`' models of this UE's
+    /// device type, as `(ms since base_ms, event)`.
+    pub(crate) fn advance(&mut self, models: &ModelSet, base_ms: u64) -> Option<(u64, EventType)> {
+        let rec = self.next(models.device(self.device))?;
+        Some((rec.t.as_millis() - base_ms, rec.event))
     }
 
     /// Under truncating semantics, a fire time past the sampling hour's end
@@ -165,9 +203,9 @@ impl<'m> UeEventIter<'m> {
         }
     }
 
-    fn model_at(&self, t_secs: f64) -> &'m ClusterHourModel {
+    fn model_at<'d>(&self, dm: &'d DeviceModels, t_secs: f64) -> &'d ClusterHourModel {
         let hour = Timestamp::from_secs_f64(t_secs).hour_of_day();
-        self.dm.hour(hour).cluster(self.persona[hour.index()])
+        dm.hour(hour).cluster(self.persona[hour.index()])
     }
 
     /// Build the record for an event at `t_secs` with the monotonic-ms
@@ -193,14 +231,14 @@ impl<'m> UeEventIter<'m> {
     }
 
     /// Bootstrap via the first-event models (§5.4).
-    fn first_event(&mut self) -> Option<(EventType, f64)> {
+    fn first_event(&mut self, dm: &DeviceModels) -> Option<(EventType, f64)> {
         let mut cursor = self.start.as_millis() as f64 / 1_000.0;
         let hour_len = (MS_PER_HOUR / 1_000) as f64;
         for _ in 0..MAX_SILENT_HOURS {
             if cursor >= self.end_secs {
                 return None;
             }
-            let model = self.model_at(cursor);
+            let model = self.model_at(dm, cursor);
             if let Some((event, offset)) = model.first_event.sample(&mut self.rng) {
                 let hour_start = (cursor / hour_len).floor() * hour_len;
                 let t = (hour_start + offset).max(cursor);
@@ -215,9 +253,14 @@ impl<'m> UeEventIter<'m> {
         None
     }
 
-    fn sample_top(&mut self, s: TopState, base: f64) -> Option<(TopTransition, f64)> {
+    fn sample_top(
+        &mut self,
+        dm: &DeviceModels,
+        s: TopState,
+        base: f64,
+    ) -> Option<(TopTransition, f64)> {
         let pending = self
-            .model_at(base)
+            .model_at(dm, base)
             .top
             .sample_next(s, &mut self.rng)
             .map(|(tr, d)| (tr, base + d));
@@ -232,11 +275,12 @@ impl<'m> UeEventIter<'m> {
     /// redrawn top sojourn would systematically under-generate HO/TAU.
     fn arm_bottom(
         &mut self,
+        dm: &DeviceModels,
         s: TlState,
         base: f64,
         top_fire: f64,
     ) -> (Option<(BottomTransition, f64)>, f64) {
-        let model = self.model_at(base);
+        let model = self.model_at(dm, base);
         match model.exit_prob(s) {
             Some(p) if self.rng.gen::<f64>() < p => (None, f64::INFINITY),
             _ => {
@@ -264,8 +308,8 @@ impl<'m> UeEventIter<'m> {
     /// borrowed distribution — an empirical law here holds its full sample
     /// vector, and this is called once per overlay event, so cloning it
     /// would put a heap allocation + memcpy on the hot path.
-    fn sample_gap(&mut self, ho: bool, base: f64) -> Option<f64> {
-        let model = self.model_at(base);
+    fn sample_gap(&mut self, dm: &DeviceModels, ho: bool, base: f64) -> Option<f64> {
+        let model = self.model_at(dm, base);
         let dist = if ho {
             model.ho_interarrival.as_ref()
         } else {
@@ -276,8 +320,8 @@ impl<'m> UeEventIter<'m> {
     }
 
     /// Bootstrap into the appropriate mode, returning the first record.
-    fn boot(&mut self) -> Option<TraceRecord> {
-        let Some((first, t0)) = self.first_event() else {
+    fn boot(&mut self, dm: &DeviceModels) -> Option<TraceRecord> {
+        let Some((first, t0)) = self.first_event(dm) else {
             self.mode = Mode::Done;
             return None;
         };
@@ -291,9 +335,9 @@ impl<'m> UeEventIter<'m> {
                 let state = predecessor(first)
                     .apply(first)
                     .expect("predecessor makes the first event legal");
-                let top_pending = self.sample_top(state.top(), t0);
+                let top_pending = self.sample_top(dm, state.top(), t0);
                 let tf = top_pending.map_or(f64::INFINITY, |(_, t)| t);
-                let (bottom_pending, bottom_retry) = self.arm_bottom(state, t0, tf);
+                let (bottom_pending, bottom_retry) = self.arm_bottom(dm, state, t0, tf);
                 self.mode = Mode::TwoLevel {
                     state,
                     top_pending,
@@ -310,9 +354,9 @@ impl<'m> UeEventIter<'m> {
                     EventType::Detach => TopState::Deregistered,
                     EventType::S1ConnRelease | EventType::Tau => TopState::Idle,
                 };
-                let top_pending = self.sample_top(state, t0);
-                let ho_next = self.sample_gap(true, t0);
-                let tau_next = self.sample_gap(false, t0);
+                let top_pending = self.sample_top(dm, state, t0);
+                let ho_next = self.sample_gap(dm, true, t0);
+                let tau_next = self.sample_gap(dm, false, t0);
                 self.mode = Mode::EmmEcm {
                     state,
                     top_pending,
@@ -330,7 +374,7 @@ impl<'m> UeEventIter<'m> {
     /// Advance the two-level machine by one step. `Some(Some(rec))` emits,
     /// `Some(None)` exhausts the stream, `None` made progress without an
     /// emission (caller loops).
-    fn step_two_level(&mut self) -> Option<Option<TraceRecord>> {
+    fn step_two_level(&mut self, dm: &DeviceModels) -> Option<Option<TraceRecord>> {
         let Mode::TwoLevel {
             mut state,
             mut top_pending,
@@ -349,7 +393,7 @@ impl<'m> UeEventIter<'m> {
                     return Some(None); // done
                 }
             } else {
-                top_pending = self.sample_top(state.top(), top_retry);
+                top_pending = self.sample_top(dm, state.top(), top_retry);
                 top_retry = next_hour_boundary(top_retry);
                 if top_pending.is_none() {
                     self.guard += 1;
@@ -371,7 +415,7 @@ impl<'m> UeEventIter<'m> {
         if bottom_pending.is_none() && bottom_retry < self.end_secs {
             let tf = top_pending.map_or(f64::INFINITY, |(_, t)| t);
             let base = bottom_retry;
-            (bottom_pending, bottom_retry) = self.arm_bottom(state, base, tf);
+            (bottom_pending, bottom_retry) = self.arm_bottom(dm, state, base, tf);
             if bottom_pending.is_none() && top_pending.is_none() {
                 self.guard += 1;
                 if self.guard > MAX_SILENT_HOURS {
@@ -426,10 +470,10 @@ impl<'m> UeEventIter<'m> {
             state = state.apply(event).unwrap_or_else(|| {
                 TlState::after_event(event, !matches!(state, TlState::Connected(_)))
             });
-            top_pending = self.sample_top(state.top(), t);
+            top_pending = self.sample_top(dm, state.top(), t);
             top_retry = next_hour_boundary(t);
             let tf = top_pending.map_or(f64::INFINITY, |(_, t)| t);
-            (bottom_pending, bottom_retry) = self.arm_bottom(state, t, tf);
+            (bottom_pending, bottom_retry) = self.arm_bottom(dm, state, t, tf);
         } else {
             let (tr, t) = bottom_pending.take().expect("bottom fires");
             if t >= self.end_secs {
@@ -456,7 +500,7 @@ impl<'m> UeEventIter<'m> {
                 emitted = None;
             }
             let tf = top_pending.map_or(f64::INFINITY, |(_, t)| t);
-            (bottom_pending, bottom_retry) = self.arm_bottom(state, t, tf);
+            (bottom_pending, bottom_retry) = self.arm_bottom(dm, state, t, tf);
         }
 
         self.mode = Mode::TwoLevel {
@@ -471,7 +515,7 @@ impl<'m> UeEventIter<'m> {
 
     /// Advance the EMM–ECM machine by one step (same convention as
     /// [`Self::step_two_level`]).
-    fn step_emm_ecm(&mut self) -> Option<Option<TraceRecord>> {
+    fn step_emm_ecm(&mut self, dm: &DeviceModels) -> Option<Option<TraceRecord>> {
         let Mode::EmmEcm {
             mut state,
             mut top_pending,
@@ -486,15 +530,15 @@ impl<'m> UeEventIter<'m> {
         };
 
         if top_pending.is_none() && top_retry < self.end_secs {
-            top_pending = self.sample_top(state, top_retry);
+            top_pending = self.sample_top(dm, state, top_retry);
             top_retry = next_hour_boundary(top_retry);
         }
         if ho_next.is_none() && ho_retry < self.end_secs {
-            ho_next = self.sample_gap(true, ho_retry);
+            ho_next = self.sample_gap(dm, true, ho_retry);
             ho_retry = next_hour_boundary(ho_retry);
         }
         if tau_next.is_none() && tau_retry < self.end_secs {
-            tau_next = self.sample_gap(false, tau_retry);
+            tau_next = self.sample_gap(dm, false, tau_retry);
             tau_retry = next_hour_boundary(tau_retry);
         }
 
@@ -535,7 +579,7 @@ impl<'m> UeEventIter<'m> {
             };
             emitted = rec;
             state = state.apply(event).unwrap_or(state);
-            top_pending = self.sample_top(state, t);
+            top_pending = self.sample_top(dm, state, t);
             top_retry = next_hour_boundary(t);
         } else if next == ho_fire {
             let t = ho_next.take().expect("ho fires");
@@ -544,7 +588,7 @@ impl<'m> UeEventIter<'m> {
                 return Some(None);
             };
             emitted = rec;
-            ho_next = self.sample_gap(true, t);
+            ho_next = self.sample_gap(dm, true, t);
             ho_retry = next_hour_boundary(t);
         } else {
             let t = tau_next.take().expect("tau fires");
@@ -552,7 +596,7 @@ impl<'m> UeEventIter<'m> {
                 return Some(None);
             };
             emitted = rec;
-            tau_next = self.sample_gap(false, t);
+            tau_next = self.sample_gap(dm, false, t);
             tau_retry = next_hour_boundary(t);
         }
 
@@ -567,21 +611,19 @@ impl<'m> UeEventIter<'m> {
         };
         Some(Some(emitted))
     }
-}
 
-impl Iterator for UeEventIter<'_> {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<TraceRecord> {
+    /// The UE's next event, sampled from `dm` — the device models this
+    /// state was created from.
+    pub(crate) fn next(&mut self, dm: &DeviceModels) -> Option<TraceRecord> {
         if let Some(queued) = self.queued.take() {
             return Some(queued);
         }
         loop {
             let step = match &self.mode {
                 Mode::Done => return None,
-                Mode::Boot => return self.boot(),
-                Mode::TwoLevel { .. } => self.step_two_level(),
-                Mode::EmmEcm { .. } => self.step_emm_ecm(),
+                Mode::Boot => return self.boot(dm),
+                Mode::TwoLevel { .. } => self.step_two_level(dm),
+                Mode::EmmEcm { .. } => self.step_emm_ecm(dm),
             };
             match step {
                 Some(Some(rec)) => return Some(rec),

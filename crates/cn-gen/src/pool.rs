@@ -1,4 +1,5 @@
-//! The population stream: per-UE generators merged by time slab.
+//! The population stream: per-UE generators merged by time slab, the slab
+//! filled chunk by chunk by however many threads generate.
 //!
 //! A population stream is the k-way merge of one strictly ascending run
 //! per UE. Merging *per event* — a tournament tree, a heap, a calendar
@@ -6,46 +7,59 @@
 //! into the model and the generator state per event, is what the
 //! generator pays for, not its arithmetic (DESIGN.md §5b has the numbers).
 //!
-//! [`PopulationStream`] therefore generates **by time slab**. It keeps one
-//! pending `(t, event)` per UE slot in two dense arrays, and to refill it
+//! [`PopulationStream`] therefore generates **by time slab**. Its UE slots
+//! are cut into **chunks** of consecutive slots, each keeping one pending
+//! `(t, event)` per slot in two dense arrays. To fill the slab
+//! `[start, start + width)`:
 //!
-//! 1. walks the slots in ascending order and runs every UE whose pending
-//!    time falls before the slab's end through its [`UeEventIter`] up to
-//!    that end, appending one packed `u64` key per event,
-//!    `t_rel << 27 | slot << 3 | event` (`t_rel` in ms since
-//!    `config.start`: 37 bits, ~4.3 years; 24 slot bits; 3 event bits);
-//! 2. sorts the slab with a stable LSD radix on the time bits *only*:
+//! 1. every chunk walks its slots in ascending order and runs every UE
+//!    whose pending time falls before the slab's end through its generator
+//!    up to that end, appending one packed `u64` key per event to the
+//!    chunk's buffer, `t_rel << 27 | slot << 3 | event` (`t_rel` in ms
+//!    since `config.start`: 37 bits, ~4.3 years; 24 slot bits; 3 event
+//!    bits);
+//! 2. the chunk buffers are concatenated in chunk order — which is slot
+//!    order — and sorted with a stable LSD radix on the time bits *only*:
 //!    the runs arrive in slot order and each is ascending, so stability
 //!    yields the `(t, slot)` order without ever comparing a slot;
-//! 3. emits records decoded from the sorted keys until the slab is drained.
+//! 3. records decoded from the sorted keys are emitted until the slab is
+//!    drained.
 //!
 //! UE state is read sequentially, once per slab instead of once per event;
 //! the model is touched one time window at a time; and there is no
-//! per-event heap, no per-bucket allocation and no O(horizon) structure —
-//! resident state is the generators plus one slab. The slab's width
-//! adapts towards `SLAB_TARGET_EVENTS`; any width yields the same bytes.
-//! A refill reads every slot's pending time, so a pool of N UEs carries
-//! N / target sequential loads per event — negligible at the populations
-//! the streams serve, and the reason millions of UEs go through
-//! [`crate::generate_out_of_core`]'s chunks rather than one pool.
+//! per-event heap, no per-bucket allocation and no O(horizon) structure.
+//! The slab's width adapts towards `SLAB_TARGET_EVENTS`; any width, and
+//! any chunk size, yields the same bytes. A fill reads every slot of a
+//! chunk with an event in the slab, which is why millions of UEs go
+//! through [`crate::generate_out_of_core`]'s pools rather than one.
 //!
 //! The key order embeds the record order exactly: per-UE timestamps
 //! strictly increase, every UE lives in exactly one slot, and slots are
 //! assigned in ascending UE order, so `(t_rel, slot)` sorts identically
 //! to the global `(t, ue)` record order (event type never breaks a tie —
-//! `(t, ue)` is already unique). A tournament tree, `cn_trace::KeyLoserTree`,
-//! remains the tool where runs are few and long: the shard and out-of-core
-//! merges.
+//! `(t, ue)` is already unique).
 //!
-//! The same pool is the sequential stream, the inline path of
-//! [`crate::ShardedStream`], each of its shard workers (over a strided
-//! index set), and each UE-range chunk of [`crate::generate_out_of_core`].
+//! ### Sharing the fill
+//!
+//! A slab is *opened* under a fresh epoch; helper threads
+//! ([`crate::ShardedStream`]) and the calling thread claim its chunks one
+//! at a time through one epoch-tagged atomic counter (the tag keeps a
+//! thread that finished slab *n* from claiming a chunk of slab *n + 1*
+//! under slab *n*'s end). The caller waits for the last chunk, swaps the
+//! buffers out, and opens the next slab *before* sorting this one, so
+//! helpers fill slab *n + 1* while the caller drains slab *n*. With no
+//! helper the pool is one chunk, which the caller fills itself.
 
 use crate::engine::GenConfig;
-use crate::per_ue::UeEventIter;
+use crate::fault::{FaultPlan, ShardFault};
+use crate::per_ue::UeState;
+use crate::shard::{panic_payload, WorkerOutcome};
 use cn_fit::ModelSet;
-use cn_obs::{Counter, TraceSink, TraceSpan};
+use cn_obs::{Counter, TraceSink};
 use cn_trace::{EventType, RecordSource, StreamError, Timestamp, TraceRecord, UeId};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Bits of a packed key holding the event code (six event types).
 const EVENT_BITS: u32 = 3;
@@ -60,57 +74,339 @@ const MAX_POOL: usize = 1 << SLOT_BITS;
 const MAX_HORIZON_MS: u64 = 1 << (64 - TIME_SHIFT);
 /// Events a slab's width adapts towards (perf, not correctness: any
 /// width yields the same output). Keys plus radix scratch are 16 bytes an
-/// event. Wider slabs run each UE further per visit (131 072 measured
-/// ~8 % faster sequentially), but a shard worker's slab has to fit its
-/// channel (`shard::CHANNEL_BLOCKS`) for fill and drain to overlap.
+/// event.
 pub(crate) const SLAB_TARGET_EVENTS: usize = 1 << 15;
+/// Slots per chunk, the unit of work a thread claims: large enough that
+/// claiming is rare next to generating, small enough that a slab has
+/// dozens of chunks to balance across threads.
+pub(crate) const CHUNK_SLOTS: usize = 256;
 /// Widest slab (~17 min): [`RADIX_PASSES_MAX`] passes always cover it, and
 /// a sparse pool, whose width would otherwise stretch over several model
 /// hours, is not caught wide when the hourly rate jumps (a slab overshoots
 /// its target by the rate's jump from one slab to the next).
 const MAX_WIDTH_MS: u64 = 1 << (RADIX_BITS * RADIX_PASSES_MAX);
-/// Width of the first slab; it doubles per refill until the target binds.
+/// Width of the first slab; it doubles per fill until the target binds.
 const FIRST_WIDTH_MS: u64 = 1 << 10;
 /// Time bits one radix pass sorts on (a 1024-entry, 4 KiB histogram).
 const RADIX_BITS: u32 = 10;
 const RADIX_PASSES_MAX: u32 = 2;
 /// Pending time of a slot whose UE has run dry.
 const DRY: u64 = u64::MAX;
+/// Polls of the filled count before the caller blocks on the last chunk:
+/// a few microseconds, about what a futex wake-up costs.
+const SPIN_POLLS: u32 = 1 << 10;
 
-/// The slab merge core, independent of what produces the per-slot runs:
-/// `advance(slot)` yields the slot's next `(t_rel, event)`, strictly
-/// ascending in `t_rel`, or `None` once the run is dry.
-struct Slab {
+/// Consecutive slots and their runs: `advance(gen)` yields a slot's next
+/// `(t_rel, event)`, strictly ascending in `t_rel`, or `None` once the run
+/// is dry. Aligned so that two threads filling neighbouring chunks never
+/// write to one cache line (a fill updates `keys`' length per key).
+#[repr(align(128))]
+struct Chunk<G> {
+    /// Slot of `gens[0]`.
+    first_slot: u64,
+    gens: Vec<G>,
     /// Start-relative time of each slot's pending event ([`DRY`] once its
     /// run ended): generated, not yet in a slab.
     pending_t: Vec<u64>,
     pending_event: Vec<EventType>,
+    /// The earliest of `pending_t`.
+    next_t: u64,
+    /// Keys of the last fill, in slot order.
+    keys: Vec<u64>,
+    fault: Option<ShardFault>,
+}
+
+impl<G> Chunk<G> {
+    /// Append every slot's events before `end` to `keys`; an event
+    /// exactly at the end stays pending.
+    fn fill(&mut self, end: u64, advance: &impl Fn(&mut G) -> Option<(u64, EventType)>) {
+        debug_assert!(self.keys.is_empty(), "fill over uncollected keys");
+        if self.next_t < end {
+            let mut next_t = DRY;
+            for (i, pending) in self.pending_t.iter_mut().enumerate() {
+                let mut t = *pending;
+                if t < end {
+                    let slot_bits = (self.first_slot + i as u64) << EVENT_BITS;
+                    let mut event = self.pending_event[i];
+                    loop {
+                        self.keys
+                            .push(t << TIME_SHIFT | slot_bits | u64::from(event.code()));
+                        match advance(&mut self.gens[i]) {
+                            Some(next) => (t, event) = next,
+                            None => t = DRY,
+                        }
+                        if t >= end {
+                            break;
+                        }
+                    }
+                    *pending = t;
+                    self.pending_event[i] = event;
+                }
+                next_t = next_t.min(t);
+            }
+            self.next_t = next_t;
+        }
+        if let Some(fault) = &mut self.fault {
+            fault.on_fill(self.keys.len() as u64);
+        }
+    }
+}
+
+/// How a stream's generation stopped, as its helpers see it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stop {
+    /// Every run is dry: every key was generated.
+    Completed,
+    /// The stream was finished or dropped first.
+    Cancelled,
+}
+
+/// The open slab, as the threads that fill it see it.
+struct Window {
+    epoch: u32,
+    end: u64,
+    stop: Option<Stop>,
+    /// The first fill that panicked, as the error naming its chunk.
+    failure: Option<StreamError>,
+}
+
+/// The chunks and the open slab: everything the threads filling a pool
+/// share.
+pub(crate) struct Shared<G> {
+    chunks: Box<[Mutex<Chunk<G>>]>,
+    /// `epoch << 32 | next unclaimed chunk` of the open slab.
+    claim: AtomicU64,
+    /// Chunks of the open slab filled so far.
+    filled: AtomicUsize,
+    window: Mutex<Window>,
+    /// Wakes helpers: a slab opened or the stream stopped.
+    opened: Condvar,
+    /// Wakes the caller: the open slab is filled, or a fill failed.
+    done: Condvar,
+}
+
+impl<G> Shared<G> {
+    fn window(&self) -> MutexGuard<'_, Window> {
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn claim(&self, epoch: u32) -> Option<usize> {
+        let mut claim = self.claim.load(Ordering::Acquire);
+        loop {
+            let next = (claim & u64::from(u32::MAX)) as usize;
+            if (claim >> 32) as u32 != epoch || next >= self.chunks.len() {
+                return None;
+            }
+            match (self.claim).compare_exchange_weak(
+                claim,
+                claim + 1,
+                Ordering::Acquire,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return Some(next),
+                Err(seen) => claim = seen,
+            }
+        }
+    }
+
+    /// Claim and fill chunks of slab `epoch`, which ends at `end`, until
+    /// none is left: the keys this thread generated, or — its fill having
+    /// panicked — the error naming the chunk, also recorded for the caller.
+    pub(crate) fn help(
+        &self,
+        epoch: u32,
+        end: u64,
+        advance: &impl Fn(&mut G) -> Option<(u64, EventType)>,
+    ) -> Result<u64, StreamError> {
+        let mut keys = 0;
+        while let Some(c) = self.claim(epoch) {
+            let fill = catch_unwind(AssertUnwindSafe(|| {
+                let mut chunk = self.chunks[c]
+                    .lock()
+                    .expect("a failed fill ends the stream");
+                chunk.fill(end, advance);
+                chunk.keys.len() as u64
+            }));
+            match fill {
+                Ok(n) => keys += n,
+                Err(payload) => {
+                    let err = StreamError::WorkerPanicked {
+                        shard: c,
+                        payload: panic_payload(payload.as_ref()),
+                    };
+                    self.window().failure.get_or_insert_with(|| err.clone());
+                    self.done.notify_one();
+                    return Err(err);
+                }
+            }
+            if self.filled.fetch_add(1, Ordering::AcqRel) + 1 == self.chunks.len() {
+                // Under the lock, so the caller cannot miss the wake-up
+                // between reading the count and blocking.
+                drop(self.window());
+                self.done.notify_one();
+            }
+        }
+        Ok(keys)
+    }
+
+    /// Block until every chunk of the open slab is filled, or return the
+    /// first failure.
+    fn wait_filled(&self) -> Result<(), StreamError> {
+        let n = self.chunks.len();
+        for _ in 0..SPIN_POLLS {
+            if self.filled.load(Ordering::Acquire) == n {
+                return Ok(());
+            }
+            std::hint::spin_loop();
+        }
+        let mut window = self.window();
+        loop {
+            if let Some(e) = &window.failure {
+                return Err(e.clone());
+            }
+            if self.filled.load(Ordering::Acquire) == n {
+                return Ok(());
+            }
+            window = self
+                .done
+                .wait(window)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn open(&self, epoch: u32, end: u64) {
+        self.filled.store(0, Ordering::Relaxed);
+        self.claim.store(u64::from(epoch) << 32, Ordering::Release);
+        let mut window = self.window();
+        (window.epoch, window.end) = (epoch, end);
+        drop(window);
+        self.opened.notify_all();
+    }
+
+    /// Stop claims and tell the helpers how generation ended (the first
+    /// call wins).
+    pub(crate) fn stop(&self, how: Stop) {
+        self.claim.fetch_or(u64::from(u32::MAX), Ordering::AcqRel);
+        self.window().stop.get_or_insert(how);
+        self.opened.notify_all();
+    }
+
+    /// Block until a slab other than `seen` opens: its epoch and end, or
+    /// how the stream stopped.
+    pub(crate) fn next_window(&self, seen: u32) -> Result<(u32, u64), Stop> {
+        let mut window = self.window();
+        loop {
+            if let Some(stop) = window.stop {
+                return Err(stop);
+            }
+            if window.epoch != seen {
+                return Ok((window.epoch, window.end));
+            }
+            window = self
+                .opened
+                .wait(window)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The first fill failure, if any.
+    pub(crate) fn failure(&self) -> Option<StreamError> {
+        self.window().failure.clone()
+    }
+}
+
+/// The calling thread's side of a pool: the slab being drained, and the
+/// schedule of the one open (see module docs).
+struct Slab<G> {
+    shared: Arc<Shared<G>>,
     /// The current slab's keys, sorted; `keys[cursor..]` are unemitted.
     keys: Vec<u64>,
     cursor: usize,
     /// Keys of the slabs drained before the current one.
     retired: u64,
     scratch: Vec<u64>,
-    /// Start of the next slab: the earliest pending time ([`DRY`] once
-    /// every run has ended).
+    /// Per chunk, its buffer from the slab before, emptied: swapped back
+    /// in when the open slab is collected.
+    spare: Vec<Vec<u64>>,
+    /// Epoch and start of the open slab ([`DRY`] once every run has
+    /// ended: nothing is open).
+    epoch: u32,
     start: u64,
-    /// Width of the next slab in ms, in `1..=MAX_WIDTH_MS`.
+    /// Width of the open slab in ms, in `1..=MAX_WIDTH_MS`.
     width: u64,
     target: u64,
+    /// Keys the calling thread generated.
+    generated: u64,
+    /// The calling thread's own failed fill.
+    panicked: Option<String>,
 }
 
-impl Slab {
-    fn new(pending_t: Vec<u64>, pending_event: Vec<EventType>, target: usize) -> Slab {
+/// Append a slot running `gen`, whose first event is `first`, to the last
+/// of `chunks`, opening a chunk of up to `chunk_slots` slots (of the `slots`
+/// expected in all) when it is full.
+fn push_slot<G>(
+    chunks: &mut Vec<Chunk<G>>,
+    chunk_slots: usize,
+    slots: usize,
+    gen: G,
+    first: Option<(u64, EventType)>,
+) {
+    if chunks
+        .last()
+        .is_none_or(|c| c.gens.len() >= chunk_slots.max(1))
+    {
+        let slot = chunks
+            .last()
+            .map_or(0, |c| c.first_slot as usize + c.gens.len());
+        let cap = chunk_slots.min(slots.saturating_sub(slot));
+        chunks.push(Chunk {
+            first_slot: slot as u64,
+            gens: Vec::with_capacity(cap),
+            pending_t: Vec::with_capacity(cap),
+            pending_event: Vec::with_capacity(cap),
+            next_t: DRY,
+            keys: Vec::new(),
+            fault: None,
+        });
+    }
+    let chunk = chunks.last_mut().expect("a chunk was just opened");
+    let (t, event) = first.unwrap_or((DRY, EventType::Attach));
+    chunk.gens.push(gen);
+    chunk.pending_t.push(t);
+    chunk.pending_event.push(event);
+    chunk.next_t = chunk.next_t.min(t);
+}
+
+impl<G> Slab<G> {
+    /// A pool over `chunks` (see [`push_slot`]).
+    fn new(chunks: Vec<Chunk<G>>, target: usize) -> Slab<G> {
+        let start = chunks.iter().map(|c| c.next_t).min().unwrap_or(DRY);
+        let spare = chunks.iter().map(|_| Vec::new()).collect();
         Slab {
-            start: pending_t.iter().copied().min().unwrap_or(DRY),
-            pending_t,
-            pending_event,
+            shared: Arc::new(Shared {
+                chunks: chunks.into_iter().map(Mutex::new).collect(),
+                claim: AtomicU64::new(0),
+                filled: AtomicUsize::new(0),
+                window: Mutex::new(Window {
+                    epoch: 0,
+                    end: 0,
+                    stop: None,
+                    failure: None,
+                }),
+                opened: Condvar::new(),
+                done: Condvar::new(),
+            }),
             keys: Vec::new(),
             cursor: 0,
             retired: 0,
             scratch: Vec::new(),
+            spare,
+            epoch: 0,
+            start,
             width: FIRST_WIDTH_MS,
             target: target.max(1) as u64,
+            generated: 0,
+            panicked: None,
         }
     }
 
@@ -129,51 +425,56 @@ impl Slab {
         Some(key)
     }
 
-    /// Retire the drained slab and build the slab `[start, start + width)`:
-    /// every slot's events in that window, sorted; an event exactly at the
-    /// end stays pending. Once every run is dry the new slab is empty.
-    fn fill(&mut self, mut advance: impl FnMut(usize) -> Option<(u64, EventType)>) {
+    /// Retire the drained slab and make the open one current: help fill
+    /// it, wait for the helpers' last chunk, open the next, and sort.
+    /// Once every run is dry the new slab is empty.
+    fn fill(
+        &mut self,
+        advance: &impl Fn(&mut G) -> Option<(u64, EventType)>,
+    ) -> Result<(), StreamError> {
         debug_assert!(self.is_drained(), "fill over unpopped keys");
         self.retired += self.keys.len() as u64;
         self.keys.clear();
         self.cursor = 0;
         if self.start == DRY {
-            return;
+            return Ok(());
         }
-        let (start, end) = (self.start, self.start + self.width);
+        let shared = &*self.shared;
+        let (start, width) = (self.start, self.width);
+        let help = shared.help(self.epoch, start + width, advance);
+        self.generated += help.inspect_err(|e| self.panicked = Some(e.to_string()))?;
+        shared.wait_filled()?;
         let mut next_start = DRY;
-        for (slot, pending) in self.pending_t.iter_mut().enumerate() {
-            let mut t = *pending;
-            if t < end {
-                let slot_bits = (slot as u64) << EVENT_BITS;
-                let mut event = self.pending_event[slot];
-                loop {
-                    self.keys
-                        .push(t << TIME_SHIFT | slot_bits | u64::from(event.code()));
-                    match advance(slot) {
-                        Some(next) => (t, event) = next,
-                        None => t = DRY,
-                    }
-                    if t >= end {
-                        break;
-                    }
-                }
-                *pending = t;
-                self.pending_event[slot] = event;
-            }
-            next_start = next_start.min(t);
+        for (chunk, spare) in shared.chunks.iter().zip(&mut self.spare) {
+            let mut chunk = chunk.lock().expect("a filled chunk is unpoisoned");
+            next_start = next_start.min(chunk.next_t);
+            std::mem::swap(&mut chunk.keys, spare);
         }
-        let span_bits = u64::BITS - (self.width - 1).leading_zeros();
+        // Steer towards the target, at most doubling; jump any silent
+        // stretch to the earliest pending event. Open the next slab before
+        // sorting this one, so helpers fill it meanwhile.
+        let len: usize = self.spare.iter().map(Vec::len).sum();
+        let ideal = width * self.target / len.max(1) as u64;
+        self.width = ideal.clamp(1, (2 * width).min(MAX_WIDTH_MS));
+        self.start = next_start;
+        self.epoch = self.epoch.wrapping_add(1);
+        if next_start == DRY {
+            shared.stop(Stop::Completed);
+        } else {
+            shared.open(self.epoch, next_start + self.width);
+        }
+        self.keys.reserve(len);
+        for spare in &mut self.spare {
+            self.keys.extend_from_slice(spare);
+            spare.clear();
+        }
+        let span_bits = u64::BITS - (width - 1).leading_zeros();
         sort_by_time(&mut self.keys, &mut self.scratch, start, span_bits);
         debug_assert!(
             self.keys.windows(2).all(|w| w[0] < w[1]),
             "slab keys out of (t, slot) order"
         );
-        // Steer towards the target, at most doubling; jump any silent
-        // stretch to the earliest pending event.
-        let ideal = self.width * self.target / self.keys.len().max(1) as u64;
-        self.width = ideal.clamp(1, (2 * self.width).min(MAX_WIDTH_MS));
-        self.start = next_start;
+        Ok(())
     }
 }
 
@@ -205,36 +506,33 @@ fn sort_by_time(keys: &mut Vec<u64>, scratch: &mut Vec<u64>, origin: u64, span_b
     }
 }
 
-/// Telemetry of an observed pool (the shard workers of an observed
-/// stream); an unobserved pool carries `None` and reads no clock.
-#[derive(Clone)]
-pub(crate) struct SlabObs {
-    /// Where `cn_gen_slab_fill` spans go: one per fill, on the filling thread.
+/// Telemetry of an observed stream; an unobserved stream's handles are
+/// no-ops and read no clock.
+#[derive(Clone, Default)]
+pub(crate) struct FillObs {
+    /// `cn_gen_shard_events_total{shard=i}` — keys this thread generated.
+    pub(crate) events: Counter,
+    /// Where `cn_gen_slab_fill` spans go: one per slab this thread helped
+    /// fill.
     pub(crate) trace: TraceSink,
-    /// `cn_gen_slabs_total` — slabs filled.
-    pub(crate) slabs: Counter,
-}
-
-impl SlabObs {
-    fn on_fill(&self) -> TraceSpan {
-        self.slabs.inc();
-        self.trace.span("cn_gen_slab_fill")
-    }
 }
 
 /// A time-ordered event stream over a synthesized population, merged by
-/// time slab (see module docs): O(population) generator states plus one
-/// slab resident, never O(total events).
+/// time slab (see module docs): O(population) generator states plus two
+/// slabs resident, never O(total events).
 pub struct PopulationStream<'m> {
-    iters: Vec<UeEventIter<'m>>,
+    models: &'m ModelSet,
+    slab: Slab<UeState>,
     /// The UE each slot generates for.
     ues: Vec<u32>,
-    slab: Slab,
     /// Start, for start-relative key times; population, for device types.
     config: GenConfig,
-    obs: Option<SlabObs>,
+    /// The calling thread's share of the telemetry.
+    obs: FillObs,
+    /// `cn_gen_slabs_total` — slabs filled.
+    slabs: Counter,
     /// Fed the records emitted, slab by slab and the rest on drop (the
-    /// `cn_gen_merge_events_total` of an observed inline sharded stream).
+    /// `cn_gen_merge_events_total` of an observed sharded stream).
     merged: Counter,
 }
 
@@ -255,18 +553,24 @@ impl<'m> PopulationStream<'m> {
     /// [`crate::generate_out_of_core`]. The window must be shorter than
     /// 2³⁷ ms (~4.3 years). Both are checked in release builds too: a key
     /// that overflows would silently reorder records.
+    ///
+    /// Chunks are what threads share; a stream filled by its caller alone
+    /// keeps its slots in one.
     pub(crate) fn with_ues(
         models: &'m ModelSet,
         config: &GenConfig,
         indices: impl Iterator<Item = u32>,
     ) -> PopulationStream<'m> {
-        Self::with_slab_target(models, config, indices, SLAB_TARGET_EVENTS)
+        Self::with_layout(models, config, indices, usize::MAX, SLAB_TARGET_EVENTS)
     }
 
-    fn with_slab_target(
+    /// As [`PopulationStream::with_ues`] with `chunk_slots` slots per
+    /// chunk and slabs steered towards `target` events.
+    pub(crate) fn with_layout(
         models: &'m ModelSet,
         config: &GenConfig,
         indices: impl Iterator<Item = u32>,
+        chunk_slots: usize,
         target: usize,
     ) -> PopulationStream<'m> {
         let end = config.end();
@@ -278,18 +582,17 @@ impl<'m> PopulationStream<'m> {
              later events would overflow the merge key"
         );
         let (lo, hi) = indices.size_hint();
-        let cap = hi.unwrap_or(lo);
-        let mut iters = Vec::with_capacity(cap);
-        let mut ues = Vec::with_capacity(cap);
-        let mut pending_t = Vec::with_capacity(cap);
-        let mut pending_event = Vec::with_capacity(cap);
+        let slots = hi.unwrap_or(lo);
+        let mut ues: Vec<u32> = Vec::with_capacity(slots);
+        let mut chunks = Vec::new();
+        let advance = |gen: &mut UeState| gen.advance(models, base_ms);
         for index in indices {
             assert!(
                 ues.last().is_none_or(|&last| index > last),
                 "pool indices must be strictly increasing (got {index} after {:?})",
                 ues.last()
             );
-            let mut it = UeEventIter::with_semantics(
+            let mut gen = UeState::new(
                 models.device(config.device_of(index)),
                 models.method,
                 UeId(index),
@@ -298,38 +601,55 @@ impl<'m> PopulationStream<'m> {
                 crate::engine::ue_stream_seed(config.seed, index),
                 config.semantics,
             );
-            let first = it.next();
-            pending_t.push(first.map_or(DRY, |r| r.t.as_millis() - base_ms));
-            pending_event.push(first.map_or(EventType::Attach, |r| r.event));
+            let first = advance(&mut gen);
+            push_slot(&mut chunks, chunk_slots, slots, gen, first);
             ues.push(index);
-            iters.push(it);
         }
         assert!(
-            iters.len() <= MAX_POOL,
+            ues.len() <= MAX_POOL,
             "a pool holds at most {MAX_POOL} UEs; chunk larger populations \
              through the out-of-core path"
         );
+        let slab = Slab::new(chunks, target);
         PopulationStream {
-            iters,
+            models,
+            slab,
             ues,
-            slab: Slab::new(pending_t, pending_event, target),
             config: *config,
-            obs: None,
+            obs: FillObs::default(),
+            slabs: Counter::noop(),
             merged: Counter::noop(),
         }
     }
 
-    /// Record every slab fill from here on into `obs`, if anything listens.
-    pub(crate) fn observe(&mut self, obs: &SlabObs) {
-        let listening = obs.slabs.is_enabled() || obs.trace.is_enabled();
-        self.obs = listening.then(|| obs.clone());
+    /// Record from here on: `merged` fed every record emitted, at slab
+    /// granularity (each drained slab when the next is filled, or the
+    /// stream runs dry, and the current slab's emitted part on drop);
+    /// `slabs` counting slabs filled; `obs` the calling thread's share.
+    pub(crate) fn observe(&mut self, merged: Counter, slabs: Counter, obs: FillObs) {
+        (self.merged, self.slabs, self.obs) = (merged, slabs, obs);
     }
 
-    /// Feed every record emitted from here on into `merged`, at slab
-    /// granularity: each drained slab when the next is filled (or the
-    /// stream runs dry), and the current slab's emitted part on drop.
-    pub(crate) fn count_into(&mut self, merged: Counter) {
-        self.merged = merged;
+    /// Inject `plan`'s faults, keyed by chunk; panics when the plan names
+    /// a chunk the pool does not have (the fault could never fire).
+    pub(crate) fn inject(&mut self, plan: &FaultPlan) {
+        let chunks = &self.slab.shared.chunks;
+        for target in plan.targets() {
+            assert!(
+                target < chunks.len(),
+                "fault plan targets chunk {target}, but the stream has {} chunks",
+                chunks.len()
+            );
+        }
+        for (c, chunk) in chunks.iter().enumerate() {
+            let fault = plan.targets().any(|t| t == c).then(|| plan.for_shard(c));
+            chunk.lock().expect("no fill has run").fault = fault;
+        }
+    }
+
+    /// What the threads filling this pool share.
+    pub(crate) fn shared(&self) -> &Arc<Shared<UeState>> {
+        &self.slab.shared
     }
 
     /// Records emitted so far.
@@ -337,17 +657,56 @@ impl<'m> PopulationStream<'m> {
         self.slab.retired + self.slab.cursor as u64
     }
 
+    /// How the calling thread's share of generation ended.
+    pub(crate) fn outcome(&self) -> WorkerOutcome {
+        match &self.slab.panicked {
+            Some(payload) => WorkerOutcome::Panicked {
+                payload: payload.clone(),
+            },
+            None if self.slab.start == DRY => WorkerOutcome::Completed {
+                events: self.slab.generated,
+            },
+            None => WorkerOutcome::Cancelled,
+        }
+    }
+
+    /// The fallible pull: `Err` when a fill panicked, on this thread or a
+    /// helper. The stream emits nothing after an error.
+    #[inline]
+    pub(crate) fn pull(&mut self) -> Result<Option<TraceRecord>, StreamError> {
+        if self.slab.is_drained() {
+            self.fill()?;
+        }
+        Ok(self.pop())
+    }
+
+    /// The next record of the current slab.
+    #[inline]
+    fn pop(&mut self) -> Option<TraceRecord> {
+        let key = self.slab.pop()?;
+        let ue = self.ues[(key >> EVENT_BITS) as usize & (MAX_POOL - 1)];
+        Some(TraceRecord {
+            t: Timestamp::from_millis(self.config.start.as_millis() + (key >> TIME_SHIFT)),
+            ue: UeId(ue),
+            device: self.config.device_of(ue),
+            event: EventType::ALL[(key & ((1 << EVENT_BITS) - 1)) as usize],
+        })
+    }
+
+    /// Make the open slab current (see [`Slab::fill`]), accounting for it.
     #[cold]
-    fn fill(&mut self) {
+    pub(crate) fn fill(&mut self) -> Result<(), StreamError> {
         self.merged.add(self.slab.keys.len() as u64);
-        let _span = (self.obs.as_ref())
-            .filter(|_| self.slab.start != DRY)
-            .map(SlabObs::on_fill);
-        let (iters, base_ms) = (&mut self.iters, self.config.start.as_millis());
-        self.slab.fill(|slot| {
-            let rec = iters[slot].next()?;
-            Some((rec.t.as_millis() - base_ms, rec.event))
-        });
+        let live = self.slab.start != DRY;
+        self.slabs.add(u64::from(live));
+        let _span = live.then(|| self.obs.trace.span("cn_gen_slab_fill"));
+        let generated = self.slab.generated;
+        let (models, base_ms) = (self.models, self.config.start.as_millis());
+        let filled = self
+            .slab
+            .fill(&|gen: &mut UeState| gen.advance(models, base_ms));
+        self.obs.events.add(self.slab.generated - generated);
+        filled
     }
 }
 
@@ -357,16 +716,14 @@ impl Iterator for PopulationStream<'_> {
     #[inline]
     fn next(&mut self) -> Option<TraceRecord> {
         if self.slab.is_drained() {
-            self.fill();
+            if let Err(e) = self.fill() {
+                match e {
+                    StreamError::WorkerPanicked { payload, .. } => resume_unwind(Box::new(payload)),
+                    other => panic!("{other}"),
+                }
+            }
         }
-        let key = self.slab.pop()?;
-        let ue = self.ues[(key >> EVENT_BITS) as usize & (MAX_POOL - 1)];
-        Some(TraceRecord {
-            t: Timestamp::from_millis(self.config.start.as_millis() + (key >> TIME_SHIFT)),
-            ue: UeId(ue),
-            device: self.config.device_of(ue),
-            event: EventType::ALL[(key & ((1 << EVENT_BITS) - 1)) as usize],
-        })
+        self.pop()
     }
 }
 
@@ -393,7 +750,6 @@ impl Drop for PopulationStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{reference, HourSemantics};
     use cn_fit::{fit, FitConfig, Method};
     use cn_trace::PopulationMix;
     use cn_world::{generate_world, WorldConfig};
@@ -407,8 +763,7 @@ mod tests {
     #[test]
     fn partitioned_pools_cover_the_full_population() {
         // Merging two disjoint pools by hand must equal one pool over all
-        // UEs — the invariant the shard workers and out-of-core chunks
-        // both rely on.
+        // UEs — the invariant the out-of-core chunks rely on.
         let models = fitted();
         let config = GenConfig::new(
             PopulationMix::new(14, 6, 4),
@@ -504,75 +859,41 @@ mod tests {
         PopulationStream::with_ues(&models, &config, 0..1);
     }
 
-    /// Any slab width yields the same bytes: one pool's output equals the
-    /// reference merge of its index set at every slab target, for
-    /// contiguous and strided index sets, under both hour semantics.
-    #[test]
-    fn slab_target_and_partition_do_not_change_the_bytes() {
-        let models = fitted();
-        for semantics in [HourSemantics::EntryHour, HourSemantics::TruncateAtBoundary] {
-            let mut config = GenConfig::new(
-                PopulationMix::new(14, 6, 4),
-                Timestamp::at_hour(0, 7),
-                9.0,
-                41,
-            );
-            config.semantics = semantics;
-            let total = config.population.total();
-            let partitions: [Vec<u32>; 2] = [(0..total).collect(), (1..total).step_by(3).collect()];
-            for indices in partitions {
-                let expected = reference(&models, &config, indices.iter().copied());
-                assert!(expected.len() > 200, "only {} events", expected.len());
-                for target in [1, 97, 4_096, SLAB_TARGET_EVENTS] {
-                    let mut pool = PopulationStream::with_slab_target(
-                        &models,
-                        &config,
-                        indices.iter().copied(),
-                        target,
-                    );
-                    let got: Vec<TraceRecord> = pool.by_ref().collect();
-                    assert_eq!(pool.next(), None);
-                    assert_eq!(pool.emitted(), got.len() as u64);
-                    assert!(
-                        got == expected,
-                        "{semantics:?}, {} UEs, slab target {target}: output diverged",
-                        indices.len()
-                    );
-                }
-            }
-        }
-    }
-
     fn key(t: u64, slot: usize, event: EventType) -> u64 {
         t << TIME_SHIFT | (slot as u64) << EVENT_BITS | u64::from(event.code())
     }
 
-    /// Drain a [`Slab`] over synthetic per-slot runs, checking its pop
-    /// count at every step; returns the keys popped and the number of
-    /// non-empty slabs filled.
-    fn drain_slab(runs: &[Vec<(u64, EventType)>], target: usize) -> (Vec<u64>, usize) {
-        let first = |run: &Vec<(u64, EventType)>| run.first().copied();
-        let mut slab = Slab::new(
-            runs.iter().map(|r| first(r).map_or(DRY, |f| f.0)).collect(),
-            runs.iter()
-                .map(|r| first(r).map_or(EventType::Attach, |f| f.1))
-                .collect(),
-            target,
-        );
-        let mut next = vec![1usize; runs.len()];
+    type Run = std::vec::IntoIter<(u64, EventType)>;
+
+    /// Drain a [`Slab`] over synthetic per-slot runs cut into chunks of
+    /// `chunk_slots`, checking its pop count at every step; returns the
+    /// keys popped and the number of non-empty slabs filled.
+    fn drain_slab(
+        runs: &[Vec<(u64, EventType)>],
+        chunk_slots: usize,
+        target: usize,
+    ) -> (Vec<u64>, usize) {
+        let advance = |run: &mut Run| run.next();
+        let mut chunks = Vec::new();
+        for run in runs {
+            let mut run = run.clone().into_iter();
+            let first = advance(&mut run);
+            push_slot(&mut chunks, chunk_slots, runs.len(), run, first);
+        }
+        let mut slab = Slab::new(chunks, target);
         let (mut out, mut fills) = (Vec::new(), 0);
         loop {
             if slab.is_drained() {
                 let (live, end) = (slab.start != DRY, slab.start.saturating_add(slab.width));
-                slab.fill(|slot| {
-                    next[slot] += 1;
-                    runs[slot].get(next[slot] - 1).copied()
-                });
+                slab.fill(&advance).expect("synthetic runs never panic");
                 if live {
                     fills += 1;
                     assert!(!slab.keys.is_empty(), "a fill yields at least one key");
                     assert!(slab.keys.iter().all(|k| k >> TIME_SHIFT < end));
-                    assert!(slab.pending_t.iter().all(|&t| t >= end));
+                    for chunk in slab.shared.chunks.iter() {
+                        let chunk = chunk.lock().expect("no fill panicked");
+                        assert!(chunk.pending_t.iter().all(|&t| t >= end));
+                    }
                 } else {
                     assert!(slab.keys.is_empty(), "a dry slab fills nothing");
                 }
@@ -595,9 +916,9 @@ mod tests {
         keys
     }
 
-    /// The boundary cases by hand: equal times across slots, an event
-    /// exactly at the slab's end, a silent stretch longer than the widest
-    /// slab, a dry slot, and a single-slot pool.
+    /// The boundary cases by hand: equal times across slots and chunks,
+    /// an event exactly at the slab's end, a silent stretch longer than
+    /// the widest slab, a dry slot, and a single-slot pool.
     #[test]
     fn slab_boundaries_ties_and_silence() {
         use EventType::{Handover, ServiceRequest, Tau};
@@ -619,18 +940,24 @@ mod tests {
                 (far, Handover),
             ],
         ];
-        for target in [1, 3, 1_000] {
-            let (keys, fills) = drain_slab(&runs, target);
-            assert_eq!(keys, sorted_keys(&runs), "target {target}");
-            // The silence is jumped, not walked slab by slab.
-            assert!(fills <= 8, "target {target}: {fills} fills");
+        for chunk_slots in [1, 2, CHUNK_SLOTS] {
+            for target in [1, 3, 1_000] {
+                let (keys, fills) = drain_slab(&runs, chunk_slots, target);
+                assert_eq!(
+                    keys,
+                    sorted_keys(&runs),
+                    "chunk {chunk_slots}, target {target}"
+                );
+                // The silence is jumped, not walked slab by slab.
+                assert!(fills <= 8, "target {target}: {fills} fills");
+            }
         }
-        let (first_slab, _) = drain_slab(&[runs[0][..1].to_vec(), runs[2][..2].to_vec()], 1_000);
-        assert_eq!(first_slab.len(), 3);
+        let first = [runs[0][..1].to_vec(), runs[2][..2].to_vec()];
+        assert_eq!(drain_slab(&first, 1, 1_000).0.len(), 3);
 
         let single = vec![vec![(7, Tau), (8, Handover), (far, Tau)]];
-        assert_eq!(drain_slab(&single, 2).0, sorted_keys(&single));
-        assert_eq!(drain_slab(&[], 2), (Vec::new(), 0));
+        assert_eq!(drain_slab(&single, 1, 2).0, sorted_keys(&single));
+        assert_eq!(drain_slab(&[], 1, 2), (Vec::new(), 0));
     }
 
     /// Per-slot ascending runs from gap lists: short gaps collide across
@@ -677,14 +1004,15 @@ mod tests {
             prop_assert_eq!(keys, expected);
         }
 
-        /// Slab by slab, at any target, the core pops exactly the sorted
-        /// union of its runs.
+        /// Slab by slab, at any chunk size and target, the core pops
+        /// exactly the sorted union of its runs.
         #[test]
         fn slab_merge_equals_the_sorted_union(
             runs in arb_runs(),
+            chunk_slots in prop_oneof![Just(1usize), 2usize..5, Just(CHUNK_SLOTS)],
             target in prop_oneof![Just(1usize), 2usize..40, Just(SLAB_TARGET_EVENTS)],
         ) {
-            prop_assert_eq!(drain_slab(&runs, target).0, sorted_keys(&runs));
+            prop_assert_eq!(drain_slab(&runs, chunk_slots, target).0, sorted_keys(&runs));
         }
     }
 }

@@ -1,159 +1,68 @@
-//! Parallel sharded population streaming with adaptive execution.
+//! Parallel population streaming: one slab pool, its fill shared out.
 //!
-//! [`ShardedStream`] is the multi-core counterpart of
-//! [`PopulationStream`]: the population is partitioned into
-//! `S` disjoint UE shards (striped — UE `i` belongs to shard `i mod S` —
-//! so the device-type mix, and with it the per-UE event rate, balances
-//! across workers). Each shard runs on its own worker thread, merging its
-//! live per-UE generators by time slab through its own
-//! [`PopulationStream`] into a time-sorted run that is shipped to the
-//! consumer as fixed-size record blocks over a bounded SPSC channel. The
-//! consumer performs the final S-way merge over the shard runs.
-//!
-//! ### Adaptive execution
-//!
-//! A single shard *is* the sequential merge, so `S == 1` (an explicit
-//! `with_shards(.., 1)`, a one-UE population, or [`ShardedStream::new`] on
-//! a single-core box — [`crate::effective_parallelism`] decides) runs the
-//! [`PopulationStream`] slab merge **inline on the caller's thread**: no
-//! worker threads, no channels, no model clone. The sharded API is
-//! therefore never slower than the sequential stream; threads and
-//! channels are only paid for when there is parallelism to buy with them.
-//! [`ShardedStream::worker_threads`] says which path engaged (`0` inline).
-//!
-//! ### Block-drain merge
-//!
-//! The consumer-side merge does not hop through the tournament tree per
-//! record. When shard `w` wins, the tree also knows the *runner-up* — the
-//! head that would win were `w`'s run exhausted
-//! ([`KeyLoserTree::runner_up`], one ⌈log₂S⌉ walk). Every buffered record
-//! of `w` that precedes that bound is part of `w`'s current **run** and is
-//! emitted by direct block indexing (found by [`run_prefix`]'s gallop +
-//! binary search, so short runs cost O(1)); the tree is then advanced
-//! **once per run** ([`KeyLoserTree::replace_winner`]) instead of once per
-//! record, amortizing both the replay and the per-record channel
-//! bookkeeping.
-//!
-//! ### Determinism
-//!
-//! The output is **byte-identical** to the sequential stream for any
-//! shard count:
-//!
-//! * every UE's stream is a pure function of `(seed, ue)` — the shard a UE
-//!   lands on does not touch its RNG;
-//! * record order is a strict total order (time, then UE, then event; a
-//!   UE's own events have strictly increasing timestamps), so the globally
-//!   sorted sequence is unique — *any* correct merge tree yields it;
-//! * each shard run is a sorted subsequence of that global sequence, and
-//!   the consumer-side merge restores it exactly (run boundaries respect
-//!   the same tie-break — lower shard index first — the tree uses).
-//!
-//! ### Backpressure & memory
-//!
-//! A worker generates a whole slab at a time (see [`PopulationStream`]) and
-//! then ships it in a burst of blocks, so its channel is sized to take
-//! that burst: with less room the worker sits blocked on a full channel,
-//! its next slab unstarted, while the consumer drains this one — fill and
-//! drain take turns instead of overlapping, and with every worker parked
-//! that way the stream runs on one core. Workers block once their channel
-//! holds [`CHANNEL_BLOCKS`] undelivered blocks, so a slow consumer (e.g. a
-//! disk writer) bounds the pipeline at `S × CHANNEL_BLOCKS × BLOCK_RECORDS`
-//! buffered records (512 KiB a shard) plus, per shard, one slab (as much
-//! again) and the O(population) generator states — independent of trace
-//! length.
-//!
-//! Deadlock freedom holds because every shard has a *dedicated* worker:
-//! the consumer only ever blocks on the one channel whose run it needs
-//! next, and that channel's producer never waits on anything but the same
-//! channel's free space.
+//! [`ShardedStream`] *is* a [`PopulationStream`] over the whole population
+//! whose slab fills `threads − 1` helper threads share with the calling
+//! thread, chunk by chunk (the pool's module docs, *Sharing the fill*, have
+//! the protocol). One thread — `with_shards(.., 1)`, a one-UE population,
+//! or [`ShardedStream::new`] on a single-core box — spawns no helper and
+//! clones no model; more clone the model set once into an `Arc` the
+//! helpers share. A population smaller than `threads × 256` UEs is cut
+//! into one chunk per thread, so every thread has work. The output is
+//! **byte-identical** to the sequential stream at any thread count: a
+//! chunk's keys do not depend on which thread fills it, and the chunk
+//! buffers are sorted in slot order. Memory is one slab in flight plus one
+//! being drained, whatever the thread count and horizon.
 //!
 //! ### Failure semantics
 //!
-//! A trace that ends early is indistinguishable from a complete one by
-//! looking at the records alone — so a worker failure must never be able
-//! to masquerade as clean exhaustion. Every worker runs its loop under
-//! [`std::panic::catch_unwind`] and publishes a terminal
-//! [`WorkerOutcome`] through a per-shard control slot *before* its data
-//! channel disconnects:
+//! A trace that ends early is indistinguishable from a complete one, so a
+//! failure must never masquerade as clean exhaustion. Every chunk fill, on
+//! a helper or on the caller, runs under [`std::panic::catch_unwind`]; a
+//! panic becomes a [`StreamError::WorkerPanicked`] naming the chunk, which
+//! [`ShardedStream::try_next`] returns — never an unwinding `try_next`. The
+//! first slab (about a second wide) is filled by the caller before any
+//! helper starts, so a fault there poisons the stream before its first
+//! record. There is deliberately no `Iterator` impl: an infallible view
+//! would end early on a failure and look complete. A failed stream is
+//! *poisoned* (every further `try_next` repeats the error); `finish`
+//! refuses success if any fill panicked, even in a slab never reached; and
+//! shutdown records every thread's [`WorkerOutcome`] in
+//! `cn_gen_worker_exit{outcome=…}`, plus `cn_gen_shard_panics_total` for
+//! the failed chunk. Faults are injected by chunk through [`FaultPlan`].
 //!
-//! * [`WorkerOutcome::Completed`] — the shard generated and shipped every
-//!   one of its records;
-//! * [`WorkerOutcome::Panicked`] — the worker's loop panicked; the
-//!   payload is preserved;
-//! * [`WorkerOutcome::Cancelled`] — the worker's send failed because the
-//!   consumer hung up (an abandoned stream), the deliberate wind-down.
-//!
-//! The consumer reads the slot whenever a channel disconnects, so a
-//! panicked shard surfaces as a typed [`StreamError::WorkerPanicked`]
-//! instead of being merged out as "exhausted". The only surface is the
-//! fallible one — [`ShardedStream::try_next`] plus
-//! [`ShardedStream::finish`] (which joins the workers and refuses to
-//! report success if any of them panicked), i.e. the workspace's
-//! [`RecordSource`] contract, whose `drain`/`collect_trace` consume a
-//! whole stream. There is deliberately no `Iterator` impl: an infallible
-//! view would end early on a worker failure and look complete. After a
-//! failure the stream is *poisoned* (every further `try_next` repeats the
-//! error), and dropping it records every worker's exit —
-//! `cn_gen_worker_exit{outcome=…}` and `cn_gen_shard_panics_total{shard=…}`
-//! when a registry is attached — rather than swallowing the join results.
-//! Faults are injected deterministically in tests via [`FaultPlan`] and
-//! [`ShardedStream::with_shards_faulted`]; the production constructors
-//! monomorphize the fault hook to [`NoFault`], which compiles to nothing.
-//!
-//! ### Observability
-//!
-//! The `*_observed` constructors light up the pipeline's telemetry (listed
-//! on [`ShardedStream::with_shards_observed`]). Once a stream is fully
-//! drained, the summed `cn_gen_shard_events_total{shard=i}` counters equal
-//! `cn_gen_merge_events_total`; when a run fails instead, the
-//! `cn_gen_worker_exit` ledger says which workers ended how. Counting is per
-//! block (workers), per slab (the inline path) or per merge window
-//! (`MergeObs`), never per record, and a disabled registry's handles are
-//! no-ops.
+//! Telemetry (listed on [`ShardedStream::with_shards_observed`]) counts
+//! per slab, never per record: once a stream is drained, the summed
+//! `cn_gen_shard_events_total{shard=i}` equal `cn_gen_merge_events_total`.
 
 use crate::engine::GenConfig;
-use crate::fault::{FaultHook, FaultPlan, NoFault};
-use crate::pool::{PopulationStream, SlabObs, SLAB_TARGET_EVENTS};
+use crate::fault::FaultPlan;
+use crate::per_ue::UeState;
+use crate::pool::{FillObs, PopulationStream, Shared, Stop, CHUNK_SLOTS, SLAB_TARGET_EVENTS};
 use cn_fit::ModelSet;
-use cn_obs::{Counter, Histogram, HistogramSnapshot, Registry, TraceSink, TraceSpan};
-use cn_trace::merge::{head_key, run_prefix, KeyLoserTree};
-use cn_trace::{RecordSource, StreamError, TraceRecord};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, OnceLock};
+use cn_obs::{Counter, Registry};
+use cn_trace::{EventType, RecordSource, StreamError, TraceRecord};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Records per channel block (~64 KiB of `TraceRecord`s: large enough to
-/// amortize channel synchronization, small enough to keep the pipeline
-/// responsive).
-const BLOCK_RECORDS: usize = 4096;
-
-/// Blocks buffered per shard channel before its worker blocks: one whole
-/// slab, so that a worker fills slab *n + 1* while the consumer drains
-/// slab *n*. (A slab that overshoots its target stalls its worker only
-/// for the overshoot.)
-const CHANNEL_BLOCKS: usize = SLAB_TARGET_EVENTS / BLOCK_RECORDS;
-
-/// How a shard worker's run ended, published through its control slot
-/// before the data channel disconnects (see module docs, *Failure
+/// How a generating thread's run ended (see module docs, *Failure
 /// semantics*).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerOutcome {
-    /// The worker generated and shipped all `events` of its records.
+    /// Generation completed: every run is dry, and this thread generated
+    /// `events` of the records.
     Completed {
-        /// Records this shard shipped to the consumer.
+        /// Records this thread generated.
         events: u64,
     },
-    /// The worker's generation loop panicked; `payload` is the panic
-    /// message (or a placeholder for non-string payloads).
+    /// A chunk fill on this thread panicked.
     Panicked {
-        /// The stringified panic payload.
+        /// The fill's [`StreamError`], rendered: the chunk and the panic
+        /// payload.
         payload: String,
     },
-    /// The worker stopped because the consumer hung up (the stream was
-    /// dropped or finished early) — the deliberate wind-down, not a
-    /// failure.
+    /// The stream was finished or dropped before generation completed —
+    /// the deliberate wind-down, not a failure.
     Cancelled,
 }
 
@@ -174,76 +83,20 @@ impl WorkerOutcome {
 pub struct StreamStats {
     /// Records this stream handed to the consumer.
     pub events: u64,
-    /// Terminal state of each shard worker, indexed by shard. Empty on
-    /// the inline path (no workers exist).
+    /// Terminal state of each generating thread: the helpers in spawn
+    /// order, then the calling thread. Empty when no helper was spawned.
     pub outcomes: Vec<WorkerOutcome>,
 }
 
-/// One shard's endpoint on the consumer side: the receive handle plus a
-/// cursor over the block currently being drained, and the worker's
-/// control slot for telling clean exhaustion apart from a crash.
-///
-/// Invariant while the shard is live: the merge tree's head for this shard
-/// equals `block[pos]`, the shard's next undelivered record.
-struct ShardCursor {
-    shard: usize,
-    rx: Receiver<Vec<TraceRecord>>,
-    block: Vec<TraceRecord>,
-    pos: usize,
-    outcome: Arc<OnceLock<WorkerOutcome>>,
-}
-
-impl ShardCursor {
-    /// The record at `pos` — this shard's next merge head — receiving the
-    /// next block when the current one is exhausted; `Ok(None)` once the
-    /// worker has **completed** and every block is drained, and a typed
-    /// error when the channel disconnected for any other reason.
-    fn head(&mut self) -> Result<Option<TraceRecord>, StreamError> {
-        loop {
-            if let Some(&rec) = self.block.get(self.pos) {
-                return Ok(Some(rec));
-            }
-            match self.rx.recv() {
-                Ok(block) => {
-                    self.block = block;
-                    self.pos = 0;
-                }
-                Err(_) => {
-                    // The worker is gone; its outcome was published
-                    // before the channel disconnected, so the slot is
-                    // authoritative here.
-                    return match self.outcome.get() {
-                        Some(WorkerOutcome::Completed { .. }) => Ok(None),
-                        Some(WorkerOutcome::Panicked { payload }) => {
-                            Err(StreamError::WorkerPanicked {
-                                shard: self.shard,
-                                payload: payload.clone(),
-                            })
-                        }
-                        // `Cancelled` is only set after *this receiver*
-                        // was dropped, so a live cursor can never see it;
-                        // treat it — and a missing outcome — as the
-                        // worker vanishing, which is a failure.
-                        Some(WorkerOutcome::Cancelled) | None => Err(StreamError::WorkerPanicked {
-                            shard: self.shard,
-                            payload: "worker exited without publishing an outcome".into(),
-                        }),
-                    };
-                }
-            }
-        }
-    }
-}
-
-/// A globally time-ordered population event stream produced by parallel
-/// shard workers — or, at one shard, by the sequential slab merge inline
-/// (see module docs).
+/// A globally time-ordered population event stream whose slab fills are
+/// shared between helper threads and the calling thread — or, at one
+/// thread, done by the caller alone (see module docs).
 ///
 /// ```no_run
 /// use cn_gen::{GenConfig, ShardedStream};
 /// # let models: cn_fit::ModelSet = unimplemented!();
 /// # let config: GenConfig = unimplemented!();
-/// // Failure-contained consumption: a worker panic becomes a typed
+/// // Failure-contained consumption: a generator panic becomes a typed
 /// // error instead of a silently truncated trace.
 /// use cn_trace::{RecordSource, StreamError};
 /// let stats = ShardedStream::new(&models, &config).drain(|record| {
@@ -254,135 +107,25 @@ impl ShardCursor {
 /// # Ok::<(), StreamError>(())
 /// ```
 pub struct ShardedStream<'m> {
-    inner: Inner<'m>,
-}
-
-enum Inner<'m> {
-    /// Single-shard fast path: the sequential stream, zero threads. It
-    /// counts what it emits per slab, so its per-record path is exactly
-    /// the sequential stream's, observed or not.
-    Inline(PopulationStream<'m>),
-    /// Worker threads + block channels + consumer-side S-way merge.
-    Parallel(ParallelStream),
-}
-
-/// Merged events between flushes of the locally batched merge telemetry.
-/// Small enough that an abandoned snapshot read misses little, large
-/// enough that a fine-grained interleave (runs of 1–2 records) amortizes
-/// its shared-counter traffic over tens of thousands of records.
-const OBS_FLUSH_EVENTS: u64 = (BLOCK_RECORDS * 16) as u64;
-
-/// Consumer-side merge telemetry (no-op handles when unobserved).
-///
-/// The shared handles are **never touched per run**: `begin_run`
-/// accumulates into the plain local fields and [`MergeObs::flush`] folds
-/// them into the registry every [`OBS_FLUSH_EVENTS`] merged events, at
-/// exhaustion, on poisoning, and at shutdown — a fine-grained interleave
-/// makes runs of a record or two, and per-run atomics measurably slowed
-/// the instrumented merge.
-struct MergeObs {
-    /// `cn_gen_merge_events_total` — records handed to the consumer.
-    events: Counter,
-    /// `cn_gen_merge_run_len` — length of each block-drained run: long
-    /// runs mean the merge is amortizing well, a spike of 1s means the
-    /// shards are interleaving record-by-record.
-    run_len: Histogram,
-    /// Whether a live registry or trace sink is attached (skip all local
-    /// bookkeeping otherwise).
-    active: bool,
-    /// Locally accumulated event count since the last flush.
-    pending_events: u64,
-    /// Locally accumulated run-length observations since the last flush.
-    pending_runs: HistogramSnapshot,
-    /// The global trace sink, resolved once at registration.
-    trace: TraceSink,
-    /// One trace span per flush window (`cn_gen_merge_window`) — the
-    /// same granularity the batched telemetry flushes at, so tracing
-    /// adds nothing to the per-run path beyond an `is_none` check.
-    window_span: Option<TraceSpan>,
-}
-
-impl MergeObs {
-    fn register(registry: &Registry) -> MergeObs {
-        let events = registry.counter("cn_gen_merge_events_total");
-        let trace = cn_obs::trace::global();
-        let active = events.is_enabled() || trace.is_enabled();
-        MergeObs {
-            events,
-            run_len: registry.histogram("cn_gen_merge_run_len"),
-            active,
-            pending_events: 0,
-            pending_runs: HistogramSnapshot::new(),
-            trace,
-            window_span: None,
-        }
-    }
-
-    /// Account one block-drained run locally (no shared-memory traffic);
-    /// flush when the window fills.
-    #[inline]
-    fn on_run(&mut self, len: u64) {
-        if !self.active {
-            return;
-        }
-        if self.trace.is_enabled() && self.window_span.is_none() {
-            self.window_span = Some(self.trace.span("cn_gen_merge_window"));
-        }
-        self.pending_events += len;
-        self.pending_runs.record(len);
-        if self.pending_events >= OBS_FLUSH_EVENTS {
-            self.flush();
-        }
-    }
-
-    /// Fold the locally batched counts into the shared registry handles
-    /// and close the window's trace span.
-    fn flush(&mut self) {
-        if !self.active {
-            return;
-        }
-        drop(self.window_span.take());
-        if self.pending_events > 0 {
-            self.events.add(std::mem::take(&mut self.pending_events));
-        }
-        if self.pending_runs.count > 0 {
-            self.run_len.merge_snapshot(&self.pending_runs);
-            self.pending_runs = HistogramSnapshot::new();
-        }
-    }
-}
-
-/// The multi-worker pipeline behind [`ShardedStream`] at `S ≥ 2`.
-struct ParallelStream {
-    shards: Vec<ShardCursor>,
-    tree: KeyLoserTree,
-    /// Shard whose current run is being drained (valid while `run_len > 0`).
-    run: usize,
-    /// Unemitted records of the current run; all of them precede every
-    /// other shard's head, so they bypass the tree entirely.
-    run_len: usize,
-    /// Records handed to the consumer so far.
-    emitted: u64,
-    /// The first worker failure observed; once set, the stream emits
-    /// nothing further (poisoned — see module docs).
+    stream: PopulationStream<'m>,
+    /// The helpers; `None` when the caller generates alone.
+    crew: Option<Crew>,
+    /// The first failure; once set, the stream emits nothing further.
     poisoned: Option<StreamError>,
-    obs: MergeObs,
-    /// Per-shard control slots (also referenced by the cursors), read at
-    /// shutdown after the cursors are gone.
-    slots: Vec<Arc<OnceLock<WorkerOutcome>>>,
-    /// Worker outcomes, collected exactly once at shutdown.
-    collected: Option<Vec<WorkerOutcome>>,
+}
+
+/// The helper threads and the model clone they step their chunks with.
+struct Crew {
+    models: Arc<ModelSet>,
+    helpers: Vec<JoinHandle<WorkerOutcome>>,
+    /// Every thread's outcome, collected exactly once at shutdown.
+    outcomes: Option<Vec<WorkerOutcome>>,
     registry: Registry,
-    workers: Vec<JoinHandle<()>>,
-    /// Open from spawn to shutdown (`cn_gen_parallel_stream`): the
-    /// umbrella under which merge windows nest in the timeline. Boxed
-    /// to keep the stream enum's parallel variant lean.
-    stream_span: Option<Box<TraceSpan>>,
 }
 
 impl<'m> ShardedStream<'m> {
-    /// Stream `config`'s population with one shard per configured thread
-    /// (`config.threads`, `0` = all cores via
+    /// Stream `config`'s population on `config.threads` generating
+    /// threads, the caller included (`0` = all cores via
     /// [`crate::effective_parallelism`]).
     pub fn new(models: &'m ModelSet, config: &GenConfig) -> ShardedStream<'m> {
         Self::new_observed(models, config, &Registry::disabled())
@@ -399,10 +142,10 @@ impl<'m> ShardedStream<'m> {
         Self::with_shards_observed(models, config, config.resolved_threads(), registry)
     }
 
-    /// As [`ShardedStream::new`] with an explicit shard count. One shard
-    /// (after clamping to the population size) engages the inline
-    /// sequential fast path; two or more spawn worker threads, cloning the
-    /// model set once so the workers can outlive the caller's borrow.
+    /// As [`ShardedStream::new`] with `shards` generating threads, the
+    /// caller included. One thread (after clamping to the population size)
+    /// spawns nothing; more spawn `shards − 1` helpers, cloning the model
+    /// set once so they can outlive the caller's borrow.
     pub fn with_shards(
         models: &'m ModelSet,
         config: &GenConfig,
@@ -414,23 +157,21 @@ impl<'m> ShardedStream<'m> {
     /// As [`ShardedStream::with_shards`], recording pipeline telemetry
     /// into `registry`:
     ///
-    /// * `cn_gen_shard_events_total{shard=i}` / `_blocks_total{shard=i}` —
-    ///   records and blocks each worker shipped;
-    /// * `cn_gen_shard_stall_ns_total{shard=i}` — time the worker spent
-    ///   blocked on a full channel (consumer backpressure);
-    /// * `cn_gen_slabs_total{shard=i}` — slabs the worker's pool filled,
-    ///   each a `cn_gen_slab_fill` span on the worker's thread when a
-    ///   trace sink is installed (fill and drain overlap in the timeline);
-    /// * `cn_gen_merge_events_total` — records the consumer-side merge
-    ///   emitted (equals the summed per-shard counters once the stream
-    ///   is fully drained);
-    /// * `cn_gen_merge_run_len` — histogram of block-drain run lengths;
+    /// * `cn_gen_shard_events_total{shard=i}` — keys each thread generated
+    ///   (helpers `0..`, the caller as `shard="caller"`; no series when no
+    ///   helper runs);
+    /// * `cn_gen_shard_stall_ns_total{shard=i}` — time each helper spent
+    ///   waiting for a slab to open (the consumer's pace);
+    /// * `cn_gen_slabs_total` — slabs filled, each a `cn_gen_slab_fill`
+    ///   span on every thread that helped when a trace sink is installed;
+    /// * `cn_gen_merge_events_total` — records emitted (equals the summed
+    ///   per-thread counters once the stream is fully drained);
     /// * `cn_gen_shard_mode_parallel` / `cn_gen_shard_workers` — gauges
-    ///   exposing which execution path engaged;
-    /// * `cn_gen_worker_exit{outcome=completed|panicked|cancelled}` —
-    ///   one increment per worker at wind-down ([`ShardedStream::finish`]
-    ///   or drop), plus `cn_gen_shard_panics_total{shard=i}` for each
-    ///   panicked worker.
+    ///   exposing whether helpers run, and how many;
+    /// * `cn_gen_worker_exit{outcome=completed|panicked|cancelled}` — one
+    ///   increment per thread at wind-down ([`ShardedStream::finish`] or
+    ///   drop), plus `cn_gen_shard_panics_total{shard=c}` for each chunk
+    ///   `c` whose fill panicked.
     ///
     /// With a disabled registry every handle is a no-op and the pipeline
     /// is byte-for-byte the unobserved one (the stall timer is not even
@@ -441,18 +182,21 @@ impl<'m> ShardedStream<'m> {
         shards: usize,
         registry: &Registry,
     ) -> ShardedStream<'m> {
-        Self::build(models, config, shards, registry, |_| NoFault)
+        let ues = 0..config.population.total();
+        let layout = layout(config, shards);
+        Self::with_layout(models, config, ues, layout, registry, &FaultPlan::new())
     }
 
     /// **Test support** — as [`ShardedStream::with_shards_observed`], with
-    /// a deterministic [`FaultPlan`] injected into the shard workers.
-    /// Production code has no reason to call this; the tier-1
-    /// failure-containment suite uses it to prove every injected fault
-    /// surfaces as a typed [`StreamError`].
+    /// a deterministic [`FaultPlan`] injected into the chunks, whichever
+    /// thread fills them. Production code has no reason to call this; the
+    /// tier-1 failure-containment suite uses it to prove every injected
+    /// fault surfaces as a typed [`StreamError`].
     ///
-    /// Panics if the plan is non-empty but the stream resolves to the
-    /// inline path (fault injection targets worker threads, and a silently
-    /// un-injected fault would make a test vacuous).
+    /// Panics if the plan is non-empty but the stream resolves to one
+    /// thread (fault containment is about helpers, and a silently
+    /// un-injected fault would make a test vacuous), or names a chunk the
+    /// stream does not have.
     pub fn with_shards_faulted(
         models: &'m ModelSet,
         config: &GenConfig,
@@ -460,107 +204,170 @@ impl<'m> ShardedStream<'m> {
         registry: &Registry,
         plan: &FaultPlan,
     ) -> ShardedStream<'m> {
-        let stream = Self::build(models, config, shards, registry, |s| plan.for_shard(s));
+        let layout = layout(config, shards);
         assert!(
-            stream.worker_threads() >= 2 || plan.is_empty(),
-            "fault injection requires the parallel path (≥ 2 effective shards)"
+            layout.threads >= 2 || plan.is_empty(),
+            "fault injection requires at least one helper (≥ 2 effective threads)"
         );
-        stream
+        let ues = 0..config.population.total();
+        Self::with_layout(models, config, ues, layout, registry, plan)
     }
 
-    /// Shared constructor: clamp, choose the execution path, and spawn
-    /// workers with `fault_for(shard)` as their (monomorphized) fault
-    /// hook — [`NoFault`] for every production caller.
-    fn build<F: FaultHook>(
+    /// The stream over `indices` (strictly increasing, as for
+    /// [`PopulationStream`]) on an explicit [`Layout`].
+    fn with_layout(
         models: &'m ModelSet,
         config: &GenConfig,
-        shards: usize,
+        indices: impl Iterator<Item = u32>,
+        layout: Layout,
         registry: &Registry,
-        fault_for: impl Fn(usize) -> F,
+        plan: &FaultPlan,
     ) -> ShardedStream<'m> {
-        let shards = shards.clamp(1, (config.population.total() as usize).max(1));
-        let parallel = shards > 1;
+        let helpers = layout.threads - 1;
         registry
             .gauge("cn_gen_shard_mode_parallel")
-            .set(u64::from(parallel));
-        registry
-            .gauge("cn_gen_shard_workers")
-            .set(if parallel { shards as u64 } else { 0 });
-        let inner = if parallel {
-            let models = Arc::new(models.clone());
-            Inner::Parallel(ParallelStream::spawn(
-                models, config, shards, registry, fault_for,
-            ))
-        } else {
-            let mut stream = PopulationStream::new(models, config);
-            stream.count_into(registry.counter("cn_gen_merge_events_total"));
-            Inner::Inline(stream)
+            .set(u64::from(helpers > 0));
+        registry.gauge("cn_gen_shard_workers").set(helpers as u64);
+        let mut stream = PopulationStream::with_layout(
+            models,
+            config,
+            indices,
+            layout.chunk_slots,
+            layout.target,
+        );
+        let trace = cn_obs::trace::global();
+        let caller = FillObs {
+            events: if helpers > 0 {
+                registry.counter_with("cn_gen_shard_events_total", &[("shard", "caller")])
+            } else {
+                Counter::noop()
+            },
+            trace: trace.clone(),
         };
-        ShardedStream { inner }
+        stream.observe(
+            registry.counter("cn_gen_merge_events_total"),
+            registry.counter("cn_gen_slabs_total"),
+            caller,
+        );
+        stream.inject(plan);
+        // The first slab, alone, on the calling thread: a fault in it
+        // poisons the stream before any helper starts.
+        let poisoned = stream.fill().err();
+        let crew = (helpers > 0).then(|| {
+            let mut crew = Crew {
+                models: Arc::new(models.clone()),
+                helpers: Vec::with_capacity(helpers),
+                outcomes: None,
+                registry: registry.clone(),
+            };
+            let base_ms = config.start.as_millis();
+            for i in 0..helpers {
+                let (models, shared) = (Arc::clone(&crew.models), Arc::clone(stream.shared()));
+                let label = i.to_string();
+                let labels: &[(&str, &str)] = &[("shard", &label)];
+                let obs = FillObs {
+                    events: registry.counter_with("cn_gen_shard_events_total", labels),
+                    trace: trace.clone(),
+                };
+                let stall_ns = registry.counter_with("cn_gen_shard_stall_ns_total", labels);
+                let advance = move |gen: &mut UeState| gen.advance(&models, base_ms);
+                let helper = std::thread::Builder::new()
+                    .name(format!("cn-gen-helper-{i}"))
+                    .spawn(move || serve(&shared, &advance, &obs, &stall_ns))
+                    .expect("spawn generator helper");
+                crew.helpers.push(helper);
+            }
+            crew
+        });
+        ShardedStream {
+            stream,
+            crew,
+            poisoned,
+        }
     }
 
-    /// Number of worker threads backing this stream — `0` on the inline
-    /// fast path, the shard count otherwise.
+    /// Number of helper threads backing this stream — `0` when the caller
+    /// generates alone.
     pub fn worker_threads(&self) -> usize {
-        match &self.inner {
-            Inner::Inline(_) => 0,
-            Inner::Parallel(p) => p.workers.len(),
-        }
+        self.crew.as_ref().map_or(0, |crew| crew.helpers.len())
     }
 
     /// The fallible pull: `Ok(Some(record))` while records flow,
-    /// `Ok(None)` on clean exhaustion, and `Err` when a worker failed —
-    /// at which point the stream is poisoned and every further call
-    /// repeats the error. The inline path cannot fail (no workers, no
-    /// channels) and always returns `Ok`.
+    /// `Ok(None)` on clean exhaustion, and `Err` when a chunk fill
+    /// panicked — at which point the stream is poisoned and every further
+    /// call repeats the error.
     pub fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
-        match &mut self.inner {
-            Inner::Inline(stream) => Ok(stream.next()),
-            Inner::Parallel(p) => p.try_next_record(),
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
         }
+        self.stream
+            .pull()
+            .inspect_err(|e| self.poisoned = Some(e.clone()))
     }
 
-    /// Wind the stream down and account for every worker: joins the
-    /// worker threads, records their exit outcomes (and the
+    /// Wind the stream down and account for every thread: stops and joins
+    /// the helpers, records their exit outcomes (and the
     /// `cn_gen_worker_exit` / `cn_gen_shard_panics_total` counters when
     /// observed), and returns the stream's statistics — or the
-    /// [`StreamError`] if the stream was poisoned **or any worker turns
-    /// out to have panicked**, even one whose records were never needed
-    /// by the merge.
+    /// [`StreamError`] if the stream was poisoned **or any chunk fill
+    /// turns out to have panicked**, even in a slab the consumer never
+    /// reached.
     ///
     /// Calling `finish` before draining the stream is a *deliberate* early
-    /// stop: still-running workers are cancelled (reported as
+    /// stop: the threads are cancelled (reported as
     /// [`WorkerOutcome::Cancelled`], not as failures) and `events` counts
     /// what was actually emitted. A complete, failure-free export is
     /// therefore exactly: drain `try_next` to `Ok(None)`, then `finish()?` —
     /// which is what [`RecordSource::drain`] does.
-    pub fn finish(self) -> Result<StreamStats, StreamError> {
-        match self.inner {
-            Inner::Inline(stream) => Ok(StreamStats {
-                events: stream.emitted(),
-                outcomes: Vec::new(),
-            }),
-            Inner::Parallel(mut p) => {
-                let outcomes = p.shutdown().to_vec();
-                if let Some(e) = &p.poisoned {
-                    return Err(e.clone());
-                }
-                if let Some((shard, payload)) =
-                    outcomes.iter().enumerate().find_map(|(s, o)| match o {
-                        WorkerOutcome::Panicked { payload } => Some((s, payload.clone())),
-                        _ => None,
-                    })
-                {
-                    let e = StreamError::WorkerPanicked { shard, payload };
-                    p.poisoned = Some(e.clone());
-                    return Err(e);
-                }
-                Ok(StreamStats {
-                    events: p.emitted,
-                    outcomes,
-                })
-            }
+    pub fn finish(mut self) -> Result<StreamStats, StreamError> {
+        let outcomes = self.shutdown();
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
         }
+        Ok(StreamStats {
+            events: self.stream.emitted(),
+            outcomes,
+        })
+    }
+
+    /// Stop and join the helpers and account for every thread — exactly
+    /// once; later calls return the cached outcomes. A failure a helper
+    /// met in a slab nobody collected poisons the stream here.
+    fn shutdown(&mut self) -> Vec<WorkerOutcome> {
+        let Some(crew) = &mut self.crew else {
+            return Vec::new();
+        };
+        if crew.outcomes.is_none() {
+            let shared = self.stream.shared();
+            shared.stop(Stop::Cancelled);
+            let mut outcomes: Vec<WorkerOutcome> = (crew.helpers.drain(..))
+                .map(|helper| {
+                    // A join error would mean a panic escaped the helper's
+                    // fills; report it as one.
+                    helper.join().unwrap_or_else(|_| WorkerOutcome::Panicked {
+                        payload: "helper exited without an outcome".into(),
+                    })
+                })
+                .collect();
+            outcomes.push(self.stream.outcome());
+            for outcome in &outcomes {
+                (crew.registry)
+                    .counter_with("cn_gen_worker_exit", &[("outcome", outcome.label())])
+                    .inc();
+            }
+            if let Some(failure) = shared.failure() {
+                if let StreamError::WorkerPanicked { shard, .. } = &failure {
+                    let shard = shard.to_string();
+                    let labels: &[(&str, &str)] = &[("shard", &shard)];
+                    (crew.registry)
+                        .counter_with("cn_gen_shard_panics_total", labels)
+                        .inc();
+                }
+                self.poisoned.get_or_insert(failure);
+            }
+            crew.outcomes = Some(outcomes);
+        }
+        crew.outcomes.clone().expect("outcomes just collected")
     }
 }
 
@@ -576,8 +383,81 @@ impl RecordSource for ShardedStream<'_> {
     }
 }
 
-/// Render a worker's panic payload for [`WorkerOutcome::Panicked`] (and
-/// for the out-of-core chunk workers' [`StreamError::WorkerPanicked`]).
+impl Drop for ShardedStream<'_> {
+    fn drop(&mut self) {
+        // Join the helpers and *record* every thread's terminal state
+        // instead of swallowing it — an abandoned or poisoned stream still
+        // leaves evidence.
+        self.shutdown();
+    }
+}
+
+/// How a stream's fill is shared: generating threads (the caller
+/// included), slots per chunk, and the slab target.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    threads: usize,
+    chunk_slots: usize,
+    target: usize,
+}
+
+/// `shards` threads clamped to the population, and the chunk size that
+/// gives every thread work: [`CHUNK_SLOTS`], or less for a population
+/// smaller than `threads × CHUNK_SLOTS`. One thread keeps its slots in one
+/// chunk, as the sequential stream does.
+fn layout(config: &GenConfig, shards: usize) -> Layout {
+    let total = config.population.total() as usize;
+    let threads = shards.clamp(1, total.max(1));
+    let chunk_slots = match threads {
+        1 => usize::MAX,
+        _ => CHUNK_SLOTS.min(total.div_ceil(threads)),
+    };
+    Layout {
+        threads,
+        chunk_slots,
+        target: SLAB_TARGET_EVENTS,
+    }
+}
+
+/// A helper's life: fill chunks of every slab the caller opens until the
+/// stream stops, or one of its fills panics.
+fn serve(
+    shared: &Shared<UeState>,
+    advance: &impl Fn(&mut UeState) -> Option<(u64, EventType)>,
+    obs: &FillObs,
+    stall_ns: &Counter,
+) -> WorkerOutcome {
+    // The caller fills slab 0 before any helper starts.
+    let (mut seen, mut events) = (0, 0);
+    loop {
+        let waiting = stall_ns.is_enabled().then(Instant::now);
+        let next = shared.next_window(seen);
+        if let Some(waiting) = waiting {
+            stall_ns.add(u64::try_from(waiting.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        }
+        let (epoch, end) = match next {
+            Ok(window) => window,
+            Err(Stop::Completed) => return WorkerOutcome::Completed { events },
+            Err(Stop::Cancelled) => return WorkerOutcome::Cancelled,
+        };
+        seen = epoch;
+        let _span = obs.trace.span("cn_gen_slab_fill");
+        match shared.help(epoch, end, advance) {
+            Ok(keys) => {
+                events += keys;
+                obs.events.add(keys);
+            }
+            Err(e) => {
+                return WorkerOutcome::Panicked {
+                    payload: e.to_string(),
+                }
+            }
+        }
+    }
+}
+
+/// Render a panic payload for [`WorkerOutcome::Panicked`] and
+/// [`StreamError::WorkerPanicked`].
 pub(crate) fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
@@ -588,327 +468,14 @@ pub(crate) fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-impl ParallelStream {
-    fn spawn<F: FaultHook>(
-        models: Arc<ModelSet>,
-        config: &GenConfig,
-        shards: usize,
-        registry: &Registry,
-        fault_for: impl Fn(usize) -> F,
-    ) -> ParallelStream {
-        let config = *config;
-        // Resolved once for the whole stream; workers clone the handle.
-        let trace = cn_obs::trace::global();
-        let stream_span = trace
-            .is_enabled()
-            .then(|| Box::new(trace.span("cn_gen_parallel_stream")));
-        let mut cursors = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        let mut slots = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = sync_channel(CHANNEL_BLOCKS);
-            let models = Arc::clone(&models);
-            let obs = WorkerObs::register(registry, shard, &trace);
-            let slot: Arc<OnceLock<WorkerOutcome>> = Arc::new(OnceLock::new());
-            let worker_slot = Arc::clone(&slot);
-            let mut fault = fault_for(shard);
-            let handle = std::thread::Builder::new()
-                .name(format!("cn-gen-shard-{shard}"))
-                .spawn(move || {
-                    // One span covering this worker's whole drain: shard
-                    // workers show up side by side in the timeline.
-                    let trace = &obs.slab.trace;
-                    let drain_span = trace
-                        .is_enabled()
-                        .then(|| trace.span(&format!("cn_gen_shard_drain:{shard}")));
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        shard_worker(&models, &config, shard, shards, &tx, &obs, &mut fault)
-                    }));
-                    drop(drain_span);
-                    let outcome = match run {
-                        Ok(WorkerRun::Completed { events }) => WorkerOutcome::Completed { events },
-                        Ok(WorkerRun::ConsumerGone) => WorkerOutcome::Cancelled,
-                        Err(payload) => WorkerOutcome::Panicked {
-                            payload: panic_payload(payload.as_ref()),
-                        },
-                    };
-                    let _ = worker_slot.set(outcome);
-                    // `tx` disconnects only now — after the outcome is
-                    // published — so the consumer always finds a terminal
-                    // state behind a closed channel.
-                    drop(tx);
-                })
-                .expect("spawn shard worker");
-            workers.push(handle);
-            slots.push(Arc::clone(&slot));
-            cursors.push(ShardCursor {
-                shard,
-                rx,
-                block: Vec::new(),
-                pos: 0,
-                outcome: slot,
-            });
-        }
-        // A worker can fail before shipping its first block; that must
-        // poison the stream at construction, not read as an empty shard.
-        let mut poisoned = None;
-        let heads: Vec<u128> = cursors
-            .iter_mut()
-            .map(|c| {
-                let head = c.head().unwrap_or_else(|e| {
-                    poisoned.get_or_insert(e);
-                    None
-                });
-                head_key(head.as_ref())
-            })
-            .collect();
-        ParallelStream {
-            shards: cursors,
-            tree: KeyLoserTree::new(heads),
-            run: 0,
-            run_len: 0,
-            emitted: 0,
-            poisoned,
-            obs: MergeObs::register(registry),
-            slots,
-            collected: None,
-            registry: registry.clone(),
-            workers,
-            stream_span,
-        }
-    }
-
-    /// Start the next run: the tournament winner's buffered records up to
-    /// (per the global tie-break) the runner-up's head. Costs two ⌈log₂S⌉
-    /// walks plus a gallop — once per run, not per record.
-    fn begin_run(&mut self) -> bool {
-        let Some(w) = self.tree.winner() else {
-            return false;
-        };
-        let cursor = &self.shards[w];
-        let rest = &cursor.block[cursor.pos..];
-        debug_assert!(!rest.is_empty(), "a live shard's head is buffered");
-        let len = match self.tree.runner_up() {
-            // Sole live shard: everything buffered is globally next.
-            None => rest.len(),
-            Some(u) => run_prefix(rest.len(), |i| rest[i].merge_key(), self.tree.key(u), w < u),
-        };
-        debug_assert!(len >= 1, "the winner's own head precedes the bound");
-        // Telemetry is accumulated locally per *run* and flushed in large
-        // windows (see [`MergeObs`]), so the merge hot path touches no
-        // shared memory even when observed.
-        self.obs.on_run(len as u64);
-        self.run = w;
-        self.run_len = len;
-        true
-    }
-
-    fn try_next_record(&mut self) -> Result<Option<TraceRecord>, StreamError> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        if self.run_len == 0 && !self.begin_run() {
-            self.obs.flush();
-            return Ok(None);
-        }
-        let cursor = &mut self.shards[self.run];
-        let rec = cursor.block[cursor.pos];
-        cursor.pos += 1;
-        self.run_len -= 1;
-        self.emitted += 1;
-        if self.run_len == 0 {
-            // Run exhausted: fetch this shard's next head (receiving the
-            // next block if need be) and replay the tournament once for
-            // the whole run. A failure here poisons the stream — the
-            // record already pulled is still part of the valid prefix,
-            // so it is returned; the *next* call errors.
-            let next = cursor.head().unwrap_or_else(|e| {
-                self.poisoned = Some(e);
-                None
-            });
-            self.tree.replace_winner(head_key(next.as_ref()));
-        }
-        Ok(Some(rec))
-    }
-
-    /// Disconnect, join, and account for every worker — exactly once;
-    /// later calls return the cached outcomes. Blocked workers observe
-    /// the disconnect as a failed send and wind down as `Cancelled`, so
-    /// this never deadlocks.
-    fn shutdown(&mut self) -> &[WorkerOutcome] {
-        if self.collected.is_none() {
-            // Flush the batched merge telemetry so an abandoned, early-
-            // finished, or poisoned stream still accounts for what it
-            // actually emitted.
-            self.obs.flush();
-            drop(self.stream_span.take());
-            // Drop the receivers first: any worker blocked on a full
-            // channel fails its send and exits.
-            self.shards.clear();
-            for handle in self.workers.drain(..) {
-                // A join error would mean a panic escaped the worker's
-                // catch_unwind; the slot fallback below reports it.
-                let _ = handle.join();
-            }
-            let outcomes: Vec<WorkerOutcome> = self
-                .slots
-                .iter()
-                .map(|slot| {
-                    slot.get().cloned().unwrap_or(WorkerOutcome::Panicked {
-                        payload: "worker exited without publishing an outcome".into(),
-                    })
-                })
-                .collect();
-            for (shard, outcome) in outcomes.iter().enumerate() {
-                self.registry
-                    .counter_with("cn_gen_worker_exit", &[("outcome", outcome.label())])
-                    .inc();
-                if matches!(outcome, WorkerOutcome::Panicked { .. }) {
-                    self.registry
-                        .counter_with(
-                            "cn_gen_shard_panics_total",
-                            &[("shard", &shard.to_string())],
-                        )
-                        .inc();
-                }
-            }
-            self.collected = Some(outcomes);
-        }
-        self.collected.as_deref().expect("outcomes just collected")
-    }
-}
-
-impl Drop for ParallelStream {
-    fn drop(&mut self) {
-        // Join workers and *record* their terminal states (worker-exit
-        // counters, panic counters) instead of swallowing them — an
-        // abandoned or poisoned stream still leaves evidence.
-        self.shutdown();
-    }
-}
-
-/// One worker's telemetry handles (no-ops when unobserved), updated per
-/// *block* or per *slab*, never per record.
-struct WorkerObs {
-    /// `cn_gen_shard_events_total{shard=i}` — records shipped.
-    events: Counter,
-    /// `cn_gen_shard_blocks_total{shard=i}` — blocks shipped.
-    blocks: Counter,
-    /// `cn_gen_shard_stall_ns_total{shard=i}` — nanoseconds blocked on a
-    /// full channel waiting for the consumer.
-    stall_ns: Counter,
-    /// The pool's share: `cn_gen_slabs_total{shard=i}` — slabs filled —
-    /// and the global trace sink, resolved once per stream.
-    slab: SlabObs,
-}
-
-impl WorkerObs {
-    fn register(registry: &Registry, shard: usize, trace: &TraceSink) -> WorkerObs {
-        let shard = shard.to_string();
-        let labels: &[(&str, &str)] = &[("shard", &shard)];
-        WorkerObs {
-            events: registry.counter_with("cn_gen_shard_events_total", labels),
-            blocks: registry.counter_with("cn_gen_shard_blocks_total", labels),
-            stall_ns: registry.counter_with("cn_gen_shard_stall_ns_total", labels),
-            slab: SlabObs {
-                slabs: registry.counter_with("cn_gen_slabs_total", labels),
-                trace: trace.clone(),
-            },
-        }
-    }
-
-    /// Ship one block, accounting for it; false when the consumer hung
-    /// up. Unobserved, this is exactly a blocking `send`; observed, a
-    /// `try_send` first so only an actually-full channel pays for the
-    /// two clock reads that measure the stall.
-    fn ship(&self, tx: &SyncSender<Vec<TraceRecord>>, block: Vec<TraceRecord>) -> bool {
-        let records = block.len() as u64;
-        if !self.stall_ns.is_enabled() {
-            if tx.send(block).is_err() {
-                return false;
-            }
-        } else {
-            match tx.try_send(block) {
-                Ok(()) => {}
-                Err(TrySendError::Full(block)) => {
-                    let stalled = Instant::now();
-                    let sent = tx.send(block).is_ok();
-                    self.stall_ns
-                        .add(u64::try_from(stalled.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                    if !sent {
-                        return false;
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => return false,
-            }
-        }
-        self.events.add(records);
-        self.blocks.inc();
-        true
-    }
-}
-
-/// How a worker's generation loop ended (pre-`catch_unwind` view; the
-/// published [`WorkerOutcome`] adds the panic case).
-enum WorkerRun {
-    /// Every record of this shard was generated and shipped.
-    Completed {
-        /// Records shipped.
-        events: u64,
-    },
-    /// A send failed: the consumer dropped its receiver.
-    ConsumerGone,
-}
-
-/// Worker body: merge this shard's UE streams into a sorted run and ship
-/// it as blocks. Returning [`WorkerRun::ConsumerGone`] on a failed send is
-/// the cancellation path (the consumer hung up). `fault` is the
-/// monomorphized fault-injection hook — [`NoFault`] (empty inline bodies)
-/// everywhere outside the failure-containment tests.
-fn shard_worker<F: FaultHook>(
-    models: &ModelSet,
-    config: &GenConfig,
-    shard: usize,
-    shards: usize,
-    tx: &SyncSender<Vec<TraceRecord>>,
-    obs: &WorkerObs,
-    fault: &mut F,
-) -> WorkerRun {
-    let total = config.population.total();
-    let mut pool =
-        PopulationStream::with_ues(models, config, (shard as u32..total).step_by(shards));
-    pool.observe(&obs.slab);
-    let mut block = Vec::with_capacity(BLOCK_RECORDS);
-    let mut shipped = 0u64;
-    for rec in pool {
-        fault.on_record();
-        block.push(rec);
-        if block.len() == BLOCK_RECORDS {
-            let full = std::mem::replace(&mut block, Vec::with_capacity(BLOCK_RECORDS));
-            fault.on_block();
-            if !obs.ship(tx, full) {
-                return WorkerRun::ConsumerGone;
-            }
-            shipped += BLOCK_RECORDS as u64;
-        }
-    }
-    if !block.is_empty() {
-        let records = block.len() as u64;
-        fault.on_block();
-        if !obs.ship(tx, block) {
-            return WorkerRun::ConsumerGone;
-        }
-        shipped += records;
-    }
-    WorkerRun::Completed { events: shipped }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{reference, HourSemantics};
     use cn_fit::{fit, FitConfig, Method};
     use cn_trace::{PopulationMix, Timestamp, Trace};
     use cn_world::{generate_world, WorldConfig};
+    use std::panic::AssertUnwindSafe;
 
     fn fitted() -> ModelSet {
         let trace = generate_world(&WorldConfig::new(PopulationMix::new(24, 10, 6), 2.0, 5));
@@ -933,6 +500,57 @@ mod tests {
         PopulationStream::new(models, config).count() as u64
     }
 
+    /// The chunked engine is the reference merge at every helper count,
+    /// chunk size and slab target, for contiguous and strided index sets,
+    /// under both hour semantics: which thread fills which chunk, and how
+    /// the slots and the horizon are cut, never moves a byte.
+    #[test]
+    fn chunked_engine_equals_the_reference() {
+        let models = fitted();
+        for semantics in [HourSemantics::EntryHour, HourSemantics::TruncateAtBoundary] {
+            let mut config = GenConfig::new(
+                PopulationMix::new(14, 6, 4),
+                Timestamp::at_hour(0, 7),
+                9.0,
+                41,
+            );
+            config.semantics = semantics;
+            let total = config.population.total();
+            let index_sets: [Vec<u32>; 2] = [(0..total).collect(), (1..total).step_by(3).collect()];
+            for indices in index_sets {
+                let expected = reference(&models, &config, indices.iter().copied());
+                assert!(expected.len() > 200, "only {} events", expected.len());
+                for helpers in [0, 1, 3, 7] {
+                    for chunk_slots in [1, 7, CHUNK_SLOTS] {
+                        for target in [1, 97, SLAB_TARGET_EVENTS] {
+                            let layout = Layout {
+                                threads: helpers + 1,
+                                chunk_slots,
+                                target,
+                            };
+                            let stream = ShardedStream::with_layout(
+                                &models,
+                                &config,
+                                indices.iter().copied(),
+                                layout,
+                                &Registry::disabled(),
+                                &FaultPlan::new(),
+                            );
+                            assert_eq!(stream.worker_threads(), helpers);
+                            let (got, stats) = drained(stream);
+                            assert_eq!(stats.events, got.len() as u64);
+                            assert!(
+                                got.records() == expected,
+                                "{semantics:?}, {} UEs, {layout:?}: output diverged",
+                                indices.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sharded_equals_sequential_for_any_shard_count() {
         let models = fitted();
@@ -946,28 +564,29 @@ mod tests {
 
     #[test]
     fn single_shard_runs_inline_without_worker_threads() {
-        // The adaptive fast path: one shard must not pay for threads or
-        // channels it cannot use — it delegates to the sequential merge.
+        // One thread must not pay for helpers it cannot use: the caller
+        // fills every chunk, which is the sequential stream.
         let models = fitted();
         let config = config();
         let stream = ShardedStream::with_shards(&models, &config, 1);
-        assert_eq!(stream.worker_threads(), 0, "one shard runs inline");
+        assert_eq!(stream.worker_threads(), 0, "one thread spawns no helper");
+        assert!(stream.crew.is_none(), "and clones no model");
         let n = drained(stream).1.events;
         assert_eq!(n, sequential_count(&models, &config));
     }
 
     #[test]
-    fn multi_shard_spawns_one_worker_per_shard() {
+    fn n_threads_spawn_n_minus_one_helpers() {
         let models = fitted();
         let config = config();
         let stream = ShardedStream::with_shards(&models, &config, 4);
-        assert_eq!(stream.worker_threads(), 4);
+        assert_eq!(stream.worker_threads(), 3, "the caller is the fourth");
     }
 
     #[test]
     fn one_ue_population_is_inline_regardless_of_request() {
         // Clamping to the population size can collapse a parallel request
-        // to one shard; that too must bypass the worker machinery.
+        // to one thread; that too must bypass the helper machinery.
         let models = fitted();
         let config = GenConfig::new(
             PopulationMix::new(1, 0, 0),
@@ -983,9 +602,10 @@ mod tests {
     fn shard_count_exceeding_population_is_clamped() {
         let models = fitted();
         let config = config();
-        // 31 UEs, 64 requested shards: must still stream every record.
+        // 31 UEs, 64 requested threads: 31 threads, one UE per chunk, and
+        // every record still streams.
         let stream = ShardedStream::with_shards(&models, &config, 64);
-        assert_eq!(stream.worker_threads(), 31);
+        assert_eq!(stream.worker_threads(), 30);
         let n = drained(stream).1.events;
         assert_eq!(n, sequential_count(&models, &config));
     }
@@ -1014,7 +634,26 @@ mod tests {
                 break;
             }
         }
-        drop(stream); // must not hang: Drop disconnects and joins workers
+        drop(stream); // must not hang: Drop stops and joins the helpers
+    }
+
+    #[test]
+    fn dropped_streams_release_the_model_clone() {
+        // No leaked model and no detached helper: once a parallel stream
+        // is dropped, the clone its helpers stepped with has no owner but
+        // the handle this test keeps.
+        let models = fitted();
+        let mut config = config();
+        config.duration_hours = 6.0;
+        for taken in 0..100 {
+            let mut stream = ShardedStream::with_shards(&models, &config, 3);
+            for _ in 0..taken {
+                stream.try_next().expect("no fault");
+            }
+            let clone = Arc::clone(&stream.crew.as_ref().expect("helpers run").models);
+            drop(stream);
+            assert_eq!(Arc::strong_count(&clone), 1, "after {taken} records");
+        }
     }
 
     #[test]
@@ -1023,11 +662,12 @@ mod tests {
         let config = config();
         let expected = sequential_count(&models, &config);
 
-        // Parallel: drain, then finish — all workers completed.
+        // Helpers: drain, then finish — every thread completed, and
+        // between them they generated exactly the workload.
         let (_, stats) = drained(ShardedStream::with_shards(&models, &config, 3));
         assert_eq!(stats.events, expected);
         assert_eq!(stats.outcomes.len(), 3);
-        let shipped: u64 = stats
+        let generated: u64 = stats
             .outcomes
             .iter()
             .map(|o| match o {
@@ -1035,9 +675,12 @@ mod tests {
                 other => panic!("unexpected outcome {other:?}"),
             })
             .sum();
-        assert_eq!(shipped, expected, "workers shipped exactly the workload");
+        assert_eq!(
+            generated, expected,
+            "threads generated exactly the workload"
+        );
 
-        // Inline: same contract, no outcomes (no workers exist).
+        // Caller alone: same contract, no outcomes (no helpers exist).
         let (_, stats) = drained(ShardedStream::with_shards(&models, &config, 1));
         assert_eq!(stats.events, expected);
         assert!(stats.outcomes.is_empty());
@@ -1058,8 +701,8 @@ mod tests {
         }
         let stats = stream.finish().expect("early stop is deliberate");
         assert_eq!(stats.events, taken);
-        // Workers either completed (tiny shards) or were cancelled; none
-        // panicked.
+        // Threads were cancelled (or, for a tiny workload, completed);
+        // none panicked.
         assert!(stats
             .outcomes
             .iter()
@@ -1077,31 +720,23 @@ mod tests {
         assert_eq!(n, expected);
 
         let snap = registry.snapshot();
-        // The tentpole invariant: per-shard production sums to exactly
-        // what the merge emitted, which is exactly the sequential count.
+        // The ledger: per-thread generation sums to exactly what was
+        // emitted, which is exactly the sequential count.
         assert_eq!(snap.counter_total("cn_gen_shard_events_total"), Some(n));
         assert_eq!(snap.counter("cn_gen_merge_events_total"), Some(n));
-        // Every shard shipped at least its final partial block.
-        for shard in ["0", "1", "2", "3"] {
-            let m = snap
-                .get("cn_gen_shard_blocks_total", &[("shard", shard)])
-                .unwrap_or_else(|| panic!("missing blocks counter for shard {shard}"));
-            assert!(matches!(
-                m.value,
-                cn_obs::MetricValue::Counter { value } if value >= 1
-            ));
+        // One series per helper, and the caller's own.
+        for shard in ["0", "1", "2", "caller"] {
+            assert!(
+                snap.get("cn_gen_shard_events_total", &[("shard", shard)])
+                    .is_some(),
+                "missing events counter for thread {shard}"
+            );
         }
-        // Every worker's pool filled at least one slab, and counted it.
-        assert!(snap.counter_total("cn_gen_slabs_total") >= Some(4));
-        // The run-length histogram saw every run, and the runs cover the
-        // whole stream.
-        let runs = snap.histogram("cn_gen_merge_run_len").expect("run hist");
-        assert!(runs.count >= 1);
-        assert_eq!(runs.sum, n, "run lengths must cover every record");
+        assert!(snap.counter("cn_gen_slabs_total") >= Some(1));
         assert_eq!(snap.gauge("cn_gen_shard_mode_parallel"), Some(1));
-        assert_eq!(snap.gauge("cn_gen_shard_workers"), Some(4));
-        // `finish` joined the workers, so the worker-exit
-        // ledger is written: all four workers completed, none panicked.
+        assert_eq!(snap.gauge("cn_gen_shard_workers"), Some(3));
+        // `finish` joined the helpers, so the exit ledger is written: all
+        // four threads completed, none panicked.
         assert_eq!(
             snap.get("cn_gen_worker_exit", &[("outcome", "completed")])
                 .map(|m| m.value.clone()),
@@ -1120,17 +755,17 @@ mod tests {
         let registry = Registry::new();
         let mut stream = ShardedStream::with_shards_observed(&models, &config, 1, &registry);
         let mut n = 0u64;
-        while stream.try_next().expect("inline cannot fail").is_some() {
+        while stream.try_next().expect("no fault injected").is_some() {
             n += 1;
         }
         // Exhaustion settles the count before `finish` does anything.
         let merged = || registry.snapshot().counter("cn_gen_merge_events_total");
         assert_eq!(merged(), Some(n));
-        assert_eq!(stream.finish().expect("inline cannot fail").events, n);
+        assert_eq!(stream.finish().expect("no fault injected").events, n);
         assert_eq!(n, sequential_count(&models, &config));
         let snap = registry.snapshot();
         assert_eq!(snap.counter("cn_gen_merge_events_total"), Some(n));
-        // No workers → no per-shard series at all.
+        // No helpers → no per-thread series at all.
         assert_eq!(snap.counter_total("cn_gen_shard_events_total"), None);
         assert_eq!(snap.gauge("cn_gen_shard_mode_parallel"), Some(0));
         assert_eq!(snap.gauge("cn_gen_shard_workers"), Some(0));
@@ -1138,7 +773,7 @@ mod tests {
 
     #[test]
     fn observed_inline_counts_emitted_on_finish_and_drop() {
-        // The inline path counts per slab; a stream finished or abandoned
+        // The merge count is fed per slab; a stream finished or abandoned
         // mid-slab, early or many slabs in, still reports exactly what it
         // emitted.
         let models = fitted();
@@ -1150,11 +785,11 @@ mod tests {
                 let mut stream =
                     ShardedStream::with_shards_observed(&models, &config, 1, &registry);
                 for _ in 0..taken {
-                    let rec = stream.try_next().expect("inline cannot fail");
+                    let rec = stream.try_next().expect("no fault injected");
                     assert!(rec.is_some(), "fewer than {taken} records");
                 }
                 if finish {
-                    let stats = stream.finish().expect("inline cannot fail");
+                    let stats = stream.finish().expect("no fault injected");
                     assert_eq!(stats.events, taken);
                 } else {
                     drop(stream);
@@ -1182,15 +817,16 @@ mod tests {
 
     #[test]
     fn faulting_an_inline_stream_is_refused() {
-        // A fault plan that cannot fire would make its test vacuous.
+        // A fault plan on a stream without helpers would test nothing the
+        // suite is about.
         let models = fitted();
         let config = config();
         let plan = FaultPlan::new().panic_shard_at(0, 1);
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
             ShardedStream::with_shards_faulted(&models, &config, 1, &Registry::disabled(), &plan)
         }));
-        assert!(err.is_err(), "inline + non-empty plan must panic");
-        // An empty plan is the unfaulted stream, inline path included.
+        assert!(err.is_err(), "one thread + non-empty plan must panic");
+        // An empty plan is the unfaulted stream, one thread included.
         let unfaulted = ShardedStream::with_shards_faulted(
             &models,
             &config,
@@ -1202,5 +838,18 @@ mod tests {
             drained(unfaulted).1.events,
             sequential_count(&models, &config)
         );
+    }
+
+    #[test]
+    fn a_fault_in_a_missing_chunk_is_refused() {
+        // 31 UEs on 2 threads are two chunks: a plan naming a third could
+        // never fire.
+        let models = fitted();
+        let config = config();
+        let plan = FaultPlan::new().panic_shard_at(2, 0);
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            ShardedStream::with_shards_faulted(&models, &config, 2, &Registry::disabled(), &plan)
+        }));
+        assert!(err.is_err(), "a plan naming a missing chunk must panic");
     }
 }

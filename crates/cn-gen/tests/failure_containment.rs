@@ -1,11 +1,15 @@
-//! Tier-1 failure-containment suite: every injected worker fault must
+//! Tier-1 failure-containment suite: every injected generator fault must
 //! surface as a typed [`StreamError`] — **never** as a silently truncated
 //! trace — while the no-fault path stays byte-identical to the sequential
 //! stream.
 //!
 //! Faults are injected deterministically via [`cn_gen::FaultPlan`]
-//! (`panic shard s at record k`, `slow shard`) through
-//! [`ShardedStream::with_shards_faulted`]; the corrupt-sink leg of the
+//! (`panic chunk s at record k`, `slow chunk`) through
+//! [`ShardedStream::with_shards_faulted`]. A fault is keyed by the chunk
+//! of UE slots, whichever thread fills it: a population of `n` UEs on `t`
+//! threads is cut into chunks of `min(256, ⌈n / t⌉)` consecutive UEs, and
+//! the stream's first slab is filled by the calling thread before any
+//! helper starts. The corrupt-sink leg of the
 //! harness (`cn_trace::io::FailingWriter`) is exercised in `cn-trace`.
 //! See TESTING.md § "Reading a failed run" for how the worker-exit
 //! telemetry these tests assert on is meant to be used.
@@ -22,8 +26,8 @@ fn fitted() -> ModelSet {
     fit(&trace, &FitConfig::new(Method::Ours))
 }
 
-/// A workload whose shards each produce well over one channel block, so
-/// mid-stream faults land *after* data has flowed.
+/// A workload whose chunks each produce thousands of records over many
+/// slabs, so mid-stream faults land *after* data has flowed.
 fn big_config() -> GenConfig {
     GenConfig::new(
         PopulationMix::new(240, 100, 60),
@@ -65,8 +69,9 @@ fn mid_stream_panic_becomes_typed_error_never_a_short_trace() {
     let models = fitted();
     let config = big_config();
     let expected = sequential(&models, &config);
-    // Shard 1 of 2 must produce more than a full channel block, so the
-    // fault fires after the consumer has already merged shipped data.
+    // Two threads cut the 400 UEs into two chunks of 200. Chunk 1 must
+    // reach its 5 000th record slabs into the run, so the fault fires
+    // after the consumer has already drained whole slabs.
     assert!(
         expected.len() > 2 * 6000,
         "workload too small to place a post-block fault (got {} events)",
@@ -80,7 +85,7 @@ fn mid_stream_panic_becomes_typed_error_never_a_short_trace() {
     let StreamError::WorkerPanicked { shard, payload } = &err else {
         panic!("expected WorkerPanicked, got {err}");
     };
-    assert_eq!(*shard, 1, "the error names the faulted shard");
+    assert_eq!(*shard, 1, "the error names the faulted chunk");
     assert!(
         payload.contains("injected fault"),
         "payload kept: {payload}"
@@ -119,9 +124,9 @@ fn spawn_time_panic_poisons_before_any_record() {
 
 #[test]
 fn panic_in_an_unneeded_shard_still_fails_finish() {
-    // The consumer stops early, so the merge never reaches the fault —
-    // finish() must still refuse to report success: shard 2's worker
-    // panicked at startup, before it could even be cancelled.
+    // The consumer pulls nothing, so it never reaches the fault —
+    // finish() must still refuse to report success: chunk 2's first fill
+    // panicked at construction, before the stream could be cancelled.
     let models = fitted();
     let config = small_config();
     let plan = FaultPlan::new().panic_shard_at(2, 0);
@@ -204,12 +209,12 @@ fn slow_shard_delays_but_never_corrupts_or_fails() {
 
 #[test]
 fn abandoned_stream_with_blocked_worker_is_cancelled_not_panicked() {
-    // Satellite: Drop under an abandoned mid-run stream whose workers are
-    // blocked on full channels — must not deadlock, and the recorded
-    // outcome must be `Cancelled`, not `Panicked`.
+    // Drop under an abandoned mid-run stream whose helper is parked
+    // waiting for the next slab — must not deadlock, and the recorded
+    // outcome of both threads must be `Cancelled`, not `Panicked`.
     let models = fitted();
-    // A deliberately oversized workload: each shard must hold far more
-    // records than its channel can ever buffer.
+    // A deliberately oversized workload: the stream must hold far more
+    // records than it ever buffers.
     let config = GenConfig::new(
         PopulationMix::new(480, 200, 120),
         Timestamp::at_hour(0, 9),
@@ -217,15 +222,16 @@ fn abandoned_stream_with_blocked_worker_is_cancelled_not_panicked() {
         2023,
     );
     let total = sequential(&models, &config).len();
-    // A shard's channel takes one 32 768-record slab, so a worker holds at
-    // most ~40 960 undelivered records (that slab, the block drained at
-    // spawn, the block being built). With each of the 2 shards holding
-    // twice that, both workers are blocked, mid-run, when we abandon;
-    // were they not, they would complete and the outcome check would fail.
-    let buffered_per_shard = 40_960;
+    // At most one slab is in flight beyond the one being drained, each
+    // steered towards 32 768 records (overshooting only by the event
+    // rate's jump from one slab to the next), and the first slabs are far
+    // narrower. With the stream several times two slabs, generation is
+    // mid-run when we abandon; were it not, it would complete and the
+    // outcome check would fail.
+    let buffered = 2 * 32_768;
     assert!(
-        total > 2 * 2 * buffered_per_shard,
-        "workload too small to guarantee blocked workers (got {total} events)"
+        total > 2 * buffered,
+        "workload too small to guarantee a mid-run stream (got {total} events)"
     );
     let registry = Registry::new();
     let mut stream = ShardedStream::with_shards_observed(&models, &config, 2, &registry);
@@ -233,7 +239,7 @@ fn abandoned_stream_with_blocked_worker_is_cancelled_not_panicked() {
         let head = stream.try_next().expect("no fault injected");
         assert!(head.is_some(), "workload starts with records");
     }
-    drop(stream); // must return promptly: disconnect wakes blocked senders
+    drop(stream); // must return promptly: the stop wakes the parked helper
     let snap = registry.snapshot();
     let outcome = |o: &str| {
         snap.get("cn_gen_worker_exit", &[("outcome", o)])
@@ -242,7 +248,7 @@ fn abandoned_stream_with_blocked_worker_is_cancelled_not_panicked() {
                 _ => panic!("worker exit must be a counter"),
             })
     };
-    assert_eq!(outcome("cancelled"), Some(2), "both workers were cancelled");
+    assert_eq!(outcome("cancelled"), Some(2), "both threads were cancelled");
     assert_eq!(outcome("panicked"), None, "cancellation is not a panic");
     assert_eq!(outcome("completed"), None);
     assert_eq!(snap.counter_total("cn_gen_shard_panics_total"), None);
@@ -251,7 +257,7 @@ fn abandoned_stream_with_blocked_worker_is_cancelled_not_panicked() {
 #[test]
 fn panicked_run_records_failure_telemetry() {
     // The obs ledger cannot balance after a fault — instead it must say
-    // *why*: one panicked exit, the panicking shard named.
+    // *why*: one panicked exit, the panicking chunk named.
     let models = fitted();
     let config = big_config();
     let plan = FaultPlan::new().panic_shard_at(1, 5000);
@@ -269,9 +275,10 @@ fn panicked_run_records_failure_telemetry() {
         snap.get("cn_gen_shard_panics_total", &[("shard", "1")])
             .map(|m| m.value.clone()),
         Some(cn_obs::MetricValue::Counter { value: 1 }),
-        "the panicking shard is named in the ledger"
+        "the panicking chunk is named in the ledger"
     );
-    // Exactly two workers exited, one way or another.
+    // Exactly two threads exited, the helper and the caller, one way or
+    // another.
     let exits: u64 = ["completed", "panicked", "cancelled"]
         .iter()
         .filter_map(|o| snap.get("cn_gen_worker_exit", &[("outcome", o)]))
@@ -281,4 +288,42 @@ fn panicked_run_records_failure_telemetry() {
         })
         .sum();
     assert_eq!(exits, 2);
+}
+
+#[test]
+fn a_fault_on_the_calling_thread_surfaces_typed() {
+    // The caller fills the first slab alone, before its helper starts, so
+    // a fault at chunk 1's first record is raised on the calling thread.
+    // It must come back as the typed error, never as a panic unwinding
+    // out of `try_next` — while chunk 0 is slow, holding the helper's
+    // share of every later slab back.
+    let models = fitted();
+    let config = small_config();
+    let plan = FaultPlan::new()
+        .slow_shard(0, Duration::from_millis(20))
+        .panic_shard_at(1, 0);
+    let registry = Registry::new();
+    let mut stream = ShardedStream::with_shards_faulted(&models, &config, 2, &registry, &plan);
+    assert_eq!(stream.worker_threads(), 1);
+    let (prefix, result) = drain(&mut stream);
+    assert!(prefix.is_empty(), "no record may precede the fault");
+    let err = result.expect_err("a fault on the caller must be typed");
+    let StreamError::WorkerPanicked { shard, payload } = &err else {
+        panic!("expected WorkerPanicked, got {err}");
+    };
+    assert_eq!(*shard, 1, "the error names the faulted chunk");
+    assert!(
+        payload.contains("injected fault"),
+        "payload kept: {payload}"
+    );
+    assert_eq!(stream.try_next(), Err(err.clone()));
+    assert_eq!(stream.finish(), Err(err));
+    let snap = registry.snapshot();
+    let exits = |o: &str| {
+        snap.get("cn_gen_worker_exit", &[("outcome", o)])
+            .map(|m| m.value.clone())
+    };
+    let one = Some(cn_obs::MetricValue::Counter { value: 1 });
+    assert_eq!(exits("panicked"), one, "the caller panicked");
+    assert_eq!(exits("cancelled"), one, "the helper was cancelled");
 }

@@ -1,6 +1,6 @@
-//! Property-based tests: generated traffic is conformant and the
-//! out-of-core export is exactly the in-memory trace, for arbitrary seeds
-//! and window placements.
+//! Property-based tests: generated traffic is conformant whatever the
+//! thread count, and the out-of-core export is exactly the in-memory
+//! trace, for arbitrary seeds and window placements.
 
 use cn_fit::{fit, FitConfig, Method, ModelSet};
 use cn_gen::{generate, generate_out_of_core, GenConfig, OutOfCoreConfig};
@@ -40,10 +40,17 @@ fn arb_config() -> impl Strategy<Value = GenConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Two-level output replays with zero violations for any window/seed.
+    /// Two-level output replays with zero violations for any window/seed,
+    /// and the trace is the same on any number of generating threads.
     #[test]
-    fn ours_is_always_conformant(config in arb_config()) {
+    fn ours_is_always_conformant(
+        mut config in arb_config(),
+        threads in prop_oneof![Just(2usize), Just(3), Just(8)],
+    ) {
+        config.threads = 1;
         let trace = generate(models(Method::Ours), &config);
+        config.threads = threads;
+        prop_assert_eq!(&generate(models(Method::Ours), &config), &trace, "{} threads", threads);
         for (_, events) in trace.per_ue().iter() {
             let out = replay_ue(events);
             prop_assert!(out.is_conformant(), "{:?}", out.violations.first());

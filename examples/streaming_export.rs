@@ -2,25 +2,25 @@
 //! telemetry instead of ad-hoc printf counters.
 //!
 //! A week of a large population is hundreds of millions of events — too
-//! big to materialize. `ShardedStream` partitions the population into
-//! per-core UE shards, runs each shard's loser-tree merge on its own
-//! worker thread, and hands the consumer a globally time-ordered stream
-//! (byte-identical to the sequential `PopulationStream` and to the batch
-//! engine) through bounded block channels — so a slow disk writer
-//! backpressures the generators instead of buffering the trace.
+//! big to materialize. `ShardedStream` generates the population one time
+//! slab at a time, helper threads and the calling thread sharing each
+//! slab's fill chunk by chunk, and hands the consumer a globally
+//! time-ordered stream (byte-identical to the sequential
+//! `PopulationStream`, which `generate` also drains) with at most one slab
+//! in flight — so a slow disk writer paces the generators instead of
+//! buffering the trace.
 //!
 //! This example exports a multi-hour trace to CSV-on-disk while a
 //! `cn-obs` [`Registry`] watches both sides of the pipe: the stream's own
-//! `cn_gen_*` instrumentation (per-shard production, merge totals,
-//! backpressure stall time) plus an example-level written-events counter
+//! `cn_gen_*` instrumentation (per-thread production, merge totals, the
+//! time helpers waited on the writer) plus an example-level written-events counter
 //! and export span. Progress is reported from periodic registry
 //! snapshots, and the full Prometheus exposition is printed at the end —
 //! the same text a scrape endpoint would serve.
 //!
 //! The export goes through `RecordSource::drain` — the fallible pull to
 //! exhaustion, then `finish()` for the `StreamStats` receipt — so a
-//! worker failure
-//! surfaces as a typed `StreamError` that aborts the export instead of
+//! generator failure surfaces as a typed `StreamError` that aborts the export instead of
 //! silently truncating the file: an exporter that ends on `Ok(None)` and
 //! a `finish()` receipt *knows* it wrote the whole trace.
 //!
@@ -34,8 +34,8 @@ use std::io::{BufWriter, Write};
 use std::time::Instant;
 
 /// Print one progress line from a registry snapshot: everything in it —
-/// shard liveness, merge totals, backpressure — comes from the metrics
-/// layer, not from hand-maintained loop variables.
+/// helper count, merge totals, time waiting on the writer — comes from
+/// the metrics layer, not from hand-maintained loop variables.
 fn report(registry: &Registry, started: Instant) {
     let snap = registry.snapshot();
     let written = snap.counter("cn_example_export_written_total").unwrap_or(0);
@@ -46,7 +46,7 @@ fn report(registry: &Registry, started: Instant) {
     let rate = written as f64 / started.elapsed().as_secs_f64();
     eprintln!(
         "  ... {written} events written ({rate:.0} events/s), \
-         {} shard workers, {stalled_ms} ms total backpressure stall",
+         {} helper threads, {stalled_ms} ms spent waiting on the writer",
         snap.gauge("cn_gen_shard_workers").unwrap_or(0),
     );
 }
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let models = fit(&world, &FitConfig::new(Method::Ours));
 
     // Stream a 12-hour trace for a 10× population straight to disk,
-    // sharded across all cores (config.threads = 0 → one shard per core).
+    // generated on all cores (config.threads = 0 → one thread per core).
     let config = GenConfig::new(model_mix.scaled(10.0), Timestamp::at_hour(0, 8), 12.0, 5);
     let path = std::env::temp_dir().join("cp_traffgen_stream.csv");
     let mut out = BufWriter::new(std::fs::File::create(&path)?);
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let started = Instant::now();
     let mut next_report = 50_000;
     // `drain` pulls through the fallible API and then takes `finish`'s
-    // receipt (workers joined, every shard completed): a worker panic
+    // receipt (helpers joined, generation completed): a generator panic
     // arrives here as a typed StreamError and a dead disk as the io::Error
     // — never as an early end that would leave a truncated CSV posing as
     // complete.
@@ -97,9 +97,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(stats.events, total, "the receipt counts what we wrote");
     let rate = total as f64 / started.elapsed().as_secs_f64();
     let workers = if stats.outcomes.is_empty() {
-        "ran inline, no worker threads".to_string()
+        "ran on the calling thread alone".to_string()
     } else {
-        format!("{} shard workers completed", stats.outcomes.len())
+        format!("{} threads completed", stats.outcomes.len())
     };
     println!(
         "streamed {total} events for {} UEs to {} ({rate:.0} events/s end to end; {workers})",
