@@ -26,18 +26,18 @@
 //!    growing past the budget moves to an anonymous temp file (created
 //!    then immediately unlinked, so a crash leaks nothing) and keeps
 //!    appending there.
-//! 3. **Range-partitioned zero-copy merge** — the caller, still the sole
+//! 3. **Range-partitioned merge by sort** — the caller, still the sole
 //!    owner of every run, spill file and the sink, cuts the runs into
-//!    *slices* by key: every run's records `<=` a bound ([`run_prefix`]
-//!    galloping over [`record_key_at`]), copied back to back into one
+//!    *slices* by key: every run's records `<=` a bound (a binary search
+//!    over [`record_key_at`]), copied back to back in run order into one
 //!    buffer of at most [`MERGE_SLICE_BYTES`] (see [`cut_slice`]). Slices
 //!    go round-robin to [`GenConfig::threads`] scoped merge workers, which
-//!    merge a slice's parts through a [`KeyLoserTree`], gallop-sized
-//!    prefixes copied **verbatim**; the caller lands the outputs strictly
-//!    in slice order through one output window, one
-//!    [`BinaryStreamWriter::write_encoded`] per window. No record is
-//!    decoded or re-encoded between generation and disk, and sink writes
-//!    are O(bytes / window) however finely the runs interleave.
+//!    order a slice's encoded records in place with one stable sort by
+//!    key; the caller lands the outputs strictly in slice order through
+//!    one output window, one [`BinaryStreamWriter::write_encoded`] per
+//!    window. No record is decoded or re-encoded between generation and
+//!    disk, and sink writes are O(bytes / window) however finely the runs
+//!    interleave.
 //!
 //! Peak RSS is O(workers × chunk state) while generating, then O(budget +
 //! slices in flight + spill-read windows) — the last two a few slices'
@@ -47,7 +47,8 @@
 //!
 //! Record order is a strict total order and every UE lives in exactly one
 //! chunk, so cross-run key comparisons never tie (see
-//! [`TraceRecord::merge_key`](cn_trace::TraceRecord::merge_key)): the
+//! [`TraceRecord::merge_key`](cn_trace::TraceRecord::merge_key)); runs
+//! that do share a key keep run order, as the sort is stable. The
 //! merged byte stream is *the* unique sorted trace, which any key bound
 //! splits into a prefix and a suffix, identical to
 //! [`cn_trace::io::to_binary`] of [`crate::generate`]'s output for the
@@ -79,8 +80,7 @@ use crate::shard::panic_payload;
 use cn_fit::ModelSet;
 use cn_obs::TraceSink;
 use cn_trace::io::{record_key_at, BinaryStreamWriter, RECORD_BYTES};
-use cn_trace::merge::run_prefix;
-use cn_trace::{EncodedBlock, KeyLoserTree, StreamError, EXHAUSTED_KEY};
+use cn_trace::{EncodedBlock, StreamError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -108,7 +108,7 @@ const SPILL_READ_SHARES: usize = 8;
 const OUTPUT_WINDOW_BYTES: usize = RECORD_BYTES * 8192;
 
 /// Upper bound on the bytes of one merge slice; one in flight holds at
-/// most this much input plus as much output. Half this stays under glibc's
+/// most this much plus as much sort scratch. Half this stays under glibc's
 /// mmap threshold, ~2.7 MiB lighter, and merges ~5 % slower end to end.
 const MERGE_SLICE_BYTES: usize = 256 << 10;
 
@@ -451,27 +451,24 @@ fn generate_runs<F: FaultHook>(
     Ok(runs)
 }
 
-/// What a merge worker merges: the slice's parts' bytes, back to back in
-/// run-index order, and where each (non-empty) part ends.
-type Slice = (Vec<u8>, Vec<usize>);
-
-/// Bytes of the whole records at the front of sorted `bytes` that precede
-/// `bound` ([`run_prefix`] galloping over keys read in place).
-fn prefix_bytes(bytes: &[u8], bound: u128, wins_ties: bool) -> usize {
-    let records = bytes.len() / RECORD_BYTES;
-    run_prefix(records, |i| record_key_at(bytes, i), bound, wins_ties) * RECORD_BYTES
+/// Bytes of the whole records at the front of sorted `bytes` whose key is
+/// `<= bound` (a binary search over keys read in place).
+fn prefix_bytes(bytes: &[u8], bound: u128) -> usize {
+    let (records, _) = bytes.as_chunks::<RECORD_BYTES>();
+    records.partition_point(|r| record_key_at(r, 0) <= bound) * RECORD_BYTES
 }
 
 /// Cut the next slice off the runs: every record `<=` a key bound under
 /// which no run gives more than `share` — `slice_bytes` split over the
-/// last cut's `live` runs — and one gives all of it. `None` when drained.
+/// last cut's `live` runs — and one gives all of it, the runs' parts
+/// back to back in run order. `None` when drained.
 fn cut_slice(
     readers: &mut [RunReader],
     slice_bytes: usize,
     live: &mut usize,
-) -> Result<Option<Slice>, StreamError> {
+) -> Result<Option<Vec<u8>>, StreamError> {
     let share = (slice_bytes / RECORD_BYTES / (*live).max(1)).max(1) * RECORD_BYTES;
-    let mut bound = EXHAUSTED_KEY;
+    let mut bound = u128::MAX;
     *live = 0;
     for reader in readers.iter_mut() {
         // Topped up to its share, a window that still falls short is the
@@ -489,47 +486,21 @@ fn cut_slice(
     }
     let cuts: Vec<usize> = readers
         .iter()
-        .map(|reader| prefix_bytes(reader.window(), bound, true))
+        .map(|reader| prefix_bytes(reader.window(), bound))
         .collect();
-    let mut arena = Vec::with_capacity(cuts.iter().sum());
-    let mut ends = Vec::new();
+    let mut slice = Vec::with_capacity(cuts.iter().sum());
     for (reader, cut) in readers.iter_mut().zip(cuts) {
-        if cut > 0 {
-            arena.extend_from_slice(&reader.window()[..cut]);
-            reader.consume(cut);
-            ends.push(arena.len());
-        }
+        slice.extend_from_slice(&reader.window()[..cut]);
+        reader.consume(cut);
     }
-    Ok(Some((arena, ends)))
+    Ok(Some(slice))
 }
 
-/// Merge one slice's parts into an exact-capacity buffer: the loser tree
-/// picks the part with the smallest head, whose prefix up to the
-/// runner-up's head is copied verbatim. Ties go to the lower run's part.
-fn merge_slice(arena: &[u8], ends: &[usize]) -> Vec<u8> {
-    let mut pos: Vec<usize> = [0].iter().chain(ends).take(ends.len()).copied().collect();
-    let mut tree = KeyLoserTree::new(
-        pos.iter()
-            .map(|&at| record_key_at(&arena[at..], 0))
-            .collect(),
-    );
-    let mut out = Vec::with_capacity(arena.len());
-    while let Some(w) = tree.winner() {
-        let (bound, wins_ties) = match tree.runner_up() {
-            None => (EXHAUSTED_KEY, true),
-            Some(u) => (tree.key(u), w < u),
-        };
-        let part = &arena[pos[w]..ends[w]];
-        let taken = prefix_bytes(part, bound, wins_ties);
-        out.extend_from_slice(&part[..taken]);
-        pos[w] += taken;
-        tree.replace_winner(if taken < part.len() {
-            record_key_at(part, taken / RECORD_BYTES)
-        } else {
-            EXHAUSTED_KEY
-        });
-    }
-    out
+/// Order one slice's encoded records in place. Its parts sit in run
+/// order and the sort is stable, so equal keys keep the lower run first.
+fn sort_slice(slice: &mut [u8]) {
+    let (records, _) = slice.as_chunks_mut::<RECORD_BYTES>();
+    records.sort_by_key(|r| record_key_at(r, 0));
 }
 
 /// The calling thread's side of phase 2: deal slices round-robin to the
@@ -537,7 +508,7 @@ fn merge_slice(arena: &[u8], ends: &[usize]) -> Vec<u8> {
 /// order, coalesced through one output window.
 fn slice_and_write<W: Write + Seek>(
     readers: &mut [RunReader],
-    txs: &[SyncSender<(usize, Slice)>],
+    txs: &[SyncSender<(usize, Vec<u8>)>],
     lanes: &[Lane<'_, Vec<u8>>],
     writer: &mut BinaryStreamWriter<W>,
     slice_bytes: usize,
@@ -584,9 +555,9 @@ fn slice_and_write<W: Write + Seek>(
     }
 }
 
-/// Phase 2: range-partitioned zero-copy merge of the encoded runs into
-/// `writer` — slices cut and written on this thread, merged on `workers`
-/// scoped threads (see module docs). `fault_for` hooks each slice.
+/// Phase 2: range-partitioned merge of the encoded runs into `writer` —
+/// slices cut and written on this thread, sorted on `workers` scoped
+/// threads (see module docs). `fault_for` hooks each slice.
 fn merge_runs<W: Write + Seek, F: FaultHook>(
     runs: Vec<RunStore>,
     writer: &mut BinaryStreamWriter<W>,
@@ -603,13 +574,13 @@ fn merge_runs<W: Write + Seek, F: FaultHook>(
     std::thread::scope(|scope| {
         let (txs, lanes): (Vec<_>, Vec<_>) = (0..workers.max(1))
             .map(|first| {
-                let (tx, slices) = sync_channel::<(usize, Slice)>(MERGE_WORKER_SLICES);
+                let (tx, slices) = sync_channel::<(usize, Vec<u8>)>(MERGE_WORKER_SLICES);
                 let (out_tx, rx) = sync_channel(MERGE_WORKER_SLICES);
                 let trace = trace.clone();
                 let handle = scope.spawn(move || {
                     let mut slice = first;
                     catch_unwind(AssertUnwindSafe(|| {
-                        for (n, (arena, ends)) in slices {
+                        for (n, mut bytes) in slices {
                             slice = n;
                             let _slice_span = trace
                                 .is_enabled()
@@ -617,7 +588,8 @@ fn merge_runs<W: Write + Seek, F: FaultHook>(
                             let mut fault = fault_for(n);
                             fault.on_block();
                             fault.on_record();
-                            if out_tx.send(merge_slice(&arena, &ends)).is_err() {
+                            sort_slice(&mut bytes);
+                            if out_tx.send(bytes).is_err() {
                                 return;
                             }
                         }

@@ -410,7 +410,7 @@ mod tests {
         r.counter_with("cn_gen_shard_events_total", &[("shard", "1")])
             .add(32);
         r.gauge("cn_gen_shard_workers").set(2);
-        let h = r.histogram("cn_gen_merge_run_len");
+        let h = r.histogram("cn_test_sample_len");
         for v in [1u64, 1, 2, 8, 1000] {
             h.record(v);
         }
@@ -438,7 +438,7 @@ mod tests {
                 .map(|m| m.name.as_str()),
             Some("cn_gen_shard_events_total")
         );
-        assert_eq!(snap.histogram("cn_gen_merge_run_len").unwrap().count, 5);
+        assert_eq!(snap.histogram("cn_test_sample_len").unwrap().count, 5);
     }
 
     #[test]
@@ -451,12 +451,12 @@ mod tests {
         assert!(text.contains("cn_gen_shard_events_total{shard=\"1\"} 32"));
         assert!(text.contains("# TYPE cn_gen_shard_workers gauge"));
         assert!(text.contains("cn_gen_shard_workers 2"));
-        assert!(text.contains("# TYPE cn_gen_merge_run_len histogram"));
+        assert!(text.contains("# TYPE cn_test_sample_len histogram"));
         // Cumulative: le="1" sees both 1s, +Inf sees everything.
-        assert!(text.contains("cn_gen_merge_run_len_bucket{le=\"1\"} 2"));
-        assert!(text.contains("cn_gen_merge_run_len_bucket{le=\"+Inf\"} 5"));
-        assert!(text.contains("cn_gen_merge_run_len_sum 1012"));
-        assert!(text.contains("cn_gen_merge_run_len_count 5"));
+        assert!(text.contains("cn_test_sample_len_bucket{le=\"1\"} 2"));
+        assert!(text.contains("cn_test_sample_len_bucket{le=\"+Inf\"} 5"));
+        assert!(text.contains("cn_test_sample_len_sum 1012"));
+        assert!(text.contains("cn_test_sample_len_count 5"));
     }
 
     #[test]
@@ -502,9 +502,9 @@ mod tests {
             Some(32.0)
         );
         assert_eq!(parsed.counter("cn_gen_shard_workers"), Some(2));
-        assert_eq!(parsed.counter("cn_gen_merge_run_len_count"), Some(5));
+        assert_eq!(parsed.counter("cn_test_sample_len_count"), Some(5));
         assert_eq!(
-            parsed.value("cn_gen_merge_run_len_bucket", &[("le", "+Inf")]),
+            parsed.value("cn_test_sample_len_bucket", &[("le", "+Inf")]),
             Some(5.0)
         );
         // Histogram sample lines expand per family: every sample parsed.
@@ -526,6 +526,6 @@ mod tests {
         let snap = sample();
         let text = snap.render();
         assert_eq!(text.lines().count(), snap.metrics.len());
-        assert!(text.contains("cn_gen_merge_run_len: count=5"));
+        assert!(text.contains("cn_test_sample_len: count=5"));
     }
 }

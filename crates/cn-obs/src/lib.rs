@@ -7,8 +7,10 @@
 //! has no registry access; serialization goes through the vendored
 //! `serde`/`serde_json` shims) and is wired through three hot paths:
 //!
-//! * `cn-gen::shard` — per-shard events/blocks/stall counters, the merge
-//!   run-length histogram, and the inline-vs-parallel mode gauge;
+//! * `cn-gen::shard` (`ShardedStream::with_shards_observed`) — per-thread
+//!   generated-event and helper-stall counters, slabs filled, records
+//!   emitted, the helper mode/count gauges, and worker-exit and panic
+//!   counters (`cn_gen_*`);
 //! * `cn-mcn::des` — queue depth/latency histograms, admitted/shed
 //!   counts by priority, per-NF transaction counters (`cn_mcn_des_*`);
 //! * the `cn-verify` gate binaries (`verify_model`, `scenario_check`,

@@ -280,7 +280,7 @@ impl Histogram {
 /// `merge` is associative, commutative, and count-preserving (saturating
 /// addition is associative over `u64`), so any shard split of a record
 /// stream folds back to the same aggregate — the property
-/// `tests/properties.rs` pins alongside the loser-tree determinism suite.
+/// `tests/properties.rs` pins.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Observations recorded.

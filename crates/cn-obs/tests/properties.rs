@@ -1,9 +1,9 @@
 //! Property tests for the metric layer.
 //!
 //! The sharded generator merges per-worker telemetry into one registry,
-//! so [`HistogramSnapshot::merge`] must behave like the loser-tree merge
-//! it mirrors: whatever way a record stream is split across shards and
-//! whatever order the partial histograms fold back together, the
+//! so [`HistogramSnapshot::merge`] must be order-free: whatever way a
+//! record stream is split across shards and whatever order the partial
+//! histograms fold back together, the
 //! aggregate is identical — merge is associative, commutative, and
 //! count-preserving. Counters must likewise survive concurrent
 //! increment from multiple worker threads without losing updates.

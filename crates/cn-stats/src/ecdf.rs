@@ -97,35 +97,6 @@ impl Ecdf {
         self.count_le(x) as f64 / self.samples.len() as f64
     }
 
-    /// Evaluate the CDF at many points in one merge-style sweep.
-    ///
-    /// Sorts the query points once and resolves every quantile count by
-    /// advancing a single cursor over the samples — O((n + m) + m log m)
-    /// instead of m independent O(log n) binary searches, and the sample
-    /// array is walked sequentially (cache-friendly) rather than probed
-    /// at random. Results are returned in the *input* order of `xs`.
-    pub fn cdf_batch(&self, xs: &[f64]) -> Vec<f64> {
-        let n = self.samples.len() as f64;
-        let mut order: Vec<u32> = (0..xs.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| xs[a as usize].total_cmp(&xs[b as usize]));
-        let mut out = vec![0.0; xs.len()];
-        let mut cursor = 0usize;
-        for idx in order {
-            let x = xs[idx as usize];
-            while cursor < self.samples.len() && self.samples[cursor] <= x {
-                cursor += 1;
-            }
-            out[idx as usize] = cursor as f64 / n;
-        }
-        out
-    }
-
-    /// Empirical quantiles for many probability levels at once (each as
-    /// [`Ecdf::quantile`]), returned in input order.
-    pub fn quantile_batch(&self, ps: &[f64]) -> Vec<f64> {
-        ps.iter().map(|&p| self.quantile(p)).collect()
-    }
-
     /// Empirical quantile for `p ∈ [0, 1]` (inverse CDF, lower
     /// interpolation): the smallest sample `x` with `cdf(x) >= p`.
     pub fn quantile(&self, p: f64) -> f64 {
@@ -145,22 +116,10 @@ impl Ecdf {
     /// per-event sampling (`cn-gen`'s `sample_gap` and the state-machine
     /// sojourns) relies on this draw-for-draw stability — reordering or
     /// batching draws *within one RNG stream* would shift every
-    /// subsequent event and break the pinned golden traces. Batch
-    /// resolution is therefore only offered where the caller already
-    /// holds all draws ([`Ecdf::sample_batch`]).
+    /// subsequent event and break the pinned golden traces.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let idx = rng.gen_range(0..self.samples.len());
         self.samples[idx]
-    }
-
-    /// Draw `k` values by inverse-transform sampling in one call.
-    ///
-    /// Consumes exactly `k` draws in the same order as `k` successive
-    /// [`Ecdf::sample`] calls — the returned vector is element-for-element
-    /// identical, so callers can batch without perturbing the RNG stream.
-    pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<f64> {
-        let n = self.samples.len();
-        (0..k).map(|_| self.samples[rng.gen_range(0..n)]).collect()
     }
 
     /// Draw one value by *smoothed* inverse-transform sampling: linear
@@ -338,28 +297,6 @@ mod tests {
         assert_eq!(one.cdf(3.0), 1.0);
     }
 
-    #[test]
-    fn sample_batch_is_draw_identical_to_sequential_samples() {
-        let e = Ecdf::new((0..97).map(f64::from).collect()).unwrap();
-        let mut a = StdRng::seed_from_u64(42);
-        let mut b = StdRng::seed_from_u64(42);
-        let batch = e.sample_batch(&mut a, 33);
-        let seq: Vec<f64> = (0..33).map(|_| e.sample(&mut b)).collect();
-        assert_eq!(batch, seq);
-        // The RNG streams stay aligned after the batch, too.
-        assert_eq!(e.sample(&mut a), e.sample(&mut b));
-    }
-
-    #[test]
-    fn quantile_batch_matches_pointwise() {
-        let e = Ecdf::new(vec![10.0, 20.0, 30.0, 40.0]).unwrap();
-        let ps = [0.0, 0.25, 0.26, 0.5, 0.99, 1.0];
-        assert_eq!(
-            e.quantile_batch(&ps),
-            ps.iter().map(|&p| e.quantile(p)).collect::<Vec<_>>()
-        );
-    }
-
     mod sweep_props {
         use super::*;
         use proptest::prelude::*;
@@ -388,14 +325,6 @@ mod tests {
                 let b = Ecdf::new(ys).unwrap();
                 prop_assert_eq!(a.max_y_distance(&b), naive_max_y(&a, &b));
                 prop_assert_eq!(b.max_y_distance(&a), a.max_y_distance(&b));
-            }
-
-            #[test]
-            fn cdf_batch_equals_pointwise(xs in samples(), qs in samples()) {
-                let e = Ecdf::new(xs).unwrap();
-                let batch = e.cdf_batch(&qs);
-                let pointwise: Vec<f64> = qs.iter().map(|&q| e.cdf(q)).collect();
-                prop_assert_eq!(batch, pointwise);
             }
         }
     }

@@ -5,15 +5,14 @@
 //! little-endian records. An [`EncodedBlock`] is a flat byte arena with
 //! that exact stride, filled by pushing [`TraceRecord`]s once; from then
 //! on the block (or any whole-record prefix of it) moves through spill
-//! files and the export sink **verbatim** — the k-way merge and the
-//! writer never re-encode, they copy byte ranges
-//! ([`crate::io::BinaryStreamWriter::write_encoded`]).
+//! files and the export sink **verbatim** — the out-of-core merge sorts
+//! whole 14-byte records and the writer copies byte ranges; neither
+//! re-encodes ([`crate::io::BinaryStreamWriter::write_encoded`]).
 //!
 //! Merging encoded runs needs an order without decoding full records:
 //! [`crate::io::record_key_at`] reads an encoded record's
-//! [`TraceRecord::merge_key`] in place, and [`crate::merge::run_prefix`]
-//! gallops over a block for the run-prefix that precedes a merge bound —
-//! the two primitives behind the out-of-core block-drain merge.
+//! [`TraceRecord::merge_key`] in place — the bound a run is cut at and
+//! the key its records are sorted by.
 
 use crate::io::{encode_record, RECORD_BYTES};
 use crate::record::TraceRecord;

@@ -200,7 +200,7 @@ pub fn decode_record(buf: &[u8; RECORD_BYTES]) -> Result<TraceRecord, IoError> {
 /// headerless 14-byte-stride payload), read without decoding the record:
 /// the key-only fast path of the encoded-run merge. The event byte is
 /// taken as stored, so the key of a corrupt frame orders somewhere but
-/// never panics or aliases [`crate::merge::EXHAUSTED_KEY`].
+/// never panics.
 ///
 /// # Panics
 /// Panics if `bytes` does not hold record `i` in full.

@@ -4,11 +4,12 @@
 //! workspace: the six LTE control-plane event types of Table 1 of the paper
 //! (*Modeling and Generating Control-Plane Traffic for Cellular Networks*,
 //! IMC '23), device types, millisecond timestamps, the [`TraceRecord`]
-//! event record, the sorted [`Trace`] container with k-way merging and
+//! event record, the sorted [`Trace`] container with merging and
 //! hour/device partitioning, trace serialization (CSV, JSONL, and a
 //! compact binary format), and the ordered-record dataplane every later
-//! layer pulls: the stream contract ([`source`]), the one merge tree
-//! ([`merge`]) and the one 14-byte record codec ([`io`]).
+//! layer pulls: the stream contract ([`source`]), the one record order
+//! ([`TraceRecord::merge_key`], the key every merge stably sorts by) and
+//! the one 14-byte record codec ([`io`]).
 //!
 //! Design notes
 //! ------------
@@ -26,7 +27,6 @@ pub mod block;
 pub mod device;
 pub mod event;
 pub mod io;
-pub mod merge;
 pub mod record;
 pub mod relabel;
 pub mod series;
@@ -40,7 +40,6 @@ pub use block::EncodedBlock;
 pub use device::{DeviceType, PopulationMix};
 pub use event::{EventCategory, EventType};
 pub use io::RECORD_BYTES;
-pub use merge::{KeyLoserTree, EXHAUSTED_KEY};
 pub use record::{TraceRecord, UeId};
 pub use source::{IterSource, RecordSource, StreamError};
 pub use summary::TraceSummary;

@@ -62,13 +62,12 @@ impl TraceRecord {
         }
     }
 
-    /// Packed merge key: `t_ms << 40 | ue << 8 | event`, always below
-    /// [`crate::merge::EXHAUSTED_KEY`].
+    /// Packed merge key: `t_ms << 40 | ue << 8 | event`.
     ///
     /// Plain integer order on these keys is exactly the record [`Ord`]
-    /// (`(t, ue, event)`), so [`crate::merge::KeyLoserTree`] can merge
-    /// arbitrary sorted runs on them, not only runs whose `(t, ue)` pairs
-    /// are unique.
+    /// (`(t, ue, event)`), so a stable sort by this key merges arbitrary
+    /// sorted runs laid back to back, not only runs whose `(t, ue)` pairs
+    /// are unique ([`crate::Trace::merge`]).
     #[inline]
     pub fn merge_key(&self) -> u128 {
         (u128::from(self.t.as_millis()) << 40)
@@ -119,7 +118,6 @@ mod tests {
             rec(u64::MAX, u32::MAX, EventType::Tau),
         ];
         for a in &records {
-            assert!(a.merge_key() < crate::merge::EXHAUSTED_KEY);
             for b in &records {
                 assert_eq!(a.merge_key().cmp(&b.merge_key()), a.cmp(b), "{a:?} {b:?}");
             }

@@ -3,11 +3,11 @@
 //! Traces are flat vectors of [`TraceRecord`]s sorted by time. The modeling
 //! pipeline repeatedly needs per-UE views (to replay state machines),
 //! per-hour-of-day slices (models are per 1-hour interval, pooled across
-//! days, §4.1.1), per-device slices, and k-way merging of independently
-//! generated per-UE streams into one population trace.
+//! days, §4.1.1), per-device slices, and a merge of independently
+//! generated per-UE streams into one population trace — one stable sort
+//! over the streams laid back to back, not a merge tree.
 
 use crate::device::DeviceType;
-use crate::merge::{head_key, KeyLoserTree};
 use crate::record::{TraceRecord, UeId};
 use crate::time::{HourOfDay, Timestamp};
 
@@ -149,15 +149,13 @@ impl Trace {
         }
     }
 
-    /// Merge any number of sorted traces into one sorted trace (k-way merge).
+    /// Merge any number of sorted traces into one sorted trace.
     ///
     /// Used to combine independently generated per-UE event streams into the
-    /// population-level trace (§7). Zero or one non-empty input returns
-    /// without any merge machinery, two inputs take a straight two-pointer
-    /// merge, and three or more run through a [`KeyLoserTree`] (one
-    /// replace-top pass — ⌈log₂k⌉ comparisons — per emitted record instead
-    /// of a heap pop *and* push). Ties between traces resolve toward the
-    /// earlier input, so the merge is stable and deterministic.
+    /// population-level trace (§7). The inputs are laid back to back in
+    /// input order and stably sorted by [`TraceRecord::merge_key`], so
+    /// records that tie keep the earlier input first: the merge is
+    /// deterministic.
     pub fn merge(traces: Vec<Trace>) -> Trace {
         for t in &traces {
             debug_assert!(
@@ -165,49 +163,13 @@ impl Trace {
                 "Trace::merge input must be sorted"
             );
         }
-        let mut traces: Vec<Trace> = traces.into_iter().filter(|t| !t.is_empty()).collect();
-        match traces.len() {
-            0 => Trace::new(),
-            1 => traces.pop().expect("one trace"),
-            2 => {
-                let b = traces.pop().expect("two traces");
-                let a = traces.pop().expect("two traces");
-                Trace::merge_two(a, b)
-            }
-            _ => {
-                let total: usize = traces.iter().map(Trace::len).sum();
-                let mut out = Vec::with_capacity(total);
-                let mut cursors = vec![0usize; traces.len()];
-                let mut tree =
-                    KeyLoserTree::new(traces.iter().map(|t| head_key(t.records.first())).collect());
-                while let Some(w) = tree.winner() {
-                    let run = &traces[w].records;
-                    out.push(run[cursors[w]]);
-                    cursors[w] += 1;
-                    tree.replace_winner(head_key(run.get(cursors[w])));
-                }
-                Trace { records: out }
-            }
-        }
-    }
-
-    /// Two-pointer merge of two sorted traces (ties prefer `a`).
-    fn merge_two(a: Trace, b: Trace) -> Trace {
-        let (ra, rb) = (a.records, b.records);
-        let mut out = Vec::with_capacity(ra.len() + rb.len());
-        let (mut i, mut j) = (0, 0);
-        while i < ra.len() && j < rb.len() {
-            if rb[j] < ra[i] {
-                out.push(rb[j]);
-                j += 1;
-            } else {
-                out.push(ra[i]);
-                i += 1;
-            }
-        }
-        out.extend_from_slice(&ra[i..]);
-        out.extend_from_slice(&rb[j..]);
-        Trace { records: out }
+        let mut records = traces
+            .into_iter()
+            .map(Trace::into_records)
+            .collect::<Vec<_>>()
+            .concat();
+        records.sort_by_key(TraceRecord::merge_key);
+        Trace { records }
     }
 
     /// Consume the trace, returning the sorted record vector.
@@ -391,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_two_handles_ties_and_tails() {
+    fn merge_handles_ties_and_tails() {
         let a = Trace::from_records(vec![
             rec(10, 0, EventType::Attach),
             rec(20, 0, EventType::Tau),
