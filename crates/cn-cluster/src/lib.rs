@@ -11,15 +11,14 @@
 //! the paper's configuration (two features per dominant event type).
 //!
 //! This crate is purely geometric: callers supply one feature vector per UE
-//! (see [`feature`] for the paper's feature definitions; extraction from
-//! traces lives in `cn-fit`), and receive a [`Clustering`] assigning every
-//! UE to exactly one cluster.
+//! (the paper's four: the hour's `SRV_REQ` and `S1_CONN_REL` counts and the
+//! standard deviations of the CONNECTED and IDLE sojourns, extracted from
+//! traces in `cn-fit`), and receive a [`Clustering`] assigning every UE to
+//! exactly one cluster.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod feature;
-pub mod quadtree;
+mod quadtree;
 
-pub use feature::{FeatureSpec, PAPER_FEATURES};
 pub use quadtree::{cluster, ClusterId, ClusterInfo, Clustering, ClusteringParams};

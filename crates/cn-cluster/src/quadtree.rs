@@ -71,18 +71,6 @@ pub struct ClusterInfo {
     pub feature_max: Vec<f64>,
 }
 
-impl ClusterInfo {
-    /// Number of member UEs.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when the cluster has no members (never produced by [`cluster`]).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-}
-
 /// Result of a clustering run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Clustering {
@@ -90,54 +78,6 @@ pub struct Clustering {
     pub assignments: Vec<ClusterId>,
     /// The final clusters (every input index appears in exactly one).
     pub clusters: Vec<ClusterInfo>,
-}
-
-impl Clustering {
-    /// Number of final clusters.
-    pub fn num_clusters(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// Fraction of inputs assigned to each cluster, in cluster-id order.
-    pub fn shares(&self) -> Vec<f64> {
-        let n = self.assignments.len().max(1) as f64;
-        self.clusters
-            .iter()
-            .map(|c| c.members.len() as f64 / n)
-            .collect()
-    }
-
-    /// Cluster-quality score: the fraction of the population's total
-    /// feature variance removed by clustering (`1 − Σ within / total`,
-    /// summed over dimensions; 0 = useless partition, → 1 = tight
-    /// clusters). `features` must be the clustering input.
-    pub fn dispersion_reduction(&self, features: &[Vec<f64>]) -> f64 {
-        if features.is_empty() || self.clusters.is_empty() {
-            return 0.0;
-        }
-        let dim = features[0].len();
-        let n = features.len() as f64;
-        let mut total = 0.0;
-        let mut within = 0.0;
-        for d in 0..dim {
-            let mean: f64 = features.iter().map(|f| f[d]).sum::<f64>() / n;
-            total += features.iter().map(|f| (f[d] - mean).powi(2)).sum::<f64>();
-            for c in &self.clusters {
-                let m = c.members.len() as f64;
-                let cmean: f64 = c.members.iter().map(|&i| features[i][d]).sum::<f64>() / m;
-                within += c
-                    .members
-                    .iter()
-                    .map(|&i| (features[i][d] - cmean).powi(2))
-                    .sum::<f64>();
-            }
-        }
-        if total <= 0.0 {
-            0.0
-        } else {
-            (1.0 - within / total).clamp(0.0, 1.0)
-        }
-    }
 }
 
 /// Run the adaptive partition over one feature vector per UE.
@@ -302,7 +242,7 @@ mod tests {
     #[test]
     fn empty_input_is_empty_clustering() {
         let c = cluster(&[], &ClusteringParams::default());
-        assert_eq!(c.num_clusters(), 0);
+        assert_eq!(c.clusters.len(), 0);
         assert!(c.assignments.is_empty());
     }
 
@@ -310,8 +250,8 @@ mod tests {
     fn similar_ues_form_one_cluster() {
         let features = vec![vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 1.5]];
         let c = cluster(&features, &params(5.0, 1));
-        assert_eq!(c.num_clusters(), 1);
-        assert_eq!(c.clusters[0].len(), 3);
+        assert_eq!(c.clusters.len(), 1);
+        assert_eq!(c.clusters[0].members.len(), 3);
     }
 
     #[test]
@@ -325,7 +265,7 @@ mod tests {
             features.push(vec![100.0 + i as f64 * 0.1, 100.0]); // far corner
         }
         let c = cluster(&features, &params(5.0, 1));
-        assert!(c.num_clusters() >= 2);
+        assert!(c.clusters.len() >= 2);
         // The two blobs never share a cluster.
         let a = c.assignments[0];
         let b = c.assignments[20];
@@ -337,7 +277,7 @@ mod tests {
                 .iter()
                 .zip(&info.feature_max)
                 .all(|(lo, hi)| hi - lo < 5.0);
-            assert!(similar || info.is_empty(), "cluster {:?}", info.id);
+            assert!(similar || info.members.is_empty(), "cluster {:?}", info.id);
         }
     }
 
@@ -346,7 +286,7 @@ mod tests {
         // Wildly dissimilar but below the size threshold: stays together.
         let features = vec![vec![0.0, 0.0], vec![1000.0, 1000.0]];
         let c = cluster(&features, &params(5.0, 10));
-        assert_eq!(c.num_clusters(), 1);
+        assert_eq!(c.clusters.len(), 1);
     }
 
     #[test]
@@ -363,7 +303,7 @@ mod tests {
             .collect();
         let c = cluster(&features, &params(5.0, 20));
         assert_eq!(c.assignments.len(), 500);
-        let total: usize = c.clusters.iter().map(ClusterInfo::len).sum();
+        let total: usize = c.clusters.iter().map(|c| c.members.len()).sum();
         assert_eq!(total, 500);
         // Disjoint: each index appears exactly once.
         let mut seen = vec![false; 500];
@@ -396,32 +336,8 @@ mod tests {
         // 3000 identical points exceed θ_n but are trivially similar.
         let features = vec![vec![7.0; 4]; 3_000];
         let c = cluster(&features, &params(5.0, 1_000));
-        assert_eq!(c.num_clusters(), 1);
-        assert_eq!(c.clusters[0].len(), 3_000);
-    }
-
-    #[test]
-    fn dispersion_reduction_behaves() {
-        // Two tight blobs: clustering removes nearly all variance.
-        let mut features = Vec::new();
-        for i in 0..50 {
-            features.push(vec![(i % 3) as f64, 0.0]);
-            features.push(vec![100.0 + (i % 3) as f64, 100.0]);
-        }
-        let c = cluster(&features, &params(5.0, 1));
-        let score = c.dispersion_reduction(&features);
-        assert!(score > 0.95, "score {score}");
-        // One cluster: zero reduction.
-        let single = cluster(&features, &params(1e9, 1));
-        assert!(single.dispersion_reduction(&features) < 1e-9);
-    }
-
-    #[test]
-    fn shares_sum_to_one() {
-        let features: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64, (100 - i) as f64]).collect();
-        let c = cluster(&features, &params(5.0, 10));
-        let sum: f64 = c.shares().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
+        assert_eq!(c.clusters.len(), 1);
+        assert_eq!(c.clusters[0].members.len(), 3_000);
     }
 
     #[test]
@@ -438,6 +354,6 @@ mod tests {
             })
             .collect();
         let c = cluster(&features, &params(5.0, 50));
-        assert!(c.num_clusters() > 4, "got {}", c.num_clusters());
+        assert!(c.clusters.len() > 4, "got {}", c.clusters.len());
     }
 }

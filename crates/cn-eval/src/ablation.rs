@@ -75,7 +75,7 @@ const FIDELITY_HEADERS: [&str; 4] = [
 ];
 
 /// Ablation A: sweep the clustering size threshold θ_n.
-pub fn ablation_clustering(lab: &Lab) -> Table {
+pub(crate) fn ablation_clustering(lab: &Lab) -> Table {
     let mut t = Table::new(
         "Ablation A: clustering size threshold θ_n (method Ours)",
         &FIDELITY_HEADERS,
@@ -102,7 +102,7 @@ pub fn ablation_clustering(lab: &Lab) -> Table {
 }
 
 /// Ablation B: remove the competing-risks exit probabilities.
-pub fn ablation_exit_prob(lab: &Lab) -> Table {
+pub(crate) fn ablation_exit_prob(lab: &Lab) -> Table {
     let mut t = Table::new(
         "Ablation B: competing-risks censoring correction (method Ours)",
         &FIDELITY_HEADERS,
@@ -130,7 +130,7 @@ pub fn ablation_exit_prob(lab: &Lab) -> Table {
 }
 
 /// Ablation C: break persona (cross-hour cluster) consistency.
-pub fn ablation_personas(lab: &Lab) -> Table {
+pub(crate) fn ablation_personas(lab: &Lab) -> Table {
     let mut t = Table::new(
         "Ablation C: persona consistency across hours (method Ours)",
         &FIDELITY_HEADERS,
@@ -170,7 +170,7 @@ pub fn ablation_personas(lab: &Lab) -> Table {
 /// full-day synthesis: hourly-volume correlation against the modeled
 /// world's weekday profile, plus total events (truncation tends to
 /// fragment overnight idles into extra activity).
-pub fn ablation_hour_semantics(lab: &Lab) -> Table {
+pub(crate) fn ablation_hour_semantics(lab: &Lab) -> Table {
     use cn_gen::HourSemantics;
     let mut t = Table::new(
         "Ablation D: hour-boundary sojourn semantics (method Ours)",

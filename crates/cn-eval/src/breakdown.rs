@@ -34,7 +34,7 @@ pub enum BreakdownRow {
 
 impl BreakdownRow {
     /// All eight rows in table order.
-    pub const ALL: [BreakdownRow; 8] = [
+    pub(crate) const ALL: [BreakdownRow; 8] = [
         BreakdownRow::Atch,
         BreakdownRow::Dtch,
         BreakdownRow::SrvReq,
@@ -46,7 +46,7 @@ impl BreakdownRow {
     ];
 
     /// The paper's row label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             BreakdownRow::Atch => "ATCH",
             BreakdownRow::Dtch => "DTCH",
@@ -60,7 +60,7 @@ impl BreakdownRow {
     }
 
     /// Index in [`Breakdown::shares`].
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 }
@@ -83,7 +83,7 @@ impl Breakdown {
 
     /// Per-row differences `other − self` (the paper reports
     /// `synthesized − real`).
-    pub fn diff(&self, synthesized: &Breakdown) -> [f64; 8] {
+    pub(crate) fn diff(&self, synthesized: &Breakdown) -> [f64; 8] {
         let mut d = [0.0; 8];
         for (i, di) in d.iter_mut().enumerate() {
             *di = synthesized.shares[i] - self.shares[i];
@@ -92,7 +92,7 @@ impl Breakdown {
     }
 
     /// Largest absolute per-row difference vs `synthesized`.
-    pub fn max_abs_diff(&self, synthesized: &Breakdown) -> f64 {
+    pub(crate) fn max_abs_diff(&self, synthesized: &Breakdown) -> f64 {
         self.diff(synthesized)
             .iter()
             .fold(0.0f64, |m, d| m.max(d.abs()))

@@ -16,16 +16,16 @@ use cn_trace::{DeviceType, PopulationMix, Timestamp, Trace};
 use cn_world::{generate_world, DeviceProfile, WorldConfig};
 
 /// A named alternative population.
-pub struct AltWorld {
+pub(crate) struct AltWorld {
     /// Display name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// World configuration.
-    pub config: WorldConfig,
+    pub(crate) config: WorldConfig,
 }
 
 /// The §9 candidate populations: massive IoT and self-driving cars, at a
 /// size suitable for a minutes-scale study.
-pub fn alt_worlds(seed: u64, scale: u32) -> Vec<AltWorld> {
+pub(crate) fn alt_worlds(seed: u64, scale: u32) -> Vec<AltWorld> {
     let mix = PopulationMix::new(0, 4 * scale, 0);
     let mut iot = WorldConfig::new(mix, 3.0, seed ^ 0x107);
     iot.profiles[DeviceType::ConnectedCar.code() as usize] =

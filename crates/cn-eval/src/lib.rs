@@ -34,12 +34,11 @@ pub mod experiments;
 pub mod generalize;
 pub mod lab;
 pub mod microscopic;
-pub mod report;
-pub mod testsuite;
-pub mod timeseries;
+mod report;
+mod testsuite;
 pub mod verdicts;
 
 pub use breakdown::{breakdown, Breakdown, BreakdownRow};
 pub use lab::{ExperimentConfig, Lab};
 pub use report::Table;
-pub use verdicts::{verdict_report, verdicts};
+pub use verdicts::verdicts;

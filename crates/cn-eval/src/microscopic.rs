@@ -45,7 +45,7 @@ pub fn events_per_ue(
 /// Sojourn samples (seconds) in CONNECTED (before the CONNECTED→IDLE
 /// transition) and IDLE (before IDLE→CONNECTED), pooled over the device's
 /// UEs.
-pub fn state_sojourns(trace: &Trace, device: DeviceType) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn state_sojourns(trace: &Trace, device: DeviceType) -> (Vec<f64>, Vec<f64>) {
     let mut connected = Vec::new();
     let mut idle = Vec::new();
     for (_, events) in trace.per_ue().iter() {
@@ -68,7 +68,7 @@ pub fn state_sojourns(trace: &Trace, device: DeviceType) -> (Vec<f64>, Vec<f64>)
 
 /// Maximum y-distance between the CDFs of two sample sets; `None` when a
 /// side is empty.
-pub fn max_y_distance(real: &[f64], synthesized: &[f64]) -> Option<f64> {
+pub(crate) fn max_y_distance(real: &[f64], synthesized: &[f64]) -> Option<f64> {
     two_sample_distance(real, synthesized)
 }
 

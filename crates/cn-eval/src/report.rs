@@ -6,16 +6,16 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Table {
     /// Table caption, e.g. `"Table 4: ..."`.
-    pub title: String,
+    pub(crate) title: String,
     /// Column headers.
-    pub headers: Vec<String>,
+    pub(crate) headers: Vec<String>,
     /// Data rows (each the same length as `headers`).
-    pub rows: Vec<Vec<String>>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Create an empty table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Table {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Table {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -27,7 +27,7 @@ impl Table {
     ///
     /// # Panics
     /// Panics if the row length differs from the header length.
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub(crate) fn push_row(&mut self, row: Vec<String>) {
         assert_eq!(row.len(), self.headers.len(), "row/header length mismatch");
         self.rows.push(row);
     }
@@ -110,12 +110,12 @@ impl std::fmt::Display for Table {
 
 /// Format a fraction as a signed percentage with one decimal, paper-style
 /// (`+1.4%`, `-45.3%`).
-pub fn signed_pct(x: f64) -> String {
+pub(crate) fn signed_pct(x: f64) -> String {
     format!("{:+.1}%", x * 100.0)
 }
 
 /// Format a fraction as an unsigned percentage with one decimal.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 

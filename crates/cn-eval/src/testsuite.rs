@@ -17,14 +17,14 @@ use cn_trace::{DeviceType, EventType, Trace, TraceRecord, MS_PER_SEC};
 use std::collections::HashMap;
 
 /// Significance level used throughout (the paper's 5%).
-pub const SIGNIFICANCE: f64 = 0.05;
+pub(crate) const SIGNIFICANCE: f64 = 0.05;
 
 /// Minimum pooled samples for a combination to be testable.
-pub const MIN_SAMPLES: usize = 20;
+pub(crate) const MIN_SAMPLES: usize = 20;
 
 /// The ten columns of Tables 8/9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Quantity {
+pub(crate) enum Quantity {
     /// Inter-arrival time of one event type.
     InterArrival(EventType),
     /// Sojourn in EMM-REGISTERED.
@@ -39,7 +39,7 @@ pub enum Quantity {
 
 impl Quantity {
     /// Tables 8/9 column order.
-    pub fn all() -> Vec<Quantity> {
+    pub(crate) fn all() -> Vec<Quantity> {
         let mut v: Vec<Quantity> = EventType::ALL
             .into_iter()
             .map(Quantity::InterArrival)
@@ -54,7 +54,7 @@ impl Quantity {
     }
 
     /// Column label matching the paper.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Quantity::InterArrival(e) => e.mnemonic(),
             Quantity::Registered => "REG.",
@@ -67,7 +67,7 @@ impl Quantity {
 
 /// The tests of Tables 8–10 (rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SuiteTest {
+pub(crate) enum SuiteTest {
     /// K–S test against the MLE fit of a family.
     Ks(Family),
     /// Anderson–Darling exponentiality test (Poisson only).
@@ -77,7 +77,7 @@ pub enum SuiteTest {
 impl SuiteTest {
     /// Table row order: Poisson (K–S), Poisson (A²), Pareto, Weibull,
     /// Tcplib (K–S) — the paper's battery.
-    pub const ALL: [SuiteTest; 5] = [
+    pub(crate) const ALL: [SuiteTest; 5] = [
         SuiteTest::Ks(Family::Poisson),
         SuiteTest::AdPoisson,
         SuiteTest::Ks(Family::Pareto),
@@ -87,7 +87,7 @@ impl SuiteTest {
 
     /// The paper's battery plus log-normal and Gamma (families the wider
     /// Internet-traffic literature also fits).
-    pub const EXTENDED: [SuiteTest; 7] = [
+    pub(crate) const EXTENDED: [SuiteTest; 7] = [
         SuiteTest::Ks(Family::Poisson),
         SuiteTest::AdPoisson,
         SuiteTest::Ks(Family::Pareto),
@@ -98,7 +98,7 @@ impl SuiteTest {
     ];
 
     /// Row label matching the paper.
-    pub fn label(self) -> String {
+    pub(crate) fn label(self) -> String {
         match self {
             SuiteTest::Ks(f) => format!("{} (K-S)", f.name()),
             SuiteTest::AdPoisson => "Poisson (A2)".to_string(),
@@ -107,7 +107,7 @@ impl SuiteTest {
 
     /// Run the test on the samples: `Some(passed)` or `None` when the fit
     /// or test is undefined for these samples.
-    pub fn run(self, samples: &[f64]) -> Option<bool> {
+    pub(crate) fn run(self, samples: &[f64]) -> Option<bool> {
         match self {
             SuiteTest::Ks(family) => {
                 let dist = fit_family(family, samples).ok()?;
@@ -218,26 +218,27 @@ fn observe(events: &[TraceRecord], n_days: u64) -> SuiteObs {
 
 /// Pass-rate results: `cell[(test, device)][column] = Some(pass fraction)`
 /// or `None` when no combination was testable.
-pub struct SuiteResult {
+pub(crate) struct SuiteResult {
     /// Tables 8/9 cells (10 columns).
-    pub main: HashMap<(usize, DeviceType), Vec<Option<f64>>>,
+    pub(crate) main: HashMap<(usize, DeviceType), Vec<Option<f64>>>,
     /// Table 10 cells (9 second-level transition columns).
-    pub bottom: HashMap<(usize, DeviceType), Vec<Option<f64>>>,
+    pub(crate) bottom: HashMap<(usize, DeviceType), Vec<Option<f64>>>,
     /// Number of testable (cluster, hour) combinations per device.
-    pub combos: HashMap<DeviceType, usize>,
+    #[cfg(test)]
+    combos: HashMap<DeviceType, usize>,
 }
 
 /// Run the paper's test battery over a trace.
 ///
 /// `clustered = false` reproduces Table 8 (pool all UEs of a device per
 /// hour); `clustered = true` reproduces Tables 9/10.
-pub fn run_suite(trace: &Trace, clustered: bool, params: &ClusteringParams) -> SuiteResult {
+pub(crate) fn run_suite(trace: &Trace, clustered: bool, params: &ClusteringParams) -> SuiteResult {
     run_suite_with(trace, clustered, params, &SuiteTest::ALL)
 }
 
 /// As [`run_suite`] with an explicit test battery (e.g.
 /// [`SuiteTest::EXTENDED`]). Cell keys index into `tests`.
-pub fn run_suite_with(
+pub(crate) fn run_suite_with(
     trace: &Trace,
     clustered: bool,
     params: &ClusteringParams,
@@ -252,6 +253,7 @@ pub fn run_suite_with(
     let quantities = Quantity::all();
     let mut main: HashMap<(usize, DeviceType), Vec<(usize, usize)>> = HashMap::new();
     let mut bottom: HashMap<(usize, DeviceType), Vec<(usize, usize)>> = HashMap::new();
+    #[cfg(test)]
     let mut combos: HashMap<DeviceType, usize> = HashMap::new();
 
     for device in DeviceType::ALL {
@@ -272,7 +274,10 @@ pub fn run_suite_with(
                 vec![(0..dev_obs.len()).collect()]
             };
             for members in groups {
-                *combos.entry(device).or_insert(0) += 1;
+                #[cfg(test)]
+                {
+                    *combos.entry(device).or_insert(0) += 1;
+                }
                 // Tables 8/9 columns.
                 for (qi, q) in quantities.iter().enumerate() {
                     let mut pooled: Vec<f64> = Vec::new();
@@ -344,6 +349,7 @@ pub fn run_suite_with(
     SuiteResult {
         main: to_frac(main),
         bottom: to_frac(bottom),
+        #[cfg(test)]
         combos,
     }
 }
@@ -353,7 +359,7 @@ pub fn run_suite_with(
 /// rare-event columns (ATCH/DTCH/TAU) have few samples per combination and
 /// therefore low test power — the paper likewise reports its "below 3%"
 /// claim for the non-ATCH/DTCH columns.
-pub fn poisson_ks_overall(result: &SuiteResult) -> f64 {
+pub(crate) fn poisson_ks_overall(result: &SuiteResult) -> f64 {
     let dominant: Vec<usize> = Quantity::all()
         .iter()
         .enumerate()

@@ -24,7 +24,7 @@ fn check(claims: &mut VerdictReport, claim: &'static str, measured: String, pass
 /// (the same [`VerdictReport`] the `cn-verify` round-trip harness emits, so
 /// tooling can treat paper-shape claims and model-recovery claims
 /// uniformly).
-pub fn verdict_report(lab: &Lab) -> VerdictReport {
+pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
     let mut claims = VerdictReport::new("Reproduction verdicts (shape claims of EXPERIMENTS.md)");
 
     // 1. Table 1 shape: SRV/REL dominate, REL ≥ SRV, cars lead HO.
@@ -227,7 +227,7 @@ pub fn verdict_report(lab: &Lab) -> VerdictReport {
     claims
 }
 
-/// [`verdict_report`] rendered as the `repro verdicts` table. The final row
+/// `verdict_report` rendered as the `repro verdicts` table. The final row
 /// is the overall verdict; `all_pass` is also returned for programmatic use.
 pub fn verdicts(lab: &Lab) -> (Table, bool) {
     let report = verdict_report(lab);

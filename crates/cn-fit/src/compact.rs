@@ -14,7 +14,7 @@ use cn_stats::Ecdf;
 
 /// Subsample an ECDF to at most `max_samples` evenly-spaced quantiles
 /// (returns the input when it is already small enough).
-pub fn compact_ecdf(ecdf: &Ecdf, max_samples: usize) -> Ecdf {
+pub(crate) fn compact_ecdf(ecdf: &Ecdf, max_samples: usize) -> Ecdf {
     let max_samples = max_samples.max(2);
     if ecdf.len() <= max_samples {
         return ecdf.clone();

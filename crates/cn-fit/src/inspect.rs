@@ -30,12 +30,12 @@ pub struct ModelInventory {
     pub top_coverage: f64,
     /// Fraction of cluster-hours with a usable second-level model
     /// (0 for EMM–ECM methods).
-    pub bottom_coverage: f64,
+    pub(crate) bottom_coverage: f64,
     /// Fraction of cluster-hours with a first-event model.
     pub first_event_coverage: f64,
     /// Mean transition probability of `IDLE → CONNECTED` where present
     /// (how session-dominated the modeled idle departures are).
-    pub mean_idle_to_conn_prob: f64,
+    pub(crate) mean_idle_to_conn_prob: f64,
 }
 
 /// Build the inventory of a model set.

@@ -22,14 +22,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compact;
-pub mod first_event;
+mod compact;
+mod first_event;
 pub mod inspect;
 pub mod method;
-pub mod model;
-pub mod pipeline;
-pub mod semi_markov;
-pub mod sojourn;
+mod model;
+mod pipeline;
+mod semi_markov;
+mod sojourn;
 
 pub use compact::compact_model_set;
 pub use first_event::FirstEventModel;

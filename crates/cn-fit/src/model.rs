@@ -48,7 +48,7 @@ impl ClusterHourModel {
     }
 
     /// True when the model carries no transition information at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.top.is_empty() && self.bottom.is_empty() && self.first_event.is_empty()
     }
 
@@ -102,7 +102,7 @@ impl DeviceModels {
     }
 
     /// Total number of distinct cluster-hour models.
-    pub fn model_count(&self) -> usize {
+    pub(crate) fn model_count(&self) -> usize {
         self.hours.iter().map(|h| h.clusters.len()).sum()
     }
 }

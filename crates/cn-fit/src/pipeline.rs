@@ -15,13 +15,13 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FitConfig {
     /// Which Table 3 method to fit.
-    pub method: Method,
+    pub(crate) method: Method,
     /// Clustering thresholds (θ_f, θ_n); ignored by unclustered methods.
     pub clustering: ClusteringParams,
     /// Days spanned by the trace; `0` = infer from the last timestamp.
     pub n_days: u64,
     /// Worker threads for the replay pass (`0` = all cores).
-    pub threads: usize,
+    pub(crate) threads: usize,
 }
 
 impl FitConfig {
@@ -90,9 +90,9 @@ fn observe_all(trace: &Trace, threads: usize) -> Vec<UeObservations> {
     let observe_share = |slice: &[(UeId, &[TraceRecord])]| {
         slice
             .iter()
-            .map(|(ue, events)| {
+            .map(|(_, events)| {
                 let device = events.first().map_or(DeviceType::Phone, |r| r.device);
-                UeObservations::observe(*ue, device, events)
+                UeObservations::observe(device, events)
             })
             .collect::<Vec<_>>()
     };

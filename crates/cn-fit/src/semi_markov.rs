@@ -147,15 +147,8 @@ impl<T: TransitionLike> SemiMarkovModel<T> {
         self.branches.iter().map(|(s, _)| *s)
     }
 
-    /// Every fitted branch of the model, flattened across states — the
-    /// enumeration a validation harness walks to compare each transition's
-    /// probability and sojourn law against a re-fitted model.
-    pub fn branches(&self) -> impl Iterator<Item = &Branch<T>> {
-        self.branches.iter().flat_map(|(_, bs)| bs.iter())
-    }
-
     /// True if the model has no branches at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.branches.is_empty()
     }
 
@@ -222,7 +215,7 @@ impl<T: TransitionLike> SemiMarkovModel<T> {
 
 /// Fit a sojourn law per the method's distribution kind, falling back to the
 /// empirical CDF when the parametric fit is degenerate.
-pub fn fit_sojourn(samples: &[f64], kind: DistributionKind) -> Dist {
+pub(crate) fn fit_sojourn(samples: &[f64], kind: DistributionKind) -> Dist {
     match kind {
         DistributionKind::Poisson => Exponential::fit(samples)
             .map(Dist::Exponential)

@@ -8,45 +8,42 @@
 
 use cn_statemachine::{replay_ue, BottomTransition, TlState, TopTransition};
 use cn_stats::summary::std_dev;
-use cn_trace::{DeviceType, EventType, HourOfDay, TraceRecord, UeId, MS_PER_SEC};
+use cn_trace::{DeviceType, EventType, HourOfDay, TraceRecord, MS_PER_SEC};
 use std::collections::HashMap;
 
 /// Everything observed about one UE, bucketed by hour-of-day.
 #[derive(Debug, Clone)]
-pub struct UeObservations {
-    /// The UE.
-    pub ue: UeId,
+pub(crate) struct UeObservations {
     /// Its device type.
-    pub device: DeviceType,
+    pub(crate) device: DeviceType,
     /// Top-level sojourn samples (seconds), by hour of state entry.
-    pub top_by_hour: Vec<HashMap<TopTransition, Vec<f64>>>,
+    pub(crate) top_by_hour: Vec<HashMap<TopTransition, Vec<f64>>>,
     /// Second-level sojourn samples (seconds), by hour of state entry.
-    pub bottom_by_hour: Vec<HashMap<BottomTransition, Vec<f64>>>,
+    pub(crate) bottom_by_hour: Vec<HashMap<BottomTransition, Vec<f64>>>,
     /// Bottom-state visits ending with no second-level transition
     /// (censored by a top-level move), by hour of state entry.
-    pub bottom_censored_by_hour: Vec<HashMap<TlState, usize>>,
+    pub(crate) bottom_censored_by_hour: Vec<HashMap<TlState, usize>>,
     /// Gaps between consecutive `HO` events *within the same (day, hour)
     /// window* (seconds), bucketed by hour-of-day — the paper's §4.1.1
     /// preprocessing observes inter-arrival times per 1-hour interval, so
     /// gaps spanning interval boundaries are never seen; the EMM–ECM
     /// baselines fit these (burst-dominated) gaps as Poisson arrivals,
     /// which is precisely what makes them flood the trace with HO.
-    pub ho_gaps_by_hour: Vec<Vec<f64>>,
+    pub(crate) ho_gaps_by_hour: Vec<Vec<f64>>,
     /// Same for `TAU`.
-    pub tau_gaps_by_hour: Vec<Vec<f64>>,
+    pub(crate) tau_gaps_by_hour: Vec<Vec<f64>>,
     /// First event and offset-in-hour (seconds) per (day, hour) window that
     /// had any events.
-    pub first_by_day_hour: HashMap<(u64, u8), (EventType, f64)>,
+    pub(crate) first_by_day_hour: HashMap<(u64, u8), (EventType, f64)>,
     /// Event counts per hour-of-day × event type, summed over days.
-    pub counts_by_hour: [[u32; 6]; 24],
+    pub(crate) counts_by_hour: [[u32; 6]; 24],
 }
 
 impl UeObservations {
     /// Extract observations from one UE's time-sorted events.
-    pub fn observe(ue: UeId, device: DeviceType, events: &[TraceRecord]) -> UeObservations {
+    pub(crate) fn observe(device: DeviceType, events: &[TraceRecord]) -> UeObservations {
         let outcome = replay_ue(events);
         let mut obs = UeObservations {
-            ue,
             device,
             top_by_hour: vec![HashMap::new(); 24],
             bottom_by_hour: vec![HashMap::new(); 24],
@@ -111,7 +108,7 @@ impl UeObservations {
     /// The paper's four clustering features for one hour-of-day (§5.3):
     /// `[srv_req count/day, std(CONNECTED sojourn), s1_conn_rel count/day,
     /// std(IDLE sojourn)]`.
-    pub fn features_for_hour(&self, hour: HourOfDay, n_days: u64) -> Vec<f64> {
+    pub(crate) fn features_for_hour(&self, hour: HourOfDay, n_days: u64) -> Vec<f64> {
         let h = hour.index();
         let days = n_days.max(1) as f64;
         let srv = f64::from(self.counts_by_hour[h][EventType::ServiceRequest.code() as usize]);
@@ -126,17 +123,12 @@ impl UeObservations {
             .collect();
         vec![srv / days, std_dev(&conn), rel / days, std_dev(&idle)]
     }
-
-    /// Total events in a given hour-of-day (across days).
-    pub fn events_in_hour(&self, hour: HourOfDay) -> u32 {
-        self.counts_by_hour[hour.index()].iter().sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cn_trace::{Timestamp, MS_PER_HOUR};
+    use cn_trace::{Timestamp, UeId, MS_PER_HOUR};
 
     fn rec(t_ms: u64, e: EventType) -> TraceRecord {
         TraceRecord::new(Timestamp::from_millis(t_ms), UeId(0), DeviceType::Phone, e)
@@ -144,9 +136,9 @@ mod tests {
 
     #[test]
     fn empty_stream_gives_empty_observations() {
-        let obs = UeObservations::observe(UeId(0), DeviceType::Phone, &[]);
+        let obs = UeObservations::observe(DeviceType::Phone, &[]);
         assert!(obs.first_by_day_hour.is_empty());
-        assert_eq!(obs.events_in_hour(HourOfDay(0)), 0);
+        assert_eq!(obs.counts_by_hour[0].iter().sum::<u32>(), 0);
         assert_eq!(obs.features_for_hour(HourOfDay(0), 1), vec![0.0; 4]);
     }
 
@@ -159,7 +151,7 @@ mod tests {
             rec(MS_PER_HOUR / 2, Attach),
             rec(MS_PER_HOUR + 10 * 60 * 1000, S1ConnRelease),
         ];
-        let obs = UeObservations::observe(UeId(0), DeviceType::Phone, &events);
+        let obs = UeObservations::observe(DeviceType::Phone, &events);
         let h0 = &obs.top_by_hour[0];
         let conn = h0.get(&TopTransition::ConnToIdle).unwrap();
         assert_eq!(conn.len(), 1);
@@ -176,7 +168,7 @@ mod tests {
             rec(MS_PER_HOUR + 500, ServiceRequest),
             rec(24 * MS_PER_HOUR + 42_000, Tau),
         ];
-        let obs = UeObservations::observe(UeId(0), DeviceType::Phone, &events);
+        let obs = UeObservations::observe(DeviceType::Phone, &events);
         assert_eq!(
             obs.first_by_day_hour.get(&(0, 0)),
             Some(&(ServiceRequest, 1.0))
@@ -199,7 +191,7 @@ mod tests {
             rec(MS_PER_HOUR + 5_000, Handover),  // next hour: gap discarded
             rec(MS_PER_HOUR + 90_000, Handover), // hour 1: gap of 85 s
         ];
-        let obs = UeObservations::observe(UeId(0), DeviceType::Phone, &events);
+        let obs = UeObservations::observe(DeviceType::Phone, &events);
         assert_eq!(obs.ho_gaps_by_hour[0], vec![240.0]);
         // The cross-boundary gap is never observed (§4.1.1 preprocessing).
         assert_eq!(obs.ho_gaps_by_hour[1], vec![85.0]);
@@ -214,7 +206,7 @@ mod tests {
             rec(24 * MS_PER_HOUR + 1_000, ServiceRequest),
             rec(24 * MS_PER_HOUR + 9_000, S1ConnRelease),
         ];
-        let obs = UeObservations::observe(UeId(0), DeviceType::Phone, &events);
+        let obs = UeObservations::observe(DeviceType::Phone, &events);
         let f = obs.features_for_hour(HourOfDay(0), 2);
         assert!((f[0] - 1.0).abs() < 1e-12, "srv/day {}", f[0]);
         assert!((f[2] - 1.0).abs() < 1e-12);

@@ -24,5 +24,5 @@ pub mod render;
 pub mod scale;
 
 pub use mapping::{Event5G, TABLE2};
-pub use render::{to_sa_records, write_sa_csv, Record5G};
+pub use render::{to_sa_records, Record5G};
 pub use scale::{adapt_model, FiveGMode, ScalingProfile};

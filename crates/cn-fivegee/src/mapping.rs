@@ -19,15 +19,6 @@ pub enum Event5G {
 }
 
 impl Event5G {
-    /// All five 5G event types, in Table 2 order.
-    pub const ALL: [Event5G; 5] = [
-        Event5G::Register,
-        Event5G::Deregister,
-        Event5G::ServiceRequest,
-        Event5G::AnRelease,
-        Event5G::Handover,
-    ];
-
     /// The paper's 5G mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {

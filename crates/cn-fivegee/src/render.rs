@@ -9,7 +9,6 @@
 use crate::mapping::Event5G;
 use cn_trace::{DeviceType, Timestamp, Trace, UeId};
 use serde::{Deserialize, Serialize};
-use std::io::Write;
 
 /// One 5G SA control-plane event record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -19,7 +18,7 @@ pub struct Record5G {
     /// Originating UE.
     pub ue: UeId,
     /// Device type.
-    pub device: DeviceType,
+    pub(crate) device: DeviceType,
     /// The 5G event.
     pub event: Event5G,
 }
@@ -28,9 +27,9 @@ pub struct Record5G {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TauInSaTrace {
     /// Index of the offending record.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The UE that emitted it.
-    pub ue: UeId,
+    pub(crate) ue: UeId,
 }
 
 impl std::fmt::Display for TauInSaTrace {
@@ -64,22 +63,6 @@ pub fn to_sa_records(trace: &Trace) -> Result<Vec<Record5G>, TauInSaTrace> {
         .collect()
 }
 
-/// Write SA records as CSV (`t_ms,ue,device,event` with 5G mnemonics).
-pub fn write_sa_csv<W: Write>(records: &[Record5G], mut w: W) -> std::io::Result<()> {
-    writeln!(w, "t_ms,ue,device,event")?;
-    for r in records {
-        writeln!(
-            w,
-            "{},{},{},{}",
-            r.t.as_millis(),
-            r.ue.get(),
-            r.device.abbrev(),
-            r.event.mnemonic()
-        )?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,12 +84,6 @@ mod tests {
         assert_eq!(records.len(), 4);
         assert_eq!(records[0].event, Event5G::Register);
         assert_eq!(records[2].event, Event5G::AnRelease);
-        let mut csv = Vec::new();
-        write_sa_csv(&records, &mut csv).unwrap();
-        let text = String::from_utf8(csv).unwrap();
-        assert!(text.contains("REGISTER"));
-        assert!(text.contains("AN_REL"));
-        assert!(!text.contains("TAU"));
     }
 
     #[test]

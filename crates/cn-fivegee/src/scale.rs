@@ -26,7 +26,7 @@ pub enum FiveGMode {
 
 impl FiveGMode {
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FiveGMode::Nsa => "5G NSA",
             FiveGMode::Sa => "5G SA",

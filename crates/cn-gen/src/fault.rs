@@ -23,7 +23,7 @@ use std::time::Duration;
 /// Per-record / per-block callbacks an out-of-core chunk worker drives.
 /// Production code uses [`NoFault`]; tests inject a [`ShardFault`]
 /// derived from a [`FaultPlan`].
-pub trait FaultHook: Send + 'static {
+pub(crate) trait FaultHook: Send + 'static {
     /// Called once per generated record, *before* it is appended to the
     /// outgoing block. May panic — that is the point.
     fn on_record(&mut self);
@@ -34,7 +34,7 @@ pub trait FaultHook: Send + 'static {
 
 /// The production hook: does nothing, costs nothing.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoFault;
+pub(crate) struct NoFault;
 
 impl FaultHook for NoFault {
     #[inline(always)]
@@ -67,7 +67,7 @@ impl FaultPlan {
     }
 
     /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.panics.is_empty() && self.delays.is_empty()
     }
 
@@ -95,7 +95,7 @@ impl FaultPlan {
     }
 
     /// The hook for one unit: its faults, extracted from the plan.
-    pub fn for_shard(&self, shard: usize) -> ShardFault {
+    pub(crate) fn for_shard(&self, shard: usize) -> ShardFault {
         ShardFault {
             shard,
             panic_at: self
@@ -116,7 +116,7 @@ impl FaultPlan {
 
 /// One unit's live faults (see [`FaultPlan::for_shard`]).
 #[derive(Debug, Clone)]
-pub struct ShardFault {
+pub(crate) struct ShardFault {
     shard: usize,
     panic_at: Option<u64>,
     delay: Option<Duration>,

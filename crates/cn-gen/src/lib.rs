@@ -38,8 +38,9 @@
 //! * [`generate_out_of_core`] — population-scale binary export under a
 //!   bounded memory budget: UE-range chunks, each a pool on one of
 //!   [`GenConfig::threads`] workers, emit arena-encoded sorted runs that
-//!   spill past the budget and k-way merge back into the sink as verbatim
-//!   byte blocks — bytes, not records, under a different memory bound.
+//!   spill past the budget; the runs are cut into key-range slices, each
+//!   stable-sorted and written to the sink as verbatim byte blocks —
+//!   bytes, not records, under a different memory bound.
 //!
 //! Both streams implement [`cn_trace::RecordSource`], the one pull
 //! contract every downstream layer consumes.

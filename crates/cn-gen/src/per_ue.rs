@@ -103,7 +103,7 @@ impl<'m> UeEventIter<'m> {
 
     /// As [`UeEventIter::new`] with explicit hour-boundary semantics (§7
     /// leaves this open; see [`HourSemantics`]).
-    pub fn with_semantics(
+    pub(crate) fn with_semantics(
         dm: &'m DeviceModels,
         method: Method,
         ue: UeId,

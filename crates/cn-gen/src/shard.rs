@@ -68,7 +68,7 @@ pub enum WorkerOutcome {
 
 impl WorkerOutcome {
     /// The `outcome` label value used for `cn_gen_worker_exit`.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             WorkerOutcome::Completed { .. } => "completed",
             WorkerOutcome::Panicked { .. } => "panicked",

@@ -68,7 +68,7 @@ impl std::error::Error for CheckpointError {}
 
 impl Checkpoint {
     /// Atomically persist to `path`: write a temp file, sync it, rename.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
+    pub(crate) fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let tmp = self.write_synced_temp(path)?;
         std::fs::rename(&tmp, path).map_err(io_error("rename"))
     }
@@ -89,7 +89,7 @@ impl Checkpoint {
         Ok(tmp)
     }
 
-    /// Load a checkpoint previously written by [`Checkpoint::save`].
+    /// Load a checkpoint previously written by `Checkpoint::save`.
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
         let json = std::fs::read_to_string(path).map_err(io_error("read"))?;
         serde_json::from_str(&json).map_err(|e| CheckpointError::Parse(e.to_string()))

@@ -176,14 +176,12 @@ impl CapturedStream {
 ///   [`StreamError::ConsumerLagged`] at the gap's exact position —
 ///   downstream never sees a silently shorter stream;
 /// * an **End** marker (clean source exhaustion) or a clean connection
-///   close yields `None`; the End watermark is kept for
-///   [`LiveRecordSource::end_watermark`];
+///   close yields `None`;
 /// * wire-level faults (torn tail, corrupt frame) surface as
 ///   [`StreamError::Io`] with stage `live-read`.
 pub struct LiveRecordSource<R> {
     reader: LiveReader<R>,
     consumer: usize,
-    end: Option<u64>,
     dropped: u64,
     done: bool,
 }
@@ -196,22 +194,9 @@ impl<R: Read> LiveRecordSource<R> {
         Ok(LiveRecordSource {
             reader: LiveReader::new(src)?,
             consumer,
-            end: None,
             dropped: 0,
             done: false,
         })
-    }
-
-    /// The server's emitted-records watermark, if an End marker arrived.
-    /// `None` after exhaustion means the server stopped mid-stream
-    /// (resume from its checkpoint).
-    pub fn end_watermark(&self) -> Option<u64> {
-        self.end
-    }
-
-    /// Total record frames this connection lost to queue overflow.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -231,12 +216,7 @@ impl<R: Read> RecordSource for LiveRecordSource<R> {
                     dropped,
                 })
             }
-            Ok(Some(Frame::End { emitted })) => {
-                self.end = Some(emitted);
-                self.done = true;
-                Ok(None)
-            }
-            Ok(None) => {
+            Ok(Some(Frame::End { .. }) | None) => {
                 self.done = true;
                 Ok(None)
             }
@@ -376,7 +356,6 @@ mod tests {
         // ...and the stream continues honestly after it.
         assert_eq!(source.try_next().unwrap(), Some(rec(2, 1)));
         assert_eq!(source.try_next().unwrap(), None);
-        assert_eq!(source.end_watermark(), Some(6));
         // Exhausted stays exhausted.
         assert_eq!(source.try_next().unwrap(), None);
         // The terminal verdict remembers the loss.

@@ -57,7 +57,7 @@ const FINISH_PATIENCE_MS: u32 = 5_000;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConsumerReport {
     /// The consumer's id (accept order, starting at 0).
-    pub consumer: usize,
+    pub(crate) consumer: usize,
     /// Frames actually written to the sink (records + markers).
     pub frames_written: u64,
     /// Record frames dropped for this consumer by queue overflow.
@@ -140,21 +140,16 @@ impl Drop for ConsumerSlot {
 }
 
 /// Handle on one consumer's writer thread.
-pub struct ConsumerHandle {
+pub(crate) struct ConsumerHandle {
     consumer: usize,
     join: JoinHandle<Result<ConsumerReport, StreamError>>,
 }
 
 impl ConsumerHandle {
-    /// The consumer's id (accept order).
-    pub fn consumer(&self) -> usize {
-        self.consumer
-    }
-
     /// Wait for the writer to wind down and return its report. A panic
     /// in the writer surfaces as the containment-contract
     /// [`StreamError::WorkerPanicked`].
-    pub fn join(self) -> Result<ConsumerReport, StreamError> {
+    pub(crate) fn join(self) -> Result<ConsumerReport, StreamError> {
         let consumer = self.consumer;
         self.join.join().unwrap_or_else(|payload| {
             let payload = payload

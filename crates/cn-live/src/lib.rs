@@ -12,23 +12,23 @@
 //!
 //! The moving parts, each its own module:
 //!
-//! * [`clock`] — the [`Clock`] abstraction: monotonic now + absolute
+//! * `clock` — the [`Clock`] abstraction: monotonic now + absolute
 //!   sleep, with a deterministic [`ManualClock`] for tests;
-//! * [`pace`] — open-loop pacing against absolute deadlines, so stalls
+//! * `pace` — open-loop pacing against absolute deadlines, so stalls
 //!   cause transient lag, never accumulated drift; deadlines inside one
 //!   [`PACE_QUANTUM_NS`] share a sleep, a queue hand-off and a socket
 //!   write (never early, under one quantum late);
-//! * [`frame`] — the wire protocol: record frames plus in-band Gap and
+//! * `frame` — the wire protocol: record frames plus in-band Gap and
 //!   End markers in reserved code space, and the consumer-side reader;
-//! * [`hub`] — bounded per-consumer byte queues with honest overflow
+//! * `hub` — bounded per-consumer byte queues with honest overflow
 //!   (a block that does not fit is dropped whole; drops become
 //!   positioned gap markers and a typed
 //!   [`ConsumerLagged`](cn_trace::StreamError::ConsumerLagged) verdict);
-//! * [`checkpoint`] — atomic persistence of the emitted-records
+//! * `checkpoint` — atomic persistence of the emitted-records
 //!   watermark plus the spec that regenerates the stream, for
 //!   byte-exact resume;
-//! * [`server`] — the serve loop tying it together, with TCP accept,
-//!   stop handles, and the `cn_live_*` metric family.
+//! * `server` — the serve loop tying it together, with TCP accept and
+//!   the `cn_live_*` metric family.
 //!
 //! The crate follows the workspace's no-async-runtime stance: threads
 //! and blocking I/O only.
@@ -36,12 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
-pub mod clock;
-pub mod frame;
-pub mod hub;
-pub mod pace;
-pub mod server;
+mod checkpoint;
+mod clock;
+mod frame;
+mod hub;
+mod pace;
+mod server;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use clock::{Clock, ManualClock, SystemClock};
@@ -49,8 +49,6 @@ pub use frame::{
     capture, decode_frame, encode_frame, CapturedStream, Frame, LiveReader, LiveRecordSource,
     FRAME_BYTES,
 };
-pub use hub::{ConsumerHandle, ConsumerReport, Hub};
+pub use hub::{ConsumerReport, Hub};
 pub use pace::{Pacer, PACE_QUANTUM_NS};
-pub use server::{
-    IntrospectionConfig, LiveConfig, LiveError, LiveReport, LiveServer, ServerHandle,
-};
+pub use server::{IntrospectionConfig, LiveConfig, LiveError, LiveReport, LiveServer};

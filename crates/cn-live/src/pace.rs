@@ -95,7 +95,7 @@ impl<'c> Pacer<'c> {
     }
 
     /// The absolute wall deadline for trace time `t_ms`.
-    pub fn deadline_ns(&self, t_ms: u64) -> u64 {
+    pub(crate) fn deadline_ns(&self, t_ms: u64) -> u64 {
         let dt_ms = t_ms.saturating_sub(self.origin_trace_ms);
         let dt_ns = (dt_ms as f64 * self.ns_per_trace_ms) as u64;
         self.origin_wall_ns.saturating_add(dt_ns)

@@ -14,7 +14,7 @@
 //!
 //! * Source exhausted → consumers get pending gaps + an End marker,
 //!   `LiveReport::completed = true`.
-//! * `stop_after` watermark reached, or [`ServerHandle::stop`] →
+//! * `stop_after` watermark reached →
 //!   [`Hub::abort`]: consumers see a clean close with no End marker and
 //!   the final checkpoint carries the exact watermark (resume is
 //!   byte-exact).
@@ -175,27 +175,13 @@ pub struct LiveReport {
     pub consumers: Vec<Result<ConsumerReport, StreamError>>,
 }
 
-/// Remote stop switch for a running serve.
-#[derive(Clone)]
-pub struct ServerHandle {
-    stop: Arc<AtomicBool>,
-}
-
-impl ServerHandle {
-    /// Ask the serve loop (and the acceptor, if bound) to wind down at
-    /// the next block boundary.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-    }
-}
-
 /// How a serve run exposes itself at runtime; see
 /// [`LiveServer::mount_introspection`].
 #[derive(Debug, Clone)]
 pub struct IntrospectionConfig {
     /// Address for the HTTP scrape listener (`"127.0.0.1:0"` lets the
     /// OS pick a port; the bound address is returned by mount).
-    pub addr: String,
+    pub(crate) addr: String,
     /// Flight-recorder tuning (sampling interval, ring size, optional
     /// JSONL path with rotation).
     pub recorder: RecorderConfig,
@@ -205,7 +191,7 @@ pub struct IntrospectionConfig {
     pub forensics_path: Option<PathBuf>,
     /// Also chain a process panic hook that writes the same dump (only
     /// meaningful with `forensics_path` set).
-    pub panic_hook: bool,
+    pub(crate) panic_hook: bool,
 }
 
 impl IntrospectionConfig {
@@ -265,7 +251,7 @@ impl<C: Clock> LiveServer<C> {
     /// HTTP listener serving `/metrics`, `/status`, and `/recorder`.
     /// Returns the listener's bound address. With a `forensics_path`
     /// configured, a serve run that fails (source fault) or stops short
-    /// of exhaustion (kill drill, [`ServerHandle::stop`]) dumps the
+    /// of exhaustion (kill drill) dumps the
     /// ring plus a terminal snapshot there before returning — and with
     /// `panic_hook`, so does a crash.
     pub fn mount_introspection(&self, cfg: IntrospectionConfig) -> Result<SocketAddr, LiveError> {
@@ -299,9 +285,8 @@ impl<C: Clock> LiveServer<C> {
 
     /// Write the forensics dump now (no-op unless introspection is
     /// mounted with a forensics path). The serve loop calls this on its
-    /// failure paths; it is public so operators' own supervision code
-    /// can force a dump too.
-    pub fn dump_forensics(&self) {
+    /// failure paths.
+    pub(crate) fn dump_forensics(&self) {
         let state = self.introspection.lock().unwrap();
         if let Some(state) = state.as_ref() {
             if let Some(path) = &state.forensics_path {
@@ -318,18 +303,11 @@ impl<C: Clock> LiveServer<C> {
         &self.hub
     }
 
-    /// A clonable stop switch.
-    pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            stop: Arc::clone(&self.stop),
-        }
-    }
-
     /// Bind a TCP listener and spawn the acceptor thread: every
     /// connection becomes a hub consumer receiving the stream from its
     /// moment of attachment onward. Returns the bound address (use port
     /// 0 to let the OS pick). The acceptor winds down when the serve
-    /// run ends or [`ServerHandle::stop`] fires.
+    /// run ends.
     pub fn bind(&self, addr: &str) -> Result<SocketAddr, LiveError> {
         let listener = TcpListener::bind(addr).map_err(|e| LiveError::Bind(e.to_string()))?;
         listener

@@ -91,7 +91,7 @@ pub struct NfConfig {
     pub servers: usize,
     /// Per-transaction service-time distribution. Samples are
     /// interpreted as **microseconds** and rounded to the calendar grid.
-    /// [`DesConfig::validate`] rejects a law that can only have been
+    /// `DesConfig::validate` rejects a law that can only have been
     /// built around its constructors (a negative empirical sample, a NaN
     /// or negative mean) with [`DesError::BadService`].
     pub service: Dist,
@@ -109,17 +109,17 @@ pub struct NfConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AutoscalePolicy {
     /// Lower bound on pool size (also the floor for scale-down).
-    pub min_servers: usize,
+    pub(crate) min_servers: usize,
     /// Upper bound on pool size.
-    pub max_servers: usize,
+    pub(crate) max_servers: usize,
     /// Scale up when `queue_depth > high_depth_per_server × servers`.
-    pub high_depth_per_server: f64,
+    pub(crate) high_depth_per_server: f64,
     /// Scale down when `queue_depth < low_depth_per_server × servers`.
-    pub low_depth_per_server: f64,
+    pub(crate) low_depth_per_server: f64,
     /// Control-loop period, ms.
-    pub eval_every_ms: u64,
+    pub(crate) eval_every_ms: u64,
     /// Delay between ordering a server and it taking work, ms.
-    pub provision_ms: u64,
+    pub(crate) provision_ms: u64,
 }
 
 /// Full simulator configuration.
@@ -279,7 +279,7 @@ impl DesConfig {
     /// non-empty pools, service laws that cannot yield a negative or NaN
     /// time, consistent autoscale bounds/watermarks, and a finite
     /// positive admission policy.
-    pub fn validate(&self) -> Result<(), DesError> {
+    pub(crate) fn validate(&self) -> Result<(), DesError> {
         let mut seen = [false; 5];
         for nf_cfg in &self.nfs {
             let idx = nf_index(nf_cfg.nf);
@@ -394,7 +394,7 @@ fn visit_order(event: EventType) -> &'static [NetworkFunction] {
 /// remainder on the first visit, an NF the canonical order skips (but
 /// the matrix routes to) is appended as a trailing stage, and zero-count
 /// visits vanish.
-pub fn dependency_chain(
+pub(crate) fn dependency_chain(
     event: EventType,
     matrix: &TransactionMatrix,
 ) -> Vec<(NetworkFunction, u32)> {
@@ -709,7 +709,7 @@ pub struct NfDesReport {
     /// The network function.
     pub nf: NetworkFunction,
     /// Transactions served (matrix units).
-    pub transactions: u64,
+    pub(crate) transactions: u64,
     /// Stages (dependency-chain visits) served.
     pub stages: u64,
     /// Busy server-time over the capacity integral ∫ servers dt;
@@ -718,19 +718,19 @@ pub struct NfDesReport {
     /// Largest queue depth observed at an enqueue instant.
     pub peak_depth: usize,
     /// Median stage sojourn (wait + service), ms.
-    pub p50_stage_latency_ms: f64,
+    pub(crate) p50_stage_latency_ms: f64,
     /// 99th-percentile stage sojourn, ms.
-    pub p99_stage_latency_ms: f64,
+    pub(crate) p99_stage_latency_ms: f64,
     /// Pool size at the end of the run.
-    pub final_servers: usize,
+    pub(crate) final_servers: usize,
     /// Scale-up events (servers that came online).
     pub scale_ups: u64,
     /// Scale-down events.
-    pub scale_downs: u64,
+    pub(crate) scale_downs: u64,
     /// Worst breach-to-online scaling lag, ms (0 when never scaled).
     pub max_scaling_lag_ms: u64,
     /// Mean scaling lag, ms.
-    pub mean_scaling_lag_ms: f64,
+    pub(crate) mean_scaling_lag_ms: f64,
 }
 
 /// The closed-loop numbers of one DES run.
@@ -739,7 +739,7 @@ pub struct DesReport {
     /// Records offered (admitted + shed).
     pub offered: u64,
     /// Admitted per priority class (Critical, High, Low).
-    pub admitted: [u64; 3],
+    pub(crate) admitted: [u64; 3],
     /// Shed per priority class.
     pub shed: [u64; 3],
     /// Procedures that ran their full dependency chain.
@@ -761,7 +761,8 @@ pub struct DesReport {
 
 impl DesReport {
     /// Total admitted procedures.
-    pub fn total_admitted(&self) -> u64 {
+    #[cfg(test)]
+    fn total_admitted(&self) -> u64 {
         self.admitted.iter().sum()
     }
 
@@ -857,7 +858,7 @@ impl DesSim {
     /// gauges, and scaling-lag histograms. Its counters trail
     /// [`DesSim::offer`] by at most two draw-ahead blocks until
     /// [`DesSim::finish`] settles them exactly.
-    pub fn observed(mut self, registry: &Registry) -> DesSim {
+    pub(crate) fn observed(mut self, registry: &Registry) -> DesSim {
         self.obs = DesObs::register(registry);
         for state in &self.nfs {
             self.obs.nf_servers[state.nf_idx].set(state.servers as u64);

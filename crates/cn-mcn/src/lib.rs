@@ -18,7 +18,7 @@
 //! * [`overload`] implements NAS-style congestion control (token-bucket
 //!   admission with per-procedure priorities) so shedding policies can be
 //!   evaluated against realistic signaling storms;
-//! * [`des`] is the crate's one queueing engine, a multi-NF discrete-event
+//! * `des` is the crate's one queueing engine, a multi-NF discrete-event
 //!   simulator: per-NF server pools with service-time *distributions* from
 //!   the `cn-stats` zoo, dependency-ordered transaction chains derived from
 //!   the [`nf::TransactionMatrix`], queue-depth-driven autoscaling, and the
@@ -28,23 +28,23 @@
 //!   ([`DesConfig::single_pool`]).
 //!
 //! Live telemetry flows through `cn-obs` under one metric family,
-//! `cn_mcn_des_*` ([`DesSim::observed`]): latency and queue-depth
+//! `cn_mcn_des_*` (`DesSim::observed`): latency and queue-depth
 //! histograms, admitted/shed counts by priority, per-NF transaction
 //! counters, server gauges and scale events (DESIGN.md §7).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod des;
+mod des;
 pub mod messages;
-pub mod mme;
+mod mme;
 pub mod nf;
 pub mod overload;
 mod tally;
 
 pub use des::{
-    dependency_chain, deterministic_service, AutoscalePolicy, DesConfig, DesError, DesReport,
-    DesSim, NfConfig, NfDesReport,
+    deterministic_service, AutoscalePolicy, DesConfig, DesError, DesReport, DesSim, NfConfig,
+    NfDesReport,
 };
 pub use messages::{expand, interface_load, procedure, Interface, Message, MessageRecord};
 pub use mme::{Mme, MmeReport};

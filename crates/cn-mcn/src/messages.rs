@@ -29,7 +29,7 @@ pub enum Interface {
 
 impl Interface {
     /// All five interfaces.
-    pub const ALL: [Interface; 5] = [
+    pub(crate) const ALL: [Interface; 5] = [
         Interface::S1,
         Interface::S6a,
         Interface::S11,
@@ -38,7 +38,8 @@ impl Interface {
     ];
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    #[cfg(test)]
+    fn name(self) -> &'static str {
         match self {
             Interface::S1 => "S1(NAS/S1AP)",
             Interface::S6a => "S6a",
@@ -50,7 +51,7 @@ impl Interface {
 
     /// The two network functions terminating the interface
     /// (the UE/eNB side of S1 is not an NF).
-    pub fn endpoints(self) -> (Option<NetworkFunction>, Option<NetworkFunction>) {
+    pub(crate) fn endpoints(self) -> (Option<NetworkFunction>, Option<NetworkFunction>) {
         match self {
             Interface::S1 => (None, Some(NetworkFunction::Mme)),
             Interface::S6a => (Some(NetworkFunction::Mme), Some(NetworkFunction::Hss)),
@@ -68,9 +69,9 @@ impl Interface {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Message {
     /// The 3GPP message name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The interface it travels on.
-    pub interface: Interface,
+    pub(crate) interface: Interface,
 }
 
 const fn m(name: &'static str, interface: Interface) -> Message {
@@ -80,7 +81,7 @@ const fn m(name: &'static str, interface: Interface) -> Message {
 use Interface::*;
 
 /// The attach procedure (TS 23.401 §5.3.2, simplified).
-pub const ATTACH_FLOW: [Message; 19] = [
+pub(crate) const ATTACH_FLOW: [Message; 19] = [
     m("Attach Request", S1),
     m("Authentication-Information-Request", S6a),
     m("Authentication-Information-Answer", S6a),
@@ -104,7 +105,7 @@ pub const ATTACH_FLOW: [Message; 19] = [
 
 /// The UE-initiated detach procedure (TS 23.401 §5.3.8, simplified; the
 /// switched-off UE is purged from the HSS).
-pub const DETACH_FLOW: [Message; 10] = [
+pub(crate) const DETACH_FLOW: [Message; 10] = [
     m("Detach Request", S1),
     m("Delete Session Request", S11),
     m("Delete Session Request", S5),
@@ -118,7 +119,7 @@ pub const DETACH_FLOW: [Message; 10] = [
 ];
 
 /// The service request procedure (TS 23.401 §5.3.4.1).
-pub const SERVICE_REQUEST_FLOW: [Message; 5] = [
+pub(crate) const SERVICE_REQUEST_FLOW: [Message; 5] = [
     m("Service Request", S1),
     m("Initial Context Setup Request", S1),
     m("Initial Context Setup Response", S1),
@@ -127,7 +128,7 @@ pub const SERVICE_REQUEST_FLOW: [Message; 5] = [
 ];
 
 /// The S1 release procedure (TS 23.401 §5.3.5).
-pub const S1_RELEASE_FLOW: [Message; 5] = [
+pub(crate) const S1_RELEASE_FLOW: [Message; 5] = [
     m("UE Context Release Request", S1),
     m("Release Access Bearers Request", S11),
     m("Release Access Bearers Response", S11),
@@ -136,7 +137,7 @@ pub const S1_RELEASE_FLOW: [Message; 5] = [
 ];
 
 /// X2 handover with S1 path switch (TS 23.401 §5.5.1.1).
-pub const HANDOVER_FLOW: [Message; 4] = [
+pub(crate) const HANDOVER_FLOW: [Message; 4] = [
     m("Path Switch Request", S1),
     m("Modify Bearer Request", S11),
     m("Modify Bearer Response", S11),
@@ -145,7 +146,7 @@ pub const HANDOVER_FLOW: [Message; 4] = [
 
 /// The tracking-area update procedure without SGW change (TS 23.401
 /// §5.3.3.1, simplified).
-pub const TAU_FLOW: [Message; 3] = [
+pub(crate) const TAU_FLOW: [Message; 3] = [
     m("Tracking Area Update Request", S1),
     m("Tracking Area Update Accept", S1),
     m("Tracking Area Update Complete", S1),
@@ -169,11 +170,11 @@ pub struct MessageRecord {
     /// Message time: the event timestamp plus 1 ms per flow step
     /// (a synthetic serialization of the procedure; real inter-message
     /// delays depend on deployment RTTs).
-    pub t: Timestamp,
+    pub(crate) t: Timestamp,
     /// The UE whose procedure this message belongs to.
-    pub ue: UeId,
+    pub(crate) ue: UeId,
     /// The message.
-    pub message: Message,
+    pub(crate) message: Message,
 }
 
 /// Expand an event trace into its signaling messages, lazily.

@@ -51,13 +51,8 @@ impl Mme {
         Mme::default()
     }
 
-    /// Number of UEs currently tracked.
-    pub fn tracked_ues(&self) -> usize {
-        self.table.len()
-    }
-
     /// Process one labeled event.
-    pub fn process(&mut self, rec: &TraceRecord) {
+    pub(crate) fn process(&mut self, rec: &TraceRecord) {
         self.report.processed += 1;
         self.report.by_type[rec.event.code() as usize] += 1;
 

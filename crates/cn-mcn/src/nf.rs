@@ -8,7 +8,7 @@
 //! from per-subscriber transaction counts — the paper's generator is the
 //! realistic *arrival process* such capacity models lacked.
 
-use cn_trace::{EventType, Trace};
+use cn_trace::Trace;
 use serde::{Deserialize, Serialize};
 
 /// The five EPC network functions of §2.1.
@@ -61,7 +61,7 @@ impl std::fmt::Display for NetworkFunction {
 /// session at SGW→PGW, and pulls policy from the PCRF.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransactionMatrix {
-    /// `transactions[event][nf]`, indexed by [`EventType::code`] and the
+    /// `transactions[event][nf]`, indexed by [`cn_trace::EventType::code`] and the
     /// position in [`NetworkFunction::ALL`].
     pub transactions: [[u32; 5]; 6],
 }
@@ -83,7 +83,8 @@ impl TransactionMatrix {
     }
 
     /// Transactions at `nf` caused by one `event`.
-    pub fn of(&self, event: EventType, nf: NetworkFunction) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn of(&self, event: cn_trace::EventType, nf: NetworkFunction) -> u32 {
         let nf_idx = NetworkFunction::ALL
             .iter()
             .position(|&n| n == nf)
@@ -96,9 +97,9 @@ impl TransactionMatrix {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NfLoad {
     /// Total transactions per NF, in [`NetworkFunction::ALL`] order.
-    pub totals: [u64; 5],
+    pub(crate) totals: [u64; 5],
     /// Trace span in seconds (0 for an empty trace).
-    pub span_secs: f64,
+    pub(crate) span_secs: f64,
 }
 
 impl NfLoad {
@@ -140,7 +141,7 @@ pub fn nf_load(trace: &Trace, matrix: &TransactionMatrix) -> NfLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cn_trace::{DeviceType, Timestamp, TraceRecord, UeId};
+    use cn_trace::{DeviceType, EventType, Timestamp, TraceRecord, UeId};
 
     fn rec(t: u64, e: EventType) -> TraceRecord {
         TraceRecord::new(Timestamp::from_millis(t), UeId(0), DeviceType::Phone, e)

@@ -23,10 +23,10 @@ pub enum Priority {
 
 impl Priority {
     /// All three classes, highest first (the [`ShedReport`] array order).
-    pub const ALL: [Priority; 3] = [Priority::Critical, Priority::High, Priority::Low];
+    pub(crate) const ALL: [Priority; 3] = [Priority::Critical, Priority::High, Priority::Low];
 
     /// Lowercase label for metrics (`{priority="critical"}`).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Priority::Critical => "critical",
             Priority::High => "high",

@@ -18,10 +18,10 @@ const DIRECT_LIMIT: u64 = 1 << 20;
 /// Mean, type-7 p50/p99 and maximum of a tally, in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct LatencySummary {
-    pub mean_ms: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub max_ms: f64,
+    pub(crate) mean_ms: f64,
+    pub(crate) p50_ms: f64,
+    pub(crate) p99_ms: f64,
+    pub(crate) max_ms: f64,
 }
 
 /// An exact multiset of integer-microsecond latencies.

@@ -40,13 +40,6 @@ pub struct MetricSnapshot {
     pub value: MetricValue,
 }
 
-impl MetricSnapshot {
-    /// `name{k="v",...}` — the Prometheus identity of this metric.
-    fn identity(&self) -> String {
-        format!("{}{}", self.name, render_labels(&self.labels, &[]))
-    }
-}
-
 /// A full registry snapshot: every metric, in `(name, labels)` order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObsSnapshot {
@@ -114,7 +107,8 @@ impl ObsSnapshot {
     }
 
     /// Parse a snapshot back from [`ObsSnapshot::to_json`] output.
-    pub fn from_json(json: &str) -> Result<ObsSnapshot, String> {
+    #[cfg(test)]
+    fn from_json(json: &str) -> Result<ObsSnapshot, String> {
         serde_json::from_str(json).map_err(|e| format!("invalid ObsSnapshot JSON: {e}"))
     }
 
@@ -183,34 +177,6 @@ impl ObsSnapshot {
         }
         out
     }
-
-    /// A compact human-readable rendering, one line per metric — what
-    /// `examples/streaming_export.rs` prints periodically.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for m in &self.metrics {
-            match &m.value {
-                MetricValue::Counter { value } | MetricValue::Gauge { value } => {
-                    out.push_str(&format!("{} = {}\n", m.identity(), value));
-                }
-                MetricValue::Histogram { histogram } => {
-                    if histogram.is_empty() {
-                        out.push_str(&format!("{}: empty\n", m.identity()));
-                    } else {
-                        out.push_str(&format!(
-                            "{}: count={} mean={:.1} p50<={} p99<={}\n",
-                            m.identity(),
-                            histogram.count,
-                            histogram.mean().unwrap_or(0.0),
-                            histogram.quantile_upper_bound(0.50).unwrap_or(0),
-                            histogram.quantile_upper_bound(0.99).unwrap_or(0),
-                        ));
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// One sample line parsed back from Prometheus text exposition.
@@ -218,12 +184,12 @@ impl ObsSnapshot {
 pub struct PromSample {
     /// Sample name as written (families expand to `_bucket`/`_sum`/
     /// `_count` lines, so this is not always a registry metric name).
-    pub name: String,
+    pub(crate) name: String,
     /// Label pairs in written order, values unescaped.
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
     /// The sample value (`+Inf` bucket counts and all integers parse as
     /// their `f64` value).
-    pub value: f64,
+    pub(crate) value: f64,
 }
 
 /// A parsed scrape: the inverse of [`ObsSnapshot::prometheus`] down to
@@ -235,7 +201,7 @@ pub struct PromSample {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PromText {
     /// Every sample line, in exposition order.
-    pub samples: Vec<PromSample>,
+    pub(crate) samples: Vec<PromSample>,
 }
 
 impl PromText {
@@ -519,13 +485,5 @@ mod tests {
         ] {
             assert!(crate::PromText::parse(bad).is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn render_is_one_line_per_metric() {
-        let snap = sample();
-        let text = snap.render();
-        assert_eq!(text.lines().count(), snap.metrics.len());
-        assert!(text.contains("cn_test_sample_len: count=5"));
     }
 }

@@ -44,9 +44,9 @@ pub struct QuantileSample {
     /// Histogram name.
     pub name: String,
     /// Label pairs.
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
     /// Observations in the window this estimate covers.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Estimated median.
     pub p50: f64,
     /// Estimated 99th percentile.
@@ -60,7 +60,7 @@ pub struct ConsumerStatus {
     /// The `consumer` label value (accept-order id).
     pub consumer: String,
     /// `(metric name, value)` pairs for this consumer, name-sorted.
-    pub series: Vec<(String, u64)>,
+    pub(crate) series: Vec<(String, u64)>,
 }
 
 /// What `/status` serves.
@@ -82,7 +82,7 @@ pub struct StatusReport {
 /// Build the `/status` document from a snapshot and (optionally) the
 /// recorder's latest frame. Public so `cn-live` tests and examples can
 /// assert on the exact document the endpoint would serve.
-pub fn status_report(
+pub(crate) fn status_report(
     snapshot: &ObsSnapshot,
     latest: Option<&crate::recorder::RecorderFrame>,
     uptime_s: f64,

@@ -52,22 +52,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod export;
-pub mod http;
-pub mod metric;
+mod export;
+mod http;
+mod metric;
 pub mod recorder;
-pub mod registry;
-pub mod span;
+mod registry;
+mod span;
 pub mod trace;
 
 pub use export::{MetricSnapshot, MetricValue, ObsSnapshot, PromSample, PromText};
 pub use http::{ConsumerStatus, IntrospectionServer, QuantileSample, StatusReport};
-pub use metric::{
-    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,
-};
+pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use recorder::{
-    FlightRecorder, ForensicsDump, HistogramWindowSample, RateSample, RecorderConfig,
-    RecorderFrame, WindowStats,
+    FlightRecorder, HistogramWindowSample, RateSample, RecorderConfig, RecorderFrame, WindowStats,
 };
 pub use registry::Registry;
 pub use span::Span;

@@ -12,13 +12,13 @@ use std::sync::Arc;
 /// Number of log₂ histogram buckets: bucket 0 holds the value `0`,
 /// bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`, and bucket 64 tops
 /// out at `u64::MAX` — every `u64` has a bucket, nothing wraps.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// Bucket index of a value: `0` for `0`, otherwise its bit length
 /// (`64 - leading_zeros`). Total, branch-free, and overflow-safe:
 /// `u64::MAX` maps to bucket 64.
 #[inline]
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     64 - value.leading_zeros() as usize
 }
 
@@ -26,7 +26,7 @@ pub fn bucket_index(value: u64) -> usize {
 /// to `u64::MAX` for the last bucket (where `2^64 - 1` *is* the bound —
 /// computed without ever forming `2^64`).
 #[inline]
-pub fn bucket_upper_bound(index: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(index: usize) -> u64 {
     debug_assert!(index < BUCKETS);
     if index >= 64 {
         u64::MAX
@@ -114,14 +114,9 @@ pub struct Gauge {
 
 impl Gauge {
     /// A gauge that ignores every update.
-    pub fn noop() -> Gauge {
+    #[cfg(test)]
+    fn noop() -> Gauge {
         Gauge { core: None }
-    }
-
-    /// False for the no-op form.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.core.is_some()
     }
 
     /// Set the level outright.
@@ -140,7 +135,7 @@ impl Gauge {
 
     /// Raise by `n` (saturating at `u64::MAX`).
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         if let Some(core) = &self.core {
             saturating_add(&core.value, n);
         }
@@ -154,7 +149,7 @@ impl Gauge {
 
     /// Lower by `n`, saturating at zero.
     #[inline]
-    pub fn sub(&self, n: u64) {
+    pub(crate) fn sub(&self, n: u64) {
         if n == 0 {
             return;
         }
@@ -217,12 +212,6 @@ impl Histogram {
         Histogram { core: None }
     }
 
-    /// False for the no-op form.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.core.is_some()
-    }
-
     /// Record one observation.
     #[inline]
     pub fn record(&self, value: u64) {
@@ -231,13 +220,6 @@ impl Histogram {
             core.count.fetch_add(1, Relaxed);
             saturating_add(&core.sum, value);
         }
-    }
-
-    /// Record a duration in whole nanoseconds (saturating: a duration
-    /// beyond ~584 years records as `u64::MAX` instead of truncating).
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Fold a pre-aggregated snapshot in — how a worker's thread-local
@@ -258,7 +240,8 @@ impl Histogram {
     }
 
     /// Sum of recorded values (saturating).
-    pub fn sum(&self) -> u64 {
+    #[cfg(test)]
+    fn sum(&self) -> u64 {
         self.core.as_ref().map_or(0, |c| c.sum.load(Relaxed))
     }
 
@@ -286,8 +269,8 @@ pub struct HistogramSnapshot {
     /// Observations recorded.
     pub count: u64,
     /// Sum of recorded values (saturating).
-    pub sum: u64,
-    /// Per-bucket counts, `BUCKETS` entries (see [`bucket_index`]).
+    pub(crate) sum: u64,
+    /// Per-bucket counts, `BUCKETS` entries (see `bucket_index`).
     pub buckets: Vec<u64>,
 }
 
@@ -327,12 +310,13 @@ impl HistogramSnapshot {
     }
 
     /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
     /// Mean recorded value, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
+    #[cfg(test)]
+    fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
@@ -396,7 +380,7 @@ impl HistogramSnapshot {
     /// `prev` an earlier snapshot of the same histogram the result is
     /// exact (cumulative buckets are monotone); saturation only engages
     /// on mismatched inputs and degrades to zeros instead of wrapping.
-    pub fn delta_since(&self, prev: &HistogramSnapshot) -> HistogramSnapshot {
+    pub(crate) fn delta_since(&self, prev: &HistogramSnapshot) -> HistogramSnapshot {
         let mut out = HistogramSnapshot::new();
         for (i, slot) in out.buckets.iter_mut().enumerate() {
             let cur = self.buckets.get(i).copied().unwrap_or(0);

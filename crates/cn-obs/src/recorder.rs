@@ -73,7 +73,7 @@ pub struct RateSample {
     /// Counter name.
     pub name: String,
     /// Label pairs, sorted by key (registry order).
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
     /// Events per second over `window_ms` (finite, ≥ 0 by construction).
     pub per_s: f64,
 }
@@ -84,7 +84,7 @@ pub struct HistogramWindowSample {
     /// Histogram name.
     pub name: String,
     /// Label pairs, sorted by key (registry order).
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
     /// The window's own distribution (cumulative delta vs. the previous
     /// frame) — quantiles of *this* window, not since-start.
     pub delta: HistogramSnapshot,
@@ -105,12 +105,12 @@ pub struct WindowStats {
 pub struct RecorderFrame {
     /// Strictly increasing frame number (0-based, counts evicted
     /// frames too — a ring gap is visible as a seq jump).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Milliseconds since the recorder started; strictly increasing
     /// across frames by construction.
     pub t_ms: u64,
     /// Width of this frame's window (`t_ms - prev.t_ms`, ≥ 1).
-    pub window_ms: u64,
+    pub(crate) window_ms: u64,
     /// Cumulative registry snapshot at `t_ms`.
     pub snapshot: ObsSnapshot,
     /// Rates and deltas over the window.
@@ -120,12 +120,12 @@ pub struct RecorderFrame {
 /// What [`FlightRecorder::dump_forensics`] writes: the ring, then one
 /// final snapshot taken at dump time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ForensicsDump {
+pub(crate) struct ForensicsDump {
     /// The ring, oldest first.
-    pub frames: Vec<RecorderFrame>,
+    pub(crate) frames: Vec<RecorderFrame>,
     /// A fresh cumulative snapshot taken at dump time (the terminal
     /// state, even if the last frame is up to one interval old).
-    pub last: ObsSnapshot,
+    pub(crate) last: ObsSnapshot,
 }
 
 struct JsonlSink {
@@ -192,8 +192,8 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// Start sampling `registry` per `cfg` on a background thread. The
     /// first frame lands after one interval. JSONL setup failures are
-    /// reported immediately; later append errors are counted
-    /// ([`FlightRecorder::io_errors`]) without killing the sampler —
+    /// reported immediately; later append errors are counted without
+    /// killing the sampler —
     /// the in-memory ring (and thus forensics) outlives a full disk.
     pub fn start(registry: &Registry, cfg: RecorderConfig) -> std::io::Result<FlightRecorder> {
         let jsonl = match &cfg.jsonl_path {
@@ -275,7 +275,7 @@ impl FlightRecorder {
     }
 
     /// The ring, oldest first.
-    pub fn frames(&self) -> Vec<RecorderFrame> {
+    pub(crate) fn frames(&self) -> Vec<RecorderFrame> {
         let state = self.inner.state.lock().unwrap();
         state.ring.iter().cloned().collect()
     }
@@ -287,12 +287,13 @@ impl FlightRecorder {
     }
 
     /// JSONL append failures survived so far.
-    pub fn io_errors(&self) -> u64 {
+    #[cfg(test)]
+    fn io_errors(&self) -> u64 {
         self.inner.state.lock().unwrap().io_errors
     }
 
     /// Take one final frame, then write the full ring plus a terminal
-    /// snapshot to `path` as one JSON document ([`ForensicsDump`]).
+    /// snapshot to `path` as one JSON document (`ForensicsDump`).
     pub fn dump_forensics(&self, path: &Path) -> std::io::Result<()> {
         self.sample_now();
         let dump = ForensicsDump {

@@ -87,21 +87,16 @@ impl Registry {
     }
 
     /// False for [`Registry::disabled`].
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
     /// Number of registered metrics.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.inner
             .as_ref()
             .map_or(0, |i| i.metrics.lock().expect("registry lock").len())
-    }
-
-    /// True when no metric has been registered (always true when
-    /// disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     fn canonical_labels(labels: &[(&str, &str)]) -> Labels {

@@ -69,13 +69,6 @@ impl Span {
         }
     }
 
-    /// Nanoseconds since the span started (0 when disabled).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.map_or(0, |t0| {
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
-    }
-
     /// Stop now, record, and return the elapsed nanoseconds.
     pub fn finish(mut self) -> u64 {
         self.record_once()
@@ -146,7 +139,6 @@ mod tests {
     fn disabled_registry_spans_are_free() {
         let registry = Registry::disabled();
         let span = crate::span!(registry, "cn_test_noop_ns");
-        assert_eq!(span.elapsed_ns(), 0);
         assert_eq!(span.finish(), 0);
         assert!(registry.snapshot().metrics.is_empty());
     }

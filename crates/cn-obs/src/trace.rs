@@ -20,10 +20,9 @@
 //!   currently open on it, and a new span's parent is the top of that
 //!   stack. Opening a span inside another *is* the child form — see
 //!   [`crate::span!`]'s three-argument variant.
-//! * The sink is bounded ([`TraceSink::with_capacity`]): past the cap,
-//!   events are counted in [`TraceSink::dropped`] instead of stored.
-//!   A forensic timeline that silently ate the interesting tail would be
-//!   worse than none; the drop count makes truncation visible.
+//! * The sink is bounded: past the cap, events are counted as dropped
+//!   instead of stored, so a long run cannot grow the timeline without
+//!   bound.
 //! * A **disabled** sink ([`TraceSink::disabled`]) never reads the clock
 //!   and never touches the thread-local stack — instrumented code costs
 //!   one branch when tracing is off, matching the registry contract.
@@ -88,9 +87,9 @@ pub struct TraceEvent {
     /// Duration in microseconds.
     pub dur_us: u64,
     /// This span's id.
-    pub id: u64,
+    pub(crate) id: u64,
     /// The id of the span open on the same thread when this one started.
-    pub parent: Option<u64>,
+    pub(crate) parent: Option<u64>,
 }
 
 struct SinkInner {
@@ -123,8 +122,8 @@ impl TraceSink {
     }
 
     /// An enabled sink storing at most `cap` events (further spans are
-    /// counted in [`TraceSink::dropped`], not stored).
-    pub fn with_capacity(cap: usize) -> TraceSink {
+    /// counted as dropped, not stored).
+    pub(crate) fn with_capacity(cap: usize) -> TraceSink {
         TraceSink {
             inner: Some(Arc::new(SinkInner {
                 origin: Instant::now(),
@@ -147,8 +146,7 @@ impl TraceSink {
     }
 
     /// Open a span named `name`, parented to whatever span is currently
-    /// open on this thread. Dropping (or [`TraceSpan::finish`]ing) the
-    /// guard records the event.
+    /// open on this thread. Dropping the guard records the event.
     pub fn span(&self, name: &str) -> TraceSpan {
         let Some(inner) = &self.inner else {
             return TraceSpan {
@@ -195,7 +193,8 @@ impl TraceSink {
     }
 
     /// Spans lost to the event cap.
-    pub fn dropped(&self) -> u64 {
+    #[cfg(test)]
+    fn dropped(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.dropped.load(Relaxed))
     }
 
@@ -260,8 +259,8 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// An open span; records its [`TraceEvent`] on drop or
-/// [`TraceSpan::finish`]. Must be dropped on the thread that opened it
+/// An open span; records its [`TraceEvent`] on drop. Must be dropped on
+/// the thread that opened it
 /// (the guard is intentionally not `Send` — parenting is per-thread).
 pub struct TraceSpan {
     inner: Option<Arc<SinkInner>>,
@@ -283,17 +282,20 @@ impl std::fmt::Debug for TraceSpan {
 
 impl TraceSpan {
     /// This span's id ([`SpanId(0)`](SpanId) for a disabled-sink span).
-    pub fn id(&self) -> SpanId {
+    #[cfg(test)]
+    fn id(&self) -> SpanId {
         SpanId(self.id)
     }
 
     /// The parent span's id, if one was open at start.
-    pub fn parent(&self) -> Option<SpanId> {
+    #[cfg(test)]
+    fn parent(&self) -> Option<SpanId> {
         self.parent.map(SpanId)
     }
 
     /// Close now and return the recorded duration in microseconds.
-    pub fn finish(mut self) -> u64 {
+    #[cfg(test)]
+    fn finish(mut self) -> u64 {
         self.close()
     }
 

@@ -187,11 +187,6 @@ impl<'m, S: RecordSource> ScenarioStream<'m, S> {
         })
     }
 
-    /// Per-phase and total accounting so far.
-    pub fn stats(&self) -> &ScenarioStats {
-        &self.stats
-    }
-
     /// Wind down: drains nothing further, but propagates the baseline
     /// source's terminal verdict (a panicked shard worker fails `finish`
     /// even if its records were never needed).

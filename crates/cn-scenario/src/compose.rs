@@ -112,7 +112,6 @@ impl Slot<'_> {
 /// baseline exactly like a single-population one.
 pub struct ComposedStream<'m> {
     slots: Vec<Slot<'m>>,
-    total_ues: u32,
 }
 
 impl<'m> ComposedStream<'m> {
@@ -153,15 +152,7 @@ impl<'m> ComposedStream<'m> {
             compiled.push(s);
             ue_base += slot.config.population.total();
         }
-        Ok(ComposedStream {
-            slots: compiled,
-            total_ues: ue_base,
-        })
-    }
-
-    /// UEs across all slots (sum of per-slot population totals).
-    pub fn total_ues(&self) -> u32 {
-        self.total_ues
+        Ok(ComposedStream { slots: compiled })
     }
 }
 

@@ -56,7 +56,7 @@ fn device_for(config: &GenConfig, ue: u32, overlay: Option<DeviceType>) -> Devic
 ///
 /// `phase_index` is the phase's position in the spec (the RNG
 /// decorrelation key); `epoch` is the generation config's `start`.
-pub fn materialize_phase(
+pub(crate) fn materialize_phase(
     phase: &Phase,
     phase_index: usize,
     seed: u64,
@@ -392,9 +392,8 @@ mod tests {
     }
 
     /// Regression for the release-build infinite loop: a period that
-    /// rounds to 0 ms must be rejected by validation, and — because
-    /// `materialize_phase` is public — must terminate (clamped to 1 ms)
-    /// even when validation is bypassed. The termination half only runs
+    /// rounds to 0 ms must be rejected by validation, and must still
+    /// terminate (clamped to 1 ms) when validation is bypassed. The termination half only runs
     /// in release tests; in debug the defensive `debug_assert` fires
     /// first, which is the intended misuse signal there.
     #[test]

@@ -65,9 +65,8 @@ mod export;
 mod inject;
 mod spec;
 
-pub use apply::{apply_scenario, ScenarioError, ScenarioStats, ScenarioStream};
+pub use apply::{apply_scenario, ScenarioStats, ScenarioStream};
 pub use cn_trace::{IterSource, RecordSource};
 pub use compose::{ComposedStream, PopulationSlot};
 pub use export::write_scenario_binary;
-pub use inject::materialize_phase;
 pub use spec::{Phase, PhaseKind, ScenarioSpec, SpecError, StormKind, TimeWindow, UeSubset};

@@ -63,7 +63,7 @@ impl TimeWindow {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UeSubset {
     /// First UE index in the subset.
-    pub lo: u32,
+    pub(crate) lo: u32,
     /// One past the last UE index in the subset.
     pub hi: u32,
 }
@@ -74,13 +74,8 @@ impl UeSubset {
         UeSubset { lo, hi }
     }
 
-    /// Number of UEs in the subset.
-    pub fn len(&self) -> u32 {
-        self.hi.saturating_sub(self.lo)
-    }
-
     /// True when the subset contains no UEs.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.hi <= self.lo
     }
 
@@ -90,7 +85,7 @@ impl UeSubset {
     }
 
     /// Iterate the subset's UE indices in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> {
         self.lo..self.hi
     }
 }
@@ -171,7 +166,7 @@ impl PhaseKind {
     }
 
     /// Short label for metrics and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             PhaseKind::FlashCrowd { .. } => "flash_crowd",
             PhaseKind::SignalingStorm { .. } => "signaling_storm",
@@ -516,7 +511,6 @@ mod tests {
     #[test]
     fn subset_basics() {
         let s = UeSubset::new(4, 9);
-        assert_eq!(s.len(), 5);
         assert!(s.contains(4) && s.contains(8));
         assert!(!s.contains(3) && !s.contains(9));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![4, 5, 6, 7, 8]);

@@ -3,8 +3,8 @@
 //! Cheap model-checking-style facts about the transition sets: which
 //! states are reachable from power-on, whether any non-terminal state is a
 //! dead end, and which events can ever fire in which top-level state.
-//! These run in tests (the figures *are* the spec) and are available to
-//! callers validating custom machine edits.
+//! They run only in tests: the figures *are* the spec, and these facts
+//! check the transition tables against them.
 
 use crate::fiveg::Sa5gState;
 use crate::two_level::TlState;
@@ -12,7 +12,7 @@ use cn_trace::EventType;
 use std::collections::{BTreeSet, VecDeque};
 
 /// States of the two-level machine reachable from `start` via legal events.
-pub fn reachable_from(start: TlState) -> BTreeSet<TlState> {
+fn reachable_from(start: TlState) -> BTreeSet<TlState> {
     let mut seen: BTreeSet<TlState> = BTreeSet::new();
     let mut queue = VecDeque::from([start]);
     while let Some(s) = queue.pop_front() {
@@ -31,7 +31,7 @@ pub fn reachable_from(start: TlState) -> BTreeSet<TlState> {
 }
 
 /// States with no outgoing legal transition at all (dead ends).
-pub fn dead_ends() -> Vec<TlState> {
+fn dead_ends() -> Vec<TlState> {
     TlState::ALL
         .into_iter()
         .filter(|s| EventType::ALL.iter().all(|&e| s.apply(e).is_none()))
@@ -41,7 +41,7 @@ pub fn dead_ends() -> Vec<TlState> {
 /// The set of events legal *somewhere* in each top-level context
 /// `(connected_events, idle_events)` — the machine-level statement of
 /// Table 4's HO/TAU context rules.
-pub fn context_events() -> (BTreeSet<EventType>, BTreeSet<EventType>) {
+fn context_events() -> (BTreeSet<EventType>, BTreeSet<EventType>) {
     let mut connected = BTreeSet::new();
     let mut idle = BTreeSet::new();
     for s in TlState::ALL {
@@ -63,7 +63,7 @@ pub fn context_events() -> (BTreeSet<EventType>, BTreeSet<EventType>) {
 }
 
 /// Reachability for the 5G SA machine.
-pub fn sa_reachable_from(start: Sa5gState) -> BTreeSet<Sa5gState> {
+fn sa_reachable_from(start: Sa5gState) -> BTreeSet<Sa5gState> {
     let mut seen: BTreeSet<Sa5gState> = BTreeSet::new();
     let mut queue = VecDeque::from([start]);
     while let Some(s) = queue.pop_front() {

@@ -22,11 +22,8 @@ pub enum TopState {
 }
 
 impl TopState {
-    /// All three states.
-    pub const ALL: [TopState; 3] = [TopState::Deregistered, TopState::Connected, TopState::Idle];
-
     /// Paper label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TopState::Deregistered => "DEREGISTERED",
             TopState::Connected => "CONNECTED",
@@ -119,14 +116,15 @@ impl TopTransition {
     }
 
     /// Look up the transition for a `(state, event)` pair, if legal.
-    pub fn lookup(from: TopState, event: EventType) -> Option<TopTransition> {
+    pub(crate) fn lookup(from: TopState, event: EventType) -> Option<TopTransition> {
         TopTransition::ALL
             .into_iter()
             .find(|t| t.from() == from && t.event() == event)
     }
 
     /// Transitions leaving the given state.
-    pub fn outgoing(from: TopState) -> Vec<TopTransition> {
+    #[cfg(test)]
+    fn outgoing(from: TopState) -> Vec<TopTransition> {
         TopTransition::ALL
             .into_iter()
             .filter(|t| t.from() == from)

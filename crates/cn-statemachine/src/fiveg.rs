@@ -38,7 +38,7 @@ pub enum Sa5gState {
 
 impl Sa5gState {
     /// All four flattened states.
-    pub const ALL: [Sa5gState; 4] = [
+    pub(crate) const ALL: [Sa5gState; 4] = [
         Sa5gState::Deregistered,
         Sa5gState::Connected(ConnSub5g::SrvReqS),
         Sa5gState::Connected(ConnSub5g::HoS),
@@ -79,7 +79,7 @@ impl Sa5gState {
     }
 
     /// 5G label of the state (Table 2 vocabulary).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Sa5gState::Deregistered => "RM-DEREGISTERED",
             Sa5gState::Connected(ConnSub5g::SrvReqS) => "SRV_REQ_S",

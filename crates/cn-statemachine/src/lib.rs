@@ -3,9 +3,8 @@
 //! This crate encodes, as explicit Rust enums with exhaustively enumerated
 //! legal transitions:
 //!
-//! * the base **EMM** and **ECM** machines of Fig. 1 ([`emm`], [`ecm`]);
-//! * the merged top-level **EMM–ECM** machine used by the paper's baseline
-//!   methods ([`emm_ecm`]);
+//! * the merged top-level **EMM–ECM** machine of Fig. 1 used by the
+//!   paper's baseline methods ([`TopState`]);
 //! * the paper's contribution, the **two-level hierarchical machine** of
 //!   Fig. 5 with its six second-level states and nine second-level
 //!   transitions ([`two_level`]);
@@ -20,11 +19,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
+#[cfg(test)]
+mod analysis;
 pub mod dot;
-pub mod ecm;
-pub mod emm;
-pub mod emm_ecm;
+mod emm_ecm;
 pub mod fiveg;
 pub mod replay;
 pub mod two_level;

@@ -31,13 +31,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Segment {
     /// The flattened two-level state.
-    pub state: TlState,
+    pub(crate) state: TlState,
     /// When the state was entered (`None` for the inferred initial state).
-    pub enter: Option<Timestamp>,
+    pub(crate) enter: Option<Timestamp>,
     /// When the state was left (`None` if the trace ends in this state).
-    pub exit: Option<Timestamp>,
+    pub(crate) exit: Option<Timestamp>,
     /// The event that ended the segment, if any.
-    pub out_event: Option<EventType>,
+    pub(crate) out_event: Option<EventType>,
 }
 
 /// A sojourn-time observation for one transition.
@@ -55,13 +55,13 @@ pub struct SojournSample<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Violation {
     /// Index of the event within the replayed slice.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The state the machine was in.
-    pub state: TlState,
+    pub(crate) state: TlState,
     /// The offending event.
-    pub event: EventType,
+    pub(crate) event: EventType,
     /// When it fired.
-    pub t: Timestamp,
+    pub(crate) t: Timestamp,
 }
 
 impl std::fmt::Display for Violation {
@@ -118,9 +118,9 @@ impl ReplayOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UeViolation {
     /// The UE whose stream violated the protocol.
-    pub ue: cn_trace::UeId,
+    pub(crate) ue: cn_trace::UeId,
     /// The violation itself.
-    pub violation: Violation,
+    pub(crate) violation: Violation,
 }
 
 impl std::fmt::Display for UeViolation {
@@ -150,7 +150,7 @@ pub struct PopulationReplay {
     /// Pooled second-level sojourn observations across all UEs.
     pub bottom_sojourns: Vec<SojournSample<BottomTransition>>,
     /// Pooled censored bottom-state visits (see [`ReplayOutcome`]).
-    pub bottom_censored: Vec<(TlState, Timestamp)>,
+    pub(crate) bottom_censored: Vec<(TlState, Timestamp)>,
 }
 
 impl PopulationReplay {
@@ -187,30 +187,6 @@ impl PopulationReplay {
         }
         counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         counts
-    }
-
-    /// One-line human summary, e.g. for assertion messages.
-    pub fn summary(&self) -> String {
-        if self.is_conformant() {
-            format!(
-                "{} events from {} UEs, all conformant",
-                self.total_events, self.ue_count
-            )
-        } else {
-            let hist = self.rejection_histogram();
-            let head: Vec<String> = hist
-                .iter()
-                .take(3)
-                .map(|((s, e), n)| format!("{n}x {e} in {s}"))
-                .collect();
-            format!(
-                "{}/{} events rejected across {} UEs ({})",
-                self.violations.len(),
-                self.total_events,
-                self.ue_count,
-                head.join(", ")
-            )
-        }
     }
 }
 
@@ -592,7 +568,6 @@ mod tests {
         assert_eq!(pop.violations[0].violation.event, Handover);
         let hist = pop.rejection_histogram();
         assert_eq!(hist, vec![((TlState::Idle(IdleSub::S1RelS1), Handover), 1)]);
-        assert!(pop.summary().contains("rejected"));
         // Sojourns pooled from both UEs: each had a measurable CONNECTED
         // sojourn; UE 0 also has a measurable IDLE sojourn.
         assert_eq!(pop.top_sojourns.len(), 3);
@@ -604,7 +579,6 @@ mod tests {
         assert!(pop.is_conformant());
         assert_eq!(pop.acceptance_rate(), 1.0);
         assert_eq!(pop.ue_count, 0);
-        assert!(pop.summary().contains("all conformant"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The paper's two-level hierarchical state machine (Fig. 5).
 //!
-//! The top level is the merged EMM–ECM machine ([`crate::emm_ecm`]). Inside
+//! The top level is the merged EMM–ECM machine (`crate::emm_ecm`). Inside
 //! CONNECTED and IDLE, two sub-state machines capture the dependence of the
 //! Category-2 events (`HO`, `TAU`):
 //!
@@ -59,7 +59,8 @@ pub enum TlState {
 
 impl TlState {
     /// All seven flattened states.
-    pub const ALL: [TlState; 7] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [TlState; 7] = [
         TlState::Deregistered,
         TlState::Connected(ConnSub::SrvReqS),
         TlState::Connected(ConnSub::HoS),
@@ -230,18 +231,10 @@ impl BottomTransition {
 
     /// Look up the transition for a `(state, event)` pair, if it is a legal
     /// second-level move.
-    pub fn lookup(from: TlState, event: EventType) -> Option<BottomTransition> {
+    pub(crate) fn lookup(from: TlState, event: EventType) -> Option<BottomTransition> {
         BottomTransition::ALL
             .into_iter()
             .find(|t| t.from() == from && t.event() == event)
-    }
-
-    /// Transitions leaving the given flattened state.
-    pub fn outgoing(from: TlState) -> Vec<BottomTransition> {
-        BottomTransition::ALL
-            .into_iter()
-            .filter(|t| t.from() == from)
-            .collect()
     }
 
     /// Table 10 column label, e.g. `SRV_REQ_S-HO`.

@@ -9,28 +9,28 @@
 use serde::{Deserialize, Serialize};
 
 /// Significance levels for which Stephens' critical values are tabulated.
-pub const AD_SIGNIFICANCE_LEVELS: [f64; 5] = [0.15, 0.10, 0.05, 0.025, 0.01];
+pub(crate) const AD_SIGNIFICANCE_LEVELS: [f64; 5] = [0.15, 0.10, 0.05, 0.025, 0.01];
 
 /// Stephens' critical values for the exponential null with estimated scale,
 /// applied to the corrected statistic `A*² = A²(1 + 0.6/n)`.
-pub const AD_CRITICAL_VALUES: [f64; 5] = [0.922, 1.078, 1.341, 1.606, 1.957];
+pub(crate) const AD_CRITICAL_VALUES: [f64; 5] = [0.922, 1.078, 1.341, 1.606, 1.957];
 
 /// Result of an Anderson–Darling exponentiality test.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdOutcome {
     /// Raw A² statistic.
-    pub statistic: f64,
+    pub(crate) statistic: f64,
     /// Small-sample corrected statistic `A*² = A²(1 + 0.6/n)`.
-    pub corrected: f64,
+    pub(crate) corrected: f64,
     /// Sample size.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Rate of the exponential fitted to the data (MLE).
-    pub fitted_rate: f64,
+    pub(crate) fitted_rate: f64,
 }
 
 impl AdOutcome {
     /// Whether the exponential null is *not* rejected at the given
-    /// significance level (must be one of [`AD_SIGNIFICANCE_LEVELS`];
+    /// significance level (must be one of `AD_SIGNIFICANCE_LEVELS`;
     /// unknown levels use the closest tabulated one).
     pub fn passes(&self, significance: f64) -> bool {
         let idx = AD_SIGNIFICANCE_LEVELS

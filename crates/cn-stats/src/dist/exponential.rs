@@ -21,7 +21,7 @@ impl Exponential {
     }
 
     /// The rate parameter λ.
-    pub fn rate(&self) -> f64 {
+    pub(crate) fn rate(&self) -> f64 {
         self.rate
     }
 
@@ -42,7 +42,7 @@ impl Exponential {
     }
 
     /// CDF: `1 - e^{-λx}` for `x ≥ 0`, else 0.
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             0.0
         } else {

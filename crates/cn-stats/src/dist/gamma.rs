@@ -21,25 +21,25 @@ pub struct Gamma {
 impl Gamma {
     /// Create with shape `k` and scale `θ`. Returns `None` unless both are
     /// finite and positive.
-    pub fn new(shape: f64, scale: f64) -> Option<Gamma> {
+    pub(crate) fn new(shape: f64, scale: f64) -> Option<Gamma> {
         (shape.is_finite() && shape > 0.0 && scale.is_finite() && scale > 0.0)
             .then_some(Gamma { shape, scale })
     }
 
     /// Shape parameter k.
-    pub fn shape(&self) -> f64 {
+    pub(crate) fn shape(&self) -> f64 {
         self.shape
     }
 
     /// Scale parameter θ.
-    pub fn scale(&self) -> f64 {
+    pub(crate) fn scale(&self) -> f64 {
         self.scale
     }
 
     /// Maximum-likelihood fit: Newton–Raphson on
     /// `ln k − ψ(k) = ln(mean) − mean(ln x)` (the standard reduction),
     /// then `θ = mean / k`.
-    pub fn fit(samples: &[f64]) -> Result<Gamma, FitError> {
+    pub(crate) fn fit(samples: &[f64]) -> Result<Gamma, FitError> {
         let n = samples.len();
         if n == 0 {
             return Err(FitError::Empty);
@@ -75,7 +75,7 @@ impl Gamma {
     }
 
     /// CDF via the regularized lower incomplete gamma function.
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             0.0
         } else {
@@ -84,12 +84,12 @@ impl Gamma {
     }
 
     /// Mean `kθ`.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.shape * self.scale
     }
 
     /// Sample via Marsaglia–Tsang (with the boost trick for `k < 1`).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let k = self.shape;
         if k < 1.0 {
             // X_k = X_{k+1} · U^{1/k}.

@@ -23,18 +23,18 @@ impl Pareto {
     }
 
     /// Shape parameter α.
-    pub fn shape(&self) -> f64 {
+    pub(crate) fn shape(&self) -> f64 {
         self.shape
     }
 
     /// Scale parameter x_m (minimum possible value).
-    pub fn scale(&self) -> f64 {
+    pub(crate) fn scale(&self) -> f64 {
         self.scale
     }
 
     /// Maximum-likelihood fit: `x_m = min(samples)`,
     /// `α = n / Σ ln(x_i / x_m)`.
-    pub fn fit(samples: &[f64]) -> Result<Pareto, FitError> {
+    pub(crate) fn fit(samples: &[f64]) -> Result<Pareto, FitError> {
         let n = samples.len();
         if n == 0 {
             return Err(FitError::Empty);
@@ -54,7 +54,7 @@ impl Pareto {
     }
 
     /// CDF: `1 - (x_m / x)^α` for `x ≥ x_m`, else 0.
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         if x < self.scale {
             0.0
         } else {
@@ -63,7 +63,7 @@ impl Pareto {
     }
 
     /// Mean: `α x_m / (α - 1)` for `α > 1`, infinite otherwise.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.shape > 1.0 {
             self.shape * self.scale / (self.shape - 1.0)
         } else {
@@ -72,7 +72,7 @@ impl Pareto {
     }
 
     /// Inverse-transform sample: `x_m · U^{-1/α}`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
         self.scale * u.powf(-1.0 / self.shape)
     }

@@ -50,13 +50,13 @@ impl Tcplib {
     }
 
     /// Scale factor (= mean, since the reference shape has mean 1).
-    pub fn scale(&self) -> f64 {
+    pub(crate) fn scale(&self) -> f64 {
         self.scale
     }
 
     /// Fit by matching the sample mean (the MLE for a pure scale family is
     /// mean-matching when the shape is held fixed).
-    pub fn fit(samples: &[f64]) -> Result<Tcplib, FitError> {
+    pub(crate) fn fit(samples: &[f64]) -> Result<Tcplib, FitError> {
         let n = samples.len();
         if n == 0 {
             return Err(FitError::Empty);
@@ -73,7 +73,7 @@ impl Tcplib {
 
     /// Quantile function: piecewise-linear interpolation of the reference
     /// grid, scaled.
-    pub fn quantile(&self, p: f64) -> f64 {
+    pub(crate) fn quantile(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
         let norm = self.scale / raw_mean();
         let i = P_GRID.partition_point(|&g| g < p).min(P_GRID.len() - 1);
@@ -86,7 +86,7 @@ impl Tcplib {
     }
 
     /// CDF: inverse of the piecewise-linear quantile function.
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         let norm = self.scale / raw_mean();
         let x_raw = x / norm;
         if x_raw <= Q_RAW[0] {
@@ -102,12 +102,12 @@ impl Tcplib {
     }
 
     /// Mean (= scale by construction of the normalized shape).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.scale
     }
 
     /// Inverse-transform sample from the piecewise-linear quantile function.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.quantile(rng.gen::<f64>())
     }
 }

@@ -24,12 +24,12 @@ impl Weibull {
     }
 
     /// Shape parameter k.
-    pub fn shape(&self) -> f64 {
+    pub(crate) fn shape(&self) -> f64 {
         self.shape
     }
 
     /// Scale parameter λ.
-    pub fn scale(&self) -> f64 {
+    pub(crate) fn scale(&self) -> f64 {
         self.scale
     }
 
@@ -42,7 +42,7 @@ impl Weibull {
     ///
     /// Samples must be strictly positive (the log-likelihood requires it);
     /// callers with zero inter-arrival times should pre-shift or drop them.
-    pub fn fit(samples: &[f64]) -> Result<Weibull, FitError> {
+    pub(crate) fn fit(samples: &[f64]) -> Result<Weibull, FitError> {
         let n = samples.len();
         if n == 0 {
             return Err(FitError::Empty);
@@ -95,7 +95,7 @@ impl Weibull {
     }
 
     /// CDF: `1 - e^{-(x/λ)^k}` for `x ≥ 0`, else 0.
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             0.0
         } else {
@@ -104,12 +104,12 @@ impl Weibull {
     }
 
     /// Mean: `λ Γ(1 + 1/k)`.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.scale * gamma(1.0 + 1.0 / self.shape)
     }
 
     /// Inverse-transform sample: `λ (-ln U)^{1/k}`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
         self.scale * (-u.ln()).powf(1.0 / self.shape)
     }

@@ -63,7 +63,7 @@ impl Ecdf {
     }
 
     /// Sample mean.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
@@ -73,7 +73,7 @@ impl Ecdf {
     /// fitted models (one observed sojourn in a cluster-hour) are common
     /// enough that they should not pay the binary-search setup.
     #[inline]
-    pub fn count_le(&self, x: f64) -> usize {
+    pub(crate) fn count_le(&self, x: f64) -> usize {
         if self.samples.len() == 1 {
             return usize::from(self.samples[0] <= x);
         }
@@ -84,7 +84,8 @@ impl Ecdf {
     /// behind [`Ecdf::cdf`]'s step structure), with the same
     /// single-sample fast path as [`Ecdf::count_le`].
     #[inline]
-    pub fn count_lt(&self, x: f64) -> usize {
+    #[cfg(test)]
+    fn count_lt(&self, x: f64) -> usize {
         if self.samples.len() == 1 {
             return usize::from(self.samples[0] < x);
         }
@@ -171,20 +172,6 @@ impl Ecdf {
         }
         d
     }
-
-    /// Quantile–quantile points against another ECDF: `(self_q, other_q)`
-    /// at `n_points` evenly spaced probability levels — the data behind a
-    /// Q–Q plot (points far off the diagonal show where the distributions
-    /// diverge, e.g. Fig. 4's uncovered tails).
-    pub fn qq_points(&self, other: &Ecdf, n_points: usize) -> Vec<(f64, f64)> {
-        let n_points = n_points.max(2);
-        (0..n_points)
-            .map(|i| {
-                let p = (i as f64 + 0.5) / n_points as f64;
-                (self.quantile(p), other.quantile(p))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -254,19 +241,6 @@ mod tests {
         let b = Ecdf::new(vec![3.0, 4.0, 5.0, 6.0]).unwrap();
         // At x slightly below 3: a has cdf 0.5, b has 0 → 0.5.
         assert!((a.max_y_distance(&b) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn qq_points_diagonal_for_identical() {
-        let e = Ecdf::new((1..=100).map(f64::from).collect()).unwrap();
-        for (a, b) in e.qq_points(&e.clone(), 10) {
-            assert_eq!(a, b);
-        }
-        // Shifted distribution: constant offset off the diagonal.
-        let shifted = Ecdf::new((1..=100).map(|i| f64::from(i) + 5.0).collect()).unwrap();
-        for (a, b) in e.qq_points(&shifted, 10) {
-            assert_eq!(b - a, 5.0);
-        }
     }
 
     #[test]

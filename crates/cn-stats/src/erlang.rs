@@ -6,7 +6,7 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErlangC {
     /// Probability that an arriving job finds every server busy.
-    pub p_wait: f64,
+    pub(crate) p_wait: f64,
     /// Mean time in queue, in units of the mean service time.
     pub mean_wait: f64,
 }

@@ -48,7 +48,8 @@ pub enum Family {
 
 impl Family {
     /// The four families tested in the paper's Tables 8–10, in table order.
-    pub const PAPER_TABLE: [Family; 4] = [
+    #[cfg(test)]
+    const PAPER_TABLE: [Family; 4] = [
         Family::Poisson,
         Family::Pareto,
         Family::Weibull,

@@ -16,9 +16,9 @@ pub struct HurstEstimate {
     pub h: f64,
     /// Coefficient of determination of the log–log regression (how well a
     /// single power law describes the decay).
-    pub r_squared: f64,
+    pub(crate) r_squared: f64,
     /// Number of aggregation scales used.
-    pub scales: usize,
+    pub(crate) scales: usize,
 }
 
 /// Estimate the Hurst exponent of a binned count series by the

@@ -43,7 +43,7 @@ pub fn ks_test(samples: &[f64], reference: &Dist) -> Option<KsOutcome> {
 }
 
 /// One-sample K–S test against an arbitrary CDF closure.
-pub fn ks_test_cdf<F: Fn(f64) -> f64>(samples: &[f64], cdf: F) -> Option<KsOutcome> {
+pub(crate) fn ks_test_cdf<F: Fn(f64) -> f64>(samples: &[f64], cdf: F) -> Option<KsOutcome> {
     if samples.is_empty() || samples.iter().any(|x| !x.is_finite()) {
         return None;
     }
@@ -68,7 +68,7 @@ pub fn ks_test_cdf<F: Fn(f64) -> f64>(samples: &[f64], cdf: F) -> Option<KsOutco
 
 /// Asymptotic p-value of the K–S statistic `d` for sample size `n`
 /// (Kolmogorov distribution with Stephens' small-sample correction).
-pub fn kolmogorov_p_value(d: f64, n: usize) -> f64 {
+pub(crate) fn kolmogorov_p_value(d: f64, n: usize) -> f64 {
     if n == 0 {
         return 1.0;
     }
@@ -114,7 +114,7 @@ pub fn two_sample_distance(a: &[f64], b: &[f64]) -> Option<f64> {
 /// The returned outcome's `n` is the rounded `n_eff` — the size the
 /// p-value was actually computed from — not `min(n, m)` as it once was:
 /// a reported `(statistic, n)` pair now reproduces the reported p-value
-/// through [`kolmogorov_p_value`]. The product is taken in `f64`, so
+/// through `kolmogorov_p_value`. The product is taken in `f64`, so
 /// week-scale sample counts cannot overflow `usize` on any target.
 pub fn two_sample_test(a: &[f64], b: &[f64]) -> Option<KsOutcome> {
     let d = two_sample_distance(a, b)?;

@@ -10,16 +10,16 @@
 //!   ground-truth world simulator, each with maximum-likelihood fitting
 //!   ([`fit`]);
 //! * the **Kolmogorov–Smirnov** one-sample test with asymptotic p-values and
-//!   the two-sample maximum-y-distance statistic used throughout §8 ([`ks`]);
+//!   the two-sample maximum-y-distance statistic used throughout §8 (`ks`);
 //! * the **Anderson–Darling** test for exponentiality with Stephens'
-//!   estimated-parameter critical values ([`ad`]);
+//!   estimated-parameter critical values (`ad`);
 //! * empirical CDFs with inverse-transform sampling — the paper's "CDF"
 //!   sojourn-time models ([`ecdf`]);
 //! * the **Erlang-C** closed form for M/M/c waiting, the yardstick the
-//!   core-network simulator is checked against ([`erlang`]);
+//!   core-network simulator is checked against ([`erlang_c`]);
 //! * **variance–time plots** for burstiness analysis (Fig. 3), Hurst
 //!   self-similarity estimation by the aggregated-variance method
-//!   ([`hurst`]), and box-plot summaries (Fig. 2) ([`variance_time`],
+//!   ([`hurst_aggregated_variance`]), and box-plot summaries (Fig. 2) ([`variance_time`],
 //!   [`summary`]).
 //!
 //! All samplers take an explicit [`rand::Rng`] so every downstream
@@ -31,27 +31,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod acf;
-pub mod ad;
+mod ad;
 pub mod dist;
 pub mod ecdf;
-pub mod erlang;
+mod erlang;
 pub mod fit;
-pub mod hurst;
-pub mod ks;
+mod hurst;
+mod ks;
 pub mod summary;
 pub mod variance_time;
 
-pub use acf::{autocorrelation, Autocorrelation};
 pub use ad::{ad_test_exponential, AdOutcome};
 pub use dist::{Dist, Exponential, LogNormal, Pareto, Tcplib, Weibull};
 pub use ecdf::Ecdf;
 pub use erlang::{erlang_c, ErlangC};
-pub use fit::FitError;
 pub use hurst::{hurst_aggregated_variance, HurstEstimate};
 pub use ks::{
-    kolmogorov_p_value, ks_test, ks_test_cdf, two_sample_critical_distance, two_sample_distance,
-    two_sample_test, KsOutcome,
+    ks_test, two_sample_critical_distance, two_sample_distance, two_sample_test, KsOutcome,
 };
 pub use summary::BoxStats;
 pub use variance_time::{variance_time_plot, VarianceTimePoint};

@@ -55,7 +55,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Sample mean (0 for an empty slice).
-pub fn mean(samples: &[f64]) -> f64 {
+pub(crate) fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
         0.0
     } else {

@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Bin width used by the paper: 100 ms.
-pub const BIN_MS: u64 = 100;
+pub(crate) const BIN_MS: u64 = 100;
 
 /// One point of a variance–time plot.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -21,7 +21,7 @@ pub struct VarianceTimePoint {
     /// Normalized variance of per-window mean counts: `Var(k̄) / (E[k̄])²`.
     pub normalized_variance: f64,
     /// Number of `M`-second windows that contributed.
-    pub windows: usize,
+    pub(crate) windows: usize,
 }
 
 /// Count events into 100 ms bins over `[start_ms, end_ms)`.

@@ -21,7 +21,7 @@ use crate::record::TraceRecord;
 /// format (14-byte stride, little-endian, no header).
 ///
 /// ```
-/// use cn_trace::block::EncodedBlock;
+/// use cn_trace::EncodedBlock;
 /// use cn_trace::{DeviceType, EventType, Timestamp, TraceRecord, UeId};
 /// let mut block = EncodedBlock::with_capacity(2);
 /// let r = TraceRecord::new(Timestamp::from_millis(7), UeId(3), DeviceType::Phone, EventType::Attach);

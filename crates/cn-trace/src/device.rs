@@ -99,15 +99,6 @@ impl PopulationMix {
         self.phones + self.connected_cars + self.tablets
     }
 
-    /// Count for one device type.
-    pub fn count(&self, device: DeviceType) -> u32 {
-        match device {
-            DeviceType::Phone => self.phones,
-            DeviceType::ConnectedCar => self.connected_cars,
-            DeviceType::Tablet => self.tablets,
-        }
-    }
-
     /// Scale every count by `factor`, rounding to the nearest UE.
     ///
     /// Used to build e.g. the paper's validation Scenario 1 (~38K UEs, 1×)
@@ -118,17 +109,6 @@ impl PopulationMix {
             phones: s(self.phones),
             connected_cars: s(self.connected_cars),
             tablets: s(self.tablets),
-        }
-    }
-
-    /// Fraction of the population that is of the given type (0 for an empty
-    /// population).
-    pub fn share(&self, device: DeviceType) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            f64::from(self.count(device)) / f64::from(total)
         }
     }
 }
@@ -157,18 +137,5 @@ mod tests {
         assert_eq!(double, PopulationMix::new(200, 100, 50));
         let tenth = mix.scaled(0.1);
         assert_eq!(tenth, PopulationMix::new(10, 5, 3)); // 2.5 rounds to 3 (round-half-up away from zero)
-    }
-
-    #[test]
-    fn shares_sum_to_one() {
-        let mix = PopulationMix::PAPER;
-        let sum: f64 = DeviceType::ALL.iter().map(|&d| mix.share(d)).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_population_share_is_zero() {
-        let mix = PopulationMix::new(0, 0, 0);
-        assert_eq!(mix.share(DeviceType::Phone), 0.0);
     }
 }

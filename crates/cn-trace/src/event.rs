@@ -33,15 +33,6 @@ pub enum EventType {
     Tau = 5,
 }
 
-/// The two dependence categories of §5.1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventCategory {
-    /// Triggers a transition of the top-level EMM–ECM state machine.
-    StateChanging,
-    /// Does not change the top-level state, but depends on it.
-    StateDependent,
-}
-
 impl EventType {
     /// All six event types, in Table 1 order.
     pub const ALL: [EventType; 6] = [
@@ -65,17 +56,6 @@ impl EventType {
         }
     }
 
-    /// Dependence category of the event (§5.1).
-    pub fn category(self) -> EventCategory {
-        match self {
-            EventType::Attach
-            | EventType::Detach
-            | EventType::ServiceRequest
-            | EventType::S1ConnRelease => EventCategory::StateChanging,
-            EventType::Handover | EventType::Tau => EventCategory::StateDependent,
-        }
-    }
-
     /// Stable numeric code used by the binary trace format.
     pub fn code(self) -> u8 {
         self as u8
@@ -87,7 +67,7 @@ impl EventType {
     }
 
     /// Parse the paper's mnemonic (as produced by [`EventType::mnemonic`]).
-    pub fn from_mnemonic(s: &str) -> Option<EventType> {
+    pub(crate) fn from_mnemonic(s: &str) -> Option<EventType> {
         EventType::ALL.into_iter().find(|e| e.mnemonic() == s)
     }
 }
@@ -117,17 +97,6 @@ mod tests {
             assert_eq!(EventType::from_mnemonic(e.mnemonic()), Some(e));
         }
         assert_eq!(EventType::from_mnemonic("NOPE"), None);
-    }
-
-    #[test]
-    fn categories_match_paper() {
-        use EventCategory::*;
-        assert_eq!(EventType::Attach.category(), StateChanging);
-        assert_eq!(EventType::Detach.category(), StateChanging);
-        assert_eq!(EventType::ServiceRequest.category(), StateChanging);
-        assert_eq!(EventType::S1ConnRelease.category(), StateChanging);
-        assert_eq!(EventType::Handover.category(), StateDependent);
-        assert_eq!(EventType::Tau.category(), StateDependent);
     }
 
     #[test]

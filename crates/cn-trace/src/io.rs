@@ -196,7 +196,7 @@ pub fn decode_record(buf: &[u8; RECORD_BYTES]) -> Result<TraceRecord, IoError> {
     ))
 }
 
-/// [`TraceRecord::merge_key`] of the `i`-th encoded record in `bytes` (a
+/// `TraceRecord::merge_key` of the `i`-th encoded record in `bytes` (a
 /// headerless 14-byte-stride payload), read without decoding the record:
 /// the key-only fast path of the encoded-run merge. The event byte is
 /// taken as stored, so the key of a corrupt frame orders somewhere but
@@ -378,7 +378,8 @@ impl<W: Write + std::io::Seek> BinaryStreamWriter<W> {
     /// inspect or salvage the partial output.
     ///
     /// [`write`]: BinaryStreamWriter::write
-    pub fn into_sink(self) -> W {
+    #[cfg(test)]
+    fn into_sink(self) -> W {
         self.sink
     }
 

@@ -7,8 +7,8 @@
 //! event record, the sorted [`Trace`] container with merging and
 //! hour/device partitioning, trace serialization (CSV, JSONL, and a
 //! compact binary format), and the ordered-record dataplane every later
-//! layer pulls: the stream contract ([`source`]), the one record order
-//! ([`TraceRecord::merge_key`], the key every merge stably sorts by) and
+//! layer pulls: the stream contract (`source`), the one record order
+//! (`TraceRecord::merge_key`, the key every merge stably sorts by) and
 //! the one 14-byte record codec ([`io`]).
 //!
 //! Design notes
@@ -23,22 +23,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
-pub mod device;
-pub mod event;
+mod block;
+mod device;
+mod event;
 pub mod io;
-pub mod record;
+mod record;
 pub mod relabel;
-pub mod series;
-pub mod source;
-pub mod summary;
-pub mod time;
-pub mod trace;
-pub mod validate;
+mod source;
+mod summary;
+mod time;
+mod trace;
+mod validate;
 
 pub use block::EncodedBlock;
 pub use device::{DeviceType, PopulationMix};
-pub use event::{EventCategory, EventType};
+pub use event::EventType;
 pub use io::RECORD_BYTES;
 pub use record::{TraceRecord, UeId};
 pub use source::{IterSource, RecordSource, StreamError};

@@ -22,11 +22,6 @@ impl UeId {
     pub const fn get(self) -> u32 {
         self.0
     }
-
-    /// Index usable for per-UE vectors.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
 }
 
 impl std::fmt::Display for UeId {
@@ -69,7 +64,7 @@ impl TraceRecord {
     /// sorted runs laid back to back, not only runs whose `(t, ue)` pairs
     /// are unique ([`crate::Trace::merge`]).
     #[inline]
-    pub fn merge_key(&self) -> u128 {
+    pub(crate) fn merge_key(&self) -> u128 {
         (u128::from(self.t.as_millis()) << 40)
             | (u128::from(self.ue.get()) << 8)
             | u128::from(self.event.code())

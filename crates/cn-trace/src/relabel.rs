@@ -20,11 +20,6 @@ pub struct RelabelMap {
 }
 
 impl RelabelMap {
-    /// The new id of `ue`, if it appeared in the relabeled trace.
-    pub fn get(&self, ue: UeId) -> Option<UeId> {
-        self.forward.get(&ue).copied()
-    }
-
     /// Number of distinct UEs mapped.
     pub fn len(&self) -> usize {
         self.forward.len()
@@ -34,27 +29,6 @@ impl RelabelMap {
     pub fn is_empty(&self) -> bool {
         self.forward.is_empty()
     }
-}
-
-/// Relabel UEs onto the dense range `0..n`, in order of first appearance.
-///
-/// Deterministic and reversible via the returned map; preserves per-UE
-/// event sequences exactly.
-pub fn compact_ids(trace: &Trace) -> (Trace, RelabelMap) {
-    let mut map = RelabelMap::default();
-    let mut next = 0u32;
-    let records: Vec<TraceRecord> = trace
-        .iter()
-        .map(|r| {
-            let new = *map.forward.entry(r.ue).or_insert_with(|| {
-                let id = UeId(next);
-                next += 1;
-                id
-            });
-            TraceRecord::new(r.t, new, r.device, r.event)
-        })
-        .collect();
-    (Trace::from_records(records), map)
 }
 
 /// Relabel UEs onto a *pseudorandom permutation* of `0..n`, seeded — the
@@ -97,22 +71,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_assigns_first_appearance_order() {
-        let (out, map) = compact_ids(&sample());
-        assert_eq!(map.len(), 3);
-        assert_eq!(map.get(UeId(900)), Some(UeId(0)));
-        assert_eq!(map.get(UeId(17)), Some(UeId(1)));
-        assert_eq!(map.get(UeId(4_000_000)), Some(UeId(2)));
-        assert_eq!(map.get(UeId(5)), None);
-        // Per-UE sequences preserved.
-        let per = out.per_ue();
-        let ue0 = per.get(UeId(0)).unwrap();
-        assert_eq!(ue0.len(), 2);
-        assert_eq!(ue0[0].event, EventType::ServiceRequest);
-        assert_eq!(ue0[1].event, EventType::S1ConnRelease);
-    }
-
-    #[test]
     fn pseudonymize_is_a_dense_permutation() {
         let (out, map) = pseudonymize(&sample(), 7);
         assert_eq!(map.len(), 3);
@@ -127,23 +85,15 @@ mod tests {
     #[test]
     fn timing_and_events_untouched() {
         let original = sample();
-        for relabeled in [compact_ids(&original).0, pseudonymize(&original, 3).0] {
-            let a: Vec<(u64, EventType)> = original
-                .iter()
-                .map(|r| (r.t.as_millis(), r.event))
-                .collect();
-            let b: Vec<(u64, EventType)> = relabeled
-                .iter()
-                .map(|r| (r.t.as_millis(), r.event))
-                .collect();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn empty_trace() {
-        let (out, map) = compact_ids(&Trace::new());
-        assert!(out.is_empty());
-        assert!(map.is_empty());
+        let relabeled = pseudonymize(&original, 3).0;
+        let a: Vec<(u64, EventType)> = original
+            .iter()
+            .map(|r| (r.t.as_millis(), r.event))
+            .collect();
+        let b: Vec<(u64, EventType)> = relabeled
+            .iter()
+            .map(|r| (r.t.as_millis(), r.event))
+            .collect();
+        assert_eq!(a, b);
     }
 }

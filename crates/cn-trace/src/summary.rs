@@ -18,17 +18,17 @@ pub struct TraceSummary {
     /// Distinct UEs.
     pub ues: u64,
     /// Span in seconds (0 when fewer than 2 events).
-    pub span_secs: f64,
+    pub(crate) span_secs: f64,
     /// Mean events per second over the span (0 for degenerate spans).
     pub events_per_sec: f64,
     /// Events per device type, indexed by [`DeviceType::code`].
-    pub by_device: [u64; 3],
+    pub(crate) by_device: [u64; 3],
     /// Events per event type, indexed by [`EventType::code`].
     pub by_event: [u64; 6],
     /// Events of the busiest UE.
-    pub max_events_per_ue: u64,
+    pub(crate) max_events_per_ue: u64,
     /// Median events per active UE.
-    pub median_events_per_ue: u64,
+    pub(crate) median_events_per_ue: u64,
 }
 
 impl TraceSummary {
@@ -65,7 +65,7 @@ impl TraceSummary {
     }
 
     /// Share of events of one device type.
-    pub fn device_share(&self, device: DeviceType) -> f64 {
+    pub(crate) fn device_share(&self, device: DeviceType) -> f64 {
         if self.events == 0 {
             0.0
         } else {
@@ -74,7 +74,7 @@ impl TraceSummary {
     }
 
     /// Share of events of one event type.
-    pub fn event_share(&self, event: EventType) -> f64 {
+    pub(crate) fn event_share(&self, event: EventType) -> f64 {
         if self.events == 0 {
             0.0
         } else {

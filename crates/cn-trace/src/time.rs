@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Milliseconds per second.
 pub const MS_PER_SEC: u64 = 1_000;
 /// Milliseconds per minute.
-pub const MS_PER_MIN: u64 = 60 * MS_PER_SEC;
+pub(crate) const MS_PER_MIN: u64 = 60 * MS_PER_SEC;
 /// Milliseconds per hour.
 pub const MS_PER_HOUR: u64 = 60 * MS_PER_MIN;
 /// Milliseconds per day.
@@ -49,11 +49,6 @@ impl Timestamp {
         self.0
     }
 
-    /// Time as fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / MS_PER_SEC as f64
-    }
-
     /// The hour of day (0–23) this timestamp falls in.
     pub fn hour_of_day(self) -> HourOfDay {
         HourOfDay(((self.0 % MS_PER_DAY) / MS_PER_HOUR) as u8)
@@ -67,11 +62,6 @@ impl Timestamp {
     /// Offset in milliseconds from the start of the containing hour.
     pub const fn offset_in_hour(self) -> u64 {
         self.0 % MS_PER_HOUR
-    }
-
-    /// Start of the containing 1-hour interval.
-    pub const fn hour_start(self) -> Timestamp {
-        Timestamp(self.0 - self.0 % MS_PER_HOUR)
     }
 
     /// Saturating addition of a millisecond duration.
@@ -110,16 +100,6 @@ impl HourOfDay {
         (0..24).map(HourOfDay)
     }
 
-    /// Construct, wrapping values ≥ 24.
-    pub const fn new(hour: u8) -> Self {
-        HourOfDay(hour % 24)
-    }
-
-    /// The hour following this one (wrapping 23 → 0).
-    pub const fn next(self) -> HourOfDay {
-        HourOfDay((self.0 + 1) % 24)
-    }
-
     /// Raw hour value, 0–23.
     pub const fn get(self) -> u8 {
         self.0
@@ -147,21 +127,12 @@ mod tests {
         assert_eq!(t.day(), 3);
         assert_eq!(t.hour_of_day(), HourOfDay(17));
         assert_eq!(t.offset_in_hour(), 42 * MS_PER_MIN);
-        assert_eq!(t.hour_start(), Timestamp::at_hour(3, 17));
-    }
-
-    #[test]
-    fn hour_wraps() {
-        assert_eq!(HourOfDay::new(24), HourOfDay(0));
-        assert_eq!(HourOfDay(23).next(), HourOfDay(0));
-        assert_eq!(HourOfDay(7).next(), HourOfDay(8));
     }
 
     #[test]
     fn secs_round_trip() {
         let t = Timestamp::from_secs_f64(1.234);
         assert_eq!(t.as_millis(), 1234);
-        assert!((t.as_secs_f64() - 1.234).abs() < 1e-9);
         assert_eq!(Timestamp::from_secs_f64(-5.0).as_millis(), 0);
     }
 

@@ -9,7 +9,7 @@
 
 use crate::device::DeviceType;
 use crate::record::{TraceRecord, UeId};
-use crate::time::{HourOfDay, Timestamp};
+use crate::time::Timestamp;
 
 /// A time-sorted sequence of control-plane events.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -25,13 +25,6 @@ impl Trace {
         }
     }
 
-    /// An empty trace with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Trace {
-            records: Vec::with_capacity(cap),
-        }
-    }
-
     /// Build a trace from records in any order; they are sorted on entry.
     pub fn from_records(mut records: Vec<TraceRecord>) -> Self {
         records.sort_unstable();
@@ -42,7 +35,8 @@ impl Trace {
     ///
     /// Appending in non-decreasing time order is O(1); out-of-order pushes
     /// fall back to a binary-search insert.
-    pub fn push(&mut self, rec: TraceRecord) {
+    #[cfg(test)]
+    pub(crate) fn push(&mut self, rec: TraceRecord) {
         if self.records.last().is_some_and(|last| rec < *last) {
             let pos = self.records.partition_point(|r| *r <= rec);
             self.records.insert(pos, rec);
@@ -90,21 +84,9 @@ impl Trace {
     }
 
     /// Device type of a UE, from its first record (a well-formed trace has a
-    /// single device type per UE; see [`crate::validate`]).
+    /// single device type per UE; see `crate::validate`).
     pub fn device_of(&self, ue: UeId) -> Option<DeviceType> {
         self.records.iter().find(|r| r.ue == ue).map(|r| r.device)
-    }
-
-    /// Events that fall within the given hour-of-day, on any day.
-    pub fn filter_hour_of_day(&self, hour: HourOfDay) -> Trace {
-        Trace {
-            records: self
-                .records
-                .iter()
-                .filter(|r| r.t.hour_of_day() == hour)
-                .copied()
-                .collect(),
-        }
     }
 
     /// Events from UEs of the given device type.
@@ -153,7 +135,7 @@ impl Trace {
     ///
     /// Used to combine independently generated per-UE event streams into the
     /// population-level trace (§7). The inputs are laid back to back in
-    /// input order and stably sorted by [`TraceRecord::merge_key`], so
+    /// input order and stably sorted by `TraceRecord::merge_key`, so
     /// records that tie keep the earlier input first: the merge is
     /// deterministic.
     pub fn merge(traces: Vec<Trace>) -> Trace {
@@ -175,25 +157,6 @@ impl Trace {
     /// Consume the trace, returning the sorted record vector.
     pub fn into_records(self) -> Vec<TraceRecord> {
         self.records
-    }
-
-    /// A copy of the trace with every timestamp shifted by `offset_ms`
-    /// (saturating). Useful for splicing traces end to end (e.g. repeating
-    /// a modeled day) while keeping them sorted.
-    pub fn shifted(&self, offset_ms: i64) -> Trace {
-        let records = self
-            .records
-            .iter()
-            .map(|r| {
-                let t = if offset_ms >= 0 {
-                    r.t.saturating_add(offset_ms as u64)
-                } else {
-                    Timestamp::from_millis(r.t.as_millis().saturating_sub(offset_ms.unsigned_abs()))
-                };
-                TraceRecord::new(t, r.ue, r.device, r.event)
-            })
-            .collect();
-        Trace { records }
     }
 
     /// Split the trace into two by UE: approximately `fraction` of the UEs
@@ -248,13 +211,9 @@ pub struct PerUeView {
 
 impl PerUeView {
     /// Number of distinct UEs.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.spans.len()
-    }
-
-    /// True if no UEs are present.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
     }
 
     /// Iterate `(ue, events-of-ue)` in UE-id order.
@@ -265,7 +224,8 @@ impl PerUeView {
     }
 
     /// Events of one UE, if present.
-    pub fn get(&self, ue: UeId) -> Option<&[TraceRecord]> {
+    #[cfg(test)]
+    fn get(&self, ue: UeId) -> Option<&[TraceRecord]> {
         let idx = self.spans.binary_search_by_key(&ue, |(u, _)| *u).ok()?;
         let (_, range) = &self.spans[idx];
         Some(&self.records[range.clone()])
@@ -276,7 +236,6 @@ impl PerUeView {
 mod tests {
     use super::*;
     use crate::event::EventType;
-    use crate::time::MS_PER_HOUR;
 
     fn rec(t: u64, ue: u32, e: EventType) -> TraceRecord {
         TraceRecord::new(Timestamp::from_millis(t), UeId(ue), DeviceType::Phone, e)
@@ -389,18 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn hour_filter() {
-        let t = Trace::from_records(vec![
-            rec(MS_PER_HOUR / 2, 0, EventType::Attach),         // 00h
-            rec(MS_PER_HOUR + 5, 0, EventType::ServiceRequest), // 01h
-            rec(25 * MS_PER_HOUR, 0, EventType::Tau),           // day 1, 01h
-        ]);
-        let h1 = t.filter_hour_of_day(HourOfDay(1));
-        assert_eq!(h1.len(), 2);
-        assert!(h1.iter().all(|r| r.t.hour_of_day() == HourOfDay(1)));
-    }
-
-    #[test]
     fn window_is_half_open() {
         let t = Trace::from_records(vec![
             rec(10, 0, EventType::Attach),
@@ -411,22 +358,6 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert_eq!(w.start().unwrap().as_millis(), 10);
         assert_eq!(w.end().unwrap().as_millis(), 20);
-    }
-
-    #[test]
-    fn shifting_preserves_order_and_gaps() {
-        let t = Trace::from_records(vec![
-            rec(100, 0, EventType::Attach),
-            rec(500, 1, EventType::Tau),
-        ]);
-        let fwd = t.shifted(1_000);
-        assert_eq!(fwd.start().unwrap().as_millis(), 1_100);
-        assert_eq!(fwd.end().unwrap().as_millis(), 1_500);
-        let back = fwd.shifted(-1_000);
-        assert_eq!(back, t);
-        // Negative shifts saturate at zero.
-        let clamped = t.shifted(-200);
-        assert_eq!(clamped.start().unwrap().as_millis(), 0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use cn_trace::{PopulationMix, RecordSource, Timestamp, Trace};
 use serde::{Deserialize, Serialize};
 
 /// 64-bit FNV-1a over a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -37,7 +37,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Hash of a trace's canonical binary serialization.
-pub fn trace_hash(trace: &Trace) -> u64 {
+pub(crate) fn trace_hash(trace: &Trace) -> u64 {
     fnv1a64(&cn_trace::io::to_binary(trace))
 }
 
@@ -51,7 +51,7 @@ pub struct GoldenCase {
     /// Events in the produced trace.
     pub events: usize,
     /// FNV-1a 64 hash of the canonical serialization.
-    pub hash: u64,
+    pub(crate) hash: u64,
 }
 
 /// All cases of one golden run.
@@ -147,7 +147,7 @@ pub fn run_golden_observed(
     // `to_binary` encoding, so the hash is comparable). Two extremes:
     // everything resident, and a zero budget that spills every non-empty
     // run to disk — spilling must never move a byte. The fine chunk size
-    // exercises the k-way run merge, not just a single-run copy.
+    // makes every slice interleave many runs, not copy a single one.
     for (tag, budget) in [("mem", usize::MAX), ("spill", 0usize)] {
         let occ = OutOfCoreConfig {
             chunk_ues: 7,
@@ -207,7 +207,7 @@ pub fn run_golden_observed(
 /// Location of the pinned-hash file, inside the `cn-verify` crate so every
 /// caller (tests anywhere in the workspace, the `verify_model` binary)
 /// resolves the same file.
-pub fn pinned_path() -> PathBuf {
+pub(crate) fn pinned_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("golden")
         .join("hashes.json")
@@ -236,7 +236,12 @@ pub fn check_pinned(key: &str, hash: u64) -> Result<(), String> {
 
 /// [`check_pinned`] against an explicit file, with blessing as a parameter —
 /// the testable core.
-pub fn check_pinned_at(path: &Path, key: &str, hash: u64, bless: bool) -> Result<(), String> {
+pub(crate) fn check_pinned_at(
+    path: &Path,
+    key: &str,
+    hash: u64,
+    bless: bool,
+) -> Result<(), String> {
     let mut pinned = read_pinned(path);
     let formatted = format!("{hash:#018x}");
     if bless {

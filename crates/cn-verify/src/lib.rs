@@ -4,16 +4,16 @@
 //! traffic against the modeled trace (§7, Tables 8–10). This crate closes
 //! that loop as an executable subsystem over a *fully known* ground truth:
 //!
-//! * [`model::GroundTruth`] — a synthetic single-cluster [`cn_fit::ModelSet`]
+//! * [`GroundTruth`] — a synthetic single-cluster [`cn_fit::ModelSet`]
 //!   whose every branch probability and sojourn law is known exactly;
-//! * [`roundtrip::run_round_trip`] — generate a seeded population, demand
+//! * [`run_round_trip`] — generate a seeded population, demand
 //!   100% conformance under two-level replay, re-fit per-transition sojourn
 //!   laws from the replayed trace, and gate each against its ground truth
 //!   with the two-sample K–S test plus a probability tolerance band;
 //! * [`golden`] — pinned FNV-1a hashes of canonical trace bytes across the
 //!   batch/stream/sharded engines and thread/shard counts, catching any
 //!   unintended change to generator behavior or the vendored RNG stream;
-//! * [`scenario`] — golden gates for `cn-scenario`: identity inertness
+//! * [`run_scenario_golden`] — golden gates for `cn-scenario`: identity inertness
 //!   against the steady-state pin, engine-equivalence of perturbed
 //!   overlays, and pinned hashes for the canonical flash-crowd and
 //!   paging-storm scenarios;
@@ -21,7 +21,7 @@
 //!   block drives the multi-NF DES (batch and over the live wire), and
 //!   the report (its hash, p99 latency, shed rate, scaling lag) is
 //!   pinned exactly in `BENCH_mcn.json`;
-//! * [`verdict`] — the claim/measured/pass report shape shared with
+//! * [`VerdictReport`] — the claim/measured/pass report shape shared with
 //!   `cn-eval`'s paper-claims table.
 //!
 //! Small configurations run under `cargo test`; the same checks run at
@@ -32,14 +32,12 @@
 
 pub mod golden;
 pub mod mcn;
-pub mod model;
-pub mod roundtrip;
-pub mod scenario;
-pub mod verdict;
+mod model;
+mod roundtrip;
+mod scenario;
+mod verdict;
 
-pub use golden::{
-    check_pinned, fnv1a64, run_golden, run_golden_observed, trace_hash, GoldenCase, GoldenReport,
-};
+pub use golden::{check_pinned, run_golden, run_golden_observed, GoldenCase, GoldenReport};
 pub use mcn::{check_bench, check_bench_at, drive_des, McnBench, McnError, McnScenarioBench};
 pub use model::GroundTruth;
 pub use roundtrip::{run_round_trip, RoundTripConfig, RoundTripReport, TransitionCheck};

@@ -171,37 +171,37 @@ pub fn drive_des<S: RecordSource>(
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct McnScenarioBench {
     /// Scenario name (`scale-storm`).
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// FNV-1a-64 of the report's JSON rendering — every field, floats at
     /// full precision — as `0x…`, the form `golden/hashes.json` uses.
-    pub report_fnv64: String,
+    pub(crate) report_fnv64: String,
     /// Records the scenario stream offered the simulator.
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Procedures that ran their full dependency chain.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Shed fraction of offered records — the headline admission number.
-    pub shed_rate: f64,
+    pub(crate) shed_rate: f64,
     /// Shed per priority class (Critical, High, Low).
-    pub shed: [u64; 3],
+    pub(crate) shed: [u64; 3],
     /// 99th-percentile end-to-end procedure latency, ms — the headline
     /// latency number.
-    pub p99_latency_ms: f64,
+    pub(crate) p99_latency_ms: f64,
     /// Mean end-to-end latency, ms.
-    pub mean_latency_ms: f64,
+    pub(crate) mean_latency_ms: f64,
     /// Maximum end-to-end latency, ms.
-    pub max_latency_ms: f64,
+    pub(crate) max_latency_ms: f64,
     /// MME servers that came online during the run.
-    pub mme_scale_ups: u64,
+    pub(crate) mme_scale_ups: u64,
     /// Worst MME breach-to-online scaling lag, ms — the headline
     /// autoscaling number.
-    pub mme_max_scaling_lag_ms: u64,
+    pub(crate) mme_max_scaling_lag_ms: u64,
     /// MME pool utilization over the capacity integral.
-    pub mme_utilization: f64,
+    pub(crate) mme_utilization: f64,
 }
 
 impl McnScenarioBench {
     /// Project a [`DesReport`] onto the pinned shape.
-    pub fn from_report(scenario: &str, report: &DesReport) -> McnScenarioBench {
+    pub(crate) fn from_report(scenario: &str, report: &DesReport) -> McnScenarioBench {
         let mme = report
             .per_nf
             .iter()
@@ -229,9 +229,9 @@ impl McnScenarioBench {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct McnBench {
     /// Human description of the workload the numbers came from.
-    pub workload: String,
+    pub(crate) workload: String,
     /// Per-scenario closed-loop numbers.
-    pub scenarios: Vec<McnScenarioBench>,
+    pub(crate) scenarios: Vec<McnScenarioBench>,
 }
 
 impl McnBench {

@@ -42,9 +42,9 @@ pub struct GroundTruth {
     /// The model set handed to the generator.
     pub set: ModelSet,
     /// Per top-level transition: the samples (seconds) behind its CDF.
-    pub top_samples: HashMap<TopTransition, Vec<f64>>,
+    pub(crate) top_samples: HashMap<TopTransition, Vec<f64>>,
     /// Per second-level transition: the samples (seconds) behind its CDF.
-    pub bottom_samples: HashMap<BottomTransition, Vec<f64>>,
+    pub(crate) bottom_samples: HashMap<BottomTransition, Vec<f64>>,
 }
 
 /// Shifted-exponential sample vector: `min + Exp(mean_excess)`, `n` draws.
@@ -179,13 +179,14 @@ impl GroundTruth {
     }
 
     /// The single cluster-hour model all (device, hour) slots share.
-    pub fn cluster_hour(&self) -> &ClusterHourModel {
+    #[cfg(test)]
+    fn cluster_hour(&self) -> &ClusterHourModel {
         &self.set.devices[0].hours[0].clusters[0]
     }
 
     /// True branch probability of a top-level transition, derived from the
     /// sample counts.
-    pub fn top_prob(&self, t: TopTransition) -> f64 {
+    pub(crate) fn top_prob(&self, t: TopTransition) -> f64 {
         let own = self.top_samples.get(&t).map_or(0, Vec::len);
         let total: usize = TopTransition::ALL
             .into_iter()
@@ -200,7 +201,7 @@ impl GroundTruth {
     }
 
     /// True branch probability of a second-level transition.
-    pub fn bottom_prob(&self, t: BottomTransition) -> f64 {
+    pub(crate) fn bottom_prob(&self, t: BottomTransition) -> f64 {
         let own = self.bottom_samples.get(&t).map_or(0, Vec::len);
         let total: usize = BottomTransition::ALL
             .into_iter()

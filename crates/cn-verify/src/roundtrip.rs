@@ -41,20 +41,20 @@ pub struct RoundTripConfig {
     /// Synthesized population.
     pub population: PopulationMix,
     /// Start of the synthesis window.
-    pub start: Timestamp,
+    pub(crate) start: Timestamp,
     /// Length of the synthesis window in hours.
     pub duration_hours: f64,
     /// Generator seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Significance level of the per-transition two-sample K–S gates.
     pub alpha: f64,
     /// Absolute tolerance on re-fitted branch probabilities.
-    pub prob_tolerance: f64,
+    pub(crate) prob_tolerance: f64,
     /// Cap on the observed-sample count entering each K–S test.
-    pub max_ks_samples: usize,
+    pub(crate) max_ks_samples: usize,
     /// Minimum observed samples for a transition's gates to be meaningful;
     /// fewer observations fail the check outright.
-    pub min_samples: usize,
+    pub(crate) min_samples: usize,
 }
 
 impl RoundTripConfig {
@@ -97,7 +97,7 @@ pub struct TransitionCheck {
     /// Observed (replayed) sojourn samples for this transition.
     pub n_observed: usize,
     /// Ground-truth samples for this transition.
-    pub n_truth: usize,
+    pub(crate) n_truth: usize,
     /// True branch probability.
     pub prob_truth: f64,
     /// Re-fitted branch probability.
@@ -117,7 +117,7 @@ pub struct TransitionCheck {
 
 impl TransitionCheck {
     /// Both gates hold.
-    pub fn pass(&self) -> bool {
+    pub(crate) fn pass(&self) -> bool {
         self.ks_pass && self.prob_pass
     }
 }
@@ -126,11 +126,11 @@ impl TransitionCheck {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundTripReport {
     /// The configuration that produced this report.
-    pub config: RoundTripConfig,
+    pub(crate) config: RoundTripConfig,
     /// Events in the generated trace.
     pub generated_events: usize,
     /// UEs that emitted at least one event.
-    pub active_ues: usize,
+    pub(crate) active_ues: usize,
     /// Replay violations (must be 0 for conformance).
     pub violations: usize,
     /// Fraction of generated events the machine accepted.

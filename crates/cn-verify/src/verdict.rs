@@ -53,28 +53,18 @@ impl VerdictReport {
     }
 
     /// Number of verdicts recorded.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.verdicts.len()
     }
 
-    /// True when no verdicts have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.verdicts.is_empty()
-    }
-
     /// Number of passing verdicts.
-    pub fn passed(&self) -> usize {
+    pub(crate) fn passed(&self) -> usize {
         self.verdicts.iter().filter(|v| v.pass).count()
     }
 
     /// True when every recorded verdict passed (vacuously true when empty).
     pub fn all_pass(&self) -> bool {
         self.verdicts.iter().all(|v| v.pass)
-    }
-
-    /// The verdicts that failed.
-    pub fn failures(&self) -> impl Iterator<Item = &Verdict> {
-        self.verdicts.iter().filter(|v| !v.pass)
     }
 
     /// Human-readable rendering: one `[PASS]`/`[FAIL]` line per verdict
@@ -108,13 +98,13 @@ mod tests {
     #[test]
     fn check_records_and_reports() {
         let mut r = VerdictReport::new("demo");
-        assert!(r.is_empty() && r.all_pass());
+        assert_eq!(r.len(), 0);
+        assert!(r.all_pass());
         assert!(r.check("a", "1", true));
         assert!(!r.check("b", "2", false));
         assert_eq!(r.len(), 2);
         assert_eq!(r.passed(), 1);
         assert!(!r.all_pass());
-        assert_eq!(r.failures().count(), 1);
         let text = r.render();
         assert!(text.contains("[PASS] a"));
         assert!(text.contains("[FAIL] b"));

@@ -1,17 +1,15 @@
 //! Calibration against the paper's Table 1.
 //!
 //! The world simulator's one *numeric* fidelity anchor is the published
-//! event breakdown (Table 1). This module exposes the targets and the
-//! comparison so any profile change can be checked in one call (the
-//! repository's preset profiles hold every cell within about one
-//! percentage point).
+//! event breakdown (Table 1). This test-only module holds the targets and
+//! the comparison that check the preset profiles (every cell within about
+//! one percentage point).
 
 use cn_trace::{DeviceType, Trace};
-use serde::{Deserialize, Serialize};
 
 /// The paper's Table 1 shares per device type, indexed by
 /// [`cn_trace::EventType::code`] (ATCH, DTCH, SRV_REQ, S1_CONN_REL, HO, TAU).
-pub const TABLE1_TARGETS: [[f64; 6]; 3] = [
+const TABLE1_TARGETS: [[f64; 6]; 3] = [
     // Phones
     [0.001, 0.002, 0.455, 0.475, 0.038, 0.029],
     // Connected cars
@@ -21,23 +19,23 @@ pub const TABLE1_TARGETS: [[f64; 6]; 3] = [
 ];
 
 /// Per-device calibration result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CalibrationResult {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CalibrationResult {
     /// The device type.
-    pub device: DeviceType,
+    device: DeviceType,
     /// Measured shares, indexed by [`cn_trace::EventType::code`].
-    pub measured: [f64; 6],
+    measured: [f64; 6],
     /// `measured − target` per event type.
-    pub diff: [f64; 6],
+    diff: [f64; 6],
     /// Largest absolute difference.
-    pub max_abs_diff: f64,
+    max_abs_diff: f64,
 }
 
 /// Compare a world trace's per-device event breakdown to Table 1.
 ///
 /// Devices with no events report all-zero shares (max diff = the largest
 /// target).
-pub fn compare_to_table1(trace: &Trace) -> [CalibrationResult; 3] {
+fn compare_to_table1(trace: &Trace) -> [CalibrationResult; 3] {
     let mut counts = [[0u64; 6]; 3];
     for r in trace.iter() {
         counts[r.device.code() as usize][r.event.code() as usize] += 1;

@@ -7,42 +7,21 @@
 //! through the day and peak in the evening; connected cars have two
 //! commute peaks and an almost-dead night; tablets peak in the evening.
 
-use cn_trace::{DeviceType, HourOfDay, Timestamp};
+use cn_trace::{DeviceType, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// A 24-entry multiplicative activity curve (1.0 = the profile's base
 /// rate), with a separate weekend variant (days 5 and 6 of each week —
 /// day 0 is a Monday by convention).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DiurnalCurve {
+pub(crate) struct DiurnalCurve {
     multipliers: [f64; 24],
     weekend: [f64; 24],
 }
 
 impl DiurnalCurve {
-    /// Build from explicit weekday multipliers (used for weekends too).
-    /// Returns `None` if any multiplier is non-finite or negative.
-    pub fn new(multipliers: [f64; 24]) -> Option<DiurnalCurve> {
-        multipliers
-            .iter()
-            .all(|m| m.is_finite() && *m >= 0.0)
-            .then_some(DiurnalCurve {
-                multipliers,
-                weekend: multipliers,
-            })
-    }
-
-    /// Build with distinct weekday and weekend curves.
-    pub fn with_weekend(multipliers: [f64; 24], weekend: [f64; 24]) -> Option<DiurnalCurve> {
-        let ok = |m: &[f64; 24]| m.iter().all(|x| x.is_finite() && *x >= 0.0);
-        (ok(&multipliers) && ok(&weekend)).then_some(DiurnalCurve {
-            multipliers,
-            weekend,
-        })
-    }
-
     /// A flat curve (no diurnal variation).
-    pub fn flat() -> DiurnalCurve {
+    pub(crate) fn flat() -> DiurnalCurve {
         DiurnalCurve {
             multipliers: [1.0; 24],
             weekend: [1.0; 24],
@@ -50,13 +29,14 @@ impl DiurnalCurve {
     }
 
     /// The weekday multiplier in effect during the given hour.
-    pub fn at(&self, hour: HourOfDay) -> f64 {
+    #[cfg(test)]
+    fn at(&self, hour: cn_trace::HourOfDay) -> f64 {
         self.multipliers[hour.index()]
     }
 
     /// The multiplier in effect at a point in time (weekend-aware; day 0
     /// is a Monday, so days ≡ 5, 6 (mod 7) are the weekend).
-    pub fn at_time(&self, t: Timestamp) -> f64 {
+    pub(crate) fn at_time(&self, t: Timestamp) -> f64 {
         let table = if t.day() % 7 >= 5 {
             &self.weekend
         } else {
@@ -66,7 +46,8 @@ impl DiurnalCurve {
     }
 
     /// Peak-to-trough ratio of the weekday curve (∞ when the trough is 0).
-    pub fn swing(&self) -> f64 {
+    #[cfg(test)]
+    fn swing(&self) -> f64 {
         let max = self.multipliers.iter().copied().fold(f64::MIN, f64::max);
         let min = self.multipliers.iter().copied().fold(f64::MAX, f64::min);
         max / min
@@ -75,7 +56,7 @@ impl DiurnalCurve {
     /// Preset curve for a device type, calibrated to Fig. 2's swings, with
     /// a weekend variant (later mornings; cars lose the commute peaks;
     /// tablets gain daytime leisure).
-    pub fn preset(device: DeviceType) -> DiurnalCurve {
+    pub(crate) fn preset(device: DeviceType) -> DiurnalCurve {
         let (multipliers, weekend) = match device {
             // Phones: quiet 2–5 am, busy 9 am – 10 pm (swing ≈ 30×).
             DeviceType::Phone => (
@@ -124,16 +105,7 @@ impl DiurnalCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constructor_validates() {
-        assert!(DiurnalCurve::new([1.0; 24]).is_some());
-        let mut bad = [1.0; 24];
-        bad[5] = -0.1;
-        assert!(DiurnalCurve::new(bad).is_none());
-        bad[5] = f64::NAN;
-        assert!(DiurnalCurve::new(bad).is_none());
-    }
+    use cn_trace::HourOfDay;
 
     #[test]
     fn presets_have_expected_swings() {
@@ -172,13 +144,5 @@ mod tests {
         let monday_noon = Timestamp::at_hour(0, 12);
         let sunday_noon = Timestamp::at_hour(6, 12);
         assert!(tab.at_time(sunday_noon) > tab.at_time(monday_noon));
-    }
-
-    #[test]
-    fn with_weekend_validates_both_tables() {
-        let mut bad = [1.0; 24];
-        bad[0] = f64::NAN;
-        assert!(DiurnalCurve::with_weekend([1.0; 24], bad).is_none());
-        assert!(DiurnalCurve::with_weekend([1.0; 24], [2.0; 24]).is_some());
     }
 }

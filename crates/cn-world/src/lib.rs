@@ -11,16 +11,16 @@
 //! Behavioral ingredients (see `DESIGN.md` §3 for the substitution
 //! argument):
 //!
-//! * **Sessions** ([`session`]): clumpy arrivals (bursts of short gaps
+//! * **Sessions** (`session`): clumpy arrivals (bursts of short gaps
 //!   followed by long pauses), log-normal-mixture durations with a Pareto
 //!   tail, an inactivity timer that converts session end into
 //!   `S1_CONN_REL`. None of these are exponential, matching the paper's
 //!   finding that per-UE traffic defeats Poisson/Pareto/Weibull/Tcplib fits.
-//! * **Mobility** ([`mobility`]): cell dwell times while connected produce
+//! * **Mobility** (`mobility`): cell dwell times while connected produce
 //!   `HO`; tracking-area crossings and a periodic timer produce `TAU` in
 //!   both ECM states; an idle-mode `TAU` is always followed by the
 //!   signaling `S1_CONN_REL` of Fig. 5's `S1_REL_S_2` behavior.
-//! * **Rhythms** ([`diurnal`]): hour-of-day rate curves per device type
+//! * **Rhythms** (`diurnal`): hour-of-day rate curves per device type
 //!   with the peak-to-trough swings of Fig. 2, plus heavy-tailed per-UE
 //!   activity levels for cross-UE diversity.
 //! * **Power** ([`profile::PowerProfile`]): rare `DTCH`/`ATCH` cycles,
@@ -32,16 +32,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calibrate;
-pub mod diurnal;
-pub mod mobility;
-pub mod profile;
-pub mod session;
-pub mod ue;
-pub mod world;
+#[cfg(test)]
+mod calibrate;
+mod diurnal;
+mod mobility;
+mod profile;
+mod session;
+mod ue;
+mod world;
 
-pub use calibrate::{compare_to_table1, CalibrationResult, TABLE1_TARGETS};
-pub use diurnal::DiurnalCurve;
 pub use profile::{DeviceProfile, MobilityProfile, PowerProfile, SessionProfile};
-pub use ue::simulate_ue;
 pub use world::{generate_world, WorldConfig};

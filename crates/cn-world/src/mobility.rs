@@ -7,26 +7,26 @@ use rand::Rng;
 
 /// Decide whether a session starting now happens "in motion" (only moving
 /// sessions produce handovers).
-pub fn session_is_moving<R: Rng + ?Sized>(profile: &MobilityProfile, rng: &mut R) -> bool {
+pub(crate) fn session_is_moving<R: Rng + ?Sized>(profile: &MobilityProfile, rng: &mut R) -> bool {
     rng.gen::<f64>() < profile.moving_prob
 }
 
 /// Cell dwell time (seconds) until the next handover while connected and
 /// moving.
-pub fn next_cell_dwell<R: Rng + ?Sized>(profile: &MobilityProfile, rng: &mut R) -> f64 {
+pub(crate) fn next_cell_dwell<R: Rng + ?Sized>(profile: &MobilityProfile, rng: &mut R) -> f64 {
     profile.cell_dwell.sample(rng).max(0.5)
 }
 
 /// Whether a handover also crosses a tracking-area boundary (producing a
 /// connected-mode TAU).
-pub fn ho_crosses_ta<R: Rng + ?Sized>(profile: &MobilityProfile, rng: &mut R) -> bool {
+pub(crate) fn ho_crosses_ta<R: Rng + ?Sized>(profile: &MobilityProfile, rng: &mut R) -> bool {
     rng.gen::<f64>() < profile.tau_per_ho_prob
 }
 
 /// Waiting time (seconds) until the next idle-mode tracking-area crossing,
 /// modulated by the diurnal curve (people and cars move when they are
 /// active). `None` when the rate is effectively zero.
-pub fn next_idle_crossing<R: Rng + ?Sized>(
+pub(crate) fn next_idle_crossing<R: Rng + ?Sized>(
     profile: &MobilityProfile,
     now_secs: f64,
     rate_multiplier: impl Fn(Timestamp) -> f64,
@@ -40,7 +40,10 @@ pub fn next_idle_crossing<R: Rng + ?Sized>(
 }
 
 /// Delay (seconds) between an idle TAU and its releasing `S1_CONN_REL`.
-pub fn idle_tau_release_delay<R: Rng + ?Sized>(profile: &MobilityProfile, rng: &mut R) -> f64 {
+pub(crate) fn idle_tau_release_delay<R: Rng + ?Sized>(
+    profile: &MobilityProfile,
+    rng: &mut R,
+) -> f64 {
     profile.idle_tau_release_delay.sample(rng).max(0.05)
 }
 

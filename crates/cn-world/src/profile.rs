@@ -17,16 +17,16 @@ use serde::{Deserialize, Serialize};
 pub struct SessionProfile {
     /// Session arrival rate (per hour) at diurnal multiplier 1.0 and
     /// activity multiplier 1.0.
-    pub base_rate_per_hour: f64,
+    pub(crate) base_rate_per_hour: f64,
     /// Probability that the next session follows in the same clump
     /// (burstiness knob: clump sizes are geometric).
-    pub burst_prob: f64,
+    pub(crate) burst_prob: f64,
     /// Gap between sessions within a clump, in seconds.
-    pub burst_gap: LogNormal,
+    pub(crate) burst_gap: LogNormal,
     /// Session-duration mixture: `(weight, component)`; weights are
     /// normalized at sampling time. The CONNECTED sojourn is this duration
     /// (the inactivity timer that precedes the release is folded in).
-    pub durations: Vec<(f64, Dist)>,
+    pub(crate) durations: Vec<(f64, Dist)>,
 }
 
 /// Mobility behavior (drives `HO`/`TAU`).
@@ -34,59 +34,59 @@ pub struct SessionProfile {
 pub struct MobilityProfile {
     /// Probability that a given session happens while the UE is in motion
     /// (only moving sessions produce handovers).
-    pub moving_prob: f64,
+    pub(crate) moving_prob: f64,
     /// Cell dwell time while connected and moving, in seconds (each dwell
     /// expiry is a `HO`).
-    pub cell_dwell: LogNormal,
+    pub(crate) cell_dwell: LogNormal,
     /// Probability that a handover also crosses a tracking-area boundary
     /// (producing a connected-mode `TAU` right after the `HO`);
     /// ≈ 1 / cells-per-tracking-area.
-    pub tau_per_ho_prob: f64,
+    pub(crate) tau_per_ho_prob: f64,
     /// Rate (per hour, at diurnal multiplier 1.0) of idle-mode
     /// tracking-area crossings, each producing an idle `TAU`.
-    pub idle_crossing_rate_per_hour: f64,
+    pub(crate) idle_crossing_rate_per_hour: f64,
     /// Periodic TAU timer (3GPP T3412), seconds of *continuous idleness*
     /// after which a periodic `TAU` fires. LTE's default is 54 min.
-    pub periodic_tau_secs: f64,
+    pub(crate) periodic_tau_secs: f64,
     /// Delay between an idle `TAU` and the `S1_CONN_REL` that releases its
     /// signaling connection, in seconds.
-    pub idle_tau_release_delay: LogNormal,
+    pub(crate) idle_tau_release_delay: LogNormal,
     /// Rate (per hour, at diurnal multiplier 1.0) of *trips*: long
     /// continuously-connected journeys (commutes, drives) that produce
     /// dense handover runs — the dominant source of HO burstiness.
-    pub trip_rate_per_hour: f64,
+    pub(crate) trip_rate_per_hour: f64,
     /// Trip duration, seconds.
-    pub trip_duration: LogNormal,
+    pub(crate) trip_duration: LogNormal,
 }
 
 /// Power-cycling behavior (drives `ATCH`/`DTCH`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerProfile {
     /// Expected power-off events per day.
-    pub cycles_per_day: f64,
+    pub(crate) cycles_per_day: f64,
     /// How long the UE stays off, in seconds.
-    pub off_duration: LogNormal,
+    pub(crate) off_duration: LogNormal,
     /// Duration of the brief signaling connection that follows `ATCH`
     /// (registration hold), in seconds.
-    pub attach_hold: LogNormal,
+    pub(crate) attach_hold: LogNormal,
 }
 
 /// Complete behavioral profile of one device type.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceProfile {
     /// The device type this profile describes.
-    pub device: DeviceType,
+    pub(crate) device: DeviceType,
     /// Hour-of-day activity curve.
-    pub diurnal: DiurnalCurve,
+    pub(crate) diurnal: DiurnalCurve,
     /// Per-UE activity multiplier distribution (mean ≈ 1; heavy-tailed so
     /// UEs differ by orders of magnitude, per Fig. 2's min–max spreads).
-    pub activity: LogNormal,
+    pub(crate) activity: LogNormal,
     /// Session behavior.
-    pub session: SessionProfile,
+    pub(crate) session: SessionProfile,
     /// Mobility behavior.
-    pub mobility: MobilityProfile,
+    pub(crate) mobility: MobilityProfile,
     /// Power-cycling behavior.
-    pub power: PowerProfile,
+    pub(crate) power: PowerProfile,
 }
 
 /// Log-normal with mean exactly 1 for a given σ (μ = −σ²/2).
@@ -101,7 +101,7 @@ fn ln(median: f64, sigma: f64) -> LogNormal {
 impl DeviceProfile {
     /// Preset profile for one device type (see module docs for the
     /// calibration targets).
-    pub fn preset(device: DeviceType) -> DeviceProfile {
+    pub(crate) fn preset(device: DeviceType) -> DeviceProfile {
         match device {
             DeviceType::Phone => DeviceProfile {
                 device,
@@ -268,7 +268,7 @@ impl DeviceProfile {
 
     /// Presets for all three device types, indexed by
     /// [`DeviceType::code`].
-    pub fn all_presets() -> [DeviceProfile; 3] {
+    pub(crate) fn all_presets() -> [DeviceProfile; 3] {
         [
             DeviceProfile::preset(DeviceType::Phone),
             DeviceProfile::preset(DeviceType::ConnectedCar),

@@ -16,7 +16,7 @@ const MAX_LOOKAHEAD_SECS: f64 = 60.0 * 86_400.0;
 /// inversion method for non-homogeneous exponentials with piecewise
 /// constant rate. Returns `None` when no arrival occurs within the
 /// lookahead window (effectively-zero rates).
-pub fn piecewise_exp_gap<R: Rng + ?Sized, F: Fn(Timestamp) -> f64>(
+pub(crate) fn piecewise_exp_gap<R: Rng + ?Sized, F: Fn(Timestamp) -> f64>(
     now_secs: f64,
     rate_per_hour: F,
     rng: &mut R,
@@ -44,7 +44,7 @@ pub fn piecewise_exp_gap<R: Rng + ?Sized, F: Fn(Timestamp) -> f64>(
 /// Draw the gap (seconds) from the end of the previous session to the start
 /// of the next: a short in-clump gap with probability `burst_prob`, else a
 /// diurnally-modulated background gap.
-pub fn next_session_gap<R: Rng + ?Sized>(
+pub(crate) fn next_session_gap<R: Rng + ?Sized>(
     profile: &SessionProfile,
     now_secs: f64,
     rate_multiplier: impl Fn(Timestamp) -> f64,
@@ -62,7 +62,7 @@ pub fn next_session_gap<R: Rng + ?Sized>(
 }
 
 /// Draw one session duration (seconds) from the profile's mixture.
-pub fn sample_duration<R: Rng + ?Sized>(profile: &SessionProfile, rng: &mut R) -> f64 {
+pub(crate) fn sample_duration<R: Rng + ?Sized>(profile: &SessionProfile, rng: &mut R) -> f64 {
     let total: f64 = profile.durations.iter().map(|(w, _)| w).sum();
     let mut pick = rng.gen::<f64>() * total;
     for (w, dist) in &profile.durations {

@@ -32,7 +32,12 @@ use rand::{Rng, SeedableRng};
 /// The per-UE activity multiplier is drawn from the profile's activity
 /// distribution using `seed`, so a fixed `(profile, horizon, seed)` triple
 /// is fully reproducible.
-pub fn simulate_ue(ue: UeId, profile: &DeviceProfile, horizon_secs: f64, seed: u64) -> Trace {
+pub(crate) fn simulate_ue(
+    ue: UeId,
+    profile: &DeviceProfile,
+    horizon_secs: f64,
+    seed: u64,
+) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
     let activity = profile.activity.sample(&mut rng).clamp(0.05, 50.0);
     let mut sim = UeSim {

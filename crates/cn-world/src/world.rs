@@ -19,11 +19,11 @@ pub struct WorldConfig {
     pub days: f64,
     /// Master seed; every UE's stream is a pure function of
     /// `(seed, ue_index)`.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Per-device behavioral profiles, indexed by [`DeviceType::code`].
     pub profiles: Vec<DeviceProfile>,
     /// Number of worker threads (`0` = all available cores).
-    pub threads: usize,
+    pub(crate) threads: usize,
 }
 
 impl WorldConfig {
@@ -36,17 +36,6 @@ impl WorldConfig {
             profiles: DeviceProfile::all_presets().to_vec(),
             threads: 0,
         }
-    }
-
-    /// Serialize the full world configuration (profiles included) to JSON
-    /// — a reproducible description of a synthetic "carrier".
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Load a world configuration from JSON.
-    pub fn from_json(json: &str) -> serde_json::Result<WorldConfig> {
-        serde_json::from_str(json)
     }
 
     /// Device type of the UE at `index` (phones first, then connected
@@ -72,7 +61,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Per-UE seed for a world.
-pub fn ue_seed(world_seed: u64, ue_index: u32) -> u64 {
+pub(crate) fn ue_seed(world_seed: u64, ue_index: u32) -> u64 {
     splitmix64(world_seed ^ splitmix64(u64::from(ue_index).wrapping_add(0xA5A5_5A5A)))
 }
 
@@ -204,15 +193,6 @@ mod tests {
                 DeviceType::Tablet
             ]
         );
-    }
-
-    #[test]
-    fn config_json_round_trip_reproduces_worlds() {
-        let config = tiny_config(17, 2);
-        let json = config.to_json().unwrap();
-        let back = WorldConfig::from_json(&json).unwrap();
-        assert_eq!(config, back);
-        assert_eq!(generate_world(&config), generate_world(&back));
     }
 
     #[test]

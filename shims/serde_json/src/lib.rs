@@ -162,9 +162,15 @@ pub fn from_value<T: DeserializeOwned>(value: Value) -> Result<T> {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts (upstream serde_json's
+/// recursion limit). Past it, parsing fails with a positioned error
+/// instead of recursing until the stack overflows.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -172,6 +178,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -236,55 +243,71 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("recursion limit exceeded"));
+                }
+                self.depth += 1;
                 self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(self.err("expected `,` or `]`")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    fields.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        _ => return Err(self.err("expected `,` or `}`")),
-                    }
-                }
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
             }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("unexpected character")),
+        }
+    }
+
+    /// The rest of an array, after its `[`.
+    fn parse_array(&mut self) -> Result<Value> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                _ => return Err(self.err("expected `,` or `]`")),
+            }
+        }
+    }
+
+    /// The rest of an object, after its `{`.
+    fn parse_object(&mut self) -> Result<Value> {
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Obj(fields));
+                }
+                _ => return Err(self.err("expected `,` or `}`")),
+            }
         }
     }
 
@@ -408,6 +431,43 @@ mod tests {
             let text = to_string(&f).unwrap();
             let back: f64 = from_str(&text).unwrap();
             assert_eq!(back, f, "{text}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        for unit in ["[", "{\"a\":"] {
+            let deep = unit.repeat((1 << 20) / unit.len());
+            let err = from_str::<Value>(&deep).unwrap_err();
+            assert!(
+                err.to_string().contains("recursion limit exceeded"),
+                "{err}"
+            );
+        }
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    mod hostile {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Bytes drawn mostly from JSON's structural alphabet, so deep and
+        /// half-finished nestings are common rather than vanishingly rare.
+        const ALPHABET: &[u8] = b"[]{}\":,0-1.5e+truefalsnl \\u";
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_parse_or_fail_typed(
+                raw in prop::collection::vec(any::<u8>(), 0..512),
+                picks in prop::collection::vec(0..ALPHABET.len(), 0..2048),
+            ) {
+                let text = String::from_utf8_lossy(&raw);
+                let _ = from_str::<Value>(&text);
+                let structural: String = picks.iter().map(|&i| ALPHABET[i] as char).collect();
+                let _ = from_str::<Value>(&structural);
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 //!   trace I/O (CSV / JSONL / compact binary).
 //! * [`stats`] — distributions + MLE fitting, K–S and Anderson–Darling
 //!   tests, empirical CDFs, variance–time plots.
-//! * [`statemachine`] — the 3GPP EMM/ECM machines, the paper's two-level
+//! * [`statemachine`] — the merged 3GPP EMM–ECM machine, the paper's two-level
 //!   hierarchical machine (Fig. 5), the 5G SA machine (Fig. 6), and the
 //!   replay engine.
 //! * [`cluster`] — the adaptive quadtree UE-clustering scheme (§5.3).
