@@ -9,7 +9,7 @@
 
 use crate::engine::HourSemantics;
 use cn_fit::{ClusterHourModel, DeviceModels, Method, ModelSet, StateMachineKind};
-use cn_statemachine::two_level::{ConnSub, IdleSub};
+use cn_statemachine::two_level::IdleSub;
 use cn_statemachine::{BottomTransition, TlState, TopState, TopTransition};
 use cn_trace::{DeviceType, EventType, Timestamp, Trace, TraceRecord, UeId, MS_PER_HOUR};
 use rand::rngs::StdRng;
@@ -40,18 +40,6 @@ pub fn generate_ue(
 fn next_hour_boundary(t_secs: f64) -> f64 {
     let hour_len = (MS_PER_HOUR / 1_000) as f64;
     (t_secs / hour_len).floor() * hour_len + hour_len
-}
-
-/// State the two-level machine is in *before* a first event `e`, chosen so
-/// that applying `e` is always legal.
-fn predecessor(e: EventType) -> TlState {
-    match e {
-        EventType::Attach => TlState::Deregistered,
-        EventType::Detach | EventType::ServiceRequest | EventType::Tau => {
-            TlState::Idle(IdleSub::S1RelS1)
-        }
-        EventType::S1ConnRelease | EventType::Handover => TlState::Connected(ConnSub::SrvReqS),
-    }
 }
 
 /// Per-method dynamic state of the generator.
@@ -332,9 +320,7 @@ impl UeState {
         }
         match self.method.machine() {
             StateMachineKind::TwoLevel => {
-                let state = predecessor(first)
-                    .apply(first)
-                    .expect("predecessor makes the first event legal");
+                let state = TlState::before(first).step(first).0;
                 let top_pending = self.sample_top(dm, state.top(), t0);
                 let tf = top_pending.map_or(f64::INFINITY, |(_, t)| t);
                 let (bottom_pending, bottom_retry) = self.arm_bottom(dm, state, t0, tf);
@@ -467,9 +453,7 @@ impl UeState {
                 };
                 emitted = Some(rec);
             }
-            state = state.apply(event).unwrap_or_else(|| {
-                TlState::after_event(event, !matches!(state, TlState::Connected(_)))
-            });
+            state = state.step(event).0;
             top_pending = self.sample_top(dm, state.top(), t);
             top_retry = next_hour_boundary(t);
             let tf = top_pending.map_or(f64::INFINITY, |(_, t)| t);

@@ -17,13 +17,26 @@
 //! up to `checkpoint_every − 1` records; resuming from one replays that
 //! suffix (at-least-once delivery across restarts). The final checkpoint
 //! written on a graceful stop is exact (exactly-once).
+//!
+//! A loaded file is checked before anything is built from it: the derived
+//! parse skips `GenConfig::new`'s saturation, so a corrupt file could
+//! otherwise carry a window or a population the generator's pool cannot
+//! hold, and the resume would panic or allocate by the corrupt count.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use cn_gen::GenConfig;
 use cn_scenario::ScenarioSpec;
+use cn_trace::MS_PER_HOUR;
 use serde::{Deserialize, Serialize};
+
+/// Most UEs a resumed stream can hold: one `cn-gen` pool, whose merge key
+/// keeps 24 bits for a UE's slot.
+const MAX_UES: u64 = 1 << 24;
+/// Exclusive bound on a resumed stream's window in milliseconds: the 37
+/// bits (~4.3 years) a `cn-gen` merge key keeps for time.
+const MAX_HORIZON_MS: f64 = (1u64 << 37) as f64;
 
 /// A point-in-time snapshot of serve progress.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,10 +102,45 @@ impl Checkpoint {
         Ok(tmp)
     }
 
-    /// Load a checkpoint previously written by `Checkpoint::save`.
+    /// Load a checkpoint previously written by `Checkpoint::save`. A file
+    /// the resume path could not serve is a [`CheckpointError::Parse`].
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
         let json = std::fs::read_to_string(path).map_err(io_error("read"))?;
-        serde_json::from_str(&json).map_err(|e| CheckpointError::Parse(e.to_string()))
+        let ckpt: Checkpoint =
+            serde_json::from_str(&json).map_err(|e| CheckpointError::Parse(e.to_string()))?;
+        ckpt.validate().map_err(CheckpointError::Parse)?;
+        Ok(ckpt)
+    }
+
+    /// Reject what a resume cannot serve: a population or window larger
+    /// than one generator pool holds, a compression that is not finite
+    /// and positive, or a scenario its own validation rejects.
+    fn validate(&self) -> Result<(), String> {
+        let mix = self.config.population;
+        let ues: u64 = [mix.phones, mix.connected_cars, mix.tablets]
+            .into_iter()
+            .map(u64::from)
+            .sum();
+        if ues > MAX_UES {
+            return Err(format!("population of {ues} UEs exceeds {MAX_UES}"));
+        }
+        let horizon_ms = self.config.duration_hours * MS_PER_HOUR as f64;
+        if !(0.0..MAX_HORIZON_MS).contains(&horizon_ms) {
+            return Err(format!(
+                "duration_hours {} is not a window a pool can span",
+                self.config.duration_hours
+            ));
+        }
+        if !(self.compression.is_finite() && self.compression > 0.0) {
+            return Err(format!(
+                "compression {} is not finite and positive",
+                self.compression
+            ));
+        }
+        match &self.scenario {
+            Some(spec) => spec.validate().map_err(|e| e.to_string()),
+            None => Ok(()),
+        }
     }
 }
 
@@ -165,6 +213,34 @@ mod tests {
         let loaded = Checkpoint::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded, ckpt);
+    }
+
+    #[test]
+    fn what_a_resume_cannot_serve_is_rejected() {
+        assert_eq!(ckpt(7).validate(), Ok(()));
+        let mut huge = ckpt(7);
+        huge.config.population.phones = u32::MAX;
+        let mut long = ckpt(7);
+        long.config.duration_hours = 24.0 * 365.0 * 5.0;
+        let mut nan = ckpt(7);
+        nan.config.duration_hours = f64::NAN;
+        let mut stalled = ckpt(7);
+        stalled.compression = 0.0;
+        let mut empty = ckpt(7);
+        empty.scenario = Some(ScenarioSpec {
+            name: "empty".into(),
+            seed: 1,
+            phases: vec![cn_scenario::Phase {
+                name: "none".into(),
+                window: cn_scenario::TimeWindow::new(10.0, 0.0),
+                kind: cn_scenario::PhaseKind::Outage {
+                    ues: cn_scenario::UeSubset::new(0, 4),
+                },
+            }],
+        });
+        for bad in [huge, long, nan, stalled, empty] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

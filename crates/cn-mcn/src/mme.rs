@@ -1,7 +1,7 @@
 //! Per-UE state tracking, as a signaling function would perform it.
 
 use cn_statemachine::TlState;
-use cn_trace::{EventType, Trace, TraceRecord, UeId};
+use cn_trace::{Trace, TraceRecord, UeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -10,12 +10,13 @@ use std::collections::HashMap;
 pub struct MmeReport {
     /// Events processed in total.
     pub processed: u64,
-    /// Events per type, indexed by [`EventType::code`].
+    /// Events per type, indexed by [`cn_trace::EventType::code`].
     pub by_type: [u64; 6],
     /// Distinct UEs seen.
     pub ues: u64,
     /// Events that were illegal for the UE's tracked state (the MME
-    /// recovers by resynchronizing the state, mirroring real NAS recovery).
+    /// recovers by resynchronizing the state, mirroring real NAS recovery):
+    /// `cn_statemachine::replay_trace`'s violation count on the same trace.
     pub protocol_errors: u64,
     /// UEs currently in ECM-CONNECTED at end of trace.
     pub connected_at_end: u64,
@@ -59,7 +60,7 @@ impl Mme {
         let mut newly_seen = false;
         let state = self.table.entry(rec.ue).or_insert_with(|| {
             newly_seen = true;
-            initial_guess(rec.event)
+            TlState::before(rec.event)
         });
         if newly_seen {
             self.report.ues += 1;
@@ -71,15 +72,10 @@ impl Mme {
             }
         }
         let was_connected = matches!(state, TlState::Connected(_));
-        let next = match state.apply(rec.event) {
-            Some(next) => next,
-            None => {
-                self.report.protocol_errors += 1;
-                // NAS-style recovery: resynchronize to the state implied by
-                // the event itself.
-                TlState::after_event(rec.event, !was_connected)
-            }
-        };
+        // Replay's step: an illegal event counts as a protocol error and
+        // resynchronizes the tracked state (NAS-style recovery).
+        let (next, legal) = state.step(rec.event);
+        self.report.protocol_errors += u64::from(!legal);
         let is_connected = matches!(next, TlState::Connected(_));
         match (was_connected, is_connected) {
             (false, true) => {
@@ -102,20 +98,10 @@ impl Mme {
     }
 }
 
-/// State to assume for a UE first seen with event `e` (pre-event state).
-fn initial_guess(e: EventType) -> TlState {
-    use cn_statemachine::two_level::{ConnSub, IdleSub};
-    match e {
-        EventType::Attach => TlState::Deregistered,
-        EventType::S1ConnRelease | EventType::Handover => TlState::Connected(ConnSub::SrvReqS),
-        _ => TlState::Idle(IdleSub::S1RelS1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cn_trace::{DeviceType, Timestamp};
+    use cn_trace::{DeviceType, EventType, Timestamp};
 
     fn rec(t: u64, ue: u32, e: EventType) -> TraceRecord {
         TraceRecord::new(Timestamp::from_millis(t), UeId(ue), DeviceType::Phone, e)

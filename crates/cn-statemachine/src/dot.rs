@@ -6,7 +6,7 @@
 
 use crate::emm_ecm::TopTransition;
 use crate::fiveg::Sa5gState;
-use crate::two_level::{BottomTransition, TlState};
+use crate::two_level::BottomTransition;
 use cn_trace::EventType;
 
 /// DOT for the two-level LTE machine (Fig. 5): top-level states as a
@@ -36,13 +36,9 @@ pub fn two_level_dot() -> String {
         ));
     }
     // Top-level edges, drawn between representative entry states.
-    let rep = |s: TlState| s.label();
     for t in TopTransition::ALL {
         let (from, to) = match t {
-            TopTransition::DeregToConn => (
-                "EMM_DEREGISTERED",
-                rep(TlState::after_event(EventType::Attach, false)),
-            ),
+            TopTransition::DeregToConn => ("EMM_DEREGISTERED", "SRV_REQ_S"),
             TopTransition::ConnToIdle => ("SRV_REQ_S", "S1_REL_S_1"),
             TopTransition::ConnToDereg => ("SRV_REQ_S", "EMM_DEREGISTERED"),
             TopTransition::IdleToConn => ("S1_REL_S_1", "SRV_REQ_S"),

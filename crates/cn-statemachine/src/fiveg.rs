@@ -62,8 +62,8 @@ impl Sa5gState {
     }
 
     /// The state a UE occupies right after the given event, independent of
-    /// the predecessor state — the SA analogue of
-    /// [`crate::TlState::after_event`], used to infer an initial state when
+    /// the predecessor state — the SA analogue of the resync in
+    /// [`crate::TlState::step`], used to infer an initial state when
     /// a trace starts mid-stream (a UE's first event of the window need not
     /// be a registration). `None` for `Tau`, which has no SA counterpart.
     pub fn after_event(event: EventType) -> Option<Sa5gState> {

@@ -10,11 +10,12 @@
 //!   transitions ([`two_level`]);
 //! * the adjusted **5G SA** machine of Fig. 6 ([`fiveg`]);
 //! * Graphviz renderings of the machines ([`dot`]) for documentation;
-//! * a **replay engine** ([`replay`]) that walks a per-UE event stream
-//!   through the two-level machine, producing per-transition sojourn-time
-//!   samples (the raw material of the Semi-Markov model, §5.2) and protocol
-//!   violations (the basis of conformance checking and of attributing
-//!   HO/TAU events to an ECM context in Tables 4/11).
+//! * a **replay engine** ([`replay`]) that folds the machine's one lenient
+//!   step ([`TlState::step`]) over a per-UE event stream, producing
+//!   per-transition sojourn-time samples (the raw material of the
+//!   Semi-Markov model, §5.2) and protocol violations (the basis of
+//!   conformance checking and of attributing HO/TAU events to an ECM
+//!   context in Tables 4/11).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +30,6 @@ pub mod two_level;
 
 pub use emm_ecm::{TopState, TopTransition};
 pub use replay::{
-    replay_trace, replay_ue, PopulationReplay, ReplayOutcome, Segment, SojournSample, UeViolation,
-    Violation,
+    replay_trace, replay_ue, PopulationReplay, ReplayOutcome, SojournSample, UeViolation, Violation,
 };
 pub use two_level::{BottomTransition, ConnSub, IdleSub, TlState};

@@ -15,30 +15,18 @@
 //!    state it fired in, so evaluation can split `HO`/`TAU` into their
 //!    CONNECTED/IDLE contexts.
 //!
-//! Replay is *lenient*: a violating event is recorded and the machine is
-//! forced into the state the event would normally lead to
-//! ([`TlState::after_event`]), so one bad event does not cascade. No
+//! Replay folds the machine's one lenient step ([`TlState::step`]) over the
+//! stream: a violating event is recorded and the machine resynchronizes to
+//! the state the event leads to, so one bad event does not cascade. No
 //! sojourn samples are emitted for forced moves. Because a trace usually
 //! starts mid-stream, the initial state is inferred from the first event
-//! and no sojourn is emitted for it (its entry time is unknown).
+//! ([`TlState::before`]) and no sojourn is emitted for it (its entry time
+//! is unknown).
 
 use crate::emm_ecm::{TopState, TopTransition};
 use crate::two_level::{BottomTransition, TlState};
 use cn_trace::{EventType, Timestamp, TraceRecord};
 use serde::{Deserialize, Serialize};
-
-/// A maximal interval a UE spends in one flattened state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Segment {
-    /// The flattened two-level state.
-    pub(crate) state: TlState,
-    /// When the state was entered (`None` for the inferred initial state).
-    pub(crate) enter: Option<Timestamp>,
-    /// When the state was left (`None` if the trace ends in this state).
-    pub(crate) exit: Option<Timestamp>,
-    /// The event that ended the segment, if any.
-    pub(crate) out_event: Option<EventType>,
-}
 
 /// A sojourn-time observation for one transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,8 +65,6 @@ impl std::fmt::Display for Violation {
 /// Everything replay learns from one UE's event stream.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ReplayOutcome {
-    /// State segments in time order.
-    pub segments: Vec<Segment>,
     /// Sojourn observations for top-level (EMM–ECM) transitions.
     pub top_sojourns: Vec<SojournSample<TopTransition>>,
     /// Sojourn observations for second-level transitions.
@@ -94,17 +80,6 @@ pub struct ReplayOutcome {
     /// them, a generator would arm an HO/TAU timer on every visit and
     /// flood the trace with Category-2 events.
     pub bottom_censored: Vec<(TlState, Timestamp)>,
-}
-
-impl Default for Segment {
-    fn default() -> Self {
-        Segment {
-            state: TlState::Deregistered,
-            enter: None,
-            exit: None,
-            out_event: None,
-        }
-    }
 }
 
 impl ReplayOutcome {
@@ -149,8 +124,6 @@ pub struct PopulationReplay {
     pub top_sojourns: Vec<SojournSample<TopTransition>>,
     /// Pooled second-level sojourn observations across all UEs.
     pub bottom_sojourns: Vec<SojournSample<BottomTransition>>,
-    /// Pooled censored bottom-state visits (see [`ReplayOutcome`]).
-    pub(crate) bottom_censored: Vec<(TlState, Timestamp)>,
 }
 
 impl PopulationReplay {
@@ -193,26 +166,21 @@ impl PopulationReplay {
 /// Replay a time-sorted population trace, one UE at a time, and aggregate
 /// the outcomes into a [`PopulationReplay`].
 ///
-/// Events are grouped by UE preserving trace order, so each UE's stream is
-/// time-sorted iff the input is (population traces produced by `cn-trace`
-/// and `cn-gen` guarantee this).
+/// One stable sort by UE groups the records, so each UE's stream keeps
+/// trace order (and is time-sorted iff the input is: population traces
+/// from `cn-trace` and `cn-gen` guarantee this) and the outcome is
+/// UE-major in ascending id.
 pub fn replay_trace(records: &[TraceRecord]) -> PopulationReplay {
-    use std::collections::HashMap;
-    let mut by_ue: HashMap<cn_trace::UeId, Vec<TraceRecord>> = HashMap::new();
-    for r in records {
-        by_ue.entry(r.ue).or_default().push(*r);
-    }
-    let mut ues: Vec<cn_trace::UeId> = by_ue.keys().copied().collect();
-    ues.sort();
-
+    let mut by_ue = records.to_vec();
+    by_ue.sort_by_key(|r| r.ue);
     let mut pop = PopulationReplay {
-        ue_count: ues.len(),
         total_events: records.len(),
         ..Default::default()
     };
-    for ue in ues {
-        let stream = &by_ue[&ue];
+    for stream in by_ue.chunk_by(|a, b| a.ue == b.ue) {
+        let ue = stream[0].ue;
         let out = replay_ue(stream);
+        pop.ue_count += 1;
         pop.violations.extend(
             out.violations
                 .into_iter()
@@ -220,23 +188,8 @@ pub fn replay_trace(records: &[TraceRecord]) -> PopulationReplay {
         );
         pop.top_sojourns.extend(out.top_sojourns);
         pop.bottom_sojourns.extend(out.bottom_sojourns);
-        pop.bottom_censored.extend(out.bottom_censored);
     }
     pop
-}
-
-/// Infer the state a UE must have been in *before* its first event.
-fn initial_state_for(first: EventType) -> TlState {
-    use crate::two_level::{ConnSub, IdleSub};
-    match first {
-        EventType::Attach => TlState::Deregistered,
-        // A detach, service request, or TAU arriving first most plausibly
-        // finds the UE idle; a release or handover requires CONNECTED.
-        EventType::Detach | EventType::ServiceRequest | EventType::Tau => {
-            TlState::Idle(IdleSub::S1RelS1)
-        }
-        EventType::S1ConnRelease | EventType::Handover => TlState::Connected(ConnSub::SrvReqS),
-    }
 }
 
 /// Replay one UE's time-sorted events through the two-level machine.
@@ -260,93 +213,62 @@ pub fn replay_ue(events: &[TraceRecord]) -> ReplayOutcome {
     let Some(first) = events.first() else {
         return out;
     };
-    let mut state = initial_state_for(first.event);
+    let mut state = TlState::before(first.event);
     // Entry times are unknown until the first transition into a state.
     let mut top_enter: Option<Timestamp> = None;
     let mut sub_enter: Option<Timestamp> = None;
-    let mut seg = Segment {
-        state,
-        enter: None,
-        exit: None,
-        out_event: None,
-    };
 
     for (index, rec) in events.iter().enumerate() {
         let (event, t) = (rec.event, rec.t);
         out.event_context.push(state.top());
-        let next = match state.apply(event) {
-            Some(next) => {
-                // Emit sojourn samples for legal moves with known entry time.
-                if next.top() != state.top() {
-                    if let (Some(enter), Some(tr)) =
-                        (top_enter, TopTransition::lookup(state.top(), event))
-                    {
-                        out.top_sojourns.push(SojournSample {
-                            transition: tr,
-                            enter,
-                            duration_ms: t.since(enter),
-                        });
-                    }
+        let (next, legal) = state.step(event);
+        if legal {
+            // Emit sojourn samples for legal moves with known entry time.
+            if next.top() != state.top() {
+                if let (Some(enter), Some(tr)) =
+                    (top_enter, TopTransition::lookup(state.top(), event))
+                {
+                    out.top_sojourns.push(SojournSample {
+                        transition: tr,
+                        enter,
+                        duration_ms: t.since(enter),
+                    });
                 }
-                match BottomTransition::lookup(state, event) {
-                    Some(bt) => {
-                        if let Some(enter) = sub_enter {
-                            out.bottom_sojourns.push(SojournSample {
-                                transition: bt,
-                                enter,
-                                duration_ms: t.since(enter),
-                            });
-                        }
-                    }
-                    None => {
-                        // A top-level move ended this bottom-state visit:
-                        // censored (no Category-2 event this visit).
-                        if state != TlState::Deregistered {
-                            if let Some(enter) = sub_enter {
-                                out.bottom_censored.push((state, enter));
-                            }
-                        }
-                    }
+            }
+            match (BottomTransition::lookup(state, event), sub_enter) {
+                (Some(bt), Some(enter)) => out.bottom_sojourns.push(SojournSample {
+                    transition: bt,
+                    enter,
+                    duration_ms: t.since(enter),
+                }),
+                // A top-level move ended this bottom-state visit:
+                // censored (no Category-2 event this visit).
+                (None, Some(enter)) if state != TlState::Deregistered => {
+                    out.bottom_censored.push((state, enter));
                 }
-                next
+                _ => {}
             }
-            None => {
-                out.violations.push(Violation {
-                    index,
-                    state,
-                    event,
-                    t,
-                });
-                let idle_context = !matches!(state, TlState::Connected(_));
-                TlState::after_event(event, idle_context)
-            }
-        };
-
-        // Close the current segment and open the next one.
-        seg.exit = Some(t);
-        seg.out_event = Some(event);
-        out.segments.push(seg);
-        seg = Segment {
-            state: next,
-            enter: Some(t),
-            exit: None,
-            out_event: None,
-        };
-
+        } else {
+            out.violations.push(Violation {
+                index,
+                state,
+                event,
+                t,
+            });
+        }
         if next.top() != state.top() {
             top_enter = Some(t);
         }
         sub_enter = Some(t);
         state = next;
     }
-    out.segments.push(seg);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_level::{ConnSub, IdleSub};
+    use crate::two_level::IdleSub;
     use cn_trace::{DeviceType, UeId};
 
     fn stream(events: &[(u64, EventType)]) -> Vec<TraceRecord> {
@@ -361,7 +283,8 @@ mod tests {
     #[test]
     fn empty_stream_is_empty_outcome() {
         let out = replay_ue(&[]);
-        assert!(out.segments.is_empty());
+        assert!(out.event_context.is_empty());
+        assert!(out.top_sojourns.is_empty());
         assert!(out.is_conformant());
     }
 
@@ -381,8 +304,6 @@ mod tests {
         ]);
         let out = replay_ue(&evs);
         assert!(out.is_conformant(), "{:?}", out.violations);
-        // Final state: Deregistered.
-        assert_eq!(out.segments.last().unwrap().state, TlState::Deregistered);
     }
 
     #[test]
@@ -497,11 +418,7 @@ mod tests {
         assert_eq!(v.event, Handover);
         assert_eq!(v.state, TlState::Idle(IdleSub::S1RelS1));
         // Forced to HO_S (connected), so the final release is legal again.
-        assert_eq!(out.violations.len(), 1);
-        assert_eq!(
-            out.segments.last().unwrap().state,
-            TlState::Idle(IdleSub::S1RelS1)
-        );
+        assert_eq!(out.event_context[3], TopState::Connected);
     }
 
     #[test]
@@ -523,24 +440,6 @@ mod tests {
                 TopState::Idle
             ]
         );
-    }
-
-    #[test]
-    fn initial_state_inference() {
-        use EventType::*;
-        assert_eq!(initial_state_for(Attach), TlState::Deregistered);
-        assert_eq!(
-            initial_state_for(Handover),
-            TlState::Connected(ConnSub::SrvReqS)
-        );
-        assert_eq!(
-            initial_state_for(ServiceRequest),
-            TlState::Idle(IdleSub::S1RelS1)
-        );
-        // And the inferred states make the first event legal.
-        for e in EventType::ALL {
-            assert!(initial_state_for(e).apply(e).is_some(), "{e}");
-        }
     }
 
     #[test]
@@ -579,17 +478,5 @@ mod tests {
         assert!(pop.is_conformant());
         assert_eq!(pop.acceptance_rate(), 1.0);
         assert_eq!(pop.ue_count, 0);
-    }
-
-    #[test]
-    fn segment_chain_is_contiguous() {
-        use EventType::*;
-        let evs = stream(&[(0, Attach), (500, Tau), (900, S1ConnRelease)]);
-        let out = replay_ue(&evs);
-        assert_eq!(out.segments.len(), 4); // initial + 3 transitions
-        for w in out.segments.windows(2) {
-            assert_eq!(w[0].exit, w[1].enter);
-        }
-        assert!(out.segments.last().unwrap().exit.is_none());
     }
 }

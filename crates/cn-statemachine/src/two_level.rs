@@ -125,26 +125,40 @@ impl TlState {
         }
     }
 
-    /// The state a UE occupies right after the given event, independent of
-    /// the predecessor state — used to infer an initial state when a trace
-    /// starts mid-stream. Ambiguous events resolve to the paper's sub-state
-    /// semantics ("each state corresponds to the event that happens right
-    /// before entering it").
-    pub fn after_event(event: EventType, idle_context: bool) -> TlState {
-        match event {
-            EventType::Attach => TlState::Connected(ConnSub::SrvReqS),
-            EventType::Detach => TlState::Deregistered,
-            EventType::ServiceRequest => TlState::Connected(ConnSub::SrvReqS),
-            EventType::S1ConnRelease => TlState::Idle(IdleSub::S1RelS1),
-            EventType::Handover => TlState::Connected(ConnSub::HoS),
-            EventType::Tau => {
-                if idle_context {
-                    TlState::Idle(IdleSub::TauSIdle)
-                } else {
-                    TlState::Connected(ConnSub::TauSConn)
-                }
+    /// The state a UE is inferred to be in *before* its first observed
+    /// event, chosen so that the event is legal there: an attach finds the
+    /// UE deregistered, a release or handover needs CONNECTED, and a
+    /// detach, service request or TAU most plausibly finds it idle.
+    pub fn before(first: EventType) -> TlState {
+        match first {
+            EventType::Attach => TlState::Deregistered,
+            EventType::S1ConnRelease | EventType::Handover => TlState::Connected(ConnSub::SrvReqS),
+            EventType::Detach | EventType::ServiceRequest | EventType::Tau => {
+                TlState::Idle(IdleSub::S1RelS1)
             }
         }
+    }
+
+    /// The lenient step every consumer of an event stream takes: apply
+    /// `event`, or, when it is illegal here, resynchronize to the state the
+    /// event itself leads to (NAS-style recovery, so one bad event does not
+    /// cascade). Ambiguous events resolve to the paper's sub-state semantics
+    /// ("each state corresponds to the event that happens right before
+    /// entering it"). Returns the next state and whether `event` was legal.
+    pub fn step(self, event: EventType) -> (TlState, bool) {
+        use TlState::*;
+        if let Some(next) = self.apply(event) {
+            return (next, true);
+        }
+        let forced = match event {
+            EventType::Attach | EventType::ServiceRequest => Connected(ConnSub::SrvReqS),
+            EventType::Detach => Deregistered,
+            EventType::S1ConnRelease => Idle(IdleSub::S1RelS1),
+            EventType::Handover => Connected(ConnSub::HoS),
+            EventType::Tau if matches!(self, Connected(_)) => Connected(ConnSub::TauSConn),
+            EventType::Tau => Idle(IdleSub::TauSIdle),
+        };
+        (forced, false)
     }
 }
 
@@ -368,14 +382,31 @@ mod tests {
     }
 
     #[test]
-    fn after_event_lands_in_consistent_state() {
+    fn before_makes_the_first_event_legal() {
+        assert_eq!(TlState::before(EventType::Attach), TlState::Deregistered);
+        assert_eq!(
+            TlState::before(EventType::Handover),
+            TlState::Connected(ConnSub::SrvReqS)
+        );
+        assert_eq!(
+            TlState::before(EventType::ServiceRequest),
+            TlState::Idle(IdleSub::S1RelS1)
+        );
         for e in EventType::ALL {
-            for idle in [false, true] {
-                let s = TlState::after_event(e, idle);
-                // The inferred state must be reachable: some predecessor
-                // state applies `e` into it.
-                let reachable = TlState::ALL.into_iter().any(|p| p.apply(e) == Some(s));
-                assert!(reachable, "{e} idle={idle} → {s}");
+            assert!(TlState::before(e).step(e).1, "{e}");
+        }
+    }
+
+    #[test]
+    fn step_resyncs_into_a_reachable_state() {
+        for s in TlState::ALL {
+            for e in EventType::ALL {
+                let (next, legal) = s.step(e);
+                assert_eq!(legal, s.apply(e).is_some(), "{s} --{e}");
+                // Legal or forced, the landing state is one some state
+                // reaches by `e`.
+                let reachable = TlState::ALL.into_iter().any(|p| p.apply(e) == Some(next));
+                assert!(reachable, "{s} --{e}--> {next}");
             }
         }
     }

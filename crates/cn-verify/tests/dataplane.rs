@@ -1,14 +1,18 @@
 //! The ordered-record dataplane, checked in one place: one contract
 //! table over every [`RecordSource`] implementation, one hostile-bytes
-//! property over every decoder of the 14-byte codec, and one over the
-//! simulator configuration a closed loop reads as JSON.
+//! property over every decoder of the 14-byte codec, and one each over
+//! the JSON a closed loop reads: the simulator configuration and a resume
+//! checkpoint.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cn_fit::ModelSet;
 use cn_gen::{generate, FaultPlan, GenConfig, PopulationStream, ShardedStream};
-use cn_live::{decode_frame, encode_frame, Frame, LiveRecordSource};
+use cn_live::{
+    decode_frame, encode_frame, Checkpoint, Frame, LiveConfig, LiveRecordSource, LiveServer,
+    SystemClock,
+};
 use cn_mcn::{DesConfig, DesSim};
 use cn_obs::Registry;
 use cn_scenario::{
@@ -318,10 +322,10 @@ fn des_config_json() -> String {
     serde_json::to_string(&DesConfig::default_epc(1)).unwrap()
 }
 
-/// The valid rendering with one byte replaced: a near miss of every
-/// field, bracket and digit in turn.
-fn mutated_des_config() -> impl Strategy<Value = Vec<u8>> {
-    let valid = des_config_json().into_bytes();
+/// `valid` with one byte replaced: a near miss of every field, bracket
+/// and digit in turn.
+fn mutated(valid: String) -> impl Strategy<Value = Vec<u8>> {
+    let valid = valid.into_bytes();
     (0..valid.len(), any::<u8>()).prop_map(move |(at, byte)| {
         let mut bytes = valid.clone();
         bytes[at] = byte;
@@ -329,10 +333,9 @@ fn mutated_des_config() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
-/// The valid rendering with one of its numbers replaced by an extreme —
-/// a server count, transaction count or period a careless constructor
-/// might size something by.
-fn extreme_des_config() -> impl Strategy<Value = Vec<u8>> {
+/// `valid` with one of its numbers replaced by an extreme — a count,
+/// period or duration a careless constructor might size something by.
+fn extreme(valid: String) -> impl Strategy<Value = Vec<u8>> {
     const EXTREMES: [&str; 7] = [
         "0",
         "-1",
@@ -342,7 +345,6 @@ fn extreme_des_config() -> impl Strategy<Value = Vec<u8>> {
         "1e308",
         "-1e308",
     ];
-    let valid = des_config_json();
     let bytes = valid.as_bytes();
     let is_number = |b: &u8| b.is_ascii_digit() || b".-+eE".contains(b);
     let numbers: Vec<(usize, usize)> = (1..bytes.len())
@@ -368,7 +370,11 @@ proptest! {
     /// growth, bounds what a parse can honestly need).
     #[test]
     fn des_config_survives_hostile_json(
-        bytes in prop_oneof![hostile_bytes(), mutated_des_config(), extreme_des_config()],
+        bytes in prop_oneof![
+            hostile_bytes(),
+            mutated(des_config_json()),
+            extreme(des_config_json()),
+        ],
     ) {
         let text = String::from_utf8_lossy(&bytes);
         let budget = 64 * bytes.len() + 4096;
@@ -378,5 +384,61 @@ proptest! {
             }
         });
         prop_assert!(peak <= budget, "{} byte input, {peak} byte allocation", bytes.len());
+    }
+}
+
+/// A resumable serve's checkpoint rendered as JSON: a small window with a
+/// storm overlaid.
+fn checkpoint_json() -> String {
+    let mut config = config();
+    config.population = PopulationMix::new(24, 8, 8);
+    config.duration_hours = 1.5;
+    let ckpt = Checkpoint {
+        emitted: 1234,
+        compression: 3600.0,
+        config,
+        scenario: Some(storm()),
+    };
+    serde_json::to_string(&ckpt).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A checkpoint file of hostile JSON fails to load with a typed error,
+    /// or loads into what a resume builds — its generation stream, its
+    /// scenario overlay and its live server — without a panic. Loading
+    /// stays within the JSON parse budget above, and building the stream
+    /// allocates by the population the load accepted (a slot per UE),
+    /// never by a count the file merely spells out.
+    #[test]
+    fn checkpoint_survives_hostile_json(
+        bytes in prop_oneof![
+            hostile_bytes(),
+            mutated(checkpoint_json()),
+            extreme(checkpoint_json()),
+        ],
+    ) {
+        static MODELS: std::sync::OnceLock<ModelSet> = std::sync::OnceLock::new();
+        let models = MODELS.get_or_init(|| GroundTruth::standard(11).set);
+        let path = std::env::temp_dir()
+            .join(format!("cn-verify-hostile-ckpt-{}.json", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let budget = 64 * bytes.len() + 4096;
+        let (loaded, peak) = largest_alloc_during(|| Checkpoint::load(&path));
+        std::fs::remove_file(&path).ok();
+        prop_assert!(peak <= budget, "{} byte input, {peak} byte allocation", bytes.len());
+        if let Ok(ckpt) = loaded {
+            let (stream, peak) = largest_alloc_during(|| ShardedStream::new(models, &ckpt.config));
+            let ues = ckpt.config.population.total() as usize;
+            prop_assert!(peak <= 1024 * (ues + 16), "{ues} UEs, {peak} byte allocation");
+            let registry = Registry::disabled();
+            if let Some(spec) = &ckpt.scenario {
+                ScenarioStream::new(spec, &ckpt.config, stream, &registry)
+                    .expect("a loaded scenario compiles");
+            }
+            LiveServer::new(SystemClock::new(), LiveConfig::new(ckpt.compression), &registry)
+                .expect("a loaded compression serves");
+        }
     }
 }

@@ -5,11 +5,15 @@
 //! (demanding 100% acceptance), re-fits each transition's sojourn law from
 //! the replayed trace, and requires every re-fit to pass the two-sample
 //! K–S test at α = 0.01 against its ground truth. A companion test pins
-//! the byte-identical-across-engines golden hash. The same checks run at
+//! the byte-identical-across-engines golden hash, and a third pins the
+//! fitted pipeline (world → replay → fit → generate). The same checks run at
 //! 5,000 UEs / 12 h via `cargo run --release -p cn-verify --bin
 //! verify_model`; quick-scale variants live in `crates/cn-verify/tests/`.
 
+use cn_fit::{fit, FitConfig, Method};
+use cn_trace::PopulationMix;
 use cn_verify::{check_pinned, run_golden, run_round_trip, GroundTruth, RoundTripConfig};
+use cn_world::{generate_world, WorldConfig};
 
 #[test]
 fn acceptance_round_trip_recovers_the_ground_truth() {
@@ -65,4 +69,25 @@ fn golden_hashes_are_engine_invariant_and_pinned() {
     assert!(report.consistent, "{}", report.render());
     check_pinned("standard-v1", report.hash().expect("consistent"))
         .unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
+fn fitted_pipeline_hash_is_pinned() {
+    // The other pins generate from a known ground truth; this one runs the
+    // replay and the fit, so a change to either shows as a moved hash.
+    let world = generate_world(&WorldConfig::new(PopulationMix::new(30, 12, 8), 1.0, 17));
+    let config = cn_verify::golden::standard_config();
+    let hash = |method| {
+        let models = fit(&world, &FitConfig::new(method));
+        let report = run_golden(&models, &config);
+        assert!(report.consistent, "{}", report.render());
+        assert!(
+            report.cases[0].events > 0,
+            "{method:?} fit generated nothing"
+        );
+        report.hash().expect("consistent")
+    };
+    // One pin for both semantics: the rotation keeps the pair ordered.
+    let pin = hash(Method::Ours).rotate_left(32) ^ hash(Method::Base);
+    check_pinned("fitted-v1", pin).unwrap_or_else(|e| panic!("{e}"));
 }

@@ -20,7 +20,7 @@ const BUDGETS: [(&str, usize); 14] = [
     ("cn-mcn", 89),
     ("cn-obs", 132),
     ("cn-scenario", 47),
-    ("cn-statemachine", 60),
+    ("cn-statemachine", 59),
     ("cn-stats", 93),
     ("cn-trace", 122),
     ("cn-verify", 79),
