@@ -241,14 +241,15 @@ impl UeState {
         None
     }
 
+    /// Sample the next top-level move from `model`, the model of `base`'s
+    /// hour: a caller arming several timers at one instant looks it up once.
     fn sample_top(
         &mut self,
-        dm: &DeviceModels,
+        model: &ClusterHourModel,
         s: TopState,
         base: f64,
     ) -> Option<(TopTransition, f64)> {
-        let pending = self
-            .model_at(dm, base)
+        let pending = model
             .top
             .sample_next(s, &mut self.rng)
             .map(|(tr, d)| (tr, base + d));
@@ -263,12 +264,11 @@ impl UeState {
     /// redrawn top sojourn would systematically under-generate HO/TAU.
     fn arm_bottom(
         &mut self,
-        dm: &DeviceModels,
+        model: &ClusterHourModel,
         s: TlState,
         base: f64,
         top_fire: f64,
     ) -> (Option<(BottomTransition, f64)>, f64) {
-        let model = self.model_at(dm, base);
         match model.exit_prob(s) {
             Some(p) if self.rng.gen::<f64>() < p => (None, f64::INFINITY),
             _ => {
@@ -296,8 +296,7 @@ impl UeState {
     /// borrowed distribution — an empirical law here holds its full sample
     /// vector, and this is called once per overlay event, so cloning it
     /// would put a heap allocation + memcpy on the hot path.
-    fn sample_gap(&mut self, dm: &DeviceModels, ho: bool, base: f64) -> Option<f64> {
-        let model = self.model_at(dm, base);
+    fn sample_gap(&mut self, model: &ClusterHourModel, ho: bool, base: f64) -> Option<f64> {
         let dist = if ho {
             model.ho_interarrival.as_ref()
         } else {
@@ -321,9 +320,10 @@ impl UeState {
         match self.method.machine() {
             StateMachineKind::TwoLevel => {
                 let state = TlState::before(first).step(first).0;
-                let top_pending = self.sample_top(dm, state.top(), t0);
+                let model = self.model_at(dm, t0);
+                let top_pending = self.sample_top(model, state.top(), t0);
                 let tf = top_pending.map_or(f64::INFINITY, |(_, t)| t);
-                let (bottom_pending, bottom_retry) = self.arm_bottom(dm, state, t0, tf);
+                let (bottom_pending, bottom_retry) = self.arm_bottom(model, state, t0, tf);
                 self.mode = Mode::TwoLevel {
                     state,
                     top_pending,
@@ -340,9 +340,10 @@ impl UeState {
                     EventType::Detach => TopState::Deregistered,
                     EventType::S1ConnRelease | EventType::Tau => TopState::Idle,
                 };
-                let top_pending = self.sample_top(dm, state, t0);
-                let ho_next = self.sample_gap(dm, true, t0);
-                let tau_next = self.sample_gap(dm, false, t0);
+                let model = self.model_at(dm, t0);
+                let top_pending = self.sample_top(model, state, t0);
+                let ho_next = self.sample_gap(model, true, t0);
+                let tau_next = self.sample_gap(model, false, t0);
                 self.mode = Mode::EmmEcm {
                     state,
                     top_pending,
@@ -379,7 +380,7 @@ impl UeState {
                     return Some(None); // done
                 }
             } else {
-                top_pending = self.sample_top(dm, state.top(), top_retry);
+                top_pending = self.sample_top(self.model_at(dm, top_retry), state.top(), top_retry);
                 top_retry = next_hour_boundary(top_retry);
                 if top_pending.is_none() {
                     self.guard += 1;
@@ -401,7 +402,8 @@ impl UeState {
         if bottom_pending.is_none() && bottom_retry < self.end_secs {
             let tf = top_pending.map_or(f64::INFINITY, |(_, t)| t);
             let base = bottom_retry;
-            (bottom_pending, bottom_retry) = self.arm_bottom(dm, state, base, tf);
+            (bottom_pending, bottom_retry) =
+                self.arm_bottom(self.model_at(dm, base), state, base, tf);
             if bottom_pending.is_none() && top_pending.is_none() {
                 self.guard += 1;
                 if self.guard > MAX_SILENT_HOURS {
@@ -454,10 +456,11 @@ impl UeState {
                 emitted = Some(rec);
             }
             state = state.step(event).0;
-            top_pending = self.sample_top(dm, state.top(), t);
+            let model = self.model_at(dm, t);
+            top_pending = self.sample_top(model, state.top(), t);
             top_retry = next_hour_boundary(t);
             let tf = top_pending.map_or(f64::INFINITY, |(_, t)| t);
-            (bottom_pending, bottom_retry) = self.arm_bottom(dm, state, t, tf);
+            (bottom_pending, bottom_retry) = self.arm_bottom(model, state, t, tf);
         } else {
             let (tr, t) = bottom_pending.take().expect("bottom fires");
             if t >= self.end_secs {
@@ -484,7 +487,7 @@ impl UeState {
                 emitted = None;
             }
             let tf = top_pending.map_or(f64::INFINITY, |(_, t)| t);
-            (bottom_pending, bottom_retry) = self.arm_bottom(dm, state, t, tf);
+            (bottom_pending, bottom_retry) = self.arm_bottom(self.model_at(dm, t), state, t, tf);
         }
 
         self.mode = Mode::TwoLevel {
@@ -514,15 +517,15 @@ impl UeState {
         };
 
         if top_pending.is_none() && top_retry < self.end_secs {
-            top_pending = self.sample_top(dm, state, top_retry);
+            top_pending = self.sample_top(self.model_at(dm, top_retry), state, top_retry);
             top_retry = next_hour_boundary(top_retry);
         }
         if ho_next.is_none() && ho_retry < self.end_secs {
-            ho_next = self.sample_gap(dm, true, ho_retry);
+            ho_next = self.sample_gap(self.model_at(dm, ho_retry), true, ho_retry);
             ho_retry = next_hour_boundary(ho_retry);
         }
         if tau_next.is_none() && tau_retry < self.end_secs {
-            tau_next = self.sample_gap(dm, false, tau_retry);
+            tau_next = self.sample_gap(self.model_at(dm, tau_retry), false, tau_retry);
             tau_retry = next_hour_boundary(tau_retry);
         }
 
@@ -563,7 +566,7 @@ impl UeState {
             };
             emitted = rec;
             state = state.apply(event).unwrap_or(state);
-            top_pending = self.sample_top(dm, state, t);
+            top_pending = self.sample_top(self.model_at(dm, t), state, t);
             top_retry = next_hour_boundary(t);
         } else if next == ho_fire {
             let t = ho_next.take().expect("ho fires");
@@ -572,7 +575,7 @@ impl UeState {
                 return Some(None);
             };
             emitted = rec;
-            ho_next = self.sample_gap(dm, true, t);
+            ho_next = self.sample_gap(self.model_at(dm, t), true, t);
             ho_retry = next_hour_boundary(t);
         } else {
             let t = tau_next.take().expect("tau fires");
@@ -580,7 +583,7 @@ impl UeState {
                 return Some(None);
             };
             emitted = rec;
-            tau_next = self.sample_gap(dm, false, t);
+            tau_next = self.sample_gap(self.model_at(dm, t), false, t);
             tau_retry = next_hour_boundary(t);
         }
 

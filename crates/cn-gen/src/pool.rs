@@ -75,7 +75,7 @@ const MAX_HORIZON_MS: u64 = 1 << (64 - TIME_SHIFT);
 /// Events a slab's width adapts towards (perf, not correctness: any
 /// width yields the same output). Keys plus radix scratch are 16 bytes an
 /// event.
-pub(crate) const SLAB_TARGET_EVENTS: usize = 1 << 15;
+pub(crate) const SLAB_TARGET_EVENTS: usize = 1 << 17;
 /// Slots per chunk, the unit of work a thread claims: large enough that
 /// claiming is rare next to generating, small enough that a slab has
 /// dozens of chunks to balance across threads.

@@ -127,7 +127,7 @@ impl Dist {
                 Dist::Tcplib(Tcplib::new(d.scale() * factor).expect("positive scale"))
             }
             Dist::Empirical(e) => Dist::Empirical(
-                Ecdf::new(e.samples().iter().map(|&x| x * factor).collect())
+                Ecdf::new(e.values().map(|x| x * factor).collect())
                     .expect("non-empty finite samples"),
             ),
         }

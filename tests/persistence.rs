@@ -2,6 +2,7 @@
 //! on realistic generated data, including corruption handling.
 
 use cellular_cp_traffgen::prelude::*;
+use cellular_cp_traffgen::stats::Ecdf;
 use cellular_cp_traffgen::trace::io;
 
 fn small_setup() -> (ModelSet, Trace) {
@@ -23,6 +24,8 @@ fn model_snapshot_survives_json_and_still_generates() {
     let json = models.to_json().expect("serialize");
     let restored = ModelSet::from_json(&json).expect("deserialize");
     assert_eq!(models, restored);
+    // The format is pinned: a loaded model serialises to the same bytes.
+    assert_eq!(restored.to_json().expect("serialize"), json);
     // The restored model must generate the identical trace for a seed.
     let config = GenConfig::new(
         PopulationMix::new(10, 4, 2),
@@ -67,4 +70,11 @@ fn corrupted_inputs_are_rejected_not_misread() {
     assert!(io::read_csv(text.as_bytes()).is_err());
 
     assert!(ModelSet::from_json("{\"method\":\"Nope\"}").is_err());
+
+    // An ECDF loads through its constructor: no samples, or a non-finite
+    // one, is an error, and an unsorted array is sorted, not misread.
+    assert!(serde_json::from_str::<Ecdf>(r#"{"samples":[]}"#).is_err());
+    assert!(serde_json::from_str::<Ecdf>(r#"{"samples":[1.0,null]}"#).is_err());
+    let unsorted: Ecdf = serde_json::from_str(r#"{"samples":[3.0,1.0]}"#).expect("sorted on load");
+    assert_eq!((unsorted.min(), unsorted.cdf(1.0)), (1.0, 0.5));
 }
