@@ -3,46 +3,22 @@
 //!
 //! "Every worker failure becomes a typed [`cn_trace::StreamError`], never
 //! a silently short trace" is only worth anything if it is exercised.
-//! [`FaultPlan`] makes failures reproducible, keyed by the unit of work: a
-//! chunk of [`crate::ShardedStream`]'s slots, whichever thread fills it,
-//! checked once per fill; or an out-of-core chunk, whose workers take the
-//! plan through the [`FaultHook`] trait, monomorphized so production's
-//! zero-sized [`NoFault`] compiles to nothing.
+//! [`FaultPlan`] makes failures reproducible, keyed by the unit of work
+//! and checked once per fill of it: a chunk of [`crate::ShardedStream`]'s
+//! slots, whichever thread fills it; an out-of-core chunk, per block its
+//! worker encodes; or an out-of-core merge slice. A unit the plan does not
+//! name gets no [`ShardFault`] at all.
 //!
-//! * **panic unit *s* at record *k*** — the fill (or record) that takes
-//!   unit `s` past its `k`-th record panics; `k == 0` panics in its first;
-//! * **slow unit** — the unit sleeps before publishing each fill or block,
-//!   holding its thread busy while the stream flows or is abandoned.
+//! * **panic unit *s* at record *k*** — the fill that takes unit `s` past
+//!   its `k`-th record panics; `k == 0` panics in its first;
+//! * **slow unit** — the unit sleeps before publishing each fill, holding
+//!   its thread busy while the stream flows or is abandoned.
 //!
 //! The third leg of the harness — a sink that fails after *n* bytes, for
 //! proving writer errors propagate as typed I/O errors — lives with the
 //! writers it tests: `cn_trace::io::FailingWriter`.
 
 use std::time::Duration;
-
-/// Per-record / per-block callbacks an out-of-core chunk worker drives.
-/// Production code uses [`NoFault`]; tests inject a [`ShardFault`]
-/// derived from a [`FaultPlan`].
-pub(crate) trait FaultHook: Send + 'static {
-    /// Called once per generated record, *before* it is appended to the
-    /// outgoing block. May panic — that is the point.
-    fn on_record(&mut self);
-
-    /// Called once per block, *before* it is shipped to the consumer.
-    fn on_block(&mut self);
-}
-
-/// The production hook: does nothing, costs nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct NoFault;
-
-impl FaultHook for NoFault {
-    #[inline(always)]
-    fn on_record(&mut self) {}
-
-    #[inline(always)]
-    fn on_block(&mut self) {}
-}
 
 /// A deterministic set of faults to inject into a sharded or out-of-core
 /// run.
@@ -56,7 +32,7 @@ pub struct FaultPlan {
     /// `(unit, k)`: the unit panics after producing exactly `k` records.
     panics: Vec<(usize, u64)>,
     /// `(unit, delay)`: the unit sleeps `delay` before publishing each
-    /// block or fill.
+    /// fill.
     delays: Vec<(usize, Duration)>,
 }
 
@@ -72,18 +48,18 @@ impl FaultPlan {
     }
 
     /// Panic unit `shard` — a sharded stream's chunk, an out-of-core
-    /// chunk — once it has produced exactly `k` records (so `k == 0`
-    /// panics before the first record). The panic payload names the unit
-    /// and record, and surfaces verbatim in `StreamError::WorkerPanicked`,
-    /// whose `shard` names the unit.
+    /// chunk or merge slice — once it has produced exactly `k` records
+    /// (so `k == 0` panics before the first record). The panic payload
+    /// names the unit and record, and surfaces verbatim in
+    /// `StreamError::WorkerPanicked`, whose `shard` names the unit.
     pub fn panic_shard_at(mut self, shard: usize, k: u64) -> FaultPlan {
         self.panics.push((shard, k));
         self
     }
 
     /// Make unit `shard` sleep `delay` before publishing each of its fills
-    /// or blocks — enough to keep the thread doing it busy while a test
-    /// abandons or out-paces the stream.
+    /// — enough to keep the thread doing it busy while a test abandons or
+    /// out-paces the stream.
     pub fn slow_shard(mut self, shard: usize, delay: Duration) -> FaultPlan {
         self.delays.push((shard, delay));
         self
@@ -94,9 +70,10 @@ impl FaultPlan {
         (self.panics.iter().map(|p| p.0)).chain(self.delays.iter().map(|d| d.0))
     }
 
-    /// The hook for one unit: its faults, extracted from the plan.
-    pub(crate) fn for_shard(&self, shard: usize) -> ShardFault {
-        ShardFault {
+    /// One unit's faults, extracted from the plan; `None` when the plan
+    /// does not name it.
+    pub(crate) fn for_shard(&self, shard: usize) -> Option<ShardFault> {
+        self.targets().any(|t| t == shard).then(|| ShardFault {
             shard,
             panic_at: self
                 .panics
@@ -110,7 +87,7 @@ impl FaultPlan {
                 .find(|(s, _)| *s == shard)
                 .map(|&(_, d)| d),
             produced: 0,
-        }
+        })
     }
 }
 
@@ -124,9 +101,9 @@ pub(crate) struct ShardFault {
 }
 
 impl ShardFault {
-    /// Called once per chunk fill that produced `records`, before it is
-    /// published: sleeps when slow, and panics when the fill took the
-    /// chunk past its `k`-th record, or is its first at or after it.
+    /// Called once per fill of the unit that produced `records`, before it
+    /// is published: sleeps when slow, and panics when the fill took the
+    /// unit past its `k`-th record, or is its first at or after it.
     pub(crate) fn on_fill(&mut self, records: u64) {
         if let Some(delay) = self.delay {
             std::thread::sleep(delay);
@@ -143,24 +120,6 @@ impl ShardFault {
     }
 }
 
-impl FaultHook for ShardFault {
-    fn on_record(&mut self) {
-        if Some(self.produced) == self.panic_at {
-            panic!(
-                "injected fault: shard {} panicked at record {}",
-                self.shard, self.produced
-            );
-        }
-        self.produced += 1;
-    }
-
-    fn on_block(&mut self) {
-        if let Some(delay) = self.delay {
-            std::thread::sleep(delay);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,18 +132,19 @@ mod tests {
             .slow_shard(2, Duration::from_millis(1));
         assert!(!plan.is_empty());
         // The earliest panic wins when a shard has several.
-        assert_eq!(plan.for_shard(1).panic_at, Some(3));
-        assert_eq!(plan.for_shard(0).panic_at, None);
-        assert_eq!(plan.for_shard(2).delay, Some(Duration::from_millis(1)));
-        assert_eq!(plan.for_shard(2).panic_at, None);
+        assert_eq!(plan.for_shard(1).unwrap().panic_at, Some(3));
+        assert!(plan.for_shard(0).is_none());
+        let slow = plan.for_shard(2).unwrap();
+        assert_eq!(slow.delay, Some(Duration::from_millis(1)));
+        assert_eq!(slow.panic_at, None);
     }
 
     #[test]
     fn shard_fault_panics_at_exactly_k() {
-        let mut hook = FaultPlan::new().panic_shard_at(0, 2).for_shard(0);
-        hook.on_record();
-        hook.on_record();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook.on_record()));
+        let mut hook = FaultPlan::new().panic_shard_at(0, 2).for_shard(0).unwrap();
+        hook.on_fill(1);
+        hook.on_fill(1);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook.on_fill(1)));
         let payload = err.expect_err("third record must panic");
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("shard 0"), "{msg}");
@@ -194,7 +154,7 @@ mod tests {
     #[test]
     fn chunk_fault_fires_in_the_fill_that_reaches_k() {
         let fires = |k: u64, fills: &[u64]| {
-            let mut hook = FaultPlan::new().panic_shard_at(0, k).for_shard(0);
+            let mut hook = FaultPlan::new().panic_shard_at(0, k).for_shard(0).unwrap();
             fills.iter().position(|&records| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook.on_fill(records)))
                     .is_err()
@@ -206,14 +166,5 @@ mod tests {
         assert_eq!(fires(5, &[3, 2, 0, 4]), Some(2));
         assert_eq!(fires(5, &[3, 3]), Some(1));
         assert_eq!(fires(9, &[3, 3]), None);
-    }
-
-    #[test]
-    fn no_fault_is_inert() {
-        let mut hook = NoFault;
-        for _ in 0..10 {
-            hook.on_record();
-            hook.on_block();
-        }
     }
 }

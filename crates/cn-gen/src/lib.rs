@@ -65,6 +65,6 @@ mod shard;
 pub use engine::{effective_parallelism, generate, GenConfig, HourSemantics};
 pub use fault::FaultPlan;
 pub use outofcore::{generate_out_of_core, OutOfCoreConfig, OutOfCoreReport};
-pub use per_ue::{generate_ue, UeEventIter};
+pub use per_ue::UeEventIter;
 pub use pool::PopulationStream;
 pub use shard::{ShardedStream, StreamStats, WorkerOutcome};

@@ -8,26 +8,24 @@
 //!
 //! 1. **Chunked generation on worker threads** — the population is split
 //!    into contiguous UE-range chunks of [`OutOfCoreConfig::chunk_ues`],
-//!    dealt round-robin to [`GenConfig::threads`] scoped workers (`0` =
-//!    [`crate::effective_parallelism`]; the workers borrow the caller's
+//!    dealt round-robin to `W` = [`GenConfig::threads`] scoped workers (`0`
+//!    = [`crate::effective_parallelism`]; the workers borrow the caller's
 //!    [`ModelSet`], nothing is cloned). A worker runs one chunk's
 //!    [`PopulationStream`] at a time (only `chunk_ues` generators resident
-//!    per worker) and drains it into a time-sorted *run*, arena-encoded
-//!    straight into the on-disk 14-byte record format via
-//!    [`EncodedBlock`] — records are encoded
-//!    exactly once, at generation — shipped block by block over a bounded
-//!    channel to the calling thread.
-//! 2. **Budgeted spill on the calling thread** — the caller alone owns
-//!    the runs, the budget and every spill file. It commits one block
-//!    from each worker in turn (a fixed rotation, never arrival order, so
-//!    which runs spill is a pure function of the configuration and the
-//!    worker count). Runs buffer in memory until the *total* buffered
-//!    bytes would exceed [`OutOfCoreConfig::buffer_budget_bytes`]; a run
-//!    growing past the budget moves to an anonymous temp file (created
-//!    then immediately unlinked, so a crash leaks nothing) and keeps
-//!    appending there.
-//! 3. **Range-partitioned merge by sort** — the caller, still the sole
-//!    owner of every run, spill file and the sink, cuts the runs into
+//!    per worker) and encodes it straight into a time-sorted *run* in the
+//!    on-disk 14-byte record format, one [`EncodedBlock`] at a time —
+//!    records are encoded exactly once, at generation.
+//! 2. **Budgeted spill on the same workers** — a worker alone owns the
+//!    runs of its stripe (chunks `w, w + W, …`), its share `budget / W` of
+//!    [`OutOfCoreConfig::buffer_budget_bytes`] and its spill files. Its
+//!    runs buffer in memory until they would exceed the share; a run
+//!    growing past it moves to an anonymous temp file (created then
+//!    immediately unlinked, so a crash leaks nothing) and keeps appending
+//!    there. A stripe's chunk order is fixed, so which runs spill is a
+//!    pure function of the configuration and the worker count. The runs
+//!    come back when the workers join.
+//! 3. **Range-partitioned merge by sort** — the caller, now the owner of
+//!    every run, spill file and the sink, cuts the runs into
 //!    *slices* by key: every run's records `<=` a bound (a binary search
 //!    over [`record_key_at`]), copied back to back in run order into one
 //!    buffer of at most [`MERGE_SLICE_BYTES`] (see [`cut_slice`]). Slices
@@ -62,19 +60,20 @@
 //! [`StreamError::Io`] values carrying the failing stage, and a panicking
 //! chunk or merge worker as [`StreamError::WorkerPanicked`] carrying the
 //! chunk or slice index — the same contract the sharded pipeline
-//! established. Whichever side fails first, in either phase, the caller
-//! hangs up on every worker (a blocked send or receive fails and the
-//! worker exits) and joins them all before returning. The
-//! sink is driven through [`BinaryStreamWriter`], so an export that
-//! errors out leaves the unfinished-count sentinel in the header: the
-//! partial file *fails* [`cn_trace::io::from_binary`] loudly and is
-//! salvageable only via the explicit [`cn_trace::io::recover_binary`]
-//! path. A truncated spill file (torn write, full disk) is caught by
+//! established. The first chunk worker to fail raises a stop flag that
+//! every other one checks after each block; in the merge, whichever side
+//! fails first hangs up on the other (a blocked send or receive fails and
+//! the worker exits). Either way every worker is joined before the export
+//! returns. The sink is driven through [`BinaryStreamWriter`], so an
+//! export that errors out leaves the unfinished-count sentinel in the
+//! header: the partial file *fails* [`cn_trace::io::from_binary`] loudly
+//! and is salvageable only via the explicit
+//! [`cn_trace::io::recover_binary`] path. A truncated spill file (torn write, full disk) is caught by
 //! exact-length reads during the merge and becomes a `spill-read` error,
 //! never a silently shortened trace.
 
 use crate::engine::GenConfig;
-use crate::fault::{FaultHook, NoFault};
+use crate::fault::FaultPlan;
 use crate::pool::PopulationStream;
 use crate::shard::panic_payload;
 use cn_fit::ModelSet;
@@ -83,22 +82,16 @@ use cn_trace::io::{record_key_at, BinaryStreamWriter, RECORD_BYTES};
 use cn_trace::{EncodedBlock, StreamError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::ScopedJoinHandle;
 
-/// Records per arena block while draining a chunk (~56 KiB of encoded
-/// bytes: large enough to amortize the channel hop and the append, small
-/// enough to stay cache-resident while filling).
+/// Records per block while draining a chunk into its run (~56 KiB of
+/// encoded bytes: large enough to amortize the append, small enough to
+/// stay cache-resident while filling).
 const CHUNK_BLOCK_RECORDS: usize = 4096;
-
-/// Blocks a chunk worker may have queued towards the committing thread
-/// before its send blocks: a slow spill disk holds the pipeline at
-/// `workers × WORKER_CHANNEL_BLOCKS` blocks in flight.
-const WORKER_CHANNEL_BLOCKS: usize = 4;
 
 /// Shares of a merge slice (see [`cut_slice`]) one spill read loads: all
 /// spill windows together stay under this many slices' worth plus one.
@@ -124,8 +117,10 @@ pub struct OutOfCoreConfig {
     /// arrays; one sorted run is produced per chunk.
     pub chunk_ues: u32,
     /// Total bytes of run data allowed to stay buffered in memory across
-    /// all runs. A run whose growth would exceed the budget spills to an
-    /// unlinked temp file. `0` forces every run to disk.
+    /// all runs: each of the `W` chunk workers buffers at most
+    /// `budget / W` across its own runs, and a run whose growth would
+    /// exceed that share spills to an unlinked temp file. `0` forces every
+    /// run to disk.
     pub buffer_budget_bytes: usize,
     /// Directory for spill files (`None` = [`std::env::temp_dir`]).
     pub temp_dir: Option<PathBuf>,
@@ -189,8 +184,8 @@ fn create_spill_file(occ: &OutOfCoreConfig) -> Result<File, StreamError> {
     Ok(file)
 }
 
-/// One chunk's sorted run: encoded record bytes, in memory until the
-/// global budget forces them to disk.
+/// One chunk's sorted run: encoded record bytes, in memory until its
+/// worker's share of the budget forces them to disk.
 struct RunStore {
     data: RunData,
     len_bytes: u64,
@@ -210,16 +205,17 @@ impl RunStore {
     }
 
     /// Append encoded record bytes, spilling this run to a temp file when
-    /// the *global* in-memory total (`buffered`) would exceed the budget.
+    /// its worker's in-memory total (`buffered`) would exceed `share`.
     fn append(
         &mut self,
         bytes: &[u8],
         buffered: &mut usize,
+        share: usize,
         occ: &OutOfCoreConfig,
     ) -> Result<(), StreamError> {
         match &mut self.data {
             RunData::Mem(buf) => {
-                if *buffered + bytes.len() > occ.buffer_budget_bytes {
+                if *buffered + bytes.len() > share {
                     let mut file = create_spill_file(occ)?;
                     file.write_all(buf).map_err(|e| io_err("spill-write", e))?;
                     file.write_all(bytes)
@@ -312,10 +308,10 @@ impl RunReader {
     }
 }
 
-/// One worker as the calling thread sees it: a chunk worker shipping
-/// blocks in phase 1, a merge worker returning slice outputs in phase 2.
+/// A merge worker as the calling thread sees it: slice outputs coming
+/// back, and the worker's verdict.
 struct Lane<'scope, T> {
-    /// First chunk or slice of the worker's stripe (every `workers`-th).
+    /// First slice of the worker's stripe (every `workers`-th).
     first: usize,
     rx: Receiver<T>,
     handle: ScopedJoinHandle<'scope, Result<(), StreamError>>,
@@ -337,84 +333,33 @@ impl<T> Lane<'_, T> {
     }
 }
 
-/// Drain one chunk's [`PopulationStream`] into encoded blocks tagged with the chunk
-/// index; `false` when the committing thread hung up.
-fn ship_chunk<F: FaultHook>(
-    models: &ModelSet,
-    config: &GenConfig,
-    ues: Range<u32>,
-    chunk: usize,
-    tx: &SyncSender<(usize, EncodedBlock)>,
-    fault: &mut F,
-) -> bool {
-    let mut block = EncodedBlock::with_capacity(CHUNK_BLOCK_RECORDS);
-    for rec in PopulationStream::with_ues(models, config, ues) {
-        fault.on_record();
-        block.push(&rec);
-        if block.len() == CHUNK_BLOCK_RECORDS {
-            let full =
-                std::mem::replace(&mut block, EncodedBlock::with_capacity(CHUNK_BLOCK_RECORDS));
-            fault.on_block();
-            if tx.send((chunk, full)).is_err() {
-                return false;
-            }
-        }
-    }
-    if !block.is_empty() {
-        fault.on_block();
-        return tx.send((chunk, block)).is_ok();
-    }
-    true
-}
-
-/// Commit the workers' blocks into `runs`, one block per live worker in
-/// turn. The rotation — not arrival order — fixes the sequence of
-/// appends, and with it which runs the budget spills. A disconnected
-/// channel means its worker is done: joined on the spot, so a panic
-/// surfaces before the other workers generate anything further.
-fn commit_blocks(
-    lanes: &mut Vec<Lane<'_, (usize, EncodedBlock)>>,
-    runs: &mut [RunStore],
-    occ: &OutOfCoreConfig,
-) -> Result<(), StreamError> {
-    let mut buffered = 0usize;
-    let mut turn = 0usize;
-    while !lanes.is_empty() {
-        turn %= lanes.len();
-        match lanes[turn].rx.recv() {
-            Ok((chunk, block)) => {
-                runs[chunk].append(block.as_bytes(), &mut buffered, occ)?;
-                turn += 1;
-            }
-            // The next lane slides into `turn`: the rotation goes on.
-            Err(_) => lanes.remove(turn).join()?,
-        }
-    }
-    Ok(())
-}
-
-/// Phase 1: one sorted, arena-encoded run per UE-range chunk, generated
-/// on scoped worker threads and committed on this one (see module docs).
-fn generate_runs<F: FaultHook>(
+/// Phase 1: one sorted, arena-encoded run per UE-range chunk, each
+/// generated, budgeted and spilled by the worker that owns its stripe
+/// (see module docs). The first worker to fail raises `stop`, which the
+/// others check after each block; the lowest failed worker's error is
+/// the one reported.
+fn generate_runs(
     models: &ModelSet,
     config: &GenConfig,
     occ: &OutOfCoreConfig,
     trace: &TraceSink,
-    fault_for: &(impl Fn(usize) -> F + Sync),
+    plan: &FaultPlan,
 ) -> Result<Vec<RunStore>, StreamError> {
     let total = config.population.total();
     let chunk_ues = occ.chunk_ues.max(1);
     let chunks = total.div_ceil(chunk_ues) as usize;
     let workers = config.resolved_threads().min(chunks);
-    let mut runs: Vec<RunStore> = (0..chunks).map(|_| RunStore::new()).collect();
-    std::thread::scope(|scope| {
-        let mut lanes: Vec<Lane<'_, _>> = (0..workers)
+    let stop = AtomicBool::new(false);
+    let stripes: Vec<Result<Vec<RunStore>, StreamError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
             .map(|first| {
-                let (tx, rx) = sync_channel(WORKER_CHANNEL_BLOCKS);
-                let trace = trace.clone();
-                let handle = scope.spawn(move || {
+                let (stop, trace) = (&stop, trace.clone());
+                scope.spawn(move || {
+                    let share = occ.buffer_budget_bytes / workers;
+                    let (mut buffered, mut runs) = (0usize, Vec::new());
+                    let mut block = EncodedBlock::with_capacity(CHUNK_BLOCK_RECORDS);
                     let mut chunk = first;
-                    catch_unwind(AssertUnwindSafe(|| {
+                    let stripe = catch_unwind(AssertUnwindSafe(|| {
                         while chunk < chunks {
                             // `chunk < ⌈total / chunk_ues⌉`, so `lo < total`.
                             let lo = chunk as u32 * chunk_ues;
@@ -422,33 +367,63 @@ fn generate_runs<F: FaultHook>(
                             let _chunk_span = trace
                                 .is_enabled()
                                 .then(|| trace.span(&format!("cn_gen_ooc_chunk:{lo}-{hi}")));
-                            let mut fault = fault_for(chunk);
-                            if !ship_chunk(models, config, lo..hi, chunk, &tx, &mut fault) {
-                                return;
+                            let mut fault = plan.for_shard(chunk);
+                            let mut stream = PopulationStream::with_ues(models, config, lo..hi);
+                            let mut run = RunStore::new();
+                            loop {
+                                block.clear();
+                                (stream.by_ref().take(CHUNK_BLOCK_RECORDS))
+                                    .for_each(|rec| block.push(&rec));
+                                if let Some(fault) = &mut fault {
+                                    fault.on_fill(block.len() as u64);
+                                }
+                                // Relaxed: the flag publishes no data; the
+                                // runs and errors travel through the joins.
+                                if stop.load(Ordering::Relaxed) {
+                                    return Ok(());
+                                }
+                                run.append(block.as_bytes(), &mut buffered, share, occ)?;
+                                if block.len() < CHUNK_BLOCK_RECORDS {
+                                    break;
+                                }
                             }
+                            runs.push(run);
                             chunk += workers;
                         }
+                        Ok(())
                     }))
-                    .map_err(|payload| StreamError::WorkerPanicked {
-                        shard: chunk,
-                        payload: panic_payload(payload.as_ref()),
-                    })
-                });
-                Lane { first, rx, handle }
+                    .unwrap_or_else(|payload| {
+                        Err(StreamError::WorkerPanicked {
+                            shard: chunk,
+                            payload: panic_payload(payload.as_ref()),
+                        })
+                    });
+                    if stripe.is_err() {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    stripe.map(|()| runs)
+                })
             })
             .collect();
-        let _commit_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_commit"));
-        let committed = commit_blocks(&mut lanes, &mut runs, occ);
-        // On an error some lanes are still live: hang up on each (a
-        // worker blocked on a full channel fails its send and exits) and
-        // join it here, so the scope itself never has a panic to re-raise.
-        // The first failure is the one reported.
-        for lane in lanes {
-            let _ = lane.join();
-        }
-        committed
-    })?;
-    Ok(runs)
+        // A join error can only come from outside the `catch_unwind`.
+        (handles.into_iter().enumerate())
+            .map(|(first, handle)| {
+                handle.join().unwrap_or_else(|payload| {
+                    Err(StreamError::WorkerPanicked {
+                        shard: first,
+                        payload: panic_payload(payload.as_ref()),
+                    })
+                })
+            })
+            .collect()
+    });
+    let mut stripes = stripes
+        .into_iter()
+        .map(|stripe| stripe.map(Vec::into_iter))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((0..chunks)
+        .map(|chunk| stripes[chunk % workers].next().expect("one run per chunk"))
+        .collect())
 }
 
 /// Bytes of the whole records at the front of sorted `bytes` whose key is
@@ -557,14 +532,14 @@ fn slice_and_write<W: Write + Seek>(
 
 /// Phase 2: range-partitioned merge of the encoded runs into `writer` —
 /// slices cut and written on this thread, sorted on `workers` scoped
-/// threads (see module docs). `fault_for` hooks each slice.
-fn merge_runs<W: Write + Seek, F: FaultHook>(
+/// threads (see module docs). `plan` names slices.
+fn merge_runs<W: Write + Seek>(
     runs: Vec<RunStore>,
     writer: &mut BinaryStreamWriter<W>,
     workers: usize,
     slice_bytes: usize,
     trace: &TraceSink,
-    fault_for: &(impl Fn(usize) -> F + Sync),
+    plan: &FaultPlan,
 ) -> Result<(), StreamError> {
     let _merge_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_merge"));
     let mut readers = runs
@@ -585,9 +560,9 @@ fn merge_runs<W: Write + Seek, F: FaultHook>(
                             let _slice_span = trace
                                 .is_enabled()
                                 .then(|| trace.span(&format!("cn_gen_ooc_merge_slice:{n}")));
-                            let mut fault = fault_for(n);
-                            fault.on_block();
-                            fault.on_record();
+                            if let Some(mut fault) = plan.for_shard(n) {
+                                fault.on_fill((bytes.len() / RECORD_BYTES) as u64);
+                            }
                             sort_slice(&mut bytes);
                             if out_tx.send(bytes).is_err() {
                                 return;
@@ -632,27 +607,27 @@ pub fn generate_out_of_core<W: Write + Seek>(
     occ: &OutOfCoreConfig,
     sink: W,
 ) -> Result<(OutOfCoreReport, W), StreamError> {
-    export_with_faults(models, config, occ, sink, &|_| NoFault)
+    export_with_faults(models, config, occ, sink, &FaultPlan::new())
 }
 
-/// [`generate_out_of_core`] with a fault hook per chunk —
-/// [`NoFault`] in production, a [`crate::fault::FaultPlan`] slice (the
-/// chunk index standing in for the shard) in this module's tests.
-fn export_with_faults<W: Write + Seek, F: FaultHook>(
+/// [`generate_out_of_core`] with `plan`'s faults injected into the chunks
+/// it names, as [`crate::ShardedStream`]'s pool takes them: empty in
+/// production, a test's plan in this module's tests.
+fn export_with_faults<W: Write + Seek>(
     models: &ModelSet,
     config: &GenConfig,
     occ: &OutOfCoreConfig,
     sink: W,
-    fault_for: &(impl Fn(usize) -> F + Sync),
+    plan: &FaultPlan,
 ) -> Result<(OutOfCoreReport, W), StreamError> {
     let mut writer = BinaryStreamWriter::new(sink).map_err(|e| io_err("export-header", e))?;
     // One sink resolution for the whole export, cloned into the workers:
-    // commit, spill and merge spans nest under the export span on this
-    // thread, chunk and slice spans open on the workers' own threads.
+    // the merge span nests under the export span on this thread, chunk,
+    // spill and slice spans open on the workers' own threads.
     let trace = cn_obs::trace::global();
     let _export_span = trace.is_enabled().then(|| trace.span("cn_gen_ooc_export"));
 
-    let runs = generate_runs(models, config, occ, &trace, fault_for)?;
+    let runs = generate_runs(models, config, occ, &trace, plan)?;
     let run_count = runs.len();
     let spilled_runs = runs.iter().filter(|r| r.is_spilled()).count();
 
@@ -662,7 +637,7 @@ fn export_with_faults<W: Write + Seek, F: FaultHook>(
         config.resolved_threads(),
         MERGE_SLICE_BYTES,
         &trace,
-        &|_| NoFault,
+        &FaultPlan::new(),
     )?;
 
     let events = writer.written();
@@ -740,20 +715,26 @@ mod tests {
     }
 
     /// The export with the merge's private arguments — worker count,
-    /// slice size, sink for the slice spans, per-slice fault hook — in
-    /// the caller's hands.
-    fn export_sliced<W: Write + Seek, F: FaultHook>(
+    /// slice size, sink for the slice spans, faults by slice — in the
+    /// caller's hands.
+    fn export_sliced<W: Write + Seek>(
         models: &ModelSet,
         config: &GenConfig,
         occ: &OutOfCoreConfig,
         sink: W,
         (workers, slice_bytes): (usize, usize),
         trace: &TraceSink,
-        fault_for: &(impl Fn(usize) -> F + Sync),
+        plan: &FaultPlan,
     ) -> Result<W, StreamError> {
         let mut writer = BinaryStreamWriter::new(sink).unwrap();
-        let runs = generate_runs(models, config, occ, &TraceSink::disabled(), &|_| NoFault)?;
-        merge_runs(runs, &mut writer, workers, slice_bytes, trace, fault_for)?;
+        let runs = generate_runs(
+            models,
+            config,
+            occ,
+            &TraceSink::disabled(),
+            &FaultPlan::new(),
+        )?;
+        merge_runs(runs, &mut writer, workers, slice_bytes, trace, plan)?;
         Ok(writer.finish().unwrap())
     }
 
@@ -763,8 +744,8 @@ mod tests {
         let batch = generate(&models, &config());
         let expect = to_binary(&batch);
         let total = config().population.total();
-        // A chunk whose UEs are all silent yields an empty run that never
-        // appends — and so never spills, whatever the budget.
+        // A chunk whose UEs are all silent yields an empty run, which
+        // never spills, whatever the budget.
         let nonempty_runs = |chunk: u32| {
             (0..total)
                 .step_by(chunk as usize)
@@ -830,7 +811,7 @@ mod tests {
                         Cursor::new(Vec::new()),
                         (threads, slice_bytes),
                         &TraceSink::disabled(),
-                        &|_| NoFault,
+                        &FaultPlan::new(),
                     )
                     .unwrap_or_else(|e| panic!("{what} slice {slice_bytes}: {e}"));
                     assert!(
@@ -844,10 +825,10 @@ mod tests {
 
     #[test]
     fn report_is_a_pure_function_of_config_and_thread_count() {
-        // Which runs spill depends on the order blocks are committed in;
-        // that order is a fixed rotation over the workers, never arrival
-        // order, so a budget that spills some runs but not all reports
-        // the same split every time.
+        // Which runs spill depends on the order a worker appends blocks
+        // to its share of the budget; a stripe's chunk order is fixed,
+        // never timing, so a budget that spills some runs but not all
+        // reports the same split every time.
         let models = fitted();
         for threads in [1, 2, 3, 8] {
             let export = || {
@@ -1061,7 +1042,7 @@ mod tests {
                     &config_threads(threads),
                     &occ(7, usize::MAX),
                     &mut sink,
-                    &|c| plan.for_shard(c),
+                    &plan,
                 )
                 .expect_err("a chunk worker panicked");
                 match &err {
@@ -1092,7 +1073,7 @@ mod tests {
                     &mut sink,
                     (workers, 97 * RECORD_BYTES),
                     &TraceSink::disabled(),
-                    &|n| plan.for_shard(n),
+                    &plan,
                 )
                 .expect_err("a merge worker panicked");
                 match &err {
@@ -1120,9 +1101,9 @@ mod tests {
             threads: 2,
             ..wide_config()
         };
-        let plan = FaultPlan::new()
-            .slow_shard(0, Duration::from_millis(10))
-            .slow_shard(1, Duration::from_millis(10));
+        let plan = (0..1024).fold(FaultPlan::new(), |plan, slice| {
+            plan.slow_shard(slice, Duration::from_millis(10))
+        });
         let mut backing = Cursor::new(Vec::new());
         let err = export_sliced(
             &models,
@@ -1131,7 +1112,7 @@ mod tests {
             FailingWriter::new(&mut backing, 16 + 10 * RECORD_BYTES),
             (2, OUTPUT_WINDOW_BYTES / 4),
             &TraceSink::disabled(),
-            &|n| plan.for_shard(n % 2),
+            &plan,
         )
         .map(drop)
         .expect_err("the sink dies on the first window");
@@ -1159,7 +1140,7 @@ mod tests {
             Cursor::new(Vec::new()),
             (2, 97 * RECORD_BYTES),
             &trace,
-            &|_| NoFault,
+            &FaultPlan::new(),
         )
         .unwrap();
         let events = trace.events();
@@ -1220,7 +1201,7 @@ mod tests {
                             let mut block = EncodedBlock::new();
                             (0..40).for_each(|t| block.push(&record(t, d)));
                             let mut run = RunStore::new();
-                            run.append(block.as_bytes(), &mut 0, &occ(1, budget))
+                            run.append(block.as_bytes(), &mut 0, budget, &occ(1, budget))
                                 .unwrap();
                             run
                         })
@@ -1232,7 +1213,7 @@ mod tests {
                         workers,
                         slice_records * RECORD_BYTES,
                         &TraceSink::disabled(),
-                        &|_| NoFault,
+                        &FaultPlan::new(),
                     )
                     .unwrap();
                     assert!(
@@ -1246,30 +1227,59 @@ mod tests {
 
     #[test]
     fn spill_error_hangs_up_on_blocked_workers() {
-        // Zero budget and no spill directory: the very first commit
-        // fails. Worker 0 is slowed so that worker 1 — fifteen one-block
-        // chunks, a channel that holds four, and a committing thread that
-        // never gets to it — is parked on a full channel when that
-        // happens. Returning at all shows the hang-up reached it.
+        // No spill directory, one-UE chunks and a 3 KiB share for each of
+        // two workers: a worker fails once its runs outgrow its share.
+        // Worker 0 sleeps in every chunk, so worker 1 fails first, and its
+        // stop flag must end worker 0 at its next block — long before
+        // worker 0 would outgrow its own share and fail by itself.
         let models = fitted();
-        let mut bad = occ(1, 0);
+        let config = config_threads(2);
+        let total = config.population.total();
+        let mut bad = occ(1, 6 * 1024);
         bad.temp_dir = Some(PathBuf::from("/nonexistent-cn-gen-spill-dir"));
-        let plan = FaultPlan::new().slow_shard(0, Duration::from_millis(50));
-        let mut sink = Cursor::new(Vec::new());
-        let err = export_with_faults(&models, &config_threads(2), &bad, &mut sink, &|c| {
-            plan.for_shard(c)
-        })
-        .expect_err("spill dir does not exist");
-        assert!(
+        let plan = (0..total as usize)
+            .step_by(2)
+            .fold(FaultPlan::new(), |plan, chunk| {
+                plan.slow_shard(chunk, Duration::from_millis(50))
+            });
+        let spill_create = |err: &StreamError| {
             matches!(
                 err,
                 StreamError::Io {
                     stage: "spill-create",
                     ..
                 }
-            ),
-            "{err}"
+            )
+        };
+        let trace = TraceSink::new();
+        let err = generate_runs(&models, &config, &bad, &trace, &plan)
+            .map(drop)
+            .expect_err("spill dir does not exist");
+        assert!(spill_create(&err), "{err}");
+        // The chunk at which worker 0's runs, alone, outgrow its share.
+        let batch = generate(&models, &config);
+        let mut buffered = 0;
+        let alone = 1
+            + (0..total)
+                .step_by(2)
+                .position(|ue| {
+                    buffered += batch.iter().filter(|r| r.ue.get() == ue).count() * RECORD_BYTES;
+                    buffered > bad.buffer_budget_bytes / 2
+                })
+                .expect("worker 0 outgrows its share");
+        let ran = (trace.events().iter())
+            .filter_map(|e| e.name.strip_prefix("cn_gen_ooc_chunk:"))
+            .filter(|ues| ues.split('-').next().unwrap().parse::<u32>().unwrap() % 2 == 0)
+            .count();
+        assert!(
+            alone >= 3 && ran < alone,
+            "worker 0 ran {ran} chunks; alone it fails in chunk {alone} of its stripe"
         );
+        let mut sink = Cursor::new(Vec::new());
+        let err = export_with_faults(&models, &config, &bad, &mut sink, &plan)
+            .map(drop)
+            .expect_err("spill dir does not exist");
+        assert!(spill_create(&err), "{err}");
         assert_unfinished_header_only(sink.get_ref());
     }
 
@@ -1310,7 +1320,9 @@ mod tests {
                 cn_trace::EventType::Attach,
             ));
         }
-        store.append(block.as_bytes(), &mut buffered, &cfg).unwrap();
+        store
+            .append(block.as_bytes(), &mut buffered, 0, &cfg)
+            .unwrap();
         assert!(store.is_spilled());
         // Tear the file: claim the full length but truncate the bytes.
         if let RunData::Spilled(file) = &store.data {

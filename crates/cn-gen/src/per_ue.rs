@@ -1,40 +1,22 @@
 //! A single per-UE traffic generator, as a resumable event iterator.
 //!
 //! [`UeEventIter`] implements the §7 semantics one event at a time, so a
-//! population can be synthesized either by materializing each UE
-//! ([`generate_ue`]) or by merging hundreds of thousands of live generators
-//! into one time-ordered stream with bounded memory
-//! ([`crate::PopulationStream`]). The pool holds them as model-free
+//! population can be synthesized either by collecting each UE's iterator
+//! or by merging hundreds of thousands of live generators into one
+//! time-ordered stream with bounded memory ([`crate::PopulationStream`]). The pool holds them as model-free
 //! [`UeState`]s, so threads sharing one model set can step any of them.
 
 use crate::engine::HourSemantics;
 use cn_fit::{ClusterHourModel, DeviceModels, Method, ModelSet, StateMachineKind};
 use cn_statemachine::two_level::IdleSub;
 use cn_statemachine::{BottomTransition, TlState, TopState, TopTransition};
-use cn_trace::{DeviceType, EventType, Timestamp, Trace, TraceRecord, UeId, MS_PER_HOUR};
+use cn_trace::{DeviceType, EventType, Timestamp, TraceRecord, UeId, MS_PER_HOUR};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Hard bound on consecutive silent hours before a generator gives up
 /// waiting for a usable model (prevents livelock on pathological models).
 const MAX_SILENT_HOURS: u32 = 24 * 14;
-
-/// Generate one UE's events over `[start, end)` using the fitted models of
-/// its device type.
-///
-/// `method` selects the §7 semantics (two-level machine vs EMM–ECM with
-/// overlaid HO/TAU processes) and must match the method the models were
-/// fitted with.
-pub fn generate_ue(
-    dm: &DeviceModels,
-    method: Method,
-    ue: UeId,
-    start: Timestamp,
-    end: Timestamp,
-    seed: u64,
-) -> Trace {
-    UeEventIter::new(dm, method, ue, start, end, seed).collect()
-}
 
 /// Start of the hour following time `t` (seconds).
 fn next_hour_boundary(t_secs: f64) -> f64 {
@@ -628,12 +610,24 @@ impl UeState {
 mod tests {
     use super::*;
     use cn_fit::{fit, FitConfig};
-    use cn_trace::PopulationMix;
+    use cn_trace::{PopulationMix, Trace};
     use cn_world::{generate_world, WorldConfig};
 
     fn fitted(method: Method) -> cn_fit::ModelSet {
         let trace = generate_world(&WorldConfig::new(PopulationMix::new(40, 20, 12), 2.0, 5));
         fit(&trace, &FitConfig::new(method))
+    }
+
+    /// One UE's events over `[start, end)`, collected.
+    fn generate_ue(
+        dm: &DeviceModels,
+        method: Method,
+        ue: UeId,
+        start: Timestamp,
+        end: Timestamp,
+        seed: u64,
+    ) -> Trace {
+        UeEventIter::new(dm, method, ue, start, end, seed).collect()
     }
 
     #[test]
@@ -801,17 +795,5 @@ mod tests {
             differs |= entry != trunc;
         }
         assert!(differs, "semantics never changed the output");
-    }
-
-    #[test]
-    fn iterator_equals_batch_for_same_seed() {
-        // `generate_ue` is the iterator collected — assert it stays so.
-        let set = fitted(Method::B2);
-        let dm = set.device(DeviceType::Tablet);
-        let start = Timestamp::at_hour(0, 11);
-        let end = Timestamp::at_hour(0, 15);
-        let batch = generate_ue(dm, Method::B2, UeId(5), start, end, 31);
-        let streamed: Trace = UeEventIter::new(dm, Method::B2, UeId(5), start, end, 31).collect();
-        assert_eq!(batch, streamed);
     }
 }

@@ -642,8 +642,7 @@ impl<'m> PopulationStream<'m> {
             );
         }
         for (c, chunk) in chunks.iter().enumerate() {
-            let fault = plan.targets().any(|t| t == c).then(|| plan.for_shard(c));
-            chunk.lock().expect("no fill has run").fault = fault;
+            chunk.lock().expect("no fill has run").fault = plan.for_shard(c);
         }
     }
 

@@ -8,10 +8,10 @@ use cn_cluster::ClusterId;
 use cn_fit::{
     ClusterHourModel, DeviceModels, FirstEventModel, HourModels, Method, ModelSet, SemiMarkovModel,
 };
-use cn_gen::{generate, generate_ue, GenConfig, PopulationStream, ShardedStream};
+use cn_gen::{generate, GenConfig, PopulationStream, ShardedStream, UeEventIter};
 use cn_statemachine::TopTransition;
 use cn_stats::Ecdf;
-use cn_trace::{DeviceType, EventType, PopulationMix, RecordSource, Timestamp, UeId};
+use cn_trace::{DeviceType, EventType, PopulationMix, RecordSource, Timestamp, Trace, UeId};
 use std::collections::HashMap;
 
 fn empty_device(device: DeviceType) -> DeviceModels {
@@ -70,14 +70,15 @@ fn first_event_only_models_emit_exactly_the_bootstrap() {
         empty_device(DeviceType::ConnectedCar),
         empty_device(DeviceType::Tablet),
     ]);
-    let trace = generate_ue(
+    let trace = UeEventIter::new(
         set.device(DeviceType::Phone),
         Method::Ours,
         UeId(0),
         Timestamp::at_hour(0, 3),
         Timestamp::at_hour(0, 5),
         7,
-    );
+    )
+    .collect::<Trace>();
     assert_eq!(trace.len(), 1, "{trace:?}");
     assert_eq!(trace.records()[0].event, EventType::ServiceRequest);
 }
@@ -100,14 +101,15 @@ fn top_only_models_oscillate_legally() {
         empty_device(DeviceType::ConnectedCar),
         empty_device(DeviceType::Tablet),
     ]);
-    let trace = generate_ue(
+    let trace = UeEventIter::new(
         set.device(DeviceType::Phone),
         Method::Ours,
         UeId(0),
         Timestamp::at_hour(0, 0),
         Timestamp::at_hour(0, 2),
         3,
-    );
+    )
+    .collect::<Trace>();
     assert!(trace.len() > 10, "only {} events", trace.len());
     // Strict alternation after the bootstrap.
     for w in trace.records().windows(2) {
@@ -135,14 +137,15 @@ fn degenerate_sojourns_do_not_livelock() {
         empty_device(DeviceType::ConnectedCar),
         device,
     ]);
-    let trace = generate_ue(
+    let trace = UeEventIter::new(
         set.device(DeviceType::Tablet),
         Method::Ours,
         UeId(0),
         Timestamp::at_hour(0, 0),
         Timestamp::from_millis(2_000), // tiny window
         11,
-    );
+    )
+    .collect::<Trace>();
     // Terminates, bounded by the window (≤ 1 event per ms).
     assert!(trace.len() <= 2_000);
     assert!(!trace.is_empty());
@@ -207,14 +210,15 @@ fn broken_ecdf_probabilities_stay_in_window() {
         empty_device(DeviceType::ConnectedCar),
         empty_device(DeviceType::Tablet),
     ]);
-    let trace = generate_ue(
+    let trace = UeEventIter::new(
         set.device(DeviceType::Phone),
         Method::Ours,
         UeId(0),
         Timestamp::at_hour(0, 0),
         Timestamp::at_hour(0, 6),
         1,
-    );
+    )
+    .collect::<Trace>();
     // The absurd offset never lands inside any hour, so nothing is emitted
     // — but nothing panics or escapes the window either.
     for r in trace.iter() {

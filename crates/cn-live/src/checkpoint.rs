@@ -244,6 +244,24 @@ mod tests {
     }
 
     #[test]
+    fn a_scenario_that_would_inject_unbounded_records_does_not_load() {
+        // Every UE id, four billion bursts each: validating it must stop
+        // the resume before the storm is materialized.
+        let huge = r#"{"name":"huge","seed":1,"phases":[{"name":"storm","window":{"start_s":0.0,"duration_s":60.0},"kind":{"SignalingStorm":{"ues":{"lo":0,"hi":4294967295},"kind":"TauFlood","bursts_per_ue":4294967295}}}]}"#;
+        let mut hostile = ckpt(7);
+        hostile.scenario = Some(serde_json::from_str(huge).unwrap());
+        let path =
+            std::env::temp_dir().join(format!("cn-live-ckpt-hostile-{}.json", std::process::id()));
+        hostile.save(&path).unwrap();
+        let got = Checkpoint::load(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(&got, Err(CheckpointError::Parse(e)) if e.contains("records, over the")),
+            "{got:?}"
+        );
+    }
+
+    #[test]
     fn missing_and_malformed_files_are_typed_errors() {
         let dir = std::env::temp_dir();
         let missing = dir.join("cn-live-ckpt-does-not-exist.json");

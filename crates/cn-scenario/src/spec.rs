@@ -18,6 +18,12 @@
 use cn_trace::{DeviceType, Timestamp, MS_PER_SEC};
 use serde::{Deserialize, Serialize};
 
+/// Most records one phase may inject. A phase materializes its injections
+/// in one buffer, so this bounds what a spec — or a checkpoint carrying
+/// one — can make the process allocate: 2²² records (64 MiB), ~35× the
+/// largest canonical phase (a 2 000-UE M2M fleet reporting 60 times).
+const MAX_PHASE_RECORDS: u64 = 1 << 22;
+
 /// A half-open time window `[start_s, start_s + duration_s)`, in seconds
 /// relative to the scenario epoch (the generation config's `start`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,9 +80,9 @@ impl UeSubset {
         UeSubset { lo, hi }
     }
 
-    /// True when the subset contains no UEs.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.hi <= self.lo
+    /// How many UEs the subset contains.
+    pub(crate) fn len(&self) -> u64 {
+        u64::from(self.hi.saturating_sub(self.lo))
     }
 
     /// True when `ue` falls inside the subset.
@@ -251,6 +257,13 @@ pub enum SpecError {
         /// Field name.
         field: &'static str,
     },
+    /// A phase would inject more records than one phase may hold.
+    TooManyInjections {
+        /// Index of the offending phase.
+        phase: usize,
+        /// Records the phase would inject (saturating at `u64::MAX`).
+        records: u64,
+    },
     /// Composing populations overflowed the dense `u32` UE id space
     /// ([`crate::ComposedStream`]): the cumulative population total
     /// through this slot exceeds `u32::MAX`, so the slot's UEs cannot be
@@ -286,6 +299,10 @@ impl std::fmt::Display for SpecError {
             SpecError::ZeroIntensity { phase, field } => {
                 write!(f, "phase {phase}: `{field}` must be positive")
             }
+            SpecError::TooManyInjections { phase, records } => write!(
+                f,
+                "phase {phase}: injects {records} records, over the {MAX_PHASE_RECORDS} cap"
+            ),
             SpecError::UeRangeOverflow { slot } => {
                 write!(
                     f,
@@ -330,7 +347,8 @@ impl ScenarioSpec {
 
     /// Validate the spec: every float finite and in range, every window
     /// non-empty at millisecond resolution, every subset non-empty, every
-    /// intensity positive, and all windows pairwise disjoint.
+    /// intensity positive, no phase injecting more than a fixed cap of
+    /// records, and all windows pairwise disjoint.
     ///
     /// A validated spec can be compiled and resolved without further
     /// range checks (the saturation discipline: reject up front, then
@@ -344,36 +362,55 @@ impl ScenarioSpec {
             if end <= start {
                 return Err(SpecError::EmptyWindow { phase: i });
             }
-            if phase.kind.ues().is_empty() {
+            let ues = phase.kind.ues().len();
+            if ues == 0 {
                 return Err(SpecError::EmptyUeSubset { phase: i });
             }
-            match &phase.kind {
-                PhaseKind::FlashCrowd { waves, .. } => {
+            // Records per UE the phase injects.
+            let per_ue = match &phase.kind {
+                PhaseKind::FlashCrowd {
+                    waves,
+                    handovers_per_ue,
+                    ..
+                } => {
                     if *waves == 0 {
                         return Err(SpecError::ZeroIntensity {
                             phase: i,
                             field: "waves",
                         });
                     }
+                    1 + u64::from(*handovers_per_ue)
                 }
-                PhaseKind::SignalingStorm { bursts_per_ue, .. } => {
+                PhaseKind::SignalingStorm {
+                    kind,
+                    bursts_per_ue,
+                    ..
+                } => {
                     if *bursts_per_ue == 0 {
                         return Err(SpecError::ZeroIntensity {
                             phase: i,
                             field: "bursts_per_ue",
                         });
                     }
+                    let per_burst = if *kind == StormKind::Paging { 2 } else { 1 };
+                    per_burst * u64::from(*bursts_per_ue)
                 }
                 PhaseKind::M2mReporting { period_s, .. } => {
                     check_f64(i, "period_s", *period_s)?;
-                    if (*period_s * MS_PER_SEC as f64).round() < 1.0 {
+                    let period = (*period_s * MS_PER_SEC as f64).round();
+                    if period < 1.0 {
                         return Err(SpecError::ZeroIntensity {
                             phase: i,
                             field: "period_s",
                         });
                     }
+                    (end - start).div_ceil(period as u64)
                 }
-                PhaseKind::Outage { .. } => {}
+                PhaseKind::Outage { .. } => 0,
+            };
+            let records = ues.saturating_mul(per_ue);
+            if records > MAX_PHASE_RECORDS {
+                return Err(SpecError::TooManyInjections { phase: i, records });
             }
         }
         // Pairwise disjoint windows, at millisecond resolution against a
@@ -514,7 +551,79 @@ mod tests {
         assert!(s.contains(4) && s.contains(8));
         assert!(!s.contains(3) && !s.contains(9));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![4, 5, 6, 7, 8]);
-        assert!(UeSubset::new(9, 4).is_empty());
+        assert_eq!(s.len(), 5);
+        assert_eq!(UeSubset::new(9, 4).len(), 0);
+    }
+
+    #[test]
+    fn phases_that_would_inject_unbounded_records_are_typed_errors() {
+        // Every UE id, four billion bursts each: ~1.8·10¹⁹ records.
+        let huge = r#"{"name":"huge","seed":1,"phases":[{"name":"storm","window":{"start_s":0.0,"duration_s":60.0},"kind":{"SignalingStorm":{"ues":{"lo":0,"hi":4294967295},"kind":"TauFlood","bursts_per_ue":4294967295}}}]}"#;
+        let spec: ScenarioSpec = serde_json::from_str(huge).unwrap();
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError::TooManyInjections {
+                phase: 0,
+                records: 4_294_967_295 * 4_294_967_295,
+            })
+        );
+        let phase = |window: TimeWindow, kind: PhaseKind| ScenarioSpec {
+            phases: vec![Phase {
+                name: "p".into(),
+                window,
+                kind,
+            }],
+            ..ScenarioSpec::identity("cap", 1)
+        };
+        let storm = |kind: StormKind, bursts_per_ue: u32| {
+            phase(
+                TimeWindow::new(0.0, 60.0),
+                PhaseKind::SignalingStorm {
+                    ues: UeSubset::new(0, 1 << 20),
+                    kind,
+                    bursts_per_ue,
+                },
+            )
+        };
+        let over = |records: u64| Err(SpecError::TooManyInjections { phase: 0, records });
+        // A paging burst is two records; other bursts one.
+        assert_eq!(storm(StormKind::TauFlood, 4).validate(), Ok(()));
+        assert_eq!(storm(StormKind::Paging, 2).validate(), Ok(()));
+        assert_eq!(storm(StormKind::Paging, 4).validate(), over(8 << 20));
+        assert_eq!(
+            storm(StormKind::Reestablishment, 5).validate(),
+            over(5 << 20)
+        );
+        let crowd = |handovers_per_ue: u32| {
+            phase(
+                TimeWindow::new(0.0, 60.0),
+                PhaseKind::FlashCrowd {
+                    ues: UeSubset::new(0, 1 << 20),
+                    waves: 1,
+                    handovers_per_ue,
+                },
+            )
+        };
+        assert_eq!(crowd(3).validate(), Ok(()));
+        assert_eq!(crowd(4).validate(), over(5 << 20));
+        // ⌈window / period⌉ reports per UE: 4 s at 1 s is 4, at 0.999 s 5.
+        let fleet = |period_s: f64| {
+            phase(
+                TimeWindow::new(0.0, 4.0),
+                PhaseKind::M2mReporting {
+                    ues: UeSubset::new(0, 1 << 20),
+                    period_s,
+                    device: DeviceType::Tablet,
+                },
+            )
+        };
+        assert_eq!(fleet(1.0).validate(), Ok(()));
+        assert_eq!(fleet(0.999).validate(), over(5 << 20));
+        // An outage injects nothing, however many UEs it covers.
+        let outage = PhaseKind::Outage {
+            ues: UeSubset::new(0, u32::MAX),
+        };
+        assert_eq!(phase(TimeWindow::new(0.0, 1e9), outage).validate(), Ok(()));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * **consistency** — hash the canonical binary serialization
 //!   ([`cn_trace::io::to_binary`]) of the same small seeded trace produced
 //!   by the sequential stream and the sharded stream × `shards {1,8}` —
-//!   plus the out-of-core exporter's sink bytes with both an all-memory
-//!   and a spill-everything budget — and demand a single hash;
+//!   plus the out-of-core exporter's sink bytes on two workers with an
+//!   all-memory, a spill-everything and a split budget — and demand a
+//!   single hash;
 //! * **stability** — compare that hash against a pinned value checked into
 //!   `golden/hashes.json`, so a behavioral change to the generator, the
 //!   model sampling order, or the vendored RNG stream fails loudly instead
@@ -23,7 +24,7 @@ use std::path::{Path, PathBuf};
 use cn_fit::ModelSet;
 use cn_gen::{generate_out_of_core, GenConfig, OutOfCoreConfig, PopulationStream, ShardedStream};
 use cn_obs::Registry;
-use cn_trace::{PopulationMix, RecordSource, Timestamp, Trace};
+use cn_trace::{PopulationMix, RecordSource, Timestamp, Trace, RECORD_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// 64-bit FNV-1a over a byte slice.
@@ -143,27 +144,38 @@ pub fn run_golden_observed(
         events: expected_events,
         hash: trace_hash(&trace),
     }];
-    // Out-of-core export: hash the sink bytes directly (they are the
-    // `to_binary` encoding, so the hash is comparable). Two extremes:
-    // everything resident, and a zero budget that spills every non-empty
-    // run to disk — spilling must never move a byte. The fine chunk size
-    // makes every slice interleave many runs, not copy a single one.
-    for (tag, budget) in [("mem", usize::MAX), ("spill", 0usize)] {
+    // Out-of-core export on two workers, each with half the budget: hash
+    // the sink bytes directly (they are the `to_binary` encoding, so the
+    // hash is comparable). Three budgets: everything resident; zero, which
+    // spills every non-empty run to disk; and a split, whose half holds
+    // exactly worker 0's first run, so that run stays resident and the
+    // worker's later runs spill. Spilling must never move a byte. The fine
+    // chunk size makes every slice interleave many runs, not copy one.
+    const CHUNK_UES: u32 = 7;
+    let first_run = RECORD_BYTES * trace.iter().filter(|r| r.ue.get() < CHUNK_UES).count();
+    for (tag, budget) in [("mem", usize::MAX), ("spill", 0), ("split", 2 * first_run)] {
         let occ = OutOfCoreConfig {
-            chunk_ues: 7,
+            chunk_ues: CHUNK_UES,
             buffer_budget_bytes: budget,
             temp_dir: None,
         };
+        let two_workers = GenConfig {
+            threads: 2,
+            ..*config
+        };
         let (report, sink) =
-            generate_out_of_core(models, config, &occ, std::io::Cursor::new(Vec::new()))
+            generate_out_of_core(models, &two_workers, &occ, std::io::Cursor::new(Vec::new()))
                 .unwrap_or_else(|e| panic!("golden out-of-core ({tag}) run failed: {e}"));
-        if budget == 0 {
-            assert!(
-                report.spilled_runs > 0,
-                "golden spill case must actually spill (got {} runs, 0 spilled)",
-                report.runs
-            );
-        }
+        let spills = match tag {
+            "mem" => report.spilled_runs == 0,
+            "spill" => report.spilled_runs > 0,
+            _ => 0 < report.spilled_runs && report.spilled_runs < report.runs,
+        };
+        assert!(
+            spills,
+            "golden out-of-core ({tag}) case spilled {} of {} runs",
+            report.spilled_runs, report.runs
+        );
         cases.push(GoldenCase {
             engine: format!("outofcore-{tag}"),
             shards: 0,

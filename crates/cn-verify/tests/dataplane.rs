@@ -1,8 +1,8 @@
 //! The ordered-record dataplane, checked in one place: one contract
 //! table over every [`RecordSource`] implementation, one hostile-bytes
 //! property over every decoder of the 14-byte codec, and one each over
-//! the JSON a closed loop reads: the simulator configuration and a resume
-//! checkpoint.
+//! the JSON a closed loop reads: the simulator configuration, a scenario
+//! spec and a resume checkpoint.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,8 +21,8 @@ use cn_scenario::{
 };
 use cn_trace::io::{decode_record, from_binary, recover_binary, BINARY_MAGIC};
 use cn_trace::{
-    IterSource, PopulationMix, RecordSource, StreamError, Timestamp, Trace, TraceRecord, UeId,
-    RECORD_BYTES,
+    DeviceType, IterSource, PopulationMix, RecordSource, StreamError, Timestamp, Trace,
+    TraceRecord, UeId, RECORD_BYTES,
 };
 use cn_verify::GroundTruth;
 use proptest::prelude::*;
@@ -384,6 +384,85 @@ proptest! {
             }
         });
         prop_assert!(peak <= budget, "{} byte input, {peak} byte allocation", bytes.len());
+    }
+}
+
+/// A scenario with a phase of every kind, rendered as JSON.
+fn scenario_json() -> String {
+    let mut spec = storm();
+    let mut phase = |name: &str, start_s: f64, duration_s: f64, kind: PhaseKind| {
+        spec.phases.push(Phase {
+            name: name.into(),
+            window: TimeWindow::new(start_s, duration_s),
+            kind,
+        })
+    };
+    phase(
+        "crowd",
+        7_000.0,
+        600.0,
+        PhaseKind::FlashCrowd {
+            ues: UeSubset::new(16, 32),
+            waves: 4,
+            handovers_per_ue: 2,
+        },
+    );
+    phase(
+        "outage",
+        8_000.0,
+        1_800.0,
+        PhaseKind::Outage {
+            ues: UeSubset::new(0, 40),
+        },
+    );
+    phase(
+        "fleet",
+        10_000.0,
+        3_600.0,
+        PhaseKind::M2mReporting {
+            ues: UeSubset::new(400, 408),
+            period_s: 60.0,
+            device: DeviceType::Tablet,
+        },
+    );
+    serde_json::to_string(&spec).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A scenario spec parsed from hostile JSON is `Ok` or a typed error
+    /// at `from_str` and again at `validate` — never a panic — within the
+    /// JSON parse budget above. A spec that validates is bounded by what
+    /// it injects, not by the counts it spells out: its overlay on an
+    /// empty baseline drains, holding at most the per-phase cap of 2²²
+    /// records a phase.
+    #[test]
+    fn scenario_spec_survives_hostile_json(
+        bytes in prop_oneof![
+            hostile_bytes(),
+            mutated(scenario_json()),
+            extreme(scenario_json()),
+        ],
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        let budget = 64 * bytes.len() + 4096;
+        let (spec, peak) = largest_alloc_during(|| {
+            serde_json::from_str::<ScenarioSpec>(&text)
+                .ok()
+                .filter(|spec| spec.validate().is_ok())
+        });
+        prop_assert!(peak <= budget, "{} byte input, {peak} byte allocation", bytes.len());
+        if let Some(spec) = spec {
+            let empty = IterSource(std::iter::empty());
+            let mut overlay = ScenarioStream::new(&spec, &config(), empty, &Registry::disabled())
+                .expect("a validated spec compiles");
+            let mut injected = 0u64;
+            while overlay.try_next().expect("an empty baseline cannot fail").is_some() {
+                injected += 1;
+            }
+            prop_assert!(injected <= spec.phases.len() as u64 * (1 << 22), "{injected}");
+        }
     }
 }
 

@@ -46,8 +46,8 @@ fn golden_hashes_agree_across_engines_and_match_the_pin() {
     let gt = GroundTruth::standard(11);
     let report = run_golden(&gt.set, &cn_verify::golden::standard_config());
     // stream, sharded × shards {1,8}, and the out-of-core exporter with
-    // all-memory and spill-everything budgets.
-    assert_eq!(report.cases.len(), 5);
+    // all-memory, spill-everything and split budgets.
+    assert_eq!(report.cases.len(), 6);
     assert!(report.consistent, "{}", report.render());
     // Explicit workload-size accounting: a hash agreement over truncated
     // traces would be meaningless, so every engine must also have drained

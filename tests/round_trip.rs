@@ -64,8 +64,8 @@ fn golden_hashes_are_engine_invariant_and_pinned() {
     let gt = GroundTruth::standard(11);
     let report = run_golden(&gt.set, &cn_verify::golden::standard_config());
     // sequential stream, sharded × shards {1,8}, out-of-core × budgets
-    // {all-memory, spill-everything}.
-    assert_eq!(report.cases.len(), 5);
+    // {all-memory, spill-everything, split}.
+    assert_eq!(report.cases.len(), 6);
     assert!(report.consistent, "{}", report.render());
     check_pinned("standard-v1", report.hash().expect("consistent"))
         .unwrap_or_else(|e| panic!("{e}"));

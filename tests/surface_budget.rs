@@ -15,7 +15,7 @@ const BUDGETS: [(&str, usize); 14] = [
     ("cn-eval", 61),
     ("cn-fit", 82),
     ("cn-fivegee", 24),
-    ("cn-gen", 51),
+    ("cn-gen", 50),
     ("cn-live", 76),
     ("cn-mcn", 89),
     ("cn-obs", 132),
