@@ -135,9 +135,29 @@ impl ModelSet {
         serde_json::to_string(self)
     }
 
-    /// Load from a JSON snapshot.
+    /// Load from a JSON snapshot. A snapshot the generator cannot step —
+    /// not one device per [`DeviceType`] at its [`DeviceType::code`], or
+    /// a device without 24 hourly slots — is an error here, not an index
+    /// out of bounds at the first draw.
     pub fn from_json(json: &str) -> serde_json::Result<ModelSet> {
-        serde_json::from_str(json)
+        let set: ModelSet = serde_json::from_str(json)?;
+        let invalid = |msg: String| Err(serde::DeError::msg(msg).into());
+        if set.devices.len() != DeviceType::ALL.len() {
+            return invalid(format!("{} device models, not 3", set.devices.len()));
+        }
+        for (code, models) in set.devices.iter().enumerate() {
+            if models.device.code() as usize != code {
+                return invalid(format!("{} models at device index {code}", models.device));
+            }
+            if models.hours.len() != 24 {
+                let hours = models.hours.len();
+                return invalid(format!(
+                    "{} models span {hours} hours, not 24",
+                    models.device
+                ));
+            }
+        }
+        Ok(set)
     }
 }
 

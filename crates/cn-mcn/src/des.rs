@@ -44,7 +44,8 @@
 //!
 //! Job slots, their pre-drawn services (one flat arena), the calendar
 //! and the queues grow with the jobs *in flight*, not with the records
-//! offered; the draw stage recycles two blocks of records. Latencies are
+//! offered; the draw stage buffers at most 4 096 records and recycles
+//! their buffers. Latencies are
 //! counted in exact tallies rather than stored and sorted, so the
 //! report's percentiles cost a table of at most 4 MiB per NF plus one
 //! entry per latency above 1.05 s (DESIGN.md §11, "Memory and cost
@@ -58,11 +59,14 @@
 //! [`DesSim::finish`] drains the calendar and builds the [`DesReport`].
 //! Any source plumbs in — a batch [`Trace`] ([`DesSim::run_trace`]), a
 //! `ScenarioStream`, or a live TCP connection decoded by `cn-live`.
-//! Records are admitted in order, a block behind `offer`: a full block's
-//! services are drawn on a helper thread (a `cn_mcn_des_draw_block` span)
-//! while the engine admits the previous one. The `cn_mcn_des_*` metrics
-//! ([`DesSim::observed`]) thus trail `offer` by at most two blocks, and
-//! `finish` settles them exactly.
+//! Records are admitted in order, behind `offer`: full blocks of 512
+//! records join a queue of at most seven, and once it is full the engine
+//! admits the oldest. A helper thread draws the oldest undrawn block;
+//! when the block to admit is not drawn yet, the caller draws the oldest
+//! undrawn one itself and waits only while the helper holds every pending
+//! block. Each draw is a `cn_mcn_des_draw_block` span on the thread that
+//! made it. The `cn_mcn_des_*` metrics ([`DesSim::observed`]) thus trail
+//! `offer` by at most 4 096 records, and `finish` settles them exactly.
 
 use crate::nf::{NetworkFunction, TransactionMatrix};
 use crate::overload::{priority_of, AdmissionPolicy, Priority, TokenBucket};
@@ -75,12 +79,18 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// Records per draw-ahead block (services ≈ 112 KiB at stride 7).
-const DRAW_BLOCK: usize = 2_048;
+/// Records per draw block (services ≈ 28 KiB at stride 7).
+const DRAW_BLOCK: usize = 512;
+
+/// Full blocks that may wait in the draw queue between offers: with the
+/// block being filled, at most 4 096 records are buffered. Eight small
+/// blocks rather than two large ones let the caller take over only the
+/// share of the drawing that the helper falls behind on.
+const DRAW_QUEUE: u64 = 7;
 
 /// Per-NF pool configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -441,20 +451,33 @@ enum Action {
     ScaleTick { nf: u8 },
 }
 
-/// Calendar entries order by `(time, sequence)`; the sequence number is
-/// assigned at push and never repeats, making the drain order a
-/// deterministic function of the push order (which is itself
-/// deterministic).
+/// Calendar entries order by `(time, sequence)`, packed into one `u128`
+/// key `t_us << 64 | seq` that compares exactly like the pair in one
+/// word. The sequence number is assigned at push and never repeats,
+/// making the drain order a deterministic function of the push order
+/// (which is itself deterministic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CalEntry {
-    t_us: u64,
-    seq: u64,
+    key: u128,
     action: Action,
+}
+
+impl CalEntry {
+    fn new(t_us: u64, seq: u64, action: Action) -> CalEntry {
+        CalEntry {
+            key: (u128::from(t_us) << 64) | u128::from(seq),
+            action,
+        }
+    }
+
+    fn t_us(&self) -> u64 {
+        (self.key >> 64) as u64
+    }
 }
 
 impl Ord for CalEntry {
     fn cmp(&self, other: &CalEntry) -> std::cmp::Ordering {
-        (self.t_us, self.seq).cmp(&(other.t_us, other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -493,11 +516,10 @@ impl ServicePlan {
         }
     }
 
-    /// Draw one stride of services per record of `block`.
+    /// Draw one stride of services per record of `block` into its
+    /// `services_us`, which the offering thread has sized.
     fn draw_block(&self, block: &mut Block) {
-        let stride = self.max_chain_len;
-        block.services_us.resize(block.records.len() * stride, 0);
-        let strides = block.services_us.chunks_exact_mut(stride);
+        let strides = block.services_us.chunks_exact_mut(self.max_chain_len);
         for (rec, out) in block.records.iter().zip(strides) {
             self.draw(rec, out);
         }
@@ -511,50 +533,170 @@ struct Block {
     services_us: Vec<u64>,
 }
 
-/// The draw-ahead thread: blocks go out with records and come back, in
-/// order, with services drawn. Dropping it closes its input and joins it.
+/// The blocks offered and not yet admitted, shared by the caller and the
+/// draw-ahead thread.
+#[derive(Default)]
+struct Queue {
+    /// Offered blocks no thread has claimed, oldest first.
+    undrawn: VecDeque<Block>,
+    /// Drawn blocks not yet admitted, with their offer numbers.
+    drawn: Vec<(u64, Block)>,
+    /// Blocks offered and blocks admitted so far; offer numbers count
+    /// from 0.
+    offered: u64,
+    admitted: u64,
+    /// Set on drop: the helper exits.
+    closed: bool,
+    /// The helper's panic, for the caller to raise.
+    panicked: Option<Box<dyn std::any::Any + Send>>,
+    /// Test seam: the helper claims nothing and the caller draws alone.
+    #[cfg(test)]
+    parked: bool,
+}
+
+impl Queue {
+    /// Claim the oldest undrawn block, with its offer number.
+    fn claim(&mut self) -> Option<(u64, Block)> {
+        let number = self.offered - self.undrawn.len() as u64;
+        self.undrawn.pop_front().map(|block| (number, block))
+    }
+}
+
+/// The queue's lock, its wake-ups and the plan its blocks are drawn with.
+struct DrawQueue {
+    plan: Arc<ServicePlan>,
+    queue: Mutex<Queue>,
+    /// Signalled when a block is offered or drawn, the queue closes, or
+    /// the helper panics.
+    changed: Condvar,
+}
+
+impl DrawQueue {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'q>(&self, queue: MutexGuard<'q, Queue>) -> MutexGuard<'q, Queue> {
+        self.changed
+            .wait(queue)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Draw a claimed block with the lock released, then file it drawn.
+    fn draw<'q>(
+        &'q self,
+        queue: MutexGuard<'q, Queue>,
+        (number, mut block): (u64, Block),
+    ) -> MutexGuard<'q, Queue> {
+        drop(queue);
+        {
+            let _span = cn_obs::trace::global_span("cn_mcn_des_draw_block");
+            self.plan.draw_block(&mut block);
+        }
+        let mut queue = self.lock();
+        queue.drawn.push((number, block));
+        self.changed.notify_all();
+        queue
+    }
+
+    /// The helper's life: draw the oldest undrawn block until closed.
+    fn help(&self) {
+        let mut queue = self.lock();
+        while !queue.closed {
+            #[cfg(test)]
+            if queue.parked {
+                queue = self.wait(queue);
+                continue;
+            }
+            let claimed = queue.claim();
+            queue = match claimed {
+                Some(claimed) => self.draw(queue, claimed),
+                None => self.wait(queue),
+            };
+        }
+    }
+}
+
+/// The draw driver: offered blocks queue in offer order; the draw-ahead
+/// thread and the caller both claim the oldest undrawn one, and the
+/// caller takes them back drawn, in offer order. Dropping it closes the
+/// queue and joins the thread.
 struct DrawAhead {
-    link: Option<(Sender<Block>, JoinHandle<()>)>,
-    drawn: Receiver<Block>,
-    /// Blocks sent and not yet received back.
-    in_flight: usize,
+    shared: Arc<DrawQueue>,
+    helper: Option<JoinHandle<()>>,
 }
 
 impl DrawAhead {
-    fn spawn(plan: Arc<ServicePlan>) -> DrawAhead {
-        let (to_draw, blocks) = mpsc::channel::<Block>();
-        let (done, drawn) = mpsc::channel();
-        let thread = std::thread::spawn(move || {
-            for mut block in blocks {
-                let _span = cn_obs::trace::global_span("cn_mcn_des_draw_block");
-                plan.draw_block(&mut block);
-                let _ = done.send(block);
+    fn spawn(plan: Arc<ServicePlan>, queue: Queue) -> DrawAhead {
+        let shared = Arc::new(DrawQueue {
+            plan,
+            queue: Mutex::new(queue),
+            changed: Condvar::new(),
+        });
+        let helper = Arc::clone(&shared);
+        let helper = std::thread::spawn(move || {
+            let helped = std::panic::catch_unwind(AssertUnwindSafe(|| helper.help()));
+            if let Err(payload) = helped {
+                helper.lock().panicked = Some(payload);
+                helper.changed.notify_all();
             }
         });
         DrawAhead {
-            link: Some((to_draw, thread)),
-            drawn,
-            in_flight: 0,
+            shared,
+            helper: Some(helper),
         }
     }
 
-    /// The oldest block in flight, drawn. The thread hangs up only by
-    /// panicking; its payload is raised here, on the calling thread.
-    fn recv(&mut self) -> Block {
-        self.in_flight -= 1;
-        let Ok(block) = self.drawn.recv() else {
-            let (_, thread) = self.link.take().expect("joined only on drop");
-            std::panic::resume_unwind(thread.join().expect_err("the thread hung up"));
-        };
-        block
+    /// Queue `block` (its services sized) for drawing.
+    fn offer(&self, block: Block) {
+        let mut queue = self.shared.lock();
+        queue.undrawn.push_back(block);
+        queue.offered += 1;
+        self.shared.changed.notify_all();
+    }
+
+    /// Blocks offered and not yet taken back.
+    fn pending(&self) -> u64 {
+        let queue = self.shared.lock();
+        queue.offered - queue.admitted
+    }
+
+    /// The oldest block not yet taken back, drawn; `None` once every
+    /// offered block is. Until it is drawn the caller draws the oldest
+    /// undrawn block itself, and waits only while every pending block is
+    /// on the helper. A panic on the helper is raised here.
+    fn next_drawn(&self) -> Option<Block> {
+        let mut queue = self.shared.lock();
+        loop {
+            let next = queue.admitted;
+            if let Some(at) = queue.drawn.iter().position(|&(number, _)| number == next) {
+                queue.admitted += 1;
+                return Some(queue.drawn.swap_remove(at).1);
+            }
+            if next == queue.offered {
+                return None;
+            }
+            let claimed = queue.claim();
+            queue = match claimed {
+                Some(claimed) => self.shared.draw(queue, claimed),
+                None => {
+                    if let Some(payload) = queue.panicked.take() {
+                        drop(queue);
+                        std::panic::resume_unwind(payload);
+                    }
+                    self.shared.wait(queue)
+                }
+            };
+        }
     }
 }
 
 impl Drop for DrawAhead {
     fn drop(&mut self) {
-        if let Some((to_draw, thread)) = self.link.take() {
-            drop(to_draw);
-            let _ = thread.join();
+        self.shared.lock().closed = true;
+        self.shared.changed.notify_all();
+        if let Some(helper) = self.helper.take() {
+            let _ = helper.join();
         }
     }
 }
@@ -856,7 +998,8 @@ impl DesSim {
     /// stage-latency / transaction series, admission counters by
     /// priority, scale-event counters by direction, per-NF server
     /// gauges, and scaling-lag histograms. Its counters trail
-    /// [`DesSim::offer`] by at most two draw-ahead blocks until
+    /// [`DesSim::offer`] by the records not yet admitted — the block being
+    /// filled and at most seven queued blocks, 4 096 records — until
     /// [`DesSim::finish`] settles them exactly.
     pub(crate) fn observed(mut self, registry: &Registry) -> DesSim {
         self.obs = DesObs::register(registry);
@@ -881,13 +1024,9 @@ impl DesSim {
     }
 
     fn push(&mut self, t_us: u64, action: Action) {
-        let entry = CalEntry {
-            t_us,
-            seq: self.seq,
-            action,
-        };
+        self.calendar
+            .push(Reverse(CalEntry::new(t_us, self.seq, action)));
         self.seq += 1;
-        self.calendar.push(Reverse(entry));
     }
 
     /// Offer one record at its trace timestamp. Input must be sorted by
@@ -906,33 +1045,47 @@ impl DesSim {
         self.last_arrival_ms = Some(arrival_ms);
         self.pending.records.push(*rec);
         if self.pending.records.len() >= self.block_len {
-            // Admit the previous block while this one is drawn. A thread
-            // that panicked refuses the block; `recv` raises its panic.
+            // Once the queue is full, admit its oldest block while the
+            // newer ones are drawn.
+            let block = self.take_pending();
             let plan = &self.plan;
             let draw_ahead = self
                 .draw_ahead
-                .get_or_insert_with(|| DrawAhead::spawn(Arc::clone(plan)));
-            if let Some((to_draw, _)) = &draw_ahead.link {
-                let _ = to_draw.send(std::mem::take(&mut self.pending));
-            }
-            draw_ahead.in_flight += 1;
-            if draw_ahead.in_flight > 1 {
-                let drawn = draw_ahead.recv();
+                .get_or_insert_with(|| DrawAhead::spawn(Arc::clone(plan), Queue::default()));
+            draw_ahead.offer(block);
+            if draw_ahead.pending() > DRAW_QUEUE {
+                let drawn = draw_ahead.next_drawn().expect("blocks pending");
                 self.admit_block(drawn);
             }
         }
         Ok(())
     }
 
-    /// Admit everything offered: the block in flight, then the pending one.
+    /// The pending block with its services sized here, so that no
+    /// drawing thread allocates.
+    fn take_pending(&mut self) -> Block {
+        let mut block = std::mem::take(&mut self.pending);
+        block
+            .services_us
+            .resize(block.records.len() * self.plan.max_chain_len, 0);
+        block
+    }
+
+    /// Admit everything offered, in offer order, and join the helper.
     fn flush(&mut self) {
-        let mut last = std::mem::take(&mut self.pending);
-        if let Some(draw_ahead) = self.draw_ahead.as_mut().filter(|d| d.in_flight > 0) {
-            let drawn = draw_ahead.recv();
-            self.admit_block(drawn);
+        let mut last = self.take_pending();
+        match self.draw_ahead.take() {
+            Some(draw_ahead) => {
+                draw_ahead.offer(last);
+                while let Some(drawn) = draw_ahead.next_drawn() {
+                    self.admit_block(drawn);
+                }
+            }
+            None => {
+                self.plan.draw_block(&mut last);
+                self.admit_block(last);
+            }
         }
-        self.plan.draw_block(&mut last);
-        self.admit_block(last);
     }
 
     /// Run the engine over a drawn block in record order; its buffers
@@ -1017,7 +1170,6 @@ impl DesSim {
     pub fn finish(mut self) -> DesReport {
         let _finish = cn_obs::trace::global_span("cn_mcn_des_finish");
         self.flush();
-        self.draw_ahead = None;
         self.input_done = true;
         self.advance_to(u64::MAX);
         debug_assert_eq!(self.outstanding, 0, "calendar drained with jobs in flight");
@@ -1087,15 +1239,16 @@ impl DesSim {
     /// Process every calendar entry at or before `to_us`.
     fn advance_to(&mut self, to_us: u64) {
         while let Some(&Reverse(entry)) = self.calendar.peek() {
-            if entry.t_us > to_us {
+            let t_us = entry.t_us();
+            if t_us > to_us {
                 break;
             }
             self.calendar.pop();
-            self.end_us = self.end_us.max(entry.t_us);
+            self.end_us = self.end_us.max(t_us);
             match entry.action {
-                Action::StageDone { job } => self.stage_done(job, entry.t_us),
-                Action::ServerOnline { nf } => self.server_online(nf as usize, entry.t_us),
-                Action::ScaleTick { nf } => self.scale_tick(nf as usize, entry.t_us),
+                Action::StageDone { job } => self.stage_done(job, t_us),
+                Action::ServerOnline { nf } => self.server_online(nf as usize, t_us),
+                Action::ScaleTick { nf } => self.scale_tick(nf as usize, t_us),
             }
             #[cfg(any(test, debug_assertions))]
             self.assert_laws();
@@ -1706,13 +1859,17 @@ mod tests {
             // the next: two jobs in flight at most.
             sim.offer(&rec(i / 2 * 10, (i % 16) as u32, EventType::Tau))
                 .unwrap();
-            // Pending and in flight: at most one block each between
-            // offers, none longer than a block.
-            assert!(sim.draw_ahead.as_ref().map_or(0, |d| d.in_flight) <= 1);
+            // Between offers at most `DRAW_QUEUE` blocks wait in the
+            // queue and the one being filled is shorter than a block: at
+            // most 4 096 records are buffered, no block longer than a block.
+            let queued = sim.draw_ahead.as_ref().map_or(0, DrawAhead::pending);
+            assert!(queued <= DRAW_QUEUE);
+            let buffered = queued as usize * DRAW_BLOCK + sim.pending.records.len();
+            assert!(buffered <= 2 * 2_048, "{buffered} records buffered");
             assert!(sim.pending.records.capacity() <= DRAW_BLOCK);
             assert!(sim.pending.services_us.capacity() <= DRAW_BLOCK * stride);
         }
-        assert!(sim.draw_ahead.is_some(), "5 000 records fill two blocks");
+        assert!(sim.draw_ahead.is_some(), "5 000 records fill nine blocks");
         sim.flush();
         assert_eq!(sim.jobs.len(), 2);
         assert_eq!(sim.services_us.len(), 2 * stride);
@@ -1821,11 +1978,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_stream_of_many_blocks_reports_like_the_inline_draw() {
+    /// A random bursty stream of seventeen and a half blocks: it fills
+    /// the draw queue twice over.
+    fn many_blocks() -> Vec<TraceRecord> {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(0xB10C);
-        let arrivals: Vec<(u64, u32, usize)> = (0..7 * DRAW_BLOCK / 2)
+        let arrivals: Vec<(u64, u32, usize)> = (0..35 * DRAW_BLOCK / 2)
             .map(|_| {
                 (
                     rng.gen_range(0..12),
@@ -1834,7 +1992,12 @@ mod tests {
                 )
             })
             .collect();
-        let records = bursty(&arrivals);
+        bursty(&arrivals)
+    }
+
+    #[test]
+    fn a_stream_of_many_blocks_reports_like_the_inline_draw() {
+        let records = many_blocks();
         let config = elastic_epc(7, 120);
         let inline = run_blocks(&config, &records, usize::MAX);
         assert!(inline.total_shed() > 0 && inline.per_nf[0].scale_ups > 0);
@@ -1891,34 +2054,96 @@ mod tests {
             for i in 0..5_000u64 {
                 sim.offer(&rec(i, (i % 16) as u32, EventType::Tau)).unwrap();
             }
-            assert_eq!(sim.draw_ahead.as_ref().map(|d| d.in_flight), Some(1));
+            let queued = sim.draw_ahead.as_ref().map(DrawAhead::pending);
+            assert_eq!(queued, Some(DRAW_QUEUE));
             drop(sim);
             assert_eq!(Arc::strong_count(&plan), 1, "round {round}");
         }
     }
 
-    /// A draw that panics on the helper thread is raised on the caller
-    /// with its own payload, not swallowed into a shorter report.
+    /// A draw that panics is raised on the caller with its own payload,
+    /// not swallowed into a shorter report: one on the helper while the
+    /// caller waits for its block, and one in a run, whichever thread
+    /// draws first.
     #[test]
     fn a_draw_ahead_panic_is_raised_on_the_caller() {
         let mut sim = with_block_len(single_nf_config(1, 100.0), 4);
         // A plan with no laws, past `validate`: the first draw panics.
         Arc::get_mut(&mut sim.plan).unwrap().laws.clear();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        let draw_ahead = DrawAhead::spawn(Arc::clone(&sim.plan), Queue::default());
+        draw_ahead.offer(Block {
+            records: vec![rec(0, 0, EventType::Tau)],
+            services_us: vec![0; sim.plan.max_chain_len],
+        });
+        // Once the helper has claimed the one block, only it draws.
+        while !draw_ahead.shared.lock().undrawn.is_empty() {
+            std::thread::yield_now();
+        }
+        let on_helper = std::panic::catch_unwind(AssertUnwindSafe(|| draw_ahead.next_drawn()));
+        let in_run = std::panic::catch_unwind(AssertUnwindSafe(move || {
             for i in 0..64u64 {
                 sim.offer(&rec(i, 0, EventType::Tau)).unwrap();
             }
             sim.finish()
         }));
-        let payload = outcome.expect_err("the draw panicked");
-        let message = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-        assert!(
-            message.is_some_and(|m| m.starts_with("index out of bounds")),
-            "{message:?}"
-        );
+        for payload in [on_helper.err(), in_run.err()] {
+            let payload = payload.expect("the draw panicked");
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert!(
+                message.is_some_and(|m| m.starts_with("index out of bounds")),
+                "{message:?}"
+            );
+        }
+    }
+
+    /// With the helper parked the caller claims and draws every block
+    /// itself, and the report is the inline draw's, field for field.
+    #[test]
+    fn the_caller_drawing_alone_reports_like_the_inline_draw() {
+        let records = many_blocks();
+        let config = elastic_epc(7, 120);
+        let inline = run_blocks(&config, &records, usize::MAX);
+        for block_len in [1, 97, DRAW_BLOCK] {
+            let mut sim = with_block_len(config.clone(), block_len);
+            let parked = Queue {
+                parked: true,
+                ..Queue::default()
+            };
+            sim.draw_ahead = Some(DrawAhead::spawn(Arc::clone(&sim.plan), parked));
+            for r in &records {
+                sim.offer(r).unwrap();
+            }
+            let report = sim.finish();
+            assert_eq!(report, inline, "{block_len}");
+            assert_eq!(
+                serde_json::to_string(&report).unwrap(),
+                serde_json::to_string(&inline).unwrap(),
+                "{block_len}"
+            );
+        }
+    }
+
+    /// A calendar time or sequence number: the end of time (a saturated
+    /// draw), one of the first few, or anything.
+    fn edge_word() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(u64::MAX), 0u64..4, any::<u64>()]
+    }
+
+    proptest! {
+        /// The one-word calendar key orders exactly as `(t_us, seq)`, and
+        /// gives its time back.
+        #[test]
+        fn the_calendar_key_orders_like_the_time_sequence_pair(
+            a in (edge_word(), edge_word()),
+            b in (edge_word(), edge_word()),
+        ) {
+            let entry = |(t_us, seq)| CalEntry::new(t_us, seq, Action::ScaleTick { nf: 0 });
+            prop_assert_eq!(entry(a).cmp(&entry(b)), a.cmp(&b));
+            prop_assert_eq!((entry(a).t_us(), entry(b).t_us()), (a.0, b.0));
+        }
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //! table over every [`RecordSource`] implementation, one hostile-bytes
 //! property over every decoder of the 14-byte codec, and one each over
 //! the JSON a closed loop reads: the simulator configuration, a scenario
-//! spec and a resume checkpoint.
+//! spec, a resume checkpoint and a model snapshot.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cn_fit::ModelSet;
+use cn_cluster::ClusterId;
+use cn_fit::method::DistributionKind;
+use cn_fit::{
+    ClusterHourModel, DeviceModels, FirstEventModel, HourModels, Method, ModelSet, SemiMarkovModel,
+};
 use cn_gen::{generate, FaultPlan, GenConfig, PopulationStream, ShardedStream};
 use cn_live::{
     decode_frame, encode_frame, Checkpoint, Frame, LiveConfig, LiveRecordSource, LiveServer,
@@ -19,9 +23,10 @@ use cn_scenario::{
     apply_scenario, ComposedStream, Phase, PhaseKind, PopulationSlot, ScenarioSpec, ScenarioStream,
     StormKind, TimeWindow, UeSubset,
 };
+use cn_statemachine::{BottomTransition, ConnSub, TlState, TopTransition};
 use cn_trace::io::{decode_record, from_binary, recover_binary, BINARY_MAGIC};
 use cn_trace::{
-    DeviceType, IterSource, PopulationMix, RecordSource, StreamError, Timestamp, Trace,
+    DeviceType, EventType, IterSource, PopulationMix, RecordSource, StreamError, Timestamp, Trace,
     TraceRecord, UeId, RECORD_BYTES,
 };
 use cn_verify::GroundTruth;
@@ -518,6 +523,78 @@ proptest! {
             }
             LiveServer::new(SystemClock::new(), LiveConfig::new(ckpt.compression), &registry)
                 .expect("a loaded compression serves");
+        }
+    }
+}
+
+/// A model snapshot small enough to fuzz: a phone model fitted from two
+/// samples a law in the hour generation starts, every other slot empty.
+fn model_set_json() -> String {
+    static JSON: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    let samples = |law: usize| vec![(10 * law + 1) as f64, (10 * law + 4) as f64];
+    JSON.get_or_init(|| {
+        let top = TopTransition::ALL.into_iter().enumerate();
+        let bottom = BottomTransition::ALL.into_iter().enumerate();
+        let firsts = [
+            (EventType::Attach, 60.0),
+            (EventType::ServiceRequest, 900.0),
+        ];
+        let model = ClusterHourModel {
+            top: SemiMarkovModel::fit(
+                &top.map(|(law, t)| (t, samples(law + 3))).collect(),
+                DistributionKind::EmpiricalCdf,
+            ),
+            bottom: SemiMarkovModel::fit(
+                &bottom.map(|(law, t)| (t, samples(law))).collect(),
+                DistributionKind::EmpiricalCdf,
+            ),
+            bottom_exit: vec![(TlState::Connected(ConnSub::SrvReqS), 0.5)],
+            ho_interarrival: None,
+            tau_interarrival: None,
+            first_event: FirstEventModel::fit(&firsts, 1),
+            n_ues: 2,
+        };
+        let mut devices: Vec<DeviceModels> = DeviceType::ALL
+            .into_iter()
+            .map(|device| DeviceModels {
+                device,
+                personas: vec![[ClusterId(0); 24]],
+                hours: vec![HourModels { clusters: vec![] }; 24],
+            })
+            .collect();
+        devices[0].hours[9].clusters.push(model);
+        let set = ModelSet {
+            method: Method::Ours,
+            devices,
+            n_days: 1,
+        };
+        serde_json::to_string(&set).unwrap()
+    })
+    .clone()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A model snapshot of hostile JSON fails to load with a typed error,
+    /// or loads into a set the generator steps — four phones through an
+    /// hour — without a panic. Loading stays within the JSON
+    /// parse budget above.
+    #[test]
+    fn model_set_survives_hostile_json(
+        bytes in prop_oneof![
+            hostile_bytes(),
+            mutated(model_set_json()),
+            extreme(model_set_json()),
+        ],
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        let budget = 64 * bytes.len() + 4096;
+        let (loaded, peak) = largest_alloc_during(|| ModelSet::from_json(&text));
+        prop_assert!(peak <= budget, "{} byte input, {peak} byte allocation", bytes.len());
+        if let Ok(models) = loaded {
+            let phones = PopulationMix::new(4, 0, 0);
+            generate(&models, &GenConfig::new(phones, Timestamp::at_hour(0, 9), 1.0, 7));
         }
     }
 }

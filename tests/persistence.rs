@@ -78,3 +78,23 @@ fn corrupted_inputs_are_rejected_not_misread() {
     let unsorted: Ecdf = serde_json::from_str(r#"{"samples":[3.0,1.0]}"#).expect("sorted on load");
     assert_eq!((unsorted.min(), unsorted.cdf(1.0)), (1.0, 0.5));
 }
+
+#[test]
+fn model_snapshots_that_cannot_be_stepped_are_rejected_at_load() {
+    let (models, _) = small_setup();
+    let rejected = |set: &ModelSet| {
+        let json = set.to_json().expect("serialize");
+        ModelSet::from_json(&json)
+            .expect_err("a snapshot the generator cannot step")
+            .to_string()
+    };
+    let mut two_devices = models.clone();
+    two_devices.devices.pop();
+    assert!(rejected(&two_devices).contains("2 device models"));
+    let mut swapped = models.clone();
+    swapped.devices.swap(0, 1);
+    assert!(rejected(&swapped).contains("at device index 0"));
+    let mut short_day = models.clone();
+    short_day.devices[2].hours.pop();
+    assert!(rejected(&short_day).contains("23 hours"));
+}
