@@ -6,10 +6,12 @@
 //! the replayed trace, and requires every re-fit to pass the two-sample
 //! K–S test at α = 0.01 against its ground truth. A companion test pins
 //! the byte-identical-across-engines golden hash, and a third pins the
-//! fitted pipeline (world → replay → fit → generate). The same checks run at
+//! fitted pipeline (world → replay → fit → generate); a fourth pins the
+//! fitted models themselves, for all four methods. The same checks run at
 //! 5,000 UEs / 12 h via `cargo run --release -p cn-verify --bin
 //! verify_model`; quick-scale variants live in `crates/cn-verify/tests/`.
 
+use cn_eval::{ExperimentConfig, Lab};
 use cn_fit::{fit, FitConfig, Method};
 use cn_trace::PopulationMix;
 use cn_verify::{check_pinned, run_golden, run_round_trip, GroundTruth, RoundTripConfig};
@@ -90,4 +92,28 @@ fn fitted_pipeline_hash_is_pinned() {
     // One pin for both semantics: the rotation keeps the pair ordered.
     let pin = hash(Method::Ours).rotate_left(32) ^ hash(Method::Base);
     check_pinned("fitted-v1", pin).unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
+fn fitted_models_of_every_method_are_pinned() {
+    // `fitted-v1` hashes generated output of one-cluster hours for two
+    // methods; this pin hashes the fitted JSON itself, for all four methods,
+    // on a world small enough to split hours into several clusters.
+    let lab = Lab::new(ExperimentConfig::quick());
+    let ours = lab.models(Method::Ours);
+    assert!(
+        ours.devices
+            .iter()
+            .any(|dm| dm.hours.iter().any(|h| h.clusters.len() > 1)),
+        "no hour split into clusters: the pin would not see pooling order"
+    );
+    // FNV-1a over every method's JSON, in `Method::ALL` order.
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for method in Method::ALL {
+        let json = lab.models(method).to_json().expect("model set serializes");
+        for &b in json.as_bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    check_pinned("fitted-models-v1", hash).unwrap_or_else(|e| panic!("{e}"));
 }
