@@ -3,13 +3,15 @@
 use crate::first_event::FirstEventModel;
 use crate::method::{Method, StateMachineKind};
 use crate::model::{ClusterHourModel, DeviceModels, HourModels, ModelSet};
-use crate::semi_markov::{fit_sojourn, SemiMarkovModel};
-use crate::sojourn::UeObservations;
-use cn_cluster::{ClusterId, Clustering, ClusteringParams};
-use cn_statemachine::{BottomTransition, TlState, TopTransition};
-use cn_trace::{DeviceType, HourOfDay, Trace, TraceRecord, UeId, MS_PER_DAY};
+use crate::semi_markov::{fit_sojourn, SemiMarkovModel, TransitionLike};
+use crate::sojourn::{self, Cell, BOTTOM, BOTTOM_STATES, COLUMNS, FIRSTS, HO_GAPS, TAU_GAPS, TOP};
+use cn_cluster::{ClusterId, ClusteringParams};
+use cn_statemachine::{BottomTransition, TopTransition};
+use cn_trace::{DeviceType, EventType, Trace, MS_PER_DAY};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::mem::take;
+use std::sync::Mutex;
 
 /// Configuration of a fitting run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -20,7 +22,8 @@ pub struct FitConfig {
     pub clustering: ClusteringParams,
     /// Days spanned by the trace; `0` = infer from the last timestamp.
     pub n_days: u64,
-    /// Worker threads for the replay pass (`0` = all cores).
+    /// Worker threads for the replay pass and for the (device, hour) cells
+    /// (`0` = all cores); the fitted bytes do not depend on it.
     pub(crate) threads: usize,
 }
 
@@ -53,15 +56,36 @@ pub fn fit(trace: &Trace, config: &FitConfig) -> ModelSet {
     } else {
         trace.end().map_or(1, |t| t.as_millis() / MS_PER_DAY + 1)
     };
+    let threads = if config.threads == 0 {
+        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+    } else {
+        config.threads
+    };
 
-    let observations = observe_all(trace, config.threads);
-
+    let cells = observe_all(trace, config.method.machine(), threads);
+    // Each cell clusters its device's UEs for its hour and fits the
+    // clusters, taking its observations along and freeing them.
+    let queue = Mutex::new(cells.into_iter().enumerate());
+    let fitted = on_workers(threads.min(3 * 24), |_| {
+        std::iter::from_fn(|| queue.lock().expect("no cell panicked").next())
+            .map(|(i, shares)| (i, fit_cell(&shares, config, n_days)))
+            .collect::<Vec<_>>()
+    });
+    // Placed by index, so the thread count changes no bit.
+    let mut fitted: Vec<_> = fitted.into_iter().flatten().collect();
+    fitted.sort_unstable_by_key(|&(i, _)| i);
+    let mut cells = fitted.into_iter().map(|(_, cell)| cell);
     let devices = DeviceType::ALL
         .into_iter()
         .map(|device| {
-            let device_obs: Vec<&UeObservations> =
-                observations.iter().filter(|o| o.device == device).collect();
-            fit_device(device, &device_obs, config, n_days)
+            let hours: Vec<_> = cells.by_ref().take(24).collect();
+            DeviceModels {
+                device,
+                personas: (0..hours[0].0.len())
+                    .map(|u| std::array::from_fn(|h| hours[h].0[u]))
+                    .collect(),
+                hours: hours.into_iter().map(|(_, hour)| hour).collect(),
+            }
         })
         .collect();
 
@@ -72,204 +96,174 @@ pub fn fit(trace: &Trace, config: &FitConfig) -> ModelSet {
     }
 }
 
-/// Replay and observe every UE, in parallel.
-fn observe_all(trace: &Trace, threads: usize) -> Vec<UeObservations> {
-    let per_ue = trace.per_ue();
-    let entries: Vec<_> = per_ue.iter().collect();
-    if entries.is_empty() {
-        return Vec::new();
-    }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-    .min(entries.len())
-    .max(1);
-    let chunk = entries.len().div_ceil(threads);
-    let observe_share = |slice: &[(UeId, &[TraceRecord])]| {
-        slice
-            .iter()
-            .map(|(_, events)| {
-                let device = events.first().map_or(DeviceType::Phone, |r| r.device);
-                UeObservations::observe(device, events)
-            })
-            .collect::<Vec<_>>()
-    };
-    // The calling thread observes the last share itself instead of idling
-    // in `join` (as `cn_world::generate_world` does, for the same reason).
-    let mut shares: Vec<_> = entries.chunks(chunk).collect();
-    let own = shares.pop().expect("entries is non-empty");
+/// Run `work(w)` for `w` in `0..n` on the caller plus `n − 1` scoped
+/// workers; the results come back in `w` order. The caller takes the last
+/// share itself instead of idling in `join` (as `cn_world::generate_world`
+/// does, for the same reason).
+fn on_workers<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let last = n.max(1) - 1;
     std::thread::scope(|scope| {
-        let observe_share = &observe_share;
-        let handles: Vec<_> = shares
-            .into_iter()
-            .map(|slice| scope.spawn(move || observe_share(slice)))
-            .collect();
-        let own = observe_share(own);
+        let work = &work;
+        let handles: Vec<_> = (0..last).map(|w| scope.spawn(move || work(w))).collect();
+        let own = work(last);
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("observer panicked"))
-            .chain(own)
+            .map(|h| h.join().expect("fit worker panicked"))
+            .chain(std::iter::once(own))
             .collect()
     })
 }
 
-/// Fit all 24 hour slots of one device type.
-fn fit_device(
-    device: DeviceType,
-    obs: &[&UeObservations],
-    config: &FitConfig,
-    n_days: u64,
-) -> DeviceModels {
-    let mut personas = vec![[ClusterId(0); 24]; obs.len()];
-    let mut hours = Vec::with_capacity(24);
-    if obs.is_empty() {
-        for _ in 0..24 {
-            hours.push(HourModels {
-                clusters: Vec::new(),
-            });
-        }
-        return DeviceModels {
-            device,
-            personas,
-            hours,
-        };
+/// Replay and observe every UE, in parallel: the 72 (device, hour) cells,
+/// each as one [`Cell`] per share of UEs, in UE order.
+fn observe_all(trace: &Trace, machine: StateMachineKind, threads: usize) -> Vec<Vec<Cell>> {
+    let records = trace.records();
+    assert!(u32::try_from(records.len()).is_ok(), "over 2^32 records");
+    // Group by UE through an index, not a copy: the packed keys are unique,
+    // so the unstable sort is deterministic, and each UE's records keep
+    // trace order, which is time order.
+    let mut keys: Vec<u64> = records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| u64::from(r.ue.0) << 32 | i as u64)
+        .collect();
+    keys.sort_unstable();
+    let record = |key: u64| records[key as u32 as usize];
+    // Each UE's keys, device (of its first record) and rank in that device.
+    let mut ranks = [0; 3];
+    let mut start = 0;
+    let mut ues = Vec::new();
+    for group in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+        let device = record(group[0]).device.code() as usize;
+        ues.push((start..start + group.len(), device, ranks[device]));
+        ranks[device] += 1;
+        start += group.len();
     }
 
-    for hour in HourOfDay::all() {
-        let clustering = if config.method.clustered() {
-            let features: Vec<Vec<f64>> = obs
-                .iter()
-                .map(|o| o.features_for_hour(hour, n_days))
-                .collect();
-            cn_cluster::cluster(&features, &config.clustering)
-        } else {
-            // A single cluster holding every UE.
-            single_cluster(obs.len())
-        };
-        for (i, &c) in clustering.assignments.iter().enumerate() {
-            personas[i][hour.index()] = c;
-        }
-        let clusters = clustering
-            .clusters
-            .iter()
-            .map(|info| fit_cluster_hour(obs, &info.members, hour, config, n_days))
-            .collect();
-        hours.push(HourModels { clusters });
-    }
-
-    DeviceModels {
-        device,
-        personas,
-        hours,
-    }
-}
-
-fn single_cluster(n: usize) -> Clustering {
-    let members: Vec<usize> = (0..n).collect();
-    Clustering {
-        assignments: vec![ClusterId(0); n],
-        clusters: vec![cn_cluster::ClusterInfo {
-            id: ClusterId(0),
-            members,
-            feature_min: Vec::new(),
-            feature_max: Vec::new(),
-        }],
-    }
-}
-
-/// Fit the model of one (cluster, hour) from its member UEs' observations.
-fn fit_cluster_hour(
-    obs: &[&UeObservations],
-    members: &[usize],
-    hour: HourOfDay,
-    config: &FitConfig,
-    n_days: u64,
-) -> ClusterHourModel {
-    let h = hour.index();
-    let dist_kind = config.method.distribution();
-
-    // Pool sojourn samples across member UEs (events of different UEs are
-    // i.i.d. within a cluster, §4.1.1).
-    let mut top: HashMap<TopTransition, Vec<f64>> = HashMap::new();
-    let mut bottom: HashMap<BottomTransition, Vec<f64>> = HashMap::new();
-    let mut censored: HashMap<TlState, usize> = HashMap::new();
-    let mut ho_gaps: Vec<f64> = Vec::new();
-    let mut tau_gaps: Vec<f64> = Vec::new();
-    let mut firsts: Vec<(cn_trace::EventType, f64)> = Vec::new();
-    let mut active_obs = 0usize;
-
-    for &m in members {
-        let o = obs[m];
-        for (&t, s) in &o.top_by_hour[h] {
-            top.entry(t).or_default().extend_from_slice(s);
-        }
-        if config.method.machine() == StateMachineKind::TwoLevel {
-            for (&t, s) in &o.bottom_by_hour[h] {
-                bottom.entry(t).or_default().extend_from_slice(s);
-            }
-            for (&s, &n) in &o.bottom_censored_by_hour[h] {
-                *censored.entry(s).or_insert(0) += n;
-            }
-        } else {
-            ho_gaps.extend_from_slice(&o.ho_gaps_by_hour[h]);
-            tau_gaps.extend_from_slice(&o.tau_gaps_by_hour[h]);
-        }
-        for ((_, fh), &(e, off)) in &o.first_by_day_hour {
-            if *fh == hour.get() {
-                firsts.push((e, off));
-                active_obs += 1;
-            }
-        }
-    }
-
-    let idle_obs = (members.len() * n_days as usize).saturating_sub(active_obs);
-    let (ho_ia, tau_ia) = if config.method.machine() == StateMachineKind::EmmEcm {
-        (
-            (!ho_gaps.is_empty()).then(|| fit_sojourn(&ho_gaps, dist_kind)),
-            (!tau_gaps.is_empty()).then(|| fit_sojourn(&tau_gaps, dist_kind)),
-        )
-    } else {
-        (None, None)
+    // Shares of about equal records, whole UEs each.
+    let threads = threads.min(ues.len()).max(1);
+    let share = |w: usize| {
+        let first_ue = |w: usize| ues.partition_point(|u| u.0.start < w * keys.len() / threads);
+        &ues[first_ue(w)..first_ue(w + 1)]
     };
+    let two_level = machine == StateMachineKind::TwoLevel;
+    let mut shares = on_workers(threads, |w| {
+        let mut cells: Vec<Cell> = (0..3 * 24).map(|_| Cell::default()).collect();
+        let mut events = Vec::new();
+        for (span, device, rank) in share(w) {
+            events.clear();
+            events.extend(keys[span.clone()].iter().map(|&k| record(k)));
+            sojourn::observe(&mut cells[device * 24..][..24], *rank, &events, two_level);
+        }
+        cells
+    });
+    // Transpose to one list of shares per cell.
+    let cell = |i| {
+        shares
+            .iter_mut()
+            .map(|s: &mut Vec<_>| take(&mut s[i]))
+            .collect()
+    };
+    (0..3 * 24).map(cell).collect()
+}
 
-    // Competing-risks correction: P(no second-level event | visit) per
-    // bottom-capable state = censored visits / all completed visits.
-    let mut fired: HashMap<TlState, usize> = HashMap::new();
-    for (t, s) in &bottom {
-        use crate::semi_markov::TransitionLike;
-        *fired.entry(t.from_state()).or_insert(0) += s.len();
+/// Cluster one (device, hour) cell's UEs and fit each cluster's model:
+/// the cluster of each UE rank, and the hour's models.
+fn fit_cell(shares: &[Cell], config: &FitConfig, n_days: u64) -> (Vec<ClusterId>, HourModels) {
+    let n: usize = shares.iter().map(|s| s.ues.len()).sum();
+    let (assignments, sizes) = if n == 0 {
+        (Vec::new(), Vec::new())
+    } else if config.method.clustered() {
+        let c = cn_cluster::cluster(&sojourn::features(shares, n_days), &config.clustering);
+        let sizes = c.clusters.iter().map(|i| i.members.len()).collect();
+        (c.assignments, sizes)
+    } else {
+        (vec![ClusterId(0); n], vec![n])
+    };
+    // Pool each column per cluster (events of different UEs are i.i.d.
+    // within a cluster, §4.1.1). Members ascend, and each UE's rows are in
+    // time order, as the in-order sums of `Exponential::fit` need.
+    let mut pools: Vec<[Vec<f64>; COLUMNS]> = sizes.iter().map(|_| Default::default()).collect();
+    let mut censored = vec![[0; 6]; sizes.len()];
+    for (column, rows) in (0..COLUMNS).map(|c| (c, sojourn::rows(shares, c))) {
+        for row in rows {
+            pools[assignments[sojourn::rank(row)].index()][column].push(sojourn::secs(row));
+        }
     }
-    let mut bottom_exit: Vec<(TlState, f64)> = censored
-        .keys()
-        .chain(fired.keys())
-        .copied()
-        .collect::<std::collections::BTreeSet<_>>()
+    for (ue, c) in shares.iter().flat_map(|s| &s.ues).zip(&assignments) {
+        for (sum, n) in censored[c.index()].iter_mut().zip(ue.censored) {
+            *sum += n as usize;
+        }
+    }
+    let clusters = pools
         .into_iter()
-        .map(|s| {
-            let c = *censored.get(&s).unwrap_or(&0) as f64;
-            let f = *fired.get(&s).unwrap_or(&0) as f64;
-            (s, c / (c + f).max(1.0))
+        .zip(censored)
+        .zip(sizes)
+        .map(|((pools, censored), n_ues)| {
+            fit_cluster(pools, censored, config.method, n_ues, n_days)
         })
         .collect();
-    bottom_exit.sort_by_key(|(s, _)| *s);
+    (assignments, HourModels { clusters })
+}
 
+/// Fit the model of one (cluster, hour, device) from its pooled columns
+/// (seconds) and censored visits per [`BOTTOM_STATES`] entry.
+fn fit_cluster(
+    mut pools: [Vec<f64>; COLUMNS],
+    censored: [usize; 6],
+    method: Method,
+    n_ues: usize,
+    n_days: u64,
+) -> ClusterHourModel {
+    let kind = method.distribution();
+    let mut pool = |column: usize| take(&mut pools[column]);
+    let top: HashMap<_, _> = TopTransition::ALL
+        .map(|t| (t, pool(TOP + t as usize)))
+        .into();
+    let bottom: HashMap<_, _> = BottomTransition::ALL
+        .map(|t| (t, pool(BOTTOM + t as usize)))
+        .into();
+    let firsts: Vec<_> = EventType::ALL
+        .into_iter()
+        .flat_map(|e| {
+            pool(FIRSTS + e.code() as usize)
+                .into_iter()
+                .map(move |s| (e, s))
+        })
+        .collect();
+    let gaps = |s: Vec<f64>| (!s.is_empty()).then(|| fit_sojourn(&s, kind));
+    // Competing-risks correction: P(no second-level event | visit) per
+    // bottom-capable state = censored visits / all completed visits.
+    let bottom_exit = BOTTOM_STATES
+        .into_iter()
+        .zip(censored)
+        .filter_map(|(state, c)| {
+            let fired: usize = bottom
+                .iter()
+                .filter(|(t, _)| t.from_state() == state)
+                .map(|(_, s)| s.len())
+                .sum();
+            (c + fired > 0).then(|| (state, c as f64 / (c as f64 + fired as f64).max(1.0)))
+        })
+        .collect();
     ClusterHourModel {
-        top: SemiMarkovModel::fit(&top, dist_kind),
-        bottom: SemiMarkovModel::fit(&bottom, dist_kind),
+        top: SemiMarkovModel::fit(&top, kind),
+        bottom: SemiMarkovModel::fit(&bottom, kind),
         bottom_exit,
-        ho_interarrival: ho_ia,
-        tau_interarrival: tau_ia,
-        first_event: FirstEventModel::fit(&firsts, idle_obs),
-        n_ues: members.len(),
+        ho_interarrival: gaps(pool(HO_GAPS)),
+        tau_interarrival: gaps(pool(TAU_GAPS)),
+        first_event: FirstEventModel::fit(
+            &firsts,
+            (n_ues * n_days as usize).saturating_sub(firsts.len()),
+        ),
+        n_ues,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cn_trace::PopulationMix;
+    use cn_trace::{HourOfDay, PopulationMix, TraceRecord, UeId};
     use cn_world::{generate_world, WorldConfig};
 
     fn small_world() -> Trace {
@@ -395,6 +389,75 @@ mod tests {
         assert_eq!(set.model_count(), 0);
         for dm in &set.devices {
             assert!(dm.personas.is_empty());
+        }
+    }
+
+    /// 53 UEs (a multiple of no thread count tried) over two days, and a
+    /// θ_n small enough that hours split into several clusters.
+    fn invariance_world() -> (Trace, ClusteringParams) {
+        let world = generate_world(&WorldConfig::new(PopulationMix::new(31, 13, 9), 2.0, 5));
+        let clustering = ClusteringParams {
+            theta_n: 4,
+            ..ClusteringParams::default()
+        };
+        (world, clustering)
+    }
+
+    fn fit_json(
+        trace: &Trace,
+        method: Method,
+        clustering: ClusteringParams,
+        threads: usize,
+    ) -> String {
+        let mut config = FitConfig::new(method);
+        config.clustering = clustering;
+        config.threads = threads;
+        fit(trace, &config).to_json().unwrap()
+    }
+
+    #[test]
+    fn invariant_to_the_thread_count() {
+        let (world, clustering) = invariance_world();
+        let split = fit(
+            &world,
+            &FitConfig {
+                clustering,
+                ..FitConfig::new(Method::Ours)
+            },
+        );
+        assert!(split
+            .devices
+            .iter()
+            .any(|dm| dm.hours.iter().any(|h| h.clusters.len() > 1)));
+        for method in Method::ALL {
+            let one = fit_json(&world, method, clustering, 1);
+            for threads in [2, 3, 7] {
+                assert!(
+                    fit_json(&world, method, clustering, threads) == one,
+                    "{method:?} on {threads} threads differs from one thread"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn invariant_to_a_monotone_relabeling_of_ue_ids() {
+        let (world, clustering) = invariance_world();
+        let sparse = Trace::from_records(
+            world
+                .records()
+                .iter()
+                .map(|r| TraceRecord {
+                    ue: UeId(r.ue.0 * 1_000 + 5),
+                    ..*r
+                })
+                .collect(),
+        );
+        for method in Method::ALL {
+            assert!(
+                fit_json(&sparse, method, clustering, 2) == fit_json(&world, method, clustering, 2),
+                "{method:?} depends on the UE ids themselves"
+            );
         }
     }
 

@@ -7,8 +7,19 @@
 //! aggregate is identical — merge is associative, commutative, and
 //! count-preserving. Counters must likewise survive concurrent
 //! increment from multiple worker threads without losing updates.
+//!
+//! The text parsers — [`PromText::parse`] and the recorder's
+//! `validate_jsonl` / `validate_forensics` — read files a crashed or
+//! hostile process may have written, so they must answer any input with
+//! `Ok` or an error: never a panic, a hang, or an allocation sized by a
+//! count the input spells out.
 
-use cn_obs::{HistogramSnapshot, Registry};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::time::Duration;
+
+use cn_obs::recorder::{validate_forensics, validate_jsonl};
+use cn_obs::{FlightRecorder, HistogramSnapshot, PromText, RecorderConfig, Registry};
 use proptest::prelude::*;
 
 /// Values spanning every bucket regime: small, mid-range, and the
@@ -152,4 +163,131 @@ fn concurrent_counters_one_thread() {
 #[test]
 fn concurrent_counters_four_threads() {
     concurrent_updates(4);
+}
+
+/// Tracks the largest single allocation the current thread requests
+/// while a [`largest_alloc_during`] section is open.
+struct PeakAlloc;
+
+thread_local! {
+    /// `Some(peak)` while a measured section is open on this thread.
+    static PEAK: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+// SAFETY: defers to `System` for every operation; the bookkeeping is a
+// const-initialised, destructor-free thread-local `Cell`, which neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+fn note(size: usize) {
+    PEAK.with(|peak| {
+        if let Some(so_far) = peak.get() {
+            peak.set(Some(so_far.max(size)));
+        }
+    });
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+fn largest_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|peak| peak.set(Some(0)));
+    let out = f();
+    let peak = PEAK.with(|peak| peak.take()).unwrap_or(0);
+    (out, peak)
+}
+
+/// Valid inputs of all three parsers, from one registry with a counter,
+/// a labeled gauge whose label value needs escaping, and a histogram:
+/// its Prometheus text, a two-frame recorder JSONL and a forensics dump.
+fn valid_inputs() -> (String, String, String) {
+    let registry = Registry::new();
+    let events = registry.counter("cn_test_events_total");
+    registry
+        .gauge_with("cn_test_depth", &[("queue", "a \"b\"\\c\nd")])
+        .set(7);
+    let lag = registry.histogram("cn_test_lag_ms");
+    let cfg = RecorderConfig {
+        // The tests take every frame by hand.
+        interval: Duration::from_secs(3600),
+        ring_frames: 4,
+        ..RecorderConfig::default()
+    };
+    let recorder = FlightRecorder::start(&registry, cfg).unwrap();
+    let mut jsonl = String::new();
+    for i in 1..=2 {
+        events.add(10 * i);
+        lag.record(100 * i);
+        // Frames need strictly increasing milliseconds.
+        std::thread::sleep(Duration::from_millis(2));
+        jsonl += &serde_json::to_string(&recorder.sample_now()).unwrap();
+        jsonl.push('\n');
+    }
+    let path = std::env::temp_dir().join(format!("cn_obs_props_{}.json", std::process::id()));
+    recorder.dump_forensics(&path).unwrap();
+    recorder.stop();
+    let forensics = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    (registry.snapshot().prometheus(), jsonl, forensics)
+}
+
+/// Arbitrary bytes, or one of the valid inputs with one byte replaced.
+fn hostile_text() -> impl Strategy<Value = Vec<u8>> {
+    let (prom, jsonl, forensics) = valid_inputs();
+    let mutated = |valid: String| {
+        let valid = valid.into_bytes();
+        (0..valid.len(), any::<u8>()).prop_map(move |(at, byte)| {
+            let mut bytes = valid.clone();
+            bytes[at] = byte;
+            bytes
+        })
+    };
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..400),
+        mutated(prom),
+        mutated(jsonl),
+        mutated(forensics),
+    ]
+}
+
+#[test]
+fn valid_inputs_parse() {
+    let (prom, jsonl, forensics) = valid_inputs();
+    let scrape = PromText::parse(&prom).unwrap();
+    assert_eq!(scrape.counter("cn_test_events_total"), Some(30));
+    assert_eq!(validate_jsonl(&jsonl), Ok(2));
+    assert_eq!(validate_forensics(&forensics), Ok(3));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every parser answers hostile text with `Ok` or an error — never a
+    /// panic — and asks the allocator for no more than a small multiple
+    /// of the input's size.
+    #[test]
+    fn parsers_survive_hostile_text(bytes in hostile_text()) {
+        let text = String::from_utf8_lossy(&bytes);
+        let budget = 64 * bytes.len() + 4096;
+        let ((), peak) = largest_alloc_during(|| {
+            let _ = PromText::parse(&text);
+            let _ = validate_jsonl(&text);
+            let _ = validate_forensics(&text);
+        });
+        prop_assert!(peak <= budget, "{} byte input, {peak} byte allocation", bytes.len());
+    }
 }
