@@ -1,13 +1,27 @@
-//! The recursive adaptive partition.
+//! Adaptive quadtree clustering of UEs (§5.3 of the paper).
 //!
-//! Algorithm (§5.3): start with all UEs in one cluster spanning the
-//! complete feature space. For each cluster, stop if either every feature's
-//! value range (max − min over members) is below `θ_f`, or the member count
-//! is below `θ_n`. Otherwise cut the cluster's feature box into equal-sized
+//! Control-plane traffic is highly diverse and skewed across UEs, so a
+//! single model per (hour, device-type) fails, while one model per UE has
+//! too little data. The paper's answer is an *adaptive clustering scheme*:
+//! recursively partition the UE feature space until every cluster either
+//! (a) contains UEs whose features all lie within a similarity threshold
+//! `θ_f` of each other, or (b) is smaller than a size threshold `θ_n`.
+//!
+//! Algorithm: start with all UEs in one cluster spanning the complete
+//! feature space. For each cluster, stop if either every feature's value
+//! range (max − min over members) is below `θ_f`, or the member count is
+//! below `θ_n`. Otherwise cut the cluster's feature box into equal-sized
 //! sub-boxes — halving the (up to) `max_split_dims` dimensions with the
-//! largest member value range, i.e. a quadtree for the default of 2 —
-//! assign members to sub-boxes, and recurse. Leaves of the resulting tree
-//! are the final clusters.
+//! largest member value range, i.e. a quadtree for the default of 2, the
+//! paper's configuration (two features per dominant event type) — assign
+//! members to sub-boxes, and recurse. Leaves of the resulting tree are the
+//! final clusters.
+//!
+//! This module is purely geometric: callers supply one feature vector per
+//! UE (the paper's four: the hour's `SRV_REQ` and `S1_CONN_REL` counts and
+//! the standard deviations of the CONNECTED and IDLE sojourns, extracted
+//! from traces by the fit pipeline), and receive a [`Clustering`] assigning
+//! every UE to exactly one cluster.
 
 use serde::{Deserialize, Serialize};
 
@@ -87,7 +101,7 @@ pub struct Clustering {
 /// the least-active UEs).
 ///
 /// ```
-/// use cn_cluster::{cluster, ClusteringParams};
+/// use cn_fit::cluster::{cluster, ClusteringParams};
 /// let features = vec![
 ///     vec![1.0, 1.0], vec![2.0, 2.0],      // a quiet cohort
 ///     vec![120.0, 80.0], vec![118.0, 82.0], // a busy cohort

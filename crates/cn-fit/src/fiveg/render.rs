@@ -6,7 +6,7 @@
 //! exist in an SA trace), and writing the CSV consumers of a 5G core
 //! simulator expect.
 
-use crate::mapping::Event5G;
+use super::mapping::Event5G;
 use cn_trace::{DeviceType, Timestamp, Trace, UeId};
 use serde::{Deserialize, Serialize};
 
@@ -92,30 +92,5 @@ mod tests {
         let err = to_sa_records(&t).unwrap_err();
         assert_eq!(err.index, 1);
         assert!(err.to_string().contains("TAU"));
-    }
-
-    #[test]
-    fn generated_sa_traces_render() {
-        use crate::scale::{adapt_model, ScalingProfile};
-        use cn_fit::{fit, FitConfig, Method};
-        use cn_gen::{generate, GenConfig};
-        use cn_trace::PopulationMix;
-        use cn_world::{generate_world, WorldConfig};
-        let world = generate_world(&WorldConfig::new(PopulationMix::new(20, 10, 5), 1.0, 3));
-        let sa = adapt_model(
-            &fit(&world, &FitConfig::new(Method::Ours)),
-            &ScalingProfile::SA,
-        );
-        let trace = generate(
-            &sa,
-            &GenConfig::new(
-                PopulationMix::new(20, 10, 5),
-                Timestamp::at_hour(0, 12),
-                3.0,
-                8,
-            ),
-        );
-        let records = to_sa_records(&trace).expect("SA model emits no TAU");
-        assert_eq!(records.len(), trace.len());
     }
 }

@@ -8,8 +8,8 @@
 //! branch leaving a TAU-entered state — is removed, reducing the machine
 //! to Fig. 6.
 
-use crate::mapping::Event5G;
-use cn_fit::{Branch, ModelSet, TransitionLike};
+use super::mapping::Event5G;
+use crate::{Branch, ModelSet, TransitionLike};
 use cn_statemachine::two_level::{ConnSub, IdleSub};
 use cn_statemachine::TlState;
 use cn_trace::EventType;
@@ -163,7 +163,7 @@ pub fn adapt_model(set: &ModelSet, profile: &ScalingProfile) -> ModelSet {
                         c.first_event.events =
                             kept.into_iter().map(|(e, p)| (e, p / total)).collect();
                     } else {
-                        c.first_event = cn_fit::FirstEventModel::empty();
+                        c.first_event = crate::FirstEventModel::empty();
                     }
                 }
                 if let Some(d) = &c.ho_interarrival {
@@ -178,9 +178,9 @@ pub fn adapt_model(set: &ModelSet, profile: &ScalingProfile) -> ModelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cn_fit::{fit, FitConfig, Method};
+    use crate::{fit, FitConfig, Method};
     use cn_statemachine::BottomTransition;
-    use cn_trace::{DeviceType, PopulationMix};
+    use cn_trace::PopulationMix;
     use cn_world::{generate_world, WorldConfig};
 
     fn fitted() -> ModelSet {
@@ -290,39 +290,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sa_generated_traces_obey_fig6() {
-        use cn_gen::{generate, GenConfig};
-        use cn_statemachine::fiveg::Sa5gState;
-        use cn_trace::Timestamp;
-        let set = fitted();
-        let sa = adapt_model(&set, &ScalingProfile::SA);
-        let config = GenConfig::new(
-            PopulationMix::new(20, 10, 5),
-            Timestamp::at_hour(0, 10),
-            2.0,
-            17,
-        );
-        let trace = generate(&sa, &config);
-        assert!(!trace.is_empty());
-        // No TAU at all, and every per-UE stream walks the Fig. 6 machine.
-        for (ue, events) in trace.per_ue().iter() {
-            let mut state = match events[0].event {
-                EventType::Attach => Sa5gState::Deregistered,
-                EventType::S1ConnRelease | EventType::Handover => {
-                    Sa5gState::Connected(cn_statemachine::fiveg::ConnSub5g::SrvReqS)
-                }
-                _ => Sa5gState::Idle,
-            };
-            for r in events {
-                assert_ne!(r.event, EventType::Tau, "{ue}: TAU in SA trace");
-                state = state
-                    .apply(r.event)
-                    .unwrap_or_else(|| panic!("{ue}: {} illegal in {state}", r.event));
-            }
-        }
-        let _ = DeviceType::ALL; // silence unused import lint paths
     }
 }

@@ -6,7 +6,7 @@
 //! 1. every UE's event stream is replayed through the two-level machine to
 //!    obtain per-transition sojourn samples (`cn-statemachine::replay`);
 //! 2. per (hour, device) the UEs are clustered on the paper's four traffic
-//!    features with the adaptive quadtree (`cn-cluster`);
+//!    features with the adaptive quadtree ([`cluster`]);
 //! 3. per (cluster, hour, device) the Semi-Markov parameters are estimated:
 //!    transition probabilities from transition counts, sojourn laws as
 //!    empirical CDFs (the paper's choice) or MLE-fitted Poisson models (the
@@ -18,12 +18,16 @@
 //! ([`Method`]): `Base` (EMM–ECM machine, Poisson, no clustering), `B1`
 //! (+ clustering), `B2` (two-level machine, Poisson, clustering), and
 //! `Ours` (two-level machine, empirical CDFs, clustering).
+//!
+//! [`fiveg`] projects a fitted LTE model to 5G NSA and SA (§6).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cluster;
 mod compact;
 mod first_event;
+pub mod fiveg;
 pub mod inspect;
 pub mod method;
 mod model;

@@ -1,9 +1,9 @@
 //! The fitted model set: one Semi-Markov model per (cluster, hour, device).
 
+use crate::cluster::ClusterId;
 use crate::first_event::FirstEventModel;
 use crate::method::Method;
 use crate::semi_markov::SemiMarkovModel;
-use cn_cluster::ClusterId;
 use cn_statemachine::{BottomTransition, TlState, TopTransition};
 use cn_stats::dist::Dist;
 use cn_trace::{DeviceType, HourOfDay};

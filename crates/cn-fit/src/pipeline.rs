@@ -1,11 +1,11 @@
 //! The end-to-end fitting pipeline: trace → [`ModelSet`].
 
+use crate::cluster::{ClusterId, ClusteringParams};
 use crate::first_event::FirstEventModel;
 use crate::method::{Method, StateMachineKind};
 use crate::model::{ClusterHourModel, DeviceModels, HourModels, ModelSet};
 use crate::semi_markov::{fit_sojourn, SemiMarkovModel, TransitionLike};
 use crate::sojourn::{self, Cell, BOTTOM, BOTTOM_STATES, COLUMNS, FIRSTS, HO_GAPS, TAU_GAPS, TOP};
-use cn_cluster::{ClusterId, ClusteringParams};
 use cn_statemachine::{BottomTransition, TopTransition};
 use cn_trace::{DeviceType, EventType, Trace, MS_PER_DAY};
 use serde::{Deserialize, Serialize};
@@ -174,7 +174,7 @@ fn fit_cell(shares: &[Cell], config: &FitConfig, n_days: u64) -> (Vec<ClusterId>
     let (assignments, sizes) = if n == 0 {
         (Vec::new(), Vec::new())
     } else if config.method.clustered() {
-        let c = cn_cluster::cluster(&sojourn::features(shares, n_days), &config.clustering);
+        let c = crate::cluster::cluster(&sojourn::features(shares, n_days), &config.clustering);
         let sizes = c.clusters.iter().map(|i| i.members.len()).collect();
         (c.assignments, sizes)
     } else {

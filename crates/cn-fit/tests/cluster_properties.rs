@@ -1,6 +1,6 @@
 //! Property-based tests for the adaptive clustering scheme.
 
-use cn_cluster::{cluster, ClusteringParams};
+use cn_fit::cluster::{cluster, ClusteringParams};
 use proptest::prelude::*;
 
 fn arb_features() -> impl Strategy<Value = Vec<Vec<f64>>> {

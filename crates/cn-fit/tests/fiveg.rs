@@ -12,9 +12,7 @@
 
 use std::collections::HashMap;
 
-use cn_fivegee::mapping::Event5G;
-use cn_fivegee::render::to_sa_records;
-use cn_fivegee::scale::{adapt_model, ScalingProfile};
+use cn_fit::fiveg::{adapt_model, to_sa_records, Event5G, ScalingProfile};
 use cn_statemachine::fiveg::Sa5gState;
 use cn_statemachine::TlState;
 use cn_trace::{DeviceType, EventType, Timestamp, Trace, TraceRecord, UeId};
@@ -169,6 +167,72 @@ fn event5g_mapping_is_total_except_tau() {
         match Event5G::from_4g(e) {
             Some(g) => assert_eq!(g.to_4g(), e),
             None => assert_eq!(e, EventType::Tau, "only TAU has no SA counterpart"),
+        }
+    }
+}
+
+/// An SA-adapted model of a one-day world generates a trace that renders
+/// to SA records one for one.
+#[test]
+fn generated_sa_traces_render() {
+    use cn_fit::{fit, FitConfig, Method};
+    use cn_gen::{generate, GenConfig};
+    use cn_trace::PopulationMix;
+    use cn_world::{generate_world, WorldConfig};
+    let world = generate_world(&WorldConfig::new(PopulationMix::new(20, 10, 5), 1.0, 3));
+    let sa = adapt_model(
+        &fit(&world, &FitConfig::new(Method::Ours)),
+        &ScalingProfile::SA,
+    );
+    let trace = generate(
+        &sa,
+        &GenConfig::new(
+            PopulationMix::new(20, 10, 5),
+            Timestamp::at_hour(0, 12),
+            3.0,
+            8,
+        ),
+    );
+    let records = to_sa_records(&trace).expect("SA model emits no TAU");
+    assert_eq!(records.len(), trace.len());
+}
+
+/// An SA-adapted model of a two-day world generates no TAU, and every
+/// UE's stream walks the Fig. 6 machine from the state its first event
+/// implies.
+#[test]
+fn sa_generated_traces_obey_fig6() {
+    use cn_fit::{fit, FitConfig, Method};
+    use cn_gen::{generate, GenConfig};
+    use cn_statemachine::fiveg::ConnSub5g;
+    use cn_trace::PopulationMix;
+    use cn_world::{generate_world, WorldConfig};
+    let world = generate_world(&WorldConfig::new(PopulationMix::new(40, 25, 10), 2.0, 13));
+    let sa = adapt_model(
+        &fit(&world, &FitConfig::new(Method::Ours)),
+        &ScalingProfile::SA,
+    );
+    let config = GenConfig::new(
+        PopulationMix::new(20, 10, 5),
+        Timestamp::at_hour(0, 10),
+        2.0,
+        17,
+    );
+    let trace = generate(&sa, &config);
+    assert!(!trace.is_empty());
+    for (ue, events) in trace.per_ue().iter() {
+        let mut state = match events[0].event {
+            EventType::Attach => Sa5gState::Deregistered,
+            EventType::S1ConnRelease | EventType::Handover => {
+                Sa5gState::Connected(ConnSub5g::SrvReqS)
+            }
+            _ => Sa5gState::Idle,
+        };
+        for r in events {
+            assert_ne!(r.event, EventType::Tau, "{ue}: TAU in SA trace");
+            state = state
+                .apply(r.event)
+                .unwrap_or_else(|| panic!("{ue}: {} illegal in {state}", r.event));
         }
     }
 }

@@ -101,7 +101,7 @@ impl Iterator for UeEventIter<'_> {
 pub(crate) struct UeState {
     method: Method,
     device: DeviceType,
-    persona: [cn_cluster::ClusterId; 24],
+    persona: [cn_fit::cluster::ClusterId; 24],
     ue: UeId,
     start: Timestamp,
     end_secs: f64,
@@ -132,7 +132,7 @@ impl UeState {
             Mode::Boot
         };
         let persona = if dm.personas.is_empty() {
-            [cn_cluster::ClusterId(0); 24]
+            [cn_fit::cluster::ClusterId(0); 24]
         } else {
             dm.personas[rng.gen_range(0..dm.personas.len())]
         };

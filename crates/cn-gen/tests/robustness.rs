@@ -4,7 +4,7 @@
 //! sparse or broken the fitted models are — silent cluster-hours, missing
 //! transitions, empty personas, zero-probability corner cases.
 
-use cn_cluster::ClusterId;
+use cn_fit::cluster::ClusterId;
 use cn_fit::{
     ClusterHourModel, DeviceModels, FirstEventModel, HourModels, Method, ModelSet, SemiMarkovModel,
 };

@@ -8,7 +8,7 @@
 //!
 //! The machine operates on the LTE [`EventType`] vocabulary — the 4G↔5G
 //! *renaming* (ATCH→REGISTER, S1_CONN_REL→AN_REL, …) is applied by
-//! `cn-fivegee::mapping` at output time; `TAU` is simply illegal here.
+//! `cn_fit::fiveg::TABLE2` at output time; `TAU` is simply illegal here.
 //!
 //! 5G NSA runs on LTE's core, shares LTE's event types, and therefore uses
 //! the unmodified two-level machine of [`crate::two_level`] (§6, footnote).

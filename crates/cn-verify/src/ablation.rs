@@ -148,7 +148,7 @@ pub(crate) fn ablation_personas(lab: &Lab) -> Table {
     for dm in &mut shuffled.devices {
         let n = dm.personas.len();
         for h in 0..24 {
-            let mut column: Vec<cn_cluster::ClusterId> =
+            let mut column: Vec<cn_fit::cluster::ClusterId> =
                 (0..n).map(|i| dm.personas[i][h]).collect();
             column.shuffle(&mut rng);
             for (i, c) in column.into_iter().enumerate() {

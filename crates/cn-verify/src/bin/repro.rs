@@ -10,16 +10,18 @@
 //! OPTIONS
 //!     --scale quick|default|paper   lab scale (default: default)
 //!     --seed N                      override the master seed
-//!     --markdown                    shorthand for --format markdown
 //!     --format text|markdown|csv    output format (default: text)
 //!     --out FILE                    write tables to FILE instead of stdout
 //! ```
+//!
+//! Exits 0 on success, 1 when the output cannot be created or written, 2
+//! on a usage error and 3 when `verdicts` finds a failing claim.
 
-use cn_eval::experiments;
-use cn_eval::lab::{scale_summary, Scenario};
-use cn_eval::{ExperimentConfig, Lab, Table};
 use cn_trace::{DeviceType, EventType};
-use std::io::Write;
+use cn_verify::experiments;
+use cn_verify::lab::{scale_summary, Scenario};
+use cn_verify::{ExperimentConfig, Lab, Table};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: repro [--scale quick|default|paper] [--seed N] [--format text|markdown|csv] [--out FILE] <experiment>...
@@ -45,7 +47,6 @@ fn main() -> ExitCode {
                 Some(s) => seed = Some(s),
                 None => return usage_error("--seed needs an integer"),
             },
-            "--markdown" => format = Format::Markdown,
             "--format" => match it.next().as_deref() {
                 Some("text") => format = Format::Text,
                 Some("markdown") => format = Format::Markdown,
@@ -90,13 +91,30 @@ fn main() -> ExitCode {
         },
         None => Box::new(std::io::stdout()),
     };
-    let _ = writeln!(sink, "{}", render(&scale_summary(&lab.cfg), format));
+    match run(&lab, &experiments_requested, format, &mut sink) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: cannot write output: {e}");
+            ExitCode::from(1)
+        }
+    }
+}
 
-    for exp in &experiments_requested {
+/// Write the scale summary and every requested experiment to `sink`. An
+/// unknown experiment is a usage error; a failed write or flush is `Err`.
+fn run(
+    lab: &Lab,
+    experiments_requested: &[String],
+    format: Format,
+    sink: &mut dyn Write,
+) -> io::Result<ExitCode> {
+    writeln!(sink, "{}", render(&scale_summary(&lab.cfg), format))?;
+
+    for exp in experiments_requested {
         let tables: Vec<Table> = match exp.as_str() {
-            "table1" => vec![experiments::table1(&lab)],
+            "table1" => vec![experiments::table1(lab)],
             "fig2" => {
-                let mut v = vec![experiments::fig2_summary(&lab)];
+                let mut v = vec![experiments::fig2_summary(lab)];
                 for device in DeviceType::ALL {
                     for event in [
                         EventType::ServiceRequest,
@@ -104,55 +122,55 @@ fn main() -> ExitCode {
                         EventType::Handover,
                         EventType::Tau,
                     ] {
-                        v.push(experiments::fig2(&lab, device, event));
+                        v.push(experiments::fig2(lab, device, event));
                     }
                 }
                 v
             }
             "fig3" => vec![
-                experiments::fig3(&lab, DeviceType::Phone),
-                experiments::fig3_hurst(&lab),
+                experiments::fig3(lab, DeviceType::Phone),
+                experiments::fig3_hurst(lab),
             ],
-            "fig4" => vec![experiments::fig4(&lab, DeviceType::Phone)],
+            "fig4" => vec![experiments::fig4(lab, DeviceType::Phone)],
             "table2" => vec![experiments::table2()],
             "table3" => vec![experiments::table3()],
-            "table4" => vec![experiments::table4(&lab, Scenario::Two)],
-            "table11" => vec![experiments::table4(&lab, Scenario::One)],
-            "table5" => vec![experiments::table5(&lab)],
-            "table6" => vec![experiments::table6(&lab)],
-            "table7" => vec![experiments::table7(&lab)],
-            "table8" => vec![experiments::table8or9(&lab, false)],
-            "table9" => vec![experiments::table8or9(&lab, true)],
-            "table10" => vec![experiments::table10(&lab)],
-            "table9x" => vec![experiments::table9_extended(&lab)],
+            "table4" => vec![experiments::table4(lab, Scenario::Two)],
+            "table11" => vec![experiments::table4(lab, Scenario::One)],
+            "table5" => vec![experiments::table5(lab)],
+            "table6" => vec![experiments::table6(lab)],
+            "table7" => vec![experiments::table7(lab)],
+            "table8" => vec![experiments::table8or9(lab, false)],
+            "table9" => vec![experiments::table8or9(lab, true)],
+            "table10" => vec![experiments::table10(lab)],
+            "table9x" => vec![experiments::table9_extended(lab)],
             "fig7" => vec![
-                experiments::fig7(&lab, EventType::ServiceRequest),
-                experiments::fig7(&lab, EventType::S1ConnRelease),
+                experiments::fig7(lab, EventType::ServiceRequest),
+                experiments::fig7(lab, EventType::S1ConnRelease),
             ],
-            "diurnal" => vec![experiments::diurnal_fidelity(&lab)],
-            "generalize" => vec![cn_eval::generalize::generalizability(
+            "diurnal" => vec![experiments::diurnal_fidelity(lab)],
+            "generalize" => vec![cn_verify::generalize::generalizability(
                 lab.cfg.seed,
                 (lab.cfg.model_mix.total() / 12).max(10),
             )],
-            "holdout" => vec![cn_eval::generalize::holdout(
+            "holdout" => vec![cn_verify::generalize::holdout(
                 lab.world(),
                 lab.cfg.busy_hour,
                 lab.cfg.seed,
             )],
             "verdicts" => {
-                let (table, all_pass) = cn_eval::verdicts::verdicts(&lab);
-                let _ = writeln!(sink, "{}", render(&table, format));
+                let (table, all_pass) = cn_verify::verdicts(lab);
+                writeln!(sink, "{}", render(&table, format))?;
                 if !all_pass {
-                    let _ = sink.flush();
-                    return ExitCode::from(3);
+                    sink.flush()?;
+                    return Ok(ExitCode::from(3));
                 }
                 continue;
             }
             "summary" => {
                 let world = lab.world();
-                let _ = writeln!(sink, "world: {}\n", cn_trace::TraceSummary::of(world));
+                writeln!(sink, "world: {}\n", cn_trace::TraceSummary::of(world))?;
                 let inv = cn_fit::inspect::inventory(lab.models(cn_fit::Method::Ours));
-                let _ = writeln!(
+                writeln!(
                     sink,
                     "models (Ours): {} cluster-hour models ({} empty), \
                      clusters/hour P/CC/T = {:.0}/{:.0}/{:.0}, \
@@ -164,32 +182,32 @@ fn main() -> ExitCode {
                     inv.mean_clusters_per_hour[2],
                     inv.top_coverage * 100.0,
                     inv.first_event_coverage * 100.0,
-                );
+                )?;
                 continue;
             }
             "dot" => {
-                println!("{}", cn_statemachine::dot::two_level_dot());
-                println!("{}", cn_statemachine::dot::fiveg_sa_dot());
+                writeln!(sink, "{}", cn_statemachine::dot::two_level_dot())?;
+                writeln!(sink, "{}", cn_statemachine::dot::fiveg_sa_dot())?;
                 continue;
             }
-            "ablations" => cn_eval::ablation::all(&lab),
+            "ablations" => cn_verify::ablation::all(lab),
             "all" => {
-                let mut v = experiments::all(&lab);
-                v.extend(cn_eval::ablation::all(&lab));
-                v.push(cn_eval::generalize::generalizability(
+                let mut v = experiments::all(lab);
+                v.extend(cn_verify::ablation::all(lab));
+                v.push(cn_verify::generalize::generalizability(
                     lab.cfg.seed,
                     (lab.cfg.model_mix.total() / 12).max(10),
                 ));
                 v
             }
-            other => return usage_error(&format!("unknown experiment `{other}`")),
+            other => return Ok(usage_error(&format!("unknown experiment `{other}`"))),
         };
         for t in tables {
-            let _ = writeln!(sink, "{}", render(&t, format));
+            writeln!(sink, "{}", render(&t, format))?;
         }
     }
-    let _ = sink.flush();
-    ExitCode::SUCCESS
+    sink.flush()?;
+    Ok(ExitCode::SUCCESS)
 }
 
 #[derive(Clone, Copy, PartialEq)]

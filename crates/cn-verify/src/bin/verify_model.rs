@@ -58,7 +58,7 @@ fn main() {
     let span = Span::start(&registry, "cn_verify_round_trip_ns");
     let rt = run_round_trip(&gt, &cfg);
     span.finish();
-    print!("{}", rt.report.render());
+    print!("{}", rt.render());
     if !rt.rejection_histogram.is_empty() {
         println!("rejections:");
         for (what, n) in &rt.rejection_histogram {

@@ -12,8 +12,8 @@ use crate::lab::{Lab, Scenario};
 use crate::microscopic::{events_per_ue, max_y_distance, split_active, state_sojourns};
 use crate::report::{pct, signed_pct, Table};
 use crate::testsuite::{run_suite, Quantity, SuiteTest};
+use cn_fit::fiveg::{adapt_model, Event5G, ScalingProfile, TABLE2};
 use cn_fit::Method;
-use cn_fivegee::{adapt_model, Event5G, ScalingProfile, TABLE2};
 use cn_statemachine::{replay_ue, BottomTransition, TopTransition};
 use cn_stats::summary::BoxStats;
 use cn_stats::variance_time::{bin_counts, default_scales, poisson_reference, variance_time_plot};

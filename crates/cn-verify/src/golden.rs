@@ -225,11 +225,17 @@ pub(crate) fn pinned_path() -> PathBuf {
         .join("hashes.json")
 }
 
-fn read_pinned(path: &Path) -> BTreeMap<String, String> {
-    std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_default()
+/// The pins in `path`. A missing file holds no pins; any other read or
+/// parse error is an error that names the file, so blessing one key never
+/// rewrites a pin file it could not read.
+fn read_pinned(path: &Path) -> Result<BTreeMap<String, String>, String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
+        Err(e) => return Err(format!("cannot read pin file {}: {e}", path.display())),
+    };
+    serde_json::from_str(&text)
+        .map_err(|e| format!("cannot parse pin file {}: {e}", path.display()))
 }
 
 /// Compare `hash` against the pinned value under `key`.
@@ -254,7 +260,7 @@ pub(crate) fn check_pinned_at(
     hash: u64,
     bless: bool,
 ) -> Result<(), String> {
-    let mut pinned = read_pinned(path);
+    let mut pinned = read_pinned(path)?;
     let formatted = format!("{hash:#018x}");
     if bless {
         pinned.insert(key.to_string(), formatted);
@@ -324,6 +330,21 @@ mod tests {
         check_pinned_at(&path, "k", 0x1234, false).unwrap();
         let err = check_pinned_at(&path, "k", 0x5678, false).unwrap_err();
         assert!(err.contains("mismatch"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn blessing_never_rewrites_a_corrupt_pin_file() {
+        let dir = std::env::temp_dir().join("cn-verify-golden-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corrupt.json");
+        let corrupt = b"{\n  \"standard-v1\": \"0x00";
+        std::fs::write(&path, corrupt).unwrap();
+        for bless in [true, false] {
+            let err = check_pinned_at(&path, "k", 0x1234, bless).unwrap_err();
+            assert!(err.contains("corrupt.json"), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), corrupt);
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -7,7 +7,7 @@
 //! `OnceLock` so the full table battery shares work.
 
 use crate::report::Table;
-use cn_cluster::ClusteringParams;
+use cn_fit::cluster::ClusteringParams;
 use cn_fit::{fit, FitConfig, Method, ModelSet};
 use cn_gen::{generate, GenConfig};
 use cn_trace::{PopulationMix, Timestamp, Trace};

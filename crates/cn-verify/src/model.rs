@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use cn_cluster::ClusterId;
+use cn_fit::cluster::ClusterId;
 use cn_fit::method::DistributionKind;
 use cn_fit::{
     ClusterHourModel, DeviceModels, FirstEventModel, HourModels, Method, ModelSet, SemiMarkovModel,

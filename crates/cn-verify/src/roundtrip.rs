@@ -140,13 +140,19 @@ pub struct RoundTripReport {
     /// Per-transition recovery checks.
     pub checks: Vec<TransitionCheck>,
     /// The verdict rows (conformance + one per transition).
-    pub report: VerdictReport,
+    pub(crate) report: VerdictReport,
 }
 
 impl RoundTripReport {
     /// True when conformance held and every transition check passed.
     pub fn all_pass(&self) -> bool {
         self.report.all_pass()
+    }
+
+    /// The verdict rows as text: one `[PASS]`/`[FAIL]` line per check
+    /// plus a summary line.
+    pub fn render(&self) -> String {
+        self.report.render()
     }
 }
 

@@ -9,7 +9,7 @@
 //! near zero everywhere, which is the paper's justification for empirical
 //! CDFs.
 
-use cn_cluster::ClusteringParams;
+use cn_fit::cluster::ClusteringParams;
 use cn_statemachine::{replay_ue, BottomTransition, TopTransition};
 use cn_stats::fit::{fit_family, Family};
 use cn_stats::{ad_test_exponential, ks_test};
@@ -265,7 +265,7 @@ pub(crate) fn run_suite_with(
             let groups: Vec<Vec<usize>> = if clustered {
                 let features: Vec<Vec<f64>> =
                     dev_obs.iter().map(|o| o.features[hour].clone()).collect();
-                cn_cluster::cluster(&features, params)
+                cn_fit::cluster::cluster(&features, params)
                     .clusters
                     .into_iter()
                     .map(|c| c.members)

@@ -3,34 +3,34 @@
 //! A [`Verdict`] states one checkable claim ("replay accepts 100% of
 //! generated events"), the value actually measured, and whether the claim
 //! held. A [`VerdictReport`] collects the verdicts of one validation run so
-//! that test assertions, the `verify_model` binary, and `cn-eval`'s
-//! paper-claims table all share one report shape.
+//! that the round-trip harness and the paper-claims table of
+//! [`verdicts`](crate::verdicts()) share one report shape.
 
 use serde::{Deserialize, Serialize};
 
 /// One executable claim with its measured value.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Verdict {
+pub(crate) struct Verdict {
     /// The claim being checked, stated as the expected behavior.
-    pub claim: String,
+    pub(crate) claim: String,
     /// What was actually measured.
-    pub measured: String,
+    pub(crate) measured: String,
     /// Whether the measurement satisfies the claim.
-    pub pass: bool,
+    pub(crate) pass: bool,
 }
 
 /// An ordered collection of verdicts from one validation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VerdictReport {
+pub(crate) struct VerdictReport {
     /// What was validated (e.g. "round-trip recovery, seed 11").
-    pub title: String,
+    pub(crate) title: String,
     /// The individual verdicts, in check order.
-    pub verdicts: Vec<Verdict>,
+    pub(crate) verdicts: Vec<Verdict>,
 }
 
 impl VerdictReport {
     /// An empty report.
-    pub fn new(title: impl Into<String>) -> VerdictReport {
+    pub(crate) fn new(title: impl Into<String>) -> VerdictReport {
         VerdictReport {
             title: title.into(),
             verdicts: Vec::new(),
@@ -38,7 +38,7 @@ impl VerdictReport {
     }
 
     /// Record one check and return whether it passed.
-    pub fn check(
+    pub(crate) fn check(
         &mut self,
         claim: impl Into<String>,
         measured: impl Into<String>,
@@ -63,13 +63,13 @@ impl VerdictReport {
     }
 
     /// True when every recorded verdict passed (vacuously true when empty).
-    pub fn all_pass(&self) -> bool {
+    pub(crate) fn all_pass(&self) -> bool {
         self.verdicts.iter().all(|v| v.pass)
     }
 
     /// Human-readable rendering: one `[PASS]`/`[FAIL]` line per verdict
     /// plus a summary line.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let claim_width = self
             .verdicts
             .iter()

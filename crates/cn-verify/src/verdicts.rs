@@ -11,19 +11,14 @@ use crate::lab::{Lab, Scenario};
 use crate::microscopic::{events_per_ue, max_y_distance, state_sojourns};
 use crate::report::Table;
 use crate::testsuite::{poisson_ks_overall, run_suite};
+use crate::verdict::VerdictReport;
 use cn_fit::Method;
 use cn_stats::variance_time::{bin_counts, poisson_reference, variance_time_plot};
 use cn_trace::{DeviceType, EventType};
-use cn_verify::VerdictReport;
-
-fn check(claims: &mut VerdictReport, claim: &'static str, measured: String, pass: bool) {
-    claims.check(claim, measured, pass);
-}
 
 /// Run every shape check, returning the shared claim/measured/pass report
-/// (the same [`VerdictReport`] the `cn-verify` round-trip harness emits, so
-/// tooling can treat paper-shape claims and model-recovery claims
-/// uniformly).
+/// (the same [`VerdictReport`] the round-trip harness emits, so tooling can
+/// treat paper-shape claims and model-recovery claims uniformly).
 pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
     let mut claims = VerdictReport::new("Reproduction verdicts (shape claims of EXPERIMENTS.md)");
 
@@ -38,8 +33,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
         let rel = EventType::S1ConnRelease.code() as usize;
         let ho = EventType::Handover.code() as usize;
         let dominant = shares.iter().all(|s| s[srv] + s[rel] > 0.75);
-        check(
-            &mut claims,
+        claims.check(
             "T1: SRV_REQ+S1_CONN_REL dominate every device (>75%)",
             format!(
                 "{:.0}%/{:.0}%/{:.0}%",
@@ -49,8 +43,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
             ),
             dominant,
         );
-        check(
-            &mut claims,
+        claims.check(
             "T1: connected cars lead the HO share",
             format!(
                 "CC {:.1}% vs P {:.1}% / T {:.1}%",
@@ -84,8 +77,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
             }
             None => ("no data".into(), false),
         };
-        check(
-            &mut claims,
+        claims.check(
             "F3: real variance ≫ Poisson at 100 s (phones, SRV_REQ)",
             measured,
             pass,
@@ -101,8 +93,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
         // The measured value at quick scale sits near the bound and depends
         // on the exact RNG stream (≈13% with upstream rand, ≈16% with the
         // vendored xoshiro shim); default scale measures ≈0–5% either way.
-        check(
-            &mut claims,
+        claims.check(
             "T8: Poisson K–S pass rate on dominant columns near zero (<20%)",
             format!("{:.1}%", rate * 100.0),
             rate < 0.20,
@@ -126,8 +117,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
             .collect();
         let ours_leak: f64 = ours.iter().map(|b| b.share(BreakdownRow::HoIdle)).sum();
         let base_leak: f64 = base.iter().map(|b| b.share(BreakdownRow::HoIdle)).sum();
-        check(
-            &mut claims,
+        claims.check(
             "T4: Ours emits zero HO(IDLE); Base leaks it",
             format!(
                 "Ours {:.2}%, Base {:.1}%",
@@ -140,8 +130,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
             .iter()
             .enumerate()
             .all(|(i, _)| real[i].max_abs_diff(&ours[i]) < real[i].max_abs_diff(&base[i]));
-        check(
-            &mut claims,
+        claims.check(
             "T4: Ours max breakdown error < Base for every device",
             format!(
                 "Ours {:.1}/{:.1}/{:.1}% vs Base {:.1}/{:.1}/{:.1}%",
@@ -165,8 +154,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
         let (conn_b2, _) = state_sojourns(lab.synth(Method::B2, Scenario::Two), DeviceType::Phone);
         let d_ours = max_y_distance(&conn_real, &conn_ours).unwrap_or(1.0);
         let d_b2 = max_y_distance(&conn_real, &conn_b2).unwrap_or(1.0);
-        check(
-            &mut claims,
+        claims.check(
             "T5: Ours CONNECTED-sojourn distance ≪ B2 (phones, ≥3x)",
             format!("Ours {:.1}% vs B2 {:.1}%", d_ours * 100.0, d_b2 * 100.0),
             d_b2 > 3.0 * d_ours,
@@ -196,8 +184,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
         );
         let d_ours = max_y_distance(&real, &ours).unwrap_or(1.0);
         let d_base = max_y_distance(&real, &base).unwrap_or(1.0);
-        check(
-            &mut claims,
+        claims.check(
             "F7: Ours per-UE SRV_REQ count CDF beats Base (phones)",
             format!("Ours {:.1}% vs Base {:.1}%", d_ours * 100.0, d_base * 100.0),
             d_ours < d_base,
@@ -207,7 +194,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
     // 7. Table 7 core: NSA boosts the HO share well above LTE's.
     {
         let base = lab.models(Method::Ours);
-        let nsa = cn_fivegee::adapt_model(base, &cn_fivegee::ScalingProfile::NSA);
+        let nsa = cn_fit::fiveg::adapt_model(base, &cn_fit::fiveg::ScalingProfile::NSA);
         let lte_day = lab.synth_days(base, 1.0, lab.cfg.seed ^ 0x77a);
         let nsa_day = lab.synth_days(&nsa, 1.0, lab.cfg.seed ^ 0x77b);
         let share = |t: &cn_trace::Trace| {
@@ -216,8 +203,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
         };
         let lte_ho = share(&lte_day);
         let nsa_ho = share(&nsa_day);
-        check(
-            &mut claims,
+        claims.check(
             "T7: 5G NSA HO share ≫ LTE (phones, ≥2x)",
             format!("LTE {:.1}% → NSA {:.1}%", lte_ho * 100.0, nsa_ho * 100.0),
             nsa_ho > 2.0 * lte_ho,

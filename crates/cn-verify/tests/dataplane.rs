@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cn_cluster::ClusterId;
+use cn_fit::cluster::ClusterId;
 use cn_fit::method::DistributionKind;
 use cn_fit::{
     ClusterHourModel, DeviceModels, FirstEventModel, HourModels, Method, ModelSet, SemiMarkovModel,

@@ -1,8 +1,8 @@
 //! Property-based tests for the evaluation metrics.
 
-use cn_eval::breakdown::{breakdown, breakdown_simple, BreakdownRow};
-use cn_eval::microscopic::{device_range, events_per_ue, split_active};
 use cn_trace::{DeviceType, EventType, PopulationMix, Timestamp, Trace, TraceRecord, UeId};
+use cn_verify::breakdown::{breakdown, breakdown_simple, BreakdownRow};
+use cn_verify::microscopic::{device_range, events_per_ue, split_active};
 use proptest::prelude::*;
 
 fn arb_trace(max_ue: u32) -> impl Strategy<Value = Trace> {

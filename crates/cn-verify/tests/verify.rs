@@ -16,13 +16,13 @@ fn quick_round_trip_recovers_the_model() {
         report.violations,
         0,
         "replay rejected events:\n{}",
-        report.report.render()
+        report.render()
     );
     assert_eq!(report.acceptance_rate, 1.0);
     // All 11 ground-truth transitions (5 top + 6 bottom) were observed and
     // checked.
     assert_eq!(report.checks.len(), 11);
-    assert!(report.all_pass(), "{}", report.report.render());
+    assert!(report.all_pass(), "{}", report.render());
 }
 
 #[test]

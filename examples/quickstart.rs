@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use cellular_cp_traffgen::eval::breakdown::breakdown_simple;
 use cellular_cp_traffgen::prelude::*;
+use cn_verify::breakdown::breakdown_simple;
 
 fn main() {
     // 1. Ground truth: 2 simulated days of 350 UEs.

@@ -7,9 +7,9 @@
 //!
 //! Run with: `cargo run --release --example scale_5g`
 
-use cellular_cp_traffgen::eval::breakdown::breakdown_simple;
-use cellular_cp_traffgen::fiveg::FiveGMode;
+use cellular_cp_traffgen::fit_crate::fiveg::FiveGMode;
 use cellular_cp_traffgen::prelude::*;
+use cn_verify::breakdown::breakdown_simple;
 
 fn main() {
     let mix = PopulationMix::new(180, 70, 35);

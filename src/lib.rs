@@ -12,22 +12,23 @@
 //! * [`statemachine`] — the merged 3GPP EMM–ECM machine, the paper's two-level
 //!   hierarchical machine (Fig. 5), the 5G SA machine (Fig. 6), and the
 //!   replay engine.
-//! * [`cluster`] — the adaptive quadtree UE-clustering scheme (§5.3).
 //! * [`world`] — the mechanistic ground-truth simulator standing in for
 //!   the proprietary carrier trace.
-//! * [`fit_crate`] (exported as `fit_crate`) — the fitting pipeline: per-(cluster, hour, device)
-//!   Semi-Markov models, first-event models, the Base/B1/B2/Ours method
-//!   matrix (Table 3).
+//! * [`fit_crate`] (exported as `fit_crate`) — the model layer: the
+//!   adaptive quadtree UE clustering (§5.3, [`fit_crate::cluster`]),
+//!   per-(cluster, hour, device) Semi-Markov models, first-event models,
+//!   the Base/B1/B2/Ours method matrix (Table 3), and the 5G NSA/SA
+//!   adaptation (§6, Table 2, [`fit_crate::fiveg`]).
 //! * [`gen`] — the scalable per-UE trace generator (§7).
-//! * [`fiveg`] — the 5G NSA/SA adaptation (§6, Table 2).
-//! * [`eval`] — the evaluation harness reproducing every paper table and
-//!   figure.
 //! * [`mcn`] — a miniature core-network consumer (per-UE MME state tables
 //!   and a multi-NF discrete-event queueing simulator), the paper's
 //!   motivating use case.
 //! * [`obs`] — the zero-dependency metrics/tracing layer every pipeline
 //!   stage reports through (counters, gauges, log2 histograms, spans,
 //!   Prometheus/JSON export).
+//!
+//! The evaluation harness reproducing every paper table and figure, and
+//! the verification gates, live in [`cn_verify`].
 //!
 //! ## Quickstart
 //!
@@ -60,10 +61,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use cn_cluster as cluster;
-pub use cn_eval as eval;
 pub use cn_fit as fit_crate;
-pub use cn_fivegee as fiveg;
 pub use cn_gen as gen;
 pub use cn_live as live;
 pub use cn_mcn as mcn;
@@ -76,11 +74,11 @@ pub use cn_world as world;
 
 /// The most common imports, for examples and downstream users.
 pub mod prelude {
-    pub use cn_eval::{ExperimentConfig, Lab};
+    pub use cn_fit::fiveg::{adapt_model, ScalingProfile};
     pub use cn_fit::{fit, FitConfig, Method, ModelSet};
-    pub use cn_fivegee::{adapt_model, ScalingProfile};
     pub use cn_gen::{generate, GenConfig};
     pub use cn_mcn::{DesConfig, DesSim, Mme};
     pub use cn_trace::{DeviceType, EventType, PopulationMix, Timestamp, Trace, TraceRecord, UeId};
+    pub use cn_verify::{ExperimentConfig, Lab};
     pub use cn_world::{generate_world, WorldConfig};
 }

@@ -10,7 +10,7 @@
 //! `CHANGES_ENTRY_LINES` lines of at most `CHANGES_COLUMNS` columns; the
 //! long story of a change lives in git, not in the log.
 
-const BUDGETS: [(&str, u64); 2] = [("DESIGN.md", 64_044), ("TESTING.md", 53_291)];
+const BUDGETS: [(&str, u64); 2] = [("DESIGN.md", 64_035), ("TESTING.md", 38_929)];
 
 const CHANGES_ENTRY_LINES: usize = 10;
 const CHANGES_COLUMNS: usize = 100;

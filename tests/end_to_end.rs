@@ -1,9 +1,9 @@
 //! End-to-end integration: world → fit → generate → validate, across all
 //! four methods of Table 3.
 
-use cellular_cp_traffgen::eval::breakdown::{breakdown, BreakdownRow};
 use cellular_cp_traffgen::prelude::*;
 use cellular_cp_traffgen::statemachine::replay_ue;
+use cn_verify::breakdown::{breakdown, BreakdownRow};
 
 fn world() -> Trace {
     generate_world(&WorldConfig::new(PopulationMix::new(80, 35, 20), 2.0, 404))

@@ -1,9 +1,9 @@
 //! 5G adaptation end to end: LTE fit → NSA/SA scaling → generation →
 //! Table 7-style properties.
 
-use cellular_cp_traffgen::eval::breakdown::breakdown_simple;
-use cellular_cp_traffgen::fiveg::FiveGMode;
+use cellular_cp_traffgen::fit_crate::fiveg::FiveGMode;
 use cellular_cp_traffgen::prelude::*;
+use cn_verify::breakdown::breakdown_simple;
 
 fn lte_models() -> (ModelSet, PopulationMix) {
     let mix = PopulationMix::new(70, 40, 18);

@@ -1,8 +1,8 @@
 //! The reproduction's regression gate: every EXPERIMENTS.md shape claim,
 //! machine-checked at quick scale (also available as `repro verdicts`).
 
-use cellular_cp_traffgen::eval::verdicts::verdicts;
-use cellular_cp_traffgen::eval::{ExperimentConfig, Lab};
+use cn_verify::verdicts;
+use cn_verify::{ExperimentConfig, Lab};
 
 #[test]
 fn all_paper_shape_claims_hold() {

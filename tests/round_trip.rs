@@ -11,10 +11,10 @@
 //! 5,000 UEs / 12 h via `cargo run --release -p cn-verify --bin
 //! verify_model`; quick-scale variants live in `crates/cn-verify/tests/`.
 
-use cn_eval::{ExperimentConfig, Lab};
 use cn_fit::{fit, FitConfig, Method};
 use cn_trace::PopulationMix;
 use cn_verify::{check_pinned, run_golden, run_round_trip, GroundTruth, RoundTripConfig};
+use cn_verify::{ExperimentConfig, Lab};
 use cn_world::{generate_world, WorldConfig};
 
 #[test]
@@ -33,7 +33,7 @@ fn acceptance_round_trip_recovers_the_ground_truth() {
         0,
         "replay rejected events: {:?}\n{}",
         report.rejection_histogram,
-        report.report.render()
+        report.render()
     );
     assert_eq!(report.acceptance_rate, 1.0);
 
@@ -50,7 +50,7 @@ fn acceptance_round_trip_recovers_the_ground_truth() {
             c.ks,
             c.critical_d,
             c.n_observed,
-            report.report.render()
+            report.render()
         );
         assert!(
             c.prob_pass,
@@ -58,7 +58,7 @@ fn acceptance_round_trip_recovers_the_ground_truth() {
             c.label, c.level, c.prob_refit, c.prob_truth
         );
     }
-    assert!(report.all_pass(), "{}", report.report.render());
+    assert!(report.all_pass(), "{}", report.render());
 }
 
 #[test]

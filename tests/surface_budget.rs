@@ -10,11 +10,8 @@
 
 use std::path::Path;
 
-const BUDGETS: [(&str, usize); 14] = [
-    ("cn-cluster", 17),
-    ("cn-eval", 61),
-    ("cn-fit", 82),
-    ("cn-fivegee", 24),
+const BUDGETS: [(&str, usize); 11] = [
+    ("cn-fit", 121),
     ("cn-gen", 50),
     ("cn-live", 76),
     ("cn-mcn", 89),
@@ -23,7 +20,7 @@ const BUDGETS: [(&str, usize); 14] = [
     ("cn-statemachine", 59),
     ("cn-stats", 93),
     ("cn-trace", 122),
-    ("cn-verify", 79),
+    ("cn-verify", 126),
     ("cn-world", 15),
 ];
 
