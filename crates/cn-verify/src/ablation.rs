@@ -15,104 +15,77 @@
 //!   with independently resampled per-hour clusters keeps every marginal
 //!   hour distribution intact but breaks cross-hour identity.
 
-use crate::breakdown::breakdown;
+use crate::experiments::diurnal;
 use crate::lab::{Lab, Scenario};
-use crate::microscopic::{events_per_ue, max_y_distance, state_sojourns};
+use crate::profile::Profile;
 use crate::report::{pct, Table};
-use cn_fit::{fit, FitConfig, Method, ModelSet};
+use cn_fit::{fit, FitConfig, Method};
 use cn_gen::{generate, GenConfig};
-use cn_trace::{DeviceType, EventType, Timestamp};
+use cn_stats::two_sample_distance;
+use cn_trace::{DeviceType, Timestamp};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Fidelity summary of one model variant against the Scenario-1 real
-/// trace: worst absolute breakdown difference, per-UE SRV_REQ count CDF
-/// distance, and CONNECTED sojourn CDF distance (phones).
-struct Fidelity {
-    max_breakdown_diff: f64,
-    srv_count_distance: f64,
-    conn_sojourn_distance: f64,
-}
+/// A labeled model variant's busy-hour synthesis for the Scenario-1
+/// population.
+type Variant = (String, Profile);
 
-fn evaluate(lab: &Lab, models: &ModelSet, seed: u64) -> Fidelity {
-    let mix = lab.cfg.scenario_mix(Scenario::One);
-    let config = GenConfig::new(mix, Timestamp::at_hour(0, lab.cfg.busy_hour), 1.0, seed);
-    let synth = generate(models, &config);
+/// One row per variant, scored against the Scenario-1 real busy hour: the
+/// worst absolute breakdown difference over every device and row, and the
+/// CDF distances of the phones' per-UE SRV_REQ counts and CONNECTED
+/// sojourns.
+fn fidelity_table(lab: &Lab, title: &str, variants: Vec<Variant>) -> Table {
+    let mut t = Table::new(
+        title,
+        &[
+            "variant",
+            "max |breakdown diff|",
+            "SRV_REQ count dist (P)",
+            "CONN sojourn dist (P)",
+        ],
+    );
     let real = lab.real(Scenario::One);
-
-    let mut max_diff = 0.0f64;
-    for device in DeviceType::ALL {
-        let r = breakdown(real, device);
-        let s = breakdown(&synth, device);
-        max_diff = max_diff.max(r.max_abs_diff(&s));
+    let real_phone = real.device(DeviceType::Phone);
+    for (label, synth) in variants {
+        let phone = synth.device(DeviceType::Phone);
+        t.push_row(vec![
+            label,
+            pct(real.max_share_diff(&synth)),
+            pct(two_sample_distance(&real_phone.srv_req, &phone.srv_req).unwrap_or(1.0)),
+            pct(two_sample_distance(&real_phone.connected, &phone.connected).unwrap_or(1.0)),
+        ]);
     }
-    let srv_real = events_per_ue(real, &mix, DeviceType::Phone, EventType::ServiceRequest);
-    let srv_synth = events_per_ue(&synth, &mix, DeviceType::Phone, EventType::ServiceRequest);
-    let (conn_real, _) = state_sojourns(real, DeviceType::Phone);
-    let (conn_synth, _) = state_sojourns(&synth, DeviceType::Phone);
-    Fidelity {
-        max_breakdown_diff: max_diff,
-        srv_count_distance: max_y_distance(&srv_real, &srv_synth).unwrap_or(1.0),
-        conn_sojourn_distance: max_y_distance(&conn_real, &conn_synth).unwrap_or(1.0),
-    }
+    t
 }
-
-fn fidelity_row(label: String, f: &Fidelity) -> Vec<String> {
-    vec![
-        label,
-        pct(f.max_breakdown_diff),
-        pct(f.srv_count_distance),
-        pct(f.conn_sojourn_distance),
-    ]
-}
-
-const FIDELITY_HEADERS: [&str; 4] = [
-    "variant",
-    "max |breakdown diff|",
-    "SRV_REQ count dist (P)",
-    "CONN sojourn dist (P)",
-];
 
 /// Ablation A: sweep the clustering size threshold θ_n.
-pub(crate) fn ablation_clustering(lab: &Lab) -> Table {
-    let mut t = Table::new(
-        "Ablation A: clustering size threshold θ_n (method Ours)",
-        &FIDELITY_HEADERS,
-    );
+fn clustering(lab: &Lab) -> Vec<Variant> {
     let base_theta = lab.cfg.clustering.theta_n;
     let total = lab.cfg.model_mix.total() as usize;
+    let mut variants = Vec::new();
     for theta_n in [2, base_theta.max(3), total.max(4) * 2] {
         let mut config = FitConfig::new(Method::Ours);
         config.clustering = lab.cfg.clustering;
         config.clustering.theta_n = theta_n;
         config.n_days = lab.cfg.days.ceil() as u64;
         let models = fit(lab.world(), &config);
-        let f = evaluate(lab, &models, 0xAB1);
         let label = if theta_n >= total {
             format!("θ_n = {theta_n} (single cluster)")
         } else {
             format!("θ_n = {theta_n}")
         };
-        let mut row = fidelity_row(label, &f);
-        row[0] = format!("{} [{} models]", row[0], models.model_count());
-        t.push_row(row);
+        variants.push((
+            format!("{label} [{} models]", models.model_count()),
+            lab.synthesize(&models, Scenario::One, 0xAB1),
+        ));
     }
-    t
+    variants
 }
 
 /// Ablation B: remove the competing-risks exit probabilities.
-pub(crate) fn ablation_exit_prob(lab: &Lab) -> Table {
-    let mut t = Table::new(
-        "Ablation B: competing-risks censoring correction (method Ours)",
-        &FIDELITY_HEADERS,
-    );
+fn exit_prob(lab: &Lab) -> Vec<Variant> {
     let with = lab.models(Method::Ours);
-    t.push_row(fidelity_row(
-        "with exit probabilities".into(),
-        &evaluate(lab, with, 0xAB2),
-    ));
-
     let mut without = with.clone();
     for dm in &mut without.devices {
         for hm in &mut dm.hours {
@@ -122,25 +95,21 @@ pub(crate) fn ablation_exit_prob(lab: &Lab) -> Table {
             }
         }
     }
-    t.push_row(fidelity_row(
-        "without (arm every visit)".into(),
-        &evaluate(lab, &without, 0xAB2),
-    ));
-    t
+    vec![
+        (
+            "with exit probabilities".into(),
+            lab.synthesize(with, Scenario::One, 0xAB2),
+        ),
+        (
+            "without (arm every visit)".into(),
+            lab.synthesize(&without, Scenario::One, 0xAB2),
+        ),
+    ]
 }
 
 /// Ablation C: break persona (cross-hour cluster) consistency.
-pub(crate) fn ablation_personas(lab: &Lab) -> Table {
-    let mut t = Table::new(
-        "Ablation C: persona consistency across hours (method Ours)",
-        &FIDELITY_HEADERS,
-    );
+fn personas(lab: &Lab) -> Vec<Variant> {
     let consistent = lab.models(Method::Ours);
-    t.push_row(fidelity_row(
-        "consistent trajectories".into(),
-        &evaluate(lab, consistent, 0xAB3),
-    ));
-
     // Shuffle each hour's persona column independently: identical marginal
     // cluster shares, destroyed cross-hour identity.
     let mut shuffled = consistent.clone();
@@ -156,11 +125,16 @@ pub(crate) fn ablation_personas(lab: &Lab) -> Table {
             }
         }
     }
-    t.push_row(fidelity_row(
-        "per-hour shuffled".into(),
-        &evaluate(lab, &shuffled, 0xAB3),
-    ));
-    t
+    vec![
+        (
+            "consistent trajectories".into(),
+            lab.synthesize(consistent, Scenario::One, 0xAB3),
+        ),
+        (
+            "per-hour shuffled".into(),
+            lab.synthesize(&shuffled, Scenario::One, 0xAB3),
+        ),
+    ]
 }
 
 /// Ablation D: hour-boundary sojourn semantics (`DESIGN.md` §4a #4).
@@ -170,7 +144,7 @@ pub(crate) fn ablation_personas(lab: &Lab) -> Table {
 /// full-day synthesis: hourly-volume correlation against the modeled
 /// world's weekday profile, plus total events (truncation tends to
 /// fragment overnight idles into extra activity).
-pub(crate) fn ablation_hour_semantics(lab: &Lab) -> Table {
+fn hour_semantics(lab: &Lab) -> Table {
     use cn_gen::HourSemantics;
     let mut t = Table::new(
         "Ablation D: hour-boundary sojourn semantics (method Ours)",
@@ -181,25 +155,6 @@ pub(crate) fn ablation_hour_semantics(lab: &Lab) -> Table {
             "events/day",
         ],
     );
-    // Real weekday profile per device.
-    let world = lab.world();
-    let n_days = lab.cfg.days.max(1.0);
-    let mut real = [[0f64; 24]; 3];
-    for r in world.iter() {
-        real[r.device.code() as usize][r.t.hour_of_day().index()] += 1.0 / n_days;
-    }
-    let pearson = |a: &[f64; 24], b: &[f64; 24]| {
-        let ma = a.iter().sum::<f64>() / 24.0;
-        let mb = b.iter().sum::<f64>() / 24.0;
-        let cov: f64 = a.iter().zip(b).map(|(x, y)| (x - ma) * (y - mb)).sum();
-        let va: f64 = a.iter().map(|x| (x - ma).powi(2)).sum();
-        let vb: f64 = b.iter().map(|y| (y - mb).powi(2)).sum();
-        if va > 0.0 && vb > 0.0 {
-            cov / (va.sqrt() * vb.sqrt())
-        } else {
-            0.0
-        }
-    };
     for (name, semantics) in [
         ("entry-hour (default)", HourSemantics::EntryHour),
         ("truncate at boundary", HourSemantics::TruncateAtBoundary),
@@ -212,14 +167,11 @@ pub(crate) fn ablation_hour_semantics(lab: &Lab) -> Table {
         );
         config.semantics = semantics;
         let synth = generate(lab.models(Method::Ours), &config);
-        let mut profile = [[0f64; 24]; 3];
-        for r in synth.iter() {
-            profile[r.device.code() as usize][r.t.hour_of_day().index()] += 1.0;
-        }
+        let corr = diurnal(lab, &synth).corr;
         t.push_row(vec![
             name.into(),
-            format!("{:.3}", pearson(&real[0], &profile[0])),
-            format!("{:.3}", pearson(&real[1], &profile[1])),
+            format!("{:.3}", corr[0]),
+            format!("{:.3}", corr[1]),
             synth.len().to_string(),
         ]);
     }
@@ -229,10 +181,22 @@ pub(crate) fn ablation_hour_semantics(lab: &Lab) -> Table {
 /// All four ablations.
 pub fn all(lab: &Lab) -> Vec<Table> {
     vec![
-        ablation_clustering(lab),
-        ablation_exit_prob(lab),
-        ablation_personas(lab),
-        ablation_hour_semantics(lab),
+        fidelity_table(
+            lab,
+            "Ablation A: clustering size threshold θ_n (method Ours)",
+            clustering(lab),
+        ),
+        fidelity_table(
+            lab,
+            "Ablation B: competing-risks censoring correction (method Ours)",
+            exit_prob(lab),
+        ),
+        fidelity_table(
+            lab,
+            "Ablation C: persona consistency across hours (method Ours)",
+            personas(lab),
+        ),
+        hour_semantics(lab),
     ]
 }
 
@@ -241,31 +205,45 @@ mod tests {
     use super::*;
     use crate::lab::ExperimentConfig;
 
+    /// Worst absolute breakdown difference of each variant from the
+    /// Scenario-1 real busy hour.
+    fn max_share_diffs(lab: &Lab, variants: &[Variant]) -> Vec<f64> {
+        let real = lab.real(Scenario::One);
+        variants
+            .iter()
+            .map(|(_, synth)| real.max_share_diff(synth))
+            .collect()
+    }
+
     #[test]
     fn exit_prob_ablation_shows_the_flood() {
         let lab = Lab::new(ExperimentConfig::quick());
-        let t = ablation_exit_prob(&lab);
-        assert_eq!(t.rows.len(), 2);
-        let parse = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
-        let with = parse(&t.rows[0][1]);
-        let without = parse(&t.rows[1][1]);
+        let variants = exit_prob(&lab);
+        assert_eq!(variants.len(), 2);
+        let diffs = max_share_diffs(&lab, &variants);
         assert!(
-            without > with,
-            "removing censoring should hurt the breakdown: {with} vs {without}"
+            diffs[1] > diffs[0],
+            "removing censoring should hurt the breakdown: {} vs {}",
+            diffs[0],
+            diffs[1]
         );
     }
 
     #[test]
     fn clustering_ablation_produces_three_variants() {
         let lab = Lab::new(ExperimentConfig::quick());
-        let t = ablation_clustering(&lab);
-        assert_eq!(t.rows.len(), 3);
-        // More clusters with smaller θ_n (model counts are embedded in the
-        // labels; just ensure the table rendered sane percentages).
-        for row in &t.rows {
-            for cell in &row[1..] {
-                let v: f64 = cell.trim_end_matches('%').parse().unwrap();
-                assert!((0.0..=100.0).contains(&v));
+        let variants = clustering(&lab);
+        assert_eq!(variants.len(), 3);
+        let real = lab.real(Scenario::One).device(DeviceType::Phone);
+        for ((label, synth), diff) in variants.iter().zip(max_share_diffs(&lab, &variants)) {
+            let phone = synth.device(DeviceType::Phone);
+            let distances = [
+                diff,
+                two_sample_distance(&real.srv_req, &phone.srv_req).unwrap(),
+                two_sample_distance(&real.connected, &phone.connected).unwrap(),
+            ];
+            for d in distances {
+                assert!((0.0..=1.0).contains(&d), "{label}: {d}");
             }
         }
     }
@@ -273,7 +251,7 @@ mod tests {
     #[test]
     fn hour_semantics_ablation_runs() {
         let lab = Lab::new(ExperimentConfig::quick());
-        let t = ablation_hour_semantics(&lab);
+        let t = hour_semantics(&lab);
         assert_eq!(t.rows.len(), 2);
         // Both variants still track the diurnal profile for phones.
         for row in &t.rows {
@@ -285,7 +263,6 @@ mod tests {
     #[test]
     fn persona_ablation_runs() {
         let lab = Lab::new(ExperimentConfig::quick());
-        let t = ablation_personas(&lab);
-        assert_eq!(t.rows.len(), 2);
+        assert_eq!(personas(&lab).len(), 2);
     }
 }

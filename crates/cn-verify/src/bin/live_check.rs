@@ -37,8 +37,10 @@
 //! cn-obs JSON snapshot; `--trace PATH` writes the Chrome trace-event
 //! JSON (Perfetto-loadable) collected by the global sink; `--recorder-jsonl
 //! PATH` streams full-serve recorder frames as JSONL; `--forensics PATH`
-//! keeps the kill-drill forensics dump. Exits non-zero on any gate
-//! failure.
+//! keeps the kill-drill forensics dump. Each gate's verdict is recorded
+//! as `cn_verify_gate_ok{gate="live-…"}` (1 = held); the artifacts are
+//! written whatever the verdicts, then the run exits 1 if any gate
+//! failed.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -267,6 +269,187 @@ fn serve_span(
     }
 }
 
+/// A gate's verdict: `line` as the success or the failure it reports.
+fn check(holds: bool, line: impl Into<String>) -> Result<String, String> {
+    if holds {
+        Ok(line.into())
+    } else {
+        Err(line.into())
+    }
+}
+
+/// Gate: the full serve's wire is the batch payload byte for byte, framed
+/// by a zero-count header and an End marker at the exact watermark.
+fn wire_fidelity(wire: &[u8], payload: &[u8], emitted: u64, total: u64) -> Result<String, String> {
+    check(
+        emitted == total,
+        format!("served {emitted} of {total} records"),
+    )?;
+    let header = [&cn_trace::io::BINARY_MAGIC[..], &0u64.to_le_bytes()].concat();
+    check(
+        wire.get(..16) == Some(&header[..]),
+        "the wire header must be the magic and a zero count placeholder",
+    )?;
+    let frames = &wire[16..];
+    check(
+        frames.len() == (total as usize + 1) * cn_trace::RECORD_BYTES,
+        "wire must carry exactly the records plus one End frame",
+    )?;
+    let (records_wire, end_frame) = frames.split_at(total as usize * cn_trace::RECORD_BYTES);
+    check(
+        records_wire == &payload[16..],
+        "served bytes diverge from the batch engine payload",
+    )?;
+    match cn_live::decode_frame(end_frame.try_into().unwrap()) {
+        Ok(cn_live::Frame::End { emitted }) if emitted == total => Ok(format!(
+            "wire fidelity: {} bytes byte-identical to batch payload",
+            records_wire.len()
+        )),
+        other => Err(format!(
+            "stream ended with {other:?}, not an End marker at {total}"
+        )),
+    }
+}
+
+/// Gate (in memory): the mid-serve scrape trail is monotone and bounded by
+/// the wire's record count, the final scrape and the registry end at
+/// exactly that count, `/status` reports the one consumer and the recorder
+/// ring validates.
+fn scrape_fidelity(
+    outcome: &ServeOutcome,
+    registry_emitted: Option<u64>,
+    total: u64,
+) -> Result<String, String> {
+    let trail = &outcome.mid_emitted;
+    let last_mid = *trail
+        .last()
+        .ok_or("scraper never reached /metrics during the serve")?;
+    if let Some(pair) = trail.windows(2).find(|pair| pair[0] > pair[1]) {
+        return Err(format!(
+            "scraped cn_live_emitted_total went backwards: {} -> {}",
+            pair[0], pair[1]
+        ));
+    }
+    check(
+        last_mid <= total,
+        format!("scraped emitted total {last_mid} exceeds the {total} records on the wire"),
+    )?;
+    let (Some(metrics), Some(status), Some(frames)) = (
+        &outcome.final_metrics,
+        &outcome.final_status,
+        &outcome.final_frames,
+    ) else {
+        panic!("introspection was mounted");
+    };
+    check(
+        metrics.counter("cn_live_emitted_total") == Some(total),
+        "final /metrics scrape disagrees with the wire",
+    )?;
+    check(
+        registry_emitted == Some(total),
+        format!("emitted counter {registry_emitted:?} out of step with the wire's {total}"),
+    )?;
+    check(
+        status.consumers.len() == 1,
+        "/status must report the single TCP consumer",
+    )?;
+    let validated = cn_obs::recorder::validate_frames(frames)
+        .map_err(|e| format!("recorder ring fails self-validation: {e}"))?;
+    Ok(format!(
+        "introspection: {} mid-serve scrapes (last {last_mid}/{total}), {validated} recorder frames valid",
+        trail.len()
+    ))
+}
+
+/// Gate: kill a serve a third of the way in, then resume a fresh server
+/// from the checkpoint file; the two spans splice into the batch payload.
+/// The killed span carries a flight recorder with a forensics path: the
+/// induced early stop must leave a dump, and the dump must validate.
+fn kill_resume(
+    spec: &ScenarioSpec,
+    config: &GenConfig,
+    payload: &[u8],
+    total: u64,
+    ckpt_path: &std::path::Path,
+    forensics_path: &std::path::Path,
+) -> Result<String, String> {
+    let template = Checkpoint {
+        emitted: 0,
+        compression: COMPRESSION,
+        config: *config,
+        scenario: Some(spec.clone()),
+    };
+    let cut = total / 3;
+    let drill = Registry::new();
+    let mut drill_introspect = IntrospectionConfig::new();
+    drill_introspect.recorder.interval = std::time::Duration::from_millis(50);
+    drill_introspect.forensics_path = Some(forensics_path.to_path_buf());
+    let outcome_a = serve_span(
+        spec,
+        config,
+        &drill,
+        0,
+        Some(cut),
+        Some((ckpt_path.to_path_buf(), template.clone())),
+        Some(drill_introspect),
+    );
+    let (wire_a, emitted_a) = (outcome_a.wire, outcome_a.emitted);
+    check(
+        emitted_a == cut,
+        format!("killed span served {emitted_a} records, not {cut}"),
+    )?;
+    let dump = std::fs::read_to_string(forensics_path)
+        .map_err(|e| format!("killed span must leave a forensics dump: {e}"))?;
+    let dump_frames = cn_obs::recorder::validate_forensics(&dump)
+        .map_err(|e| format!("forensics dump fails validation: {e}"))?;
+    println!("forensics: kill at {cut} left a valid {dump_frames}-frame dump");
+    let ckpt = Checkpoint::load(ckpt_path).map_err(|e| format!("load checkpoint: {e}"))?;
+    check(
+        ckpt.emitted == cut,
+        format!(
+            "final checkpoint carries watermark {}, not {cut}",
+            ckpt.emitted
+        ),
+    )?;
+    let resumed_spec = ckpt
+        .scenario
+        .clone()
+        .ok_or("checkpoint lost the scenario")?;
+    let outcome_b = serve_span(
+        &resumed_spec,
+        &ckpt.config,
+        &drill,
+        ckpt.emitted,
+        None,
+        Some((ckpt_path.to_path_buf(), template)),
+        None,
+    );
+    let (wire_b, emitted_b) = (outcome_b.wire, outcome_b.emitted);
+    check(
+        emitted_b == total,
+        format!("resumed span ended at {emitted_b} records, not {total}"),
+    )?;
+    // First span: header + cut records, no End. Second: header + the
+    // remaining records + End. Concatenated payloads = batch payload.
+    let captured_a = capture(&wire_a[..]).map_err(|e| format!("parse first span: {e}"))?;
+    check(
+        captured_a.end.is_none(),
+        "killed span must not carry an End marker",
+    )?;
+    let mut joined = wire_a[16..].to_vec();
+    joined.extend_from_slice(&wire_b[16..wire_b.len() - cn_trace::RECORD_BYTES]);
+    check(
+        joined == payload[16..],
+        "kill/resume did not reproduce the byte stream",
+    )?;
+    Ok(format!(
+        "kill/resume: {} + {} records splice byte-exactly at watermark {}",
+        captured_a.records.len(),
+        (joined.len() / cn_trace::RECORD_BYTES) - captured_a.records.len(),
+        cut
+    ))
+}
+
 fn main() {
     let mut metrics: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -314,216 +497,86 @@ fn main() {
         total, config.duration_hours, COMPRESSION
     );
 
-    // Gate 1+2(+4): full serve — wire fidelity, bounded drift, and the
+    let registry = Registry::new();
+    let mut all_ok = true;
+    let mut gate = |name: &str, verdict: Result<String, String>| {
+        match &verdict {
+            Ok(line) => println!("{line}"),
+            Err(e) => println!("live_check: gate {name} FAILED: {e}"),
+        }
+        registry
+            .gauge_with("cn_verify_gate_ok", &[("gate", name)])
+            .set(u64::from(verdict.is_ok()));
+        all_ok &= verdict.is_ok();
+    };
+
+    // Full serve: wire fidelity, bounded drift, quantum pacing, and the
     // introspection plane scraped mid-serve.
     let mut introspect = IntrospectionConfig::new();
     introspect.recorder.interval = std::time::Duration::from_millis(50);
     introspect.recorder.jsonl_path = recorder_jsonl.as_ref().map(PathBuf::from);
-    let registry = Registry::new();
     let t0 = std::time::Instant::now();
     let outcome = serve_span(&spec, &config, &registry, 0, None, None, Some(introspect));
     let wall = t0.elapsed();
-    let (wire, emitted) = (outcome.wire, outcome.emitted);
-    assert_eq!(emitted, total);
-    // Wire layout: 16-byte zero-count header, record frames, End frame.
-    assert_eq!(&wire[0..8], cn_trace::io::BINARY_MAGIC, "bad wire magic");
-    assert_eq!(
-        &wire[8..16],
-        &0u64.to_le_bytes(),
-        "live header count must be the zero placeholder"
+    gate(
+        "live-wire",
+        wire_fidelity(&outcome.wire, &payload, outcome.emitted, total),
     );
-    let frames = &wire[16..];
-    assert_eq!(
-        frames.len(),
-        (total as usize + 1) * cn_trace::RECORD_BYTES,
-        "wire carries exactly the records plus one End frame"
-    );
-    let (records_wire, end_frame) = frames.split_at(total as usize * cn_trace::RECORD_BYTES);
-    assert_eq!(
-        records_wire,
-        &payload[16..],
-        "served bytes diverge from the batch engine payload"
-    );
-    match cn_live::decode_frame(end_frame.try_into().unwrap()).expect("end frame") {
-        cn_live::Frame::End { emitted } => assert_eq!(emitted, total),
-        other => panic!("stream ended with {other:?}, not an End marker"),
-    }
-    println!(
-        "wire fidelity: {} bytes byte-identical to batch payload",
-        records_wire.len()
-    );
-
-    // Gate 4: the scrape trail must be monotone, bounded by the wire
-    // record count, and end (in the final scrape) at exactly that count.
-    assert!(
-        !outcome.mid_emitted.is_empty(),
-        "scraper never reached /metrics during the serve"
-    );
-    for pair in outcome.mid_emitted.windows(2) {
-        assert!(
-            pair[0] <= pair[1],
-            "scraped cn_live_emitted_total went backwards: {} -> {}",
-            pair[0],
-            pair[1]
-        );
-    }
-    let last_mid = *outcome.mid_emitted.last().unwrap();
-    assert!(
-        last_mid <= total,
-        "scraped emitted total {last_mid} exceeds the {total} records on the wire"
-    );
-    let final_metrics = outcome.final_metrics.expect("introspection was mounted");
-    assert_eq!(
-        final_metrics.counter("cn_live_emitted_total"),
-        Some(total),
-        "final /metrics scrape disagrees with the wire"
-    );
-    let status = outcome.final_status.expect("introspection was mounted");
-    assert_eq!(
-        status.consumers.len(),
-        1,
-        "/status must report the single TCP consumer"
-    );
-    let rec_frames = outcome.final_frames.expect("introspection was mounted");
-    let validated = cn_obs::recorder::validate_frames(&rec_frames)
-        .expect("recorder ring fails self-validation");
-    println!(
-        "introspection: {} mid-serve scrapes (last {last_mid}/{total}), {validated} recorder frames valid",
-        outcome.mid_emitted.len()
-    );
-
     let snapshot = registry.snapshot();
+    // Completed below, once the recorder JSONL has been read back.
+    let scrape = scrape_fidelity(&outcome, snapshot.counter("cn_live_emitted_total"), total);
+
     let lag = snapshot.histogram("cn_live_lag_ms").expect("lag histogram");
     let p50 = lag.quantile_est(0.50).unwrap_or(0.0);
     let p99 = lag.quantile_est(0.99).unwrap_or(0.0);
     let p100 = lag.quantile_upper_bound(1.0).unwrap_or(0);
-    println!(
+    let drift = format!(
         "emission lag ms: p50~{p50:.1} p99~{p99:.1} max<={p100} (wall {:.2?}, gate p99<={P99_LAG_GATE_MS})",
         wall
     );
-    assert!(
-        p99 <= P99_LAG_GATE_MS,
-        "estimated p99 emission lag {p99:.1} ms exceeds the {P99_LAG_GATE_MS} ms gate"
-    );
-    assert_eq!(
-        snapshot.counter("cn_live_emitted_total"),
-        Some(total),
-        "emitted counter out of step"
-    );
+    gate("live-drift", check(p99 <= P99_LAG_GATE_MS, drift));
     // Pacing is by quantum, not by frame: per-record sleeps would show
     // as a wake rate two orders above one block per quantum.
     let blocks = snapshot.counter("cn_live_blocks_total").unwrap_or(0);
     let blocks_per_s = blocks as f64 / wall.as_secs_f64();
     let blocks_gate = 1.25e9 / PACE_QUANTUM_NS as f64;
-    println!(
+    let pacing = format!(
         "pacing: {blocks} blocks of {:.1} frames, {blocks_per_s:.0} per wall second (gate <={blocks_gate:.0})",
         total as f64 / blocks.max(1) as f64
     );
-    assert!(
-        blocks > 0 && blocks_per_s <= blocks_gate,
-        "{blocks_per_s:.0} blocks per wall second exceeds the {blocks_gate:.0}/s quantum-pacing gate"
+    gate(
+        "live-pacing",
+        check(blocks > 0 && blocks_per_s <= blocks_gate, pacing),
     );
 
-    // Gate 3: kill a third of the way in, resume from the checkpoint.
-    // The killed span carries a flight recorder with a forensics path:
-    // the induced early stop must leave a dump, and the dump must
-    // validate.
     let ckpt_path = std::env::temp_dir().join(format!("cn-live-check-{}.json", std::process::id()));
     let forensics_path = forensics.clone().map(PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("cn-live-forensics-{}.json", std::process::id()))
     });
-    let template = Checkpoint {
-        emitted: 0,
-        compression: COMPRESSION,
-        config,
-        scenario: Some(spec.clone()),
-    };
-    let cut = total / 3;
-    let drill = Registry::new();
-    let mut drill_introspect = IntrospectionConfig::new();
-    drill_introspect.recorder.interval = std::time::Duration::from_millis(50);
-    drill_introspect.forensics_path = Some(forensics_path.clone());
-    let outcome_a = serve_span(
-        &spec,
-        &config,
-        &drill,
-        0,
-        Some(cut),
-        Some((ckpt_path.clone(), template.clone())),
-        Some(drill_introspect),
-    );
-    let (wire_a, emitted_a) = (outcome_a.wire, outcome_a.emitted);
-    assert_eq!(emitted_a, cut);
-    let dump =
-        std::fs::read_to_string(&forensics_path).expect("killed span must leave a forensics dump");
-    let dump_frames =
-        cn_obs::recorder::validate_forensics(&dump).expect("forensics dump fails validation");
-    println!("forensics: kill at {cut} left a valid {dump_frames}-frame dump");
+    let drill = kill_resume(&spec, &config, &payload, total, &ckpt_path, &forensics_path);
+    std::fs::remove_file(&ckpt_path).ok();
     if forensics.is_none() {
         std::fs::remove_file(&forensics_path).ok();
     }
-    let ckpt = Checkpoint::load(&ckpt_path).expect("load checkpoint");
-    assert_eq!(
-        ckpt.emitted, cut,
-        "final checkpoint must carry the exact watermark"
-    );
-    let resumed_spec = ckpt
-        .scenario
-        .clone()
-        .expect("checkpoint carries the scenario");
-    let outcome_b = serve_span(
-        &resumed_spec,
-        &ckpt.config,
-        &drill,
-        ckpt.emitted,
-        None,
-        Some((ckpt_path.clone(), template)),
-        None,
-    );
-    let (wire_b, emitted_b) = (outcome_b.wire, outcome_b.emitted);
-    std::fs::remove_file(&ckpt_path).ok();
-    assert_eq!(emitted_b, total);
-    // First span: header + cut records, no End. Second: header + the
-    // remaining records + End. Concatenated payloads = batch payload.
-    let captured_a = capture(&wire_a[..]).expect("parse first span");
-    assert_eq!(
-        captured_a.end, None,
-        "killed span must not carry an End marker"
-    );
-    let mut joined = wire_a[16..].to_vec();
-    joined.extend_from_slice(&wire_b[16..wire_b.len() - cn_trace::RECORD_BYTES]);
-    assert_eq!(
-        joined,
-        &payload[16..],
-        "kill/resume did not reproduce the byte stream"
-    );
-    println!(
-        "kill/resume: {} + {} records splice byte-exactly at watermark {}",
-        captured_a.records.len(),
-        (joined.len() / cn_trace::RECORD_BYTES) - captured_a.records.len(),
-        cut
-    );
+    gate("live-kill-resume", drill);
 
     // The full serve streamed its recorder frames to disk; the artifact a
     // human downloads must itself validate, not just the in-memory ring.
     // Read here rather than right after that serve: dropping its server
     // flags the sampler thread to stop without joining it, and the drill
     // above outlasts the sampler's last 50 ms interval many times over.
-    if let Some(path) = &recorder_jsonl {
-        let validated = std::fs::read_to_string(path)
+    let scrape = scrape.and_then(|line| match &recorder_jsonl {
+        None => Ok(line),
+        Some(path) => std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read it back: {e}"))
-            .and_then(|text| cn_obs::recorder::validate_jsonl(&text));
-        match validated {
-            Ok(n) => println!("recorder JSONL: {path} re-read from disk, {n} frames valid"),
-            Err(e) => {
-                println!("live_check: FAILED: recorder JSONL {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+            .and_then(|text| cn_obs::recorder::validate_jsonl(&text))
+            .map(|n| format!("{line}\nrecorder JSONL: {path} re-read from disk, {n} frames valid"))
+            .map_err(|e| format!("recorder JSONL {path}: {e}")),
+    });
+    gate("live-scrape", scrape);
 
     if let Some(path) = metrics {
-        std::fs::write(&path, snapshot.to_json()).expect("write metrics snapshot");
+        std::fs::write(&path, registry.snapshot().to_json()).expect("write metrics snapshot");
         eprintln!("wrote {path}");
     }
     if let Some(path) = trace_out {
@@ -531,5 +584,10 @@ fn main() {
         eprintln!("wrote {path} ({} spans)", sink.len());
     }
     cn_obs::trace::clear_global();
-    println!("live_check: all gates passed");
+    if all_ok {
+        println!("live_check: all gates passed");
+    } else {
+        println!("live_check: FAILURES (see above)");
+        std::process::exit(1);
+    }
 }

@@ -143,10 +143,7 @@ fn run(
             "table9" => vec![experiments::table8or9(lab, true)],
             "table10" => vec![experiments::table10(lab)],
             "table9x" => vec![experiments::table9_extended(lab)],
-            "fig7" => vec![
-                experiments::fig7(lab, EventType::ServiceRequest),
-                experiments::fig7(lab, EventType::S1ConnRelease),
-            ],
+            "fig7" => experiments::fig7(lab),
             "diurnal" => vec![experiments::diurnal_fidelity(lab)],
             "generalize" => vec![cn_verify::generalize::generalizability(
                 lab.cfg.seed,

@@ -7,9 +7,8 @@
 //! orderings, rough factors) are the reproduction targets; see
 //! `EXPERIMENTS.md`.
 
-use crate::breakdown::{breakdown, breakdown_simple, BreakdownRow};
 use crate::lab::{Lab, Scenario};
-use crate::microscopic::{events_per_ue, max_y_distance, split_active, state_sojourns};
+use crate::profile::{breakdown_simple, split_active, BreakdownRow, DeviceProfile};
 use crate::report::{pct, signed_pct, Table};
 use crate::testsuite::{run_suite, Quantity, SuiteTest};
 use cn_fit::fiveg::{adapt_model, Event5G, ScalingProfile, TABLE2};
@@ -17,7 +16,7 @@ use cn_fit::Method;
 use cn_statemachine::{replay_ue, BottomTransition, TopTransition};
 use cn_stats::summary::BoxStats;
 use cn_stats::variance_time::{bin_counts, default_scales, poisson_reference, variance_time_plot};
-use cn_stats::{Ecdf, Exponential};
+use cn_stats::{two_sample_distance, Ecdf, Exponential};
 use cn_trace::{DeviceType, EventType, HourOfDay, Trace, MS_PER_SEC};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -410,29 +409,26 @@ pub fn table4(lab: &Lab, scenario: Scenario) -> Table {
     };
     let mut t = Table::new(title, &header_refs);
 
-    // Per device: real + per-method synthesized breakdowns.
-    let mut real = Vec::new();
-    let mut synth = Vec::new();
-    for device in DeviceType::ALL {
-        real.push(breakdown(lab.real(scenario), device));
-        let per_method: Vec<_> = Method::ALL
-            .iter()
-            .map(|&m| breakdown(lab.synth(m, scenario), device))
-            .collect();
-        synth.push(per_method);
-    }
     for row in BreakdownRow::ALL {
         let mut cells = vec![row.label().to_string()];
-        for (di, _) in DeviceType::ALL.iter().enumerate() {
-            cells.push(pct(real[di].share(row)));
-            for (mi, _) in Method::ALL.iter().enumerate() {
-                let diff = synth[di][mi].share(row) - real[di].share(row);
-                cells.push(signed_pct(diff));
+        for device in DeviceType::ALL {
+            let real = lab.real(scenario).device(device).share(row);
+            cells.push(pct(real));
+            for m in Method::ALL {
+                let synth = lab.synth(m, scenario).device(device).share(row);
+                cells.push(signed_pct(synth - real));
             }
         }
         t.push_row(cells);
     }
     t
+}
+
+/// A device's per-UE samples in Table 5's row order: the `SRV_REQ` and
+/// `S1_CONN_REL` counts (also Table 6's rows and Fig. 7's two tables), then
+/// the CONNECTED and IDLE sojourns.
+fn per_ue_samples(p: &DeviceProfile) -> [&[f64]; 4] {
+    [&p.srv_req, &p.s1_conn_rel, &p.connected, &p.idle]
 }
 
 /// Table 5: maximum y-distance between CDFs of per-UE event counts and
@@ -464,21 +460,13 @@ pub fn table5(lab: &Lab) -> Table {
         vec!["IDLE".into()],
     ];
     for s in [Scenario::One, Scenario::Two] {
-        let mix = lab.cfg.scenario_mix(s);
-        let real = lab.real(s);
         for device in DeviceType::ALL {
-            let real_srv = events_per_ue(real, &mix, device, EventType::ServiceRequest);
-            let real_rel = events_per_ue(real, &mix, device, EventType::S1ConnRelease);
-            let (real_conn, real_idle) = state_sojourns(real, device);
+            let real = per_ue_samples(lab.real(s).device(device));
             for m in [Method::B2, Method::Ours] {
-                let synth = lab.synth(m, s);
-                let srv = events_per_ue(synth, &mix, device, EventType::ServiceRequest);
-                let rel = events_per_ue(synth, &mix, device, EventType::S1ConnRelease);
-                let (conn, idle) = state_sojourns(synth, device);
-                rows[0].push(fmt_opt_pct(max_y_distance(&real_srv, &srv)));
-                rows[1].push(fmt_opt_pct(max_y_distance(&real_rel, &rel)));
-                rows[2].push(fmt_opt_pct(max_y_distance(&real_conn, &conn)));
-                rows[3].push(fmt_opt_pct(max_y_distance(&real_idle, &idle)));
+                let synth = per_ue_samples(lab.synth(m, s).device(device));
+                for ((row, real), synth) in rows.iter_mut().zip(real).zip(synth) {
+                    row.push(fmt_opt_pct(two_sample_distance(real, synth)));
+                }
             }
         }
     }
@@ -504,21 +492,16 @@ pub fn table6(lab: &Lab) -> Table {
     );
     let mut rows: Vec<Vec<String>> = vec![vec!["SRV_REQ".into()], vec!["S1_CONN_REL".into()]];
     for s in [Scenario::One, Scenario::Two] {
-        let mix = lab.cfg.scenario_mix(s);
-        let real = lab.real(s);
-        let synth = lab.synth(Method::Ours, s);
         for device in [DeviceType::ConnectedCar, DeviceType::Tablet] {
-            for (ri, event) in [EventType::ServiceRequest, EventType::S1ConnRelease]
-                .into_iter()
-                .enumerate()
-            {
-                let rc = events_per_ue(real, &mix, device, event);
-                let sc = events_per_ue(synth, &mix, device, event);
-                let (ri_in, ri_act) = split_active(&rc, 2.0);
-                let (si_in, si_act) = split_active(&sc, 2.0);
-                let d_in = max_y_distance(&ri_in, &si_in);
-                let d_act = max_y_distance(&ri_act, &si_act);
-                rows[ri].push(format!("{}/{}", fmt_opt_pct(d_in), fmt_opt_pct(d_act)));
+            let real = per_ue_samples(lab.real(s).device(device));
+            let synth = per_ue_samples(lab.synth(Method::Ours, s).device(device));
+            // Zipped with the two rows, only the two count samples are read.
+            for (row, (rc, sc)) in rows.iter_mut().zip(real.into_iter().zip(synth)) {
+                let (ri_in, ri_act) = split_active(rc, 2.0);
+                let (si_in, si_act) = split_active(sc, 2.0);
+                let d_in = two_sample_distance(&ri_in, &si_in);
+                let d_act = two_sample_distance(&ri_act, &si_act);
+                row.push(format!("{}/{}", fmt_opt_pct(d_in), fmt_opt_pct(d_act)));
             }
         }
     }
@@ -648,9 +631,14 @@ pub fn table10(lab: &Lab) -> Table {
     t
 }
 
-/// Fig. 7: CDFs of per-UE SRV_REQ / S1_CONN_REL counts — real vs Ours vs
-/// Base, Scenario 2.
-pub fn fig7(lab: &Lab, event: EventType) -> Table {
+/// Fig. 7: CDFs of per-UE SRV_REQ and S1_CONN_REL counts — real vs Ours
+/// vs Base, Scenario 2; one table per event.
+pub fn fig7(lab: &Lab) -> Vec<Table> {
+    let sources = [
+        lab.real(Scenario::Two),
+        lab.synth(Method::Ours, Scenario::Two),
+        lab.synth(Method::Base, Scenario::Two),
+    ];
     let mut headers: Vec<String> = vec!["count <= k".into()];
     for device in DeviceType::ALL {
         for src in ["real", "Ours", "Base"] {
@@ -658,32 +646,70 @@ pub fn fig7(lab: &Lab, event: EventType) -> Table {
         }
     }
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        format!("Fig. 7: CDF of {} per UE (Scenario 2)", event.mnemonic()),
-        &header_refs,
-    );
-    let mix = lab.cfg.scenario_mix(Scenario::Two);
-    let mut ecdfs = Vec::new();
-    for device in DeviceType::ALL {
-        for trace in [
-            lab.real(Scenario::Two),
-            lab.synth(Method::Ours, Scenario::Two),
-            lab.synth(Method::Base, Scenario::Two),
-        ] {
-            ecdfs.push(Ecdf::new(events_per_ue(trace, &mix, device, event)));
+    let mut tables = Vec::new();
+    for (i, event) in [EventType::ServiceRequest, EventType::S1ConnRelease]
+        .into_iter()
+        .enumerate()
+    {
+        let mut t = Table::new(
+            format!("Fig. 7: CDF of {} per UE (Scenario 2)", event.mnemonic()),
+            &header_refs,
+        );
+        let mut ecdfs = Vec::new();
+        for device in DeviceType::ALL {
+            for p in sources {
+                ecdfs.push(Ecdf::new(per_ue_samples(p.device(device))[i].to_vec()));
+            }
         }
-    }
-    for k in 0..=10u32 {
-        let mut row = vec![k.to_string()];
-        for e in &ecdfs {
-            row.push(
-                e.as_ref()
-                    .map_or("-".into(), |e| format!("{:.3}", e.cdf(f64::from(k)))),
-            );
+        for k in 0..=10u32 {
+            let mut row = vec![k.to_string()];
+            for e in &ecdfs {
+                row.push(
+                    e.as_ref()
+                        .map_or("-".into(), |e| format!("{:.3}", e.cdf(f64::from(k)))),
+                );
+            }
+            t.push_row(row);
         }
-        t.push_row(row);
+        tables.push(t);
     }
-    t
+    tables
+}
+
+/// Events per hour of day, per device: the modeled world's mean day (each
+/// hour's volume averaged over whole days) beside one synthesized day, and
+/// the Pearson correlation of each device's two 24-point profiles.
+pub(crate) struct Diurnal {
+    pub(crate) real: [[f64; 24]; 3],
+    pub(crate) synth: [[f64; 24]; 3],
+    pub(crate) corr: [f64; 3],
+}
+
+/// The diurnal profiles of the modeled world and of `synth`, one day.
+pub(crate) fn diurnal(lab: &Lab, synth: &Trace) -> Diurnal {
+    let volumes = |trace: &Trace, weight: f64| {
+        let mut v = [[0f64; 24]; 3];
+        for r in trace.iter() {
+            v[r.device.code() as usize][r.t.hour_of_day().index()] += weight;
+        }
+        v
+    };
+    let real = volumes(lab.world(), 1.0 / lab.cfg.days.max(1.0));
+    let synth = volumes(synth, 1.0);
+    let corr = std::array::from_fn(|d| {
+        let (a, b) = (&real[d], &synth[d]);
+        let ma = a.iter().sum::<f64>() / 24.0;
+        let mb = b.iter().sum::<f64>() / 24.0;
+        let cov: f64 = a.iter().zip(b).map(|(x, y)| (x - ma) * (y - mb)).sum();
+        let va: f64 = a.iter().map(|x| (x - ma).powi(2)).sum();
+        let vb: f64 = b.iter().map(|y| (y - mb).powi(2)).sum();
+        if va > 0.0 && vb > 0.0 {
+            cov / (va.sqrt() * vb.sqrt())
+        } else {
+            0.0
+        }
+    });
+    Diurnal { real, synth, corr }
 }
 
 /// Extension (not a paper artifact): diurnal fidelity of a full-day
@@ -699,58 +725,27 @@ pub fn diurnal_fidelity(lab: &Lab) -> Table {
             "hour", "P real", "P synth", "CC real", "CC synth", "T real", "T synth",
         ],
     );
-    // Real: mean weekday profile of the modeled world (per-hour volume
-    // averaged over whole days).
-    let world = lab.world();
-    let n_days = lab.cfg.days.max(1.0);
-    let mut real = [[0f64; 24]; 3];
-    for r in world.iter() {
-        real[r.device.code() as usize][r.t.hour_of_day().index()] += 1.0 / n_days;
-    }
-    // Synth: one generated day for the model population.
     let config = cn_gen::GenConfig::new(
         lab.cfg.model_mix,
         cn_trace::Timestamp::at_hour(0, 0),
         24.0,
         lab.cfg.seed ^ 0xD1E1,
     );
-    let synth_trace = cn_gen::generate(lab.models(Method::Ours), &config);
-    let mut synth = [[0f64; 24]; 3];
-    for r in synth_trace.iter() {
-        synth[r.device.code() as usize][r.t.hour_of_day().index()] += 1.0;
-    }
+    let d = diurnal(lab, &cn_gen::generate(lab.models(Method::Ours), &config));
     for h in 0..24 {
-        t.push_row(vec![
-            format!("{h:02}h"),
-            format!("{:.0}", real[0][h]),
-            format!("{:.0}", synth[0][h]),
-            format!("{:.0}", real[1][h]),
-            format!("{:.0}", synth[1][h]),
-            format!("{:.0}", real[2][h]),
-            format!("{:.0}", synth[2][h]),
-        ]);
-    }
-    let pearson = |a: &[f64; 24], b: &[f64; 24]| {
-        let ma = a.iter().sum::<f64>() / 24.0;
-        let mb = b.iter().sum::<f64>() / 24.0;
-        let cov: f64 = a.iter().zip(b).map(|(x, y)| (x - ma) * (y - mb)).sum();
-        let va: f64 = a.iter().map(|x| (x - ma).powi(2)).sum();
-        let vb: f64 = b.iter().map(|y| (y - mb).powi(2)).sum();
-        if va > 0.0 && vb > 0.0 {
-            cov / (va.sqrt() * vb.sqrt())
-        } else {
-            0.0
+        let mut row = vec![format!("{h:02}h")];
+        for dev in 0..3 {
+            row.push(format!("{:.0}", d.real[dev][h]));
+            row.push(format!("{:.0}", d.synth[dev][h]));
         }
-    };
-    t.push_row(vec![
-        "corr".into(),
-        String::new(),
-        format!("{:.3}", pearson(&real[0], &synth[0])),
-        String::new(),
-        format!("{:.3}", pearson(&real[1], &synth[1])),
-        String::new(),
-        format!("{:.3}", pearson(&real[2], &synth[2])),
-    ]);
+        t.push_row(row);
+    }
+    let mut row = vec!["corr".into()];
+    for corr in d.corr {
+        row.push(String::new());
+        row.push(format!("{corr:.3}"));
+    }
+    t.push_row(row);
     t
 }
 
@@ -779,8 +774,7 @@ pub fn all(lab: &Lab) -> Vec<Table> {
     out.push(table5(lab));
     out.push(table6(lab));
     out.push(table4(lab, Scenario::One));
-    out.push(fig7(lab, EventType::ServiceRequest));
-    out.push(fig7(lab, EventType::S1ConnRelease));
+    out.extend(fig7(lab));
     out.push(table7(lab));
     out.push(diurnal_fidelity(lab));
     out
@@ -808,15 +802,10 @@ mod tests {
     #[test]
     fn table1_shares_sum_to_one() {
         let lab = quick_lab();
-        let t = table1(&lab);
-        assert_eq!(t.rows.len(), 6);
-        for col in 1..=3 {
-            let sum: f64 = t
-                .rows
-                .iter()
-                .map(|r| r[col].trim_end_matches('%').parse::<f64>().unwrap())
-                .sum();
-            assert!((sum - 100.0).abs() < 0.5, "column {col}: {sum}");
+        assert_eq!(table1(&lab).rows.len(), 6);
+        for device in DeviceType::ALL {
+            let sum: f64 = breakdown_simple(lab.world(), device).iter().sum();
+            assert!((sum - 1.0).abs() < 1e-9, "{device}: {sum}");
         }
     }
 
@@ -830,35 +819,26 @@ mod tests {
     #[test]
     fn table4_shape_holds_ours_beats_base() {
         let lab = quick_lab();
-        let t = table4(&lab, Scenario::One);
-        assert_eq!(t.rows.len(), 8);
-        let parse = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
-        // Column layout: Event, then per device [Real, Base, B1, B2, Ours].
+        assert_eq!(table4(&lab, Scenario::One).rows.len(), 8);
+        let real = lab.real(Scenario::One);
+        let synth = |m: Method, d: DeviceType| lab.synth(m, Scenario::One).device(d);
         // (1) The two-level methods never misplace HO in IDLE; the EMM–ECM
         // baselines do (the paper's central qualitative claim).
-        let ho_idle = &t.rows[BreakdownRow::HoIdle.index()];
         let mut base_leaks = false;
-        for (di, _) in DeviceType::ALL.iter().enumerate() {
-            let col0 = 1 + di * 5;
-            assert_eq!(
-                parse(&ho_idle[col0 + 4]).abs(),
-                0.0,
-                "Ours HO(IDLE) device {di}"
-            );
-            base_leaks |= parse(&ho_idle[col0 + 1]) > 0.0;
+        for device in DeviceType::ALL {
+            let ours = synth(Method::Ours, device).share(BreakdownRow::HoIdle);
+            assert_eq!(ours, 0.0, "Ours HO(IDLE) {device}");
+            base_leaks |= synth(Method::Base, device).share(BreakdownRow::HoIdle) > 0.0;
         }
         assert!(base_leaks, "no device shows the baseline HO(IDLE) leak");
         // (2) For connected cars (mobility-heavy) the total absolute error
         // of Ours is below Base's.
-        let car0 = 1 + 5;
-        let sum_abs = |method_off: usize| -> f64 {
-            t.rows
-                .iter()
-                .map(|r| parse(&r[car0 + method_off]).abs())
-                .sum()
+        let car = DeviceType::ConnectedCar;
+        let total_error = |m: Method| -> f64 {
+            let rows = real.device(car).shares.iter().zip(synth(m, car).shares);
+            rows.map(|(r, s)| (s - r).abs()).sum()
         };
-        let base = sum_abs(1);
-        let ours = sum_abs(4);
+        let (base, ours) = (total_error(Method::Base), total_error(Method::Ours));
         assert!(ours < base, "cars: Ours total error {ours} ≥ Base {base}");
     }
 

@@ -4,8 +4,10 @@
 //! artifacts — the 7-day "real" world trace, four fitted model sets (Base,
 //! B1, B2, Ours), two validation-scenario real traces, and synthesized
 //! traces per (method, scenario). [`Lab`] memoizes each behind a
-//! `OnceLock` so the full table battery shares work.
+//! `OnceLock` so the full table battery shares work; of a validation trace
+//! it keeps only the [`Profile`] every comparison reads.
 
+use crate::profile::Profile;
 use crate::report::Table;
 use cn_fit::cluster::ClusteringParams;
 use cn_fit::{fit, FitConfig, Method, ModelSet};
@@ -122,9 +124,9 @@ pub struct Lab {
     /// The configuration this lab runs at.
     pub cfg: ExperimentConfig,
     world: OnceLock<Trace>,
-    real: [OnceLock<Trace>; 2],
+    real: [OnceLock<Profile>; 2],
     models: [OnceLock<ModelSet>; 4],
-    synth: [[OnceLock<Trace>; 2]; 4],
+    synth: [[OnceLock<Profile>; 2]; 4],
 }
 
 impl Lab {
@@ -151,21 +153,27 @@ impl Lab {
         })
     }
 
+    /// The profile of a validation scenario's real busy hour (see
+    /// [`Lab::real_trace`]).
+    pub(crate) fn real(&self, scenario: Scenario) -> &Profile {
+        self.real[scenario.index()].get_or_init(|| {
+            Profile::of(&self.real_trace(scenario), self.cfg.scenario_mix(scenario))
+        })
+    }
+
     /// The real busy-hour trace of a validation scenario: an independently
     /// seeded world of the scenario population, windowed to
     /// `[busy_hour, busy_hour+1)` — the paper samples fresh UEs of the
     /// corresponding size from the same carrier.
-    pub(crate) fn real(&self, scenario: Scenario) -> &Trace {
-        self.real[scenario.index()].get_or_init(|| {
-            let mix = self.cfg.scenario_mix(scenario);
-            let horizon_days = f64::from(self.cfg.busy_hour + 1) / 24.0;
-            let seed = self.cfg.seed ^ (0xBEEF + scenario.index() as u64);
-            let full = generate_world(&WorldConfig::new(mix, horizon_days, seed));
-            full.window(
-                Timestamp::at_hour(0, self.cfg.busy_hour),
-                Timestamp::at_hour(0, self.cfg.busy_hour + 1),
-            )
-        })
+    fn real_trace(&self, scenario: Scenario) -> Trace {
+        let mix = self.cfg.scenario_mix(scenario);
+        let horizon_days = f64::from(self.cfg.busy_hour + 1) / 24.0;
+        let seed = self.cfg.seed ^ (0xBEEF + scenario.index() as u64);
+        let full = generate_world(&WorldConfig::new(mix, horizon_days, seed));
+        full.window(
+            Timestamp::at_hour(0, self.cfg.busy_hour),
+            Timestamp::at_hour(0, self.cfg.busy_hour + 1),
+        )
     }
 
     /// The fitted model set of a method.
@@ -182,21 +190,24 @@ impl Lab {
         })
     }
 
-    /// A synthesized busy-hour trace for (method, scenario).
-    pub(crate) fn synth(&self, method: Method, scenario: Scenario) -> &Trace {
+    /// The profile of the synthesized busy hour of (method, scenario).
+    pub(crate) fn synth(&self, method: Method, scenario: Scenario) -> &Profile {
         let midx = Method::ALL
             .iter()
             .position(|&m| m == method)
             .expect("known method");
         self.synth[midx][scenario.index()].get_or_init(|| {
-            let config = GenConfig::new(
-                self.cfg.scenario_mix(scenario),
-                Timestamp::at_hour(0, self.cfg.busy_hour),
-                1.0,
-                self.cfg.seed ^ ((0xC0DE + (midx as u64)) << 8) ^ scenario.index() as u64,
-            );
-            generate(self.models(method), &config)
+            let seed = self.cfg.seed ^ ((0xC0DE + (midx as u64)) << 8) ^ scenario.index() as u64;
+            self.synthesize(self.models(method), scenario, seed)
         })
+    }
+
+    /// The profile of a busy hour synthesized from `models` for the
+    /// population of `scenario`.
+    pub(crate) fn synthesize(&self, models: &ModelSet, scenario: Scenario, seed: u64) -> Profile {
+        let mix = self.cfg.scenario_mix(scenario);
+        let config = GenConfig::new(mix, Timestamp::at_hour(0, self.cfg.busy_hour), 1.0, seed);
+        Profile::of(&generate(models, &config), mix)
     }
 
     /// Synthesize a multi-day trace from an arbitrary model set (used for
@@ -250,7 +261,7 @@ mod tests {
     #[test]
     fn real_traces_are_busy_hour_windows() {
         let lab = Lab::new(ExperimentConfig::quick());
-        let r = lab.real(Scenario::One);
+        let r = lab.real_trace(Scenario::One);
         assert!(!r.is_empty());
         for rec in r.iter() {
             assert_eq!(rec.t.hour_of_day().get(), 18);
@@ -261,9 +272,9 @@ mod tests {
     fn synth_covers_population_devices() {
         let lab = Lab::new(ExperimentConfig::quick());
         let s = lab.synth(Method::Ours, Scenario::One);
-        assert!(!s.is_empty());
-        let devices: std::collections::HashSet<DeviceType> = s.iter().map(|r| r.device).collect();
-        assert_eq!(devices.len(), 3, "missing device types: {devices:?}");
+        for device in DeviceType::ALL {
+            assert!(s.device(device).shares != [0.0; 8], "no {device} events");
+        }
     }
 
     #[test]

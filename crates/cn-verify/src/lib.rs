@@ -41,16 +41,18 @@
 //! | Fig. 4 (real vs fitted-Poisson CDFs) | [`experiments::fig4`] |
 //! | Table 2 (4G↔5G mapping) | [`experiments::table2`] |
 //! | Table 3 (method matrix) | [`experiments::table3`] |
-//! | Table 4 / Table 11 (breakdown differences, Scenario 2 / 1) | [`experiments::table4`] |
-//! | Table 5 (max y-distance, per-UE counts & sojourns) | [`experiments::table5`] |
-//! | Table 6 (inactive/active split) | [`experiments::table6`] |
+//! | Table 4 / Table 11 (breakdown differences, Scenario 2 / 1) | [`experiments::table4`] over [`profile`] |
+//! | Table 5 (max y-distance, per-UE counts & sojourns) | [`experiments::table5`] over [`profile`] |
+//! | Table 6 (inactive/active split) | [`experiments::table6`] over [`profile`] |
 //! | Table 7 (projected 5G breakdowns) | [`experiments::table7`] |
 //! | Tables 8/9 (distribution-test pass rates, no/with clustering) | [`experiments::table8or9`] |
 //! | Table 10 (second-level transition pass rates) | [`experiments::table10`] |
-//! | Fig. 7 (per-UE count CDFs) | [`experiments::fig7`] |
+//! | Fig. 7 (per-UE count CDFs) | [`experiments::fig7`] over [`profile`] |
 //!
-//! The [`Lab`] memoizes the expensive artifacts (world traces, fitted
-//! models, synthesized traces) so the full battery shares work. Beyond the
+//! The [`Lab`] memoizes the expensive artifacts (the world trace, fitted
+//! models, and the [`profile::Profile`] of every validation trace, real and
+//! synthesized) so the full battery shares work and measures each trace
+//! once. Beyond the
 //! paper's own artifacts, [`ablation`] quantifies the design choices the
 //! implementation surfaced (clustering threshold, competing-risks
 //! censoring, persona consistency), and [`verdicts()`] turns each
@@ -61,14 +63,13 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod breakdown;
 pub mod experiments;
 pub mod generalize;
 pub mod golden;
 pub mod lab;
 pub mod mcn;
-pub mod microscopic;
 mod model;
+pub mod profile;
 mod report;
 mod roundtrip;
 mod scenario;

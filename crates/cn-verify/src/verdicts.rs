@@ -6,13 +6,13 @@
 //! any change to the world, the fit, or the generator. Each verdict is a
 //! single inequality with the measured values shown.
 
-use crate::breakdown::{breakdown, BreakdownRow};
 use crate::lab::{Lab, Scenario};
-use crate::microscopic::{events_per_ue, max_y_distance, state_sojourns};
+use crate::profile::{breakdown_simple, BreakdownRow, Profile};
 use crate::report::Table;
 use crate::testsuite::{poisson_ks_overall, run_suite};
 use crate::verdict::VerdictReport;
 use cn_fit::Method;
+use cn_stats::two_sample_distance;
 use cn_stats::variance_time::{bin_counts, poisson_reference, variance_time_plot};
 use cn_trace::{DeviceType, EventType};
 
@@ -27,7 +27,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
         let world = lab.world();
         let shares: Vec<[f64; 6]> = DeviceType::ALL
             .iter()
-            .map(|&d| crate::breakdown::breakdown_simple(world, d))
+            .map(|&d| breakdown_simple(world, d))
             .collect();
         let srv = EventType::ServiceRequest.code() as usize;
         let rel = EventType::S1ConnRelease.code() as usize;
@@ -100,23 +100,22 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
         );
     }
 
+    // Tables 4/5 and Fig. 7 all compare Scenario 2.
+    let real = lab.real(Scenario::Two);
+    let ours = lab.synth(Method::Ours, Scenario::Two);
+    let base = lab.synth(Method::Base, Scenario::Two);
+    let phone = DeviceType::Phone;
+
     // 4. Table 4 core: two-level methods never misplace HO; baselines do;
     //    Ours total error beats Base for every device.
     {
-        let real: Vec<_> = DeviceType::ALL
-            .iter()
-            .map(|&d| breakdown(lab.real(Scenario::Two), d))
-            .collect();
-        let ours: Vec<_> = DeviceType::ALL
-            .iter()
-            .map(|&d| breakdown(lab.synth(Method::Ours, Scenario::Two), d))
-            .collect();
-        let base: Vec<_> = DeviceType::ALL
-            .iter()
-            .map(|&d| breakdown(lab.synth(Method::Base, Scenario::Two), d))
-            .collect();
-        let ours_leak: f64 = ours.iter().map(|b| b.share(BreakdownRow::HoIdle)).sum();
-        let base_leak: f64 = base.iter().map(|b| b.share(BreakdownRow::HoIdle)).sum();
+        let leak = |p: &Profile| -> f64 {
+            DeviceType::ALL
+                .iter()
+                .map(|&d| p.device(d).share(BreakdownRow::HoIdle))
+                .sum()
+        };
+        let (ours_leak, base_leak) = (leak(ours), leak(base));
         claims.check(
             "T4: Ours emits zero HO(IDLE); Base leaks it",
             format!(
@@ -126,34 +125,33 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
             ),
             ours_leak == 0.0 && base_leak > 0.0,
         );
-        let all_better = DeviceType::ALL
-            .iter()
-            .enumerate()
-            .all(|(i, _)| real[i].max_abs_diff(&ours[i]) < real[i].max_abs_diff(&base[i]));
+        let error = |p: &Profile| -> [f64; 3] {
+            DeviceType::ALL.map(|d| real.device(d).max_share_diff(p.device(d)))
+        };
+        let (e_ours, e_base) = (error(ours), error(base));
         claims.check(
             "T4: Ours max breakdown error < Base for every device",
             format!(
                 "Ours {:.1}/{:.1}/{:.1}% vs Base {:.1}/{:.1}/{:.1}%",
-                real[0].max_abs_diff(&ours[0]) * 100.0,
-                real[1].max_abs_diff(&ours[1]) * 100.0,
-                real[2].max_abs_diff(&ours[2]) * 100.0,
-                real[0].max_abs_diff(&base[0]) * 100.0,
-                real[1].max_abs_diff(&base[1]) * 100.0,
-                real[2].max_abs_diff(&base[2]) * 100.0
+                e_ours[0] * 100.0,
+                e_ours[1] * 100.0,
+                e_ours[2] * 100.0,
+                e_base[0] * 100.0,
+                e_base[1] * 100.0,
+                e_base[2] * 100.0
             ),
-            all_better,
+            (0..3).all(|i| e_ours[i] < e_base[i]),
         );
     }
 
     // 5. Table 5 core: Ours beats B2 on CONNECTED sojourn CDFs (phones).
     {
-        let real = lab.real(Scenario::Two);
-        let (conn_real, _) = state_sojourns(real, DeviceType::Phone);
-        let (conn_ours, _) =
-            state_sojourns(lab.synth(Method::Ours, Scenario::Two), DeviceType::Phone);
-        let (conn_b2, _) = state_sojourns(lab.synth(Method::B2, Scenario::Two), DeviceType::Phone);
-        let d_ours = max_y_distance(&conn_real, &conn_ours).unwrap_or(1.0);
-        let d_b2 = max_y_distance(&conn_real, &conn_b2).unwrap_or(1.0);
+        let b2 = lab.synth(Method::B2, Scenario::Two);
+        let distance = |p: &Profile| {
+            two_sample_distance(&real.device(phone).connected, &p.device(phone).connected)
+                .unwrap_or(1.0)
+        };
+        let (d_ours, d_b2) = (distance(ours), distance(b2));
         claims.check(
             "T5: Ours CONNECTED-sojourn distance ≪ B2 (phones, ≥3x)",
             format!("Ours {:.1}% vs B2 {:.1}%", d_ours * 100.0, d_b2 * 100.0),
@@ -163,27 +161,11 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
 
     // 6. Fig. 7 core: Ours per-UE count CDF tracks real better than Base.
     {
-        let mix = lab.cfg.scenario_mix(Scenario::Two);
-        let real = events_per_ue(
-            lab.real(Scenario::Two),
-            &mix,
-            DeviceType::Phone,
-            EventType::ServiceRequest,
-        );
-        let ours = events_per_ue(
-            lab.synth(Method::Ours, Scenario::Two),
-            &mix,
-            DeviceType::Phone,
-            EventType::ServiceRequest,
-        );
-        let base = events_per_ue(
-            lab.synth(Method::Base, Scenario::Two),
-            &mix,
-            DeviceType::Phone,
-            EventType::ServiceRequest,
-        );
-        let d_ours = max_y_distance(&real, &ours).unwrap_or(1.0);
-        let d_base = max_y_distance(&real, &base).unwrap_or(1.0);
+        let distance = |p: &Profile| {
+            two_sample_distance(&real.device(phone).srv_req, &p.device(phone).srv_req)
+                .unwrap_or(1.0)
+        };
+        let (d_ours, d_base) = (distance(ours), distance(base));
         claims.check(
             "F7: Ours per-UE SRV_REQ count CDF beats Base (phones)",
             format!("Ours {:.1}% vs Base {:.1}%", d_ours * 100.0, d_base * 100.0),
@@ -198,7 +180,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
         let lte_day = lab.synth_days(base, 1.0, lab.cfg.seed ^ 0x77a);
         let nsa_day = lab.synth_days(&nsa, 1.0, lab.cfg.seed ^ 0x77b);
         let share = |t: &cn_trace::Trace| {
-            let s = crate::breakdown::breakdown_simple(t, DeviceType::Phone);
+            let s = breakdown_simple(t, DeviceType::Phone);
             s[EventType::Handover.code() as usize]
         };
         let lte_ho = share(&lte_day);
@@ -236,19 +218,4 @@ pub fn verdicts(lab: &Lab) -> (Table, bool) {
         },
     ]);
     (t, all_pass)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lab::ExperimentConfig;
-
-    #[test]
-    fn all_verdicts_pass_at_quick_scale() {
-        let lab = Lab::new(ExperimentConfig::quick());
-        let (table, all_pass) = verdicts(&lab);
-        assert!(all_pass, "\n{table}");
-        // One row per claim plus the overall row.
-        assert!(table.rows.len() >= 8);
-    }
 }

@@ -1,8 +1,7 @@
 //! Property-based tests for the evaluation metrics.
 
 use cn_trace::{DeviceType, EventType, PopulationMix, Timestamp, Trace, TraceRecord, UeId};
-use cn_verify::breakdown::{breakdown, breakdown_simple, BreakdownRow};
-use cn_verify::microscopic::{device_range, events_per_ue, split_active};
+use cn_verify::profile::{breakdown_simple, BreakdownRow, Profile};
 use proptest::prelude::*;
 
 fn arb_trace(max_ue: u32) -> impl Strategy<Value = Trace> {
@@ -37,10 +36,11 @@ proptest! {
     /// and every share is a valid probability.
     #[test]
     fn breakdown_shares_are_a_distribution(trace in arb_trace(48)) {
+        let profile = Profile::of(&trace, PopulationMix::new(16, 16, 16));
         for device in DeviceType::ALL {
-            let b = breakdown(&trace, device);
+            let b = profile.device(device);
             let sum: f64 = b.shares.iter().sum();
-            if b.total == 0 {
+            if !trace.iter().any(|r| r.device == device) {
                 prop_assert_eq!(sum, 0.0);
             } else {
                 prop_assert!((sum - 1.0).abs() < 1e-9, "sum {}", sum);
@@ -55,10 +55,11 @@ proptest! {
     /// HO(CONN)+HO(IDLE) gives the HO share, TAU likewise.
     #[test]
     fn context_split_sums_to_simple(trace in arb_trace(48)) {
+        let profile = Profile::of(&trace, PopulationMix::new(16, 16, 16));
         for device in DeviceType::ALL {
-            let b = breakdown(&trace, device);
+            let b = profile.device(device);
             let s = breakdown_simple(&trace.filter_device(device), device);
-            if b.total > 0 {
+            if trace.iter().any(|r| r.device == device) {
                 let ho = b.share(BreakdownRow::HoConn) + b.share(BreakdownRow::HoIdle);
                 prop_assert!((ho - s[EventType::Handover.code() as usize]).abs() < 1e-9);
                 let tau = b.share(BreakdownRow::TauConn) + b.share(BreakdownRow::TauIdle);
@@ -67,35 +68,26 @@ proptest! {
         }
     }
 
-    /// Per-UE count vectors cover the whole device population and total to
-    /// the device's event count.
+    /// Per-UE count samples cover the whole device population, whatever
+    /// ids its UEs carry (here every third id is a phone), and total to the
+    /// device's event count.
     #[test]
-    fn events_per_ue_accounts_for_everything(trace in arb_trace(30)) {
-        let mix = PopulationMix::new(10, 10, 10);
+    fn per_ue_counts_account_for_everything(trace in arb_trace(30)) {
+        let profile = Profile::of(&trace, PopulationMix::new(10, 10, 10));
         for device in DeviceType::ALL {
-            let range = device_range(&mix, device);
-            for event in EventType::ALL {
-                let counts = events_per_ue(&trace, &mix, device, event);
-                prop_assert_eq!(counts.len(), range.len());
+            let p = profile.device(device);
+            for (event, counts) in [
+                (EventType::ServiceRequest, &p.srv_req),
+                (EventType::S1ConnRelease, &p.s1_conn_rel),
+            ] {
+                prop_assert_eq!(counts.len(), 10);
                 let total: f64 = counts.iter().sum();
                 let expected = trace
                     .iter()
-                    .filter(|r| r.event == event && range.contains(&r.ue.get()))
+                    .filter(|r| r.event == event && r.device == device)
                     .count() as f64;
                 prop_assert_eq!(total, expected);
             }
         }
-    }
-
-    /// The activity split is a partition at any threshold.
-    #[test]
-    fn split_active_partitions(
-        counts in prop::collection::vec(0.0f64..50.0, 0..100),
-        threshold in 0.0f64..10.0,
-    ) {
-        let (inactive, active) = split_active(&counts, threshold);
-        prop_assert_eq!(inactive.len() + active.len(), counts.len());
-        prop_assert!(inactive.iter().all(|&c| c <= threshold));
-        prop_assert!(active.iter().all(|&c| c > threshold));
     }
 }

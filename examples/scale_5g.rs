@@ -9,7 +9,7 @@
 
 use cellular_cp_traffgen::fit_crate::fiveg::FiveGMode;
 use cellular_cp_traffgen::prelude::*;
-use cn_verify::breakdown::breakdown_simple;
+use cn_verify::profile::breakdown_simple;
 
 fn main() {
     let mix = PopulationMix::new(180, 70, 35);

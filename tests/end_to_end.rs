@@ -3,7 +3,7 @@
 
 use cellular_cp_traffgen::prelude::*;
 use cellular_cp_traffgen::statemachine::replay_ue;
-use cn_verify::breakdown::{breakdown, BreakdownRow};
+use cn_verify::profile::{BreakdownRow, Profile};
 
 fn world() -> Trace {
     generate_world(&WorldConfig::new(PopulationMix::new(80, 35, 20), 2.0, 404))
@@ -68,8 +68,9 @@ fn method_ordering_on_ho_placement() {
     let config = GenConfig::new(mix, Timestamp::at_hour(0, 18), 2.0, 3);
     for method in Method::ALL {
         let synth = generate(&fit(&world, &FitConfig::new(method)), &config);
-        let b = breakdown(&synth, DeviceType::ConnectedCar);
-        let ho_idle = b.share(BreakdownRow::HoIdle);
+        let ho_idle = Profile::of(&synth, mix)
+            .device(DeviceType::ConnectedCar)
+            .share(BreakdownRow::HoIdle);
         match method {
             Method::B2 | Method::Ours => {
                 assert_eq!(ho_idle, 0.0, "{method}: HO leaked into IDLE")

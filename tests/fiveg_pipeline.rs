@@ -3,7 +3,7 @@
 
 use cellular_cp_traffgen::fit_crate::fiveg::FiveGMode;
 use cellular_cp_traffgen::prelude::*;
-use cn_verify::breakdown::breakdown_simple;
+use cn_verify::profile::breakdown_simple;
 
 fn lte_models() -> (ModelSet, PopulationMix) {
     let mix = PopulationMix::new(70, 40, 18);

@@ -9,4 +9,7 @@ fn all_paper_shape_claims_hold() {
     let lab = Lab::new(ExperimentConfig::quick());
     let (table, all_pass) = verdicts(&lab);
     assert!(all_pass, "\n{table}");
+    // Nine claims plus the OVERALL row, below the title, header and rule.
+    let rows = table.render().lines().count() - 3;
+    assert_eq!(rows, 10, "\n{table}");
 }

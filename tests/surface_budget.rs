@@ -20,7 +20,7 @@ const BUDGETS: [(&str, usize); 11] = [
     ("cn-statemachine", 59),
     ("cn-stats", 93),
     ("cn-trace", 122),
-    ("cn-verify", 126),
+    ("cn-verify", 125),
     ("cn-world", 15),
 ];
 
