@@ -7,7 +7,7 @@ use crate::model::{ClusterHourModel, DeviceModels, HourModels, ModelSet};
 use crate::semi_markov::{fit_sojourn, SemiMarkovModel, TransitionLike};
 use crate::sojourn::{self, Cell, BOTTOM, BOTTOM_STATES, COLUMNS, FIRSTS, HO_GAPS, TAU_GAPS, TOP};
 use cn_statemachine::{BottomTransition, TopTransition};
-use cn_trace::{DeviceType, EventType, Trace, MS_PER_DAY};
+use cn_trace::{radix_sort, DeviceType, EventType, Trace, MS_PER_DAY};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::mem::take;
@@ -119,15 +119,17 @@ fn on_workers<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
 fn observe_all(trace: &Trace, machine: StateMachineKind, threads: usize) -> Vec<Vec<Cell>> {
     let records = trace.records();
     assert!(u32::try_from(records.len()).is_ok(), "over 2^32 records");
-    // Group by UE through an index, not a copy: the packed keys are unique,
-    // so the unstable sort is deterministic, and each UE's records keep
-    // trace order, which is time order.
+    // Group by UE through an index, not a copy: the keys ascend by index,
+    // so a stable radix on their UE bits keeps each UE's records in trace
+    // order, which is time order.
     let mut keys: Vec<u64> = records
         .iter()
         .enumerate()
         .map(|(i, r)| u64::from(r.ue.0) << 32 | i as u64)
         .collect();
-    keys.sort_unstable();
+    let top = records.iter().map(|r| r.ue.0).max().unwrap_or(0);
+    let ue_bits = 32..64 - top.leading_zeros();
+    radix_sort(&mut keys, &mut Vec::new(), ue_bits, |&k| k);
     let record = |key: u64| records[key as u32 as usize];
     // Each UE's keys, device (of its first record) and rank in that device.
     let mut ranks = [0; 3];

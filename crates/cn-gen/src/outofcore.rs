@@ -45,8 +45,8 @@
 //!
 //! Record order is a strict total order and every UE lives in exactly one
 //! chunk, so cross-run key comparisons never tie (see
-//! [`TraceRecord::merge_key`](cn_trace::TraceRecord::merge_key)); runs
-//! that do share a key keep run order, as the sort is stable. The
+//! `TraceRecord::merge_key`); runs that do share a key keep run order, as
+//! the sort is stable. The
 //! merged byte stream is *the* unique sorted trace, which any key bound
 //! splits into a prefix and a suffix, identical to
 //! [`cn_trace::io::to_binary`] of [`crate::generate`]'s output for the
@@ -1174,7 +1174,7 @@ mod tests {
         // A UE lives in one chunk, so generated runs never share a key.
         // Three hand-built runs share every one of theirs, each twice
         // over; the device byte, no part of the key, tells a record's run.
-        // The stable order is the generic `Trace::merge` rule: run 0's
+        // The stable order is the generic merge rule: run 0's
         // records of a key, then run 1's, then run 2's.
         use cn_trace::{DeviceType, EventType, TraceRecord, UeId};
         let devices = [

@@ -56,7 +56,7 @@ use crate::per_ue::UeState;
 use crate::shard::{panic_payload, WorkerOutcome};
 use cn_fit::ModelSet;
 use cn_obs::{Counter, TraceSink};
-use cn_trace::{EventType, RecordSource, StreamError, Timestamp, TraceRecord, UeId};
+use cn_trace::{radix_sort, EventType, RecordSource, StreamError, Timestamp, TraceRecord, UeId};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -80,16 +80,13 @@ pub(crate) const SLAB_TARGET_EVENTS: usize = 1 << 17;
 /// claiming is rare next to generating, small enough that a slab has
 /// dozens of chunks to balance across threads.
 pub(crate) const CHUNK_SLOTS: usize = 256;
-/// Widest slab (~17 min): [`RADIX_PASSES_MAX`] passes always cover it, and
-/// a sparse pool, whose width would otherwise stretch over several model
-/// hours, is not caught wide when the hourly rate jumps (a slab overshoots
-/// its target by the rate's jump from one slab to the next).
-const MAX_WIDTH_MS: u64 = 1 << (RADIX_BITS * RADIX_PASSES_MAX);
+/// Widest slab (~17 min): two radix passes always cover it, and a sparse
+/// pool, whose width would otherwise stretch over several model hours, is
+/// not caught wide when the hourly rate jumps (a slab overshoots its target
+/// by the rate's jump from one slab to the next).
+const MAX_WIDTH_MS: u64 = 1 << 20;
 /// Width of the first slab; it doubles per fill until the target binds.
 const FIRST_WIDTH_MS: u64 = 1 << 10;
-/// Time bits one radix pass sorts on (a 1024-entry, 4 KiB histogram).
-const RADIX_BITS: u32 = 10;
-const RADIX_PASSES_MAX: u32 = 2;
 /// Pending time of a slot whose UE has run dry.
 const DRY: u64 = u64::MAX;
 /// Polls of the filled count before the caller blocks on the last chunk:
@@ -468,41 +465,16 @@ impl<G> Slab<G> {
             self.keys.extend_from_slice(spare);
             spare.clear();
         }
-        let span_bits = u64::BITS - (width - 1).leading_zeros();
-        sort_by_time(&mut self.keys, &mut self.scratch, start, span_bits);
+        // Slot-ordered ascending runs in, `(t_rel, slot)` order out: a
+        // stable radix on the time bits alone.
+        let time_bits = TIME_SHIFT..TIME_SHIFT + u64::BITS - (width - 1).leading_zeros();
+        let relative = |&key: &u64| key - (start << TIME_SHIFT);
+        radix_sort(&mut self.keys, &mut self.scratch, time_bits, relative);
         debug_assert!(
             self.keys.windows(2).all(|w| w[0] < w[1]),
             "slab keys out of (t, slot) order"
         );
         Ok(())
-    }
-}
-
-/// Stable LSD radix sort of `keys` on the low `span_bits` bits of
-/// `t_rel - origin` — the time bits only. Slot-ordered ascending runs in,
-/// `(t_rel, slot)` order out.
-fn sort_by_time(keys: &mut Vec<u64>, scratch: &mut Vec<u64>, origin: u64, span_bits: u32) {
-    debug_assert!(span_bits <= RADIX_BITS * RADIX_PASSES_MAX);
-    scratch.resize(keys.len(), 0);
-    let origin = origin << TIME_SHIFT;
-    let mut shift = TIME_SHIFT;
-    while shift < TIME_SHIFT + span_bits {
-        let digit = |key: u64| ((key - origin) >> shift) as usize & ((1 << RADIX_BITS) - 1);
-        let mut offsets = [0u32; 1 << RADIX_BITS];
-        for &key in keys.iter() {
-            offsets[digit(key)] += 1;
-        }
-        let mut sum = 0;
-        for offset in &mut offsets {
-            sum += std::mem::replace(offset, sum);
-        }
-        for &key in keys.iter() {
-            let at = &mut offsets[digit(key)];
-            scratch[*at as usize] = key;
-            *at += 1;
-        }
-        std::mem::swap(keys, scratch);
-        shift += RADIX_BITS;
     }
 }
 
@@ -985,7 +957,7 @@ mod tests {
         fn time_only_radix_equals_the_full_key_sort(
             runs in arb_runs(),
             origin in 0u64..5_000,
-            span_bits in 0u32..=RADIX_BITS * RADIX_PASSES_MAX,
+            span_bits in 0u32..=MAX_WIDTH_MS.ilog2(),
         ) {
             // Fold every run into the window `[origin, origin + 2^span_bits)`,
             // keeping it ascending (not strictly: the sort never needs it).
@@ -999,7 +971,8 @@ mod tests {
             }
             let mut expected = keys.clone();
             expected.sort_unstable();
-            sort_by_time(&mut keys, &mut Vec::new(), origin, span_bits);
+            let time_bits = TIME_SHIFT..TIME_SHIFT + span_bits;
+            radix_sort(&mut keys, &mut Vec::new(), time_bits, |&k| k - (origin << TIME_SHIFT));
             prop_assert_eq!(keys, expected);
         }
 

@@ -4,12 +4,12 @@
 //! workspace: the six LTE control-plane event types of Table 1 of the paper
 //! (*Modeling and Generating Control-Plane Traffic for Cellular Networks*,
 //! IMC '23), device types, millisecond timestamps, the [`TraceRecord`]
-//! event record, the sorted [`Trace`] container with merging and
-//! hour/device partitioning, trace serialization (CSV, JSONL, and a
-//! compact binary format), and the ordered-record dataplane every later
-//! layer pulls: the stream contract (`source`), the one record order
-//! (`TraceRecord::merge_key`, the key every merge stably sorts by) and
-//! the one 14-byte record codec ([`io`]).
+//! event record, the sorted [`Trace`] container with hour/device
+//! partitioning and the stable [`radix_sort`], trace serialization (CSV,
+//! JSONL, and a compact binary format), and the ordered-record dataplane
+//! every later layer pulls: the stream contract (`source`), the one record
+//! order (`TraceRecord::merge_key`, the key every merge stably sorts by)
+//! and the one 14-byte record codec ([`io`]).
 //!
 //! Design notes
 //! ------------
@@ -43,5 +43,5 @@ pub use record::{TraceRecord, UeId};
 pub use source::{IterSource, RecordSource, StreamError};
 pub use summary::TraceSummary;
 pub use time::{HourOfDay, Timestamp, MS_PER_DAY, MS_PER_HOUR, MS_PER_SEC};
-pub use trace::{PerUeView, Trace};
+pub use trace::{radix_sort, PerUeView, Trace};
 pub use validate::{check_well_formed, WellFormedError};

@@ -62,8 +62,8 @@ impl TraceRecord {
     /// Plain integer order on these keys is exactly the record [`Ord`]
     /// (`(t, ue, event)`), so a stable sort by this key merges arbitrary
     /// sorted runs laid back to back, not only runs whose `(t, ue)` pairs
-    /// are unique ([`crate::Trace::merge`]).
-    #[inline]
+    /// are unique. `io::record_key_at` reads it from bytes, tested equal.
+    #[cfg(test)]
     pub(crate) fn merge_key(&self) -> u128 {
         (u128::from(self.t.as_millis()) << 40)
             | (u128::from(self.ue.get()) << 8)

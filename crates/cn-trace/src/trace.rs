@@ -1,15 +1,66 @@
-//! The sorted trace container and its partitioning/merging operations.
+//! The sorted trace container, its partitioning operations, and the one
+//! stable radix sort behind every grouping and merge.
 //!
 //! Traces are flat vectors of [`TraceRecord`]s sorted by time. The modeling
 //! pipeline repeatedly needs per-UE views (to replay state machines),
 //! per-hour-of-day slices (models are per 1-hour interval, pooled across
-//! days, §4.1.1), per-device slices, and a merge of independently
-//! generated per-UE streams into one population trace — one stable sort
-//! over the streams laid back to back, not a merge tree.
+//! days, §4.1.1) and per-device slices. [`radix_sort`] regroups records
+//! by UE, and merges runs laid back to back by time, in linear time.
 
 use crate::device::DeviceType;
 use crate::record::{TraceRecord, UeId};
 use crate::time::Timestamp;
+use std::mem::{replace, swap};
+use std::ops::Range;
+
+/// Widest radix digit: one pass groups up to 2 048 UEs.
+const DIGIT_BITS: u32 = 11;
+
+/// Stable LSD radix sort of `items` by bits `bits` of `key(item)`, in equal
+/// digits of at most 11 bits; `scratch` is reused across calls. Items whose
+/// keys agree on those bits keep their order, so runs already ordered by
+/// the other bits come out ordered by both.
+///
+/// # Panics
+/// Panics if `bits` reaches past bit 63.
+pub fn radix_sort<T: Copy>(
+    items: &mut [T],
+    scratch: &mut Vec<T>,
+    bits: Range<u32>,
+    key: impl Fn(&T) -> u64,
+) {
+    assert!(bits.end <= u64::BITS, "bits {bits:?} past a u64 key");
+    let width = bits.end.saturating_sub(bits.start);
+    let Some(&first) = items.first().filter(|_| width > 0) else {
+        return;
+    };
+    let passes = width.div_ceil(DIGIT_BITS);
+    let digit_bits = width.div_ceil(passes);
+    let field = |item: &T| (key(item) >> bits.start) & (u64::MAX >> (u64::BITS - width));
+    // Passes alternate between `items` and `scratch`; an odd count starts
+    // from a copy in `scratch`, so the last pass lands in `items`.
+    let (mut from, mut to) = if passes % 2 == 1 {
+        scratch.clear();
+        scratch.extend_from_slice(items);
+        (&mut scratch[..], items)
+    } else {
+        scratch.resize(items.len(), first);
+        (items, &mut scratch[..])
+    };
+    for pass in 0..passes {
+        let digit =
+            |item: &T| (field(item) >> (pass * digit_bits)) as usize & ((1 << digit_bits) - 1);
+        let mut offsets = [0; 1 << DIGIT_BITS];
+        from.iter().for_each(|item| offsets[digit(item)] += 1);
+        offsets.iter_mut().fold(0, |n, o| n + replace(o, n));
+        for item in from.iter() {
+            let at = &mut offsets[digit(item)];
+            to[*at] = *item;
+            *at += 1;
+        }
+        swap(&mut from, &mut to);
+    }
+}
 
 /// A time-sorted sequence of control-plane events.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -113,45 +164,22 @@ impl Trace {
     /// Group records by UE, preserving time order within each UE.
     pub fn per_ue(&self) -> PerUeView {
         let mut by_ue: Vec<TraceRecord> = self.records.clone();
-        // Stable sort by UE keeps the existing time order within each UE.
-        by_ue.sort_by_key(|r| r.ue);
-        let mut spans: Vec<(UeId, std::ops::Range<usize>)> = Vec::new();
-        let mut i = 0;
-        while i < by_ue.len() {
-            let ue = by_ue[i].ue;
-            let start = i;
-            while i < by_ue.len() && by_ue[i].ue == ue {
-                i += 1;
-            }
-            spans.push((ue, start..i));
-        }
+        // A stable sort by UE keeps the existing time order within each UE.
+        let top = self.records.iter().map(|r| r.ue.0).max().unwrap_or(0);
+        let ue_bits = 0..32 - top.leading_zeros();
+        radix_sort(&mut by_ue, &mut Vec::new(), ue_bits, |r| r.ue.0.into());
+        let mut start = 0;
+        let spans = by_ue
+            .chunk_by(|a, b| a.ue == b.ue)
+            .map(|group| {
+                start += group.len();
+                (group[0].ue, start - group.len()..start)
+            })
+            .collect();
         PerUeView {
             records: by_ue,
             spans,
         }
-    }
-
-    /// Merge any number of sorted traces into one sorted trace.
-    ///
-    /// Used to combine independently generated per-UE event streams into the
-    /// population-level trace (§7). The inputs are laid back to back in
-    /// input order and stably sorted by `TraceRecord::merge_key`, so
-    /// records that tie keep the earlier input first: the merge is
-    /// deterministic.
-    pub fn merge(traces: Vec<Trace>) -> Trace {
-        for t in &traces {
-            debug_assert!(
-                t.records.windows(2).all(|w| w[0] <= w[1]),
-                "Trace::merge input must be sorted"
-            );
-        }
-        let mut records = traces
-            .into_iter()
-            .map(Trace::into_records)
-            .collect::<Vec<_>>()
-            .concat();
-        records.sort_by_key(TraceRecord::merge_key);
-        Trace { records }
     }
 
     /// Consume the trace, returning the sorted record vector.
@@ -279,40 +307,16 @@ mod tests {
         assert!(view.get(UeId(9)).is_none());
     }
 
-    #[test]
-    fn merge_interleaves() {
-        let a = Trace::from_records(vec![
-            rec(10, 0, EventType::Attach),
-            rec(30, 0, EventType::Tau),
-        ]);
-        let b = Trace::from_records(vec![
-            rec(20, 1, EventType::Attach),
-            rec(40, 1, EventType::Tau),
-        ]);
-        let m = Trace::merge(vec![a, b]);
-        let times: Vec<u64> = m.iter().map(|r| r.t.as_millis()).collect();
-        assert_eq!(times, vec![10, 20, 30, 40]);
+    /// Runs laid back to back in UE order, each strictly increasing in
+    /// time, radix-sorted on time alone.
+    fn merge_by_time(runs: &[Trace]) -> Vec<TraceRecord> {
+        let mut records: Vec<TraceRecord> = runs.iter().flatten().copied().collect();
+        radix_sort(&mut records, &mut Vec::new(), 0..64, |r| r.t.as_millis());
+        records
     }
 
     #[test]
-    fn merge_of_nothing_is_empty() {
-        assert!(Trace::merge(vec![]).is_empty());
-        assert!(Trace::merge(vec![Trace::new(), Trace::new()]).is_empty());
-    }
-
-    #[test]
-    fn merge_of_one_is_identity() {
-        let a = Trace::from_records(vec![
-            rec(10, 0, EventType::Attach),
-            rec(30, 0, EventType::Tau),
-        ]);
-        assert_eq!(Trace::merge(vec![a.clone()]), a);
-        // Empty companions don't disturb the single-input fast path.
-        assert_eq!(Trace::merge(vec![Trace::new(), a.clone(), Trace::new()]), a);
-    }
-
-    #[test]
-    fn merge_handles_ties_and_tails() {
+    fn radix_merge_interleaves_ties_and_tails() {
         let a = Trace::from_records(vec![
             rec(10, 0, EventType::Attach),
             rec(20, 0, EventType::Tau),
@@ -321,16 +325,29 @@ mod tests {
         let b = Trace::from_records(vec![
             rec(10, 1, EventType::Attach),
             rec(20, 1, EventType::Tau),
+            rec(40, 1, EventType::Tau),
         ]);
-        let m = Trace::merge(vec![a.clone(), b.clone()]);
-        assert_eq!(m.len(), 5);
+        let merged = merge_by_time(&[a.clone(), b.clone()]);
+        let times: Vec<u64> = merged.iter().map(|r| r.t.as_millis()).collect();
+        assert_eq!(times, vec![10, 10, 20, 20, 40, 90]);
         let mut expect: Vec<TraceRecord> = a.iter().chain(b.iter()).copied().collect();
         expect.sort_unstable();
-        assert_eq!(m.records(), expect.as_slice());
+        assert_eq!(merged, expect);
     }
 
     #[test]
-    fn many_way_merge_equals_global_sort() {
+    fn radix_sort_without_items_or_bits_is_the_identity() {
+        let mut none: Vec<TraceRecord> = Vec::new();
+        radix_sort(&mut none, &mut Vec::new(), 0..64, |r| r.t.as_millis());
+        assert!(none.is_empty());
+        let mut records = vec![rec(30, 0, EventType::Tau), rec(10, 1, EventType::Tau)];
+        let before = records.clone();
+        radix_sort(&mut records, &mut Vec::new(), 7..7, |r| r.t.as_millis());
+        assert_eq!(records, before);
+    }
+
+    #[test]
+    fn many_way_radix_merge_equals_global_sort() {
         // 7 runs (non-power-of-two) of interleaved times.
         let runs: Vec<Trace> = (0..7u32)
             .map(|i| {
@@ -341,10 +358,9 @@ mod tests {
                 )
             })
             .collect();
-        let merged = Trace::merge(runs.clone());
-        let mut expect: Vec<TraceRecord> = runs.iter().flat_map(|t| t.iter().copied()).collect();
+        let mut expect: Vec<TraceRecord> = runs.iter().flatten().copied().collect();
         expect.sort_unstable();
-        assert_eq!(merged.records(), expect.as_slice());
+        assert_eq!(merge_by_time(&runs), expect);
     }
 
     #[test]

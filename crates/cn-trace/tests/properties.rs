@@ -1,7 +1,7 @@
 //! Property-based tests for the trace substrate.
 
 use cn_trace::io;
-use cn_trace::{DeviceType, EventType, Timestamp, Trace, TraceRecord, UeId};
+use cn_trace::{radix_sort, DeviceType, EventType, Timestamp, Trace, TraceRecord, UeId};
 use proptest::prelude::*;
 
 fn record((t, ue, d, e): (u64, u32, u8, u8)) -> TraceRecord {
@@ -15,6 +15,18 @@ fn record((t, ue, d, e): (u64, u32, u8, u8)) -> TraceRecord {
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
     (0u64..1_000_000, 0u32..64, 0u8..3, 0u8..6).prop_map(record)
+}
+
+/// The record order as one integer, for times below 2^24 ms.
+fn record_key(r: &TraceRecord) -> u64 {
+    r.t.as_millis() << 40 | u64::from(r.ue.get()) << 8 | u64::from(r.event.code())
+}
+
+/// Runs laid back to back in input order, radix-sorted on the record key.
+fn merge(runs: Vec<Trace>) -> Vec<TraceRecord> {
+    let mut records: Vec<TraceRecord> = runs.into_iter().flat_map(Trace::into_records).collect();
+    radix_sort(&mut records, &mut Vec::new(), 0..64, record_key);
+    records
 }
 
 /// Records from a key space small enough that many compare equal under
@@ -42,14 +54,14 @@ proptest! {
         let ta = Trace::from_records(a.clone());
         let tb = Trace::from_records(b.clone());
         let tc = Trace::from_records(c.clone());
-        let merged = Trace::merge(vec![ta, tb, tc]);
+        let merged = merge(vec![ta, tb, tc]);
         let mut all = a;
         all.extend(b);
         all.extend(c);
         let expected = Trace::from_records(all);
         prop_assert_eq!(merged.len(), expected.len());
         // Same multiset in sorted order.
-        prop_assert_eq!(merged.records(), expected.records());
+        prop_assert_eq!(merged.as_slice(), expected.records());
     }
 
     #[test]
@@ -57,19 +69,46 @@ proptest! {
         recs in prop::collection::vec(arb_tied_record(), 0..120),
         k in 1usize..=6,
     ) {
-        // Round-robin the records into k sorted traces. At every arity the
-        // merge is the traces laid back to back in input order, stably
+        // Round-robin the records into k sorted runs. At every arity the
+        // radix merge is the runs laid back to back in input order, stably
         // sorted: records equal under `Ord` (which ignores the device) but
         // of different devices keep input order.
         let mut parts: Vec<Vec<TraceRecord>> = vec![Vec::new(); k];
         for (i, r) in recs.iter().enumerate() {
             parts[i % k].push(*r);
         }
-        let traces: Vec<Trace> = parts.into_iter().map(Trace::from_records).collect();
-        let mut expected: Vec<TraceRecord> = traces.iter().flatten().copied().collect();
+        for part in &mut parts {
+            part.sort();
+        }
+        let mut expected: Vec<TraceRecord> = parts.concat();
         expected.sort();
-        let merged = Trace::merge(traces);
-        prop_assert_eq!(merged.records(), expected.as_slice());
+        let mut merged = parts.concat();
+        radix_sort(&mut merged, &mut Vec::new(), 0..64, record_key);
+        prop_assert_eq!(merged, expected);
+    }
+
+    /// The radix sort is std's stable sort by the same bits, on any bit
+    /// range: empty, zero-width, full 64-bit, and keys that tie.
+    #[test]
+    fn radix_sort_equals_std_stable_sort(
+        keys in prop::collection::vec(
+            prop_oneof![any::<u64>(), 0u64..4, Just(u64::MAX)],
+            0..300,
+        ),
+        lo in 0u32..=64,
+        width in prop_oneof![Just(0u32), Just(64), 1u32..40],
+    ) {
+        let bits = if width == 64 { 0..64 } else { lo..(lo + width).min(64) };
+        let mask = |k: u64| {
+            let w = bits.end - bits.start;
+            if w == 0 { 0 } else { (k >> bits.start) & (u64::MAX >> (64 - w)) }
+        };
+        // Each key tagged with its input position, so stability shows.
+        let mut tagged: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+        let mut expected = tagged.clone();
+        expected.sort_by_key(|&(k, _)| mask(k));
+        radix_sort(&mut tagged, &mut vec![(7, 7); 3], bits.clone(), |&(k, _)| k);
+        prop_assert_eq!(tagged, expected);
     }
 
     #[test]

@@ -23,11 +23,11 @@
 use crate::mobility;
 use crate::profile::DeviceProfile;
 use crate::session;
-use cn_trace::{EventType, Timestamp, Trace, TraceRecord, UeId};
+use cn_trace::{EventType, Timestamp, TraceRecord, UeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Simulate one UE over `[0, horizon_secs)` and return its event trace.
+/// Simulate one UE over `[0, horizon_secs)`, appending its events in time order.
 ///
 /// The per-UE activity multiplier is drawn from the profile's activity
 /// distribution using `seed`, so a fixed `(profile, horizon, seed)` triple
@@ -37,7 +37,8 @@ pub(crate) fn simulate_ue(
     profile: &DeviceProfile,
     horizon_secs: f64,
     seed: u64,
-) -> Trace {
+    records: &mut Vec<TraceRecord>,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let activity = profile.activity.sample(&mut rng).clamp(0.05, 50.0);
     let mut sim = UeSim {
@@ -45,11 +46,10 @@ pub(crate) fn simulate_ue(
         profile,
         activity,
         horizon_secs,
-        records: Vec::new(),
+        records,
         last_ms: None,
     };
     sim.run(&mut rng);
-    Trace::from_records(sim.records)
 }
 
 struct UeSim<'a> {
@@ -57,7 +57,7 @@ struct UeSim<'a> {
     profile: &'a DeviceProfile,
     activity: f64,
     horizon_secs: f64,
-    records: Vec<TraceRecord>,
+    records: &'a mut Vec<TraceRecord>,
     last_ms: Option<u64>,
 }
 
@@ -281,11 +281,13 @@ impl UeSim<'_> {
 mod tests {
     use super::*;
     use cn_statemachine::replay_ue;
-    use cn_trace::DeviceType;
+    use cn_trace::{DeviceType, Trace};
 
     fn sim(device: DeviceType, hours: f64, seed: u64) -> Trace {
         let profile = DeviceProfile::preset(device);
-        simulate_ue(UeId(0), &profile, hours * 3_600.0, seed)
+        let mut records = Vec::new();
+        simulate_ue(UeId(0), &profile, hours * 3_600.0, seed, &mut records);
+        Trace::from_records(records)
     }
 
     #[test]
@@ -364,8 +366,9 @@ mod tests {
         let mut night = 0usize;
         let mut rush = 0usize;
         for seed in 0..60 {
-            let t = simulate_ue(UeId(0), &profile, 7.0 * 86_400.0, 5_000 + seed);
-            for r in t.iter() {
+            let mut t = Vec::new();
+            simulate_ue(UeId(0), &profile, 7.0 * 86_400.0, 5_000 + seed, &mut t);
+            for r in &t {
                 match r.t.hour_of_day().get() {
                     2..=3 => night += 1,
                     7..=8 => rush += 1,
