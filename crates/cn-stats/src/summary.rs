@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// The five-number summary plus mean, as drawn in the paper's box plots
 /// (whiskers at min/max, box at quartiles, median and mean lines).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct BoxStats {
     /// Smallest observation.
     pub min: f64,

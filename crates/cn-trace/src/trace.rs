@@ -140,18 +140,6 @@ impl Trace {
         self.records.iter().find(|r| r.ue == ue).map(|r| r.device)
     }
 
-    /// Events from UEs of the given device type.
-    pub fn filter_device(&self, device: DeviceType) -> Trace {
-        Trace {
-            records: self
-                .records
-                .iter()
-                .filter(|r| r.device == device)
-                .copied()
-                .collect(),
-        }
-    }
-
     /// Events with `start <= t < end`.
     pub fn window(&self, start: Timestamp, end: Timestamp) -> Trace {
         let lo = self.records.partition_point(|r| r.t < start);

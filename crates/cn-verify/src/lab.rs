@@ -4,11 +4,15 @@
 //! artifacts — the 7-day "real" world trace, four fitted model sets (Base,
 //! B1, B2, Ours), two validation-scenario real traces, and synthesized
 //! traces per (method, scenario). [`Lab`] memoizes each behind a
-//! `OnceLock` so the full table battery shares work; of a validation trace
-//! it keeps only the [`Profile`] every comparison reads.
+//! `OnceLock` so the full table battery shares work. Of the world it also
+//! keeps one `WorldProfile` (the §4 characterization) and one test-battery
+//! result per clustering mode (Tables 8–10); of a validation trace it keeps
+//! only the [`Profile`] every comparison reads.
 
 use crate::profile::Profile;
 use crate::report::Table;
+use crate::testsuite::{run_suite, SuiteResult};
+use crate::world_profile::WorldProfile;
 use cn_fit::cluster::ClusteringParams;
 use cn_fit::{fit, FitConfig, Method, ModelSet};
 use cn_gen::{generate, GenConfig};
@@ -124,6 +128,8 @@ pub struct Lab {
     /// The configuration this lab runs at.
     pub cfg: ExperimentConfig,
     world: OnceLock<Trace>,
+    world_profile: OnceLock<WorldProfile>,
+    suites: [OnceLock<SuiteResult>; 2],
     real: [OnceLock<Profile>; 2],
     models: [OnceLock<ModelSet>; 4],
     synth: [[OnceLock<Profile>; 2]; 4],
@@ -135,6 +141,8 @@ impl Lab {
         Lab {
             cfg,
             world: OnceLock::new(),
+            world_profile: OnceLock::new(),
+            suites: std::array::from_fn(|_| OnceLock::new()),
             real: std::array::from_fn(|_| OnceLock::new()),
             models: std::array::from_fn(|_| OnceLock::new()),
             synth: std::array::from_fn(|_| std::array::from_fn(|_| OnceLock::new())),
@@ -151,6 +159,19 @@ impl Lab {
                 self.cfg.seed,
             ))
         })
+    }
+
+    /// The modeled world measured for Table 1 and Figs. 2–4.
+    pub(crate) fn world_profile(&self) -> &WorldProfile {
+        self.world_profile
+            .get_or_init(|| WorldProfile::of(self.world(), self.cfg.days, self.cfg.busy_hour))
+    }
+
+    /// The paper's test battery over the world, without (Table 8) or with
+    /// (Tables 9/10) UE clustering.
+    pub(crate) fn suite(&self, clustered: bool) -> &SuiteResult {
+        self.suites[usize::from(clustered)]
+            .get_or_init(|| run_suite(self.world(), clustered, &self.cfg.clustering))
     }
 
     /// The profile of a validation scenario's real busy hour (see

@@ -161,13 +161,8 @@ impl Profile {
             population.connected_cars,
             population.tablets,
         ];
-        for ((p, counts), size) in devices.iter_mut().zip(&counts).zip(sizes) {
-            let total: usize = counts.iter().sum();
-            if total > 0 {
-                for (share, &n) in p.shares.iter_mut().zip(counts) {
-                    *share = n as f64 / total as f64;
-                }
-            }
+        for ((p, counts), size) in devices.iter_mut().zip(counts).zip(sizes) {
+            p.shares = shares_of(counts);
             let size = (size as usize).max(p.srv_req.len());
             p.srv_req.resize(size, 0.0);
             p.s1_conn_rel.resize(size, 0.0);
@@ -198,14 +193,13 @@ pub fn breakdown_simple(trace: &Trace, device: DeviceType) -> [f64; 6] {
             counts[r.event.code() as usize] += 1;
         }
     }
-    let total: usize = counts.iter().sum();
-    let mut shares = [0.0; 6];
-    if total > 0 {
-        for i in 0..6 {
-            shares[i] = counts[i] as f64 / total as f64;
-        }
-    }
-    shares
+    shares_of(counts)
+}
+
+/// Each count's share of their total (all zero when the total is).
+pub(crate) fn shares_of<const N: usize>(counts: [usize; N]) -> [f64; N] {
+    let total = counts.iter().sum::<usize>().max(1) as f64;
+    counts.map(|n| n as f64 / total)
 }
 
 /// Split per-UE counts into the paper's inactive (≤ `threshold` events) and

@@ -218,6 +218,7 @@ fn observe(events: &[TraceRecord], n_days: u64) -> SuiteObs {
 
 /// Pass-rate results: `cell[(test, device)][column] = Some(pass fraction)`
 /// or `None` when no combination was testable.
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct SuiteResult {
     /// Tables 8/9 cells (10 columns).
     pub(crate) main: HashMap<(usize, DeviceType), Vec<Option<f64>>>,

@@ -9,11 +9,11 @@
 use crate::lab::{Lab, Scenario};
 use crate::profile::{breakdown_simple, BreakdownRow, Profile};
 use crate::report::Table;
-use crate::testsuite::{poisson_ks_overall, run_suite};
+use crate::testsuite::poisson_ks_overall;
 use crate::verdict::VerdictReport;
 use cn_fit::Method;
 use cn_stats::two_sample_distance;
-use cn_stats::variance_time::{bin_counts, poisson_reference, variance_time_plot};
+use cn_stats::variance_time::poisson_reference;
 use cn_trace::{DeviceType, EventType};
 
 /// Run every shape check, returning the shared claim/measured/pass report
@@ -24,11 +24,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
 
     // 1. Table 1 shape: SRV/REL dominate, REL ≥ SRV, cars lead HO.
     {
-        let world = lab.world();
-        let shares: Vec<[f64; 6]> = DeviceType::ALL
-            .iter()
-            .map(|&d| breakdown_simple(world, d))
-            .collect();
+        let shares = &lab.world_profile().shares;
         let srv = EventType::ServiceRequest.code() as usize;
         let rel = EventType::S1ConnRelease.code() as usize;
         let ho = EventType::Handover.code() as usize;
@@ -57,19 +53,11 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
 
     // 2. Fig. 3 shape: real variance exceeds Poisson at large scales.
     {
-        let world = lab.world().filter_device(DeviceType::Phone);
-        let times: Vec<u64> = world
-            .iter()
-            .filter(|r| r.event == EventType::ServiceRequest)
-            .map(|r| r.t.as_millis())
-            .collect();
-        let end = lab.world().end().map_or(0, |e| e.as_millis());
-        let bins = bin_counts(&times, 0, end);
-        let rate = times.len() as f64 / bins.len().max(1) as f64;
-        let plot = variance_time_plot(&bins, &[100]);
-        let (measured, pass) = match plot.first() {
+        // Phones' SRV_REQ stream.
+        let srv = &lab.world_profile().streams[0][0];
+        let (measured, pass) = match srv.variance.iter().find(|p| p.scale_secs == 100) {
             Some(p) => {
-                let reference = poisson_reference(rate, 100);
+                let reference = poisson_reference(srv.rate, 100);
                 (
                     format!("{:.2e} vs Poisson {:.2e}", p.normalized_variance, reference),
                     p.normalized_variance > 3.0 * reference,
@@ -86,8 +74,7 @@ pub(crate) fn verdict_report(lab: &Lab) -> VerdictReport {
 
     // 3. Tables 8/9 headline: dominant columns reject Poisson.
     {
-        let suite = run_suite(lab.world(), false, &lab.cfg.clustering);
-        let rate = poisson_ks_overall(&suite);
+        let rate = poisson_ks_overall(lab.suite(false));
         // The paper reports <3% at carrier scale; per-combination pools
         // shrink with the lab population, so the executable bound is 20%.
         // The measured value at quick scale sits near the bound and depends

@@ -58,7 +58,7 @@ proptest! {
         let profile = Profile::of(&trace, PopulationMix::new(16, 16, 16));
         for device in DeviceType::ALL {
             let b = profile.device(device);
-            let s = breakdown_simple(&trace.filter_device(device), device);
+            let s = breakdown_simple(&trace, device);
             if trace.iter().any(|r| r.device == device) {
                 let ho = b.share(BreakdownRow::HoConn) + b.share(BreakdownRow::HoIdle);
                 prop_assert!((ho - s[EventType::Handover.code() as usize]).abs() < 1e-9);

@@ -19,7 +19,7 @@ const BUDGETS: [(&str, usize); 11] = [
     ("cn-scenario", 47),
     ("cn-statemachine", 59),
     ("cn-stats", 93),
-    ("cn-trace", 122),
+    ("cn-trace", 121),
     ("cn-verify", 125),
     ("cn-world", 15),
 ];
