@@ -30,12 +30,13 @@
 //!    over [`record_key_at`]), copied back to back in run order into one
 //!    buffer of at most [`MERGE_SLICE_BYTES`] (see [`cut_slice`]). Slices
 //!    go round-robin to [`GenConfig::threads`] scoped merge workers, which
-//!    order a slice's encoded records in place with one stable sort by
-//!    key; the caller lands the outputs strictly in slice order through
-//!    one output window, one [`BinaryStreamWriter::write_encoded`] per
-//!    window. No record is decoded or re-encoded between generation and
-//!    disk, and sink writes are O(bytes / window) however finely the runs
-//!    interleave.
+//!    order a slice's encoded records in place with one stable
+//!    [`radix_sort`] on time alone (see "Byte identity"), each reusing
+//!    one scratch buffer; the caller lands the outputs strictly in slice
+//!    order through one output window, one
+//!    [`BinaryStreamWriter::write_encoded`] per window. No record is
+//!    decoded or re-encoded between generation and disk, and sink writes
+//!    are O(bytes / window) however finely the runs interleave.
 //!
 //! Peak RSS is O(workers × chunk state) while generating, then O(budget +
 //! slices in flight + spill-read windows) — the last two a few slices'
@@ -45,8 +46,11 @@
 //!
 //! Record order is a strict total order and every UE lives in exactly one
 //! chunk, so cross-run key comparisons never tie (see
-//! `TraceRecord::merge_key`); runs that do share a key keep run order, as
-//! the sort is stable. The
+//! `TraceRecord::merge_key`). A slice lays its runs' parts down in run
+//! order, runs are chunks over ascending disjoint UE ranges, and per-UE
+//! times strictly increase, so records of equal time already stand in
+//! `(ue, event)` order: a stable sort on time alone yields the full key
+//! order, and runs that do share a key keep run order. The
 //! merged byte stream is *the* unique sorted trace, which any key bound
 //! splits into a prefix and a suffix, identical to
 //! [`cn_trace::io::to_binary`] of [`crate::generate`]'s output for the
@@ -79,7 +83,7 @@ use crate::shard::panic_payload;
 use cn_fit::ModelSet;
 use cn_obs::TraceSink;
 use cn_trace::io::{record_key_at, BinaryStreamWriter, RECORD_BYTES};
-use cn_trace::{EncodedBlock, StreamError};
+use cn_trace::{radix_sort, EncodedBlock, StreamError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -436,7 +440,9 @@ fn prefix_bytes(bytes: &[u8], bound: u128) -> usize {
 /// Cut the next slice off the runs: every record `<=` a key bound under
 /// which no run gives more than `share` — `slice_bytes` split over the
 /// last cut's `live` runs — and one gives all of it, the runs' parts
-/// back to back in run order. `None` when drained.
+/// back to back in run order. `None` when drained. The bound is a full
+/// key, not a time: many UEs sharing one millisecond would otherwise
+/// force a slice past its size.
 fn cut_slice(
     readers: &mut [RunReader],
     slice_bytes: usize,
@@ -471,11 +477,20 @@ fn cut_slice(
     Ok(Some(slice))
 }
 
-/// Order one slice's encoded records in place. Its parts sit in run
-/// order and the sort is stable, so equal keys keep the lower run first.
-fn sort_slice(slice: &mut [u8]) {
+/// Order one slice's encoded records in place with a stable radix on
+/// `t_ms` alone, which yields the full key order (see "Byte identity" in
+/// the module docs); `scratch` is the radix's buffer.
+fn sort_slice(slice: &mut [u8], scratch: &mut Vec<[u8; RECORD_BYTES]>) {
     let (records, _) = slice.as_chunks_mut::<RECORD_BYTES>();
-    records.sort_by_key(|r| record_key_at(r, 0));
+    let t_ms = |r: &[u8; RECORD_BYTES]| u64::from_le_bytes(*r.first_chunk().expect("8-byte t_ms"));
+    let (min, max) =
+        (records.iter().map(t_ms)).fold((u64::MAX, 0), |(lo, hi), t| (lo.min(t), hi.max(t)));
+    let time_bits = 0..u64::BITS - max.saturating_sub(min).leading_zeros();
+    radix_sort(records, scratch, time_bits, |r| t_ms(r) - min);
+    debug_assert!(
+        records.is_sorted_by_key(|r| record_key_at(r, 0)),
+        "slice out of key order"
+    );
 }
 
 /// The calling thread's side of phase 2: deal slices round-robin to the
@@ -553,7 +568,7 @@ fn merge_runs<W: Write + Seek>(
                 let (out_tx, rx) = sync_channel(MERGE_WORKER_SLICES);
                 let trace = trace.clone();
                 let handle = scope.spawn(move || {
-                    let mut slice = first;
+                    let (mut slice, mut scratch) = (first, Vec::new());
                     catch_unwind(AssertUnwindSafe(|| {
                         for (n, mut bytes) in slices {
                             slice = n;
@@ -563,7 +578,7 @@ fn merge_runs<W: Write + Seek>(
                             if let Some(mut fault) = plan.for_shard(n) {
                                 fault.on_fill((bytes.len() / RECORD_BYTES) as u64);
                             }
-                            sort_slice(&mut bytes);
+                            sort_slice(&mut bytes, &mut scratch);
                             if out_tx.send(bytes).is_err() {
                                 return;
                             }
@@ -662,6 +677,7 @@ mod tests {
     use cn_trace::io::{from_binary, recover_binary, to_binary, FailingWriter, UNFINISHED_COUNT};
     use cn_trace::{PopulationMix, Timestamp};
     use cn_world::{generate_world, WorldConfig};
+    use proptest::prelude::*;
     use std::io::Cursor;
     use std::time::Duration;
 
@@ -1222,6 +1238,61 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A slice as [`cut_slice`] lays one down: runs over disjoint
+    /// ascending UE ranges, each `(t, ue)`-sorted, back to back in run
+    /// order. Every UE has an event at one shared time, so times tie across
+    /// runs; the slice sits at an arbitrary origin.
+    fn arb_slice() -> impl Strategy<Value = Vec<u8>> {
+        use cn_trace::{DeviceType, EventType, TraceRecord, UeId};
+        let ue = proptest::collection::vec((1u64..4, 0usize..6), 0..12);
+        let run = (proptest::collection::vec(ue, 1..4), 0u32..3);
+        let runs = proptest::collection::vec(run, 1..6);
+        (runs, 0u64..1 << 40, 0u64..30).prop_map(|(runs, origin, tie)| {
+            let (mut slice, mut ue) = (EncodedBlock::new(), 0);
+            for (ues, skip) in runs {
+                let mut records = Vec::new();
+                for steps in ues {
+                    let mut t = 0;
+                    let mut times: Vec<u64> = (steps.iter())
+                        .map(|&(gap, _)| {
+                            t += gap;
+                            t
+                        })
+                        .chain([tie])
+                        .collect();
+                    times.sort_unstable();
+                    times.dedup();
+                    for (i, t) in times.into_iter().enumerate() {
+                        let event = EventType::ALL[steps.get(i).map_or(0, |&(_, e)| e)];
+                        let t = Timestamp::from_millis(origin + t);
+                        records.push(TraceRecord::new(t, UeId(ue), DeviceType::Phone, event));
+                    }
+                    ue += 1;
+                }
+                records.sort_unstable();
+                records.iter().for_each(|r| slice.push(r));
+                ue += skip;
+            }
+            slice.as_bytes().to_vec()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The stable time radix orders such a slice exactly as the
+        /// stable sort by full key does, whatever its scratch held before.
+        #[test]
+        fn slice_time_radix_equals_the_full_key_sort(slice in arb_slice(), stale in 0usize..64) {
+            let mut expected = slice.clone();
+            let (records, _) = expected.as_chunks_mut::<RECORD_BYTES>();
+            records.sort_by_key(|r| record_key_at(r, 0));
+            let mut got = slice;
+            sort_slice(&mut got, &mut vec![[0xa5; RECORD_BYTES]; stale]);
+            prop_assert_eq!(got, expected);
         }
     }
 

@@ -7,7 +7,9 @@
 //! into the model and the generator state per event, is what the
 //! generator pays for, not its arithmetic (DESIGN.md §5b has the numbers).
 //!
-//! [`PopulationStream`] therefore generates **by time slab**. Its UE slots
+//! [`PopulationStream`] therefore generates **by time slab**. A slot is a
+//! UE with at least one event in the window: a UE whose generator yields
+//! nothing is dropped when the pool is built and holds no state. The slots
 //! are cut into **chunks** of consecutive slots, each keeping one pending
 //! `(t, event)` per slot in two dense arrays. To fill the slab
 //! `[start, start + width)`:
@@ -34,10 +36,10 @@
 //! through [`crate::generate_out_of_core`]'s pools rather than one.
 //!
 //! The key order embeds the record order exactly: per-UE timestamps
-//! strictly increase, every UE lives in exactly one slot, and slots are
-//! assigned in ascending UE order, so `(t_rel, slot)` sorts identically
-//! to the global `(t, ue)` record order (event type never breaks a tie —
-//! `(t, ue)` is already unique).
+//! strictly increase, every UE with an event lives in exactly one slot,
+//! and slots are assigned in ascending UE order, so `(t_rel, slot)` sorts
+//! identically to the global `(t, ue)` record order (event type never
+//! breaks a tie — `(t, ue)` is already unique).
 //!
 //! ### Sharing the fill
 //!
@@ -339,14 +341,14 @@ struct Slab<G> {
 }
 
 /// Append a slot running `gen`, whose first event is `first`, to the last
-/// of `chunks`, opening a chunk of up to `chunk_slots` slots (of the `slots`
-/// expected in all) when it is full.
+/// of `chunks`, opening a chunk of up to `chunk_slots` slots (of at most
+/// `slots` in all) when it is full.
 fn push_slot<G>(
     chunks: &mut Vec<Chunk<G>>,
     chunk_slots: usize,
     slots: usize,
     gen: G,
-    first: Option<(u64, EventType)>,
+    (t, event): (u64, EventType),
 ) {
     if chunks
         .last()
@@ -367,7 +369,6 @@ fn push_slot<G>(
         });
     }
     let chunk = chunks.last_mut().expect("a chunk was just opened");
-    let (t, event) = first.unwrap_or((DRY, EventType::Attach));
     chunk.gens.push(gen);
     chunk.pending_t.push(t);
     chunk.pending_event.push(event);
@@ -490,8 +491,8 @@ pub(crate) struct FillObs {
 }
 
 /// A time-ordered event stream over a synthesized population, merged by
-/// time slab (see module docs): O(population) generator states plus two
-/// slabs resident, never O(total events).
+/// time slab (see module docs): one generator state per UE with an event
+/// plus two slabs resident, never O(total events).
 pub struct PopulationStream<'m> {
     models: &'m ModelSet,
     slab: Slab<UeState>,
@@ -557,13 +558,14 @@ impl<'m> PopulationStream<'m> {
         let slots = hi.unwrap_or(lo);
         let mut ues: Vec<u32> = Vec::with_capacity(slots);
         let mut chunks = Vec::new();
+        let mut last = None;
         let advance = |gen: &mut UeState| gen.advance(models, base_ms);
         for index in indices {
             assert!(
-                ues.last().is_none_or(|&last| index > last),
-                "pool indices must be strictly increasing (got {index} after {:?})",
-                ues.last()
+                last.is_none_or(|last| index > last),
+                "pool indices must be strictly increasing (got {index} after {last:?})"
             );
+            last = Some(index);
             let mut gen = UeState::new(
                 models.device(config.device_of(index)),
                 models.method,
@@ -573,9 +575,11 @@ impl<'m> PopulationStream<'m> {
                 crate::engine::ue_stream_seed(config.seed, index),
                 config.semantics,
             );
-            let first = advance(&mut gen);
-            push_slot(&mut chunks, chunk_slots, slots, gen, first);
-            ues.push(index);
+            // A UE silent over the whole window takes no slot.
+            if let Some(first) = advance(&mut gen) {
+                push_slot(&mut chunks, chunk_slots, slots, gen, first);
+                ues.push(index);
+            }
         }
         assert!(
             ues.len() <= MAX_POOL,
@@ -757,6 +761,54 @@ mod tests {
     }
 
     #[test]
+    fn silent_ues_hold_no_slot() {
+        // A quarter hour at night: most UEs have no event. Only the ones
+        // that do take a slot, in every chunk layout, and the output is the
+        // reference merge byte for byte at every thread count.
+        let models = fitted();
+        let config = GenConfig::new(
+            PopulationMix::new(1_200, 500, 300),
+            Timestamp::at_hour(0, 3),
+            0.25,
+            17,
+        );
+        let total = config.population.total();
+        let expected = crate::engine::reference(&models, &config, 0..total);
+        let mut active: Vec<u32> = expected.iter().map(|r| r.ue.get()).collect();
+        active.sort_unstable();
+        active.dedup();
+        assert!(
+            !active.is_empty() && active.len() < total as usize / 2,
+            "{} of {total} UEs active",
+            active.len()
+        );
+        for chunk_slots in [1, 7, CHUNK_SLOTS, usize::MAX] {
+            let pool = PopulationStream::with_layout(
+                &models,
+                &config,
+                0..total,
+                chunk_slots,
+                SLAB_TARGET_EVENTS,
+            );
+            let slots: usize = (pool.slab.shared.chunks.iter())
+                .map(|c| c.lock().expect("no fill has run").gens.len())
+                .sum();
+            assert_eq!(slots, active.len(), "chunk {chunk_slots}: slots");
+            assert!(pool.ues == active, "chunk {chunk_slots}: slot UEs");
+        }
+        let expected = cn_trace::io::to_binary(&cn_trace::Trace::from_records(expected));
+        for threads in [1, 2, 3] {
+            let (got, _) = crate::ShardedStream::with_shards(&models, &config, threads)
+                .collect_trace()
+                .expect("no fault injected");
+            assert!(
+                cn_trace::io::to_binary(&got) == expected,
+                "{threads} threads: bytes diverged"
+            );
+        }
+    }
+
+    #[test]
     fn empty_pool_yields_nothing() {
         let models = fitted();
         let config = GenConfig::new(
@@ -848,7 +900,7 @@ mod tests {
         let mut chunks = Vec::new();
         for run in runs {
             let mut run = run.clone().into_iter();
-            let first = advance(&mut run);
+            let first = advance(&mut run).unwrap_or((DRY, EventType::Attach));
             push_slot(&mut chunks, chunk_slots, runs.len(), run, first);
         }
         let mut slab = Slab::new(chunks, target);

@@ -16,6 +16,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use cn_obs::recorder::{validate_forensics, validate_jsonl};
@@ -237,7 +238,12 @@ fn valid_inputs() -> (String, String, String) {
         jsonl += &serde_json::to_string(&recorder.sample_now()).unwrap();
         jsonl.push('\n');
     }
-    let path = std::env::temp_dir().join(format!("cn_obs_props_{}.json", std::process::id()));
+    // One path per call: tests on parallel threads each dump and delete
+    // their own file.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let name = format!("cn_obs_props_{}_{call}.json", std::process::id());
+    let path = std::env::temp_dir().join(name);
     recorder.dump_forensics(&path).unwrap();
     recorder.stop();
     let forensics = std::fs::read_to_string(&path).unwrap();

@@ -12,7 +12,7 @@
 //! Merging encoded runs needs an order without decoding full records:
 //! [`crate::io::record_key_at`] reads an encoded record's
 //! `TraceRecord::merge_key` in place — the bound a run is cut at and
-//! the key its records are sorted by.
+//! the order its records are checked against.
 
 use crate::io::{encode_record, RECORD_BYTES};
 use crate::record::TraceRecord;

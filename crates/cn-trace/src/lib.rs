@@ -8,7 +8,7 @@
 //! partitioning and the stable [`radix_sort`], trace serialization (CSV,
 //! JSONL, and a compact binary format), and the ordered-record dataplane
 //! every later layer pulls: the stream contract (`source`), the one record
-//! order (`TraceRecord::merge_key`, the key every merge stably sorts by)
+//! order (`TraceRecord::merge_key`, which every merge yields stably)
 //! and the one 14-byte record codec ([`io`]).
 //!
 //! Design notes
