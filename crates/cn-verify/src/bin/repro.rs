@@ -5,7 +5,7 @@
 //!
 //! EXPERIMENTS
 //!     table1 fig2 fig3 fig4 table2 table3 table4 table5 table6 table7
-//!     table8 table9 table10 table11 fig7 all
+//!     table8 table9 table10 table11 fig7 fidelity all
 //!
 //! OPTIONS
 //!     --scale quick|default|paper   lab scale (default: default)
@@ -14,8 +14,10 @@
 //!     --out FILE                    write tables to FILE instead of stdout
 //! ```
 //!
-//! Exits 0 on success, 1 when the output cannot be created or written, 2
-//! on a usage error and 3 when `verdicts` finds a failing claim.
+//! Exits 0 on success, 1 when the output cannot be created or written or
+//! `fidelity` cannot read `BENCH_fidelity.json`, 2 on a usage error and 3
+//! when `fidelity` finds a number outside its committed interval (the key
+//! read is the scale's).
 
 use cn_trace::{DeviceType, EventType};
 use cn_verify::experiments;
@@ -26,7 +28,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: repro [--scale quick|default|paper] [--seed N] [--format text|markdown|csv] [--out FILE] <experiment>...
 experiments: table1 fig2 fig3 fig4 table2 table3 table4 table5 table6 table7
-             table8 table9 table9x table10 table11 fig7 diurnal generalize holdout summary verdicts dot ablations all";
+             table8 table9 table9x table10 table11 fig7 diurnal generalize holdout summary fidelity dot ablations all";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -91,7 +93,7 @@ fn main() -> ExitCode {
         },
         None => Box::new(std::io::stdout()),
     };
-    match run(&lab, &experiments_requested, format, &mut sink) {
+    match run(&lab, &scale, &experiments_requested, format, &mut sink) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("error: cannot write output: {e}");
@@ -104,6 +106,7 @@ fn main() -> ExitCode {
 /// unknown experiment is a usage error; a failed write or flush is `Err`.
 fn run(
     lab: &Lab,
+    scale: &str,
     experiments_requested: &[String],
     format: Format,
     sink: &mut dyn Write,
@@ -154,10 +157,13 @@ fn run(
                 lab.cfg.busy_hour,
                 lab.cfg.seed,
             )],
-            "verdicts" => {
-                let (table, all_pass) = cn_verify::verdicts(lab);
+            "fidelity" => {
+                let report = cn_verify::fidelity(lab, scale);
+                let Ok((table, all_hold)) = report.inspect_err(|e| eprintln!("error: {e}")) else {
+                    return Ok(ExitCode::from(1));
+                };
                 writeln!(sink, "{}", render(&table, format))?;
-                if !all_pass {
+                if !all_hold {
                     sink.flush()?;
                     return Ok(ExitCode::from(3));
                 }

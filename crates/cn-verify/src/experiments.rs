@@ -10,7 +10,7 @@
 use crate::lab::{Lab, Scenario};
 use crate::profile::{breakdown_simple, split_active, BreakdownRow, DeviceProfile};
 use crate::report::{pct, signed_pct, Table};
-use crate::testsuite::{run_suite_with, Quantity, SuiteTest};
+use crate::testsuite::{Quantity, SuiteTest};
 use crate::world_profile::STREAMS;
 use cn_fit::fiveg::{adapt_model, Event5G, ScalingProfile, TABLE2};
 use cn_fit::Method;
@@ -111,10 +111,11 @@ pub fn fig3_hurst(lab: &Lab) -> Table {
         "Fig. 3 companion: Hurst exponents of event streams (0.5 = Poisson)",
         &["Device", "SRV_REQ", "S1_CONN_REL", "HO", "TAU"],
     );
-    for (device, streams) in DeviceType::ALL.iter().zip(&lab.world_profile().streams) {
+    for device in DeviceType::ALL {
         let mut row = vec![device.abbrev().to_string()];
-        for s in streams {
-            row.push(s.hurst.map_or("-".into(), |h| format!("{h:.2}")));
+        for s in 0..STREAMS.len() {
+            let hurst = lab.stream(device, s).hurst;
+            row.push(hurst.map_or("-".into(), |h| format!("{h:.2}")));
         }
         t.push_row(row);
     }
@@ -141,10 +142,9 @@ pub fn fig3(lab: &Lab, device: DeviceType) -> Table {
     if lab.world().end().map_or(0, |e| e.as_millis()) == 0 {
         return t;
     }
-    let streams = &lab.world_profile().streams[device.code() as usize];
     for m in default_scales() {
         let mut row = vec![m.to_string()];
-        for s in streams {
+        for s in (0..STREAMS.len()).map(|s| lab.stream(device, s)) {
             let real = s.variance.iter().find(|p| p.scale_secs == m);
             row.push(real.map_or("-".into(), |p| format!("{:.3e}", p.normalized_variance)));
             row.push(if s.rate > 0.0 {
@@ -430,11 +430,9 @@ fn pass_rates<'a>(
 /// Extension: Table 9 with the extended family battery (adds LogNormal
 /// and Gamma rows).
 pub fn table9_extended(lab: &Lab) -> Table {
-    let tests = &SuiteTest::EXTENDED;
-    let result = run_suite_with(lab.world(), true, &lab.cfg.clustering, tests);
     let title = "Extension: Table 9 with LogNormal and Gamma rows";
     let columns = Quantity::all().into_iter().map(Quantity::label);
-    pass_rates(title, columns, tests, &result.main)
+    pass_rates(title, columns, &SuiteTest::EXTENDED, &lab.suite_extended())
 }
 
 /// Tables 8/9: distribution-test pass rates without (`clustered = false`,
@@ -1057,6 +1055,25 @@ mod tests {
                 assert!(*lab.suite(clustered) == fresh, "clustered = {clustered}");
             }
         }
+    }
+
+    /// Table 9x renders as one run of the extended battery whether Table 9
+    /// ran first or not, and run first it leaves Table 9's memo equal to
+    /// a fresh battery.
+    #[test]
+    fn table9x_shares_table9s_battery() {
+        let (first, after) = (quick_lab(), quick_lab());
+        let t9x = table9_extended(&first);
+        let (world, params) = (first.world(), &first.cfg.clustering);
+        assert!(*first.suite(true) == run_suite(world, true, params));
+        let fresh = crate::testsuite::run_suite_with(world, true, params, &SuiteTest::EXTENDED);
+        let columns = Quantity::all().into_iter().map(Quantity::label);
+        assert_eq!(
+            t9x,
+            pass_rates(&t9x.title, columns, &SuiteTest::EXTENDED, &fresh.main)
+        );
+        after.suite(true);
+        assert_eq!(table9_extended(&after), t9x);
     }
 
     #[test]

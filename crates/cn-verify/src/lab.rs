@@ -5,20 +5,22 @@
 //! B1, B2, Ours), two validation-scenario real traces, and synthesized
 //! traces per (method, scenario). [`Lab`] memoizes each behind a
 //! `OnceLock` so the full table battery shares work. Of the world it also
-//! keeps one `WorldProfile` (the §4 characterization) and one test-battery
-//! result per clustering mode (Tables 8–10); of a validation trace it keeps
-//! only the [`Profile`] every comparison reads.
+//! keeps one `WorldProfile` (the §4 characterization), one test-battery
+//! result per clustering mode (Tables 8–10) and each Fig. 3 stream once it
+//! is read; of a validation trace it keeps only the [`Profile`] every
+//! comparison reads.
 
 use crate::profile::Profile;
 use crate::report::Table;
-use crate::testsuite::{run_suite, SuiteResult};
-use crate::world_profile::WorldProfile;
+use crate::testsuite::{run_suite, run_suite_with, SuiteResult, SuiteTest};
+use crate::world_profile::{Stream, WorldProfile, STREAMS};
 use cn_fit::cluster::ClusteringParams;
 use cn_fit::{fit, FitConfig, Method, ModelSet};
 use cn_gen::{generate, GenConfig};
-use cn_trace::{PopulationMix, Timestamp, Trace};
+use cn_trace::{DeviceType, PopulationMix, Timestamp, Trace};
 use cn_world::{generate_world, WorldConfig};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Validation scenarios of §8.1.
@@ -129,10 +131,12 @@ pub struct Lab {
     pub cfg: ExperimentConfig,
     world: OnceLock<Trace>,
     world_profile: OnceLock<WorldProfile>,
+    streams: [[OnceLock<Stream>; 4]; 3],
     suites: [OnceLock<SuiteResult>; 2],
     real: [OnceLock<Profile>; 2],
-    models: [OnceLock<ModelSet>; 4],
-    synth: [[OnceLock<Profile>; 2]; 4],
+    // Crate-visible so tests can swap a method's models or draws.
+    pub(crate) models: [OnceLock<ModelSet>; 4],
+    pub(crate) synth: [[OnceLock<Profile>; 2]; 4],
 }
 
 impl Lab {
@@ -142,6 +146,7 @@ impl Lab {
             cfg,
             world: OnceLock::new(),
             world_profile: OnceLock::new(),
+            streams: std::array::from_fn(|_| std::array::from_fn(|_| OnceLock::new())),
             suites: std::array::from_fn(|_| OnceLock::new()),
             real: std::array::from_fn(|_| OnceLock::new()),
             models: std::array::from_fn(|_| OnceLock::new()),
@@ -167,11 +172,36 @@ impl Lab {
             .get_or_init(|| WorldProfile::of(self.world(), self.cfg.days, self.cfg.busy_hour))
     }
 
+    /// Fig. 3's stream `STREAMS[s]` of `device` in the world.
+    pub(crate) fn stream(&self, device: DeviceType, s: usize) -> &Stream {
+        self.streams[device.code() as usize][s]
+            .get_or_init(|| Stream::of_world(self.world(), device, STREAMS[s]))
+    }
+
     /// The paper's test battery over the world, without (Table 8) or with
     /// (Tables 9/10) UE clustering.
     pub(crate) fn suite(&self, clustered: bool) -> &SuiteResult {
         self.suites[usize::from(clustered)]
             .get_or_init(|| run_suite(self.world(), clustered, &self.cfg.clustering))
+    }
+
+    /// Table 9's cells with the extended battery's two added families
+    /// after them (keys index `SuiteTest::EXTENDED`). With Table 9
+    /// memoized only the added families run; otherwise one pass runs all
+    /// seven, and its first five rows become Table 9's memo.
+    pub(crate) fn suite_extended(&self) -> HashMap<(usize, DeviceType), Vec<Option<f64>>> {
+        let paper = SuiteTest::ALL.len();
+        let run = |tests| run_suite_with(self.world(), true, &self.cfg.clustering, tests);
+        if let Some(table9) = self.suites[1].get() {
+            let added = run(&SuiteTest::EXTENDED[paper..]).main.into_iter();
+            let shifted = added.map(|((ti, d), c)| ((ti + paper, d), c));
+            return table9.main.clone().into_iter().chain(shifted).collect();
+        }
+        let mut all = run(&SuiteTest::EXTENDED);
+        let cells = all.main.clone();
+        all.retain_tests(paper);
+        let _ = self.suites[1].set(all);
+        cells
     }
 
     /// The profile of a validation scenario's real busy hour (see

@@ -103,6 +103,10 @@ pub struct DeviceProfile {
     pub(crate) connected: Vec<f64>,
     /// Sojourns (seconds) in IDLE ended by IDLE→CONNECTED.
     pub(crate) idle: Vec<f64>,
+    /// Events of the device in the trace.
+    pub(crate) events: usize,
+    /// Protocol violations the replay met in those events.
+    pub(crate) violations: usize,
 }
 
 impl DeviceProfile {
@@ -144,6 +148,8 @@ impl Profile {
                 *total += n;
             }
             let p = &mut devices[d];
+            p.events += events.len();
+            p.violations += outcome.violations.len();
             p.srv_req.push(ue[BreakdownRow::SrvReq.index()] as f64);
             p.s1_conn_rel
                 .push(ue[BreakdownRow::S1ConnRel.index()] as f64);

@@ -33,7 +33,6 @@ use cn_trace::{PopulationMix, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use crate::model::GroundTruth;
-use crate::verdict::VerdictReport;
 
 /// Parameters of one round-trip run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -119,6 +118,64 @@ impl TransitionCheck {
     /// Both gates hold.
     pub(crate) fn pass(&self) -> bool {
         self.ks_pass && self.prob_pass
+    }
+}
+
+/// One executable claim ("replay accepts 100% of generated events"), the
+/// value actually measured, and whether the claim held.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct Verdict {
+    claim: String,
+    measured: String,
+    pass: bool,
+}
+
+/// The verdicts of one validation run, in check order.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct VerdictReport {
+    /// What was validated (e.g. "round trip: 5000 UEs, seed 11").
+    title: String,
+    verdicts: Vec<Verdict>,
+}
+
+impl VerdictReport {
+    fn new(title: impl Into<String>) -> VerdictReport {
+        VerdictReport {
+            title: title.into(),
+            verdicts: Vec::new(),
+        }
+    }
+
+    fn check(&mut self, claim: impl Into<String>, measured: impl Into<String>, pass: bool) {
+        let (claim, measured) = (claim.into(), measured.into());
+        self.verdicts.push(Verdict {
+            claim,
+            measured,
+            pass,
+        });
+    }
+
+    /// True when every verdict passed (vacuously true when empty).
+    fn all_pass(&self) -> bool {
+        self.verdicts.iter().all(|v| v.pass)
+    }
+
+    /// One `[PASS]`/`[FAIL]` line per verdict plus a summary line.
+    fn render(&self) -> String {
+        let width = self
+            .verdicts
+            .iter()
+            .map(|v| v.claim.len())
+            .max()
+            .unwrap_or(0);
+        let mut out = format!("== {} ==\n", self.title);
+        for v in &self.verdicts {
+            let tag = if v.pass { "PASS" } else { "FAIL" };
+            out.push_str(&format!("[{tag}] {:<width$}  {}\n", v.claim, v.measured));
+        }
+        let passed = self.verdicts.iter().filter(|v| v.pass).count();
+        out.push_str(&format!("{passed}/{} claims hold\n", self.verdicts.len()));
+        out
     }
 }
 
@@ -331,6 +388,21 @@ fn check_transition(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn verdicts_record_and_render() {
+        let mut r = VerdictReport::new("demo");
+        assert!(r.all_pass());
+        r.check("a", "1", true);
+        r.check("b", "2", false);
+        assert!(!r.all_pass());
+        let text = r.render();
+        assert!(text.contains("[PASS] a"));
+        assert!(text.contains("[FAIL] b"));
+        assert!(text.contains("1/2 claims hold"));
+        let json = serde_json::to_string(&r).unwrap();
+        assert_eq!(serde_json::from_str::<VerdictReport>(&json).unwrap(), r);
+    }
 
     #[test]
     fn thin_preserves_small_and_caps_large() {

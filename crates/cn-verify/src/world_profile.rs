@@ -1,10 +1,12 @@
 //! The modeled world, measured once, for the paper's §4 characterization.
 //!
-//! Table 1, Fig. 2 (panels and summary), Fig. 3 (variance–time plots and
-//! Hurst exponents), Fig. 4 and the real side of the diurnal profile all
-//! read a few aggregates of the same week per device type. [`WorldProfile::of`]
-//! groups the world by UE once and replays each UE once, keeping only those
-//! aggregates. A UE's device type is that of its first record.
+//! Table 1, Fig. 2 (panels and summary), Fig. 4 and the real side of the
+//! diurnal profile all read a few aggregates of the same week per device
+//! type. [`WorldProfile::of`] groups the world by UE once and replays each
+//! UE once, keeping only those aggregates. A UE's device type is that of
+//! its first record. Fig. 3's streams are population level, so each is one
+//! filter over the time-ordered world ([`Stream::of_world`]), built only
+//! when read.
 
 use cn_statemachine::{replay_ue, TopTransition};
 use cn_stats::hurst_aggregated_variance;
@@ -19,8 +21,8 @@ pub(crate) const STREAMS: [EventType; 4] = [
     EventType::Tau,
 ];
 
-/// Fig. 3's view of one event stream, binned into 100 ms counts over
-/// `[0, end of the world)`.
+/// Fig. 3's view of one device's event stream, binned into 100 ms counts
+/// over `[0, end of the world)`.
 pub(crate) struct Stream {
     /// The variance–time plot at [`default_scales`].
     pub(crate) variance: Vec<VarianceTimePoint>,
@@ -31,8 +33,14 @@ pub(crate) struct Stream {
 }
 
 impl Stream {
-    fn of(times: &[u64], end: u64) -> Stream {
-        let bins = bin_counts(times, 0, end);
+    /// The `(device, event)` stream of `world`.
+    pub(crate) fn of_world(world: &Trace, device: DeviceType, event: EventType) -> Stream {
+        let times: Vec<u64> = world
+            .iter()
+            .filter(|r| r.device == device && r.event == event)
+            .map(|r| r.t.as_millis())
+            .collect();
+        let bins = bin_counts(&times, 0, world.end().map_or(0, |e| e.as_millis()));
         Stream {
             variance: variance_time_plot(&bins, &default_scales()),
             rate: times.len() as f64 / bins.len().max(1) as f64,
@@ -53,8 +61,6 @@ pub(crate) struct WorldProfile {
     /// Events per hour of day, averaged over whole days (the diurnal
     /// profile's real side).
     pub(crate) volumes: [[f64; 24]; 3],
-    /// Fig. 3's [`STREAMS`].
-    pub(crate) streams: [[Stream; 4]; 3],
     /// Fig. 4's busy-hour samples (seconds), in UE order: CONNECTED and
     /// IDLE sojourns entered in the busy hour, then HO and TAU gaps within
     /// one (day, busy hour) window.
@@ -73,7 +79,6 @@ impl WorldProfile {
         let mut windows: [[[Vec<usize>; 24]; 6]; 3] = Default::default();
         // Every addend is `weight`, so each sum is independent of order.
         let mut volumes = [[0f64; 24]; 3];
-        let mut times: [[Vec<u64>; 4]; 3] = Default::default();
         let mut samples: [[Vec<f64>; 4]; 3] = Default::default();
         let mut per_window = vec![0usize; 6 * 24 * n_days];
         for (_, events) in world.per_ue().iter() {
@@ -92,7 +97,6 @@ impl WorldProfile {
                 let Some(s) = STREAMS.iter().position(|&x| x == r.event) else {
                     continue;
                 };
-                times[d][s].push(r.t.as_millis());
                 // HO and TAU gaps, within one (day, hour) window only, per
                 // the paper's §4.1.1 preprocessing.
                 if s >= 2 {
@@ -126,14 +130,11 @@ impl WorldProfile {
                 }
             }
         }
-        // One stream at a time: its bins live only while it is measured.
-        let end = world.end().map_or(0, |e| e.as_millis());
         WorldProfile {
             shares: counts.map(crate::profile::shares_of),
             ues,
             windows,
             volumes,
-            streams: times.map(|device| device.map(|t| Stream::of(&t, end))),
             busy: samples,
         }
     }

@@ -1,15 +1,12 @@
 //! The reproduction's regression gate: every EXPERIMENTS.md shape claim,
-//! machine-checked at quick scale (also available as `repro verdicts`).
+//! measured as a number at quick scale and held to the `quick` key of
+//! `BENCH_fidelity.json` (also available as `repro --scale quick fidelity`).
 
-use cn_verify::verdicts;
-use cn_verify::{ExperimentConfig, Lab};
+use cn_verify::{fidelity, ExperimentConfig, Lab};
 
 #[test]
 fn all_paper_shape_claims_hold() {
     let lab = Lab::new(ExperimentConfig::quick());
-    let (table, all_pass) = verdicts(&lab);
-    assert!(all_pass, "\n{table}");
-    // Nine claims plus the OVERALL row, below the title, header and rule.
-    let rows = table.render().lines().count() - 3;
-    assert_eq!(rows, 10, "\n{table}");
+    let (table, all_hold) = fidelity(&lab, "quick").unwrap_or_else(|e| panic!("{e}"));
+    assert!(all_hold, "\n{table}");
 }
