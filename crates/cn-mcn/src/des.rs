@@ -32,24 +32,21 @@
 //! ## Determinism
 //!
 //! Every service time is a pure function of `(config.seed, ue, arrival
-//! time, event type)`: each job derives its own RNG and draws all of its
-//! stage services up front. Two consequences: reruns at a fixed seed are
-//! bit-identical (the closed-loop gate `mcn_check` pins this), and
-//! injecting extra records into a trace never changes the service times
-//! of the records already there — the property the monotone-degradation
-//! suite leans on, mirroring `cn-scenario`'s prefix-multiset injection
-//! discipline.
+//! time, event type)`: each job derives its own random stream and draws
+//! all of its stage services at admission. Two consequences: reruns at a
+//! fixed seed are bit-identical (the closed-loop gate `mcn_check` pins
+//! this), and injecting extra records into a trace never changes the
+//! service times of the records already there — the property the
+//! monotone-degradation suite leans on, mirroring `cn-scenario`'s
+//! prefix-multiset injection discipline.
 //!
 //! ## Memory
 //!
 //! Job slots, their pre-drawn services (one flat arena), the calendar
 //! and the queues grow with the jobs *in flight*, not with the records
-//! offered; the draw stage buffers at most 4 096 records and recycles
-//! their buffers. Latencies are
-//! counted in exact tallies rather than stored and sorted, so the
-//! report's percentiles cost a table of at most 4 MiB per NF plus one
-//! entry per latency above 1.05 s (DESIGN.md §11, "Memory and cost
-//! model").
+//! offered. Latencies are counted in exact tallies rather than stored and
+//! sorted, so the report's percentiles cost a table of at most 4 MiB per
+//! NF plus one entry per latency above 1.05 s (DESIGN.md §11).
 //!
 //! ## Feeding the simulator
 //!
@@ -59,14 +56,11 @@
 //! [`DesSim::finish`] drains the calendar and builds the [`DesReport`].
 //! Any source plumbs in — a batch [`Trace`] ([`DesSim::run_trace`]), a
 //! `ScenarioStream`, or a live TCP connection decoded by `cn-live`.
-//! Records are admitted in order, behind `offer`: full blocks of 512
-//! records join a queue of at most seven, and once it is full the engine
-//! admits the oldest. A helper thread draws the oldest undrawn block;
-//! when the block to admit is not drawn yet, the caller draws the oldest
-//! undrawn one itself and waits only while the helper holds every pending
-//! block. Each draw is a `cn_mcn_des_draw_block` span on the thread that
-//! made it. The `cn_mcn_des_*` metrics ([`DesSim::observed`]) thus trail
-//! `offer` by at most 4 096 records, and `finish` settles them exactly.
+//! `offer` admits its record at once, on the calling thread: an admitted
+//! record's services are drawn straight into its job slot
+//! ([`Dist::sample_portable`], no libm), a shed one draws nothing, and
+//! the `cn_mcn_des_*` metrics ([`DesSim::observed`]) count every record
+//! offered by the time `offer` returns.
 
 use crate::nf::{NetworkFunction, TransactionMatrix};
 use crate::overload::{priority_of, AdmissionPolicy, Priority, TokenBucket};
@@ -74,23 +68,10 @@ use crate::tally::LatencyTally;
 use cn_obs::{Counter, Gauge, Histogram, Registry};
 use cn_stats::{Dist, LogNormal};
 use cn_trace::{EventType, Trace, TraceRecord};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-
-/// Records per draw block (services ≈ 28 KiB at stride 7).
-const DRAW_BLOCK: usize = 512;
-
-/// Full blocks that may wait in the draw queue between offers: with the
-/// block being filled, at most 4 096 records are buffered. Eight small
-/// blocks rather than two large ones let the caller take over only the
-/// share of the drawing that the helper falls behind on.
-const DRAW_QUEUE: u64 = 7;
 
 /// Per-NF pool configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -487,216 +468,33 @@ impl PartialOrd for CalEntry {
     }
 }
 
-/// Everything a service draw reads — a job's trajectory, apart from the
-/// engine that serves it — shared read-only with the draw-ahead thread.
+/// Everything a service draw reads: a job's trajectory, apart from the
+/// engine that serves it.
 struct ServicePlan {
     seed: u64,
     /// `chains[event_code]` = compiled dependency chain `(pool, tx)`.
     chains: [Vec<(usize, u32)>; 6],
     /// Service law of each pool, µs.
     laws: Vec<Dist>,
-    /// Longest compiled chain, at least 1: the stride of services buffers.
+    /// Longest compiled chain, at least 1: the stride of the service arena.
     max_chain_len: usize,
 }
 
 impl ServicePlan {
-    /// Draw the stage services of `rec`'s job into `out` from its own RNG:
+    /// Draw the stage services of `rec`'s job into `out` from its own stream:
     /// a pure function of `(seed, ue, t, event)`, the crate's only service
-    /// draw. Transactions add up saturating — an astronomically large draw
-    /// parks the job at the end of time, it does not overflow.
+    /// draw, with no libm call. Transactions add up saturating — an
+    /// astronomically large draw parks the job at the end of time, it does
+    /// not overflow.
     fn draw(&self, rec: &TraceRecord, out: &mut [u64]) {
         let code = rec.event.code();
-        let seed = job_seed(self.seed, rec.ue.0, rec.t.as_millis(), code);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = JobRng(job_seed(self.seed, rec.ue.0, rec.t.as_millis(), code));
         for (stage_us, &(pool, tx)) in out.iter_mut().zip(&self.chains[code as usize]) {
             let law = &self.laws[pool];
             *stage_us = (0..tx).fold(0u64, |total, _| {
-                total.saturating_add(law.sample(&mut rng).max(0.0).round() as u64)
+                // Rounded half up with one IEEE addition; `as` saturates.
+                total.saturating_add((law.sample_portable(&mut rng).max(0.0) + 0.5) as u64)
             });
-        }
-    }
-
-    /// Draw one stride of services per record of `block` into its
-    /// `services_us`, which the offering thread has sized.
-    fn draw_block(&self, block: &mut Block) {
-        let strides = block.services_us.chunks_exact_mut(self.max_chain_len);
-        for (rec, out) in block.records.iter().zip(strides) {
-            self.draw(rec, out);
-        }
-    }
-}
-
-/// Offered records and, once drawn, one stride of services per record.
-#[derive(Default)]
-struct Block {
-    records: Vec<TraceRecord>,
-    services_us: Vec<u64>,
-}
-
-/// The blocks offered and not yet admitted, shared by the caller and the
-/// draw-ahead thread.
-#[derive(Default)]
-struct Queue {
-    /// Offered blocks no thread has claimed, oldest first.
-    undrawn: VecDeque<Block>,
-    /// Drawn blocks not yet admitted, with their offer numbers.
-    drawn: Vec<(u64, Block)>,
-    /// Blocks offered and blocks admitted so far; offer numbers count
-    /// from 0.
-    offered: u64,
-    admitted: u64,
-    /// Set on drop: the helper exits.
-    closed: bool,
-    /// The helper's panic, for the caller to raise.
-    panicked: Option<Box<dyn std::any::Any + Send>>,
-    /// Test seam: the helper claims nothing and the caller draws alone.
-    #[cfg(test)]
-    parked: bool,
-}
-
-impl Queue {
-    /// Claim the oldest undrawn block, with its offer number.
-    fn claim(&mut self) -> Option<(u64, Block)> {
-        let number = self.offered - self.undrawn.len() as u64;
-        self.undrawn.pop_front().map(|block| (number, block))
-    }
-}
-
-/// The queue's lock, its wake-ups and the plan its blocks are drawn with.
-struct DrawQueue {
-    plan: Arc<ServicePlan>,
-    queue: Mutex<Queue>,
-    /// Signalled when a block is offered or drawn, the queue closes, or
-    /// the helper panics.
-    changed: Condvar,
-}
-
-impl DrawQueue {
-    fn lock(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait<'q>(&self, queue: MutexGuard<'q, Queue>) -> MutexGuard<'q, Queue> {
-        self.changed
-            .wait(queue)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Draw a claimed block with the lock released, then file it drawn.
-    fn draw<'q>(
-        &'q self,
-        queue: MutexGuard<'q, Queue>,
-        (number, mut block): (u64, Block),
-    ) -> MutexGuard<'q, Queue> {
-        drop(queue);
-        {
-            let _span = cn_obs::trace::global_span("cn_mcn_des_draw_block");
-            self.plan.draw_block(&mut block);
-        }
-        let mut queue = self.lock();
-        queue.drawn.push((number, block));
-        self.changed.notify_all();
-        queue
-    }
-
-    /// The helper's life: draw the oldest undrawn block until closed.
-    fn help(&self) {
-        let mut queue = self.lock();
-        while !queue.closed {
-            #[cfg(test)]
-            if queue.parked {
-                queue = self.wait(queue);
-                continue;
-            }
-            let claimed = queue.claim();
-            queue = match claimed {
-                Some(claimed) => self.draw(queue, claimed),
-                None => self.wait(queue),
-            };
-        }
-    }
-}
-
-/// The draw driver: offered blocks queue in offer order; the draw-ahead
-/// thread and the caller both claim the oldest undrawn one, and the
-/// caller takes them back drawn, in offer order. Dropping it closes the
-/// queue and joins the thread.
-struct DrawAhead {
-    shared: Arc<DrawQueue>,
-    helper: Option<JoinHandle<()>>,
-}
-
-impl DrawAhead {
-    fn spawn(plan: Arc<ServicePlan>, queue: Queue) -> DrawAhead {
-        let shared = Arc::new(DrawQueue {
-            plan,
-            queue: Mutex::new(queue),
-            changed: Condvar::new(),
-        });
-        let helper = Arc::clone(&shared);
-        let helper = std::thread::spawn(move || {
-            let helped = std::panic::catch_unwind(AssertUnwindSafe(|| helper.help()));
-            if let Err(payload) = helped {
-                helper.lock().panicked = Some(payload);
-                helper.changed.notify_all();
-            }
-        });
-        DrawAhead {
-            shared,
-            helper: Some(helper),
-        }
-    }
-
-    /// Queue `block` (its services sized) for drawing.
-    fn offer(&self, block: Block) {
-        let mut queue = self.shared.lock();
-        queue.undrawn.push_back(block);
-        queue.offered += 1;
-        self.shared.changed.notify_all();
-    }
-
-    /// Blocks offered and not yet taken back.
-    fn pending(&self) -> u64 {
-        let queue = self.shared.lock();
-        queue.offered - queue.admitted
-    }
-
-    /// The oldest block not yet taken back, drawn; `None` once every
-    /// offered block is. Until it is drawn the caller draws the oldest
-    /// undrawn block itself, and waits only while every pending block is
-    /// on the helper. A panic on the helper is raised here.
-    fn next_drawn(&self) -> Option<Block> {
-        let mut queue = self.shared.lock();
-        loop {
-            let next = queue.admitted;
-            if let Some(at) = queue.drawn.iter().position(|&(number, _)| number == next) {
-                queue.admitted += 1;
-                return Some(queue.drawn.swap_remove(at).1);
-            }
-            if next == queue.offered {
-                return None;
-            }
-            let claimed = queue.claim();
-            queue = match claimed {
-                Some(claimed) => self.shared.draw(queue, claimed),
-                None => {
-                    if let Some(payload) = queue.panicked.take() {
-                        drop(queue);
-                        std::panic::resume_unwind(payload);
-                    }
-                    self.shared.wait(queue)
-                }
-            };
-        }
-    }
-}
-
-impl Drop for DrawAhead {
-    fn drop(&mut self) {
-        self.shared.lock().closed = true;
-        self.shared.changed.notify_all();
-        if let Some(helper) = self.helper.take() {
-            let _ = helper.join();
         }
     }
 }
@@ -916,14 +714,14 @@ impl DesReport {
 
 /// The simulator. See the module docs for the model.
 pub struct DesSim {
-    plan: Arc<ServicePlan>,
+    plan: ServicePlan,
     nfs: Vec<NfState>,
     calendar: BinaryHeap<Reverse<CalEntry>>,
     seq: u64,
     /// Job slots, recycled through `free_jobs`: the vector grows with the
     /// in-flight high-water mark, never with the records offered.
     jobs: Vec<Job>,
-    /// Pre-drawn stage service times, µs, copied in at admission: stage
+    /// Pre-drawn stage service times, µs, drawn in at admission: stage
     /// `k` of slot `j` at `j × max_chain_len + k`.
     services_us: Vec<u64>,
     free_jobs: Vec<u32>,
@@ -940,10 +738,6 @@ pub struct DesSim {
     latencies_us: LatencyTally,
     input_done: bool,
     obs: DesObs,
-    block_len: usize,
-    /// Offered records not yet sent to be drawn: fewer than `block_len`.
-    pending: Block,
-    draw_ahead: Option<DrawAhead>,
 }
 
 impl DesSim {
@@ -963,12 +757,12 @@ impl DesSim {
         let max_chain_len = chains.iter().map(Vec::len).max().unwrap_or(0).max(1);
         let bucket = config.admission.map(TokenBucket::new);
         Ok(DesSim {
-            plan: Arc::new(ServicePlan {
+            plan: ServicePlan {
                 seed: config.seed,
                 chains,
                 laws: config.nfs.iter().map(|nf| nf.service.clone()).collect(),
                 max_chain_len,
-            }),
+            },
             nfs: config.nfs.into_iter().map(NfState::new).collect(),
             calendar: BinaryHeap::new(),
             seq: 0,
@@ -987,9 +781,6 @@ impl DesSim {
             latencies_us: LatencyTally::new(),
             input_done: false,
             obs: DesObs::default(),
-            block_len: DRAW_BLOCK,
-            pending: Block::default(),
-            draw_ahead: None,
         })
     }
 
@@ -997,10 +788,7 @@ impl DesSim {
     /// this run: the end-to-end latency histogram, per-NF depth /
     /// stage-latency / transaction series, admission counters by
     /// priority, scale-event counters by direction, per-NF server
-    /// gauges, and scaling-lag histograms. Its counters trail
-    /// [`DesSim::offer`] by the records not yet admitted — the block being
-    /// filled and at most seven queued blocks, 4 096 records — until
-    /// [`DesSim::finish`] settles them exactly.
+    /// gauges, and scaling-lag histograms.
     pub(crate) fn observed(mut self, registry: &Registry) -> DesSim {
         self.obs = DesObs::register(registry);
         for state in &self.nfs {
@@ -1029,9 +817,9 @@ impl DesSim {
         self.seq += 1;
     }
 
-    /// Offer one record at its trace timestamp. Input must be sorted by
-    /// time (ties allowed); an earlier-than-predecessor arrival is a
-    /// typed error from this call; the record is dropped.
+    /// Offer one record at its trace timestamp and admit it. Input must be
+    /// sorted by time (ties allowed); an earlier-than-predecessor arrival
+    /// is a typed error from this call; the record is dropped.
     pub fn offer(&mut self, rec: &TraceRecord) -> Result<(), DesError> {
         let arrival_ms = rec.t.as_millis();
         if let Some(prev_ms) = self.last_arrival_ms {
@@ -1043,65 +831,13 @@ impl DesSim {
             }
         }
         self.last_arrival_ms = Some(arrival_ms);
-        self.pending.records.push(*rec);
-        if self.pending.records.len() >= self.block_len {
-            // Once the queue is full, admit its oldest block while the
-            // newer ones are drawn.
-            let block = self.take_pending();
-            let plan = &self.plan;
-            let draw_ahead = self
-                .draw_ahead
-                .get_or_insert_with(|| DrawAhead::spawn(Arc::clone(plan), Queue::default()));
-            draw_ahead.offer(block);
-            if draw_ahead.pending() > DRAW_QUEUE {
-                let drawn = draw_ahead.next_drawn().expect("blocks pending");
-                self.admit_block(drawn);
-            }
-        }
+        self.admit(rec);
         Ok(())
     }
 
-    /// The pending block with its services sized here, so that no
-    /// drawing thread allocates.
-    fn take_pending(&mut self) -> Block {
-        let mut block = std::mem::take(&mut self.pending);
-        block
-            .services_us
-            .resize(block.records.len() * self.plan.max_chain_len, 0);
-        block
-    }
-
-    /// Admit everything offered, in offer order, and join the helper.
-    fn flush(&mut self) {
-        let mut last = self.take_pending();
-        match self.draw_ahead.take() {
-            Some(draw_ahead) => {
-                draw_ahead.offer(last);
-                while let Some(drawn) = draw_ahead.next_drawn() {
-                    self.admit_block(drawn);
-                }
-            }
-            None => {
-                self.plan.draw_block(&mut last);
-                self.admit_block(last);
-            }
-        }
-    }
-
-    /// Run the engine over a drawn block in record order; its buffers
-    /// become the next pending block.
-    fn admit_block(&mut self, mut block: Block) {
-        let strides = block.services_us.chunks_exact(self.plan.max_chain_len);
-        for (rec, services_us) in block.records.iter().zip(strides) {
-            self.admit(rec, services_us);
-        }
-        block.records.clear();
-        self.pending = block;
-    }
-
-    /// Admit one record with its pre-drawn services (one stride, unused
-    /// if the record is shed).
-    fn admit(&mut self, rec: &TraceRecord, services_us: &[u64]) {
+    /// Advance the calendar to `rec`'s arrival, pass the front door, and
+    /// draw an admitted record's stage services into its job slot.
+    fn admit(&mut self, rec: &TraceRecord) {
         let arrival_us = rec.t.as_millis() * 1_000;
         if self.t0_us.is_none() {
             self.t0_us = Some(arrival_us);
@@ -1146,30 +882,31 @@ impl DesSim {
             stage: 0,
             event: rec.event,
         };
+        let stride = self.plan.max_chain_len;
         let id = match self.free_jobs.pop() {
             Some(id) => {
                 self.jobs[id as usize] = job;
-                let first = id as usize * services_us.len();
-                self.services_us[first..first + services_us.len()].copy_from_slice(services_us);
                 id
             }
             None => {
                 self.jobs.push(job);
-                self.services_us.extend_from_slice(services_us);
+                self.services_us.resize(self.jobs.len() * stride, 0);
                 (self.jobs.len() - 1) as u32
             }
         };
+        let first = id as usize * stride;
+        self.plan
+            .draw(rec, &mut self.services_us[first..first + stride]);
         self.outstanding += 1;
         self.enqueue(first_pool, id, arrival_us);
         #[cfg(any(test, debug_assertions))]
         self.assert_laws();
     }
 
-    /// Admit what is buffered, drain the calendar and report. Remaining
-    /// control ticks stop rescheduling once no work is outstanding.
+    /// Drain the calendar and report. Remaining control ticks stop
+    /// rescheduling once no work is outstanding.
     pub fn finish(mut self) -> DesReport {
         let _finish = cn_obs::trace::global_span("cn_mcn_des_finish");
-        self.flush();
         self.input_done = true;
         self.advance_to(u64::MAX);
         debug_assert_eq!(self.outstanding, 0, "calendar drained with jobs in flight");
@@ -1423,7 +1160,7 @@ fn after_ms(now_us: u64, delay_ms: u64) -> u64 {
     now_us.saturating_add(delay_ms.saturating_mul(1_000))
 }
 
-/// SplitMix64-style seed mix: a distinct, well-scrambled RNG seed per
+/// SplitMix64-style seed mix: a distinct, well-scrambled stream state per
 /// `(run seed, ue, arrival ms, event)` tuple.
 fn job_seed(seed: u64, ue: u32, t_ms: u64, code: u8) -> u64 {
     let mut x = seed
@@ -1435,6 +1172,19 @@ fn job_seed(seed: u64, ue: u32, t_ms: u64, code: u8) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// A job's own stream: SplitMix64 from its [`job_seed`], nothing to expand.
+struct JobRng(u64);
+
+impl RngCore for JobRng {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = self.0;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
 }
 
 /// A deterministic single-point service law (every draw returns
@@ -1769,15 +1519,21 @@ mod tests {
         }
     }
 
+    /// The counters are exact after every `offer`, not only at `finish`.
     #[test]
     fn observed_run_fills_the_registry() {
         let registry = Registry::new();
-        let trace = Trace::from_records(
-            (0..50u64)
-                .map(|i| rec(i * 10, (i % 8) as u32, EventType::Attach))
-                .collect(),
-        );
-        let report = DesSim::run_trace(DesConfig::default_epc(9), &trace, &registry).unwrap();
+        let mut sim = DesSim::new(DesConfig::default_epc(9))
+            .unwrap()
+            .observed(&registry);
+        for i in 0..50u64 {
+            sim.offer(&rec(i * 10, (i % 8) as u32, EventType::Attach))
+                .unwrap();
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("cn_mcn_des_offered_total"), Some(i + 1));
+            assert_eq!(snap.counter_total("cn_mcn_des_admitted_total"), Some(i + 1));
+        }
+        let report = sim.finish();
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter("cn_mcn_des_completed_total"),
@@ -1848,8 +1604,7 @@ mod tests {
     }
 
     /// Job slots and the service arena follow the in-flight high-water
-    /// mark, sub-second latencies never reach a growing collection, and
-    /// the draw stage recycles a fixed set of blocks.
+    /// mark, and sub-second latencies never reach a growing collection.
     #[test]
     fn steady_state_holds_nothing_per_record() {
         let mut sim = DesSim::new(single_nf_config(2, 400.0)).unwrap();
@@ -1859,18 +1614,7 @@ mod tests {
             // the next: two jobs in flight at most.
             sim.offer(&rec(i / 2 * 10, (i % 16) as u32, EventType::Tau))
                 .unwrap();
-            // Between offers at most `DRAW_QUEUE` blocks wait in the
-            // queue and the one being filled is shorter than a block: at
-            // most 4 096 records are buffered, no block longer than a block.
-            let queued = sim.draw_ahead.as_ref().map_or(0, DrawAhead::pending);
-            assert!(queued <= DRAW_QUEUE);
-            let buffered = queued as usize * DRAW_BLOCK + sim.pending.records.len();
-            assert!(buffered <= 2 * 2_048, "{buffered} records buffered");
-            assert!(sim.pending.records.capacity() <= DRAW_BLOCK);
-            assert!(sim.pending.services_us.capacity() <= DRAW_BLOCK * stride);
         }
-        assert!(sim.draw_ahead.is_some(), "5 000 records fill nine blocks");
-        sim.flush();
         assert_eq!(sim.jobs.len(), 2);
         assert_eq!(sim.services_us.len(), 2 * stride);
         assert!(sim.calendar.len() <= 2 && sim.nfs[0].queue.is_empty());
@@ -1919,25 +1663,6 @@ mod tests {
             .collect()
     }
 
-    /// [`DesSim::new`] with `block_len` records per draw-ahead block.
-    fn with_block_len(config: DesConfig, block_len: usize) -> DesSim {
-        DesSim {
-            block_len,
-            ..DesSim::new(config).unwrap()
-        }
-    }
-
-    /// Offer `records` with `block_len` records per draw-ahead block.
-    /// `usize::MAX` never fills a block: every service is drawn on the
-    /// calling thread, in `finish`.
-    fn run_blocks(config: &DesConfig, records: &[TraceRecord], block_len: usize) -> DesReport {
-        let mut sim = with_block_len(config.clone(), block_len);
-        for r in records {
-            sim.offer(r).unwrap();
-        }
-        sim.finish()
-    }
-
     proptest! {
         /// The simulator asserts work conservation (a queued job means
         /// every online server is busy) and job conservation (offered =
@@ -1960,70 +1685,20 @@ mod tests {
             let stages: u64 = report.per_nf.iter().map(|nf| nf.stages).sum();
             prop_assert!(stages >= report.completed);
         }
-
-        /// Drawing ahead on the helper thread changes no bit of the
-        /// report, whatever the block size.
-        #[test]
-        fn any_block_size_reports_like_the_inline_draw(
-            arrivals in prop::collection::vec((0u64..40, 0u32..32, 0usize..6), 1..400),
-            seed in 0u64..1_000,
-            provision_ms in 0u64..400,
-        ) {
-            let config = elastic_epc(seed, provision_ms);
-            let records = bursty(&arrivals);
-            let inline = run_blocks(&config, &records, usize::MAX);
-            for block_len in [1, 97, DRAW_BLOCK] {
-                prop_assert_eq!(&run_blocks(&config, &records, block_len), &inline);
-            }
-        }
-    }
-
-    /// A random bursty stream of seventeen and a half blocks: it fills
-    /// the draw queue twice over.
-    fn many_blocks() -> Vec<TraceRecord> {
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(0xB10C);
-        let arrivals: Vec<(u64, u32, usize)> = (0..35 * DRAW_BLOCK / 2)
-            .map(|_| {
-                (
-                    rng.gen_range(0..12),
-                    rng.gen_range(0..64),
-                    rng.gen_range(0..6),
-                )
-            })
-            .collect();
-        bursty(&arrivals)
-    }
-
-    #[test]
-    fn a_stream_of_many_blocks_reports_like_the_inline_draw() {
-        let records = many_blocks();
-        let config = elastic_epc(7, 120);
-        let inline = run_blocks(&config, &records, usize::MAX);
-        assert!(inline.total_shed() > 0 && inline.per_nf[0].scale_ups > 0);
-        for block_len in [1, 97, DRAW_BLOCK] {
-            assert_eq!(
-                run_blocks(&config, &records, block_len),
-                inline,
-                "{block_len}"
-            );
-        }
     }
 
     /// An out-of-order record is refused by the `offer` that brings it,
-    /// wherever it falls against the blocks, and the run goes on as if it
-    /// had never been offered.
+    /// and the run goes on as if it had never been offered.
     #[test]
-    fn unsorted_input_is_refused_at_any_block_position() {
+    fn unsorted_input_is_refused_and_skipped() {
         let config = single_nf_config(2, 300.0);
         let sorted: Vec<TraceRecord> = (0..300u64)
             .map(|i| rec(1_000 + i * 3, (i % 8) as u32, EventType::Tau))
             .collect();
-        let reference = run_blocks(&config, &sorted, usize::MAX);
-        // The second record of a fresh simulator, the first after a
-        // block boundary, the second of a later block.
-        for at in [1, 97, 98] {
-            let mut sim = with_block_len(config.clone(), 97);
+        let trace = Trace::from_records(sorted.clone());
+        let reference = DesSim::run_trace(config.clone(), &trace, &Registry::disabled()).unwrap();
+        for at in [1, 97] {
+            let mut sim = DesSim::new(config.clone()).unwrap();
             for r in &sorted[..at] {
                 sim.offer(r).unwrap();
             }
@@ -2040,89 +1715,6 @@ mod tests {
                 sim.offer(r).unwrap();
             }
             assert_eq!(sim.finish(), reference, "at {at}");
-        }
-    }
-
-    /// Dropping a simulator with a block in flight closes and joins its
-    /// draw-ahead thread: the thread's share of the plan is released by
-    /// the time `drop` returns.
-    #[test]
-    fn dropping_without_finish_joins_the_draw_ahead_thread() {
-        for round in 0..200 {
-            let mut sim = DesSim::new(single_nf_config(2, 400.0)).unwrap();
-            let plan = Arc::clone(&sim.plan);
-            for i in 0..5_000u64 {
-                sim.offer(&rec(i, (i % 16) as u32, EventType::Tau)).unwrap();
-            }
-            let queued = sim.draw_ahead.as_ref().map(DrawAhead::pending);
-            assert_eq!(queued, Some(DRAW_QUEUE));
-            drop(sim);
-            assert_eq!(Arc::strong_count(&plan), 1, "round {round}");
-        }
-    }
-
-    /// A draw that panics is raised on the caller with its own payload,
-    /// not swallowed into a shorter report: one on the helper while the
-    /// caller waits for its block, and one in a run, whichever thread
-    /// draws first.
-    #[test]
-    fn a_draw_ahead_panic_is_raised_on_the_caller() {
-        let mut sim = with_block_len(single_nf_config(1, 100.0), 4);
-        // A plan with no laws, past `validate`: the first draw panics.
-        Arc::get_mut(&mut sim.plan).unwrap().laws.clear();
-        let draw_ahead = DrawAhead::spawn(Arc::clone(&sim.plan), Queue::default());
-        draw_ahead.offer(Block {
-            records: vec![rec(0, 0, EventType::Tau)],
-            services_us: vec![0; sim.plan.max_chain_len],
-        });
-        // Once the helper has claimed the one block, only it draws.
-        while !draw_ahead.shared.lock().undrawn.is_empty() {
-            std::thread::yield_now();
-        }
-        let on_helper = std::panic::catch_unwind(AssertUnwindSafe(|| draw_ahead.next_drawn()));
-        let in_run = std::panic::catch_unwind(AssertUnwindSafe(move || {
-            for i in 0..64u64 {
-                sim.offer(&rec(i, 0, EventType::Tau)).unwrap();
-            }
-            sim.finish()
-        }));
-        for payload in [on_helper.err(), in_run.err()] {
-            let payload = payload.expect("the draw panicked");
-            let message = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-            assert!(
-                message.is_some_and(|m| m.starts_with("index out of bounds")),
-                "{message:?}"
-            );
-        }
-    }
-
-    /// With the helper parked the caller claims and draws every block
-    /// itself, and the report is the inline draw's, field for field.
-    #[test]
-    fn the_caller_drawing_alone_reports_like_the_inline_draw() {
-        let records = many_blocks();
-        let config = elastic_epc(7, 120);
-        let inline = run_blocks(&config, &records, usize::MAX);
-        for block_len in [1, 97, DRAW_BLOCK] {
-            let mut sim = with_block_len(config.clone(), block_len);
-            let parked = Queue {
-                parked: true,
-                ..Queue::default()
-            };
-            sim.draw_ahead = Some(DrawAhead::spawn(Arc::clone(&sim.plan), parked));
-            for r in &records {
-                sim.offer(r).unwrap();
-            }
-            let report = sim.finish();
-            assert_eq!(report, inline, "{block_len}");
-            assert_eq!(
-                serde_json::to_string(&report).unwrap(),
-                serde_json::to_string(&inline).unwrap(),
-                "{block_len}"
-            );
         }
     }
 

@@ -6,6 +6,7 @@
 //! Tables 8–10 battery: density
 //! `f(x) = x^{k−1} e^{−x/θ} / (Γ(k) θ^k)` for `x > 0`.
 
+use crate::detmath;
 use crate::dist::weibull::gamma as gamma_fn;
 use crate::fit::FitError;
 use rand::Rng;
@@ -111,6 +112,36 @@ impl Gamma {
             }
             let u: f64 = 1.0 - rng.gen::<f64>();
             if u.ln() < 0.5 * z * z + d - d * v + d * v.ln() {
+                return d * v * self.scale;
+            }
+        }
+    }
+
+    /// [`Gamma::sample`]'s steps on the portable kernels, for
+    /// [`Dist::sample_portable`](crate::Dist::sample_portable), which
+    /// replaces `sample` in the generator re-bless.
+    pub(crate) fn sample_portable<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let k = self.shape;
+        if k < 1.0 {
+            let u: f64 = 1.0 - rng.gen::<f64>();
+            return Gamma {
+                shape: k + 1.0,
+                scale: self.scale,
+            }
+            .sample_portable(rng)
+                * detmath::pow(u, 1.0 / k);
+        }
+        let d = k - 1.0 / 3.0;
+        let c = 1.0 / (9.0 * d).sqrt();
+        loop {
+            let z = detmath::std_normal(rng);
+            let t = 1.0 + c * z;
+            let v = t * t * t;
+            if v <= 0.0 {
+                continue;
+            }
+            let u: f64 = 1.0 - rng.gen::<f64>();
+            if detmath::ln(u) < 0.5 * z * z + d - d * v + d * detmath::ln(v) {
                 return d * v * self.scale;
             }
         }

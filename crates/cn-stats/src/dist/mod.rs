@@ -21,6 +21,7 @@ pub use pareto::Pareto;
 pub use tcplib::Tcplib;
 pub use weibull::Weibull;
 
+use crate::detmath;
 use crate::ecdf::Ecdf;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -92,6 +93,24 @@ impl Dist {
             Dist::Weibull(d) => d.sample(rng),
             Dist::LogNormal(d) => d.sample(rng),
             Dist::Gamma(d) => d.sample(rng),
+            Dist::Tcplib(d) => d.sample(rng),
+            Dist::Empirical(e) => e.sample(rng),
+        }
+    }
+
+    /// Draw one value with no libm call: the same law as [`Dist::sample`],
+    /// drawn on the crate's portable kernels, so the bits are the same on
+    /// every host. LogNormal is `exp(μ + σ·Z)` with a ziggurat `Z`,
+    /// Exponential `−ln U / λ`, Pareto, Weibull and Gamma the formulas of
+    /// `sample`; Tcplib and Empirical draw as `sample` does.
+    pub fn sample_portable<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let unit = |rng: &mut R| 1.0 - rng.gen::<f64>(); // (0, 1]
+        match self {
+            Dist::Exponential(d) => -detmath::ln(unit(rng)) / d.rate(),
+            Dist::Pareto(d) => d.scale() * detmath::pow(unit(rng), -1.0 / d.shape()),
+            Dist::Weibull(d) => d.scale() * detmath::pow(-detmath::ln(unit(rng)), 1.0 / d.shape()),
+            Dist::LogNormal(d) => detmath::exp(d.mu() + d.sigma() * detmath::std_normal(rng)),
+            Dist::Gamma(d) => d.sample_portable(rng),
             Dist::Tcplib(d) => d.sample(rng),
             Dist::Empirical(e) => e.sample(rng),
         }

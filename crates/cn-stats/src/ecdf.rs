@@ -190,22 +190,6 @@ impl Ecdf {
         self.at(idx)
     }
 
-    /// Draw one value by *smoothed* inverse-transform sampling: linear
-    /// interpolation between adjacent order statistics, so synthetic values
-    /// are not limited to exactly the observed points.
-    pub fn sample_smoothed<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let n = self.len();
-        if n == 1 {
-            return self.at(0);
-        }
-        let u: f64 = rng.gen::<f64>() * (n - 1) as f64;
-        let lo = u.floor() as usize;
-        let frac = u - lo as f64;
-        let hi = (lo + 1).min(n - 1);
-        let (x_lo, x_hi) = (self.at(lo), self.at(hi));
-        x_lo + (x_hi - x_lo) * frac
-    }
-
     /// Maximum vertical distance between this ECDF and `other`
     /// (the two-sample Kolmogorov–Smirnov statistic; the paper's
     /// "maximum y-distance of the CDF", §8.1.2).
@@ -312,8 +296,6 @@ mod tests {
         for _ in 0..100 {
             let x = e.sample(&mut rng);
             assert!([3.0, 7.0, 9.0].contains(&x));
-            let y = e.sample_smoothed(&mut rng);
-            assert!((3.0..=9.0).contains(&y));
         }
     }
 
@@ -457,9 +439,7 @@ mod tests {
                 let draws = |e: &Ecdf| {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let plain: Vec<u64> = (0..16).map(|_| e.sample(&mut rng).to_bits()).collect();
-                    let smooth: Vec<u64> =
-                        (0..16).map(|_| e.sample_smoothed(&mut rng).to_bits()).collect();
-                    (plain, smooth, rng.gen::<u64>())
+                    (plain, rng.gen::<u64>())
                 };
                 prop_assert_eq!(draws(&e), draws(&o));
 

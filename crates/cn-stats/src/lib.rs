@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 mod ad;
+mod detmath;
 pub mod dist;
 pub mod ecdf;
 mod erlang;

@@ -82,18 +82,4 @@ proptest! {
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         prop_assert!((d.mean() - mean).abs() / mean < 1e-9);
     }
-
-    /// Smoothed ECDF sampling never leaves [min, max].
-    #[test]
-    fn ecdf_smoothed_sampling_bounded(
-        samples in prop::collection::vec(0.0f64..1000.0, 1..50),
-        seed in any::<u64>(),
-    ) {
-        let e = Ecdf::new(samples).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..20 {
-            let x = e.sample_smoothed(&mut rng);
-            prop_assert!(x >= e.min() - 1e-9 && x <= e.max() + 1e-9);
-        }
-    }
 }

@@ -604,459 +604,6 @@ mod tests {
         Lab::new(ExperimentConfig::quick())
     }
 
-    /// The reference §4 artifacts: each filters, groups and replays the
-    /// world itself, with no shared measurement.
-    mod reference {
-        use super::super::Diurnal;
-        use crate::lab::Lab;
-        use crate::profile::breakdown_simple;
-        use crate::report::{pct, Table};
-        use cn_fit::Method;
-        use cn_statemachine::{replay_ue, TopTransition};
-        use cn_stats::summary::BoxStats;
-        use cn_stats::variance_time::{
-            bin_counts, default_scales, poisson_reference, variance_time_plot,
-        };
-        use cn_stats::{Ecdf, Exponential};
-        use cn_trace::{DeviceType, EventType, HourOfDay, Trace, MS_PER_SEC};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        /// Events from UEs of the given device type.
-        fn filter(trace: &Trace, device: DeviceType) -> Trace {
-            Trace::from_records(
-                trace
-                    .iter()
-                    .filter(|r| r.device == device)
-                    .copied()
-                    .collect(),
-            )
-        }
-
-        /// Table 1: breakdown of control-plane events of the modeled week.
-        pub(super) fn table1(lab: &Lab) -> Table {
-            let mut t = Table::new(
-                "Table 1: Breakdown of control-plane events (modeled 7-day world)",
-                &["Event Type", "P", "CC", "T"],
-            );
-            let world = lab.world();
-            let shares: Vec<[f64; 6]> = DeviceType::ALL
-                .iter()
-                .map(|&d| breakdown_simple(world, d))
-                .collect();
-            for e in EventType::ALL {
-                t.push_row(vec![
-                    e.mnemonic().to_string(),
-                    pct(shares[0][e.code() as usize]),
-                    pct(shares[1][e.code() as usize]),
-                    pct(shares[2][e.code() as usize]),
-                ]);
-            }
-            t
-        }
-
-        /// Fig. 2 (one panel): box plot of events per device-hour across the 24
-        /// hours of day, for one (device, event).
-        pub(super) fn fig2(lab: &Lab, device: DeviceType, event: EventType) -> Table {
-            let mut t = Table::new(
-                format!(
-                    "Fig. 2: {} of {} per device-hour",
-                    event.mnemonic(),
-                    device.abbrev()
-                ),
-                &["hour", "min", "q1", "median", "q3", "max", "mean"],
-            );
-            let world = filter(lab.world(), device);
-            let per_ue = world.per_ue();
-            let n_days = lab.cfg.days.ceil() as u64;
-            for hour in HourOfDay::all() {
-                // One sample per (UE, day): the event count in that hour window.
-                let mut samples: Vec<f64> = Vec::new();
-                for (_, events) in per_ue.iter() {
-                    let mut per_day = vec![0u32; n_days as usize];
-                    for r in events {
-                        if r.event == event && r.t.hour_of_day() == hour {
-                            let d = (r.t.day() as usize).min(n_days as usize - 1);
-                            per_day[d] += 1;
-                        }
-                    }
-                    samples.extend(per_day.into_iter().map(f64::from));
-                }
-                let stats = BoxStats::from_samples(&samples).unwrap_or(BoxStats {
-                    min: 0.0,
-                    q1: 0.0,
-                    median: 0.0,
-                    q3: 0.0,
-                    max: 0.0,
-                    mean: 0.0,
-                    n: 0,
-                });
-                t.push_row(vec![
-                    hour.to_string(),
-                    format!("{:.0}", stats.min),
-                    format!("{:.1}", stats.q1),
-                    format!("{:.1}", stats.median),
-                    format!("{:.1}", stats.q3),
-                    format!("{:.0}", stats.max),
-                    format!("{:.2}", stats.mean),
-                ]);
-            }
-            t
-        }
-
-        /// Fig. 2 summary: peak-to-trough swing of the mean per-device-hour volume
-        /// for the four dominant event types (the paper's 2.27×–1309× claims).
-        pub(super) fn fig2_summary(lab: &Lab) -> Table {
-            let mut t = Table::new(
-                "Fig. 2 summary: peak/trough ratio of mean events per device-hour",
-                &["Device", "SRV_REQ", "S1_CONN_REL", "HO", "TAU"],
-            );
-            let world = lab.world();
-            for device in DeviceType::ALL {
-                let dev = filter(world, device);
-                let ues = dev.ues().len().max(1) as f64;
-                let days = lab.cfg.days.max(1.0 / 24.0);
-                let mut row = vec![device.abbrev().to_string()];
-                for event in [
-                    EventType::ServiceRequest,
-                    EventType::S1ConnRelease,
-                    EventType::Handover,
-                    EventType::Tau,
-                ] {
-                    let mut by_hour = [0f64; 24];
-                    for r in dev.iter() {
-                        if r.event == event {
-                            by_hour[r.t.hour_of_day().index()] += 1.0;
-                        }
-                    }
-                    for v in &mut by_hour {
-                        *v /= ues * days;
-                    }
-                    let max = by_hour.iter().copied().fold(f64::MIN, f64::max);
-                    let min = by_hour.iter().copied().fold(f64::MAX, f64::min);
-                    row.push(if min > 0.0 {
-                        format!("{:.1}x", max / min)
-                    } else {
-                        "inf".into()
-                    });
-                }
-                t.push_row(row);
-            }
-            t
-        }
-
-        /// Per-device event-time streams used by Fig. 3/Fig. 4: connected entries,
-        /// idle entries, HO times, TAU times, and busy-hour sojourn/gap samples.
-        struct Fig34Data {
-            srv_times: Vec<u64>,
-            rel_times: Vec<u64>,
-            ho_times: Vec<u64>,
-            tau_times: Vec<u64>,
-            conn_sojourn_busy: Vec<f64>,
-            idle_sojourn_busy: Vec<f64>,
-            ho_gaps_busy: Vec<f64>,
-            tau_gaps_busy: Vec<f64>,
-        }
-
-        /// Same (day, hour) window — gaps spanning windows are never observed.
-        fn same_window(a: cn_trace::Timestamp, b: cn_trace::Timestamp) -> bool {
-            (a.day(), a.hour_of_day()) == (b.day(), b.hour_of_day())
-        }
-
-        fn fig34_data(lab: &Lab, device: DeviceType) -> Fig34Data {
-            let busy = HourOfDay(lab.cfg.busy_hour);
-            let world = filter(lab.world(), device);
-            let mut d = Fig34Data {
-                srv_times: Vec::new(),
-                rel_times: Vec::new(),
-                ho_times: Vec::new(),
-                tau_times: Vec::new(),
-                conn_sojourn_busy: Vec::new(),
-                idle_sojourn_busy: Vec::new(),
-                ho_gaps_busy: Vec::new(),
-                tau_gaps_busy: Vec::new(),
-            };
-            for (_, events) in world.per_ue().iter() {
-                let mut last_ho: Option<cn_trace::Timestamp> = None;
-                let mut last_tau: Option<cn_trace::Timestamp> = None;
-                for r in events {
-                    match r.event {
-                        EventType::ServiceRequest => d.srv_times.push(r.t.as_millis()),
-                        EventType::S1ConnRelease => d.rel_times.push(r.t.as_millis()),
-                        EventType::Handover => {
-                            d.ho_times.push(r.t.as_millis());
-                            // Within-window gaps only, per the paper's §4.1.1
-                            // preprocessing.
-                            if let Some(prev) = last_ho {
-                                if r.t.hour_of_day() == busy && same_window(prev, r.t) {
-                                    d.ho_gaps_busy
-                                        .push(r.t.since(prev) as f64 / MS_PER_SEC as f64);
-                                }
-                            }
-                            last_ho = Some(r.t);
-                        }
-                        EventType::Tau => {
-                            d.tau_times.push(r.t.as_millis());
-                            if let Some(prev) = last_tau {
-                                if r.t.hour_of_day() == busy && same_window(prev, r.t) {
-                                    d.tau_gaps_busy
-                                        .push(r.t.since(prev) as f64 / MS_PER_SEC as f64);
-                                }
-                            }
-                            last_tau = Some(r.t);
-                        }
-                        _ => {}
-                    }
-                }
-                let outcome = replay_ue(events);
-                for s in &outcome.top_sojourns {
-                    if s.enter.hour_of_day() != busy {
-                        continue;
-                    }
-                    let secs = s.duration_ms as f64 / MS_PER_SEC as f64;
-                    match s.transition {
-                        TopTransition::ConnToIdle => d.conn_sojourn_busy.push(secs),
-                        TopTransition::IdleToConn => d.idle_sojourn_busy.push(secs),
-                        _ => {}
-                    }
-                }
-            }
-            d
-        }
-
-        /// Fig. 3 companion: Hurst exponents of the four event streams (the
-        /// aggregated-variance method is the variance–time plot in closed form;
-        /// `H = 0.5` is Poisson, `H > 0.5` is the long-range dependence the paper
-        /// observes).
-        pub(super) fn fig3_hurst(lab: &Lab) -> Table {
-            let mut t = Table::new(
-                "Fig. 3 companion: Hurst exponents of event streams (0.5 = Poisson)",
-                &["Device", "SRV_REQ", "S1_CONN_REL", "HO", "TAU"],
-            );
-            let end = lab.world().end().map_or(0, |e| e.as_millis());
-            for device in DeviceType::ALL {
-                let data = fig34_data(lab, device);
-                let mut row = vec![device.abbrev().to_string()];
-                for times in [
-                    &data.srv_times,
-                    &data.rel_times,
-                    &data.ho_times,
-                    &data.tau_times,
-                ] {
-                    let bins = bin_counts(times, 0, end);
-                    row.push(
-                        cn_stats::hurst_aggregated_variance(&bins, 8)
-                            .map_or("-".into(), |e| format!("{:.2}", e.h)),
-                    );
-                }
-                t.push_row(row);
-            }
-            t
-        }
-
-        /// Fig. 3: variance–time plots for CONNECTED/IDLE entries and HO/TAU
-        /// arrivals vs the fitted-Poisson reference (phones by default).
-        pub(super) fn fig3(lab: &Lab, device: DeviceType) -> Table {
-            let mut t = Table::new(
-                format!("Fig. 3: variance-time (normalized) for {}", device.name()),
-                &[
-                    "scale_s",
-                    "CONN real",
-                    "CONN poisson",
-                    "IDLE real",
-                    "IDLE poisson",
-                    "HO real",
-                    "HO poisson",
-                    "TAU real",
-                    "TAU poisson",
-                ],
-            );
-            let data = fig34_data(lab, device);
-            let end = lab.world().end().map_or(0, |e| e.as_millis());
-            if end == 0 {
-                return t;
-            }
-            let scales = default_scales();
-            let quantities = [
-                &data.srv_times,
-                &data.rel_times,
-                &data.ho_times,
-                &data.tau_times,
-            ];
-            // Per quantity: (scale → real normalized variance) and Poisson reference.
-            let mut real: Vec<std::collections::HashMap<u64, f64>> = Vec::new();
-            let mut rates: Vec<f64> = Vec::new();
-            for times in quantities {
-                let bins = bin_counts(times, 0, end);
-                let vt = variance_time_plot(&bins, &scales);
-                real.push(
-                    vt.into_iter()
-                        .map(|p| (p.scale_secs, p.normalized_variance))
-                        .collect(),
-                );
-                rates.push(times.len() as f64 / bins.len().max(1) as f64);
-            }
-            for &m in &scales {
-                let mut row = vec![m.to_string()];
-                for (q, rate) in real.iter().zip(&rates) {
-                    row.push(q.get(&m).map_or("-".into(), |v| format!("{v:.3e}")));
-                    row.push(if *rate > 0.0 {
-                        format!("{:.3e}", poisson_reference(*rate, m))
-                    } else {
-                        "-".into()
-                    });
-                }
-                t.push_row(row);
-            }
-            t
-        }
-
-        /// Fig. 4: range of real samples vs a same-size sample from the MLE-fitted
-        /// exponential, for the busy-hour CONNECTED/IDLE sojourns and HO/TAU
-        /// inter-arrivals (phones by default).
-        pub(super) fn fig4(lab: &Lab, device: DeviceType) -> Table {
-            let mut t = Table::new(
-                format!(
-                    "Fig. 4: real vs fitted-Poisson sample ranges, busy hour, {}",
-                    device.name()
-                ),
-                &[
-                    "quantity", "source", "min_s", "p25_s", "median_s", "p75_s", "p99_s", "max_s",
-                ],
-            );
-            let data = fig34_data(lab, device);
-            let mut rng = StdRng::seed_from_u64(lab.cfg.seed ^ 0xF164);
-            let quantities: [(&str, &[f64]); 4] = [
-                ("CONNECTED", &data.conn_sojourn_busy),
-                ("IDLE", &data.idle_sojourn_busy),
-                ("HO", &data.ho_gaps_busy),
-                ("TAU", &data.tau_gaps_busy),
-            ];
-            for (name, samples) in quantities {
-                let Some(real) = Ecdf::new(samples.to_vec()) else {
-                    continue;
-                };
-                let mut push = |source: &str, e: &Ecdf| {
-                    t.push_row(vec![
-                        name.into(),
-                        source.into(),
-                        format!("{:.2}", e.min()),
-                        format!("{:.2}", e.quantile(0.25)),
-                        format!("{:.2}", e.quantile(0.5)),
-                        format!("{:.2}", e.quantile(0.75)),
-                        format!("{:.2}", e.quantile(0.99)),
-                        format!("{:.2}", e.max()),
-                    ]);
-                };
-                push("real", &real);
-                if let Ok(fitted) = Exponential::fit(samples) {
-                    let synth: Vec<f64> = (0..samples.len())
-                        .map(|_| fitted.sample(&mut rng))
-                        .collect();
-                    if let Some(e) = Ecdf::new(synth) {
-                        push("poisson", &e);
-                    }
-                }
-            }
-            t
-        }
-
-        /// The diurnal profiles of the modeled world and of `synth`, one day.
-        fn diurnal(lab: &Lab, synth: &Trace) -> Diurnal {
-            let volumes = |trace: &Trace, weight: f64| {
-                let mut v = [[0f64; 24]; 3];
-                for r in trace.iter() {
-                    v[r.device.code() as usize][r.t.hour_of_day().index()] += weight;
-                }
-                v
-            };
-            let real = volumes(lab.world(), 1.0 / lab.cfg.days.max(1.0));
-            let synth = volumes(synth, 1.0);
-            let corr = std::array::from_fn(|d| {
-                let (a, b) = (&real[d], &synth[d]);
-                let ma = a.iter().sum::<f64>() / 24.0;
-                let mb = b.iter().sum::<f64>() / 24.0;
-                let cov: f64 = a.iter().zip(b).map(|(x, y)| (x - ma) * (y - mb)).sum();
-                let va: f64 = a.iter().map(|x| (x - ma).powi(2)).sum();
-                let vb: f64 = b.iter().map(|y| (y - mb).powi(2)).sum();
-                if va > 0.0 && vb > 0.0 {
-                    cov / (va.sqrt() * vb.sqrt())
-                } else {
-                    0.0
-                }
-            });
-            Diurnal { real, synth, corr }
-        }
-
-        /// Extension (not a paper artifact): diurnal fidelity of a full-day
-        /// synthesis. The per-hour event volumes of 24 generated hours are
-        /// compared with the modeled world's mean weekday profile; the last row
-        /// reports the Pearson correlation of the two 24-point profiles per
-        /// device (≥0.9 means the generator reproduces the daily rhythm, not just
-        /// the busy hour).
-        pub(super) fn diurnal_fidelity(lab: &Lab) -> Table {
-            let mut t = Table::new(
-                "Extension: diurnal fidelity of a 24h synthesis (events per hour)",
-                &[
-                    "hour", "P real", "P synth", "CC real", "CC synth", "T real", "T synth",
-                ],
-            );
-            let config = cn_gen::GenConfig::new(
-                lab.cfg.model_mix,
-                cn_trace::Timestamp::at_hour(0, 0),
-                24.0,
-                lab.cfg.seed ^ 0xD1E1,
-            );
-            let d = diurnal(lab, &cn_gen::generate(lab.models(Method::Ours), &config));
-            for h in 0..24 {
-                let mut row = vec![format!("{h:02}h")];
-                for dev in 0..3 {
-                    row.push(format!("{:.0}", d.real[dev][h]));
-                    row.push(format!("{:.0}", d.synth[dev][h]));
-                }
-                t.push_row(row);
-            }
-            let mut row = vec!["corr".into()];
-            for corr in d.corr {
-                row.push(String::new());
-                row.push(format!("{corr:.3}"));
-            }
-            t.push_row(row);
-            t
-        }
-    }
-
-    /// Every §4 table renders the same from the memoized world profile as
-    /// from the reference, and the memoized batteries equal fresh runs, on
-    /// the quick lab at two seeds.
-    #[test]
-    fn world_profile_renders_the_reference_tables() {
-        for seed in [2024, 7] {
-            let lab = Lab::new(ExperimentConfig {
-                seed,
-                ..ExperimentConfig::quick()
-            });
-            assert_eq!(table1(&lab), reference::table1(&lab));
-            assert_eq!(fig2_summary(&lab), reference::fig2_summary(&lab));
-            for device in DeviceType::ALL {
-                for event in STREAMS {
-                    assert_eq!(
-                        fig2(&lab, device, event),
-                        reference::fig2(&lab, device, event)
-                    );
-                }
-                assert_eq!(fig3(&lab, device), reference::fig3(&lab, device));
-                assert_eq!(fig4(&lab, device), reference::fig4(&lab, device));
-            }
-            assert_eq!(fig3_hurst(&lab), reference::fig3_hurst(&lab));
-            assert_eq!(diurnal_fidelity(&lab), reference::diurnal_fidelity(&lab));
-            for clustered in [false, true] {
-                let fresh = run_suite(lab.world(), clustered, &lab.cfg.clustering);
-                assert!(*lab.suite(clustered) == fresh, "clustered = {clustered}");
-            }
-        }
-    }
-
     /// Table 9x renders as one run of the extended battery whether Table 9
     /// ran first or not, and run first it leaves Table 9's memo equal to
     /// a fresh battery.
