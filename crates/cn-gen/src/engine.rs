@@ -168,15 +168,17 @@ pub(crate) fn reference(
 ) -> Vec<cn_trace::TraceRecord> {
     let mut records: Vec<_> = (ues.into_iter())
         .flat_map(|ue| {
-            crate::per_ue::UeEventIter::with_semantics(
-                models.device(config.device_of(ue)),
+            let dm = models.device(config.device_of(ue));
+            let state = crate::per_ue::UeState::new(
+                dm,
                 models.method,
-                cn_trace::UeId(ue),
                 config.start,
                 config.end(),
                 ue_stream_seed(config.seed, ue),
                 config.semantics,
-            )
+            );
+            let ue = cn_trace::UeId(ue);
+            crate::per_ue::UeEventIter { dm, ue, state }
         })
         .collect();
     records.sort();

@@ -569,7 +569,6 @@ impl<'m> PopulationStream<'m> {
             let mut gen = UeState::new(
                 models.device(config.device_of(index)),
                 models.method,
-                UeId(index),
                 config.start,
                 end,
                 crate::engine::ue_stream_seed(config.seed, index),
