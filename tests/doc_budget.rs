@@ -10,7 +10,7 @@
 //! `CHANGES_ENTRY_LINES` lines of at most `CHANGES_COLUMNS` columns; the
 //! long story of a change lives in git, not in the log.
 
-const BUDGETS: [(&str, u64); 2] = [("DESIGN.md", 63_218), ("TESTING.md", 38_796)];
+const BUDGETS: [(&str, u64); 2] = [("DESIGN.md", 63_214), ("TESTING.md", 38_790)];
 
 const CHANGES_ENTRY_LINES: usize = 10;
 const CHANGES_COLUMNS: usize = 100;
